@@ -188,17 +188,22 @@ class Algebra:
 
     # -- subspace products and ideals ----------------------------------------------
 
-    def subspace_product(self, u: Subspace, v: Subspace) -> Subspace:
-        """Span of u_s * v_t over all basis pairs."""
+    def basis_products(self, u: Subspace, v: Subspace) -> np.ndarray:
+        """Array P of shape (u.dim, v.dim, dim) with P[s, t] = u_s * v_t."""
         self._check_subspace(u)
         self._check_subspace(v)
         f, c, n = self.field, self.table, self.dim
         if u.dim == 0 or v.dim == 0:
-            return self.zero_space()
+            return f.zeros((u.dim, v.dim, n))
         t1 = f.tensordot_lf(u.basis, c.reshape(n, -1)).reshape(u.dim, n, n)
         t1 = np.ascontiguousarray(t1.transpose(1, 0, 2)).reshape(n, u.dim * n)
-        prod = f.tensordot_lf(v.basis, t1).reshape(v.dim * u.dim, n)
-        return Subspace.from_rows(f, n, prod)
+        prod = f.tensordot_lf(v.basis, t1).reshape(v.dim, u.dim, n)
+        return prod.transpose(1, 0, 2)
+
+    def subspace_product(self, u: Subspace, v: Subspace) -> Subspace:
+        """Span of u_s * v_t over all basis pairs."""
+        prod = self.basis_products(u, v)
+        return Subspace.from_rows(self.field, self.dim, prod.reshape(-1, self.dim))
 
     def _one_sided_products(self, u: Subspace, side: str) -> np.ndarray:
         """Rows spanning A*u (side='left') or u*A (side='right')."""

@@ -16,7 +16,17 @@ Exactness of the fast paths:
 * extension fields evaluate coefficient vectors at a power-of-two base X
   (Kronecker substitution), multiply matrices of these integer values, and
   read the product polynomial back off the base-X digits.  The base is
-  chosen per call so that digits cannot collide and float64 stays exact.
+  chosen per call so that digits cannot collide and float64 stays exact;
+* rationals multiply through integers: each operand is scaled by the lcm
+  of its denominators, the integer matrices are multiplied on the same
+  float64 / int64 / Python-int ladder as prime fields (bounded by
+  m * max|a| * max|b|), and the product is divided back into canonical
+  ``Fraction`` entries.  No arithmetic on ``Fraction`` objects runs inside
+  the product.
+
+Row elimination (``elim``) works in place on the rows whose factor is
+nonzero and leaves every other row untouched; the linear-algebra layer
+hands it matrices it owns.
 
 Descriptors and scalars are immutable after construction (lookup tables are
 built once and only read), so they are safe to share across threads.
@@ -24,6 +34,7 @@ built once and only read), so they are safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -67,6 +78,19 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def _int_matmul(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
+    """Exact product of integer arrays whose dot products stay below ``bound``.
+
+    float64 while every partial sum is provably below 2**53, int64 below
+    2**62, Python integers (an object array) beyond.
+    """
+    if bound < _F64_EXACT:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    if bound < _I64_SAFE:
+        return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
+    return np.dot(a.astype(object), b.astype(object))
 
 
 class FieldDescriptor:
@@ -185,8 +209,18 @@ class FieldDescriptor:
         raise NotImplementedError
 
     def elim(self, m, f, row):
-        """Row elimination m - outer(f, row), vectorised over all rows."""
-        return self.a_sub(m, self.a_mul(f[:, None], row[None, :]))
+        """Row elimination m -= outer(f, row), in place; returns ``m``.
+
+        Only the rows whose factor is nonzero are touched, so the cost
+        follows the number of nonzero factors rather than the height of
+        ``m``.  ``f`` is read, never written; it must not be a view into
+        ``m`` (callers pass a copy of the pivot column).  ``row`` may be a
+        row of ``m`` as long as its own factor is zero.
+        """
+        idx = np.nonzero(f != self.zero_enc)[0]
+        if idx.size:
+            m[idx] = self.a_sub(m[idx], self.a_mul(f[idx, None], row[None, :]))
+        return m
 
     def matmul2(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Exact product of 2-D encoded arrays."""
@@ -289,16 +323,8 @@ class PrimeField(FieldDescriptor):
         c = b.shape[1]
         if r == 0 or m == 0 or c == 0:
             return self.zeros((r, c))
-        bound = m * (self.p - 1) ** 2
-        if bound < _F64_EXACT:
-            prod = a.astype(np.float64) @ b.astype(np.float64)
-            return prod.astype(np.int64) % self.p
-        if bound < _I64_SAFE:
-            return (a @ b) % self.p
-        # huge p: fall back to exact Python integers
-        ao = a.astype(object)
-        bo = b.astype(object)
-        return (np.dot(ao, bo) % self.p).astype(np.int64)
+        prod = _int_matmul(a, b, m * (self.p - 1) ** 2)
+        return (prod % self.p).astype(np.int64, copy=False)
 
     def random_enc(self, rng, shape):
         return rng.integers(0, self.p, size=shape, dtype=np.int64)
@@ -539,6 +565,18 @@ class ExtensionField(FieldDescriptor):
         return rng.integers(0, self.order, size=shape, dtype=np.int64)
 
 
+def _common_denominator(a: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Scale a rational array to integers.
+
+    Returns the object array of Python ints ``a * den``, the lcm ``den`` of
+    the entries' denominators, and the largest absolute scaled entry.
+    """
+    flat = a.ravel().tolist()
+    den = math.lcm(*[int(x.denominator) for x in flat])
+    ints = [int(x.numerator) * (den // int(x.denominator)) for x in flat]
+    return np.array(ints, dtype=object).reshape(a.shape), den, max(map(abs, ints))
+
+
 class RationalField(FieldDescriptor):
     """The rationals with arbitrary-precision Fraction arithmetic."""
 
@@ -607,7 +645,14 @@ class RationalField(FieldDescriptor):
         c = b.shape[1]
         if r == 0 or m == 0 or c == 0:
             return self.zeros((r, c))
-        return np.dot(a, b)
+        ia, da, ma = _common_denominator(a)
+        ib, db, mb = _common_denominator(b)
+        if ma == 0 or mb == 0:
+            return self.zeros((r, c))
+        prod = _int_matmul(ia, ib, m * ma * mb)
+        den, zero = da * db, self.zero_enc
+        out = [zero if v == 0 else Fraction(v, den) for v in prod.ravel().tolist()]
+        return np.array(out, dtype=object).reshape(r, c)
 
     def random_enc(self, rng, shape):
         num = rng.integers(-3, 4, size=shape)

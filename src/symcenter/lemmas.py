@@ -17,7 +17,7 @@ import numpy as np
 from .algebra import Algebra
 from .constructions import quotient, tensor, trivial_extension, trivext_criteria
 from .corpus import ENTRY_IDS, ClaimSink, SuiteResult, get
-from .errors import UnknownLemma
+from .errors import RadicalUnavailable, UnknownLemma
 from .family import commutative_local_bases, generate_symmetric_local_family
 from .fields import FieldDescriptor
 from .linalg import (
@@ -145,7 +145,7 @@ def _radical_ok(a: Algebra) -> bool:
     try:
         radical(a)
         return True
-    except Exception:
+    except RadicalUnavailable:
         return False
 
 

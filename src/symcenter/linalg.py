@@ -36,7 +36,7 @@ def rref_data(field: FieldDescriptor, data: np.ndarray):
         factors = m[:, c].copy()
         factors[r] = field.zero_enc
         if np.any(factors != field.zero_enc):
-            m = field.elim(m, factors, m[r])
+            field.elim(m, factors, m[r])
         pivots.append(c)
         r += 1
     return m, pivots
@@ -49,9 +49,9 @@ def reduce_rows(field: FieldDescriptor, rows: np.ndarray, basis: np.ndarray,
     if res.shape[0] == 0 or basis.shape[0] == 0:
         return res
     for r, c in enumerate(pivots):
-        factors = res[:, c]
+        factors = res[:, c].copy()
         if np.any(factors != field.zero_enc):
-            res = field.elim(res, factors, basis[r])
+            field.elim(res, factors, basis[r])
     return res
 
 

@@ -300,7 +300,9 @@ class PropertyVerdicts:
 
 def _verdict_for(algebra: Algebra, u: Subspace, k: Subspace, name: str) -> Verdict:
     by_ideal = algebra.is_ideal(u)
-    by_product = algebra.subspace_product(u, k).is_zero()
+    prods = algebra.basis_products(u, k)
+    nonzero = np.any(prods != algebra.field.zero_enc, axis=2)
+    by_product = not nonzero.any()
     if by_ideal != by_product:
         raise CriterionDisagreement(
             f"{name}: is_ideal says {by_ideal} but the K(A)-annihilation "
@@ -308,12 +310,9 @@ def _verdict_for(algebra: Algebra, u: Subspace, k: Subspace, name: str) -> Verdi
         )
     if by_ideal:
         return Verdict(True, None)
-    for urow in u.basis:
-        for krow in k.basis:
-            prod = algebra.multiply_coords(urow, krow)
-            if np.any(prod != algebra.field.zero_enc):
-                return Verdict(False, Witness(urow.copy(), krow.copy(), prod))
-    raise CriterionDisagreement(f"{name}: no witness found for a failing verdict")
+    # argwhere lists pairs in row-major order: the first u row, then k row
+    s, t = (int(i) for i in np.argwhere(nonzero)[0])
+    return Verdict(False, Witness(u.basis[s].copy(), k.basis[t].copy(), prods[s, t].copy()))
 
 
 def property_verdicts(algebra: Algebra) -> PropertyVerdicts:

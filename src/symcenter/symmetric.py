@@ -19,6 +19,7 @@ from .errors import (
     Degenerate,
     InternalCheckError,
     NotSymmetricForm,
+    RadicalUnavailable,
 )
 from .linalg import Matrix, Subspace, contains, kernel, rref_data, subspace_intersect, subspace_sum
 from .substructures import radical
@@ -188,7 +189,7 @@ def symmetric_quotient(structure: SymmetricStructure, z) -> QuotientWitness:
     # the radical passes to the quotient whenever the ideal sits inside it
     try:
         cert = radical(algebra)
-    except Exception:
+    except RadicalUnavailable:
         cert = None
     if cert is not None and contains(cert.radical, ideal):
         projected = ideal.reduce(cert.radical.basis)[:, comp]

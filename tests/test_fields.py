@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from oracles import gf25_elements_of_order
@@ -155,3 +156,78 @@ def test_scalar_literal_forms(f25):
     assert GF(11).format_enc(7) == "7"
     assert QQ.format_enc(Fraction(5)) == "5"
     assert QQ.format_enc(Fraction(-1, 2)) == "-1/2"
+
+
+# -- the exact QQ matrix product and the in-place row elimination --------------
+
+
+def _naive_qq_product(a, b):
+    r, m = a.shape
+    c = b.shape[1]
+    return [[sum((a[i, t] * b[t, j] for t in range(m)), Fraction(0)) for j in range(c)]
+            for i in range(r)]
+
+
+def _assert_canonical_product(a, b):
+    got = QQ.matmul2(a, b)
+    assert got.dtype == object and got.shape == (a.shape[0], b.shape[1])
+    assert all(type(v) is Fraction for v in got.flat)
+    assert got.tolist() == _naive_qq_product(a, b)
+
+
+def test_qq_matmul2_mixed_denominators(rng):
+    for _ in range(20):
+        a = QQ.random_enc(rng, (4, 5))
+        b = QQ.random_enc(rng, (5, 3))
+        _assert_canonical_product(a, b)
+    a = QQ.arr([[Fraction(1, 6), Fraction(-5, 4)], [Fraction(7, 9), 0]])
+    b = QQ.arr([[Fraction(3, 10), 2], [Fraction(1, 14), Fraction(-2, 3)]])
+    _assert_canonical_product(a, b)
+
+
+def test_qq_matmul2_int64_rung():
+    # scaled entries near 2**28: past the float64 bound, inside int64
+    a = QQ.arr([[2**28 - 1, -(2**28) + 5, 3], [1, Fraction(2**27 + 1, 2), 0]])
+    b = QQ.arr([[2**28 - 3, 1], [Fraction(-(2**28) + 7, 2), 2**27], [5, -1]])
+    _assert_canonical_product(a, b)
+
+
+def test_qq_matmul2_beyond_int64_bound():
+    big = 2**41 + 3
+    a = QQ.arr([[big, Fraction(1, big)], [Fraction(-big, 7), 5]])
+    b = QQ.arr([[Fraction(big, 3), 1], [Fraction(2, 5 * big), -big]])
+    # the scaled operands break 2**62, so the Python-int rung runs
+    _assert_canonical_product(a, b)
+    huge = QQ.arr([[2**70 + 1, -(2**65)], [Fraction(1, 2**50), 3]])
+    _assert_canonical_product(huge, huge)
+
+
+def test_qq_matmul2_zero_sizes_and_zero_operand():
+    for r, m, c in ((0, 3, 2), (2, 0, 3), (3, 2, 0), (0, 0, 0)):
+        got = QQ.matmul2(QQ.zeros((r, m)), QQ.zeros((m, c)))
+        assert got.shape == (r, c) and got.dtype == object
+        assert all(v == 0 and type(v) is Fraction for v in got.flat)
+    zero = QQ.zeros((2, 2))
+    huge = QQ.arr([[2**2000, 1], [Fraction(1, 3), 2]])
+    _assert_canonical_product(zero, huge)
+
+
+@pytest.mark.parametrize("field_name", ["gf7", "gf25", "qq"])
+def test_elim_touches_only_rows_with_nonzero_factor(field_name, f25, rng):
+    field = {"gf7": GF(7), "gf25": f25, "qq": QQ}[field_name]
+    m = field.random_enc(rng, (6, 4))
+    before = m.copy()
+    f = field.zeros(6)
+    f[1] = field.from_int(2)
+    f[4] = field.from_int(3)
+    f_before = f.copy()
+    row = field.random_enc(rng, (4,))
+    out = field.elim(m, f, row)
+    assert out is m
+    assert np.array_equal(f, f_before)
+    for i in range(6):
+        if f[i] == field.zero_enc:
+            assert np.array_equal(m[i], before[i])
+        else:
+            expect = [field.s_sub(x, field.s_mul(f[i], y)) for x, y in zip(before[i], row)]
+            assert list(m[i]) == expect

@@ -10,6 +10,8 @@ from symcenter.errors import AmbientMismatch
 from symcenter.linalg import (
     express_in_rows,
     random_subspace,
+    reduce_rows,
+    rref_data,
     subspace_intersect,
     subspace_sum,
 )
@@ -132,3 +134,20 @@ def test_express_in_rows(g3):
         express_in_rows(g3, basis, g3.arr([[0, 0, 1]]))
     with pytest.raises(ValueError):
         express_in_rows(g3, g3.arr([[1, 0, 1], [2, 0, 2]]), targets)
+
+
+def test_rref_and_reduce_leave_inputs_unmodified(f25, rng):
+    for field in (GF(5), f25, QQ):
+        data = field.random_enc(rng, (5, 7))
+        data_before = data.copy()
+        red, pivots = rref_data(field, data)
+        assert np.array_equal(data, data_before)
+        rows = field.random_enc(rng, (4, 7))
+        rows_before = rows.copy()
+        basis = red[: len(pivots)]
+        basis_before = basis.copy()
+        res = reduce_rows(field, rows, basis, pivots)
+        assert np.array_equal(rows, rows_before)
+        assert np.array_equal(basis, basis_before)
+        # the residual has no support on the pivot columns
+        assert np.all(res[:, pivots] == field.zero_enc)

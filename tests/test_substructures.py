@@ -5,8 +5,9 @@ import pytest
 
 from oracles import naive_kernel_mod, naive_rank_mod, naive_span_contains_mod
 
-from symcenter import GF, QQ, tensor
+from symcenter import GF, QQ, SkewPresentation, from_skew_presentation, tensor
 from symcenter.algebra import Algebra
+from symcenter.analysis import analyze
 from symcenter.corpus import get
 from symcenter.errors import HintRejected, RadicalUnavailable
 from symcenter.linalg import Subspace, subspace_intersect
@@ -191,3 +192,44 @@ def test_reynolds_is_soc_cap_center(mat2):
     for entry in ("dim12_sharp", "soc20_trivext", "matn"):
         a = get(entry)
         assert reynolds(a) == subspace_intersect(socle(a), a.center())
+
+
+def _first_witness_by_double_loop(a, u, k):
+    for urow in u.basis:
+        for krow in k.basis:
+            prod = a.multiply_coords(urow, krow)
+            if np.any(prod != a.field.zero_enc):
+                return urow, krow, prod
+    return None
+
+
+def test_failing_verdict_witness_is_first_nonzero_product(mat2):
+    algebras = [get("firstexample_i"), get("counterexample_B"), mat2]
+    failures = 0
+    for a in algebras:
+        verdicts = property_verdicts(a)
+        k = a.commutator_space()
+        for verdict, u in ((verdicts.p1, j_of_center(a)), (verdicts.p2, soc_of_center(a)),
+                           (verdicts.p3, reynolds(a))):
+            if verdict.holds:
+                assert verdict.witness is None
+                continue
+            failures += 1
+            w = verdict.witness
+            prod = a.multiply_coords(w.u, w.k)
+            assert np.array_equal(prod, w.product)
+            assert np.any(w.product != a.field.zero_enc)
+            urow, krow, _ = _first_witness_by_double_loop(a, u, k)
+            assert np.array_equal(w.u, urow) and np.array_equal(w.k, krow)
+    assert failures >= 4
+
+
+def test_qq_skew_cross_check_against_gf31():
+    reports = [
+        analyze(from_skew_presentation(field, SkewPresentation.anticommuting([3, 3, 2])))
+        for field in (QQ, GF(31))
+    ]
+    for rep in reports:
+        assert rep.dims == {"Z": 6, "K": 10, "J": 17, "soc": 1, "JZ": 5, "socZ": 3, "R": 1}
+        assert tuple(rep.loewy_layers) == (1, 3, 5, 5, 3, 1)
+        assert [rep.verdicts[p]["holds"] for p in ("p1", "p2", "p3")] == [False, False, True]

@@ -5,8 +5,15 @@ import pytest
 
 from oracles import naive_rank_mod
 
+import symcenter.symmetric as symmetric
 from symcenter.corpus import get
-from symcenter.errors import CentralityViolated, Degenerate, NotSymmetricForm
+from symcenter.errors import (
+    CentralityViolated,
+    Degenerate,
+    InternalCheckError,
+    NotSymmetricForm,
+    RadicalUnavailable,
+)
 from symcenter.linalg import random_subspace, subspace_intersect, subspace_sum
 from symcenter.substructures import radical, socle
 from symcenter.symmetric import (
@@ -158,3 +165,22 @@ def test_nustar_relations_trivial_and_m2():
     for z in (a.one_element(), a.monomial("M^2")):
         rep = check_nustar_relations(symmetric_quotient(st, z))
         assert rep.all_hold()
+
+
+def test_symmetric_quotient_lets_internal_check_errors_through(monkeypatch):
+    a = get("dim12_sharp")
+    st = symmetric_structure(a)
+
+    def broken(_algebra):
+        raise InternalCheckError("propagated radical failed verification")
+
+    monkeypatch.setattr(symmetric, "radical", broken)
+    with pytest.raises(InternalCheckError):
+        symmetric_quotient(st, a.monomial("M^2"))
+
+    def unavailable(_algebra):
+        raise RadicalUnavailable("no radical strategy applies")
+
+    monkeypatch.setattr(symmetric, "radical", unavailable)
+    w = symmetric_quotient(st, a.monomial("M^2"))
+    assert w.quotient._radical_seed is None
