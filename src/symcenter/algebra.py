@@ -7,9 +7,10 @@ construction; everything downstream (centers, commutator spaces, ideal
 tests, annihilators, Loewy series) is exact linear algebra over the
 algebra's field.
 
-Algebra values are immutable after construction validation; the attached
-cache only memoises pure results, so instances can be shared between
-threads and independent checks farmed to workers.
+Algebra instances are immutable: every attribute is set in ``__init__``
+and never assigned again, so the results memoised in ``_cache`` (center,
+radical certificate, verified symmetrizing form, ...) cannot go stale.
+A different name, hint or form means a new algebra, made by ``replace``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class Algebra:
 
     def __init__(self, field: FieldDescriptor, table, one, labels=None,
                  radical_hint=None, sym_form=None, name: str | None = None,
-                 _skip_validation: bool = False):
+                 _radical_seed=None, _skip_validation: bool = False):
         table = np.asarray(table, dtype=field.dtype)
         if table.ndim != 3 or table.shape[0] != table.shape[1] or table.shape[0] != table.shape[2]:
             raise AlgebraValidationError("structure table must have shape (n, n, n)")
@@ -56,10 +57,28 @@ class Algebra:
         self.sym_form = None if sym_form is None else np.asarray(sym_form, dtype=field.dtype).reshape(n)
         self.name = name
         self._cache: dict = {}
-        # set by constructions that know the radical of their output
-        self._radical_seed = None
+        # (subspace, evidence): passed only by constructions whose math
+        # guarantees the subspace is all of J(A); radical() re-checks it is a
+        # nilpotent ideal.  Callers with outside knowledge use radical_hint.
+        self._radical_seed = _radical_seed
         if not _skip_validation:
             self._validate()
+
+    def replace(self, *, name=None, radical_hint=None, sym_form=None) -> "Algebra":
+        """A new algebra on the same validated table with the given fields changed.
+
+        Arguments left as None keep this algebra's value.  The construction
+        seed is kept; the memo cache starts empty, since a new hint or form
+        changes the radical and symmetric results.
+        """
+        return Algebra(
+            self.field, self.table, self.one, labels=self.labels,
+            radical_hint=self.radical_hint if radical_hint is None else radical_hint,
+            sym_form=self.sym_form if sym_form is None else sym_form,
+            name=self.name if name is None else name,
+            _radical_seed=self._radical_seed,
+            _skip_validation=True,
+        )
 
     # -- construction-time checks ---------------------------------------------
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -19,14 +18,6 @@ from .fileformat import emit_structure_constants, load_algebra
 from .suites import run_paper_suite, suite_report_machine, suite_report_text
 
 CONSTRUCTION_TYPES = ("tensor", "trivial_extension", "quotient", "opposite")
-
-
-def _threads() -> int:
-    raw = os.environ.get("SYMCENTER_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def cmd_analyze(args) -> int:
@@ -43,7 +34,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_paper_suite(args) -> int:
     t0 = time.perf_counter()
-    results = run_paper_suite(case_filter=args.case, threads=_threads())
+    results = run_paper_suite(case_filter=args.case)
     if args.format == "machine":
         sys.stdout.write(
             json.dumps(suite_report_machine(results), indent=2, ensure_ascii=False)

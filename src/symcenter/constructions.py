@@ -58,7 +58,7 @@ def tensor(a1: Algebra, a2: Algebra) -> Algebra:
     if a1.sym_form is not None and a2.sym_form is not None:
         sym = f.a_mul(a1.sym_form[:, None], a2.sym_form[None, :]).reshape(n)
     name = f"({a1.name or 'A1'})⊗({a2.name or 'A2'})"
-    result = Algebra(f, table, one, labels=labels, sym_form=sym, name=name)
+    seed = None
     c1, c2 = _try_radical(a1), _try_radical(a2)
     if c1 is not None and c2 is not None:
         eye1, eye2 = f.eye(n1), f.eye(n2)
@@ -67,12 +67,12 @@ def tensor(a1: Algebra, a2: Algebra) -> Algebra:
         rows = np.concatenate(
             [left.reshape(-1, n), right.reshape(-1, n)], axis=0
         )
-        seed = Subspace.from_rows(f, n, rows)
-        result._radical_seed = (
-            seed,
+        seed = (
+            Subspace.from_rows(f, n, rows),
             "J(A1) (x) A2 + A1 (x) J(A2) from component radicals",
         )
-    return result
+    return Algebra(f, table, one, labels=labels, sym_form=sym, name=name,
+                   _radical_seed=seed)
 
 
 # -- trivial extension -----------------------------------------------------------
@@ -97,17 +97,18 @@ def trivial_extension(a: Algebra) -> Algebra:
     if a.labels is not None:
         labels = list(a.labels) + [s + "*" for s in a.labels]
     name = f"T({a.name or 'A'})"
-    result = Algebra(f, t, one, labels=labels, sym_form=lam, name=name)
+    seed = None
     cert = _try_radical(a)
     if cert is not None:
         rows = f.zeros((cert.radical.dim + n, 2 * n))
         rows[: cert.radical.dim, :n] = cert.radical.basis
         rows[cert.radical.dim :, n:] = f.eye(n)
-        result._radical_seed = (
+        seed = (
             Subspace.from_rows(f, 2 * n, rows),
             "J(A) + A* (dual copy squares to zero)",
         )
-    return result
+    return Algebra(f, t, one, labels=labels, sym_form=lam, name=name,
+                   _radical_seed=seed)
 
 
 @dataclass(frozen=True)
@@ -170,24 +171,28 @@ def quotient(a: Algebra, ideal: Subspace) -> Algebra:
     """A/I on the complement coordinates of the ideal's RREF basis."""
     table, one, comp, labels = quotient_data(a, ideal)
     name = f"({a.name or 'A'})/I"
-    result = Algebra(a.field, table, one, labels=labels, name=name)
-    cert = None
+    seed = cert = None
+    # only a radical that is already known (seed, hint or cached certificate)
+    # is pushed down; none is computed from scratch here
     if a._radical_seed is not None or a.radical_hint is not None or "radical_cert" in a._cache:
         cert = _try_radical(a)
     if cert is not None and contains(cert.radical, ideal):
         projected = ideal.reduce(cert.radical.basis)[:, comp]
-        seed = Subspace.from_rows(a.field, len(comp), projected)
-        result._radical_seed = (
-            seed,
+        seed = (
+            Subspace.from_rows(a.field, len(comp), projected),
             "J(A)/I: the ideal is contained in J(A), so the radical passes down",
         )
-    return result
+    return Algebra(a.field, table, one, labels=labels, name=name,
+                   _radical_seed=seed)
 
 
 def opposite(a: Algebra) -> Algebra:
     """Same space, reversed multiplication (transposed table)."""
     table = np.ascontiguousarray(a.table.transpose(1, 0, 2))
-    result = Algebra(
+    seed = a._radical_seed
+    if seed is None and "radical_cert" in a._cache:
+        seed = (a._cache["radical_cert"].radical, "the radical is opposite-invariant")
+    return Algebra(
         a.field,
         table,
         a.one.copy(),
@@ -195,13 +200,8 @@ def opposite(a: Algebra) -> Algebra:
         radical_hint=a.radical_hint,
         sym_form=None if a.sym_form is None else a.sym_form.copy(),
         name=f"op({a.name or 'A'})",
+        _radical_seed=seed,
     )
-    if a._radical_seed is not None:
-        result._radical_seed = a._radical_seed
-    elif "radical_cert" in a._cache:
-        cert = a._cache["radical_cert"]
-        result._radical_seed = (cert.radical, "the radical is opposite-invariant")
-    return result
 
 
 # -- skew truncated presentations -----------------------------------------------------

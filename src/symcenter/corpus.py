@@ -178,8 +178,7 @@ AUX_IDS = [
 
 def _dual_numbers(field, name: str) -> Algebra:
     a = from_skew_presentation(field, SkewPresentation.commuting([2]), name=name)
-    a.sym_form = field.arr([0, 1])
-    return a
+    return a.replace(sym_form=field.arr([0, 1]))
 
 
 def _mat2_gf3() -> Algebra:
@@ -205,8 +204,7 @@ def _firstexample() -> Algebra:
     )
     lam = np.zeros(27, dtype=np.int64)
     lam[a.labels.index("x1^2*x2^2*x3^2")] = 1
-    a.sym_form = lam
-    return a
+    return a.replace(sym_form=lam)
 
 
 def _counterexample_A() -> Algebra:
@@ -240,8 +238,7 @@ def _dim12() -> Algebra:
     )
     lam = np.zeros(12, dtype=np.int64)
     lam[_DIM12_WORDS.index("M^6")] = 1
-    a.sym_form = lam
-    return a
+    return a.replace(sym_form=lam)
 
 
 def _soc20() -> Algebra:

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
-
 from .algebra import Algebra
 from .constructions import (
     SkewPresentation,
@@ -26,7 +24,7 @@ from .constructions import (
     tensor,
     trivial_extension,
 )
-from .errors import FileFormatError, ScalarFormatError, SymcenterError
+from .errors import FileFormatError, RadicalUnavailable, ScalarFormatError, SymcenterError
 from .fields import (
     ExtensionField,
     FieldDescriptor,
@@ -203,13 +201,9 @@ def _parse_presentation(field, node, path: str,
         alg = opposite(base)
     else:
         raise FileFormatError(f"{path}: unknown presentation type {ptype!r}", path)
-    if name is not None:
-        alg.name = name
-    if radical_hint is not None:
-        alg.radical_hint = radical_hint
-    if sym_form is not None:
-        alg.sym_form = np.asarray(sym_form, dtype=field.dtype).reshape(alg.dim)
-    return alg
+    if name is None and radical_hint is None and sym_form is None:
+        return alg
+    return alg.replace(name=name, radical_hint=radical_hint, sym_form=sym_form)
 
 
 def _parse_structure_constants(field, node, path, radical_hint, sym_form, name):
@@ -301,7 +295,7 @@ def emit_structure_constants(alg: Algebra, include_radical: bool = True) -> str:
                     for row in cert.radical.basis
                 ],
             }
-        except SymcenterError:
+        except RadicalUnavailable:
             pass
     if alg.sym_form is not None:
         doc["symmetrizing_form"] = [scalar_to_json(field, v) for v in alg.sym_form]

@@ -206,11 +206,13 @@ def _kron_span(f, u1: Subspace, u2: Subspace, n1: int, n2: int) -> Subspace:
     return Subspace.from_rows(f, n1 * n2, _kron_rows(f, u1.basis, u2.basis, n1, n2))
 
 
+def _in_scope(name: str, scope) -> bool:
+    """scope is None (everything), one id, or a collection of ids."""
+    return scope is None or name in ([scope] if isinstance(scope, str) else scope)
+
+
 def _apply_scope(ids: list[str], scope) -> list[str]:
-    if scope is None:
-        return ids
-    wanted = [scope] if isinstance(scope, str) else list(scope)
-    return [i for i in ids if i in wanted]
+    return [i for i in ids if _in_scope(i, scope)]
 
 
 # -- the checkers -----------------------------------------------------------------
@@ -292,9 +294,7 @@ def _check_socinj(sink: ClaimSink, scope):
 def _check_soctensor(sink: ClaimSink, scope):
     for ida, idb in TENSOR_PAIR_IDS:
         pair = f"{ida}(x){idb}"
-        if scope is not None and pair not in (
-            [scope] if isinstance(scope, str) else scope
-        ):
+        if not _in_scope(pair, scope):
             continue
         a1, a2 = get(ida), get(idb)
         t = _tensor_pair(ida, idb)
@@ -309,9 +309,7 @@ def _check_idealtensor(sink: ClaimSink, scope):
     rng = _rng(sink.suite_id)
     for ida, idb in TENSOR_PAIR_IDS:
         pair = f"{ida}(x){idb}"
-        if scope is not None and pair not in (
-            [scope] if isinstance(scope, str) else scope
-        ):
+        if not _in_scope(pair, scope):
             continue
         a1, a2 = get(ida), get(idb)
         t = _tensor_pair(ida, idb)
@@ -339,9 +337,7 @@ def _check_idealtensor(sink: ClaimSink, scope):
 def _check_jacobsontensorproduct(sink: ClaimSink, scope):
     for ida, idb in TENSOR_PAIR_IDS:
         pair = f"{ida}(x){idb}"
-        if scope is not None and pair not in (
-            [scope] if isinstance(scope, str) else scope
-        ):
+        if not _in_scope(pair, scope):
             continue
         v1 = property_verdicts(get(ida))
         v2 = property_verdicts(get(idb))
@@ -456,9 +452,7 @@ def _witness_samples():
 def _check_quotientalgebrasymmetric(sink: ClaimSink, scope):
     for wid, w in _witness_samples():
         entry = wid.split("/")[0]
-        if scope is not None and entry not in (
-            [scope] if isinstance(scope, str) else scope
-        ):
+        if not _in_scope(entry, scope):
             continue
         a = w.algebra
         f = a.field
@@ -474,9 +468,7 @@ def _check_quotientalgebrasymmetric(sink: ClaimSink, scope):
 def _check_propnustar(sink: ClaimSink, scope):
     for wid, w in _witness_samples():
         entry = wid.split("/")[0]
-        if scope is not None and entry not in (
-            [scope] if isinstance(scope, str) else scope
-        ):
+        if not _in_scope(entry, scope):
             continue
         a, q = w.algebra, w.quotient
         f = a.field
@@ -503,9 +495,7 @@ def _check_propnustar(sink: ClaimSink, scope):
 def _check_nustar_relations(sink: ClaimSink, scope):
     for wid, w in _witness_samples():
         entry = wid.split("/")[0]
-        if scope is not None and entry not in (
-            [scope] if isinstance(scope, str) else scope
-        ):
+        if not _in_scope(entry, scope):
             continue
         rep = check_nustar_relations(w)
         sink.check(f"center_image/{wid}", "PAPER", rep.center_image_equal)
@@ -536,9 +526,7 @@ def _z_samples(a: Algebra, rng) -> list:
 
 def _check_prop_quotientalgebra(sink: ClaimSink, scope):
     for name, a in _heredity_scope():
-        if scope is not None and name not in (
-            [scope] if isinstance(scope, str) else scope
-        ):
+        if not _in_scope(name, scope):
             continue
         st = symmetric_structure(a)
         v = property_verdicts(a)
@@ -564,9 +552,7 @@ def _check_prop_quotientalgebra(sink: ClaimSink, scope):
 
 def _check_aicommutative_instance(sink: ClaimSink, scope):
     for name, a in _heredity_scope():
-        if scope is not None and name not in (
-            [scope] if isinstance(scope, str) else scope
-        ):
+        if not _in_scope(name, scope):
             continue
         if not is_local(a) or not property_verdicts(a).p1.holds:
             continue
@@ -682,9 +668,7 @@ def _symmetric_local_scope():
 
 def _check_propertiessymmetriclocal(sink: ClaimSink, scope):
     for name, a in _symmetric_local_scope():
-        if scope is not None and name not in (
-            [scope] if isinstance(scope, str) else scope
-        ):
+        if not _in_scope(name, scope):
             continue
         soc = socle(a)
         sink.check(f"soc_dim_1/{name}", "PAPER", soc.dim == 1)
@@ -720,9 +704,7 @@ def _check_centerdim3greater(sink: ClaimSink, scope):
     algebras = [(entry, get(entry)) for entry in _symmetric_entries()]
     algebras += _derived_symmetric_locals()
     for name, a in algebras:
-        if scope is not None and name not in (
-            [scope] if isinstance(scope, str) else scope
-        ):
+        if not _in_scope(name, scope):
             continue
         if a.is_commutative():
             continue
@@ -742,9 +724,7 @@ def _check_kultheob(sink: ClaimSink, scope):
     checked = 0
     nontrivial = 0
     for name, a in _kultheob_scope():
-        if scope is not None and name not in (
-            [scope] if isinstance(scope, str) else scope
-        ):
+        if not _in_scope(name, scope):
             continue
         checked += 1
         zdim = a.center().dim
@@ -775,9 +755,7 @@ def _dim9_scope():
 
 def _check_dim9_trivext_lemma(sink: ClaimSink, scope):
     for name, a in _dim9_scope():
-        if scope is not None and name not in (
-            [scope] if isinstance(scope, str) else scope
-        ):
+        if not _in_scope(name, scope):
             continue
         crit = trivext_criteria(a)
         sink.check(f"I_is_ideal/{name}", "PAPER", crit.i_is_ideal)

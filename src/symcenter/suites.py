@@ -2,18 +2,16 @@
 
 Output order is fixed (corpus entries, then lemma suites, then the family
 sweep) and every random draw is seeded, so two runs produce identical
-machine reports byte for byte.  SYMCENTER_THREADS > 1 farms independent
-suites to a thread pool; results are still emitted in the fixed order.
+machine reports byte for byte.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .analysis import SCHEMA_VERSION
 from .constructions import trivial_extension, trivext_criteria
-from .corpus import ENTRY_IDS, ClaimSink, SuiteResult, get, run_corpus
+from .corpus import ENTRY_IDS, ClaimSink, SuiteResult, run_corpus
 from .errors import UnknownCase
 from .family import dimension_histogram, generate_symmetric_local_family
 from .lemmas import LEMMA_IDS, check_lemma
@@ -73,28 +71,18 @@ def _suite_plan(case_filter: str | None):
         )
     for entry in ENTRY_IDS:
         if case_filter is None or case_filter == entry:
-            plan.append((entry, lambda e=entry: run_corpus(e)[0]))
+            plan.append(lambda e=entry: run_corpus(e)[0])
     for lemma in LEMMA_IDS:
         if case_filter is None or case_filter == lemma:
-            plan.append((f"lemma/{lemma}", lambda l=lemma: check_lemma(l)))
+            plan.append(lambda l=lemma: check_lemma(l))
     if case_filter is None or case_filter == "family":
-        plan.append(("family", run_family_suite))
+        plan.append(run_family_suite)
     return plan
 
 
-def run_paper_suite(case_filter: str | None = None,
-                    threads: int = 1) -> list[SuiteResult]:
+def run_paper_suite(case_filter: str | None = None) -> list[SuiteResult]:
     """Run the selected suites and return results in the fixed order."""
-    plan = _suite_plan(case_filter)
-    if threads > 1 and len(plan) > 1:
-        # warm the shared registries sequentially so worker threads only read
-        for entry in ENTRY_IDS:
-            get(entry)
-        generate_symmetric_local_family(FAMILY_MAX_DIM)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [(sid, pool.submit(fn)) for sid, fn in plan]
-            return [f.result() for _, f in futures]
-    return [fn() for _, fn in plan]
+    return [fn() for fn in _suite_plan(case_filter)]
 
 
 def suite_report_machine(results: list[SuiteResult]) -> dict:

@@ -13,16 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, quotient_data
+from . import constructions
+from .algebra import Algebra
 from .errors import (
     CentralityViolated,
     Degenerate,
     InternalCheckError,
     NotSymmetricForm,
-    RadicalUnavailable,
 )
 from .linalg import Matrix, Subspace, contains, kernel, rref_data, subspace_intersect, subspace_sum
-from .substructures import radical
 
 
 class SymmetricStructure:
@@ -181,29 +180,16 @@ def symmetric_quotient(structure: SymmetricStructure, z) -> QuotientWitness:
     az_rows = rz.T.copy()
     az = Subspace.from_rows(f, n, az_rows)
     ideal = perp(structure, az)
-    table, one, comp, labels = quotient_data(algebra, ideal)
-    quotient = Algebra(
-        f, table, one, labels=labels,
-        name=(algebra.name or "A") + "/(Az)^perp",
-    )
-    # the radical passes to the quotient whenever the ideal sits inside it
-    try:
-        cert = radical(algebra)
-    except RadicalUnavailable:
-        cert = None
-    if cert is not None and contains(cert.radical, ideal):
-        projected = ideal.reduce(cert.radical.basis)[:, comp]
-        jq = Subspace.from_rows(f, len(comp), projected)
-        quotient._radical_seed = (jq, "image of J(A) under the quotient map (ideal inside J(A))")
+    quotient = constructions.quotient(algebra, ideal)
+    comp = ideal.complement_columns()
     lam_bar = f.matmul2(az_rows[comp], structure.lam.reshape(n, 1)).reshape(len(comp))
+    quotient = quotient.replace(name=(algebra.name or "A") + "/(Az)^perp", sym_form=lam_bar)
     try:
-        qstruct = verify_symmetric(quotient, lam_bar)
+        qstruct = symmetric_structure(quotient)
     except (NotSymmetricForm, Degenerate) as exc:
         raise InternalCheckError(
             f"symmetric quotient lost its form, which cannot happen: {exc}"
         ) from exc
-    quotient.sym_form = lam_bar
-    quotient._cache["sym_structure"] = qstruct
     return QuotientWitness(
         structure=structure,
         z=z,

@@ -52,8 +52,7 @@ def mat2(g3):
 @pytest.fixture(scope="session")
 def dual3(g3):
     a = from_skew_presentation(g3, SkewPresentation.commuting([2]), name="dual3")
-    a.sym_form = g3.arr([0, 1])
-    return a
+    return a.replace(sym_form=g3.arr([0, 1]))
 
 
 @pytest.fixture(scope="session")

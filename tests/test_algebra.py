@@ -7,15 +7,17 @@ from oracles import naive_rank_mod, naive_spans_equal_mod
 
 from symcenter import Matrix, Subspace, contains
 from symcenter.algebra import Algebra, quotient_data
+from symcenter.constructions import opposite, tensor
 from symcenter.corpus import get
 from symcenter.errors import (
     AlgebraMismatch,
     AlgebraValidationError,
+    HintRejected,
     ImproperIdeal,
     NotAnIdeal,
     NotNilpotent,
 )
-from symcenter.substructures import radical
+from symcenter.substructures import RadicalHint, radical
 
 
 def test_validation_cites_failing_triple(g3, mat2):
@@ -245,3 +247,36 @@ def test_subspace_product_matches_naive_span():
             prods.append(list(map(int, a.multiply_coords(e, u))))
     lib = a.subspace_product(a.full_space(), k)
     assert naive_spans_equal_mod(prods, [list(map(int, r)) for r in lib.basis], 2)
+
+
+def test_replace_returns_a_new_algebra_on_the_same_table(dual3):
+    hint = RadicalHint("basis", ((0, 1),))
+    b = dual3.replace(name="other", radical_hint=hint, sym_form=dual3.field.arr([1, 1]))
+    assert b is not dual3
+    assert (b.name, b.radical_hint, list(b.sym_form)) == ("other", hint, [1, 1])
+    assert dual3.name == "dual3"
+    assert dual3.radical_hint == RadicalHint("local_codim1")
+    assert list(dual3.sym_form) == [0, 1]
+    assert np.shares_memory(b.table, dual3.table)
+    assert b.same_table(dual3) and b.labels == dual3.labels
+
+
+def test_replace_resets_the_memoised_radical(mat2):
+    assert radical(mat2).strategy == "semisimple_traceform"
+    assert "radical_cert" in mat2._cache
+    rehinted = mat2.replace(radical_hint=RadicalHint("local_codim1"))
+    with pytest.raises(HintRejected):
+        radical(rehinted)
+    assert radical(mat2).strategy == "semisimple_traceform"
+
+
+def test_replace_keeps_construction_seeds(dual3):
+    t = tensor(dual3, dual3)
+    a = get("counterexample_B")
+    radical(a)
+    o = opposite(a)
+    for built in (t, o):
+        assert built._radical_seed is not None
+        renamed = built.replace(name="renamed")
+        assert renamed._radical_seed is built._radical_seed
+        assert radical(renamed).strategy == "propagated"

@@ -11,7 +11,9 @@ from symcenter.analysis import analyze
 from symcenter.errors import (
     AlgebraValidationError,
     FileFormatError,
+    HintRejected,
     NotAnIdeal,
+    RadicalUnavailable,
 )
 from symcenter.fileformat import (
     emit_structure_constants,
@@ -157,3 +159,19 @@ def test_emitted_file_reanalyzes_identically():
     alg2 = parse_document(json.loads(text))
     report2 = analyze(alg2).to_machine()
     assert report1 == report2
+
+
+def test_rejected_hint_raises_from_emit():
+    doc = json.loads((CASES / "mat2_gf3.json").read_text(encoding="utf-8"))
+    doc["radical_hint"] = {"kind": "local_codim1"}
+    alg = parse_document(doc)
+    with pytest.raises(HintRejected):
+        emit_structure_constants(alg)
+
+
+def test_unavailable_radical_emits_without_hint():
+    alg = load_algebra(str(CASES / "soc20_trivext.json"))
+    doc = json.loads(emit_structure_constants(alg))
+    assert "radical_hint" not in doc
+    with pytest.raises(RadicalUnavailable):
+        analyze(parse_document(doc))
