@@ -48,13 +48,20 @@ class Algebra:
             labels = [str(s) for s in labels]
             if len(labels) != n:
                 raise AlgebraValidationError("label count must equal the dimension")
+        if sym_form is not None:
+            sym_form = np.asarray(sym_form, dtype=field.dtype)
+            if sym_form.size != n:
+                raise AlgebraValidationError(
+                    f"symmetrizing form has {sym_form.size} coordinates, expected {n}"
+                )
+            sym_form = sym_form.reshape(n)
         self.field = field
         self.dim = n
         self.table = table
         self.one = one
         self.labels = labels
         self.radical_hint = radical_hint
-        self.sym_form = None if sym_form is None else np.asarray(sym_form, dtype=field.dtype).reshape(n)
+        self.sym_form = sym_form
         self.name = name
         self._cache: dict = {}
         # (subspace, evidence): passed only by constructions whose math

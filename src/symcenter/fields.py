@@ -16,7 +16,12 @@ Exactness of the fast paths:
 * extension fields evaluate coefficient vectors at a power-of-two base X
   (Kronecker substitution), multiply matrices of these integer values, and
   read the product polynomial back off the base-X digits.  The base is
-  chosen per call so that digits cannot collide and float64 stays exact;
+  chosen per call so that digits cannot collide and float64 stays exact.
+  The read-back is one table lookup: the 2k - 1 digits, each reduced mod p,
+  form a base-p index into ``_readback``, which holds the encoded value of
+  that polynomial reduced by the modulus (p^(2k-1) = q^2 / p entries).
+  When even int64 could overflow, the coefficient planes are multiplied
+  separately and end in the same lookup;
 * rationals multiply through integers: each operand is scaled by the lcm
   of its denominators, the integer matrices are multiplied on the same
   float64 / int64 / Python-int ladder as prime fields (bounded by
@@ -28,8 +33,8 @@ Row elimination (``elim``) works in place on the rows whose factor is
 nonzero and leaves every other row untouched; the linear-algebra layer
 hands it matrices it owns.
 
-Descriptors and scalars are immutable after construction (lookup tables are
-built once and only read), so they are safe to share across threads.
+Descriptors and scalars are immutable after construction: lookup tables are
+built once and only read.
 """
 
 from __future__ import annotations
@@ -217,7 +222,7 @@ class FieldDescriptor:
         ``m`` (callers pass a copy of the pivot column).  ``row`` may be a
         row of ``m`` as long as its own factor is zero.
         """
-        idx = np.nonzero(f != self.zero_enc)[0]
+        idx = (f != self.zero_enc).nonzero()[0]
         if idx.size:
             m[idx] = self.a_sub(m[idx], self.a_mul(f[idx, None], row[None, :]))
         return m
@@ -420,7 +425,6 @@ class ExtensionField(FieldDescriptor):
             if lead:
                 for j in range(k):
                     rep[j] = (rep[j] - lead * self.modulus[j]) % p
-        self._red = red
         # full product coefficient cube via k^2 outer products
         conv = np.zeros((q, q, 2 * k - 1), dtype=np.int64)
         for u in range(k):
@@ -435,6 +439,16 @@ class ExtensionField(FieldDescriptor):
         inv[rows] = cols
         self._inv_table = inv
         self._sub_table = self._add_table[:, self._neg_table]
+        # read-back of a product polynomial sum_t c_t X^t (t < 2k-1, c_t mod p):
+        # entry sum_t c_t p^t is its encoded value mod the modulus, built one
+        # coefficient at a time as field sums of c_t * (X^t mod the modulus)
+        readback = np.zeros(1, dtype=np.int64)
+        for t in range(2 * k - 1):
+            xt = int(red[t] @ self._p_pows)
+            readback = np.concatenate(
+                [self._add_table[readback, self._mul_table[d, xt]] for d in range(p)]
+            )
+        self._readback = readback
 
     def _key(self):
         return ("extension", self.p, self.modulus)
@@ -514,42 +528,36 @@ class ExtensionField(FieldDescriptor):
         x = 1 << (m * k * (p - 1) ** 2 + 1).bit_length()
         v_max = (p - 1) * (x**k - 1) // (x - 1)
         bound = m * v_max * v_max
-        if bound < _F64_EXACT:
-            cf = (self._kron_f64(a, x) @ self._kron_f64(b, x)).astype(np.int64)
-        elif bound < _I64_SAFE:
-            xpow64 = x ** np.arange(k, dtype=np.int64)
-            cf = (self._digits[a] @ xpow64) @ (self._digits[b] @ xpow64)
+        if bound < _I64_SAFE:
+            if bound < _F64_EXACT:
+                cf = (self._kron_f64(a, x) @ self._kron_f64(b, x)).astype(np.int64)
+            else:
+                xpow64 = x ** np.arange(k, dtype=np.int64)
+                cf = (self._digits[a] @ xpow64) @ (self._digits[b] @ xpow64)
+            # coefficient t of the product polynomial is base-x digit t of cf
+            shift = x.bit_length() - 1
+            coeffs = ((cf >> (shift * t)) & (x - 1) for t in range(2 * k - 1))
         else:
-            # coefficient-plane fallback: k^2 int64 matmuls, never overflows
-            # at desk scale since m * (p-1)^2 is tiny
+            # coefficient planes: k^2 int64 matmuls, never overflows at desk
+            # scale since m * (p-1)^2 is tiny
             da, db = self._digits[a], self._digits[b]
-            planes = np.zeros((r, c, 2 * k - 1), dtype=np.int64)
-            for u in range(k):
-                for v in range(k):
-                    planes[:, :, u + v] += da[:, :, u] @ db[:, :, v]
-            coeffs = (planes % p) @ self._red % p
-            return coeffs @ self._p_pows
-        # read the product polynomial off the base-x digits and reduce
-        shift = x.bit_length() - 1
-        mask = x - 1
-        acc = [None] * k
-        for t in range(2 * k - 1):
-            d = cf & mask
-            cf >>= shift
-            for j in range(k):
-                rj = int(self._red[t, j])
-                if rj:
-                    term = d if rj == 1 else rj * d
-                    acc[j] = term if acc[j] is None else acc[j] + term
-        out = None
-        ppow = 1
-        for j in range(k):
-            plane = (acc[j] % p) if acc[j] is not None else None
-            if plane is not None:
-                part = plane if ppow == 1 else plane * ppow
-                out = part if out is None else out + part
-            ppow *= p
-        return self.zeros((r, c)) if out is None else out
+            coeffs = (
+                sum(da[:, :, u] @ db[:, :, t - u]
+                    for u in range(max(0, t - k + 1), min(t, k - 1) + 1)) % p
+                for t in range(2 * k - 1)
+            )
+        # each coefficient mod p is base-p digit t of an index into _readback.
+        # Coefficients are below x < 2**31 (or already reduced), so int32
+        # holds them at half the memory traffic; d - d // p * p is d mod p,
+        # and numpy divides by a scalar far faster than it takes a remainder.
+        idx = np.zeros((r, c), dtype=np.int32)
+        d = np.empty_like(idx)
+        for t, coeff in enumerate(coeffs):
+            d[...] = coeff
+            d -= d // p * p
+            d *= p**t
+            idx += d
+        return self._readback[idx]
 
     def _kron_f64(self, enc: np.ndarray, x: int) -> np.ndarray:
         """Evaluate coefficient vectors at the integer base x, as float64."""

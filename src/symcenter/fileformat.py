@@ -244,14 +244,18 @@ def parse_document(doc: dict) -> Algebra:
     name = doc.get("name")
     alg = _parse_presentation(
         field, doc.get("presentation"), "presentation",
-        radical_hint=hint, sym_form=sym_form, name=name,
+        radical_hint=hint, name=name,
     )
-    if sym_form is not None and len(sym_form) != alg.dim:
+    if sym_form is None:
+        return alg
+    # the top-level form overrides any in the presentation; its length is
+    # only known once the presentation is built
+    if len(sym_form) != alg.dim:
         raise FileFormatError(
             f"symmetrizing_form: expected {alg.dim} coordinates",
             "symmetrizing_form",
         )
-    return alg
+    return alg.replace(sym_form=sym_form)
 
 
 def load_algebra(path: str) -> Algebra:

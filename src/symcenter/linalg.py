@@ -4,6 +4,11 @@ Matrices hold encoded values in numpy arrays; every row operation goes
 through the field's array kernel, so all results are exact.  Subspaces are
 stored canonically as reduced-row-echelon bases, which turns the set
 identities used throughout the package into plain array equalities.
+
+Every basis handed to ``reduce_rows`` (and so every ``Subspace.basis``)
+must be in RREF: its pivot columns form an identity block.  That lets a
+whole block of rows be reduced with one product,
+``rows - rows[:, pivots] @ basis``, instead of one elimination per pivot.
 """
 
 from __future__ import annotations
@@ -18,25 +23,24 @@ def rref_data(field: FieldDescriptor, data: np.ndarray):
     """RREF of an encoded 2-D array; returns (array, pivot column list)."""
     m = np.array(data, dtype=field.dtype)
     rows, cols = m.shape
+    zero, one = field.zero_enc, field.one_enc
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r >= rows:
             break
-        col = m[r:, c]
-        nz = np.nonzero(col != field.zero_enc)[0]
-        if nz.size == 0:
+        nz = (m[r:, c] != zero).nonzero()[0]
+        if not nz.size:
             continue
         pr = r + int(nz[0])
         if pr != r:
             m[[r, pr]] = m[[pr, r]]
-        inv = field.s_inv(m[r, c])
-        if m[r, c] != field.one_enc:
-            m[r] = field.a_mul(inv, m[r])
+        lead = m[r, c]
+        if lead != one:
+            m[r] = field.a_mul(field.s_inv(lead), m[r])
         factors = m[:, c].copy()
-        factors[r] = field.zero_enc
-        if np.any(factors != field.zero_enc):
-            field.elim(m, factors, m[r])
+        factors[r] = zero
+        field.elim(m, factors, m[r])
         pivots.append(c)
         r += 1
     return m, pivots
@@ -44,15 +48,18 @@ def rref_data(field: FieldDescriptor, data: np.ndarray):
 
 def reduce_rows(field: FieldDescriptor, rows: np.ndarray, basis: np.ndarray,
                 pivots) -> np.ndarray:
-    """Residual of ``rows`` after elimination against an RREF ``basis``."""
+    """Residual of ``rows`` after elimination against an RREF ``basis``.
+
+    ``basis`` must be in RREF with pivot columns ``pivots``, so that
+    ``basis[:, pivots]`` is the identity.  Eliminating with one basis row
+    then never changes another row's pivot column, so the factors of the
+    sequential elimination are the input's pivot columns, and the residual
+    is the single product ``rows - rows[:, pivots] @ basis``.
+    """
     res = np.array(rows, dtype=field.dtype)
     if res.shape[0] == 0 or basis.shape[0] == 0:
         return res
-    for r, c in enumerate(pivots):
-        factors = res[:, c].copy()
-        if np.any(factors != field.zero_enc):
-            field.elim(res, factors, basis[r])
-    return res
+    return field.a_sub(res, field.matmul2(res[:, pivots], basis))
 
 
 class Matrix:
@@ -138,7 +145,11 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
 
 
 class Subspace:
-    """A linear subspace, stored as its unique RREF basis (no zero rows)."""
+    """A linear subspace, stored as its unique RREF basis (no zero rows).
+
+    ``basis`` must already be in RREF: ``pivot_columns``, ``reduce`` and the
+    equality test rely on it.  ``from_rows`` canonicalises arbitrary rows.
+    """
 
     __slots__ = ("field", "ambient_dim", "basis")
 
@@ -174,11 +185,10 @@ class Subspace:
         return self.basis.shape[0]
 
     def pivot_columns(self) -> list[int]:
-        cols = []
-        for row in self.basis:
-            nz = np.nonzero(row != self.field.zero_enc)[0]
-            cols.append(int(nz[0]))
-        return cols
+        """The leading column of each basis row."""
+        if not self.dim:
+            return []
+        return (self.basis != self.field.zero_enc).argmax(axis=1).tolist()
 
     def complement_columns(self) -> list[int]:
         piv = set(self.pivot_columns())
@@ -228,11 +238,10 @@ def kernel(m: Matrix) -> Subspace:
     free = [c for c in range(n) if c not in pivots]
     if not free:
         return Subspace.zero(field, n)
+    # one row per free column: 1 there, minus that column of red at the pivots
     rows = field.zeros((len(free), n))
-    for r, fc in enumerate(free):
-        rows[r, fc] = field.one_enc
-        for i, pc in enumerate(pivots):
-            rows[r, pc] = field.s_neg(red[i, fc])
+    rows[np.arange(len(free)), free] = field.one_enc
+    rows[:, pivots] = field.a_neg(red[: len(pivots), free].T)
     return Subspace.from_rows(field, n, rows)
 
 

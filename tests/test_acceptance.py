@@ -6,6 +6,7 @@ tolerances are the stated wall-clock budgets.  Each criterion prints one
 PASS line when it holds (failures surface as assertion errors).
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -159,6 +160,9 @@ def test_criterion_7_family_sweep():
                "below 12, none for (P2) below 17; sharpness witnessed at 12 and 20")
 
 
+PAPER_SUITE_SHA256 = "e5276b87be2a8d8b17cfc724bf4eb6a48843b33f913dd0af5a02462aeff27a18"
+
+
 def test_criterion_8_engineering():
     runs = []
     for _ in range(2):
@@ -173,6 +177,9 @@ def test_criterion_8_engineering():
         assert elapsed < 60.0, f"took {elapsed:.1f}s, budget 60s"
         runs.append((proc.stdout, elapsed))
     assert runs[0][0] == runs[1][0], "machine reports differ between runs"
+    # the frozen report: a kernel change that moves any byte fails here
+    digest = hashlib.sha256(runs[0][0].encode("utf-8")).hexdigest()
+    assert digest == PAPER_SUITE_SHA256, f"machine report sha256 is {digest}"
     doc = json.loads(runs[0][0])
     assert doc["schema_version"] == 1
     assert doc["summary"]["failed"] == 0

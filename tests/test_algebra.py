@@ -280,3 +280,10 @@ def test_replace_keeps_construction_seeds(dual3):
         renamed = built.replace(name="renamed")
         assert renamed._radical_seed is built._radical_seed
         assert radical(renamed).strategy == "propagated"
+
+
+def test_wrong_length_symmetrizing_form_rejected(g3, mat2):
+    with pytest.raises(AlgebraValidationError, match="3 coordinates, expected 4"):
+        Algebra(g3, mat2.table, mat2.one, sym_form=g3.arr([1, 0, 1]))
+    with pytest.raises(AlgebraValidationError, match="5 coordinates, expected 4"):
+        mat2.replace(sym_form=g3.arr([1, 0, 0, 1, 0]))

@@ -150,3 +150,14 @@ def test_construct_rejects_quotient_by_non_ideal(tmp_path):
     proc = run_cli("construct", str(path), "--out", str(tmp_path / "o.json"))
     assert proc.returncode == 2
     assert "ideal" in proc.stderr
+
+
+def test_wrong_length_symmetrizing_form_exit_2(tmp_path):
+    doc = json.loads((CASES / "dual_numbers_gf3.json").read_text())
+    doc["symmetrizing_form"] = [0, 1, 2]                 # dim is 2
+    bad = tmp_path / "long_form.json"
+    bad.write_text(json.dumps(doc))
+    proc = run_cli("analyze", str(bad))
+    assert proc.returncode == 2
+    assert "symmetrizing_form: expected 2 coordinates" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -9,6 +9,7 @@ import pytest
 from oracles import gf25_elements_of_order
 
 from symcenter import GF, QQ, ExtensionField, FieldScalar, element_of_order
+from symcenter.fields import _F64_EXACT, _I64_SAFE
 from symcenter.errors import (
     DivisionByZero,
     FieldMismatch,
@@ -231,3 +232,42 @@ def test_elim_touches_only_rows_with_nonzero_factor(field_name, f25, rng):
         else:
             expect = [field.s_sub(x, field.s_mul(f[i], y)) for x, y in zip(before[i], row)]
             assert list(m[i]) == expect
+
+
+def _rung(field, m):
+    """Which product rung ExtensionField.matmul2 takes for contraction m."""
+    p, k = field.p, field.degree
+    x = 1 << (m * k * (p - 1) ** 2 + 1).bit_length()
+    v_max = (p - 1) * (x**k - 1) // (x - 1)
+    bound = m * v_max * v_max
+    if bound < _F64_EXACT:
+        return "float64"
+    return "int64" if bound < _I64_SAFE else "planes"
+
+
+@pytest.mark.parametrize("p, modulus, shape, rung", [
+    (2, [1, 1, 1], (5, 7, 4), "float64"),          # GF(4)
+    (2, [1, 1, 0, 1], (5, 7, 4), "float64"),       # GF(8)
+    (3, [1, 0, 1], (5, 7, 4), "float64"),          # GF(9)
+    (3, [1, 2, 0, 1], (5, 7, 4), "float64"),       # GF(27)
+    (5, [2, 0, 1], (5, 7, 4), "float64"),          # GF(25)
+    (5, [1, 1, 0, 1], (4, 50, 3), "int64"),        # GF(125)
+    (2, [1, 1, 0, 0, 0, 0, 1], (4, 40, 3), "planes"),  # GF(64)
+])
+def test_extension_matmul_every_rung(p, modulus, shape, rung, rng):
+    field = ExtensionField(p, modulus)
+    k = field.degree
+    assert field._readback.size == p ** (2 * k - 1)
+    r, m, c = shape
+    assert _rung(field, m) == rung
+    a = field.random_enc(rng, (r, m))
+    b = field.random_enc(rng, (m, c))
+    a[0] = field.order - 1                      # the largest digits everywhere
+    b[:, 0] = field.order - 1
+    got = field.matmul2(a, b)
+    for i in range(r):
+        for j in range(c):
+            acc = field.zero_enc
+            for t in range(m):
+                acc = field.s_add(acc, field.s_mul(int(a[i, t]), int(b[t, j])))
+            assert got[i, j] == acc

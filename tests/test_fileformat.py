@@ -175,3 +175,11 @@ def test_unavailable_radical_emits_without_hint():
     assert "radical_hint" not in doc
     with pytest.raises(RadicalUnavailable):
         analyze(parse_document(doc))
+
+
+def test_wrong_length_symmetrizing_form_is_anchored():
+    doc = json.loads((CASES / "dual_numbers_gf3.json").read_text())
+    doc["symmetrizing_form"] = [0, 1, 2]
+    with pytest.raises(FileFormatError) as err:
+        parse_document(doc)
+    assert err.value.location == "symmetrizing_form"

@@ -151,3 +151,60 @@ def test_rref_and_reduce_leave_inputs_unmodified(f25, rng):
         assert np.array_equal(basis, basis_before)
         # the residual has no support on the pivot columns
         assert np.all(res[:, pivots] == field.zero_enc)
+
+
+def _random_rref_basis(field, rng, rank, n):
+    """A random RREF basis of ``rank`` rows in F^n, with its pivot columns."""
+    while True:
+        red, pivots = rref_data(field, field.random_enc(rng, (rank, n)))
+        if len(pivots) == rank:
+            return red, pivots
+
+
+def _sequential_reduce(field, rows, basis, pivots):
+    """Reference: eliminate one entry at a time, pivot by pivot."""
+    res = rows.copy()
+    for i in range(res.shape[0]):
+        for r, c in enumerate(pivots):
+            f = res[i, c]
+            for j in range(res.shape[1]):
+                res[i, j] = field.s_sub(res[i, j], field.s_mul(f, basis[r, j]))
+    return res
+
+
+@pytest.mark.parametrize("field_name", ["GF(5)", "GF(25)", "QQ"])
+def test_reduce_rows_equals_sequential_elimination(field_name, f25, rng):
+    field = {"GF(5)": GF(5), "GF(25)": f25, "QQ": QQ}[field_name]
+    for rank, n, t in [(1, 4, 3), (3, 7, 5), (5, 5, 2), (4, 9, 6)]:
+        basis, pivots = _random_rref_basis(field, rng, rank, n)
+        rows = field.random_enc(rng, (t, n))
+        rows[0] = field.matmul2(field.random_enc(rng, (1, rank)), basis)[0]
+        got = reduce_rows(field, rows, basis, pivots)
+        want = _sequential_reduce(field, rows, basis, pivots)
+        assert np.array_equal(got, want)
+        assert np.all(got[0] == field.zero_enc)     # a row in the span reduces to 0
+
+
+def test_pivot_columns_are_first_nonzero_columns(f25, rng):
+    for field in (GF(5), f25, QQ):
+        for rank, n in [(0, 4), (1, 1), (2, 6), (4, 8)]:
+            sub = random_subspace(field, n, rng, max_dim=rank)
+            want = [
+                next(j for j in range(n) if sub.basis[i, j] != field.zero_enc)
+                for i in range(sub.dim)
+            ]
+            assert sub.pivot_columns() == want
+
+
+def test_kernel_is_rref_span_of_naive_kernel(rng):
+    p = 5
+    f = GF(p)
+    for rows, cols in [(1, 1), (2, 5), (4, 4), (5, 3), (3, 8)]:
+        m = f.random_enc(rng, (rows, cols))
+        m[-1] = m[0]                                   # force a dependency
+        k = kernel(Matrix(f, m))
+        red, pivots = rref_data(f, k.basis)
+        assert np.array_equal(red[: len(pivots)], k.basis)   # already RREF
+        naive = naive_kernel_mod(m.tolist(), p)
+        assert k == Subspace.from_rows(f, cols, naive)
+        assert not np.any(f.matmul2(m, k.basis.T))
