@@ -13,12 +13,11 @@ from symcenter import (
     GF,
     QQ,
     FieldScalar,
-    Matrix,
     Subspace,
     element_of_order,
     gf25,
     kernel,
-    rref,
+    rref_data,
     subspace_intersect,
     subspace_sum,
 )
@@ -38,12 +37,13 @@ print("element of multiplicative order 24 in GF(25):", q,
 
 print()
 print("-- matrices and subspaces ---------------------------------------")
-m = Matrix.from_rows(QQ, [[1, 2], [2, 4]])
-r, rank = rref(m)
-print("rref over Q of [[1,2],[2,4]]:", r, " rank", rank)
+# a matrix is a plain 2-D array of encoded field values
+r, pivots = rref_data(QQ, QQ.arr([[1, 2], [2, 4]]))
+rows = "; ".join("[" + ", ".join(QQ.format_enc(v) for v in row) + "]" for row in r)
+print("rref over Q of [[1,2],[2,4]]:", rows, " rank", len(pivots))
 
 g2 = GF(2)
-k = kernel(Matrix.from_rows(g2, [[1, 1]]))
+k = kernel(g2, g2.arr([[1, 1]]))
 print("kernel of [1 1] over GF(2):", k, "basis", k.basis.tolist())
 
 u = Subspace.from_vectors(g3, 4, [[1, 0, 2, 0], [0, 1, 1, 1]])

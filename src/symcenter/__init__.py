@@ -33,12 +33,12 @@ from .fields import (
     gf25,
 )
 from .linalg import (
-    Matrix,
     Subspace,
     contains,
     kernel,
     member,
-    rref,
+    rank,
+    rref_data,
     subspace_intersect,
     subspace_sum,
 )
@@ -77,7 +77,7 @@ __all__ = [
     "SymcenterError",
     "GF", "QQ", "ExtensionField", "FieldDescriptor", "FieldScalar",
     "PrimeField", "RationalField", "element_of_order", "gf25",
-    "Matrix", "Subspace", "contains", "kernel", "member", "rref",
+    "Subspace", "contains", "kernel", "member", "rank", "rref_data",
     "subspace_intersect", "subspace_sum",
     "PropertyVerdicts", "RadicalCertificate", "RadicalHint",
     "annihilator_in_center", "is_basic", "is_local", "j_of_center",

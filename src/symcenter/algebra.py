@@ -28,7 +28,7 @@ from .errors import (
     NotNilpotent,
 )
 from .fields import FieldDescriptor
-from .linalg import Matrix, Subspace, kernel
+from .linalg import Subspace, kernel
 
 
 class Algebra:
@@ -96,12 +96,11 @@ class Algebra:
     def _validate(self):
         f, c, n = self.field, self.table, self.dim
         ident = f.eye(n)
-        left_unit = f.tensordot_lf(self.one[None, :], c.reshape(n, -1)).reshape(n, n)
+        left_unit = self.left_products(self.one[None, :])[0]
         if not np.all(left_unit == ident):
             i = int(np.nonzero(np.any(left_unit != ident, axis=1))[0][0])
             raise AlgebraValidationError(f"unit law fails: one * e_{i} != e_{i}")
-        ct = np.ascontiguousarray(c.transpose(1, 0, 2))
-        right_unit = f.tensordot_lf(self.one[None, :], ct.reshape(n, -1)).reshape(n, n)
+        right_unit = self.right_products(self.one[None, :])[0]
         if not np.all(right_unit == ident):
             i = int(np.nonzero(np.any(right_unit != ident, axis=1))[0][0])
             raise AlgebraValidationError(f"unit law fails: e_{i} * one != e_{i}")
@@ -149,25 +148,30 @@ class Algebra:
             raise KeyError("algebra has no basis labels")
         return self.basis_element(self.labels.index(label))
 
-    def multiply_coords(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        n, f = self.dim, self.field
-        tmp = f.tensordot_lf(x[None, :], self.table.reshape(n, -1)).reshape(n, n)
-        return f.tensordot_lf(y[None, :], tmp).reshape(n)
+    def left_products(self, rows: np.ndarray) -> np.ndarray:
+        """Array P of shape (len(rows), dim, dim) with P[s, j] = rows[s] * e_j."""
+        n = self.dim
+        out = self.field.tensordot_lf(rows, self.table.reshape(n, -1))
+        return out.reshape(rows.shape[0], n, n)
 
-    def left_mult_matrix(self, x) -> Matrix:
-        """Matrix of y -> x y on the basis (columns are images)."""
-        x = self._coords_of(x)
-        n, f = self.dim, self.field
-        tmp = f.tensordot_lf(x[None, :], self.table.reshape(n, -1)).reshape(n, n)
-        return Matrix(f, tmp.T.copy())
-
-    def right_mult_matrix(self, x) -> Matrix:
-        """Matrix of y -> y x on the basis."""
-        x = self._coords_of(x)
-        n, f = self.dim, self.field
+    def right_products(self, rows: np.ndarray) -> np.ndarray:
+        """Array P of shape (len(rows), dim, dim) with P[s, j] = e_j * rows[s]."""
+        n = self.dim
         ct = np.ascontiguousarray(self.table.transpose(1, 0, 2))
-        tmp = f.tensordot_lf(x[None, :], ct.reshape(n, -1)).reshape(n, n)
-        return Matrix(f, tmp.T.copy())
+        out = self.field.tensordot_lf(rows, ct.reshape(n, -1))
+        return out.reshape(rows.shape[0], n, n)
+
+    def multiply_coords(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        xe = self.left_products(x[None, :])[0]
+        return self.field.tensordot_lf(y[None, :], xe).reshape(self.dim)
+
+    def left_mult_matrix(self, x) -> np.ndarray:
+        """Matrix of y -> x y on the basis (columns are images)."""
+        return self.left_products(self._coords_of(x)[None, :])[0].T.copy()
+
+    def right_mult_matrix(self, x) -> np.ndarray:
+        """Matrix of y -> y x on the basis."""
+        return self.right_products(self._coords_of(x)[None, :])[0].T.copy()
 
     def _coords_of(self, x) -> np.ndarray:
         if isinstance(x, AlgebraElement):
@@ -198,7 +202,7 @@ class Algebra:
         f, c, n = self.field, self.table, self.dim
         diff = f.a_sub(np.ascontiguousarray(c.transpose(1, 0, 2)), c)  # [j,i,k] = (e_j e_i - e_i e_j)_k .. as functions of j
         system = np.ascontiguousarray(diff.transpose(1, 2, 0)).reshape(n * n, n)
-        z = kernel(Matrix(f, system))
+        z = kernel(f, system)
         self._cache["center"] = z
         return z
 
@@ -218,12 +222,12 @@ class Algebra:
         """Array P of shape (u.dim, v.dim, dim) with P[s, t] = u_s * v_t."""
         self._check_subspace(u)
         self._check_subspace(v)
-        f, c, n = self.field, self.table, self.dim
+        f, n = self.field, self.dim
         if u.dim == 0 or v.dim == 0:
             return f.zeros((u.dim, v.dim, n))
-        t1 = f.tensordot_lf(u.basis, c.reshape(n, -1)).reshape(u.dim, n, n)
-        t1 = np.ascontiguousarray(t1.transpose(1, 0, 2)).reshape(n, u.dim * n)
-        prod = f.tensordot_lf(v.basis, t1).reshape(v.dim, u.dim, n)
+        # contract v over j in u_s * e_j
+        t1 = np.ascontiguousarray(self.left_products(u.basis).transpose(1, 0, 2))
+        prod = f.tensordot_lf(v.basis, t1.reshape(n, u.dim * n)).reshape(v.dim, u.dim, n)
         return prod.transpose(1, 0, 2)
 
     def subspace_product(self, u: Subspace, v: Subspace) -> Subspace:
@@ -231,38 +235,28 @@ class Algebra:
         prod = self.basis_products(u, v)
         return Subspace.from_rows(self.field, self.dim, prod.reshape(-1, self.dim))
 
-    def _one_sided_products(self, u: Subspace, side: str) -> np.ndarray:
-        """Rows spanning A*u (side='left') or u*A (side='right')."""
-        f, c, n = self.field, self.table, self.dim
-        if u.dim == 0:
-            return f.zeros((0, n))
-        if side == "left":
-            mat = np.ascontiguousarray(c.transpose(1, 0, 2)).reshape(n, -1)
-        else:
-            mat = c.reshape(n, -1)
-        return f.tensordot_lf(u.basis, mat).reshape(u.dim * n, n)
-
     def is_ideal(self, u: Subspace) -> bool:
         """Two-sided ideal test via basis products."""
         self._check_subspace(u)
         if u.dim == 0:
             return True
-        left = self._one_sided_products(u, "left")
-        if np.any(u.reduce(left) != self.field.zero_enc):
+        n, zero = self.dim, self.field.zero_enc
+        # A u first (e_j u_s), then u A (u_s e_j)
+        if np.any(u.reduce(self.right_products(u.basis).reshape(-1, n)) != zero):
             return False
-        right = self._one_sided_products(u, "right")
-        return bool(np.all(u.reduce(right) == self.field.zero_enc))
+        return bool(np.all(u.reduce(self.left_products(u.basis).reshape(-1, n)) == zero))
 
     def ideal_closure(self, u: Subspace) -> Subspace:
         """Smallest two-sided ideal containing u (fixpoint of u + Au + uA)."""
         self._check_subspace(u)
+        n = self.dim
         current = u
-        for _ in range(self.dim + 1):
+        for _ in range(n + 1):
             rows = np.concatenate(
                 [
                     current.basis,
-                    self._one_sided_products(current, "left"),
-                    self._one_sided_products(current, "right"),
+                    self.right_products(current.basis).reshape(-1, n),
+                    self.left_products(current.basis).reshape(-1, n),
                 ],
                 axis=0,
             )
@@ -277,21 +271,17 @@ class Algebra:
         self._check_subspace(s)
         if s.dim == 0:
             return self.full_space()
-        f, c, n = self.field, self.table, self.dim
-        ct = np.ascontiguousarray(c.transpose(1, 0, 2))
-        rows = f.tensordot_lf(s.basis, ct.reshape(n, -1)).reshape(s.dim, n, n)
-        system = np.ascontiguousarray(rows.transpose(0, 2, 1)).reshape(s.dim * n, n)
-        return kernel(Matrix(f, system))
+        # x v_s = sum_j x_j (e_j v_s): one equation per (s, coordinate)
+        system = self.right_products(s.basis).transpose(0, 2, 1)
+        return kernel(self.field, system.reshape(-1, self.dim))
 
     def right_annihilator(self, s: Subspace) -> Subspace:
         """{x : v x = 0 for all v in s}."""
         self._check_subspace(s)
         if s.dim == 0:
             return self.full_space()
-        f, c, n = self.field, self.table, self.dim
-        rows = f.tensordot_lf(s.basis, c.reshape(n, -1)).reshape(s.dim, n, n)
-        system = np.ascontiguousarray(rows.transpose(0, 2, 1)).reshape(s.dim * n, n)
-        return kernel(Matrix(f, system))
+        system = self.left_products(s.basis).transpose(0, 2, 1)
+        return kernel(self.field, system.reshape(-1, self.dim))
 
     def _check_subspace(self, u: Subspace):
         self.field.check_same(u.field)

@@ -19,7 +19,7 @@ from .errors import (
     RadicalUnavailable,
 )
 from .fields import FieldDescriptor
-from .linalg import Subspace, contains, express_in_rows, subspace_sum
+from .linalg import Subspace, contains, express_in_rows, kernel, subspace_sum
 from .substructures import (
     RadicalHint,
     j_of_center,
@@ -138,17 +138,11 @@ def trivext_criteria(a: Algebra) -> TrivExtCriteria:
     if socz.dim == 0:
         s_sub = a.zero_space()
     else:
-        ct = np.ascontiguousarray(a.table.transpose(1, 0, 2))
-        prods = f.tensordot_lf(socz.basis, ct.reshape(n, -1)).reshape(socz.dim, n, n)
-        resid = k.reduce(prods.reshape(socz.dim * n, n)).reshape(socz.dim, n, n)
-        system = np.ascontiguousarray(resid.transpose(1, 2, 0)).reshape(n * n, socz.dim)
-        from .linalg import Matrix, kernel
-
-        alpha = kernel(Matrix(f, system))
-        if alpha.dim == 0:
-            s_sub = a.zero_space()
-        else:
-            s_sub = Subspace.from_rows(f, n, f.matmul2(alpha.basis, socz.basis))
+        # sum_s alpha_s e_j b_s in K(A) for every j: the residuals mod K(A) vanish
+        prods = a.right_products(socz.basis).reshape(-1, n)
+        resid = k.reduce(prods).reshape(socz.dim, n * n)
+        alpha = kernel(f, resid.T)
+        s_sub = Subspace.from_rows(f, n, f.matmul2(alpha.basis, socz.basis))
     s_ok = a.is_ideal(s_sub)
     i_ok = a.is_ideal(i_sub)
     k_ok = a.is_ideal(k)

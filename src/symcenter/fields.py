@@ -20,6 +20,9 @@ Exactness of the fast paths:
   The read-back is one table lookup: the 2k - 1 digits, each reduced mod p,
   form a base-p index into ``_readback``, which holds the encoded value of
   that polynomial reduced by the modulus (p^(2k-1) = q^2 / p entries).
+  The scalar multiplication table ``_mul_table`` is read back through
+  ``_readback`` in the same way, so it is built without a q x q x (2k - 1)
+  product-coefficient cube.
   When even int64 could overflow, the coefficient planes are multiplied
   separately and end in the same lookup;
 * rationals multiply through integers: each operand is scaled by the lcm
@@ -425,30 +428,34 @@ class ExtensionField(FieldDescriptor):
             if lead:
                 for j in range(k):
                     rep[j] = (rep[j] - lead * self.modulus[j]) % p
-        # full product coefficient cube via k^2 outer products
-        conv = np.zeros((q, q, 2 * k - 1), dtype=np.int64)
-        for u in range(k):
-            for v in range(k):
-                conv[:, :, u + v] += np.multiply.outer(digits[:, u], digits[:, v])
-        coeffs = (conv % p) @ red % p
-        self._mul_table = coeffs @ self._p_pows
-        self._add_table = ((digits[:, None, :] + digits[None, :, :]) % p) @ self._p_pows
+        # digit-wise sums, one base-p digit at a time
+        add = np.zeros((q, q), dtype=np.int64)
+        for i in range(k):
+            add += (np.add.outer(digits[:, i], digits[:, i]) % p) * self._p_pows[i]
+        self._add_table = add
         self._neg_table = ((-digits) % p) @ self._p_pows
-        inv = np.zeros(q, dtype=np.int64)
-        rows, cols = np.nonzero(self._mul_table == 1)
-        inv[rows] = cols
-        self._inv_table = inv
-        self._sub_table = self._add_table[:, self._neg_table]
+        self._sub_table = add[:, self._neg_table]
         # read-back of a product polynomial sum_t c_t X^t (t < 2k-1, c_t mod p):
         # entry sum_t c_t p^t is its encoded value mod the modulus, built one
         # coefficient at a time as field sums of c_t * (X^t mod the modulus)
         readback = np.zeros(1, dtype=np.int64)
         for t in range(2 * k - 1):
-            xt = int(red[t] @ self._p_pows)
             readback = np.concatenate(
-                [self._add_table[readback, self._mul_table[d, xt]] for d in range(p)]
+                [add[readback, int(((d * red[t]) % p) @ self._p_pows)] for d in range(p)]
             )
         self._readback = readback
+        # products through the same read-back: coefficient t of x*y, mod p,
+        # is base-p digit t of the index
+        idx = np.zeros((q, q), dtype=np.int32)
+        for t in range(2 * k - 1):
+            coeff = sum(np.multiply.outer(digits[:, u], digits[:, t - u])
+                        for u in range(max(0, t - k + 1), min(t, k - 1) + 1))
+            idx += ((coeff % p) * p**t).astype(np.int32)
+        self._mul_table = readback[idx]
+        inv = np.zeros(q, dtype=np.int64)
+        rows, cols = np.nonzero(self._mul_table == 1)
+        inv[rows] = cols
+        self._inv_table = inv
 
     def _key(self):
         return ("extension", self.p, self.modulus)

@@ -1,9 +1,11 @@
 """Exact dense linear algebra over a FieldDescriptor.
 
-Matrices hold encoded values in numpy arrays; every row operation goes
-through the field's array kernel, so all results are exact.  Subspaces are
-stored canonically as reduced-row-echelon bases, which turns the set
-identities used throughout the package into plain array equalities.
+A matrix is a plain 2-D numpy array of encoded field values, with no
+wrapper class: ``rref_data``, ``rank`` and ``kernel`` take the field and
+the array.  Every row operation goes through the field's array kernel, so
+all results are exact.  Subspaces are stored canonically as
+reduced-row-echelon bases, which turns the set identities used throughout
+the package into plain array equalities.
 
 Every basis handed to ``reduce_rows`` (and so every ``Subspace.basis``)
 must be in RREF: its pivot columns form an identity block.  That lets a
@@ -16,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import AmbientMismatch
-from .fields import FieldDescriptor, FieldScalar
+from .fields import FieldDescriptor
 
 
 def rref_data(field: FieldDescriptor, data: np.ndarray):
@@ -62,86 +64,9 @@ def reduce_rows(field: FieldDescriptor, rows: np.ndarray, basis: np.ndarray,
     return field.a_sub(res, field.matmul2(res[:, pivots], basis))
 
 
-class Matrix:
-    """A dense matrix over one field, stored as encoded values."""
-
-    __slots__ = ("field", "data")
-
-    def __init__(self, field: FieldDescriptor, data: np.ndarray):
-        data = np.asarray(data, dtype=field.dtype)
-        if data.ndim != 2:
-            raise ValueError("matrix data must be 2-D")
-        self.field = field
-        self.data = data
-
-    @classmethod
-    def from_rows(cls, field: FieldDescriptor, rows) -> "Matrix":
-        arr = field.arr(rows)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        return cls(field, arr)
-
-    @classmethod
-    def zeros(cls, field: FieldDescriptor, rows: int, cols: int) -> "Matrix":
-        return cls(field, field.zeros((rows, cols)))
-
-    @classmethod
-    def identity(cls, field: FieldDescriptor, n: int) -> "Matrix":
-        return cls(field, field.eye(n))
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    def entry(self, i: int, j: int) -> FieldScalar:
-        return FieldScalar(self.field, self.data[i, j])
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.data.T.copy())
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        self.field.check_same(other.field)
-        return Matrix(self.field, self.field.matmul2(self.data, other.data))
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self.field.check_same(other.field)
-        return Matrix(self.field, self.field.a_add(self.data, other.data))
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self.field.check_same(other.field)
-        return Matrix(self.field, self.field.a_sub(self.data, other.data))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.field == other.field
-            and self.data.shape == other.data.shape
-            and bool(np.all(self.data == other.data))
-        )
-
-    def __repr__(self):
-        lines = [
-            "[" + ", ".join(self.field.format_enc(v) for v in row) + "]"
-            for row in self.data
-        ]
-        return "Matrix(" + "; ".join(lines) + ")"
-
-    def rank(self) -> int:
-        _, pivots = rref_data(self.field, self.data)
-        return len(pivots)
-
-    def is_zero(self) -> bool:
-        return bool(np.all(self.data == self.field.zero_enc))
-
-
-def rref(m: Matrix) -> tuple[Matrix, int]:
-    """Reduced row echelon form and rank."""
-    data, pivots = rref_data(m.field, m.data)
-    return Matrix(m.field, data), len(pivots)
+def rank(field: FieldDescriptor, data: np.ndarray) -> int:
+    """Rank of an encoded 2-D array."""
+    return len(rref_data(field, data)[1])
 
 
 class Subspace:
@@ -230,11 +155,10 @@ class Subspace:
         return bool(np.all(self.reduce(row) == self.field.zero_enc))
 
 
-def kernel(m: Matrix) -> Subspace:
-    """Right null space {x : m x = 0} as a canonical subspace."""
-    field = m.field
-    n = m.cols
-    red, pivots = rref_data(field, m.data)
+def kernel(field: FieldDescriptor, data: np.ndarray) -> Subspace:
+    """Right null space {x : data x = 0} of an encoded 2-D array."""
+    red, pivots = rref_data(field, data)
+    n = red.shape[1]
     free = [c for c in range(n) if c not in pivots]
     if not free:
         return Subspace.zero(field, n)
@@ -261,7 +185,7 @@ def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
     block = field.zeros((u.ambient_dim, a + b))
     block[:, :a] = u.basis.T
     block[:, a:] = field.a_neg(v.basis.T)
-    alpha = kernel(Matrix(field, block))
+    alpha = kernel(field, block)
     if alpha.is_zero():
         return Subspace.zero(field, u.ambient_dim)
     coeffs = alpha.basis[:, :a]
@@ -297,10 +221,8 @@ def express_in_rows(field: FieldDescriptor, basis_rows: np.ndarray,
         return field.zeros((t, 0))
     aug = np.concatenate([basis_rows.T, targets.T], axis=1)
     red, pivots = rref_data(field, aug)
-    if pivots[: min(len(pivots), r)] != list(range(min(len(pivots), r))) or len(pivots) > r:
-        if any(p >= r for p in pivots):
-            raise ValueError("target outside the span of the basis rows")
-        raise ValueError("basis rows are linearly dependent")
+    if any(p >= r for p in pivots):
+        raise ValueError("target outside the span of the basis rows")
     if len(pivots) < r:
         raise ValueError("basis rows are linearly dependent")
     return red[:r, r:].T.copy()

@@ -30,7 +30,7 @@ from .errors import (
     InternalCheckError,
     RadicalUnavailable,
 )
-from .linalg import Matrix, Subspace, contains, kernel, rref_data, subspace_intersect
+from .linalg import Subspace, contains, kernel, rank, subspace_intersect
 from .fields import FieldDescriptor
 
 
@@ -78,11 +78,6 @@ def trace_gram(field: FieldDescriptor, table: np.ndarray) -> np.ndarray:
     return field.tensordot_lf(table, traces.reshape(n, 1)).reshape(n, n)
 
 
-def _gram_invertible(field, gram) -> bool:
-    _, pivots = rref_data(field, gram)
-    return len(pivots) == gram.shape[0]
-
-
 def radical(algebra: Algebra) -> RadicalCertificate:
     """Verified Jacobson radical; strategy order: propagated, hinted, dickson."""
     cached = algebra._cache.get("radical_cert")
@@ -109,7 +104,7 @@ def _compute_radical(algebra: Algebra) -> RadicalCertificate:
     p = f.characteristic
     if p == 0 or p > algebra.dim:
         gram = trace_gram(f, algebra.table)
-        j = kernel(Matrix(f, gram))
+        j = kernel(f, gram)
         if not algebra.is_ideal(j) or not is_nilpotent_ideal(algebra, j):
             raise InternalCheckError("trace-form radical failed verification")
         return RadicalCertificate(
@@ -126,8 +121,7 @@ def _compute_radical(algebra: Algebra) -> RadicalCertificate:
 def _radical_from_hint(algebra: Algebra, hint: RadicalHint) -> RadicalCertificate:
     f, n = algebra.field, algebra.dim
     if hint.kind == "semisimple":
-        gram = trace_gram(f, algebra.table)
-        if not _gram_invertible(f, gram):
+        if rank(f, trace_gram(f, algebra.table)) < n:
             raise HintRejected(
                 "semisimple hint rejected: trace form tr(L_xy) is degenerate"
             )
@@ -174,8 +168,7 @@ def _radical_from_hint(algebra: Algebra, hint: RadicalHint) -> RadicalCertificat
                 "nilpotent two-sided ideal of codimension 1 in a unital algebra",
             )
         qtable, _, _, _ = quotient_data(algebra, sub)
-        gram = trace_gram(f, qtable)
-        if not _gram_invertible(f, gram):
+        if rank(f, trace_gram(f, qtable)) < qtable.shape[0]:
             raise HintRejected(
                 "basis hint rejected: trace form on the quotient is degenerate, "
                 "so semisimplicity of A/N is not certified"
@@ -223,14 +216,9 @@ def annihilator_in_center(algebra: Algebra, v: Subspace) -> Subspace:
     z = algebra.center()
     if v.dim == 0 or z.dim == 0:
         return z
-    table = algebra.table
-    t1 = f.tensordot_lf(z.basis, table.reshape(n, -1)).reshape(z.dim, n, n)
-    t1 = np.ascontiguousarray(t1.transpose(1, 0, 2)).reshape(n, z.dim * n)
-    prods = f.tensordot_lf(v.basis, t1).reshape(v.dim, z.dim, n)
-    system = np.ascontiguousarray(prods.transpose(0, 2, 1)).reshape(v.dim * n, z.dim)
-    alpha = kernel(Matrix(f, system))
-    if alpha.dim == 0:
-        return algebra.zero_space()
+    # z_s v_t summed over s: one equation per (t, coordinate)
+    system = algebra.basis_products(z, v).transpose(1, 2, 0).reshape(-1, z.dim)
+    alpha = kernel(f, system)
     return Subspace.from_rows(f, n, f.matmul2(alpha.basis, z.basis))
 
 

@@ -21,7 +21,7 @@ from .errors import (
     InternalCheckError,
     NotSymmetricForm,
 )
-from .linalg import Matrix, Subspace, contains, kernel, rref_data, subspace_intersect, subspace_sum
+from .linalg import Subspace, contains, kernel, rank, subspace_intersect, subspace_sum
 
 
 class SymmetricStructure:
@@ -60,10 +60,10 @@ def verify_symmetric(algebra: Algebra, lam) -> SymmetricStructure:
             f"lambda(e_{i} e_{j}) != lambda(e_{j} e_{i}); "
             "the form does not vanish on the commutator space"
         )
-    _, pivots = rref_data(f, gram)
-    if len(pivots) != n:
+    r = rank(f, gram)
+    if r != n:
         raise Degenerate(
-            f"Gram matrix has rank {len(pivots)} < {n}; "
+            f"Gram matrix has rank {r} < {n}; "
             "the kernel of lambda contains a nonzero one-sided ideal"
         )
     return SymmetricStructure(algebra, lam, gram)
@@ -88,7 +88,7 @@ def perp(structure: SymmetricStructure, x: Subspace) -> Subspace:
     if x.dim == 0:
         return algebra.full_space()
     system = f.matmul2(x.basis, structure.gram.T)
-    return kernel(Matrix(f, system))
+    return kernel(f, system)
 
 
 @dataclass
@@ -136,10 +136,8 @@ class QuotientWitness:
 
     def nu_star_rows(self, rows: np.ndarray) -> np.ndarray:
         """nu*(xbar) = (any lift of xbar) * z; well defined since I*z = 0."""
-        f = self.algebra.field
-        lifted = self.lift_rows(rows)
-        rz = self.algebra.right_mult_matrix(self.z).data
-        return f.matmul2(lifted, rz.T)
+        ez = self.algebra.right_products(self.z[None, :])[0]  # rows e_j z
+        return self.algebra.field.matmul2(self.lift_rows(rows), ez)
 
     def nu_star(self, xbar) -> np.ndarray:
         coords = self.quotient._coords_of(xbar)
@@ -164,9 +162,7 @@ class QuotientWitness:
     def nu_star_injective(self) -> bool:
         f = self.algebra.field
         d = self.quotient.dim
-        rows = self.nu_star_rows(f.eye(d))
-        _, pivots = rref_data(f, rows)
-        return len(pivots) == d
+        return rank(f, self.nu_star_rows(f.eye(d))) == d
 
 
 def symmetric_quotient(structure: SymmetricStructure, z) -> QuotientWitness:
@@ -176,8 +172,7 @@ def symmetric_quotient(structure: SymmetricStructure, z) -> QuotientWitness:
     z = algebra._coords_of(z)
     if not algebra.center().contains_vector(z):
         raise CentralityViolated("symmetric quotients require a central element")
-    rz = algebra.right_mult_matrix(z).data
-    az_rows = rz.T.copy()
+    az_rows = algebra.right_products(z[None, :])[0]  # rows e_j z
     az = Subspace.from_rows(f, n, az_rows)
     ideal = perp(structure, az)
     quotient = constructions.quotient(algebra, ideal)

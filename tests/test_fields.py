@@ -9,7 +9,7 @@ import pytest
 from oracles import gf25_elements_of_order
 
 from symcenter import GF, QQ, ExtensionField, FieldScalar, element_of_order
-from symcenter.fields import _F64_EXACT, _I64_SAFE
+from symcenter.fields import _F64_EXACT, _I64_SAFE, _poly_mod
 from symcenter.errors import (
     DivisionByZero,
     FieldMismatch,
@@ -271,3 +271,31 @@ def test_extension_matmul_every_rung(p, modulus, shape, rung, rng):
             for t in range(m):
                 acc = field.s_add(acc, field.s_mul(int(a[i, t]), int(b[t, j])))
             assert got[i, j] == acc
+
+
+def _base_p_digits(enc, p, k):
+    return [enc // p**i % p for i in range(k)]
+
+
+@pytest.mark.parametrize("p, modulus", [
+    (2, [1, 1, 1]),            # GF(4)
+    (2, [1, 1, 0, 1]),         # GF(8)
+    (3, [1, 0, 1]),            # GF(9)
+    (5, [2, 0, 1]),            # GF(25)
+    (3, [1, 2, 0, 1]),         # GF(27)
+])
+def test_extension_tables_match_schoolbook_arithmetic(p, modulus):
+    field = ExtensionField(p, modulus)
+    q, k = field.order, field.degree
+    for a in range(q):
+        da = _base_p_digits(a, p, k)
+        for b in range(q):
+            db = _base_p_digits(b, p, k)
+            conv = [0] * (2 * k - 1)
+            for u in range(k):
+                for v in range(k):
+                    conv[u + v] += da[u] * db[v]
+            rem = _poly_mod(conv, modulus, p)
+            assert field._mul_table[a, b] == sum(c * p**i for i, c in enumerate(rem))
+            assert field._add_table[a, b] == sum(
+                (x + y) % p * p**i for i, (x, y) in enumerate(zip(da, db)))

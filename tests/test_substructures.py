@@ -134,7 +134,7 @@ def test_socle_firstexample_matches_naive_rann_oracle():
     rows = []
     for s in j.basis_vectors():
         # rAnn(J) = {x : s x = 0}; in column convention s x = L_s x
-        ls = a.left_mult_matrix(a.element(s)).data
+        ls = a.left_mult_matrix(a.element(s))
         rows.extend([list(map(int, r)) for r in ls])
     oracle = naive_kernel_mod(rows, 3)
     assert len(oracle) == 1
