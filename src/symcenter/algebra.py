@@ -11,10 +11,14 @@ Algebra instances are immutable: every attribute is set in ``__init__``
 and never assigned again, so the results memoised in ``_cache`` (center,
 radical certificate, verified symmetrizing form, ...) cannot go stale.
 A different name, hint or form means a new algebra, made by ``replace``.
+Every per-algebra result, here and in the modules built on this one, is
+memoised by the one decorator ``memoised(key)``; ``memo`` reads what it
+stored without computing anything.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +33,26 @@ from .errors import (
 )
 from .fields import FieldDescriptor
 from .linalg import Subspace, kernel
+
+
+def memoised(key: str):
+    """Decorator for a function of one algebra (or a method): compute the
+    result once and keep it in the algebra's memo under ``key``.  A call
+    that raises stores nothing."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def wrapper(algebra):
+            cache = algebra._cache
+            if key not in cache:
+                cache[key] = fn(algebra)
+            return cache[key]
+        return wrapper
+    return decorate
+
+
+def memo(algebra: "Algebra", key: str):
+    """What ``memoised`` stored under ``key``, or None if nothing yet."""
+    return algebra._cache.get(key)
 
 
 class Algebra:
@@ -188,33 +212,24 @@ class Algebra:
     def zero_space(self) -> Subspace:
         return Subspace.zero(self.field, self.dim)
 
+    @memoised("commutative")
     def is_commutative(self) -> bool:
-        if "commutative" not in self._cache:
-            self._cache["commutative"] = bool(
-                np.all(self.table == self.table.transpose(1, 0, 2))
-            )
-        return self._cache["commutative"]
+        return bool(np.all(self.table == self.table.transpose(1, 0, 2)))
 
+    @memoised("center")
     def center(self) -> Subspace:
         """Elements commuting with every basis vector."""
-        if "center" in self._cache:
-            return self._cache["center"]
         f, c, n = self.field, self.table, self.dim
         diff = f.a_sub(np.ascontiguousarray(c.transpose(1, 0, 2)), c)  # [j,i,k] = (e_j e_i - e_i e_j)_k .. as functions of j
         system = np.ascontiguousarray(diff.transpose(1, 2, 0)).reshape(n * n, n)
-        z = kernel(f, system)
-        self._cache["center"] = z
-        return z
+        return kernel(f, system)
 
+    @memoised("commutator")
     def commutator_space(self) -> Subspace:
         """Span of all commutators [e_i, e_j]."""
-        if "commutator" in self._cache:
-            return self._cache["commutator"]
         f, c, n = self.field, self.table, self.dim
         comm = f.a_sub(c, np.ascontiguousarray(c.transpose(1, 0, 2)))
-        k = Subspace.from_rows(f, n, comm.reshape(n * n, n))
-        self._cache["commutator"] = k
-        return k
+        return Subspace.from_rows(f, n, comm.reshape(n * n, n))
 
     # -- subspace products and ideals ----------------------------------------------
 

@@ -12,28 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, quotient_data
-from .errors import (
-    AlgebraValidationError,
-    BasisClaimFailed,
-    RadicalUnavailable,
-)
+from .algebra import Algebra, memo, quotient_data
+from .errors import AlgebraValidationError, BasisClaimFailed
 from .fields import FieldDescriptor
 from .linalg import Subspace, contains, express_in_rows, kernel, subspace_sum
 from .substructures import (
     RadicalHint,
     j_of_center,
+    known_radical,
     property_verdicts,
-    radical,
+    radical_or_none,
     soc_of_center,
 )
-
-
-def _try_radical(algebra: Algebra):
-    try:
-        return radical(algebra)
-    except RadicalUnavailable:
-        return None
 
 
 # -- tensor product ------------------------------------------------------------
@@ -59,7 +49,7 @@ def tensor(a1: Algebra, a2: Algebra) -> Algebra:
         sym = f.a_mul(a1.sym_form[:, None], a2.sym_form[None, :]).reshape(n)
     name = f"({a1.name or 'A1'})⊗({a2.name or 'A2'})"
     seed = None
-    c1, c2 = _try_radical(a1), _try_radical(a2)
+    c1, c2 = radical_or_none(a1), radical_or_none(a2)
     if c1 is not None and c2 is not None:
         eye1, eye2 = f.eye(n1), f.eye(n2)
         left = f.a_mul(c1.radical.basis[:, None, :, None], eye2[None, :, None, :])
@@ -98,7 +88,7 @@ def trivial_extension(a: Algebra) -> Algebra:
         labels = list(a.labels) + [s + "*" for s in a.labels]
     name = f"T({a.name or 'A'})"
     seed = None
-    cert = _try_radical(a)
+    cert = radical_or_none(a)
     if cert is not None:
         rows = f.zeros((cert.radical.dim + n, 2 * n))
         rows[: cert.radical.dim, :n] = cert.radical.basis
@@ -165,11 +155,8 @@ def quotient(a: Algebra, ideal: Subspace) -> Algebra:
     """A/I on the complement coordinates of the ideal's RREF basis."""
     table, one, comp, labels = quotient_data(a, ideal)
     name = f"({a.name or 'A'})/I"
-    seed = cert = None
-    # only a radical that is already known (seed, hint or cached certificate)
-    # is pushed down; none is computed from scratch here
-    if a._radical_seed is not None or a.radical_hint is not None or "radical_cert" in a._cache:
-        cert = _try_radical(a)
+    seed = None
+    cert = known_radical(a)
     if cert is not None and contains(cert.radical, ideal):
         projected = ideal.reduce(cert.radical.basis)[:, comp]
         seed = (
@@ -184,8 +171,9 @@ def opposite(a: Algebra) -> Algebra:
     """Same space, reversed multiplication (transposed table)."""
     table = np.ascontiguousarray(a.table.transpose(1, 0, 2))
     seed = a._radical_seed
-    if seed is None and "radical_cert" in a._cache:
-        seed = (a._cache["radical_cert"].radical, "the radical is opposite-invariant")
+    cert = memo(a, "radical_cert")
+    if seed is None and cert is not None:
+        seed = (cert.radical, "the radical is opposite-invariant")
     return Algebra(
         a.field,
         table,

@@ -8,6 +8,7 @@ for values frozen from an independent oracle in the test suite.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -150,31 +151,6 @@ def grid(text: str) -> list[list[int]]:
 
 # -- algebra registry ---------------------------------------------------------------
 
-_REGISTRY: dict[str, Algebra] = {}
-
-ENTRY_IDS = [
-    "firstexample_i",
-    "matn",
-    "counterexample_A",
-    "counterexample_B",
-    "mat2_dual_numbers",
-    "dim12_sharp",
-    "soc20_base",
-    "soc20_trivext",
-]
-
-AUX_IDS = [
-    "dual_gf2",
-    "dual_gf3",
-    "dual_gf25",
-    "trunc3_gf3",
-    "skew22_gf3",
-    "skew24_gf3",
-    "skew222_gf3",
-    "skew33_gf3",
-    "qplane22_gf5",
-]
-
 
 def _dual_numbers(field, name: str) -> Algebra:
     a = from_skew_presentation(field, SkewPresentation.commuting([2]), name=name)
@@ -278,13 +254,12 @@ _BUILDERS = {
 }
 
 
+@functools.cache
 def get(name: str) -> Algebra:
     """Registry access; algebras are built once and shared (immutable)."""
     if name not in _BUILDERS:
         raise UnknownCase(f"unknown corpus algebra {name!r}")
-    if name not in _REGISTRY:
-        _REGISTRY[name] = _BUILDERS[name]()
-    return _REGISTRY[name]
+    return _BUILDERS[name]()
 
 
 # -- entry suites --------------------------------------------------------------------
@@ -525,6 +500,8 @@ _SUITES = {
     "soc20_base": suite_soc20,
     "soc20_trivext": suite_soc20_trivext,
 }
+
+ENTRY_IDS = list(_SUITES)
 
 
 def run_corpus(case_filter: str | None = None) -> list[SuiteResult]:

@@ -18,19 +18,18 @@ and local before being admitted.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .algebra import Algebra
 from .constructions import SkewPresentation, from_skew_presentation, tensor, trivial_extension
-from .corpus import get
+from .corpus import ENTRY_IDS, get
 from .errors import InternalCheckError
 from .fields import GF
 from .substructures import is_local, j_of_center
 from .symmetric import symmetric_quotient, symmetric_structure
 
 MAX_FAMILY_DIM = 24
-
-_family_cache: dict[int, list] = {}
 
 
 @dataclass(frozen=True)
@@ -54,29 +53,26 @@ def _bound_tuples(max_product: int):
     return out
 
 
+@functools.cache
+def _truncated_polynomial_base(p: int, bounds: tuple[int, ...]) -> FamilyMember:
+    name = f"B_gf{p}_" + ("x".join(str(b) for b in bounds) or "1")
+    alg = from_skew_presentation(GF(p), SkewPresentation.commuting(bounds), name=name)
+    return FamilyMember(name, alg, "truncated polynomial base")
+
+
 def commutative_local_bases(max_base_dim: int) -> list[FamilyMember]:
-    """Truncated polynomial algebras F[x_i]/(x_i^{b_i}) over GF(2), GF(3)."""
-    members = []
-    for p in (2, 3):
-        field = GF(p)
-        for bounds in _bound_tuples(max_base_dim):
-            name = f"B_gf{p}_" + ("x".join(str(b) for b in bounds) or "1")
-            alg = from_skew_presentation(
-                field, SkewPresentation.commuting(bounds), name=name
-            )
-            members.append(FamilyMember(name, alg, "truncated polynomial base"))
-    return members
+    """Truncated polynomial algebras F[x_i]/(x_i^{b_i}) over GF(2), GF(3).
+
+    Each base is built once per process and shared by every caller.
+    """
+    return [_truncated_polynomial_base(p, bounds)
+            for p in (2, 3) for bounds in _bound_tuples(max_base_dim)]
 
 
-def _symmetric_local_corpus_ids() -> list[str]:
-    from .corpus import ENTRY_IDS
-
-    out = []
-    for entry_id in ENTRY_IDS:
-        a = get(entry_id)
-        if symmetric_structure(a) is not None and is_local(a):
-            out.append(entry_id)
-    return out
+def symmetric_local_corpus_ids() -> list[str]:
+    """Corpus entries that carry a symmetrizing form and are local."""
+    return [entry_id for entry_id in ENTRY_IDS
+            if symmetric_structure(get(entry_id)) is not None and is_local(get(entry_id))]
 
 
 def _admit(members: list, seen: set, member: FamilyMember, max_dim: int):
@@ -93,12 +89,12 @@ def _admit(members: list, seen: set, member: FamilyMember, max_dim: int):
     members.append(member)
 
 
+@functools.cache
 def generate_symmetric_local_family(max_dim: int) -> list[FamilyMember]:
-    """The deterministic verified family, in a fixed construction order."""
+    """The deterministic verified family, in a fixed construction order;
+    built once per process for each bound."""
     if max_dim > MAX_FAMILY_DIM:
         raise ValueError(f"family generator is desk-scale: max_dim <= {MAX_FAMILY_DIM}")
-    if max_dim in _family_cache:
-        return _family_cache[max_dim]
     members: list[FamilyMember] = []
     seen: set[str] = set()
     bases = commutative_local_bases(max_dim // 2)
@@ -125,7 +121,7 @@ def generate_symmetric_local_family(max_dim: int) -> list[FamilyMember]:
                              "symmetric quotient of (a)"),
                 max_dim,
             )
-    for entry_id in _symmetric_local_corpus_ids():
+    for entry_id in symmetric_local_corpus_ids():
         a = get(entry_id)
         struct = symmetric_structure(a)
         for idx, row in enumerate(j_of_center(a).basis_vectors()):
@@ -150,7 +146,6 @@ def generate_symmetric_local_family(max_dim: int) -> list[FamilyMember]:
                              "tensor of two (a) members"),
                 max_dim,
             )
-    _family_cache[max_dim] = members
     return members
 
 

@@ -23,8 +23,8 @@ Exactness of the fast paths:
   The scalar multiplication table ``_mul_table`` is read back through
   ``_readback`` in the same way, so it is built without a q x q x (2k - 1)
   product-coefficient cube.
-  When even int64 could overflow, the coefficient planes are multiplied
-  separately and end in the same lookup;
+  When float64 could lose exactness, the coefficient planes are multiplied
+  separately in int64 and end in the same lookup;
 * rationals multiply through integers: each operand is scaled by the lcm
   of its denominators, the integer matrices are multiplied on the same
   float64 / int64 / Python-int ladder as prime fields (bounded by
@@ -535,12 +535,8 @@ class ExtensionField(FieldDescriptor):
         x = 1 << (m * k * (p - 1) ** 2 + 1).bit_length()
         v_max = (p - 1) * (x**k - 1) // (x - 1)
         bound = m * v_max * v_max
-        if bound < _I64_SAFE:
-            if bound < _F64_EXACT:
-                cf = (self._kron_f64(a, x) @ self._kron_f64(b, x)).astype(np.int64)
-            else:
-                xpow64 = x ** np.arange(k, dtype=np.int64)
-                cf = (self._digits[a] @ xpow64) @ (self._digits[b] @ xpow64)
+        if bound < _F64_EXACT:
+            cf = (self._kron_f64(a, x) @ self._kron_f64(b, x)).astype(np.int64)
             # coefficient t of the product polynomial is base-x digit t of cf
             shift = x.bit_length() - 1
             coeffs = ((cf >> (shift * t)) & (x - 1) for t in range(2 * k - 1))

@@ -24,7 +24,7 @@ from .constructions import (
     tensor,
     trivial_extension,
 )
-from .errors import FileFormatError, RadicalUnavailable, ScalarFormatError, SymcenterError
+from .errors import FileFormatError, ScalarFormatError, SymcenterError
 from .fields import (
     ExtensionField,
     FieldDescriptor,
@@ -32,7 +32,7 @@ from .fields import (
     RationalField,
 )
 from .linalg import Subspace
-from .substructures import RadicalHint, radical
+from .substructures import RadicalHint, radical_or_none
 
 PRESENTATION_TYPES = (
     "structure_constants",
@@ -289,18 +289,15 @@ def emit_structure_constants(alg: Algebra, include_radical: bool = True) -> str:
     if alg.labels is not None:
         pres["labels"] = list(alg.labels)
     doc["presentation"] = pres
-    if include_radical:
-        try:
-            cert = radical(alg)
-            doc["radical_hint"] = {
-                "kind": "basis",
-                "vectors": [
-                    [scalar_to_json(field, v) for v in row]
-                    for row in cert.radical.basis
-                ],
-            }
-        except RadicalUnavailable:
-            pass
+    cert = radical_or_none(alg) if include_radical else None
+    if cert is not None:
+        doc["radical_hint"] = {
+            "kind": "basis",
+            "vectors": [
+                [scalar_to_json(field, v) for v in row]
+                for row in cert.radical.basis
+            ],
+        }
     if alg.sym_form is not None:
         doc["symmetrizing_form"] = [scalar_to_json(field, v) for v in alg.sym_form]
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"

@@ -9,6 +9,7 @@ statements; they verify, they do not prove.
 
 from __future__ import annotations
 
+import functools
 import time
 import zlib
 
@@ -17,8 +18,12 @@ import numpy as np
 from .algebra import Algebra
 from .constructions import quotient, tensor, trivial_extension, trivext_criteria
 from .corpus import ENTRY_IDS, ClaimSink, SuiteResult, get
-from .errors import RadicalUnavailable, UnknownLemma
-from .family import commutative_local_bases, generate_symmetric_local_family
+from .errors import UnknownLemma
+from .family import (
+    commutative_local_bases,
+    generate_symmetric_local_family,
+    symmetric_local_corpus_ids,
+)
 from .fields import FieldDescriptor
 from .linalg import (
     Subspace,
@@ -35,6 +40,7 @@ from .substructures import (
     j_of_center,
     property_verdicts,
     radical,
+    radical_or_none,
     reynolds,
     soc_of_center,
     socle,
@@ -47,33 +53,6 @@ from .symmetric import (
 )
 
 SEED = 0x5EED
-
-LEMMA_IDS = [
-    "commutatorsmallestideal",
-    "condsocleprod",
-    "raidealnecessary",
-    "socinj",
-    "soctensor",
-    "idealtensor",
-    "jacobsontensorproduct",
-    "propertiesperp",
-    "reynoldsbasic",
-    "idealsymmetricalternative",
-    "remark_ka",
-    "quotientalgebrasymmetric",
-    "propnustar",
-    "nustar_relations",
-    "prop_quotientalgebra",
-    "aicommutative_instance",
-    "subspacest",
-    "soctaideal",
-    "remark_after_soctaideal",
-    "propertiessymmetriclocal",
-    "chlz",
-    "centerdim3greater",
-    "kultheob",
-    "dim9_trivext_lemma",
-]
 
 # same-field pairs for the tensor identities (>= 10 pairs)
 TENSOR_PAIR_IDS = [
@@ -124,30 +103,14 @@ def _rng(suite_id: str) -> np.random.Generator:
     return np.random.default_rng(SEED ^ zlib.crc32(suite_id.encode()))
 
 
-_tensor_cache: dict[tuple, Algebra] = {}
-_trivext_cache: dict[str, Algebra] = {}
-_misc_cache: dict[str, object] = {}
-
-
+@functools.cache
 def _tensor_pair(ida: str, idb: str) -> Algebra:
-    key = (ida, idb)
-    if key not in _tensor_cache:
-        _tensor_cache[key] = tensor(get(ida), get(idb))
-    return _tensor_cache[key]
+    return tensor(get(ida), get(idb))
 
 
+@functools.cache
 def _trivext(entry: str) -> Algebra:
-    if entry not in _trivext_cache:
-        _trivext_cache[entry] = trivial_extension(get(entry))
-    return _trivext_cache[entry]
-
-
-def _radical_ok(a: Algebra) -> bool:
-    try:
-        radical(a)
-        return True
-    except RadicalUnavailable:
-        return False
+    return trivial_extension(get(entry))
 
 
 def _symmetric_entries() -> list[str]:
@@ -162,37 +125,31 @@ def _local_entries() -> list[str]:
     out = []
     for entry in ENTRY_IDS:
         a = get(entry)
-        if _radical_ok(a) and is_local(a):
+        if radical_or_none(a) is not None and is_local(a):
             out.append(entry)
     return out
 
 
+@functools.cache
 def _derived_symmetric_locals() -> list[tuple[str, Algebra]]:
     """Noncommutative symmetric local quotients used to de-trivialise scopes."""
-    if "derived" not in _misc_cache:
-        out = []
-        a12 = get("dim12_sharp")
-        w = symmetric_quotient(symmetric_structure(a12), a12.monomial("M^2"))
-        out.append(("dim12_sharp/quot_M2", w.quotient))
-        t20 = get("soc20_trivext")
-        for idx, row in enumerate(j_of_center(t20).basis_vectors()):
-            w = symmetric_quotient(symmetric_structure(t20), t20.element(row))
-            if not w.quotient.is_commutative():
-                out.append((f"soc20_trivext/quot_z{idx}", w.quotient))
-                break
-        _misc_cache["derived"] = out
-    return _misc_cache["derived"]
+    a12 = get("dim12_sharp")
+    w = symmetric_quotient(symmetric_structure(a12), a12.monomial("M^2"))
+    out = [("dim12_sharp/quot_M2", w.quotient)]
+    t20 = get("soc20_trivext")
+    for idx, row in enumerate(j_of_center(t20).basis_vectors()):
+        w = symmetric_quotient(symmetric_structure(t20), t20.element(row))
+        if not w.quotient.is_commutative():
+            out.append((f"soc20_trivext/quot_z{idx}", w.quotient))
+            break
+    return out
 
 
+@functools.cache
 def _trivext_family_sample() -> list[tuple[str, Algebra]]:
     """A few small commutative trivial extensions, shared across scopes."""
-    if "tsample" not in _misc_cache:
-        out = []
-        for base in commutative_local_bases(4):
-            t = trivial_extension(base.algebra)
-            out.append((f"T({base.member_id})", t))
-        _misc_cache["tsample"] = out
-    return _misc_cache["tsample"]
+    return [(f"T({base.member_id})", trivial_extension(base.algebra))
+            for base in commutative_local_bases(4)]
 
 
 def _kron_rows(f: FieldDescriptor, u1: np.ndarray, u2: np.ndarray,
@@ -433,10 +390,9 @@ def _check_remark_ka(sink: ClaimSink, scope):
                    a.is_ideal(a.commutator_space()) == a.is_commutative())
 
 
+@functools.cache
 def _witness_samples():
     """Symmetric quotient witnesses: z over a J(Z) basis plus z = 1."""
-    if "witnesses" in _misc_cache:
-        return _misc_cache["witnesses"]
     out = []
     for entry in _symmetric_entries():
         a = get(entry)
@@ -446,7 +402,6 @@ def _witness_samples():
             zs.append((f"jz{idx}", a.element(row)))
         for tag, z in zs:
             out.append((f"{entry}/{tag}", symmetric_quotient(st, z)))
-    _misc_cache["witnesses"] = out
     return out
 
 
@@ -654,8 +609,7 @@ def _check_remark_after_soctaideal(sink: ClaimSink, scope):
 
 
 def _symmetric_local_scope():
-    out = [(entry, get(entry)) for entry in _symmetric_entries()
-           if is_local(get(entry))]
+    out = [(entry, get(entry)) for entry in symmetric_local_corpus_ids()]
     out += _derived_symmetric_locals()
     return out
 
@@ -744,7 +698,7 @@ def _dim9_scope():
     for base in commutative_local_bases(8):
         if base.algebra.dim <= 9:
             out.append((f"base/{base.member_id}", base.algebra))
-    return [(n, a) for n, a in out if a.dim <= 9 and _radical_ok(a) and is_local(a)]
+    return [(n, a) for n, a in out if a.dim <= 9 and radical_or_none(a) is not None and is_local(a)]
 
 
 def _check_dim9_trivext_lemma(sink: ClaimSink, scope):
@@ -784,6 +738,8 @@ _CHECKERS = {
     "kultheob": _check_kultheob,
     "dim9_trivext_lemma": _check_dim9_trivext_lemma,
 }
+
+LEMMA_IDS = list(_CHECKERS)
 
 
 def check_lemma(lemma_id: str, scope=None) -> SuiteResult:

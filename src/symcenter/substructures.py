@@ -1,20 +1,22 @@
 """Radical certificates, socles, center substructures and ideal verdicts.
 
-The radical engine only ever returns *verified* answers.  The strategies it
-knows are:
+Every verdict rests on one verified object, J(A), and one rule certifies
+it: a subspace N is J(A) when N is a nilpotent two-sided ideal and A/N is
+semisimple.  ``_certify`` checks the first half always; A/N is certified
+semisimple by codimension 1 (A/N is then the field), by a nondegenerate
+trace form tr(L_xy) on A/N, or by the theorem behind the candidate:
 
-* propagated -- a construction (tensor, trivial extension, quotient) knows
-  the radical of its output from the radicals of its inputs;
-* hinted -- the caller asserts the radical and we verify the assertion:
-  a codimension-1 nilpotent ideal is the radical of a unital algebra, and
-  a nilpotent ideal with nondegenerate trace form on the quotient is the
-  radical in any characteristic (the radical maps into the form's radical);
-* semisimple -- a nondegenerate trace form on A itself certifies J = 0;
+* propagated -- a construction (tensor, trivial extension, quotient,
+  opposite) knows the radical of its output from the radicals of its
+  inputs;
+* hinted_local / hinted_general / semisimple_traceform -- the caller's
+  hint names the candidate (the non-identity coordinates, explicit
+  vectors, or zero), and codimension 1 or the trace form certifies A/N;
 * dickson -- over char 0 or char p > dim A, J(A) is exactly the radical of
   the trace form of the regular representation.
 
 When nothing applies the engine raises RadicalUnavailable instead of
-guessing.
+guessing; ``radical_or_none`` is the one place that turns that into None.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, quotient_data
+from .algebra import Algebra, memo, memoised, quotient_data
 from .errors import (
     CriterionDisagreement,
     HintRejected,
@@ -78,35 +80,86 @@ def trace_gram(field: FieldDescriptor, table: np.ndarray) -> np.ndarray:
     return field.tensordot_lf(table, traces.reshape(n, 1)).reshape(n, n)
 
 
+def _certify(algebra: Algebra, sub: Subspace, fail, top_reason: str | None):
+    """Raise fail(reason) unless sub is J(A).
+
+    sub must be a nilpotent two-sided ideal, and A/sub semisimple: by
+    codimension 1, or by a nondegenerate trace form on A/sub.  top_reason
+    is None when the caller's theorem already makes A/sub semisimple.
+    """
+    if not algebra.is_ideal(sub):
+        raise fail("span is not an ideal")
+    if not is_nilpotent_ideal(algebra, sub):
+        raise fail("span is not nilpotent")
+    if top_reason is None or algebra.dim - sub.dim == 1:
+        return
+    f = algebra.field
+    qtable = quotient_data(algebra, sub)[0]
+    if rank(f, trace_gram(f, qtable)) < qtable.shape[0]:
+        raise fail(top_reason)
+
+
+def _hint_span(algebra: Algebra, hint: RadicalHint) -> Subspace:
+    """The candidate radical a hint names."""
+    f, n = algebra.field, algebra.dim
+    if hint.kind == "semisimple":
+        return algebra.zero_space()
+    if hint.kind == "local_codim1":
+        if hint.vectors is not None:
+            sub = Subspace.from_vectors(f, n, list(hint.vectors))
+        else:
+            skip = int(np.nonzero(algebra.one != f.zero_enc)[0][0])
+            sub = Subspace.from_rows(f, n, np.delete(f.eye(n), skip, axis=0))
+        if sub.dim != n - 1:
+            raise HintRejected(
+                f"local_codim1 hint rejected: span has dimension {sub.dim}, "
+                f"expected {n - 1}"
+            )
+        return sub
+    if hint.kind == "basis":
+        if hint.vectors is None:
+            raise HintRejected("basis hint requires explicit vectors")
+        return Subspace.from_vectors(f, n, list(hint.vectors))
+    raise HintRejected(f"unknown hint kind {hint.kind!r}")
+
+
+@memoised("radical_cert")
 def radical(algebra: Algebra) -> RadicalCertificate:
     """Verified Jacobson radical; strategy order: propagated, hinted, dickson."""
-    cached = algebra._cache.get("radical_cert")
-    if cached is not None:
-        return cached
-    cert = _compute_radical(algebra)
-    algebra._cache["radical_cert"] = cert
-    return cert
-
-
-def _compute_radical(algebra: Algebra) -> RadicalCertificate:
-    seed = algebra._radical_seed
-    if seed is not None:
-        sub, evidence = seed
-        if not algebra.is_ideal(sub) or not is_nilpotent_ideal(algebra, sub):
-            raise InternalCheckError(
-                "propagated radical failed verification: " + evidence
-            )
+    if algebra._radical_seed is not None:
+        sub, evidence = algebra._radical_seed
+        _certify(algebra, sub, lambda _: InternalCheckError(
+            "propagated radical failed verification: " + evidence), None)
         return RadicalCertificate(sub, "propagated", evidence)
     hint = algebra.radical_hint
     if hint is not None:
-        return _radical_from_hint(algebra, hint)
-    f = algebra.field
-    p = f.characteristic
+        sub = _hint_span(algebra, hint)
+        semisimple = hint.kind == "semisimple"
+        _certify(
+            algebra, sub, lambda why: HintRejected(f"{hint.kind} hint rejected: {why}"),
+            "trace form tr(L_xy) is degenerate" if semisimple else
+            "trace form on the quotient is degenerate, so semisimplicity of A/N "
+            "is not certified",
+        )
+        if semisimple:
+            return RadicalCertificate(
+                sub, "semisimple_traceform",
+                "trace form of the regular representation is nondegenerate",
+            )
+        if sub.dim == algebra.dim - 1:
+            return RadicalCertificate(
+                sub, "hinted_local",
+                "nilpotent two-sided ideal of codimension 1 in a unital algebra",
+            )
+        return RadicalCertificate(
+            sub, "hinted_general",
+            "nilpotent two-sided ideal with nondegenerate trace form on the quotient",
+        )
+    f, p = algebra.field, algebra.field.characteristic
     if p == 0 or p > algebra.dim:
-        gram = trace_gram(f, algebra.table)
-        j = kernel(f, gram)
-        if not algebra.is_ideal(j) or not is_nilpotent_ideal(algebra, j):
-            raise InternalCheckError("trace-form radical failed verification")
+        j = kernel(f, trace_gram(f, algebra.table))
+        _certify(algebra, j, lambda _: InternalCheckError(
+            "trace-form radical failed verification"), None)
         return RadicalCertificate(
             j,
             "dickson",
@@ -118,67 +171,21 @@ def _compute_radical(algebra: Algebra) -> RadicalCertificate:
     )
 
 
-def _radical_from_hint(algebra: Algebra, hint: RadicalHint) -> RadicalCertificate:
-    f, n = algebra.field, algebra.dim
-    if hint.kind == "semisimple":
-        if rank(f, trace_gram(f, algebra.table)) < n:
-            raise HintRejected(
-                "semisimple hint rejected: trace form tr(L_xy) is degenerate"
-            )
-        return RadicalCertificate(
-            algebra.zero_space(),
-            "semisimple_traceform",
-            "trace form of the regular representation is nondegenerate",
-        )
-    if hint.kind == "local_codim1":
-        if hint.vectors is not None:
-            sub = Subspace.from_vectors(f, n, list(hint.vectors))
-        else:
-            nz = np.nonzero(algebra.one != f.zero_enc)[0]
-            skip = int(nz[0])
-            rows = f.eye(n)
-            rows = np.delete(rows, skip, axis=0)
-            sub = Subspace.from_rows(f, n, rows)
-        if sub.dim != n - 1:
-            raise HintRejected(
-                f"local_codim1 hint rejected: span has dimension {sub.dim}, "
-                f"expected {n - 1}"
-            )
-        if not algebra.is_ideal(sub):
-            raise HintRejected("local_codim1 hint rejected: span is not an ideal")
-        if not is_nilpotent_ideal(algebra, sub):
-            raise HintRejected("local_codim1 hint rejected: span is not nilpotent")
-        return RadicalCertificate(
-            sub,
-            "hinted_local",
-            "nilpotent two-sided ideal of codimension 1 in a unital algebra",
-        )
-    if hint.kind == "basis":
-        if hint.vectors is None:
-            raise HintRejected("basis hint requires explicit vectors")
-        sub = Subspace.from_vectors(f, n, list(hint.vectors))
-        if not algebra.is_ideal(sub):
-            raise HintRejected("basis hint rejected: span is not an ideal")
-        if not is_nilpotent_ideal(algebra, sub):
-            raise HintRejected("basis hint rejected: span is not nilpotent")
-        if sub.dim == n - 1:
-            return RadicalCertificate(
-                sub,
-                "hinted_local",
-                "nilpotent two-sided ideal of codimension 1 in a unital algebra",
-            )
-        qtable, _, _, _ = quotient_data(algebra, sub)
-        if rank(f, trace_gram(f, qtable)) < qtable.shape[0]:
-            raise HintRejected(
-                "basis hint rejected: trace form on the quotient is degenerate, "
-                "so semisimplicity of A/N is not certified"
-            )
-        return RadicalCertificate(
-            sub,
-            "hinted_general",
-            "nilpotent two-sided ideal with nondegenerate trace form on the quotient",
-        )
-    raise HintRejected(f"unknown hint kind {hint.kind!r}")
+def radical_or_none(algebra: Algebra) -> RadicalCertificate | None:
+    """The verified radical, or None when no strategy applies."""
+    try:
+        return radical(algebra)
+    except RadicalUnavailable:
+        return None
+
+
+def known_radical(algebra: Algebra) -> RadicalCertificate | None:
+    """The radical if it is already known -- the algebra is seeded or hinted,
+    or its radical is memoised -- else None.  Never runs the Dickson strategy."""
+    if (algebra._radical_seed is None and algebra.radical_hint is None
+            and memo(algebra, "radical_cert") is None):
+        return None
+    return radical_or_none(algebra)
 
 
 def verify_certificate(algebra: Algebra, cert: RadicalCertificate) -> bool:
@@ -189,25 +196,16 @@ def verify_certificate(algebra: Algebra, cert: RadicalCertificate) -> bool:
 # -- derived substructures ---------------------------------------------------
 
 
+@memoised("socle")
 def socle(algebra: Algebra) -> Subspace:
     """Right annihilator of the radical (the left socle)."""
-    key = "socle"
-    if key in algebra._cache:
-        return algebra._cache[key]
-    j = radical(algebra).radical
-    s = algebra.right_annihilator(j)
-    algebra._cache[key] = s
-    return s
+    return algebra.right_annihilator(radical(algebra).radical)
 
 
+@memoised("j_of_center")
 def j_of_center(algebra: Algebra) -> Subspace:
     """J(Z(A)) = J(A) intersected with Z(A)."""
-    key = "j_of_center"
-    if key in algebra._cache:
-        return algebra._cache[key]
-    jz = subspace_intersect(radical(algebra).radical, algebra.center())
-    algebra._cache[key] = jz
-    return jz
+    return subspace_intersect(radical(algebra).radical, algebra.center())
 
 
 def annihilator_in_center(algebra: Algebra, v: Subspace) -> Subspace:
@@ -222,24 +220,16 @@ def annihilator_in_center(algebra: Algebra, v: Subspace) -> Subspace:
     return Subspace.from_rows(f, n, f.matmul2(alpha.basis, z.basis))
 
 
+@memoised("soc_of_center")
 def soc_of_center(algebra: Algebra) -> Subspace:
     """Annihilator of J(Z(A)) inside Z(A) (two-sided by commutativity of Z)."""
-    key = "soc_of_center"
-    if key in algebra._cache:
-        return algebra._cache[key]
-    result = annihilator_in_center(algebra, j_of_center(algebra))
-    algebra._cache[key] = result
-    return result
+    return annihilator_in_center(algebra, j_of_center(algebra))
 
 
+@memoised("reynolds")
 def reynolds(algebra: Algebra) -> Subspace:
     """R(A) = soc(A) intersected with Z(A)."""
-    key = "reynolds"
-    if key in algebra._cache:
-        return algebra._cache[key]
-    r = subspace_intersect(socle(algebra), algebra.center())
-    algebra._cache[key] = r
-    return r
+    return subspace_intersect(socle(algebra), algebra.center())
 
 
 def is_basic(algebra: Algebra) -> bool:
@@ -303,20 +293,16 @@ def _verdict_for(algebra: Algebra, u: Subspace, k: Subspace, name: str) -> Verdi
     return Verdict(False, Witness(u.basis[s].copy(), k.basis[t].copy(), prods[s, t].copy()))
 
 
+@memoised("property_verdicts")
 def property_verdicts(algebra: Algebra) -> PropertyVerdicts:
     """Is J(Z(A)) / soc(Z(A)) / R(A) an ideal of A?
 
     Each verdict is computed both by the direct two-sided ideal test and by
     the product-with-K(A)-vanishes criterion; the two must agree.
     """
-    key = "property_verdicts"
-    if key in algebra._cache:
-        return algebra._cache[key]
     k = algebra.commutator_space()
-    result = PropertyVerdicts(
+    return PropertyVerdicts(
         p1=_verdict_for(algebra, j_of_center(algebra), k, "p1"),
         p2=_verdict_for(algebra, soc_of_center(algebra), k, "p2"),
         p3=_verdict_for(algebra, reynolds(algebra), k, "p3"),
     )
-    algebra._cache[key] = result
-    return result

@@ -13,7 +13,11 @@ from .analysis import SCHEMA_VERSION
 from .constructions import trivial_extension, trivext_criteria
 from .corpus import ENTRY_IDS, ClaimSink, SuiteResult, run_corpus
 from .errors import UnknownCase
-from .family import dimension_histogram, generate_symmetric_local_family
+from .family import (
+    commutative_local_bases,
+    dimension_histogram,
+    generate_symmetric_local_family,
+)
 from .lemmas import LEMMA_IDS, check_lemma
 from .substructures import property_verdicts
 
@@ -44,8 +48,6 @@ def run_family_suite() -> SuiteResult:
     sink.check("p2_zero_violations_dim_le_16", "PAPER", not p2_bad,
                witness=";".join(p2_bad) or None)
     # the small-dimension statement on every generated base of dim <= 9
-    from .family import commutative_local_bases
-
     bad9 = []
     for base in commutative_local_bases(FAMILY_MAX_DIM // 2):
         a = base.algebra

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constructions
-from .algebra import Algebra
+from .algebra import Algebra, memoised
 from .errors import (
     CentralityViolated,
     Degenerate,
@@ -69,15 +69,12 @@ def verify_symmetric(algebra: Algebra, lam) -> SymmetricStructure:
     return SymmetricStructure(algebra, lam, gram)
 
 
+@memoised("sym_structure")
 def symmetric_structure(algebra: Algebra) -> SymmetricStructure | None:
     """The algebra's attached form, verified once and cached; None if absent."""
-    if "sym_structure" in algebra._cache:
-        return algebra._cache["sym_structure"]
-    result = None
-    if algebra.sym_form is not None:
-        result = verify_symmetric(algebra, algebra.sym_form)
-    algebra._cache["sym_structure"] = result
-    return result
+    if algebra.sym_form is None:
+        return None
+    return verify_symmetric(algebra, algebra.sym_form)
 
 
 def perp(structure: SymmetricStructure, x: Subspace) -> Subspace:

@@ -6,7 +6,7 @@ import pytest
 from oracles import naive_rank_mod, naive_spans_equal_mod
 
 from symcenter import QQ, Subspace, contains, rank
-from symcenter.algebra import Algebra, quotient_data
+from symcenter.algebra import Algebra, memo, memoised, quotient_data
 from symcenter.constructions import SkewPresentation, from_skew_presentation, opposite, tensor
 from symcenter.corpus import get
 from symcenter.errors import (
@@ -268,6 +268,29 @@ def test_replace_resets_the_memoised_radical(mat2):
     with pytest.raises(HintRejected):
         radical(rehinted)
     assert radical(mat2).strategy == "semisimple_traceform"
+
+
+def test_memoised_computes_once_and_never_stores_a_failure(mat2):
+    a = mat2.replace()
+    calls = []
+
+    @memoised("probe")
+    def probe(algebra):
+        calls.append(algebra)
+        return len(calls)
+
+    @memoised("failing")
+    def failing(algebra):
+        calls.append(algebra)
+        raise HintRejected("no")
+
+    assert memo(a, "probe") is None
+    assert probe(a) == 1 and probe(a) == 1 and memo(a, "probe") == 1
+    for _ in range(2):
+        with pytest.raises(HintRejected):
+            failing(a)
+    assert memo(a, "failing") is None and len(calls) == 3
+    assert probe(mat2.replace()) == 4
 
 
 def test_replace_keeps_construction_seeds(dual3):

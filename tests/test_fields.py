@@ -9,7 +9,7 @@ import pytest
 from oracles import gf25_elements_of_order
 
 from symcenter import GF, QQ, ExtensionField, FieldScalar, element_of_order
-from symcenter.fields import _F64_EXACT, _I64_SAFE, _poly_mod
+from symcenter.fields import _F64_EXACT, _poly_mod
 from symcenter.errors import (
     DivisionByZero,
     FieldMismatch,
@@ -240,9 +240,7 @@ def _rung(field, m):
     x = 1 << (m * k * (p - 1) ** 2 + 1).bit_length()
     v_max = (p - 1) * (x**k - 1) // (x - 1)
     bound = m * v_max * v_max
-    if bound < _F64_EXACT:
-        return "float64"
-    return "int64" if bound < _I64_SAFE else "planes"
+    return "float64" if bound < _F64_EXACT else "planes"
 
 
 @pytest.mark.parametrize("p, modulus, shape, rung", [
@@ -251,7 +249,7 @@ def _rung(field, m):
     (3, [1, 0, 1], (5, 7, 4), "float64"),          # GF(9)
     (3, [1, 2, 0, 1], (5, 7, 4), "float64"),       # GF(27)
     (5, [2, 0, 1], (5, 7, 4), "float64"),          # GF(25)
-    (5, [1, 1, 0, 1], (4, 50, 3), "int64"),        # GF(125)
+    (5, [1, 1, 0, 1], (4, 50, 3), "planes"),       # GF(125)
     (2, [1, 1, 0, 0, 0, 0, 1], (4, 40, 3), "planes"),  # GF(64)
 ])
 def test_extension_matmul_every_rung(p, modulus, shape, rung, rng):

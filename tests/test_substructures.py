@@ -9,7 +9,8 @@ from symcenter import GF, QQ, SkewPresentation, from_skew_presentation, tensor
 from symcenter.algebra import Algebra
 from symcenter.analysis import analyze
 from symcenter.corpus import get
-from symcenter.errors import HintRejected, RadicalUnavailable
+from symcenter.constructions import opposite, quotient, trivial_extension
+from symcenter.errors import HintRejected, InternalCheckError, RadicalUnavailable
 from symcenter.linalg import Subspace, subspace_intersect
 from symcenter.substructures import (
     RadicalHint,
@@ -76,27 +77,177 @@ def test_radical_unavailable_names_the_gap():
     assert "no hint" in str(err.value) and "char 2" in str(err.value)
 
 
+def _diagonal_table(field):
+    """F x F on the idempotents e_1, e_2."""
+    t = field.zeros((2, 2, 2))
+    t[0, 0, 0] = 1
+    t[1, 1, 1] = 1
+    return t
+
+
 def test_hint_rejected_cases(mat2, dual3):
-    g2 = GF(2)
+    g2, g3 = GF(2), GF(3)
     dual2 = Algebra(g2, _dual_table(g2), g2.arr([1, 0]),
                     radical_hint=RadicalHint("semisimple"))
-    with pytest.raises(HintRejected):
+    with pytest.raises(HintRejected,
+                       match=r"^semisimple hint rejected: trace form tr\(L_xy\) is degenerate$"):
         radical(dual2)
     bad_local = Algebra(mat2.field, mat2.table, mat2.one,
                         radical_hint=RadicalHint("local_codim1"))
-    with pytest.raises(HintRejected):
+    with pytest.raises(HintRejected,
+                       match=r"^local_codim1 hint rejected: span is not an ideal$"):
         radical(bad_local)
+    split = Algebra(g3, _diagonal_table(g3), g3.arr([1, 1]),
+                    radical_hint=RadicalHint("local_codim1"))
+    with pytest.raises(HintRejected,
+                       match=r"^local_codim1 hint rejected: span is not nilpotent$"):
+        radical(split)
+    too_big = Algebra(g3, _dual_table(g3), g3.arr([1, 0]),
+                      radical_hint=RadicalHint("local_codim1", ((1, 0), (0, 1))))
+    with pytest.raises(HintRejected,
+                       match=r"^local_codim1 hint rejected: span has dimension 2, expected 1$"):
+        radical(too_big)
     not_nilp = Algebra(
         mat2.field, mat2.table, mat2.one,
         radical_hint=RadicalHint("basis", ((1, 0, 0, 0), (0, 1, 0, 0),
                                            (0, 0, 1, 0), (0, 0, 0, 1))),
     )
-    with pytest.raises(HintRejected):
+    with pytest.raises(HintRejected,
+                       match=r"^basis hint rejected: span is not nilpotent$"):
         radical(not_nilp)
+    not_ideal = Algebra(mat2.field, mat2.table, mat2.one,
+                        radical_hint=RadicalHint("basis", ((0, 1, 0, 0),)))
+    with pytest.raises(HintRejected,
+                       match=r"^basis hint rejected: span is not an ideal$"):
+        radical(not_ideal)
     degenerate_quotient = Algebra(g2, _dual_table(g2), g2.arr([1, 0]),
                                   radical_hint=RadicalHint("basis", ()))
-    with pytest.raises(HintRejected):
+    with pytest.raises(HintRejected,
+                       match=r"^basis hint rejected: trace form on the quotient is "
+                             r"degenerate, so semisimplicity of A/N is not certified$"):
         radical(degenerate_quotient)
+    no_vectors = Algebra(g3, _dual_table(g3), g3.arr([1, 0]),
+                         radical_hint=RadicalHint("basis"))
+    with pytest.raises(HintRejected, match=r"^basis hint requires explicit vectors$"):
+        radical(no_vectors)
+    unknown = Algebra(g3, _dual_table(g3), g3.arr([1, 0]),
+                      radical_hint=RadicalHint("bogus"))
+    with pytest.raises(HintRejected, match=r"^unknown hint kind 'bogus'$"):
+        radical(unknown)
+
+
+@pytest.mark.parametrize("seed_rows", [
+    ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),   # not nilpotent
+    ((0, 1, 0, 0),),                                           # not an ideal
+])
+def test_bad_seed_is_an_internal_error(mat2, seed_rows):
+    seed = (Subspace.from_vectors(mat2.field, 4, list(seed_rows)), "a bogus theorem")
+    a = Algebra(mat2.field, mat2.table, mat2.one,
+                radical_hint=RadicalHint("semisimple"), _radical_seed=seed)
+    with pytest.raises(InternalCheckError,
+                       match=r"^propagated radical failed verification: a bogus theorem$"):
+        radical(a)
+
+
+_CODIM1 = ("hinted_local", "nilpotent two-sided ideal of codimension 1 in a unital algebra")
+_TENSOR = ("propagated", "J(A1) (x) A2 + A1 (x) J(A2) from component radicals")
+_TRIVEXT = ("propagated", "J(A) + A* (dual copy squares to zero)")
+_QUOTIENT = ("propagated", "J(A)/I: the ideal is contained in J(A), so the radical passes down")
+_SEMISIMPLE = ("semisimple_traceform", "trace form of the regular representation is nondegenerate")
+
+
+def _trunc3(field, **kw):
+    t = field.zeros((3, 3, 3))
+    for i in range(3):
+        for j in range(3 - i):
+            t[i, j, i + j] = 1
+    return Algebra(field, t, field.arr([1, 0, 0]), **kw)
+
+
+def _seeded():
+    """An algebra whose radical comes from its construction."""
+    return trivial_extension(from_skew_presentation(GF(3), SkewPresentation.commuting([2])))
+
+
+def _cached():
+    """No seed and no hint, but the radical has been computed (Dickson)."""
+    a = _trunc3(GF(7))
+    radical(a)
+    return a
+
+
+def _socle_quotient(a):
+    return quotient(a, socle(a))
+
+
+def _mat2():
+    m = get("matn")
+    return Algebra(m.field, m.table, m.one, radical_hint=RadicalHint("semisimple"))
+
+
+def _hinted_general():
+    """Mat2 (x) GF(3)[x]/(x^2) with its radical given as basis vectors E_ij (x) x."""
+    t = tensor(_mat2(), from_skew_presentation(GF(3), SkewPresentation.commuting([2])))
+    vectors = tuple(tuple(int(i == 2 * r + 1) for i in range(8)) for r in range(4))
+    return Algebra(t.field, t.table, t.one, radical_hint=RadicalHint("basis", vectors))
+
+
+_PROVENANCE = {
+    "tensor_of_seeded": (lambda: tensor(_seeded(), _seeded()), _TENSOR),
+    "tensor_of_cached": (lambda: tensor(_cached(), _cached()), _TENSOR),
+    "trivext_of_seeded": (lambda: trivial_extension(_seeded()), _TRIVEXT),
+    "trivext_of_cached": (lambda: trivial_extension(_cached()), _TRIVEXT),
+    "quotient_of_seeded": (lambda: _socle_quotient(_seeded()), _QUOTIENT),
+    "quotient_of_cached": (lambda: _socle_quotient(_cached()), _QUOTIENT),
+    "quotient_of_unknown": (
+        lambda: quotient(_trunc3(GF(7)), Subspace.from_vectors(GF(7), 3, [[0, 0, 1]])),
+        ("dickson", "radical of the trace form tr(L_xy) (char 7 vs dim 2)"),
+    ),
+    "opposite_of_seeded": (lambda: opposite(_seeded()), _TRIVEXT),
+    "opposite_of_cached": (lambda: opposite(_cached()),
+                           ("propagated", "the radical is opposite-invariant")),
+    "hinted_local_default_span": (
+        lambda: from_skew_presentation(GF(3), SkewPresentation.anticommuting([2, 2])),
+        _CODIM1,
+    ),
+    "hinted_local_vectors": (
+        lambda: _trunc3(GF(3), radical_hint=RadicalHint("local_codim1",
+                                                        ((0, 1, 0), (0, 0, 1)))),
+        _CODIM1,
+    ),
+    "basis_hint_codim1": (
+        lambda: _trunc3(GF(3), radical_hint=RadicalHint("basis", ((0, 1, 0), (0, 0, 1)))),
+        _CODIM1,
+    ),
+    "hinted_general": (
+        lambda: _hinted_general(),
+        ("hinted_general",
+         "nilpotent two-sided ideal with nondegenerate trace form on the quotient"),
+    ),
+    "semisimple_traceform": (lambda: _mat2(), _SEMISIMPLE),
+    "semisimple_traceform_dim1": (
+        lambda: Algebra(GF(3), GF(3).arr([[[1]]]), GF(3).arr([1]),
+                        radical_hint=RadicalHint("semisimple")),
+        _SEMISIMPLE,
+    ),
+    "dickson_qq": (
+        lambda: Algebra(QQ, _dual_table(QQ), QQ.arr([1, 0])),
+        ("dickson", "radical of the trace form tr(L_xy) (char 0 vs dim 2)"),
+    ),
+    "dickson_gf7": (
+        lambda: _trunc3(GF(7)),
+        ("dickson", "radical of the trace form tr(L_xy) (char 7 vs dim 3)"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_PROVENANCE))
+def test_radical_provenance(case):
+    build, expected = _PROVENANCE[case]
+    a = build()
+    cert = radical(a)
+    assert (cert.strategy, cert.evidence) == expected
+    assert verify_certificate(a, cert)
 
 
 def test_general_basis_hint_with_nondegenerate_quotient(mat2, dual3):

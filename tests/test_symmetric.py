@@ -5,7 +5,7 @@ import pytest
 
 from oracles import naive_rank_mod
 
-import symcenter.constructions as constructions
+import symcenter.substructures as substructures
 from symcenter.corpus import get
 from symcenter.errors import (
     CentralityViolated,
@@ -174,13 +174,13 @@ def test_symmetric_quotient_lets_internal_check_errors_through(monkeypatch):
     def broken(_algebra):
         raise InternalCheckError("propagated radical failed verification")
 
-    monkeypatch.setattr(constructions, "radical", broken)
+    monkeypatch.setattr(substructures, "radical", broken)
     with pytest.raises(InternalCheckError):
         symmetric_quotient(st, a.monomial("M^2"))
 
     def unavailable(_algebra):
         raise RadicalUnavailable("no radical strategy applies")
 
-    monkeypatch.setattr(constructions, "radical", unavailable)
+    monkeypatch.setattr(substructures, "radical", unavailable)
     w = symmetric_quotient(st, a.monomial("M^2"))
     assert w.quotient._radical_seed is None
