@@ -3,7 +3,15 @@
 An Algebra is a finite-dimensional unital associative algebra given by a
 table of structure constants: ``table[i, j]`` holds the coordinates of
 e_i * e_j.  Associativity and the unit law are always verified at
-construction; everything downstream (centers, commutator spaces, ideal
+construction.  Associativity is checked on the nonzero structure constants
+alone: the terms c_ijk c_klm of (e_i e_j) e_l and c_jlr c_irm of
+e_i (e_j e_l) come from joining the table's nonzero entries with each
+other, and are summed per key (i, j, m, l), where m is the output
+coordinate.  The work is on the order of dim times the nonzero count,
+against dim^5 for the dense identity L(e_i e_j) = L(e_i) L(e_j); the
+tables the constructions build are monomial or nearly so.  That identity
+is indexed in the same order, so the first failing key names the triple a
+dense check would.  Everything downstream (centers, commutator spaces, ideal
 tests, annihilators, Loewy series) is exact linear algebra over the
 algebra's field.
 
@@ -55,6 +63,82 @@ def memo(algebra: "Algebra", key: str):
     return algebra._cache.get(key)
 
 
+_JOIN_BLOCK = 4_000_000     # terms per block of the associativity join
+
+
+def _runs(starts: np.ndarray, counts: np.ndarray):
+    """The index runs starts[t], ..., starts[t] + counts[t] - 1, flattened.
+
+    Returns (t, index) for every index of every run, runs in order of t.
+    """
+    t = np.repeat(np.arange(len(counts)), counts)
+    return t, starts[t] + np.arange(len(t)) - (np.cumsum(counts) - counts)[t]
+
+
+def _first_nonassociative_triple(f: FieldDescriptor, c: np.ndarray):
+    """The first basis triple (i, j, l) with (e_i e_j) e_l != e_i (e_j e_l), or None.
+
+    Works on the nonzero entries (i, j, k) of the table, taken in C order,
+    so the entries of each basis pair (i, j), and of each row i, are
+    contiguous.  Coefficient m of (e_i e_j) e_l sums the terms c_ijk c_klm
+    (pair (i, j) joined with row k); coefficient m of e_i (e_j e_l) sums
+    c_jlr c_irm (row j joined with pair (i, r)).  Both kinds of term are
+    keyed (i, j, m, l) and summed per key, the second negated; associativity
+    holds where every sum is zero.  The key order is the index order of the
+    operator identity L(e_i e_j) = L(e_i) L(e_j), so the smallest key whose
+    sum is nonzero names the first failing (i, j, l) in that order, the
+    triple a dense check of the identity reports.  Pairs (i, j) are joined
+    in that order, in blocks of at most ``_JOIN_BLOCK`` terms (or of one
+    pair), so memory stays bounded on dense tables too.
+    """
+    n = c.shape[0]
+    ei, ej, ek = (x.astype(np.int64) for x in np.nonzero(c != f.zero_enc))
+    val = c[ei, ej, ek]
+    pair_cnt = np.bincount(ei * n + ej, minlength=n * n)
+    pair_start = np.concatenate([[0], np.cumsum(pair_cnt)])
+    row_cnt = np.bincount(ei, minlength=n)
+    row_start = np.concatenate([[0], np.cumsum(row_cnt)])
+    pi, pj = np.divmod(np.arange(n * n), n)
+    # work per pair (i, j): left terms, right terms, and the row-j entries
+    # the right terms are built from
+    cost = (np.bincount(ei * n + ej, weights=row_cnt[ek], minlength=n * n).astype(np.int64)
+            + (pair_cnt.reshape(n, n)
+               @ np.bincount(ek * n + ei, minlength=n * n).reshape(n, n)).ravel()
+            + row_cnt[pj])
+    ends = np.concatenate([[0], np.cumsum(cost)])
+    bounds = [0]
+    while bounds[-1] < n * n:
+        stop = int(np.searchsorted(ends, ends[bounds[-1]] + _JOIN_BLOCK, "right")) - 1
+        bounds.append(max(bounds[-1] + 1, stop))
+    for p0, p1 in zip(bounds, bounds[1:]):
+        # (e_i e_j) e_l: each entry (i, j, k) of the pairs against row k
+        e = np.arange(pair_start[p0], pair_start[p1])
+        t, b = _runs(row_start[ek[e]], row_cnt[ek[e]])
+        e = e[t]
+        keys = [((ei[e] * n + ej[e]) * n + ek[b]) * n + ej[b]]
+        terms = [f.a_mul(val[e], val[b])]
+        # e_i (e_j e_l): each entry (j, l, r) of row j against pair (i, r)
+        p = np.arange(p0, p1)
+        t, e = _runs(row_start[pj[p]], row_cnt[pj[p]])
+        p = p[t]
+        r = pi[p] * n + ek[e]
+        t, b = _runs(pair_start[r], pair_cnt[r])
+        p, e = p[t], e[t]
+        keys.append((p * n + ek[b]) * n + ej[e])
+        terms.append(f.a_neg(f.a_mul(val[e], val[b])))
+        keys = np.concatenate(keys)
+        if keys.size == 0:
+            continue
+        order = np.argsort(keys)
+        keys = keys[order]
+        starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+        bad = np.flatnonzero(f.a_sum_runs(np.concatenate(terms)[order], starts) != f.zero_enc)
+        if bad.size:
+            i, j, _, l = (int(v) for v in np.unravel_index(keys[starts[bad[0]]], (n,) * 4))
+            return i, j, l
+    return None
+
+
 class Algebra:
     """A unital associative algebra presented by structure constants."""
 
@@ -79,6 +163,12 @@ class Algebra:
                     f"symmetrizing form has {sym_form.size} coordinates, expected {n}"
                 )
             sym_form = sym_form.reshape(n)
+        if radical_hint is not None and radical_hint.vectors is not None:
+            for i, vec in enumerate(radical_hint.vectors):
+                if len(vec) != n:
+                    raise AlgebraValidationError(
+                        f"radical hint vector {i} has {len(vec)} coordinates, expected {n}"
+                    )
         self.field = field
         self.dim = n
         self.table = table
@@ -113,10 +203,6 @@ class Algebra:
 
     # -- construction-time checks ---------------------------------------------
 
-    def _left_ops(self) -> np.ndarray:
-        """L[i] is the matrix of y -> e_i y (column-vector convention)."""
-        return self.table.transpose(0, 2, 1)
-
     def _validate(self):
         f, c, n = self.field, self.table, self.dim
         ident = f.eye(n)
@@ -128,30 +214,14 @@ class Algebra:
         if not np.all(right_unit == ident):
             i = int(np.nonzero(np.any(right_unit != ident, axis=1))[0][0])
             raise AlgebraValidationError(f"unit law fails: e_{i} * one != e_{i}")
-        # associativity via operator identity: L(e_i e_j) == L(e_i) L(e_j),
-        # processed in i-chunks to bound memory on large algebras
-        lops = np.ascontiguousarray(self._left_ops())
-        lflat = lops.reshape(n, n * n)
-        lswap = np.ascontiguousarray(lops.transpose(1, 0, 2)).reshape(n, n * n)
-        chunk = max(1, 4_000_000 // (n * n * n) + 1)
-        for start in range(0, n, chunk):
-            stop = min(n, start + chunk)
-            w = stop - start
-            lhs = f.tensordot_lf(
-                c[start:stop].reshape(w * n, n), lflat
-            ).reshape(w, n, n, n)                                    # (i, j, k, l)
-            rhs = f.tensordot_lf(
-                lops[start:stop].reshape(w * n, n), lswap
-            ).reshape(w, n, n, n)                                    # (i, k, j, l)
-            rhs = rhs.transpose(0, 2, 1, 3)
-            if not np.all(lhs == rhs):
-                di, j, _, l = (int(v) for v in np.argwhere(lhs != rhs)[0])
-                i = start + di
-                raise AlgebraValidationError(
-                    f"associativity fails at basis triple ({i},{j},{l}): "
-                    f"(e_{i} e_{j}) e_{l} != e_{i} (e_{j} e_{l})",
-                    triple=(i, j, l),
-                )
+        triple = _first_nonassociative_triple(f, c)
+        if triple is not None:
+            i, j, l = triple
+            raise AlgebraValidationError(
+                f"associativity fails at basis triple ({i},{j},{l}): "
+                f"(e_{i} e_{j}) e_{l} != e_{i} (e_{j} e_{l})",
+                triple=triple,
+            )
 
     # -- elements ---------------------------------------------------------------
 

@@ -230,6 +230,14 @@ class FieldDescriptor:
             m[idx] = self.a_sub(m[idx], self.a_mul(f[idx, None], row[None, :]))
         return m
 
+    def a_sum_runs(self, a: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """Sums of the runs a[starts[g]:starts[g + 1]] of a 1-D array.
+
+        ``starts`` is strictly increasing from 0; the last run ends at the
+        end of ``a``.
+        """
+        raise NotImplementedError
+
     def matmul2(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Exact product of 2-D encoded arrays."""
         raise NotImplementedError
@@ -325,6 +333,10 @@ class PrimeField(FieldDescriptor):
 
     def a_mul(self, a, b):
         return (a * b) % self.p
+
+    def a_sum_runs(self, a, starts):
+        # exact while every run is shorter than 2**32 (p < 2**31)
+        return np.add.reduceat(a, starts) % self.p
 
     def matmul2(self, a, b):
         r, m = a.shape
@@ -526,6 +538,10 @@ class ExtensionField(FieldDescriptor):
     def a_mul(self, a, b):
         return self._mul_table[a, b]
 
+    def a_sum_runs(self, a, starts):
+        # digit-wise: coefficient sums of the runs, reduced mod p
+        return (np.add.reduceat(self._digits[a], starts, axis=0) % self.p) @ self._p_pows
+
     def matmul2(self, a, b):
         r, m = a.shape
         c = b.shape[1]
@@ -650,6 +666,9 @@ class RationalField(FieldDescriptor):
 
     def a_mul(self, a, b):
         return a * b
+
+    def a_sum_runs(self, a, starts):
+        return np.add.reduceat(a, starts)
 
     def matmul2(self, a, b):
         r, m = a.shape

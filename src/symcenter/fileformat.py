@@ -108,33 +108,39 @@ def parse_vector(field, values, path: str, length: int | None = None):
     return out
 
 
-def _parse_hint(field, spec, path: str) -> RadicalHint:
+def _parse_hint(field, spec, path: str, dim: int) -> RadicalHint:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise FileFormatError(f"{path}: expected an object with 'kind'", path)
     vectors = None
     if "vectors" in spec:
+        if not isinstance(spec["vectors"], list):
+            raise FileFormatError(f"{path}.vectors: expected a list", f"{path}.vectors")
         vectors = tuple(
-            tuple(parse_scalar(field, v, f"{path}.vectors[{i}][{j}]")
-                  for j, v in enumerate(vec))
+            tuple(parse_vector(field, vec, f"{path}.vectors[{i}]", dim).tolist())
             for i, vec in enumerate(spec["vectors"])
         )
     return RadicalHint(spec["kind"], vectors)
 
 
-def _parse_presentation(field, node, path: str,
-                        radical_hint=None, sym_form=None, name=None) -> Algebra:
+def _parse_presentation(field, node, path: str, hint=None, name=None) -> Algebra:
+    """The algebra of one presentation node.
+
+    ``hint`` is the (spec, path) of a radical hint that overrides the
+    node's own; a hint is parsed once the dimension it must match is known.
+    """
     if not isinstance(node, dict) or "type" not in node:
         raise FileFormatError(f"{path}: expected an object with a 'type'", path)
     # nested nodes may carry their own hint and form, so that constructions
     # can propagate radical knowledge from their components
-    if radical_hint is None and "radical_hint" in node:
-        radical_hint = _parse_hint(field, node["radical_hint"], f"{path}.radical_hint")
-    if sym_form is None and "symmetrizing_form" in node:
+    if hint is None and "radical_hint" in node:
+        hint = (node["radical_hint"], f"{path}.radical_hint")
+    sym_form = None
+    if "symmetrizing_form" in node:
         sym_form = parse_vector(field, node["symmetrizing_form"],
                                 f"{path}.symmetrizing_form")
     ptype = node["type"]
     if ptype == "structure_constants":
-        return _parse_structure_constants(field, node, path, radical_hint, sym_form, name)
+        return _parse_structure_constants(field, node, path, hint, sym_form, name)
     if ptype == "skew_truncated":
         bounds = node.get("bounds")
         if not isinstance(bounds, list) or not all(isinstance(b, int) for b in bounds):
@@ -201,12 +207,13 @@ def _parse_presentation(field, node, path: str,
         alg = opposite(base)
     else:
         raise FileFormatError(f"{path}: unknown presentation type {ptype!r}", path)
+    radical_hint = None if hint is None else _parse_hint(field, *hint, alg.dim)
     if name is None and radical_hint is None and sym_form is None:
         return alg
     return alg.replace(name=name, radical_hint=radical_hint, sym_form=sym_form)
 
 
-def _parse_structure_constants(field, node, path, radical_hint, sym_form, name):
+def _parse_structure_constants(field, node, path, hint, sym_form, name):
     dim = node.get("dim")
     table_spec = node.get("table")
     one_spec = node.get("one")
@@ -223,10 +230,10 @@ def _parse_structure_constants(field, node, path, radical_hint, sym_form, name):
         for j, vec in enumerate(plane):
             table[i, j] = parse_vector(field, vec, f"{path}.table[{i}][{j}]", dim)
     one = parse_vector(field, one_spec, f"{path}.one", dim)
-    labels = node.get("labels")
     return Algebra(
-        field, table, one, labels=labels,
-        radical_hint=radical_hint, sym_form=sym_form, name=name,
+        field, table, one, labels=node.get("labels"),
+        radical_hint=None if hint is None else _parse_hint(field, *hint, dim),
+        sym_form=sym_form, name=name,
     )
 
 
@@ -237,14 +244,14 @@ def parse_document(doc: dict) -> Algebra:
     field = parse_field(doc.get("field"), "field")
     hint = None
     if "radical_hint" in doc:
-        hint = _parse_hint(field, doc["radical_hint"], "radical_hint")
+        hint = (doc["radical_hint"], "radical_hint")
     sym_form = None
     if "symmetrizing_form" in doc:
         sym_form = parse_vector(field, doc["symmetrizing_form"], "symmetrizing_form")
     name = doc.get("name")
     alg = _parse_presentation(
         field, doc.get("presentation"), "presentation",
-        radical_hint=hint, name=name,
+        hint=hint, name=name,
     )
     if sym_form is None:
         return alg

@@ -25,9 +25,11 @@ def test_validation_cites_failing_triple(g3, mat2):
     bad[1, 2, 0] = 2  # E12*E21 = 2*E11 breaks associativity
     with pytest.raises(AlgebraValidationError) as err:
         Algebra(g3, bad, g3.arr([1, 0, 0, 1]))
-    assert err.value.triple is not None
-    i, j, l = err.value.triple
-    assert f"({i},{j},{l})" in str(err.value)
+    # (E12 E21) E12 = 2 E12 but E12 (E21 E12) = E12; every smaller triple holds
+    assert err.value.triple == (1, 2, 1)
+    assert str(err.value) == (
+        "associativity fails at basis triple (1,2,1): (e_1 e_2) e_1 != e_1 (e_2 e_1)"
+    )
 
 
 def test_validation_unit_law(g3):
@@ -310,6 +312,15 @@ def test_wrong_length_symmetrizing_form_rejected(g3, mat2):
         Algebra(g3, mat2.table, mat2.one, sym_form=g3.arr([1, 0, 1]))
     with pytest.raises(AlgebraValidationError, match="5 coordinates, expected 4"):
         mat2.replace(sym_form=g3.arr([1, 0, 0, 1, 0]))
+
+
+def test_wrong_length_radical_hint_rejected(g3, mat2):
+    with pytest.raises(AlgebraValidationError,
+                       match="radical hint vector 1 has 3 coordinates, expected 4"):
+        Algebra(g3, mat2.table, mat2.one,
+                radical_hint=RadicalHint("basis", ((0, 1, 0, 0), (0, 0, 1))))
+    with pytest.raises(AlgebraValidationError, match="5 coordinates, expected 4"):
+        mat2.replace(radical_hint=RadicalHint("local_codim1", ((1, 0, 0, 0, 0),)))
 
 
 def _products_oracle(a, rows, side):

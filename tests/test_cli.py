@@ -161,3 +161,22 @@ def test_wrong_length_symmetrizing_form_exit_2(tmp_path):
     assert proc.returncode == 2
     assert "symmetrizing_form: expected 2 coordinates" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_malformed_radical_hint_exit_2(tmp_path):
+    presentation = {
+        "type": "structure_constants",
+        "dim": 2,
+        "table": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]],
+        "one": [1, 0],
+    }
+    for vectors, location in (([[0, 1, 0]], "radical_hint.vectors[0]"),
+                              (5, "radical_hint.vectors")):
+        doc = {"field": {"kind": "prime", "p": 3}, "presentation": presentation,
+               "radical_hint": {"kind": "basis", "vectors": vectors}}
+        path = tmp_path / "bad_hint.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("analyze", str(path))
+        assert proc.returncode == 2, proc.stderr
+        assert location in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -183,3 +183,37 @@ def test_wrong_length_symmetrizing_form_is_anchored():
     with pytest.raises(FileFormatError) as err:
         parse_document(doc)
     assert err.value.location == "symmetrizing_form"
+
+
+DUAL_GF3_TABLE = {
+    "type": "structure_constants",
+    "dim": 2,
+    "table": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]],
+    "one": [1, 0],
+}
+
+
+@pytest.mark.parametrize("presentation, hint, location", [
+    (DUAL_GF3_TABLE, {"kind": "basis", "vectors": [[0, 1, 0]]},
+     "radical_hint.vectors[0]"),
+    (DUAL_GF3_TABLE, {"kind": "basis", "vectors": 5}, "radical_hint.vectors"),
+    (DUAL_GF3_TABLE, {"kind": "basis", "vectors": [[0, 1], 1]},
+     "radical_hint.vectors[1]"),
+    ({"type": "skew_truncated", "bounds": [2]},
+     {"kind": "basis", "vectors": [[0, 1], [1]]}, "radical_hint.vectors[1]"),
+])
+def test_malformed_radical_hint_is_anchored(presentation, hint, location):
+    doc = {"field": {"kind": "prime", "p": 3}, "presentation": presentation,
+           "radical_hint": hint}
+    with pytest.raises(FileFormatError) as err:
+        parse_document(doc)
+    assert err.value.location == location
+
+
+def test_nested_radical_hint_checked_against_its_node():
+    base = dict(DUAL_GF3_TABLE, radical_hint={"kind": "basis", "vectors": [[0, 1, 0]]})
+    doc = {"field": {"kind": "prime", "p": 3},
+           "presentation": {"type": "trivial_extension", "base": base}}
+    with pytest.raises(FileFormatError) as err:
+        parse_document(doc)
+    assert err.value.location == "presentation.base.radical_hint.vectors[0]"
