@@ -237,6 +237,10 @@ def from_skew_presentation(field: FieldDescriptor, pres: SkewPresentation,
     if any(b < 1 for b in bounds):
         raise AlgebraValidationError("skew presentation bounds must be >= 1")
     nvars = len(bounds)
+    if pres.names is not None and len(pres.names) != nvars:
+        raise AlgebraValidationError(
+            f"{len(pres.names)} variable names for {nvars} generators"
+        )
     names = pres.names or tuple(f"x{i+1}" for i in range(nvars))
     qmap = {}
     for (j, i), val in pres.q_dict().items():
@@ -326,6 +330,8 @@ def from_matrix_generators(field: FieldDescriptor, size: int, generators,
     are evaluated, checked to be an independent spanning set, and used as
     the labelled basis; structure constants are then solved exactly.
     """
+    if size < 1:
+        raise AlgebraValidationError("algebras here are unital, so size >= 1")
     gen_names = list(generators.keys())
     mats = [field.arr(generators[g]).reshape(size, size) for g in gen_names]
     amb = size * size

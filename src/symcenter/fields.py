@@ -17,6 +17,9 @@ Exactness of the fast paths:
   (Kronecker substitution), multiply matrices of these integer values, and
   read the product polynomial back off the base-X digits.  The base is
   chosen per call so that digits cannot collide and float64 stays exact.
+  The encoding is one gather: per call, all q field elements are evaluated
+  at X (a q x k digit table times the powers of X, q <= 1024 values), and
+  each matrix entry indexes that vector by its encoded value.
   The read-back is one table lookup: the 2k - 1 digits, each reduced mod p,
   form a base-p index into ``_readback``, which holds the encoded value of
   that polynomial reduced by the modulus (p^(2k-1) = q^2 / p entries).
@@ -579,14 +582,14 @@ class ExtensionField(FieldDescriptor):
         return self._readback[idx]
 
     def _kron_f64(self, enc: np.ndarray, x: int) -> np.ndarray:
-        """Evaluate coefficient vectors at the integer base x, as float64."""
-        dig = self._digits_f64[enc]
-        out = dig[..., 0].copy()
-        scale = 1.0
-        for j in range(1, self.degree):
-            scale *= x
-            out += dig[..., j] * scale
-        return out
+        """Evaluate coefficient vectors at the integer base x, as float64.
+
+        All q encodings are evaluated at once and ``enc`` indexes the result:
+        one gather per entry.  Exact on the float64 rung, where x is a power
+        of two and every value is below 2**53.
+        """
+        powers = np.array([float(x**j) for j in range(self.degree)])
+        return (self._digits_f64 @ powers)[enc]
 
     def random_enc(self, rng, shape):
         return rng.integers(0, self.order, size=shape, dtype=np.int64)

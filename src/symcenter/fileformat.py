@@ -108,6 +108,31 @@ def parse_vector(field, values, path: str, length: int | None = None):
     return out
 
 
+def _count(node: dict, key: str, path: str) -> int:
+    """A non-negative integer entry of a presentation node; bools are not counts."""
+    value = node.get(key)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise FileFormatError(
+            f"{path}.{key}: expected a non-negative integer, got {value!r}",
+            f"{path}.{key}",
+        )
+    return value
+
+
+def _names(node: dict, key: str, path: str, length: int | None = None):
+    """An optional list of strings (basis labels, variable names)."""
+    value = node.get(key)
+    if value is None:
+        return None
+    if (not isinstance(value, list) or not all(isinstance(s, str) for s in value)
+            or (length is not None and len(value) != length)):
+        count = "" if length is None else f"{length} "
+        raise FileFormatError(
+            f"{path}.{key}: expected a list of {count}strings", f"{path}.{key}"
+        )
+    return value
+
+
 def _parse_hint(field, spec, path: str, dim: int) -> RadicalHint:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise FileFormatError(f"{path}: expected an object with 'kind'", path)
@@ -143,10 +168,18 @@ def _parse_presentation(field, node, path: str, hint=None, name=None) -> Algebra
         return _parse_structure_constants(field, node, path, hint, sym_form, name)
     if ptype == "skew_truncated":
         bounds = node.get("bounds")
-        if not isinstance(bounds, list) or not all(isinstance(b, int) for b in bounds):
-            raise FileFormatError(f"{path}.bounds: expected a list of integers", path)
+        if not isinstance(bounds, list) or not all(
+                isinstance(b, int) and not isinstance(b, bool) for b in bounds):
+            raise FileFormatError(
+                f"{path}.bounds: expected a list of integers", f"{path}.bounds"
+            )
+        qnode = node.get("q", {})
+        if not isinstance(qnode, dict):
+            raise FileFormatError(
+                f"{path}.q: expected an object with 'j,i' keys", f"{path}.q"
+            )
         qspec = []
-        for key, val in sorted(node.get("q", {}).items()):
+        for key, val in sorted(qnode.items()):
             try:
                 j, i = (int(s) for s in key.split(","))
             except ValueError:
@@ -155,16 +188,16 @@ def _parse_presentation(field, node, path: str, hint=None, name=None) -> Algebra
                 ) from None
             enc = parse_scalar(field, val, f"{path}.q[{key}]")
             qspec.append(((j - 1, i - 1), field.scalar(enc)))
-        names = node.get("variables")
+        names = _names(node, "variables", path)
         pres = SkewPresentation(
             tuple(bounds), tuple(qspec),
             None if names is None else tuple(names),
         )
         alg = from_skew_presentation(field, pres, name=name)
     elif ptype == "matrix_generators":
-        size = node.get("size")
+        size = _count(node, "size", path)
         gens = node.get("generators")
-        if not isinstance(size, int) or not isinstance(gens, dict):
+        if not isinstance(gens, dict):
             raise FileFormatError(
                 f"{path}: matrix_generators needs 'size' and 'generators'", path
             )
@@ -180,7 +213,7 @@ def _parse_presentation(field, node, path: str, hint=None, name=None) -> Algebra
             parsed[gname] = mat
         alg = from_matrix_generators(
             field, size, parsed,
-            monomial_basis=node.get("monomial_basis"),
+            monomial_basis=_names(node, "monomial_basis", path),
             name=name,
         )
     elif ptype == "tensor":
@@ -195,6 +228,10 @@ def _parse_presentation(field, node, path: str, hint=None, name=None) -> Algebra
         spec = node.get("ideal")
         if not isinstance(spec, dict) or "vectors" not in spec:
             raise FileFormatError(f"{path}.ideal: expected vectors", path)
+        if not isinstance(spec["vectors"], list):
+            raise FileFormatError(
+                f"{path}.ideal.vectors: expected a list", f"{path}.ideal.vectors"
+            )
         rows = field.zeros((len(spec["vectors"]), base.dim))
         for i, vec in enumerate(spec["vectors"]):
             rows[i] = parse_vector(field, vec, f"{path}.ideal.vectors[{i}]", base.dim)
@@ -214,13 +251,14 @@ def _parse_presentation(field, node, path: str, hint=None, name=None) -> Algebra
 
 
 def _parse_structure_constants(field, node, path, hint, sym_form, name):
-    dim = node.get("dim")
     table_spec = node.get("table")
     one_spec = node.get("one")
-    if not isinstance(dim, int) or table_spec is None or one_spec is None:
+    if "dim" not in node or table_spec is None or one_spec is None:
         raise FileFormatError(
             f"{path}: structure_constants needs 'dim', 'table' and 'one'", path
         )
+    dim = _count(node, "dim", path)
+    labels = _names(node, "labels", path, dim)
     table = field.zeros((dim, dim, dim))
     if not isinstance(table_spec, list) or len(table_spec) != dim:
         raise FileFormatError(f"{path}.table: expected {dim} rows", path)
@@ -231,7 +269,7 @@ def _parse_structure_constants(field, node, path, hint, sym_form, name):
             table[i, j] = parse_vector(field, vec, f"{path}.table[{i}][{j}]", dim)
     one = parse_vector(field, one_spec, f"{path}.one", dim)
     return Algebra(
-        field, table, one, labels=node.get("labels"),
+        field, table, one, labels=labels,
         radical_hint=None if hint is None else _parse_hint(field, *hint, dim),
         sym_form=sym_form, name=name,
     )
@@ -249,6 +287,8 @@ def parse_document(doc: dict) -> Algebra:
     if "symmetrizing_form" in doc:
         sym_form = parse_vector(field, doc["symmetrizing_form"], "symmetrizing_form")
     name = doc.get("name")
+    if name is not None and not isinstance(name, str):
+        raise FileFormatError("name: expected a string", "name")
     alg = _parse_presentation(
         field, doc.get("presentation"), "presentation",
         hint=hint, name=name,

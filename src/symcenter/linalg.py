@@ -11,9 +11,18 @@ Every basis handed to ``reduce_rows`` (and so every ``Subspace.basis``)
 must be in RREF: its pivot columns form an identity block.  That lets a
 whole block of rows be reduced with one product,
 ``rows - rows[:, pivots] @ basis``, instead of one elimination per pivot.
+
+Kernels and intersections each cost one elimination, and the rows they
+read off it are already the RREF basis of the result, so no second
+canonicalising RREF runs: ``kernel`` eliminates the columns in reverse
+order, which puts the leading 1 of each null-space row at its own free
+column; ``subspace_intersect`` is the Zassenhaus algorithm, whose
+intersection rows form the lower right block of a single RREF.
 """
 
 from __future__ import annotations
+
+import bisect
 
 import numpy as np
 
@@ -156,8 +165,17 @@ class Subspace:
 
 
 def kernel(field: FieldDescriptor, data: np.ndarray) -> Subspace:
-    """Right null space {x : data x = 0} of an encoded 2-D array."""
-    red, pivots = rref_data(field, data)
+    """Right null space {x : data x = 0} of an encoded 2-D array.
+
+    One elimination, on the columns in reverse order.  In reversed
+    coordinates the row of a free column f' is 1 at f' and minus column f'
+    of the RREF at the pivots, all of which come before f'.  Reversing both
+    axes back, the row of free column f has its leading 1 at f, its other
+    nonzeros only at later pivot columns, and a zero at every other free
+    column; with the rows in increasing order of f that is already the RREF
+    basis of the kernel.
+    """
+    red, pivots = rref_data(field, np.asarray(data)[:, ::-1])
     n = red.shape[1]
     free = [c for c in range(n) if c not in pivots]
     if not free:
@@ -166,7 +184,7 @@ def kernel(field: FieldDescriptor, data: np.ndarray) -> Subspace:
     rows = field.zeros((len(free), n))
     rows[np.arange(len(free)), free] = field.one_enc
     rows[:, pivots] = field.a_neg(red[: len(pivots), free].T)
-    return Subspace.from_rows(field, n, rows)
+    return Subspace(field, n, rows[::-1, ::-1].copy())
 
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
@@ -176,21 +194,25 @@ def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
 
 
 def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
-    """Intersection via the kernel of the stacked coordinate system."""
+    """Intersection by the Zassenhaus algorithm: one RREF of [[U, U], [V, 0]].
+
+    The rows of that block span {(x + y, x) : x in U, y in V}, whose
+    vectors with left half zero are exactly (0, x) for x in U ∩ V.  In the
+    RREF they are spanned by the rows whose pivot lies in the right half.
+    Those rows are zero on the left, and every pivot column is zero outside
+    its own row, so their right halves are already the RREF basis of U ∩ V.
+    """
     u._check_ambient(v)
-    field = u.field
+    field, n = u.field, u.ambient_dim
     if u.is_zero() or v.is_zero():
-        return Subspace.zero(field, u.ambient_dim)
-    a, b = u.dim, v.dim
-    block = field.zeros((u.ambient_dim, a + b))
-    block[:, :a] = u.basis.T
-    block[:, a:] = field.a_neg(v.basis.T)
-    alpha = kernel(field, block)
-    if alpha.is_zero():
-        return Subspace.zero(field, u.ambient_dim)
-    coeffs = alpha.basis[:, :a]
-    vectors = field.matmul2(coeffs, u.basis)
-    return Subspace.from_rows(field, u.ambient_dim, vectors)
+        return Subspace.zero(field, n)
+    block = field.zeros((u.dim + v.dim, 2 * n))
+    block[: u.dim, :n] = u.basis
+    block[: u.dim, n:] = u.basis
+    block[u.dim:, :n] = v.basis
+    red, pivots = rref_data(field, block)
+    first = bisect.bisect_left(pivots, n)
+    return Subspace(field, n, red[first: len(pivots), n:].copy())
 
 
 def contains(u: Subspace, v: Subspace) -> bool:

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from conftest import CASES
 
 
@@ -180,3 +182,50 @@ def test_malformed_radical_hint_exit_2(tmp_path):
         assert proc.returncode == 2, proc.stderr
         assert location in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+_TABLE_2 = {
+    "type": "structure_constants",
+    "dim": 2,
+    "table": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]],
+    "one": [1, 0],
+}
+
+
+def _node(presentation):
+    return {"presentation": presentation}
+
+
+@pytest.mark.parametrize("entries, anchor", [
+    (_node(dict(_TABLE_2, dim=-1)), "presentation.dim"),
+    (_node(dict(_TABLE_2, dim=True)), "presentation.dim"),
+    (_node({"type": "matrix_generators", "size": -2, "generators": {}}),
+     "presentation.size"),
+    (_node({"type": "matrix_generators", "size": 2,
+            "generators": {"a": [[0, 1], [0, 0]]}, "monomial_basis": 5}),
+     "presentation.monomial_basis"),
+    (_node({"type": "quotient", "base": _TABLE_2, "ideal": {"vectors": 5}}),
+     "presentation.ideal.vectors"),
+    (_node({"type": "skew_truncated", "bounds": [2, 2], "q": [1]}),
+     "presentation.q"),
+    (_node({"type": "skew_truncated", "bounds": [True, 2]}),
+     "presentation.bounds"),
+    (_node({"type": "skew_truncated", "bounds": [2, 2], "variables": 5}),
+     "presentation.variables"),
+    (_node(dict(_TABLE_2, labels=5)), "presentation.labels"),
+    (_node(dict(_TABLE_2, labels=["a", 2])), "presentation.labels"),
+    ({"name": 5}, "name: expected a string"),
+    # well-formed JSON that the constructions reject
+    (_node({"type": "skew_truncated", "bounds": [2, 2], "variables": ["x"]}),
+     "1 variable names for 2 generators"),
+    (_node({"type": "matrix_generators", "size": 0, "generators": {}}),
+     "size >= 1"),
+])
+def test_malformed_document_exit_2(entries, anchor, tmp_path):
+    doc = {"field": {"kind": "prime", "p": 3}, **_node(_TABLE_2), **entries}
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("analyze", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert anchor in proc.stderr
+    assert "Traceback" not in proc.stderr

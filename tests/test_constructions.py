@@ -176,6 +176,19 @@ def test_skew_presentation_guards(g3):
         from_skew_presentation(g3, SkewPresentation((2, 2), (((0, 1), 1),)))
 
 
+def test_skew_presentation_names_must_match_bounds(g3):
+    for names in (("x",), ("x", "y", "z"), ()):
+        with pytest.raises(AlgebraValidationError, match="variable names"):
+            from_skew_presentation(g3, SkewPresentation((2, 2), (), names))
+    a = from_skew_presentation(g3, SkewPresentation((2, 2), (), ("x", "y")))
+    assert a.labels == ["1", "x", "y", "x*y"]
+
+
+def test_matrix_generators_size_zero_rejected(g3):
+    with pytest.raises(AlgebraValidationError, match="size >= 1"):
+        from_matrix_generators(g3, 0, {})
+
+
 def test_matrix_generators_trivial(g3):
     a = from_matrix_generators(g3, 3, {})
     assert a.dim == 1

@@ -297,3 +297,42 @@ def test_extension_tables_match_schoolbook_arithmetic(p, modulus):
             assert field._mul_table[a, b] == sum(c * p**i for i, c in enumerate(rem))
             assert field._add_table[a, b] == sum(
                 (x + y) % p * p**i for i, (x, y) in enumerate(zip(da, db)))
+
+
+def _kron_per_plane(field, enc, x):
+    """Reference encoding: gather the (..., k) digit planes, then combine."""
+    dig = field._digits_f64[enc]
+    out = dig[..., 0].copy()
+    scale = 1.0
+    for j in range(1, field.degree):
+        scale *= x
+        out += dig[..., j] * scale
+    return out
+
+
+def _largest_f64_base(field):
+    """The base x of the longest contraction that stays on the float64 rung."""
+    m = 1
+    while _rung(field, m + 1) == "float64":
+        m += 1
+    return 1 << (m * field.degree * (field.p - 1) ** 2 + 1).bit_length()
+
+
+@pytest.mark.parametrize("p, modulus", [
+    (2, [1, 1, 1]),            # GF(4)
+    (3, [1, 0, 1]),            # GF(9)
+    (5, [2, 0, 1]),            # GF(25)
+    (3, [1, 2, 0, 1]),         # GF(27)
+])
+def test_kron_f64_is_digit_by_digit_evaluation(p, modulus):
+    field = ExtensionField(p, modulus)
+    q, k = field.order, field.degree
+    x = _largest_f64_base(field)
+    assert (p - 1) * (x**k - 1) // (x - 1) < _F64_EXACT
+    encs = np.arange(q).reshape(1, q)[:, ::-1]           # every encoding, 2-D
+    got = field._kron_f64(encs, x)
+    assert got.shape == encs.shape and got.dtype == np.float64
+    want = [sum(d * x**j for j, d in enumerate(_base_p_digits(int(e), p, k)))
+            for e in encs[0]]
+    assert [int(v) for v in got[0]] == want                 # exact, as integers
+    assert np.array_equal(got, _kron_per_plane(field, encs, x))

@@ -1,5 +1,7 @@
 """Exact linear algebra: RREF, kernels, the subspace lattice."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,125 @@ def test_kernel_is_rref_span_of_naive_kernel(rng):
         naive = naive_kernel_mod(m.tolist(), p)
         assert k == Subspace.from_rows(f, cols, naive)
         assert not np.any(f.matmul2(m, k.basis.T))
+
+
+# -- single-elimination kernel and Zassenhaus intersection against the
+# -- former multi-RREF implementations, kept here as references
+
+
+def _kernel_two_rref(field, data):
+    """Reference kernel: RREF, one row per free column, then a second RREF."""
+    red, pivots = rref_data(field, data)
+    n = red.shape[1]
+    free = [c for c in range(n) if c not in pivots]
+    if not free:
+        return Subspace.zero(field, n)
+    rows = field.zeros((len(free), n))
+    rows[np.arange(len(free)), free] = field.one_enc
+    rows[:, pivots] = field.a_neg(red[: len(pivots), free].T)
+    return Subspace.from_rows(field, n, rows)
+
+
+def _intersect_by_kernel(u, v):
+    """Reference intersection: the kernel of [U^T | -V^T], mapped through U."""
+    field = u.field
+    if u.is_zero() or v.is_zero():
+        return Subspace.zero(field, u.ambient_dim)
+    a, b = u.dim, v.dim
+    block = field.zeros((u.ambient_dim, a + b))
+    block[:, :a] = u.basis.T
+    block[:, a:] = field.a_neg(v.basis.T)
+    alpha = _kernel_two_rref(field, block)
+    if alpha.is_zero():
+        return Subspace.zero(field, u.ambient_dim)
+    vectors = field.matmul2(alpha.basis[:, :a], u.basis)
+    return Subspace.from_rows(field, u.ambient_dim, vectors)
+
+
+def _low_rank(field, rng, rows, cols, r):
+    """A seeded rows x cols matrix of rank at most r."""
+    return field.matmul2(field.random_enc(rng, (rows, r)),
+                         field.random_enc(rng, (r, cols)))
+
+
+def _kernel_inputs(field, rng):
+    yield field.zeros((0, 5))                          # no rows: everything
+    yield field.zeros((3, 4))                          # zero matrix
+    yield field.eye(4)                                 # full column rank, square
+    tall = field.zeros((7, 4))
+    tall[:4] = field.eye(4)
+    tall[4:] = field.random_enc(rng, (3, 4))
+    yield tall                                         # full column rank, tall
+    yield field.eye(1)
+    for rows, cols in [(7, 3), (3, 8), (5, 5), (2, 9), (9, 6)]:
+        yield field.random_enc(rng, (rows, cols))
+        for r in range(1, min(rows, cols)):
+            yield _low_rank(field, rng, rows, cols, r)
+
+
+@pytest.mark.parametrize("field_name", ["GF(2)", "GF(3)", "GF(25)", "QQ"])
+def test_kernel_equals_two_rref_reference(field_name, f25, rng):
+    field = {"GF(2)": GF(2), "GF(3)": GF(3), "GF(25)": f25, "QQ": QQ}[field_name]
+    for data in _kernel_inputs(field, rng):
+        got = kernel(field, data)
+        want = _kernel_two_rref(field, data)
+        assert got.basis.shape == want.basis.shape, data
+        assert got.basis.dtype == want.basis.dtype
+        assert np.array_equal(got.basis, want.basis), data
+        red, pivots = rref_data(field, got.basis)
+        assert len(pivots) == got.dim
+        assert np.array_equal(red, got.basis)          # already RREF: a no-op
+        if got.dim and data.shape[0]:
+            assert np.all(field.matmul2(data, got.basis.T) == field.zero_enc)
+
+
+def _span_set(sub, p):
+    """Every vector of a subspace of GF(p)^n, by enumerating coefficients."""
+    d, n = sub.basis.shape
+    coeffs = np.array(list(itertools.product(range(p), repeat=d)),
+                      dtype=np.int64).reshape(p**d, d)
+    vecs = coeffs @ sub.basis.astype(np.int64).reshape(d, n) % p
+    return {tuple(v) for v in vecs.tolist()}
+
+
+def _intersect_inputs(field, rng, n):
+    zero, full = Subspace.zero(field, n), Subspace.full(field, n)
+    u = random_subspace(field, n, rng)
+    yield zero, zero
+    yield zero, full
+    yield full, full
+    yield full, u
+    yield u, u                                         # equal subspaces
+    yield u, Subspace.from_rows(field, n, field.matmul2(
+        field.random_enc(rng, (u.dim, u.dim)), u.basis))  # a subspace of u
+    for _ in range(25):
+        yield random_subspace(field, n, rng), random_subspace(field, n, rng)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_intersect_equals_kernel_reference_and_brute_force(p, rng):
+    field = GF(p)
+    for n in range(1, 7):
+        for u, v in _intersect_inputs(field, rng, n):
+            got = subspace_intersect(u, v)
+            want = _intersect_by_kernel(u, v)
+            assert got.basis.shape == want.basis.shape
+            assert np.array_equal(got.basis, want.basis)
+            red, pivots = rref_data(field, got.basis)
+            assert len(pivots) == got.dim and np.array_equal(red, got.basis)
+            assert _span_set(got, p) == _span_set(u, p) & _span_set(v, p)
+            assert subspace_intersect(v, u) == got
+
+
+@pytest.mark.parametrize("field_name", ["GF(25)", "QQ"])
+def test_intersect_equals_kernel_reference_other_fields(field_name, f25, rng):
+    field = {"GF(25)": f25, "QQ": QQ}[field_name]
+    for n in (1, 3, 5, 7):
+        for u, v in _intersect_inputs(field, rng, n):
+            got = subspace_intersect(u, v)
+            want = _intersect_by_kernel(u, v)
+            assert got.basis.shape == want.basis.shape
+            assert np.array_equal(got.basis, want.basis)
 
 
 def test_public_api_names_resolve():
