@@ -139,6 +139,15 @@ def _first_nonassociative_triple(f: FieldDescriptor, c: np.ndarray):
     return None
 
 
+def _nonzero_rows(f: FieldDescriptor, system: np.ndarray) -> np.ndarray:
+    """The rows of a linear system that have a nonzero entry.
+
+    The n^2 x n center and commutator systems are mostly zero rows, and
+    dropping them leaves the RREF, and so the kernel or span, unchanged.
+    """
+    return system[np.any(system != f.zero_enc, axis=1)]
+
+
 class Algebra:
     """A unital associative algebra presented by structure constants."""
 
@@ -292,14 +301,14 @@ class Algebra:
         f, c, n = self.field, self.table, self.dim
         diff = f.a_sub(np.ascontiguousarray(c.transpose(1, 0, 2)), c)  # [j,i,k] = (e_j e_i - e_i e_j)_k .. as functions of j
         system = np.ascontiguousarray(diff.transpose(1, 2, 0)).reshape(n * n, n)
-        return kernel(f, system)
+        return kernel(f, _nonzero_rows(f, system))
 
     @memoised("commutator")
     def commutator_space(self) -> Subspace:
         """Span of all commutators [e_i, e_j]."""
         f, c, n = self.field, self.table, self.dim
         comm = f.a_sub(c, np.ascontiguousarray(c.transpose(1, 0, 2)))
-        return Subspace.from_rows(f, n, comm.reshape(n * n, n))
+        return Subspace.from_rows(f, n, _nonzero_rows(f, comm.reshape(n * n, n)))
 
     # -- subspace products and ideals ----------------------------------------------
 

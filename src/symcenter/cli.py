@@ -14,7 +14,7 @@ import time
 
 from .analysis import analyze
 from .errors import SymcenterError
-from .fileformat import emit_structure_constants, load_algebra
+from .fileformat import emit_structure_constants, load_algebra, read_document
 from .suites import run_paper_suite, suite_report_machine, suite_report_text
 
 CONSTRUCTION_TYPES = ("tensor", "trivial_extension", "quotient", "opposite")
@@ -47,13 +47,7 @@ def cmd_paper_suite(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SymcenterError(
-                f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from None
+    doc = read_document(args.file)
     pres = doc.get("presentation") if isinstance(doc, dict) else None
     ptype = pres.get("type") if isinstance(pres, dict) else None
     if ptype not in CONSTRUCTION_TYPES:
@@ -111,7 +105,7 @@ def main(argv=None) -> int:
     except SymcenterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

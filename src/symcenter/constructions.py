@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, memo, quotient_data
+from .algebra import Algebra, memo, memoised, quotient_data
 from .errors import AlgebraValidationError, BasisClaimFailed
 from .fields import FieldDescriptor
 from .linalg import Subspace, contains, express_in_rows, kernel, subspace_sum
@@ -68,11 +68,13 @@ def tensor(a1: Algebra, a2: Algebra) -> Algebra:
 # -- trivial extension -----------------------------------------------------------
 
 
+@memoised("trivial_extension")
 def trivial_extension(a: Algebra) -> Algebra:
     """T(A) = A + A* with (a,f)(b,g) = (ab, ag + fb) and A* squaring to zero.
 
     The basis is all e_i followed by all dual vectors e_i*; the canonical
-    symmetrizing form (a, f) -> f(1) is attached.
+    symmetrizing form (a, f) -> f(1) is attached.  Built once per algebra,
+    so every caller shares one T(A) and what its memo has computed.
     """
     f, n, c = a.field, a.dim, a.table
     t = f.zeros((2 * n, 2 * n, 2 * n))

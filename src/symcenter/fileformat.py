@@ -305,18 +305,31 @@ def parse_document(doc: dict) -> Algebra:
     return alg.replace(sym_form=sym_form)
 
 
-def load_algebra(path: str) -> Algebra:
-    """Parse an algebra definition file; errors carry line or path anchors."""
+def read_document(path: str):
+    """The parsed JSON of a file; bad UTF-8 or JSON raise FileFormatError.
+
+    OSError from opening or reading (missing file, a directory, no
+    permission) propagates; its message names the path.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(
+                f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}"
+            ) from None
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}",
             f"line {exc.lineno}",
         ) from None
-    return parse_document(doc)
+
+
+def load_algebra(path: str) -> Algebra:
+    """Parse an algebra definition file; errors carry line or path anchors."""
+    return parse_document(read_document(path))
 
 
 def emit_structure_constants(alg: Algebra, include_radical: bool = True) -> str:

@@ -108,11 +108,6 @@ def _tensor_pair(ida: str, idb: str) -> Algebra:
     return tensor(get(ida), get(idb))
 
 
-@functools.cache
-def _trivext(entry: str) -> Algebra:
-    return trivial_extension(get(entry))
-
-
 def _symmetric_entries() -> list[str]:
     out = []
     for entry in ENTRY_IDS:
@@ -313,26 +308,23 @@ def _check_propertiesperp(sink: ClaimSink, scope):
         rng = _rng(sink.suite_id + entry)
         n = a.dim
         subspaces = [random_subspace(a.field, n, rng) for _ in range(50)]
-        dims_ok = all(x.dim + perp(st, x).dim == n for x in subspaces)
+        perps = [perp(st, x) for x in subspaces]
+        dims_ok = all(x.dim + px.dim == n for x, px in zip(subspaces, perps))
         sink.check(f"dim_formula/{entry}", "PAPER", dims_ok)
-        double_ok = all(perp(st, perp(st, x)) == x for x in subspaces)
+        double_ok = all(perp(st, px) == x for x, px in zip(subspaces, perps))
         sink.check(f"double_perp/{entry}", "PAPER", double_ok)
         anti_ok = True
-        for x in subspaces:
+        for x, px in zip(subspaces, perps):
             if x.dim == 0:
                 continue
             kcut = int(rng.integers(0, x.dim))
             y = Subspace.from_rows(a.field, n, x.basis[:kcut])
-            anti_ok = anti_ok and contains(perp(st, y), perp(st, x))
+            anti_ok = anti_ok and contains(perp(st, y), px)
         sink.check(f"antitone/{entry}", "PAPER", anti_ok)
         dm_ok = True
-        for x, y in zip(subspaces[::2], subspaces[1::2]):
-            dm_ok = dm_ok and perp(st, subspace_intersect(x, y)) == subspace_sum(
-                perp(st, x), perp(st, y)
-            )
-            dm_ok = dm_ok and perp(st, subspace_sum(x, y)) == subspace_intersect(
-                perp(st, x), perp(st, y)
-            )
+        for x, y, px, py in zip(subspaces[::2], subspaces[1::2], perps[::2], perps[1::2]):
+            dm_ok = dm_ok and perp(st, subspace_intersect(x, y)) == subspace_sum(px, py)
+            dm_ok = dm_ok and perp(st, subspace_sum(x, y)) == subspace_intersect(px, py)
         sink.check(f"de_morgan/{entry}", "PAPER", dm_ok)
         ideals = [radical(a).radical, socle(a),
                   a.ideal_closure(a.commutator_space())]
@@ -541,7 +533,7 @@ def _first_half_span(f, n: int, sub: Subspace) -> Subspace:
 def _check_subspacest(sink: ClaimSink, scope):
     for entry in _apply_scope(TRIVEXT_BASE_IDS, scope):
         a = get(entry)
-        t = _trivext(entry)
+        t = trivial_extension(a)
         f, n = a.field, a.dim
         k = a.commutator_space()
         j = radical(a).radical
@@ -589,7 +581,7 @@ def _check_subspacest(sink: ClaimSink, scope):
 def _check_soctaideal(sink: ClaimSink, scope):
     for entry in _apply_scope(TRIVEXT_BASE_IDS, scope):
         a = get(entry)
-        t = _trivext(entry)
+        t = trivial_extension(a)
         crit = trivext_criteria(a)
         vt = property_verdicts(t)
         sink.check(f"p1_prediction/{entry}", "PAPER",
@@ -603,7 +595,7 @@ def _check_remark_after_soctaideal(sink: ClaimSink, scope):
         a = get(entry)
         if symmetric_structure(a) is None:
             continue
-        vt = property_verdicts(_trivext(entry))
+        vt = property_verdicts(trivial_extension(a))
         sink.check(f"p1T_iff_commutative/{entry}", "PAPER",
                    vt.p1.holds == a.is_commutative())
 

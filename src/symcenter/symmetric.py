@@ -5,6 +5,15 @@ beta(a, b) = lambda(ab) is symmetric and nondegenerate.  Orthogonal
 complements under beta swap ideals with their annihilators; the quotients
 A / (Az)^perp for central z are exactly the quotients of A that remain
 symmetric, and come with an injective A-bimodule section x+I -> xz.
+
+Each SymmetricStructure memoises its quotients: ``symmetric_quotient``
+builds A/(Az)^perp once per exact z and hands every later caller the same
+frozen QuotientWitness.  The key is z's coordinates -- the int64 bytes
+over GF(p) and GF(p^k), the tuple of Fractions over QQ (the bytes of an
+object array are pointers) -- so an element and an array with equal
+coordinates share one entry.  The memo lives on the structure, not on the
+algebra, because two forms on one algebra give different quotient forms.
+A call that raises stores nothing.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ class SymmetricStructure:
         self.algebra = algebra
         self.lam = lam
         self.gram = gram
+        self._quotients: dict = {}
 
     def apply(self, coords) -> object:
         """lambda evaluated on an element (encoded scalar)."""
@@ -88,7 +98,7 @@ def perp(structure: SymmetricStructure, x: Subspace) -> Subspace:
     return kernel(f, system)
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuotientWitness:
     """The symmetric quotient A/(Az)^perp with its transfer maps.
 
@@ -163,10 +173,20 @@ class QuotientWitness:
 
 
 def symmetric_quotient(structure: SymmetricStructure, z) -> QuotientWitness:
-    """Build A/(Az)^perp with its verified symmetrizing form lam(a z)."""
+    """A/(Az)^perp with its verified symmetrizing form lam(a z), built once
+    per structure and exact z."""
+    algebra = structure.algebra
+    z = algebra._coords_of(z)
+    key = tuple(z.tolist()) if algebra.field.dtype is object else z.astype(np.int64).tobytes()
+    witness = structure._quotients.get(key)
+    if witness is None:
+        witness = structure._quotients[key] = _build_symmetric_quotient(structure, z)
+    return witness
+
+
+def _build_symmetric_quotient(structure: SymmetricStructure, z: np.ndarray) -> QuotientWitness:
     algebra = structure.algebra
     f, n = algebra.field, algebra.dim
-    z = algebra._coords_of(z)
     if not algebra.center().contains_vector(z):
         raise CentralityViolated("symmetric quotients require a central element")
     az_rows = algebra.right_products(z[None, :])[0]  # rows e_j z

@@ -96,6 +96,22 @@ def test_missing_file_exit_2():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("command", ["analyze", "construct"])
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_unreadable_input_exit_2(command, kind, tmp_path):
+    if kind == "directory":
+        path = tmp_path / "cases"
+        path.mkdir()
+    else:
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{}")
+    extra = ["--out", str(tmp_path / "out.json")] if command == "construct" else []
+    proc = run_cli(command, str(path), *extra)
+    assert proc.returncode == 2, proc.stderr
+    assert str(path) in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_paper_suite_single_case():
     proc = run_cli("paper-suite", "--case", "soc20_base")
     assert proc.returncode == 0

@@ -65,6 +65,13 @@ def test_trivial_extension_of_commutative_base(dual3):
     assert t.sym_form is not None
 
 
+def test_trivial_extension_is_built_once(dual3):
+    a = dual3.replace(name="dual numbers, fresh memo")
+    t = trivial_extension(a)
+    assert trivial_extension(a) is t
+    assert trivial_extension(a.replace()) is not t
+
+
 def test_trivial_extension_soc20():
     t = get("soc20_trivext")
     assert t.dim == 20

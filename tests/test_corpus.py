@@ -114,6 +114,15 @@ def test_failing_claims_render_as_fail_lines():
     assert not synthetic.passed
 
 
+def test_paper_suite_repeats_with_memoised_quotients():
+    from symcenter.suites import run_paper_suite, suite_report_machine
+
+    first = suite_report_machine(run_paper_suite(case_filter="prop_quotientalgebra"))
+    again = suite_report_machine(run_paper_suite(case_filter="prop_quotientalgebra"))
+    assert first["summary"]["failed"] == 0 and first["summary"]["total"] > 0
+    assert again == first
+
+
 def test_lemma_registry_is_complete():
     assert len(LEMMA_IDS) == 24
     assert len(set(LEMMA_IDS)) == len(LEMMA_IDS)

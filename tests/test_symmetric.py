@@ -1,11 +1,15 @@
 """Symmetrizing forms, orthogonal complements and symmetric quotients."""
 
+from dataclasses import FrozenInstanceError
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from oracles import naive_rank_mod
 
 import symcenter.substructures as substructures
+from symcenter import QQ, SkewPresentation, from_skew_presentation
 from symcenter.corpus import get
 from symcenter.errors import (
     CentralityViolated,
@@ -168,7 +172,9 @@ def test_nustar_relations_trivial_and_m2():
 
 
 def test_symmetric_quotient_lets_internal_check_errors_through(monkeypatch):
-    a = get("dim12_sharp")
+    # a fresh memo, so the patched radical never reaches the shared corpus
+    # algebra and no quotient built by an earlier test is handed back
+    a = get("dim12_sharp").replace(name="dim12_sharp, fresh memo")
     st = symmetric_structure(a)
 
     def broken(_algebra):
@@ -184,3 +190,41 @@ def test_symmetric_quotient_lets_internal_check_errors_through(monkeypatch):
     monkeypatch.setattr(substructures, "radical", unavailable)
     w = symmetric_quotient(st, a.monomial("M^2"))
     assert w.quotient._radical_seed is None
+
+
+def test_symmetric_quotient_is_built_once_per_z():
+    a = get("dim12_sharp").replace(name="dim12_sharp, fresh memo")
+    st = symmetric_structure(a)
+    z = a.monomial("M^2")
+    w = symmetric_quotient(st, z)
+    assert symmetric_quotient(st, z.coords.copy()) is w
+    assert symmetric_quotient(st, a.element(z.coords.copy())) is w
+    assert symmetric_quotient(st, a.monomial("M^6")) is not w
+    with pytest.raises(FrozenInstanceError):
+        w.quotient = a
+
+
+def test_symmetric_quotient_memo_belongs_to_the_structure(dual3):
+    # lambda and lambda' are both symmetrizing on k[x]/(x^2); for z = 1 the
+    # quotient form is the structure's own form, so the two must differ
+    w1 = symmetric_quotient(verify_symmetric(dual3, [0, 1]), dual3.one_element())
+    w2 = symmetric_quotient(verify_symmetric(dual3, [1, 1]), dual3.one_element())
+    assert [int(v) for v in w1.quotient_structure.lam] == [0, 1]
+    assert [int(v) for v in w2.quotient_structure.lam] == [1, 1]
+
+
+def test_symmetric_quotient_failure_is_not_memoised():
+    a = get("dim12_sharp").replace(name="dim12_sharp, fresh memo")
+    st = symmetric_structure(a)
+    for _ in range(2):
+        with pytest.raises(CentralityViolated):
+            symmetric_quotient(st, a.monomial("M"))
+
+
+def test_symmetric_quotient_memo_over_qq_keys_on_values():
+    # k[x, y]/(x^2, y^2) over QQ with the form dual to xy
+    a = from_skew_presentation(QQ, SkewPresentation.commuting([2, 2]))
+    st = verify_symmetric(a, [0, 0, 0, 1])
+    w = symmetric_quotient(st, [0, Fraction(1, 2), 0, 0])
+    assert symmetric_quotient(st, a.element([0, Fraction(2, 4), 0, 0])) is w
+    assert symmetric_quotient(st, [0, Fraction(1, 3), 0, 0]) is not w
