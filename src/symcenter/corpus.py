@@ -77,8 +77,13 @@ class ClaimSink:
             ClaimResult(f"{self.suite_id}/{cid}", bool(ok), tag, witness)
         )
 
-    def result(self, elapsed: float) -> SuiteResult:
-        return SuiteResult(self.suite_id, self.claims, elapsed)
+
+def run_suite(suite_id: str, body) -> SuiteResult:
+    """Run one suite body ``body(sink)`` on a fresh sink and time it."""
+    sink = ClaimSink(suite_id)
+    t0 = time.perf_counter()
+    body(sink)
+    return SuiteResult(suite_id, sink.claims, time.perf_counter() - t0)
 
 
 # -- generator matrices, copied digit for digit (dots are zeros) ----------------
@@ -275,9 +280,7 @@ def _element_span(a: Algebra, elements) -> Subspace:
     return Subspace.from_rows(a.field, a.dim, rows)
 
 
-def suite_firstexample() -> SuiteResult:
-    t0 = time.perf_counter()
-    sink = ClaimSink("firstexample_i")
+def suite_firstexample(sink: ClaimSink):
     a = get("firstexample_i")
     sink.check("dim_27", "PAPER", a.dim == 27)
     cert = radical(a)
@@ -298,12 +301,9 @@ def suite_firstexample() -> SuiteResult:
                socle(a) == _monomial_span(a, ["x1^2*x2^2*x3^2"]))
     sink.check("top_form_symmetric", "DERIVED",
                symmetric_structure(a) is not None)
-    return sink.result(time.perf_counter() - t0)
 
 
-def suite_matn() -> SuiteResult:
-    t0 = time.perf_counter()
-    sink = ClaimSink("matn")
+def suite_matn(sink: ClaimSink):
     a = get("matn")
     cert = radical(a)
     sink.check("semisimple_j_zero", "DERIVED",
@@ -316,12 +316,9 @@ def suite_matn() -> SuiteResult:
     sink.check("R_eq_Z_not_ideal", "PAPER",
                reynolds(a) == z and not v.p3.holds)
     sink.check("not_basic", "TRIVIAL", not is_basic(a))
-    return sink.result(time.perf_counter() - t0)
 
 
-def suite_counterexample_A() -> SuiteResult:
-    t0 = time.perf_counter()
-    sink = ClaimSink("counterexample_A")
+def suite_counterexample_A(sink: ClaimSink):
     a = get("counterexample_A")
     sink.check("dim_50", "PAPER", a.dim == 50)
     q = element_of_order(a.field, 24)
@@ -335,12 +332,9 @@ def suite_counterexample_A() -> SuiteResult:
     jz, socz, s = j_of_center(a), soc_of_center(a), socle(a)
     sink.check("jz_socz_soc_equal_ideal", "PAPER",
                jz == socz and socz == s and a.is_ideal(s))
-    return sink.result(time.perf_counter() - t0)
 
 
-def suite_counterexample_B() -> SuiteResult:
-    t0 = time.perf_counter()
-    sink = ClaimSink("counterexample_B")
+def suite_counterexample_B(sink: ClaimSink):
     b = get("counterexample_B")
     sink.check("dim_8", "PAPER", b.dim == 8)
     jz = j_of_center(b)
@@ -361,12 +355,9 @@ def suite_counterexample_B() -> SuiteResult:
     bq = quotient(a, closure)
     sink.check("quotient_realisation_identical_table", "DERIVED",
                bq.same_table(b))
-    return sink.result(time.perf_counter() - t0)
 
 
-def suite_mat2_dual() -> SuiteResult:
-    t0 = time.perf_counter()
-    sink = ClaimSink("mat2_dual_numbers")
+def suite_mat2_dual(sink: ClaimSink):
     t = get("mat2_dual_numbers")
     m2, dual = get("matn"), get("dual_gf3")
     sink.check("dim_8", "TRIVIAL", t.dim == m2.dim * dual.dim)
@@ -379,12 +370,9 @@ def suite_mat2_dual() -> SuiteResult:
                vt.p2.holds == (v1.p2.holds and v2.p2.holds))
     sink.check("p3_conjunction", "PAPER",
                vt.p3.holds == (v1.p3.holds and v2.p3.holds))
-    return sink.result(time.perf_counter() - t0)
 
 
-def suite_dim12() -> SuiteResult:
-    t0 = time.perf_counter()
-    sink = ClaimSink("dim12_sharp")
+def suite_dim12(sink: ClaimSink):
     f = GF(3)
     m = f.arr(grid(_DIM12_M))
     n = f.arr(grid(_DIM12_N))
@@ -424,12 +412,9 @@ def suite_dim12() -> SuiteResult:
     sink.check("perp_K_eq_Z", "PAPER", perp(st, k) == z)
     sink.check("perp_J_eq_soc", "PAPER",
                perp(st, radical(a).radical) == socle(a))
-    return sink.result(time.perf_counter() - t0)
 
 
-def suite_soc20() -> SuiteResult:
-    t0 = time.perf_counter()
-    sink = ClaimSink("soc20_base")
+def suite_soc20(sink: ClaimSink):
     f = GF(2)
     m = f.arr(grid(_SOC20_M))
     n10 = f.arr(grid(_SOC20_N))
@@ -474,12 +459,9 @@ def suite_soc20() -> SuiteResult:
                i_sub == k and ak != k and ak.contains_vector((em ** 3).coords))
     crit = trivext_criteria(a)
     sink.check("predict_p2T_false", "PAPER", not crit.p2_prediction)
-    return sink.result(time.perf_counter() - t0)
 
 
-def suite_soc20_trivext() -> SuiteResult:
-    t0 = time.perf_counter()
-    sink = ClaimSink("soc20_trivext")
+def suite_soc20_trivext(sink: ClaimSink):
     t = get("soc20_trivext")
     sink.check("dim_20", "PAPER", t.dim == 20)
     v = property_verdicts(t)
@@ -487,10 +469,9 @@ def suite_soc20_trivext() -> SuiteResult:
     sink.check("p1_false", "DERIVED", not v.p1.holds)
     sink.check("symmetric_local", "PAPER",
                symmetric_structure(t) is not None and is_local(t))
-    return sink.result(time.perf_counter() - t0)
 
 
-_SUITES = {
+SUITES = {
     "firstexample_i": suite_firstexample,
     "matn": suite_matn,
     "counterexample_A": suite_counterexample_A,
@@ -501,15 +482,4 @@ _SUITES = {
     "soc20_trivext": suite_soc20_trivext,
 }
 
-ENTRY_IDS = list(_SUITES)
-
-
-def run_corpus(case_filter: str | None = None) -> list[SuiteResult]:
-    """Build every corpus entry and evaluate its expected-value claims."""
-    ids = ENTRY_IDS if case_filter is None else [case_filter]
-    results = []
-    for entry in ids:
-        if entry not in _SUITES:
-            raise UnknownCase(f"unknown corpus entry {entry!r}")
-        results.append(_SUITES[entry]())
-    return results
+ENTRY_IDS = list(SUITES)

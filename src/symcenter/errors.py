@@ -97,10 +97,6 @@ class BasisClaimFailed(SymcenterError):
 
 # -- suites and CLI ----------------------------------------------------------
 
-class UnknownLemma(SymcenterError):
-    """check_lemma was called with an unregistered lemma id."""
-
-
 class UnknownCase(SymcenterError):
     """A suite filter names no corpus entry, lemma or sweep."""
 

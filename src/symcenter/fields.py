@@ -282,10 +282,11 @@ class PrimeField(FieldDescriptor):
 
     def __init__(self, p: int):
         p = int(p)
-        if not _is_prime(p):
-            raise InvalidField(f"{p} is not prime")
+        # the cap comes first: trial division of a huge p would not finish
         if p >= _MAX_PRIME:
             raise InvalidField(f"prime {p} exceeds the desk-scale cap {_MAX_PRIME}")
+        if not _is_prime(p):
+            raise InvalidField(f"{p} is not prime")
         self.p = p
         self.order = p
         self.characteristic = p
@@ -379,10 +380,9 @@ class ExtensionField(FieldDescriptor):
 
     def __init__(self, p: int, modulus):
         p = int(p)
-        if not _is_prime(p):
+        if p < 2:
             raise InvalidField(f"{p} is not prime")
         mod = [int(c) % p for c in modulus]
-        mod = list(mod)
         while mod and mod[-1] == 0:
             mod.pop()
         k = len(mod) - 1
@@ -390,11 +390,15 @@ class ExtensionField(FieldDescriptor):
             raise InvalidField("modulus must have degree >= 2")
         if mod[-1] != 1:
             raise InvalidField("modulus must be monic")
+        # the cap comes first: primality and irreducibility tests for a huge
+        # order would not finish
         q = p**k
         if q > _MAX_EXT_ORDER:
             raise InvalidField(
                 f"GF({p}^{k}) has order {q}, beyond the desk-scale cap {_MAX_EXT_ORDER}"
             )
+        if not _is_prime(p):
+            raise InvalidField(f"{p} is not prime")
         self._verify_irreducible(mod, p)
         self.p = p
         self.degree = k

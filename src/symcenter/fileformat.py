@@ -51,13 +51,19 @@ def parse_field(obj, path="field") -> FieldDescriptor:
     kind = obj["kind"]
     try:
         if kind == "prime":
-            return PrimeField(int(obj["p"]))
+            return PrimeField(_integer(obj["p"], f"{path}.p"))
         if kind == "extension":
-            return ExtensionField(int(obj["p"]), [int(c) for c in obj["modulus"]])
+            return ExtensionField(
+                _integer(obj["p"], f"{path}.p"),
+                [_integer(c, f"{path}.modulus[{i}]")
+                 for i, c in enumerate(obj["modulus"])],
+            )
         if kind == "rational":
             return RationalField()
     except KeyError as exc:
         raise FileFormatError(f"{path}: missing field parameter {exc}", path) from None
+    except FileFormatError:
+        raise
     except (SymcenterError, ValueError, TypeError) as exc:
         raise FileFormatError(f"{path}: {exc}", path) from None
     raise FileFormatError(f"{path}: unknown field kind {kind!r}", path)
@@ -81,7 +87,8 @@ def parse_scalar(field: FieldDescriptor, value, path: str):
         if isinstance(value, str):
             return field.parse_enc(value)
         if isinstance(value, list) and isinstance(field, ExtensionField):
-            return field.coeffs_to_enc([int(c) for c in value])
+            return field.coeffs_to_enc([_integer(c, f"{path}[{i}]")
+                                        for i, c in enumerate(value)])
     except (ScalarFormatError, ValueError, TypeError) as exc:
         raise FileFormatError(f"{path}: {exc}", path) from None
     raise FileFormatError(f"{path}: cannot read scalar {value!r}", path)
@@ -106,6 +113,13 @@ def parse_vector(field, values, path: str, length: int | None = None):
     for i, v in enumerate(values):
         out[i] = parse_scalar(field, v, f"{path}[{i}]")
     return out
+
+
+def _integer(value, path: str) -> int:
+    """A JSON integer; bools and floats are refused rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FileFormatError(f"{path}: expected an integer, got {value!r}", path)
+    return value
 
 
 def _count(node: dict, key: str, path: str) -> int:
@@ -325,6 +339,8 @@ def read_document(path: str):
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}",
             f"line {exc.lineno}",
         ) from None
+    except ValueError as exc:   # e.g. an integer literal past the digit limit
+        raise FileFormatError(f"{path}: {exc}") from None
 
 
 def load_algebra(path: str) -> Algebra:

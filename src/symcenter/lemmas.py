@@ -1,6 +1,8 @@
-"""Instance checkers for the structural identities, wired into named suites.
+"""Instance checkers for the structural identities, one suite body each.
 
-Every checker runs over a deterministic scope (corpus entries, fixed tensor
+``CHECKERS`` maps each lemma id to a body ``f(sink)`` that only adds
+claims; ``suites.run_paper_suite`` runs it as suite ``lemma/<id>``.  Every
+checker runs over its whole fixed scope (corpus entries, fixed tensor
 pairs, fixed trivial-extension bases, or the generated family), uses the
 fixed seed 0x5EED for any sampling, and reports one claim per (identity,
 algebra) pair.  These are instance checks of universally quantified
@@ -10,15 +12,13 @@ statements; they verify, they do not prove.
 from __future__ import annotations
 
 import functools
-import time
 import zlib
 
 import numpy as np
 
 from .algebra import Algebra
 from .constructions import quotient, tensor, trivial_extension, trivext_criteria
-from .corpus import ENTRY_IDS, ClaimSink, SuiteResult, get
-from .errors import UnknownLemma
+from .corpus import ENTRY_IDS, ClaimSink, get
 from .family import (
     commutative_local_bases,
     generate_symmetric_local_family,
@@ -159,20 +159,11 @@ def _kron_span(f, u1: Subspace, u2: Subspace, n1: int, n2: int) -> Subspace:
     return Subspace.from_rows(f, n1 * n2, _kron_rows(f, u1.basis, u2.basis, n1, n2))
 
 
-def _in_scope(name: str, scope) -> bool:
-    """scope is None (everything), one id, or a collection of ids."""
-    return scope is None or name in ([scope] if isinstance(scope, str) else scope)
-
-
-def _apply_scope(ids: list[str], scope) -> list[str]:
-    return [i for i in ids if _in_scope(i, scope)]
-
-
 # -- the checkers -----------------------------------------------------------------
 
 
-def _check_commutatorsmallestideal(sink: ClaimSink, scope):
-    for entry in _apply_scope(ENTRY_IDS, scope):
+def _check_commutatorsmallestideal(sink: ClaimSink):
+    for entry in ENTRY_IDS:
         a = get(entry)
         k = a.commutator_space()
         full = a.full_space()
@@ -207,8 +198,8 @@ def _check_commutatorsmallestideal(sink: ClaimSink, scope):
         sink.check(f"K_of_quotient_formula/{entry}", "PAPER", ok_quot)
 
 
-def _check_condsocleprod(sink: ClaimSink, scope):
-    for entry in _apply_scope(ENTRY_IDS, scope):
+def _check_condsocleprod(sink: ClaimSink):
+    for entry in ENTRY_IDS:
         a = get(entry)
         z = a.center()
         k = a.commutator_space()
@@ -226,15 +217,15 @@ def _check_condsocleprod(sink: ClaimSink, scope):
         sink.check(f"verdict_cross_check/{entry}", "PAPER", True)
 
 
-def _check_raidealnecessary(sink: ClaimSink, scope):
-    for entry in _apply_scope(ENTRY_IDS, scope):
+def _check_raidealnecessary(sink: ClaimSink):
+    for entry in ENTRY_IDS:
         v = property_verdicts(get(entry))
         sink.check(f"p2_implies_p3/{entry}", "PAPER",
                    (not v.p2.holds) or v.p3.holds)
 
 
-def _check_socinj(sink: ClaimSink, scope):
-    for entry in _apply_scope(_local_entries(), scope):
+def _check_socinj(sink: ClaimSink):
+    for entry in _local_entries():
         a = get(entry)
         if a.dim >= 2:
             sink.check(f"socZ_in_JZ/{entry}", "PAPER",
@@ -244,11 +235,9 @@ def _check_socinj(sink: ClaimSink, scope):
                    (not v.p1.holds) or v.p2.holds)
 
 
-def _check_soctensor(sink: ClaimSink, scope):
+def _check_soctensor(sink: ClaimSink):
     for ida, idb in TENSOR_PAIR_IDS:
         pair = f"{ida}(x){idb}"
-        if not _in_scope(pair, scope):
-            continue
         a1, a2 = get(ida), get(idb)
         t = _tensor_pair(ida, idb)
         f = t.field
@@ -258,12 +247,10 @@ def _check_soctensor(sink: ClaimSink, scope):
         sink.check(f"reynolds_formula/{pair}", "PAPER", reynolds(t) == r_formula)
 
 
-def _check_idealtensor(sink: ClaimSink, scope):
+def _check_idealtensor(sink: ClaimSink):
     rng = _rng(sink.suite_id)
     for ida, idb in TENSOR_PAIR_IDS:
         pair = f"{ida}(x){idb}"
-        if not _in_scope(pair, scope):
-            continue
         a1, a2 = get(ida), get(idb)
         t = _tensor_pair(ida, idb)
         samples = [
@@ -287,11 +274,9 @@ def _check_idealtensor(sink: ClaimSink, scope):
         sink.check(f"ideal_iff_both/{pair}", "PAPER", ok)
 
 
-def _check_jacobsontensorproduct(sink: ClaimSink, scope):
+def _check_jacobsontensorproduct(sink: ClaimSink):
     for ida, idb in TENSOR_PAIR_IDS:
         pair = f"{ida}(x){idb}"
-        if not _in_scope(pair, scope):
-            continue
         v1 = property_verdicts(get(ida))
         v2 = property_verdicts(get(idb))
         vt = property_verdicts(_tensor_pair(ida, idb))
@@ -301,8 +286,8 @@ def _check_jacobsontensorproduct(sink: ClaimSink, scope):
                    vt.p3.holds == (v1.p3.holds and v2.p3.holds))
 
 
-def _check_propertiesperp(sink: ClaimSink, scope):
-    for entry in _apply_scope(_symmetric_entries(), scope):
+def _check_propertiesperp(sink: ClaimSink):
+    for entry in _symmetric_entries():
         a = get(entry)
         st = symmetric_structure(a)
         rng = _rng(sink.suite_id + entry)
@@ -342,8 +327,8 @@ def _check_propertiesperp(sink: ClaimSink, scope):
                    perp(st, a.commutator_space()) == a.center())
 
 
-def _check_reynoldsbasic(sink: ClaimSink, scope):
-    for entry in _apply_scope(_symmetric_entries(), scope):
+def _check_reynoldsbasic(sink: ClaimSink):
+    for entry in _symmetric_entries():
         a = get(entry)
         v = property_verdicts(a)
         basic = is_basic(a)
@@ -353,8 +338,8 @@ def _check_reynoldsbasic(sink: ClaimSink, scope):
                        reynolds(a) == socle(a))
 
 
-def _check_idealsymmetricalternative(sink: ClaimSink, scope):
-    for entry in _apply_scope(_symmetric_entries(), scope):
+def _check_idealsymmetricalternative(sink: ClaimSink):
+    for entry in _symmetric_entries():
         a = get(entry)
         v = property_verdicts(a)
         soc = socle(a)
@@ -375,8 +360,8 @@ def _check_idealsymmetricalternative(sink: ClaimSink, scope):
                    v.p2.holds == rhs2)
 
 
-def _check_remark_ka(sink: ClaimSink, scope):
-    for entry in _apply_scope(_symmetric_entries(), scope):
+def _check_remark_ka(sink: ClaimSink):
+    for entry in _symmetric_entries():
         a = get(entry)
         sink.check(f"K_ideal_iff_commutative/{entry}", "PAPER",
                    a.is_ideal(a.commutator_space()) == a.is_commutative())
@@ -397,11 +382,8 @@ def _witness_samples():
     return out
 
 
-def _check_quotientalgebrasymmetric(sink: ClaimSink, scope):
+def _check_quotientalgebrasymmetric(sink: ClaimSink):
     for wid, w in _witness_samples():
-        entry = wid.split("/")[0]
-        if not _in_scope(entry, scope):
-            continue
         a = w.algebra
         f = a.field
         # lambda_bar(nu(e_i)) == lambda(e_i z) for every basis vector
@@ -412,11 +394,8 @@ def _check_quotientalgebrasymmetric(sink: ClaimSink, scope):
         sink.check(f"form_is_lambda_az/{wid}", "PAPER", bool(np.all(lhs == rhs)))
 
 
-def _check_propnustar(sink: ClaimSink, scope):
+def _check_propnustar(sink: ClaimSink):
     for wid, w in _witness_samples():
-        entry = wid.split("/")[0]
-        if not _in_scope(entry, scope):
-            continue
         a, q = w.algebra, w.quotient
         f = a.field
         n, d = a.dim, q.dim
@@ -435,11 +414,8 @@ def _check_propnustar(sink: ClaimSink, scope):
         sink.check(f"injective/{wid}", "PAPER", w.nu_star_injective())
 
 
-def _check_nustar_relations(sink: ClaimSink, scope):
+def _check_nustar_relations(sink: ClaimSink):
     for wid, w in _witness_samples():
-        entry = wid.split("/")[0]
-        if not _in_scope(entry, scope):
-            continue
         rep = check_nustar_relations(w)
         sink.check(f"center_image/{wid}", "PAPER", rep.center_image_equal)
         sink.check(f"jz_image/{wid}", "PAPER",
@@ -447,11 +423,11 @@ def _check_nustar_relations(sink: ClaimSink, scope):
         sink.check(f"socz_image/{wid}", "PAPER", rep.socz_image_contained)
 
 
-def _heredity_scope():
-    scope = [(entry, get(entry)) for entry in _symmetric_entries()]
-    scope += _derived_symmetric_locals()
-    scope += _trivext_family_sample()
-    return scope
+def _heredity_algebras():
+    out = [(entry, get(entry)) for entry in _symmetric_entries()]
+    out += _derived_symmetric_locals()
+    out += _trivext_family_sample()
+    return out
 
 
 def _z_samples(a: Algebra, rng) -> list:
@@ -467,10 +443,8 @@ def _z_samples(a: Algebra, rng) -> list:
     return rows
 
 
-def _check_prop_quotientalgebra(sink: ClaimSink, scope):
-    for name, a in _heredity_scope():
-        if not _in_scope(name, scope):
-            continue
+def _check_prop_quotientalgebra(sink: ClaimSink):
+    for name, a in _heredity_algebras():
         st = symmetric_structure(a)
         v = property_verdicts(a)
         rng = _rng(sink.suite_id + name)
@@ -493,10 +467,8 @@ def _check_prop_quotientalgebra(sink: ClaimSink, scope):
             sink.check(f"p2_heredity/{name}", "PAPER", ok)
 
 
-def _check_aicommutative_instance(sink: ClaimSink, scope):
-    for name, a in _heredity_scope():
-        if not _in_scope(name, scope):
-            continue
+def _check_aicommutative_instance(sink: ClaimSink):
+    for name, a in _heredity_algebras():
         if not is_local(a) or not property_verdicts(a).p1.holds:
             continue
         st = symmetric_structure(a)
@@ -530,8 +502,8 @@ def _first_half_span(f, n: int, sub: Subspace) -> Subspace:
     return Subspace.from_rows(f, 2 * n, rows)
 
 
-def _check_subspacest(sink: ClaimSink, scope):
-    for entry in _apply_scope(TRIVEXT_BASE_IDS, scope):
+def _check_subspacest(sink: ClaimSink):
+    for entry in TRIVEXT_BASE_IDS:
         a = get(entry)
         t = trivial_extension(a)
         f, n = a.field, a.dim
@@ -578,8 +550,8 @@ def _check_subspacest(sink: ClaimSink, scope):
                    reynolds(t) == _dual_half_span(f, n, kj.basis))
 
 
-def _check_soctaideal(sink: ClaimSink, scope):
-    for entry in _apply_scope(TRIVEXT_BASE_IDS, scope):
+def _check_soctaideal(sink: ClaimSink):
+    for entry in TRIVEXT_BASE_IDS:
         a = get(entry)
         t = trivial_extension(a)
         crit = trivext_criteria(a)
@@ -590,8 +562,8 @@ def _check_soctaideal(sink: ClaimSink, scope):
                    crit.p2_prediction == vt.p2.holds)
 
 
-def _check_remark_after_soctaideal(sink: ClaimSink, scope):
-    for entry in _apply_scope(TRIVEXT_BASE_IDS, scope):
+def _check_remark_after_soctaideal(sink: ClaimSink):
+    for entry in TRIVEXT_BASE_IDS:
         a = get(entry)
         if symmetric_structure(a) is None:
             continue
@@ -600,16 +572,14 @@ def _check_remark_after_soctaideal(sink: ClaimSink, scope):
                    vt.p1.holds == a.is_commutative())
 
 
-def _symmetric_local_scope():
+def _symmetric_local_algebras():
     out = [(entry, get(entry)) for entry in symmetric_local_corpus_ids()]
     out += _derived_symmetric_locals()
     return out
 
 
-def _check_propertiessymmetriclocal(sink: ClaimSink, scope):
-    for name, a in _symmetric_local_scope():
-        if not _in_scope(name, scope):
-            continue
+def _check_propertiessymmetriclocal(sink: ClaimSink):
+    for name, a in _symmetric_local_algebras():
         soc = socle(a)
         sink.check(f"soc_dim_1/{name}", "PAPER", soc.dim == 1)
         sink.check(f"soc_in_socZ/{name}", "PAPER",
@@ -621,8 +591,8 @@ def _check_propertiessymmetriclocal(sink: ClaimSink, scope):
                    a.dim == 1 or chain[len(chain) - 2] == soc)
 
 
-def _check_chlz(sink: ClaimSink, scope):
-    for entry in _apply_scope(_local_entries(), scope):
+def _check_chlz(sink: ClaimSink):
+    for entry in _local_entries():
         a = get(entry)
         chain = a.radical_powers(radical(a).radical)
         z = a.center()
@@ -640,32 +610,28 @@ def _check_chlz(sink: ClaimSink, scope):
             sink.check(f"symmetric_previous_power_central/{entry}", "PAPER", ok_sym)
 
 
-def _check_centerdim3greater(sink: ClaimSink, scope):
+def _check_centerdim3greater(sink: ClaimSink):
     algebras = [(entry, get(entry)) for entry in _symmetric_entries()]
     algebras += _derived_symmetric_locals()
     for name, a in algebras:
-        if not _in_scope(name, scope):
-            continue
         if a.is_commutative():
             continue
         sink.check(f"dim_gap/{name}", "PAPER", a.dim >= a.center().dim + 3)
 
 
-def _kultheob_scope():
-    out = _symmetric_local_scope()
+def _kultheob_algebras():
+    out = _symmetric_local_algebras()
     for m in generate_symmetric_local_family(16):
         out.append((f"family/{m.member_id}", m.algebra))
     return out
 
 
-def _check_kultheob(sink: ClaimSink, scope):
+def _check_kultheob(sink: ClaimSink):
     small_center_comm = True
     center5_ok = True
     checked = 0
     nontrivial = 0
-    for name, a in _kultheob_scope():
-        if not _in_scope(name, scope):
-            continue
+    for name, a in _kultheob_algebras():
         checked += 1
         zdim = a.center().dim
         if zdim <= 4:
@@ -685,7 +651,7 @@ def _check_kultheob(sink: ClaimSink, scope):
                witness=f"{nontrivial} noncommutative instances")
 
 
-def _dim9_scope():
+def _dim9_algebras():
     out = [(i, get(i)) for i in DIM9_LOCAL_IDS]
     for base in commutative_local_bases(8):
         if base.algebra.dim <= 9:
@@ -693,10 +659,8 @@ def _dim9_scope():
     return [(n, a) for n, a in out if a.dim <= 9 and radical_or_none(a) is not None and is_local(a)]
 
 
-def _check_dim9_trivext_lemma(sink: ClaimSink, scope):
-    for name, a in _dim9_scope():
-        if not _in_scope(name, scope):
-            continue
+def _check_dim9_trivext_lemma(sink: ClaimSink):
+    for name, a in _dim9_algebras():
         crit = trivext_criteria(a)
         sink.check(f"I_is_ideal/{name}", "PAPER", crit.i_is_ideal)
         sink.check(f"S_is_ideal/{name}", "PAPER", crit.s_is_ideal)
@@ -704,7 +668,7 @@ def _check_dim9_trivext_lemma(sink: ClaimSink, scope):
         sink.check(f"p2_of_T/{name}", "PAPER", property_verdicts(t).p2.holds)
 
 
-_CHECKERS = {
+CHECKERS = {
     "commutatorsmallestideal": _check_commutatorsmallestideal,
     "condsocleprod": _check_condsocleprod,
     "raidealnecessary": _check_raidealnecessary,
@@ -731,18 +695,5 @@ _CHECKERS = {
     "dim9_trivext_lemma": _check_dim9_trivext_lemma,
 }
 
-LEMMA_IDS = list(_CHECKERS)
+LEMMA_IDS = list(CHECKERS)
 
-
-def check_lemma(lemma_id: str, scope=None) -> SuiteResult:
-    """Run one registered instance checker over its (possibly filtered) scope."""
-    if lemma_id not in _CHECKERS:
-        raise UnknownLemma(f"unknown lemma id {lemma_id!r}")
-    t0 = time.perf_counter()
-    sink = ClaimSink(f"lemma/{lemma_id}")
-    _CHECKERS[lemma_id](sink, scope)
-    return sink.result(time.perf_counter() - t0)
-
-
-def run_all_lemmas() -> list[SuiteResult]:
-    return [check_lemma(lemma_id) for lemma_id in LEMMA_IDS]

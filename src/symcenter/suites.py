@@ -1,34 +1,34 @@
 """Orchestration of the full verification run: corpus, lemmas, family sweep.
 
-Output order is fixed (corpus entries, then lemma suites, then the family
-sweep) and every random draw is seeded, so two runs produce identical
-machine reports byte for byte.
+Every suite is a body ``f(sink)`` that only adds claims.  ``SUITES`` lists
+them in their fixed output order (corpus entries, then lemma suites, then
+the family sweep) and ``run_paper_suite`` runs the selected ones through
+``corpus.run_suite``, the one place that times a suite.  Selecting by case
+(``--case`` on the command line) is the one way to run part of the table.
+Every random draw is seeded, so two runs produce identical machine reports
+byte for byte.
 """
 
 from __future__ import annotations
 
-import time
-
+from . import corpus, lemmas
 from .analysis import SCHEMA_VERSION
 from .constructions import trivial_extension, trivext_criteria
-from .corpus import ENTRY_IDS, ClaimSink, SuiteResult, run_corpus
+from .corpus import ClaimSink, SuiteResult, run_suite
 from .errors import UnknownCase
 from .family import (
     commutative_local_bases,
     dimension_histogram,
     generate_symmetric_local_family,
 )
-from .lemmas import LEMMA_IDS, check_lemma
 from .substructures import property_verdicts
 
 FAMILY_MAX_DIM = 16
 FAMILY_MIN_SIZE = 30
 
 
-def run_family_suite() -> SuiteResult:
+def _family_suite(sink: ClaimSink):
     """The dimension-bound sweep over the generated symmetric local family."""
-    t0 = time.perf_counter()
-    sink = ClaimSink("family")
     members = generate_symmetric_local_family(FAMILY_MAX_DIM)
     sink.check("size_ge_30", "DERIVED", len(members) >= FAMILY_MIN_SIZE,
                witness=f"{len(members)} members")
@@ -60,31 +60,26 @@ def run_family_suite() -> SuiteResult:
             bad9.append(base.member_id)
     sink.check("dim9_bases_trivext", "PAPER", not bad9,
                witness=";".join(bad9) or None)
-    return sink.result(time.perf_counter() - t0)
 
 
-def _suite_plan(case_filter: str | None):
-    plan = []
-    known = set(ENTRY_IDS) | set(LEMMA_IDS) | {"family"}
-    if case_filter is not None and case_filter not in known:
-        raise UnknownCase(
-            f"unknown case {case_filter!r}; cases are corpus entries, "
-            "lemma ids, or 'family'"
-        )
-    for entry in ENTRY_IDS:
-        if case_filter is None or case_filter == entry:
-            plan.append(lambda e=entry: run_corpus(e)[0])
-    for lemma in LEMMA_IDS:
-        if case_filter is None or case_filter == lemma:
-            plan.append(lambda l=lemma: check_lemma(l))
-    if case_filter is None or case_filter == "family":
-        plan.append(run_family_suite)
-    return plan
+# (case, suite id, body) in output order; ``--case`` matches the case
+SUITES = (
+    [(entry, entry, body) for entry, body in corpus.SUITES.items()]
+    + [(lemma, f"lemma/{lemma}", body) for lemma, body in lemmas.CHECKERS.items()]
+    + [("family", "family", _family_suite)]
+)
 
 
 def run_paper_suite(case_filter: str | None = None) -> list[SuiteResult]:
     """Run the selected suites and return results in the fixed order."""
-    return [fn() for fn in _suite_plan(case_filter)]
+    plan = [(sid, body) for case, sid, body in SUITES
+            if case_filter in (None, case)]
+    if not plan:
+        raise UnknownCase(
+            f"unknown case {case_filter!r}; cases are corpus entries, "
+            "lemma ids, or 'family'"
+        )
+    return [run_suite(sid, body) for sid, body in plan]
 
 
 def suite_report_machine(results: list[SuiteResult]) -> dict:
@@ -105,15 +100,9 @@ def suite_report_machine(results: list[SuiteResult]) -> dict:
         "summary": {"total": len(claims), "failed": failed,
                     "suites": len(results)},
     }
-    fam = [r for r in results if r.suite_id == "family"]
-    if fam:
-        hist = {}
-        for c in fam[0].claims:
-            if c.claim_id.endswith("dimension_histogram") and c.witness:
-                for part in c.witness.split(","):
-                    d, n = part.split(":")
-                    hist[d] = int(n)
-        doc["family"] = {"dim_histogram": hist}
+    if any(r.suite_id == "family" for r in results):
+        hist = dimension_histogram(generate_symmetric_local_family(FAMILY_MAX_DIM))
+        doc["family"] = {"dim_histogram": {str(d): n for d, n in hist.items()}}
     return doc
 
 

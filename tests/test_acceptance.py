@@ -12,11 +12,11 @@ import subprocess
 import sys
 import time
 
-from symcenter.corpus import get, run_corpus
+from symcenter.corpus import get
 from symcenter.family import dimension_histogram, generate_symmetric_local_family
-from symcenter.lemmas import LEMMA_IDS, check_lemma
+from symcenter.lemmas import LEMMA_IDS
 from symcenter.substructures import property_verdicts
-from symcenter.suites import run_family_suite
+from symcenter.suites import run_paper_suite
 
 
 def _report(n: int, text: str):
@@ -31,12 +31,12 @@ def _timed_subprocess(code: str) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _suite_timing_code(*suite_names: str) -> str:
-    calls = "; ".join(f"rs.append(corpus.{name}())" for name in suite_names)
+def _suite_timing_code(*cases: str) -> str:
+    calls = "; ".join(f"rs += run_paper_suite(case_filter={c!r})" for c in cases)
     return (
         "import json, time\n"
         "t0 = time.perf_counter()\n"
-        "import symcenter.corpus as corpus\n"
+        "from symcenter.suites import run_paper_suite\n"
         "rs = []\n"
         f"{calls}\n"
         "elapsed = time.perf_counter() - t0\n"
@@ -45,15 +45,20 @@ def _suite_timing_code(*suite_names: str) -> str:
     )
 
 
+def _run(case: str):
+    [suite] = run_paper_suite(case_filter=case)
+    return suite
+
+
 def _claims_by_id(suite):
     return {c.claim_id: c for c in suite.claims}
 
 
 def test_criterion_1_firstexample():
-    out = _timed_subprocess(_suite_timing_code("suite_firstexample"))
+    out = _timed_subprocess(_suite_timing_code("firstexample_i"))
     assert out["failed"] == []
     assert out["elapsed"] < 2.0, f"took {out['elapsed']:.2f}s, budget 2s"
-    suite = run_corpus("firstexample_i")[0]
+    suite = _run("firstexample_i")
     ids = _claims_by_id(suite)
     for cid in ("firstexample_i/p1_false_witness_x1^2",
                 "firstexample_i/socZ_exact",
@@ -65,14 +70,14 @@ def test_criterion_1_firstexample():
 
 def test_criterion_2_counterexample():
     out = _timed_subprocess(
-        _suite_timing_code("suite_counterexample_A", "suite_counterexample_B")
+        _suite_timing_code("counterexample_A", "counterexample_B")
     )
     assert out["failed"] == []
     assert out["elapsed"] < 5.0, f"took {out['elapsed']:.2f}s, budget 5s"
-    ids = _claims_by_id(run_corpus("counterexample_A")[0])
+    ids = _claims_by_id(_run("counterexample_A"))
     assert ids["counterexample_A/center_basis_dim_2"].passed
     assert ids["counterexample_A/p1_true"].passed
-    ids_b = _claims_by_id(run_corpus("counterexample_B")[0])
+    ids_b = _claims_by_id(_run("counterexample_B"))
     assert ids_b["counterexample_B/jz_eq_socz_basis"].passed
     assert ids_b["counterexample_B/b_times_jz_dim_4"].passed
     assert ids_b["counterexample_B/p1_false"].passed
@@ -82,7 +87,7 @@ def test_criterion_2_counterexample():
 
 
 def test_criterion_3_tensor_heredity_failure():
-    ids = _claims_by_id(run_corpus("mat2_dual_numbers")[0])
+    ids = _claims_by_id(_run("mat2_dual_numbers"))
     for cid in ("mat2_dual_numbers/jz_dim_1",
                 "mat2_dual_numbers/p1_false",
                 "mat2_dual_numbers/factors_p1_true",
@@ -93,7 +98,7 @@ def test_criterion_3_tensor_heredity_failure():
 
 
 def test_criterion_4_dim12_sharpness_example():
-    suite = run_corpus("dim12_sharp")[0]
+    suite = _run("dim12_sharp")
     assert suite.passed, [c.claim_id for c in suite.failures()]
     ids = _claims_by_id(suite)
     for cid in ("dim12_sharp/matrix_relations",
@@ -109,18 +114,18 @@ def test_criterion_4_dim12_sharpness_example():
 
 def test_criterion_5_soc20():
     out = _timed_subprocess(
-        _suite_timing_code("suite_soc20", "suite_soc20_trivext")
+        _suite_timing_code("soc20_base", "soc20_trivext")
     )
     assert out["failed"] == []
     assert out["elapsed"] < 5.0, f"took {out['elapsed']:.2f}s, budget 5s"
-    ids = _claims_by_id(run_corpus("soc20_base")[0])
+    ids = _claims_by_id(_run("soc20_base"))
     for cid in ("soc20_base/matrix_relations",
                 "soc20_base/loewy_1_2_2_2_2_1",
                 "soc20_base/jz_eq_M4_M5_inside_K",
                 "soc20_base/k_not_ideal",
                 "soc20_base/predict_p2T_false"):
         assert ids[cid].passed
-    ids_t = _claims_by_id(run_corpus("soc20_trivext")[0])
+    ids_t = _claims_by_id(_run("soc20_trivext"))
     assert ids_t["soc20_trivext/p2_false"].passed
     _report(5, f"soc20 relations, Loewy layers and dim-20 extension confirmed, "
                f"{out['elapsed']:.2f}s < 5s")
@@ -130,7 +135,7 @@ def test_criterion_6_lemma_suites_zero_failures():
     failed = []
     counts = {}
     for lemma_id in LEMMA_IDS:
-        result = check_lemma(lemma_id)
+        result = _run(lemma_id)
         counts[lemma_id] = len(result.claims)
         failed.extend(c.claim_id for c in result.failures())
     assert failed == [], failed
@@ -150,7 +155,7 @@ def test_criterion_7_family_sweep():
     bad_p2 = [m.member_id for m in members
               if m.algebra.dim <= 16 and not property_verdicts(m.algebra).p2.holds]
     assert bad_p1 == [] and bad_p2 == []
-    suite = run_family_suite()
+    suite = _run("family")
     assert suite.passed, [c.claim_id for c in suite.failures()]
     # sharpness pairing: the corpus violators sit just above the bounds
     assert not property_verdicts(get("dim12_sharp")).p1.holds

@@ -97,14 +97,18 @@ def test_missing_file_exit_2():
 
 
 @pytest.mark.parametrize("command", ["analyze", "construct"])
-@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+@pytest.mark.parametrize("kind", ["directory", "not_utf8", "long_integer"])
 def test_unreadable_input_exit_2(command, kind, tmp_path):
     if kind == "directory":
         path = tmp_path / "cases"
         path.mkdir()
-    else:
+    elif kind == "not_utf8":
         path = tmp_path / "utf16.json"
         path.write_bytes(b"\xff\xfe{}")
+    else:
+        # past the interpreter's 4300-digit limit for int parsing
+        path = tmp_path / "long_int.json"
+        path.write_text('{"field": {"kind": "prime", "p": 1' + "0" * 5000 + "}}")
     extra = ["--out", str(tmp_path / "out.json")] if command == "construct" else []
     proc = run_cli(command, str(path), *extra)
     assert proc.returncode == 2, proc.stderr
@@ -236,6 +240,17 @@ def _node(presentation):
      "1 variable names for 2 generators"),
     (_node({"type": "matrix_generators", "size": 0, "generators": {}}),
      "size >= 1"),
+    # field parameters must be integers, not truncated floats or bools
+    ({"field": {"kind": "prime", "p": 3.9}}, "field.p"),
+    ({"field": {"kind": "prime", "p": True}}, "field.p"),
+    ({"field": {"kind": "extension", "p": 5, "modulus": [2.5, 0, 1]}},
+     "field.modulus[0]"),
+    ({"field": {"kind": "extension", "p": 5, "modulus": [2, 0, 1]},
+      **_node(dict(_TABLE_2, one=[[1.5], 0]))}, "presentation.one[0][0]"),
+    # a huge p is refused by the size caps instead of hanging
+    ({"field": {"kind": "prime", "p": 2**61 - 1}}, "cap"),
+    ({"field": {"kind": "extension", "p": 2**61 - 1, "modulus": [1, 0, 1]}},
+     "cap"),
 ])
 def test_malformed_document_exit_2(entries, anchor, tmp_path):
     doc = {"field": {"kind": "prime", "p": 3}, **_node(_TABLE_2), **entries}

@@ -2,20 +2,25 @@
 
 import pytest
 
-from symcenter.corpus import ENTRY_IDS, get, run_corpus
-from symcenter.errors import UnknownCase, UnknownLemma
+from symcenter.corpus import ENTRY_IDS, get
+from symcenter.errors import UnknownCase
 from symcenter.family import (
     commutative_local_bases,
     dimension_histogram,
     generate_symmetric_local_family,
 )
-from symcenter.lemmas import LEMMA_IDS, check_lemma
+from symcenter.lemmas import LEMMA_IDS
 from symcenter.substructures import is_local
+from symcenter.suites import SUITES, run_paper_suite
 from symcenter.symmetric import symmetric_structure
 
 
+def _corpus_results():
+    return [run_paper_suite(case_filter=e)[0] for e in ENTRY_IDS]
+
+
 def test_run_corpus_all_pass():
-    results = run_corpus()
+    results = _corpus_results()
     assert [r.suite_id for r in results] == ENTRY_IDS
     for r in results:
         assert r.claims, r.suite_id
@@ -23,15 +28,36 @@ def test_run_corpus_all_pass():
 
 
 def test_claim_tags_are_valid():
-    for r in run_corpus():
+    for r in _corpus_results():
         for c in r.claims:
             assert c.tag in ("PAPER", "TRIVIAL", "DERIVED")
             assert c.claim_id.startswith(r.suite_id + "/")
 
 
-def test_run_corpus_unknown_entry():
-    with pytest.raises(UnknownCase):
-        run_corpus("not_an_entry")
+def test_suite_table_order():
+    assert [sid for _, sid, _ in SUITES] == (
+        ENTRY_IDS + [f"lemma/{lemma}" for lemma in LEMMA_IDS] + ["family"]
+    )
+    assert [case for case, _, _ in SUITES] == ENTRY_IDS + LEMMA_IDS + ["family"]
+
+
+@pytest.mark.parametrize("case, suite_id", [
+    ("matn", "matn"),
+    ("remark_ka", "lemma/remark_ka"),
+    ("family", "family"),
+])
+def test_single_case_runs_one_suite(case, suite_id):
+    results = run_paper_suite(case_filter=case)
+    assert [r.suite_id for r in results] == [suite_id]
+    assert results[0].claims
+    assert results[0].passed, [c.claim_id for c in results[0].failures()]
+    assert all(c.claim_id.startswith(suite_id + "/") for c in results[0].claims)
+
+
+@pytest.mark.parametrize("case", ["not_an_entry", "not_a_lemma", "lemma/remark_ka"])
+def test_unknown_case(case):
+    with pytest.raises(UnknownCase, match="unknown case"):
+        run_paper_suite(case_filter=case)
 
 
 def test_registry_contents():
@@ -75,26 +101,9 @@ def test_commutative_local_bases_are_commutative_local():
     "idealsymmetricalternative",
 ])
 def test_fast_lemma_checkers(lemma_id):
-    result = check_lemma(lemma_id)
+    [result] = run_paper_suite(case_filter=lemma_id)
     assert result.claims
     assert result.passed, [c.claim_id for c in result.failures()]
-
-
-@pytest.mark.parametrize("lemma_id, scope", [
-    ("condsocleprod", "dim12_sharp"),
-    ("soctensor", "matn(x)dual_gf3"),
-    ("prop_quotientalgebra", "dim12_sharp"),
-])
-def test_lemma_scope_filter(lemma_id, scope):
-    result = check_lemma(lemma_id, scope=scope)
-    assert result.claims
-    assert result.passed
-    assert all(scope in c.claim_id for c in result.claims)
-
-
-def test_unknown_lemma():
-    with pytest.raises(UnknownLemma):
-        check_lemma("not_a_lemma")
 
 
 def test_failing_claims_render_as_fail_lines():

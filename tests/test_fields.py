@@ -106,6 +106,11 @@ def test_field_construction_guards():
     with pytest.raises(InvalidField):
         ExtensionField(5, [2, 1])  # degree 1
     assert ExtensionField(2, [1, 1, 0, 1]).order == 8  # t^3 + t + 1 irreducible
+    # a huge p is refused by the size caps, before any trial division
+    with pytest.raises(InvalidField, match="cap"):
+        GF(2**61 - 1)
+    with pytest.raises(InvalidField, match="cap"):
+        ExtensionField(2**61 - 1, [1, 0, 1])
 
 
 def test_mixed_field_arithmetic_rejected():
