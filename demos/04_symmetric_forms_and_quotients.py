@@ -12,30 +12,30 @@ from symcenter import (
     perp,
     radical,
     socle,
+    symmetric_gram,
     symmetric_quotient,
-    symmetric_structure,
 )
 from symcenter.corpus import get
 
 a = get("dim12_sharp")
-st = symmetric_structure(a)
+assert symmetric_gram(a) is not None   # raises if the form is not symmetrizing
 print("the form lambda(M^6) = 1, lambda(other words) = 0 is verified")
 print("symmetric: Gram matrix is symmetric and invertible")
 print()
 
 k, z = a.commutator_space(), a.center()
-print("K(A)^perp == Z(A): ", perp(st, k) == z)
-print("soc(A)^perp == J(A):", perp(st, socle(a)) == radical(a).radical)
+print("K(A)^perp == Z(A): ", perp(a, k) == z)
+print("soc(A)^perp == J(A):", perp(a, socle(a)) == radical(a).radical)
 print()
 
 print("symmetric quotients by central elements:")
 for label in ("M^6", "M^4", "M^2"):
-    w = symmetric_quotient(st, a.monomial(label))
+    w = symmetric_quotient(a, a.monomial(label))
     print(f"  z = {label:4s} -> ideal dim {w.ideal.dim:2d}, "
           f"quotient dim {w.quotient.dim:2d}")
 print()
 
-w = symmetric_quotient(st, a.monomial("M^2"))
+w = symmetric_quotient(a, a.monomial("M^2"))
 print("for z = M^2 the section nu* satisfies, exactly:")
 rep = check_nustar_relations(w)
 print("  nu*(Z(Abar)) == Z(A) ∩ Az:                 ", rep.center_image_equal)

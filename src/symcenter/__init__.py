@@ -58,11 +58,10 @@ from .substructures import (
 )
 from .symmetric import (
     QuotientWitness,
-    SymmetricStructure,
     check_nustar_relations,
     perp,
+    symmetric_gram,
     symmetric_quotient,
-    symmetric_structure,
     verify_symmetric,
 )
 
@@ -82,6 +81,6 @@ __all__ = [
     "PropertyVerdicts", "RadicalCertificate", "RadicalHint",
     "annihilator_in_center", "is_basic", "is_local", "j_of_center",
     "property_verdicts", "radical", "reynolds", "soc_of_center", "socle",
-    "QuotientWitness", "SymmetricStructure", "check_nustar_relations",
-    "perp", "symmetric_quotient", "symmetric_structure", "verify_symmetric",
+    "QuotientWitness", "check_nustar_relations",
+    "perp", "symmetric_gram", "symmetric_quotient", "verify_symmetric",
 ]

@@ -17,11 +17,13 @@ algebra's field.
 
 Algebra instances are immutable: every attribute is set in ``__init__``
 and never assigned again, so the results memoised in ``_cache`` (center,
-radical certificate, verified symmetrizing form, ...) cannot go stale.
-A different name, hint or form means a new algebra, made by ``replace``.
-Every per-algebra result, here and in the modules built on this one, is
-memoised by the one decorator ``memoised(key)``; ``memo`` reads what it
-stored without computing anything.
+radical certificate, Gram matrix of the symmetrizing form, symmetric
+quotients, ...) cannot go stale.  A different name, hint or form means a
+new algebra, made by ``replace``.  Every per-algebra result, here and in
+the modules built on this one, is memoised by the one decorator
+``memoised(key)``, once per further argument where the result has one
+(the symmetric quotient by z); ``memo`` reads what it stored without
+computing anything.
 """
 
 from __future__ import annotations
@@ -44,16 +46,18 @@ from .linalg import Subspace, kernel
 
 
 def memoised(key: str):
-    """Decorator for a function of one algebra (or a method): compute the
-    result once and keep it in the algebra's memo under ``key``.  A call
-    that raises stores nothing."""
+    """Decorator for a function of one algebra (or a method), optionally
+    with further hashable arguments: compute the result once per arguments
+    and keep it in the algebra's memo, under ``key`` or ``(key, *args)``.
+    A call that raises stores nothing."""
     def decorate(fn):
         @functools.wraps(fn)
-        def wrapper(algebra):
+        def wrapper(algebra, *args):
             cache = algebra._cache
-            if key not in cache:
-                cache[key] = fn(algebra)
-            return cache[key]
+            slot = (key, *args) if args else key
+            if slot not in cache:
+                cache[slot] = fn(algebra, *args)
+            return cache[slot]
         return wrapper
     return decorate
 
@@ -235,8 +239,7 @@ class Algebra:
     # -- elements ---------------------------------------------------------------
 
     def element(self, coords) -> "AlgebraElement":
-        arr = self.field.arr(coords).reshape(self.dim)
-        return AlgebraElement(self, arr)
+        return AlgebraElement(self, self._coords_of(coords).copy())
 
     def basis_element(self, i: int) -> "AlgebraElement":
         coords = self.field.zeros(self.dim)
@@ -281,7 +284,7 @@ class Algebra:
             if x.algebra is not self:
                 raise AlgebraMismatch("element belongs to a different algebra")
             return x.coords
-        return self.field.arr(x).reshape(self.dim)
+        return self.field.coords(x).reshape(self.dim)
 
     # -- basic subspaces ----------------------------------------------------------
 

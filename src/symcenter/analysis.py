@@ -16,7 +16,7 @@ from .substructures import (
     soc_of_center,
     socle,
 )
-from .symmetric import symmetric_structure
+from .symmetric import symmetric_gram
 
 BASE_FIELD_NOTE = (
     "verdicts are exact linear-algebra statements over the stated base field; "
@@ -127,8 +127,7 @@ def analyze(algebra: Algebra, name: str | None = None,
     loewy = algebra.loewy_series(cert.radical)
     verdicts = property_verdicts(algebra)
     try:
-        struct = symmetric_structure(algebra)
-        sym = struct is not None
+        sym = symmetric_gram(algebra) is not None
         note = "verified symmetrizing form" if sym else "no form attached"
     except (NotSymmetricForm, Degenerate) as exc:
         sym = False

@@ -38,7 +38,7 @@ from .substructures import (
     soc_of_center,
     socle,
 )
-from .symmetric import perp, symmetric_structure
+from .symmetric import perp, symmetric_gram
 
 
 @dataclass(frozen=True)
@@ -300,7 +300,7 @@ def suite_firstexample(sink: ClaimSink):
     sink.check("soc_exact", "DERIVED",
                socle(a) == _monomial_span(a, ["x1^2*x2^2*x3^2"]))
     sink.check("top_form_symmetric", "DERIVED",
-               symmetric_structure(a) is not None)
+               symmetric_gram(a) is not None)
 
 
 def suite_matn(sink: ClaimSink):
@@ -396,8 +396,7 @@ def suite_dim12(sink: ClaimSink):
     z = a.center()
     zexp = _monomial_span(a, ["1", "M^2", "M^4", "M^5", "M^4*N", "M^6"])
     sink.check("Z_basis_dim_6", "PAPER", z.dim == 6 and z == zexp)
-    st = symmetric_structure(a)
-    sink.check("lambda_M6_accepted", "PAPER", st is not None)
+    sink.check("lambda_M6_accepted", "PAPER", symmetric_gram(a) is not None)
     v = property_verdicts(a)
     wit = None if v.p1.witness is None else a.element_str(v.p1.witness.u)
     sink.check("p1_false", "PAPER", not v.p1.holds, witness=wit)
@@ -409,9 +408,9 @@ def suite_dim12(sink: ClaimSink):
                layers == (1, 2, 2, 2, 2, 2, 1)
                and chain[6] == _monomial_span(a, ["M^6"])
                and chain[7].is_zero())
-    sink.check("perp_K_eq_Z", "PAPER", perp(st, k) == z)
+    sink.check("perp_K_eq_Z", "PAPER", perp(a, k) == z)
     sink.check("perp_J_eq_soc", "PAPER",
-               perp(st, radical(a).radical) == socle(a))
+               perp(a, radical(a).radical) == socle(a))
 
 
 def suite_soc20(sink: ClaimSink):
@@ -468,7 +467,7 @@ def suite_soc20_trivext(sink: ClaimSink):
     sink.check("p2_false", "PAPER", not v.p2.holds)
     sink.check("p1_false", "DERIVED", not v.p1.holds)
     sink.check("symmetric_local", "PAPER",
-               symmetric_structure(t) is not None and is_local(t))
+               symmetric_gram(t) is not None and is_local(t))
 
 
 SUITES = {

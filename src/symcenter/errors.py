@@ -30,7 +30,8 @@ class InvalidField(SymcenterError):
 
 
 class ScalarFormatError(SymcenterError):
-    """A scalar literal does not parse in the field's syntax."""
+    """A scalar literal does not parse in the field's syntax, or an encoded
+    value lies outside the field."""
 
 
 # -- linear algebra ----------------------------------------------------------

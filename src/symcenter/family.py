@@ -27,7 +27,7 @@ from .corpus import ENTRY_IDS, get
 from .errors import InternalCheckError
 from .fields import GF
 from .substructures import is_local, j_of_center
-from .symmetric import symmetric_quotient, symmetric_structure
+from .symmetric import symmetric_gram, symmetric_quotient
 
 MAX_FAMILY_DIM = 24
 
@@ -72,14 +72,14 @@ def commutative_local_bases(max_base_dim: int) -> list[FamilyMember]:
 def symmetric_local_corpus_ids() -> list[str]:
     """Corpus entries that carry a symmetrizing form and are local."""
     return [entry_id for entry_id in ENTRY_IDS
-            if symmetric_structure(get(entry_id)) is not None and is_local(get(entry_id))]
+            if symmetric_gram(get(entry_id)) is not None and is_local(get(entry_id))]
 
 
 def _admit(members: list, seen: set, member: FamilyMember, max_dim: int):
     a = member.algebra
     if a.dim > max_dim:
         return
-    if symmetric_structure(a) is None:
+    if symmetric_gram(a) is None:
         raise InternalCheckError(f"family member {member.member_id} has no form")
     if not is_local(a):
         raise InternalCheckError(f"family member {member.member_id} is not local")
@@ -107,10 +107,9 @@ def generate_symmetric_local_family(max_dim: int) -> list[FamilyMember]:
             _admit(members, seen, member, max_dim)
     for member in trivexts:
         t = member.algebra
-        struct = symmetric_structure(t)
         dims_taken = set()
         for row in j_of_center(t).basis_vectors():
-            witness = symmetric_quotient(struct, t.element(row))
+            witness = symmetric_quotient(t, row)
             q = witness.quotient
             if q.dim in dims_taken:
                 continue
@@ -123,9 +122,8 @@ def generate_symmetric_local_family(max_dim: int) -> list[FamilyMember]:
             )
     for entry_id in symmetric_local_corpus_ids():
         a = get(entry_id)
-        struct = symmetric_structure(a)
         for idx, row in enumerate(j_of_center(a).basis_vectors()):
-            witness = symmetric_quotient(struct, a.element(row))
+            witness = symmetric_quotient(a, row)
             q = witness.quotient
             _admit(
                 members, seen,

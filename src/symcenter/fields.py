@@ -194,6 +194,16 @@ class FieldDescriptor:
         data = conv(list(values))
         return np.array(data, dtype=self.dtype)
 
+    def coords(self, values) -> np.ndarray:
+        """An ndarray of a finite field's dtype taken as encodings after a
+        range check; anything else encoded by ``arr``, which reads ints as
+        integers (over GF(p^k), i -> i mod p)."""
+        if self.order is None or not isinstance(values, np.ndarray) or values.dtype != self.dtype:
+            return self.arr(values)
+        if values.size and (values.min() < 0 or values.max() >= self.order):
+            raise ScalarFormatError(f"an encoded value lies outside [0, {self.order}) for {self}")
+        return values
+
     def _from_fraction(self, f: Fraction):
         return self.s_div(self.from_int(f.numerator), self.from_int(f.denominator))
 

@@ -6,6 +6,9 @@ the exact literal syntax of the field: prime-field values are decimal
 integers, extension values are coefficient lists (low degree first),
 rationals are "a/b" strings or integers.
 
+Every declared size is checked against ``MAX_DIM`` before anything is
+allocated, so a tiny file cannot ask for a huge table.
+
 Emission is canonical: fixed key order, two-space indentation, one trailing
 newline, so identical algebras produce byte-identical files.
 """
@@ -13,6 +16,7 @@ newline, so identical algebras produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 
 from .algebra import Algebra
 from .constructions import (
@@ -33,6 +37,8 @@ from .fields import (
 )
 from .linalg import Subspace
 from .substructures import RadicalHint, radical_or_none
+
+MAX_DIM = 512      # a dense int64 structure table of this dimension is 1 GiB
 
 PRESENTATION_TYPES = (
     "structure_constants",
@@ -133,6 +139,11 @@ def _count(node: dict, key: str, path: str) -> int:
     return value
 
 
+def _check_dim(what: str, dim: int, path: str):
+    if dim > MAX_DIM:
+        raise FileFormatError(f"{path}: {what} {dim} exceeds the desk-scale cap of {MAX_DIM}", path)
+
+
 def _names(node: dict, key: str, path: str, length: int | None = None):
     """An optional list of strings (basis labels, variable names)."""
     value = node.get(key)
@@ -187,6 +198,7 @@ def _parse_presentation(field, node, path: str, hint=None, name=None) -> Algebra
             raise FileFormatError(
                 f"{path}.bounds: expected a list of integers", f"{path}.bounds"
             )
+        _check_dim("dimension (product of the bounds)", math.prod(bounds), f"{path}.bounds")
         qnode = node.get("q", {})
         if not isinstance(qnode, dict):
             raise FileFormatError(
@@ -210,6 +222,7 @@ def _parse_presentation(field, node, path: str, hint=None, name=None) -> Algebra
         alg = from_skew_presentation(field, pres, name=name)
     elif ptype == "matrix_generators":
         size = _count(node, "size", path)
+        _check_dim("dimension bound size^2 =", size * size, f"{path}.size")
         gens = node.get("generators")
         if not isinstance(gens, dict):
             raise FileFormatError(
@@ -233,9 +246,11 @@ def _parse_presentation(field, node, path: str, hint=None, name=None) -> Algebra
     elif ptype == "tensor":
         left = _parse_presentation(field, node.get("left"), f"{path}.left")
         right = _parse_presentation(field, node.get("right"), f"{path}.right")
+        _check_dim("dimension", left.dim * right.dim, path)
         alg = tensor(left, right)
     elif ptype == "trivial_extension":
         base = _parse_presentation(field, node.get("base"), f"{path}.base")
+        _check_dim("dimension", 2 * base.dim, path)
         alg = trivial_extension(base)
     elif ptype == "quotient":
         base = _parse_presentation(field, node.get("base"), f"{path}.base")
@@ -272,6 +287,7 @@ def _parse_structure_constants(field, node, path, hint, sym_form, name):
             f"{path}: structure_constants needs 'dim', 'table' and 'one'", path
         )
     dim = _count(node, "dim", path)
+    _check_dim("dimension", dim, f"{path}.dim")
     labels = _names(node, "labels", path, dim)
     table = field.zeros((dim, dim, dim))
     if not isinstance(table_spec, list) or len(table_spec) != dim:

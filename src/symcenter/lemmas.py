@@ -48,8 +48,8 @@ from .substructures import (
 from .symmetric import (
     check_nustar_relations,
     perp,
+    symmetric_gram,
     symmetric_quotient,
-    symmetric_structure,
 )
 
 SEED = 0x5EED
@@ -111,7 +111,7 @@ def _tensor_pair(ida: str, idb: str) -> Algebra:
 def _symmetric_entries() -> list[str]:
     out = []
     for entry in ENTRY_IDS:
-        if symmetric_structure(get(entry)) is not None:
+        if symmetric_gram(get(entry)) is not None:
             out.append(entry)
     return out
 
@@ -129,11 +129,11 @@ def _local_entries() -> list[str]:
 def _derived_symmetric_locals() -> list[tuple[str, Algebra]]:
     """Noncommutative symmetric local quotients used to de-trivialise scopes."""
     a12 = get("dim12_sharp")
-    w = symmetric_quotient(symmetric_structure(a12), a12.monomial("M^2"))
+    w = symmetric_quotient(a12, a12.monomial("M^2"))
     out = [("dim12_sharp/quot_M2", w.quotient)]
     t20 = get("soc20_trivext")
     for idx, row in enumerate(j_of_center(t20).basis_vectors()):
-        w = symmetric_quotient(symmetric_structure(t20), t20.element(row))
+        w = symmetric_quotient(t20, row)
         if not w.quotient.is_commutative():
             out.append((f"soc20_trivext/quot_z{idx}", w.quotient))
             break
@@ -289,14 +289,13 @@ def _check_jacobsontensorproduct(sink: ClaimSink):
 def _check_propertiesperp(sink: ClaimSink):
     for entry in _symmetric_entries():
         a = get(entry)
-        st = symmetric_structure(a)
         rng = _rng(sink.suite_id + entry)
         n = a.dim
         subspaces = [random_subspace(a.field, n, rng) for _ in range(50)]
-        perps = [perp(st, x) for x in subspaces]
+        perps = [perp(a, x) for x in subspaces]
         dims_ok = all(x.dim + px.dim == n for x, px in zip(subspaces, perps))
         sink.check(f"dim_formula/{entry}", "PAPER", dims_ok)
-        double_ok = all(perp(st, px) == x for x, px in zip(subspaces, perps))
+        double_ok = all(perp(a, px) == x for x, px in zip(subspaces, perps))
         sink.check(f"double_perp/{entry}", "PAPER", double_ok)
         anti_ok = True
         for x, px in zip(subspaces, perps):
@@ -304,12 +303,12 @@ def _check_propertiesperp(sink: ClaimSink):
                 continue
             kcut = int(rng.integers(0, x.dim))
             y = Subspace.from_rows(a.field, n, x.basis[:kcut])
-            anti_ok = anti_ok and contains(perp(st, y), px)
+            anti_ok = anti_ok and contains(perp(a, y), px)
         sink.check(f"antitone/{entry}", "PAPER", anti_ok)
         dm_ok = True
         for x, y, px, py in zip(subspaces[::2], subspaces[1::2], perps[::2], perps[1::2]):
-            dm_ok = dm_ok and perp(st, subspace_intersect(x, y)) == subspace_sum(px, py)
-            dm_ok = dm_ok and perp(st, subspace_sum(x, y)) == subspace_intersect(px, py)
+            dm_ok = dm_ok and perp(a, subspace_intersect(x, y)) == subspace_sum(px, py)
+            dm_ok = dm_ok and perp(a, subspace_sum(x, y)) == subspace_intersect(px, py)
         sink.check(f"de_morgan/{entry}", "PAPER", dm_ok)
         ideals = [radical(a).radical, socle(a),
                   a.ideal_closure(a.commutator_space())]
@@ -317,14 +316,14 @@ def _check_propertiesperp(sink: ClaimSink):
             ideals.append(a.ideal_closure(random_subspace(a.field, n, rng)))
         ideal_ok = True
         for ideal in ideals:
-            pi = perp(st, ideal)
+            pi = perp(a, ideal)
             ideal_ok = ideal_ok and pi == a.left_annihilator(ideal)
             ideal_ok = ideal_ok and pi == a.right_annihilator(ideal)
             ideal_ok = ideal_ok and a.is_ideal(pi)
-        ideal_ok = ideal_ok and perp(st, socle(a)) == radical(a).radical
+        ideal_ok = ideal_ok and perp(a, socle(a)) == radical(a).radical
         sink.check(f"ideal_perp_annihilator/{entry}", "PAPER", ideal_ok)
         sink.check(f"K_perp_eq_Z/{entry}", "PAPER",
-                   perp(st, a.commutator_space()) == a.center())
+                   perp(a, a.commutator_space()) == a.center())
 
 
 def _check_reynoldsbasic(sink: ClaimSink):
@@ -373,12 +372,11 @@ def _witness_samples():
     out = []
     for entry in _symmetric_entries():
         a = get(entry)
-        st = symmetric_structure(a)
         zs = [("one", a.one_element())]
         for idx, row in enumerate(j_of_center(a).basis_vectors()):
-            zs.append((f"jz{idx}", a.element(row)))
+            zs.append((f"jz{idx}", row))
         for tag, z in zs:
-            out.append((f"{entry}/{tag}", symmetric_quotient(st, z)))
+            out.append((f"{entry}/{tag}", symmetric_quotient(a, z)))
     return out
 
 
@@ -388,9 +386,9 @@ def _check_quotientalgebrasymmetric(sink: ClaimSink):
         f = a.field
         # lambda_bar(nu(e_i)) == lambda(e_i z) for every basis vector
         proj = w.project_rows(f.eye(a.dim))
-        lhs = f.matmul2(proj, w.quotient_structure.lam.reshape(-1, 1)).reshape(a.dim)
+        lhs = f.matmul2(proj, w.quotient.sym_form.reshape(-1, 1)).reshape(a.dim)
         ez = a.right_products(w.z[None, :])[0]
-        rhs = f.matmul2(ez, w.structure.lam.reshape(-1, 1)).reshape(a.dim)
+        rhs = f.matmul2(ez, a.sym_form.reshape(-1, 1)).reshape(a.dim)
         sink.check(f"form_is_lambda_az/{wid}", "PAPER", bool(np.all(lhs == rhs)))
 
 
@@ -445,20 +443,19 @@ def _z_samples(a: Algebra, rng) -> list:
 
 def _check_prop_quotientalgebra(sink: ClaimSink):
     for name, a in _heredity_algebras():
-        st = symmetric_structure(a)
         v = property_verdicts(a)
         rng = _rng(sink.suite_id + name)
         zs = _z_samples(a, rng)
         if v.p1.holds:
             ok = True
             for vec in zs:
-                w = symmetric_quotient(st, a.element(vec))
+                w = symmetric_quotient(a, vec)
                 ok = ok and property_verdicts(w.quotient).p1.holds
             sink.check(f"p1_heredity/{name}", "PAPER", ok)
         if v.p2.holds:
             ok = True
             for vec in zs:
-                w = symmetric_quotient(st, a.element(vec))
+                w = symmetric_quotient(a, vec)
                 qq = w.quotient
                 image = w.project_subspace(j_of_center(a))
                 ann = annihilator_in_center(qq, image)
@@ -471,11 +468,10 @@ def _check_aicommutative_instance(sink: ClaimSink):
     for name, a in _heredity_algebras():
         if not is_local(a) or not property_verdicts(a).p1.holds:
             continue
-        st = symmetric_structure(a)
         rng = _rng(sink.suite_id + name)
         ok = True
         for vec in _z_samples(a, rng):
-            w = symmetric_quotient(st, a.element(vec))
+            w = symmetric_quotient(a, vec)
             ok = ok and w.quotient.is_commutative()
         sink.check(
             f"quotients_commutative/{name}", "PAPER", ok,
@@ -565,7 +561,7 @@ def _check_soctaideal(sink: ClaimSink):
 def _check_remark_after_soctaideal(sink: ClaimSink):
     for entry in TRIVEXT_BASE_IDS:
         a = get(entry)
-        if symmetric_structure(a) is None:
+        if symmetric_gram(a) is None:
             continue
         vt = property_verdicts(trivial_extension(a))
         sink.check(f"p1T_iff_commutative/{entry}", "PAPER",
@@ -596,7 +592,7 @@ def _check_chlz(sink: ClaimSink):
         a = get(entry)
         chain = a.radical_powers(radical(a).radical)
         z = a.center()
-        sym = symmetric_structure(a) is not None
+        sym = symmetric_gram(a) is not None
         ok = True
         ok_sym = True
         for i in range(1, len(chain) - 1):

@@ -1,19 +1,18 @@
 """Symmetrizing forms, orthogonal complements and symmetric quotients.
 
 A symmetrizing form is a linear form lambda whose associated bilinear form
-beta(a, b) = lambda(ab) is symmetric and nondegenerate.  Orthogonal
-complements under beta swap ideals with their annihilators; the quotients
-A / (Az)^perp for central z are exactly the quotients of A that remain
-symmetric, and come with an injective A-bimodule section x+I -> xz.
+beta(a, b) = lambda(ab) is symmetric and nondegenerate.  It is part of the
+algebra's data, ``Algebra.sym_form``: another form means another algebra.
+Orthogonal complements under beta swap ideals with their annihilators; the
+quotients A / (Az)^perp for central z are exactly the quotients of A that
+remain symmetric, and come with an injective A-bimodule section x+I -> xz.
 
-Each SymmetricStructure memoises its quotients: ``symmetric_quotient``
-builds A/(Az)^perp once per exact z and hands every later caller the same
-frozen QuotientWitness.  The key is z's coordinates -- the int64 bytes
-over GF(p) and GF(p^k), the tuple of Fractions over QQ (the bytes of an
-object array are pointers) -- so an element and an array with equal
-coordinates share one entry.  The memo lives on the structure, not on the
-algebra, because two forms on one algebra give different quotient forms.
-A call that raises stores nothing.
+Both per-algebra results go through ``memoised``: ``symmetric_gram``
+verifies the form once, and ``symmetric_quotient`` builds A/(Az)^perp once
+per exact z and hands every later caller the same frozen QuotientWitness.
+The key is z's coordinates -- the int64 bytes over GF(p) and GF(p^k), the
+tuple of Fractions over QQ (the bytes of an object array are pointers) --
+so an element and an array with equal coordinates share one entry.
 """
 
 from __future__ import annotations
@@ -31,39 +30,14 @@ from .errors import (
     NotSymmetricForm,
 )
 from .linalg import Subspace, contains, kernel, rank, subspace_intersect, subspace_sum
+from .substructures import j_of_center, soc_of_center, socle
 
 
-class SymmetricStructure:
-    """A verified symmetrizing form with its Gram matrix."""
-
-    def __init__(self, algebra: Algebra, lam: np.ndarray, gram: np.ndarray):
-        self.algebra = algebra
-        self.lam = lam
-        self.gram = gram
-        self._quotients: dict = {}
-
-    def apply(self, coords) -> object:
-        """lambda evaluated on an element (encoded scalar)."""
-        f = self.algebra.field
-        row = np.asarray(coords, dtype=f.dtype).reshape(1, -1)
-        return f.matmul2(row, self.lam.reshape(-1, 1))[0, 0]
-
-    def pair(self, a, b):
-        """beta(a, b) = lambda(ab) through the Gram matrix."""
-        f = self.algebra.field
-        ra = np.asarray(a, dtype=f.dtype).reshape(1, -1)
-        rb = np.asarray(b, dtype=f.dtype).reshape(-1, 1)
-        return f.matmul2(f.matmul2(ra, self.gram), rb)[0, 0]
-
-    def __repr__(self):
-        return f"SymmetricStructure(on dim {self.algebra.dim})"
-
-
-def verify_symmetric(algebra: Algebra, lam) -> SymmetricStructure:
-    """Check that lam symmetrizes the algebra; raise otherwise."""
+def verify_symmetric(algebra: Algebra) -> np.ndarray:
+    """The Gram matrix lambda(e_i e_j) of the algebra's form; raises unless
+    the form is symmetrizing."""
     f, n = algebra.field, algebra.dim
-    lam = f.arr(lam).reshape(n)
-    gram = f.tensordot_lf(algebra.table, lam.reshape(n, 1)).reshape(n, n)
+    gram = f.tensordot_lf(algebra.table, algebra.sym_form.reshape(n, 1)).reshape(n, n)
     if not np.all(gram == gram.T):
         i, j = (int(v) for v in np.argwhere(gram != gram.T)[0])
         raise NotSymmetricForm(
@@ -76,26 +50,27 @@ def verify_symmetric(algebra: Algebra, lam) -> SymmetricStructure:
             f"Gram matrix has rank {r} < {n}; "
             "the kernel of lambda contains a nonzero one-sided ideal"
         )
-    return SymmetricStructure(algebra, lam, gram)
+    return gram
 
 
-@memoised("sym_structure")
-def symmetric_structure(algebra: Algebra) -> SymmetricStructure | None:
-    """The algebra's attached form, verified once and cached; None if absent."""
+@memoised("sym_gram")
+def symmetric_gram(algebra: Algebra) -> np.ndarray | None:
+    """The verified Gram matrix of the algebra's form; None if it has none."""
     if algebra.sym_form is None:
         return None
-    return verify_symmetric(algebra, algebra.sym_form)
+    return verify_symmetric(algebra)
 
 
-def perp(structure: SymmetricStructure, x: Subspace) -> Subspace:
+def perp(algebra: Algebra, x: Subspace) -> Subspace:
     """Orthogonal complement {a : beta(a, v) = 0 for v in x} under beta."""
-    algebra = structure.algebra
+    gram = symmetric_gram(algebra)
+    if gram is None:
+        raise NotSymmetricForm(f"{algebra!r} carries no symmetrizing form")
     algebra._check_subspace(x)
     f = algebra.field
     if x.dim == 0:
         return algebra.full_space()
-    system = f.matmul2(x.basis, structure.gram.T)
-    return kernel(f, system)
+    return kernel(f, f.matmul2(x.basis, gram.T))
 
 
 @dataclass(frozen=True)
@@ -103,20 +78,16 @@ class QuotientWitness:
     """The symmetric quotient A/(Az)^perp with its transfer maps.
 
     comp_cols are the non-pivot columns of the ideal's RREF basis; the
-    quotient is coordinatised on them, making everything canonical.
+    quotient is coordinatised on them, making everything canonical.  The
+    forms are ``algebra.sym_form`` and ``quotient.sym_form``.
     """
 
-    structure: SymmetricStructure
+    algebra: Algebra
     z: np.ndarray
     az: Subspace
     ideal: Subspace
     quotient: Algebra
-    quotient_structure: SymmetricStructure
     comp_cols: list[int]
-
-    @property
-    def algebra(self) -> Algebra:
-        return self.structure.algebra
 
     def project_rows(self, rows: np.ndarray) -> np.ndarray:
         """nu on coordinate rows: reduce mod the ideal, keep complement columns."""
@@ -161,9 +132,9 @@ class QuotientWitness:
         f = self.algebra.field
         d = self.quotient.dim
         nu_rows = self.nu_star_rows(f.eye(d))
-        lhs = f.matmul2(nu_rows, self.structure.gram)
+        lhs = f.matmul2(nu_rows, symmetric_gram(self.algebra))
         proj = self.project_rows(f.eye(self.algebra.dim))
-        rhs = f.matmul2(self.quotient_structure.gram, proj.T)
+        rhs = f.matmul2(symmetric_gram(self.quotient), proj.T)
         return bool(np.all(lhs == rhs))
 
     def nu_star_injective(self) -> bool:
@@ -172,43 +143,39 @@ class QuotientWitness:
         return rank(f, self.nu_star_rows(f.eye(d))) == d
 
 
-def symmetric_quotient(structure: SymmetricStructure, z) -> QuotientWitness:
+def symmetric_quotient(algebra: Algebra, z) -> QuotientWitness:
     """A/(Az)^perp with its verified symmetrizing form lam(a z), built once
-    per structure and exact z."""
-    algebra = structure.algebra
+    per algebra and exact z."""
     z = algebra._coords_of(z)
     key = tuple(z.tolist()) if algebra.field.dtype is object else z.astype(np.int64).tobytes()
-    witness = structure._quotients.get(key)
-    if witness is None:
-        witness = structure._quotients[key] = _build_symmetric_quotient(structure, z)
-    return witness
+    return _symmetric_quotient(algebra, key)
 
 
-def _build_symmetric_quotient(structure: SymmetricStructure, z: np.ndarray) -> QuotientWitness:
-    algebra = structure.algebra
+@memoised("sym_quotient")
+def _symmetric_quotient(algebra: Algebra, key) -> QuotientWitness:
     f, n = algebra.field, algebra.dim
+    z = np.array(key, dtype=object) if f.dtype is object else np.frombuffer(key, np.int64).copy()
     if not algebra.center().contains_vector(z):
         raise CentralityViolated("symmetric quotients require a central element")
     az_rows = algebra.right_products(z[None, :])[0]  # rows e_j z
     az = Subspace.from_rows(f, n, az_rows)
-    ideal = perp(structure, az)
+    ideal = perp(algebra, az)
     quotient = constructions.quotient(algebra, ideal)
     comp = ideal.complement_columns()
-    lam_bar = f.matmul2(az_rows[comp], structure.lam.reshape(n, 1)).reshape(len(comp))
+    lam_bar = f.matmul2(az_rows[comp], algebra.sym_form.reshape(n, 1)).reshape(len(comp))
     quotient = quotient.replace(name=(algebra.name or "A") + "/(Az)^perp", sym_form=lam_bar)
     try:
-        qstruct = symmetric_structure(quotient)
+        symmetric_gram(quotient)
     except (NotSymmetricForm, Degenerate) as exc:
         raise InternalCheckError(
             f"symmetric quotient lost its form, which cannot happen: {exc}"
         ) from exc
     return QuotientWitness(
-        structure=structure,
+        algebra=algebra,
         z=z,
         az=az,
         ideal=ideal,
         quotient=quotient,
-        quotient_structure=qstruct,
         comp_cols=comp,
     )
 
@@ -239,8 +206,6 @@ def check_nustar_relations(witness: QuotientWitness) -> NuStarReport:
           J(Z(A)) ∩ Az
     (iii) nu*(soc(Z(Abar))) contained in soc(Z(A))
     """
-    from .substructures import j_of_center, soc_of_center, socle
-
     a = witness.algebra
     q = witness.quotient
     z_a = a.center()
@@ -250,7 +215,7 @@ def check_nustar_relations(witness: QuotientWitness) -> NuStarReport:
     img_jz = witness.nu_star_subspace(j_of_center(q))
     soc_q = socle(q)
     pre = witness.preimage_subspace(soc_q)
-    rhs = subspace_intersect(z_a, perp(witness.structure, pre))
+    rhs = subspace_intersect(z_a, perp(a, pre))
     jz_equal = img_jz == rhs
     bound = subspace_intersect(j_of_center(a), witness.az)
     jz_contained = contains(bound, img_jz)

@@ -16,8 +16,10 @@ from symcenter.errors import (
     ImproperIdeal,
     NotAnIdeal,
     NotNilpotent,
+    ScalarFormatError,
 )
 from symcenter.substructures import RadicalHint, radical
+from symcenter.symmetric import symmetric_quotient
 
 
 def test_validation_cites_failing_triple(g3, mat2):
@@ -352,3 +354,22 @@ def test_left_and_right_products_match_entrywise_oracle(entry, rng):
         assert left.shape == right.shape == (r, n, n)
         assert np.array_equal(left, _products_oracle(a, rows, "left"))
         assert np.array_equal(right, _products_oracle(a, rows, "right"))
+
+
+def test_encoded_rows_over_gf25_are_kept():
+    # 7 encodes 2 + t in GF(25); read as the integer 7 it would become 2
+    a = get("dual_gf25")
+    f = a.field
+    assert f.format_enc(7) == "[2,1]"
+    row = np.array([7, 0])
+    assert a.element(row).coords.tolist() == [7, 0]
+    assert a.element(row).coords is not row
+    seven_eye = f.a_mul(7, f.eye(2))
+    assert np.array_equal(a.left_mult_matrix(row), seven_eye)
+    assert np.array_equal(a.right_mult_matrix(row), seven_eye)
+    w = symmetric_quotient(a, row)
+    assert w.z.tolist() == [7, 0] and w.ideal.dim == 0
+    assert w.nu_star(np.array([1, 0])).tolist() == [7, 0]
+    for bad in ([25, 0], [-1, 0]):
+        with pytest.raises(ScalarFormatError):
+            a.element(np.array(bad))

@@ -251,6 +251,13 @@ def _node(presentation):
     ({"field": {"kind": "prime", "p": 2**61 - 1}}, "cap"),
     ({"field": {"kind": "extension", "p": 2**61 - 1, "modulus": [1, 0, 1]}},
      "cap"),
+    # a huge declared dimension is refused before anything is allocated
+    (_node({"type": "structure_constants", "dim": 10**6, "table": [], "one": []}),
+     "presentation.dim: dimension 1000000 exceeds"),
+    (_node({"type": "skew_truncated", "bounds": [10**6]}),
+     "presentation.bounds: dimension"),
+    (_node({"type": "matrix_generators", "size": 10**6, "generators": {}}),
+     "presentation.size: dimension"),
 ])
 def test_malformed_document_exit_2(entries, anchor, tmp_path):
     doc = {"field": {"kind": "prime", "p": 3}, **_node(_TABLE_2), **entries}

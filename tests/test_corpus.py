@@ -12,7 +12,7 @@ from symcenter.family import (
 from symcenter.lemmas import LEMMA_IDS
 from symcenter.substructures import is_local
 from symcenter.suites import SUITES, run_paper_suite
-from symcenter.symmetric import symmetric_structure
+from symcenter.symmetric import symmetric_gram
 
 
 def _corpus_results():
@@ -76,7 +76,7 @@ def test_family_generation():
     ids = [m.member_id for m in fam]
     assert len(ids) == len(set(ids))
     for m in fam:
-        assert symmetric_structure(m.algebra) is not None
+        assert symmetric_gram(m.algebra) is not None
         assert is_local(m.algebra)
 
 

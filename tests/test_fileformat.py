@@ -15,6 +15,7 @@ from symcenter.errors import (
     NotAnIdeal,
     RadicalUnavailable,
 )
+import symcenter.fileformat as fileformat
 from symcenter.fileformat import (
     emit_structure_constants,
     load_algebra,
@@ -75,9 +76,9 @@ def test_rational_field_file():
     }
     alg = parse_document(doc)
     assert alg.dim == 3
-    from symcenter.symmetric import symmetric_structure
+    from symcenter.symmetric import symmetric_gram
 
-    assert symmetric_structure(alg) is not None
+    assert symmetric_gram(alg) is not None
 
 
 def test_bad_scalar_is_path_anchored():
@@ -217,3 +218,31 @@ def test_nested_radical_hint_checked_against_its_node():
     with pytest.raises(FileFormatError) as err:
         parse_document(doc)
     assert err.value.location == "presentation.base.radical_hint.vectors[0]"
+
+
+@pytest.mark.parametrize("presentation, location", [
+    ({"type": "structure_constants", "dim": 10**6, "table": [], "one": []},
+     "presentation.dim"),
+    ({"type": "skew_truncated", "bounds": [10**6]}, "presentation.bounds"),
+    ({"type": "skew_truncated", "bounds": [2] * 10}, "presentation.bounds"),
+    ({"type": "matrix_generators", "size": 23, "generators": {}}, "presentation.size"),
+])
+def test_declared_dimension_is_capped_before_allocating(presentation, location):
+    doc = {"field": {"kind": "prime", "p": 3}, "presentation": presentation}
+    with pytest.raises(FileFormatError, match="desk-scale cap of 512") as err:
+        parse_document(doc)
+    assert err.value.location == location
+
+
+@pytest.mark.parametrize("presentation", [
+    {"type": "trivial_extension", "base": DUAL_GF3_TABLE},
+    {"type": "tensor", "left": DUAL_GF3_TABLE, "right": DUAL_GF3_TABLE},
+])
+def test_constructions_are_capped_at_their_dimension(presentation, monkeypatch):
+    doc = {"field": {"kind": "prime", "p": 3}, "presentation": presentation}
+    monkeypatch.setattr(fileformat, "MAX_DIM", 4)
+    assert parse_document(doc).dim == 4
+    monkeypatch.setattr(fileformat, "MAX_DIM", 3)
+    with pytest.raises(FileFormatError, match="dimension 4 exceeds") as err:
+        parse_document(doc)
+    assert err.value.location == "presentation"

@@ -341,5 +341,5 @@ def test_public_api_names_resolve():
     for name in symcenter.__all__:
         assert hasattr(symcenter, name), name
     assert {"kernel", "rank", "rref_data"} <= set(symcenter.__all__)
-    for gone in ("Matrix", "rref"):
+    for gone in ("Matrix", "rref", "SymmetricStructure", "symmetric_structure"):
         assert gone not in symcenter.__all__ and not hasattr(symcenter, gone)

@@ -9,7 +9,8 @@ import pytest
 from oracles import naive_rank_mod
 
 import symcenter.substructures as substructures
-from symcenter import QQ, SkewPresentation, from_skew_presentation
+import symcenter.symmetric as symmetric
+from symcenter import QQ, SkewPresentation, analyze, from_skew_presentation
 from symcenter.corpus import get
 from symcenter.errors import (
     CentralityViolated,
@@ -23,119 +24,125 @@ from symcenter.substructures import radical, socle
 from symcenter.symmetric import (
     check_nustar_relations,
     perp,
+    symmetric_gram,
     symmetric_quotient,
-    symmetric_structure,
     verify_symmetric,
 )
+
+
+def _with_form(a, lam):
+    return a.replace(sym_form=a.field.arr(lam))
 
 
 def test_dim12_top_form_accepted():
     a = get("dim12_sharp")
     lam = [0] * 12
     lam[a.labels.index("M^6")] = 1
-    st = verify_symmetric(a, lam)
-    assert st.gram.shape == (12, 12)
+    assert verify_symmetric(_with_form(a, lam)).shape == (12, 12)
 
 
 def test_dual_numbers_antidiagonal_gram(dual3):
-    st = verify_symmetric(dual3, [0, 1])
-    assert [list(map(int, r)) for r in st.gram] == [[0, 1], [1, 0]]
+    gram = verify_symmetric(_with_form(dual3, [0, 1]))
+    assert [list(map(int, r)) for r in gram] == [[0, 1], [1, 0]]
 
 
 def test_zero_form_degenerate(dual3):
     with pytest.raises(Degenerate):
-        verify_symmetric(dual3, [0, 0])
+        verify_symmetric(_with_form(dual3, [0, 0]))
+    with pytest.raises(Degenerate):
+        symmetric_gram(_with_form(dual3, [0, 0]))
 
 
 def test_asymmetric_form_rejected(mat2):
     # lambda dual to E11 does not vanish on [E12, E21]
     with pytest.raises(NotSymmetricForm):
-        verify_symmetric(mat2, [1, 0, 0, 0])
+        verify_symmetric(_with_form(mat2, [1, 0, 0, 0]))
+    with pytest.raises(NotSymmetricForm):
+        symmetric_gram(_with_form(mat2, [1, 0, 0, 0]))
 
 
-def test_soc20_base_has_no_attached_structure():
+def test_soc20_base_has_no_attached_form():
     a = get("soc20_base")
-    assert symmetric_structure(a) is None
+    assert symmetric_gram(a) is None
     lam = [0] * 10
     lam[a.labels.index("M^4*N")] = 1
     with pytest.raises(NotSymmetricForm):
-        verify_symmetric(a, lam)  # M^5 = M^4 N lies in K(A)
+        verify_symmetric(_with_form(a, lam))  # M^5 = M^4 N lies in K(A)
+
+
+def test_no_form_raises_a_library_error():
+    a = get("soc20_base")
+    with pytest.raises(NotSymmetricForm):
+        perp(a, a.zero_space())
+    with pytest.raises(NotSymmetricForm):
+        symmetric_quotient(a, a.one_element())
 
 
 def test_perp_trivialities():
     a = get("dim12_sharp")
-    st = symmetric_structure(a)
-    assert perp(st, a.zero_space()) == a.full_space()
-    assert perp(st, a.full_space()) == a.zero_space()
+    assert perp(a, a.zero_space()) == a.full_space()
+    assert perp(a, a.full_space()) == a.zero_space()
 
 
 def test_perp_center_and_socle_identities():
     a = get("dim12_sharp")
-    st = symmetric_structure(a)
-    assert perp(st, a.commutator_space()) == a.center()
-    assert perp(st, radical(a).radical) == socle(a)
+    assert perp(a, a.commutator_space()) == a.center()
+    assert perp(a, radical(a).radical) == socle(a)
 
 
 def test_perp_lattice_properties(rng):
     a = get("dim12_sharp")
-    st = symmetric_structure(a)
     n = a.dim
     for _ in range(25):
         x = random_subspace(a.field, n, rng)
         y = random_subspace(a.field, n, rng)
-        px, py = perp(st, x), perp(st, y)
+        px, py = perp(a, x), perp(a, y)
         assert x.dim + px.dim == n
-        assert perp(st, px) == x
-        assert perp(st, subspace_intersect(x, y)) == subspace_sum(px, py)
-        assert perp(st, subspace_sum(x, y)) == subspace_intersect(px, py)
+        assert perp(a, px) == x
+        assert perp(a, subspace_intersect(x, y)) == subspace_sum(px, py)
+        assert perp(a, subspace_sum(x, y)) == subspace_intersect(px, py)
 
 
 def test_symmetric_quotient_by_one_is_identity():
     a = get("dim12_sharp")
-    st = symmetric_structure(a)
-    w = symmetric_quotient(st, a.one_element())
+    w = symmetric_quotient(a, a.one_element())
     assert w.ideal.dim == 0
     assert w.quotient.same_table(a)
 
 
 def test_symmetric_quotient_by_socle_element():
     a = get("dim12_sharp")
-    st = symmetric_structure(a)
-    w = symmetric_quotient(st, a.monomial("M^6"))
+    w = symmetric_quotient(a, a.monomial("M^6"))
     assert w.ideal.dim == 11 and w.quotient.dim == 1
 
 
 def test_symmetric_quotient_by_m2_dimension_oracle():
     a = get("dim12_sharp")
-    st = symmetric_structure(a)
     rz = a.right_mult_matrix(a.monomial("M^2"))
     oracle_dim = naive_rank_mod([list(map(int, r)) for r in rz], 3)
     assert oracle_dim == 8  # frozen: dim A*M^2 by the naive rank oracle
-    w = symmetric_quotient(st, a.monomial("M^2"))
+    w = symmetric_quotient(a, a.monomial("M^2"))
     assert w.quotient.dim == oracle_dim
     assert w.az.dim == oracle_dim
 
 
 def test_symmetric_quotient_requires_central_z():
     a = get("dim12_sharp")
-    st = symmetric_structure(a)
     with pytest.raises(CentralityViolated):
-        symmetric_quotient(st, a.monomial("M"))
+        symmetric_quotient(a, a.monomial("M"))
 
 
 def test_nu_star_of_unit_is_z():
     a = get("dim12_sharp")
-    st = symmetric_structure(a)
     z = a.monomial("M^2")
-    w = symmetric_quotient(st, z)
+    w = symmetric_quotient(a, z)
     onebar = w.project_rows(a.one.reshape(1, -1))[0]
     assert np.array_equal(w.nu_star_rows(onebar.reshape(1, -1))[0], z.coords)
 
 
 def test_nu_star_bimodule_identity_and_injectivity():
     a = get("dim12_sharp")
-    st = symmetric_structure(a)
-    w = symmetric_quotient(st, a.monomial("M^2"))
+    w = symmetric_quotient(a, a.monomial("M^2"))
     q = w.quotient
     assert w.adjoint_identity_holds()
     assert w.nu_star_injective()
@@ -151,8 +158,7 @@ def test_nu_star_bimodule_identity_and_injectivity():
 
 def test_nu_projection_is_algebra_morphism():
     a = get("dim12_sharp")
-    st = symmetric_structure(a)
-    w = symmetric_quotient(st, a.monomial("M^2"))
+    w = symmetric_quotient(a, a.monomial("M^2"))
     q = w.quotient
     proj = w.project_rows(a.field.eye(a.dim))
     for i in range(a.dim):
@@ -165,9 +171,8 @@ def test_nu_projection_is_algebra_morphism():
 
 def test_nustar_relations_trivial_and_m2():
     a = get("dim12_sharp")
-    st = symmetric_structure(a)
     for z in (a.one_element(), a.monomial("M^2")):
-        rep = check_nustar_relations(symmetric_quotient(st, z))
+        rep = check_nustar_relations(symmetric_quotient(a, z))
         assert rep.all_hold()
 
 
@@ -175,56 +180,70 @@ def test_symmetric_quotient_lets_internal_check_errors_through(monkeypatch):
     # a fresh memo, so the patched radical never reaches the shared corpus
     # algebra and no quotient built by an earlier test is handed back
     a = get("dim12_sharp").replace(name="dim12_sharp, fresh memo")
-    st = symmetric_structure(a)
 
     def broken(_algebra):
         raise InternalCheckError("propagated radical failed verification")
 
     monkeypatch.setattr(substructures, "radical", broken)
     with pytest.raises(InternalCheckError):
-        symmetric_quotient(st, a.monomial("M^2"))
+        symmetric_quotient(a, a.monomial("M^2"))
 
     def unavailable(_algebra):
         raise RadicalUnavailable("no radical strategy applies")
 
     monkeypatch.setattr(substructures, "radical", unavailable)
-    w = symmetric_quotient(st, a.monomial("M^2"))
+    w = symmetric_quotient(a, a.monomial("M^2"))
     assert w.quotient._radical_seed is None
 
 
 def test_symmetric_quotient_is_built_once_per_z():
     a = get("dim12_sharp").replace(name="dim12_sharp, fresh memo")
-    st = symmetric_structure(a)
     z = a.monomial("M^2")
-    w = symmetric_quotient(st, z)
-    assert symmetric_quotient(st, z.coords.copy()) is w
-    assert symmetric_quotient(st, a.element(z.coords.copy())) is w
-    assert symmetric_quotient(st, a.monomial("M^6")) is not w
+    w = symmetric_quotient(a, z)
+    assert symmetric_quotient(a, z.coords.copy()) is w
+    assert symmetric_quotient(a, a.element(z.coords.copy())) is w
+    assert symmetric_quotient(a, a.monomial("M^6")) is not w
     with pytest.raises(FrozenInstanceError):
         w.quotient = a
 
 
-def test_symmetric_quotient_memo_belongs_to_the_structure(dual3):
+def test_symmetric_quotient_memo_belongs_to_the_form(dual3):
     # lambda and lambda' are both symmetrizing on k[x]/(x^2); for z = 1 the
-    # quotient form is the structure's own form, so the two must differ
-    w1 = symmetric_quotient(verify_symmetric(dual3, [0, 1]), dual3.one_element())
-    w2 = symmetric_quotient(verify_symmetric(dual3, [1, 1]), dual3.one_element())
-    assert [int(v) for v in w1.quotient_structure.lam] == [0, 1]
-    assert [int(v) for v in w2.quotient_structure.lam] == [1, 1]
+    # quotient form is the algebra's own form, so the two must differ
+    w1 = symmetric_quotient(_with_form(dual3, [0, 1]), dual3.one)
+    w2 = symmetric_quotient(_with_form(dual3, [1, 1]), dual3.one)
+    assert [int(v) for v in w1.quotient.sym_form] == [0, 1]
+    assert [int(v) for v in w2.quotient.sym_form] == [1, 1]
 
 
 def test_symmetric_quotient_failure_is_not_memoised():
     a = get("dim12_sharp").replace(name="dim12_sharp, fresh memo")
-    st = symmetric_structure(a)
     for _ in range(2):
         with pytest.raises(CentralityViolated):
-            symmetric_quotient(st, a.monomial("M"))
+            symmetric_quotient(a, a.monomial("M"))
 
 
 def test_symmetric_quotient_memo_over_qq_keys_on_values():
     # k[x, y]/(x^2, y^2) over QQ with the form dual to xy
-    a = from_skew_presentation(QQ, SkewPresentation.commuting([2, 2]))
-    st = verify_symmetric(a, [0, 0, 0, 1])
-    w = symmetric_quotient(st, [0, Fraction(1, 2), 0, 0])
-    assert symmetric_quotient(st, a.element([0, Fraction(2, 4), 0, 0])) is w
-    assert symmetric_quotient(st, [0, Fraction(1, 3), 0, 0]) is not w
+    a = _with_form(from_skew_presentation(QQ, SkewPresentation.commuting([2, 2])),
+                   [0, 0, 0, 1])
+    w = symmetric_quotient(a, [0, Fraction(1, 2), 0, 0])
+    assert symmetric_quotient(a, a.element([0, Fraction(2, 4), 0, 0])) is w
+    assert symmetric_quotient(a, [0, Fraction(1, 3), 0, 0]) is not w
+
+
+def test_form_is_verified_once_per_algebra(monkeypatch):
+    calls = []
+
+    def counting(algebra):
+        calls.append(algebra)
+        return verify_symmetric(algebra)
+
+    monkeypatch.setattr(symmetric, "verify_symmetric", counting)
+    a = get("dim12_sharp").replace(name="dim12_sharp, fresh memo")
+    assert perp(a, a.commutator_space()) == perp(a, a.commutator_space())
+    w = symmetric_quotient(a, a.monomial("M^2"))
+    assert symmetric_quotient(a, a.monomial("M^2")) is w
+    assert w.adjoint_identity_holds()
+    assert analyze(a).symmetric and analyze(w.quotient).symmetric
+    assert len(calls) == 2 and calls[0] is a and calls[1] is w.quotient
