@@ -158,19 +158,19 @@ class Algebra:
     def __init__(self, field: FieldDescriptor, table, one, labels=None,
                  radical_hint=None, sym_form=None, name: str | None = None,
                  _radical_seed=None, _skip_validation: bool = False):
-        table = np.asarray(table, dtype=field.dtype)
+        table = field.arr(table)
         if table.ndim != 3 or table.shape[0] != table.shape[1] or table.shape[0] != table.shape[2]:
             raise AlgebraValidationError("structure table must have shape (n, n, n)")
         n = table.shape[0]
         if n == 0:
             raise AlgebraValidationError("algebras here are unital, so dim >= 1")
-        one = np.asarray(one, dtype=field.dtype).reshape(n)
+        one = field.arr(one).reshape(n)
         if labels is not None:
             labels = [str(s) for s in labels]
             if len(labels) != n:
                 raise AlgebraValidationError("label count must equal the dimension")
         if sym_form is not None:
-            sym_form = np.asarray(sym_form, dtype=field.dtype)
+            sym_form = field.arr(sym_form)
             if sym_form.size != n:
                 raise AlgebraValidationError(
                     f"symmetrizing form has {sym_form.size} coordinates, expected {n}"
@@ -284,7 +284,7 @@ class Algebra:
             if x.algebra is not self:
                 raise AlgebraMismatch("element belongs to a different algebra")
             return x.coords
-        return self.field.coords(x).reshape(self.dim)
+        return self.field.arr(x).reshape(self.dim)
 
     # -- basic subspaces ----------------------------------------------------------
 

@@ -114,8 +114,7 @@ class AnalysisReport:
         return "\n".join(lines) + "\n"
 
 
-def analyze(algebra: Algebra, name: str | None = None,
-            show_subspaces: bool = True) -> AnalysisReport:
+def analyze(algebra: Algebra, name: str | None = None) -> AnalysisReport:
     """Full report; raises RadicalUnavailable when no strategy applies."""
     cert = radical(algebra)
     z = algebra.center()
@@ -140,11 +139,10 @@ def analyze(algebra: Algebra, name: str | None = None,
             else verdict.witness.describe(algebra),
         }
     subspaces = {}
-    if show_subspaces:
-        for key, sub in (("Z", z), ("K", k), ("soc", soc), ("JZ", jz),
-                         ("socZ", socz), ("R", r)):
-            if sub.dim <= 12:
-                subspaces[key] = algebra.subspace_str(sub)
+    for key, sub in (("Z", z), ("K", k), ("soc", soc), ("JZ", jz),
+                     ("socZ", socz), ("R", r)):
+        if sub.dim <= 12:
+            subspaces[key] = algebra.subspace_str(sub)
     return AnalysisReport(
         name=name or algebra.name or "algebra",
         field_desc=repr(algebra.field),

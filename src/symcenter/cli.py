@@ -14,7 +14,12 @@ import time
 
 from .analysis import analyze
 from .errors import SymcenterError
-from .fileformat import emit_structure_constants, load_algebra, read_document
+from .fileformat import (
+    emit_structure_constants,
+    load_algebra,
+    parse_document,
+    read_document,
+)
 from .suites import run_paper_suite, suite_report_machine, suite_report_text
 
 CONSTRUCTION_TYPES = ("tensor", "trivial_extension", "quotient", "opposite")
@@ -55,7 +60,7 @@ def cmd_construct(args) -> int:
             f"construct expects a construction presentation {CONSTRUCTION_TYPES}, "
             f"got {ptype!r}"
         )
-    algebra = load_algebra(args.file)
+    algebra = parse_document(doc)
     text = emit_structure_constants(algebra)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)

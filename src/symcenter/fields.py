@@ -4,7 +4,16 @@ and arbitrary-precision rationals.
 Finite-field values are stored *encoded* as Python ints in [0, q): a prime
 field element is its representative, an extension element is the base-p
 digit encoding of its coefficient vector (low degree first).  Rationals are
-``fractions.Fraction``.  Every descriptor also acts as an array kernel: it
+``fractions.Fraction``.
+
+One rule turns values into encodings, in ``arr`` (arrays) and ``scalar``
+(one value) alike: a ``FieldScalar`` or a numpy integer (array or scalar)
+is already an encoding, range-checked against [0, q) over a finite field; a
+Python ``int`` or ``Fraction`` is a number, so over GF(25) the int 7 means
+7 * 1 = 2 while ``np.int64(7)`` is the encoding of t + 2; a float is
+refused.  Over QQ a value is its own encoding.
+
+Every descriptor also acts as an array kernel: it
 knows how to add, multiply and exactly matrix-multiply numpy arrays of
 encoded values, which is what the linear-algebra layer builds on.
 
@@ -132,7 +141,7 @@ class FieldDescriptor:
     characteristic: int = 0
 
     def from_int(self, i: int):
-        raise NotImplementedError
+        return int(i) % self.characteristic
 
     def s_add(self, a, b):
         raise NotImplementedError
@@ -178,31 +187,35 @@ class FieldDescriptor:
 
     dtype = np.int64
 
+    def _enc(self, v):
+        """The encoding of one value, by the rule in the module docstring."""
+        if isinstance(v, FieldScalar):
+            self.check_same(v.field)
+            return v.value
+        if isinstance(v, np.integer) and self.order is not None:
+            if not 0 <= v < self.order:
+                raise ScalarFormatError(f"an encoded value lies outside [0, {self.order}) for {self}")
+            return int(v)
+        if isinstance(v, Fraction):
+            return self._from_fraction(v)
+        if isinstance(v, (int, np.integer)):
+            return self.from_int(int(v))
+        if isinstance(v, float):
+            raise ScalarFormatError("floating-point values are not exact")
+        raise ScalarFormatError(f"{v!r} is not a value of {self}")
+
     def arr(self, values) -> np.ndarray:
-        """Encode a (nested) sequence of ints / Fractions / FieldScalars."""
+        """The encodings of a (nested) sequence of values, each read by ``_enc``;
+        a finite field takes an integer ndarray whole after checking its range."""
+        if isinstance(values, np.ndarray) and values.dtype.kind in "iu" and self.order is not None:
+            if values.size:
+                self._enc(values.min()), self._enc(values.max())
+            return values.astype(self.dtype, copy=False)
         def conv(v):
-            if isinstance(v, FieldScalar):
-                self.check_same(v.field)
-                return v.value
-            if isinstance(v, Fraction):
-                return self._from_fraction(v)
             if isinstance(v, (list, tuple, np.ndarray)):
                 return [conv(x) for x in v]
-            if isinstance(v, float):
-                raise ScalarFormatError("floating-point values are not exact")
-            return self.from_int(int(v))
-        data = conv(list(values))
-        return np.array(data, dtype=self.dtype)
-
-    def coords(self, values) -> np.ndarray:
-        """An ndarray of a finite field's dtype taken as encodings after a
-        range check; anything else encoded by ``arr``, which reads ints as
-        integers (over GF(p^k), i -> i mod p)."""
-        if self.order is None or not isinstance(values, np.ndarray) or values.dtype != self.dtype:
-            return self.arr(values)
-        if values.size and (values.min() < 0 or values.max() >= self.order):
-            raise ScalarFormatError(f"an encoded value lies outside [0, {self.order}) for {self}")
-        return values
+            return self._enc(v)
+        return np.array(conv(list(values)), dtype=self.dtype)
 
     def _from_fraction(self, f: Fraction):
         return self.s_div(self.from_int(f.numerator), self.from_int(f.denominator))
@@ -271,12 +284,7 @@ class FieldDescriptor:
     # -- convenience -------------------------------------------------------------
 
     def scalar(self, v) -> "FieldScalar":
-        if isinstance(v, FieldScalar):
-            self.check_same(v.field)
-            return v
-        if isinstance(v, Fraction):
-            return FieldScalar(self, self._from_fraction(v))
-        return FieldScalar(self, self.from_int(v))
+        return FieldScalar(self, self._enc(v))
 
     def zero(self) -> "FieldScalar":
         return FieldScalar(self, self.zero_enc)
@@ -306,9 +314,6 @@ class PrimeField(FieldDescriptor):
 
     def __repr__(self):
         return f"GF({self.p})"
-
-    def from_int(self, i: int) -> int:
-        return int(i) % self.p
 
     def s_add(self, a, b):
         return (a + b) % self.p
@@ -491,9 +496,6 @@ class ExtensionField(FieldDescriptor):
 
     def __repr__(self):
         return f"GF({self.p}^{self.degree})"
-
-    def from_int(self, i: int) -> int:
-        return int(i) % self.p
 
     def coeffs_to_enc(self, coeffs) -> int:
         vals = [int(c) % self.p for c in coeffs]
@@ -735,11 +737,8 @@ class FieldScalar:
         self.value = value
 
     def _coerce(self, other):
-        if isinstance(other, FieldScalar):
-            self.field.check_same(other.field)
-            return other.value
-        if isinstance(other, int) or isinstance(other, Fraction):
-            return self.field.scalar(other).value
+        if isinstance(other, (FieldScalar, int, Fraction)):
+            return self.field._enc(other)
         return None
 
     def __add__(self, other):
@@ -798,7 +797,7 @@ class FieldScalar:
         if isinstance(other, FieldScalar):
             return self.field == other.field and self.value == other.value
         if isinstance(other, (int, Fraction)):
-            return self.value == self.field.scalar(other).value
+            return self.value == self.field._enc(other)
         return NotImplemented
 
     def __hash__(self):

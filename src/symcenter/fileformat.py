@@ -4,7 +4,9 @@ The document names a field, one presentation node (possibly nested
 constructions) and optional radical hint / symmetrizing form.  Scalars use
 the exact literal syntax of the field: prime-field values are decimal
 integers, extension values are coefficient lists (low degree first),
-rationals are "a/b" strings or integers.
+rationals are "a/b" strings or integers.  Parsed values reach the library
+as typed encodings (int64 arrays, ``FieldScalar``), never as bare ints,
+which ``fields`` reads as numbers.
 
 Every declared size is checked against ``MAX_DIM`` before anything is
 allocated, so a tiny file cannot ask for a huge table.
@@ -32,6 +34,7 @@ from .errors import FileFormatError, ScalarFormatError, SymcenterError
 from .fields import (
     ExtensionField,
     FieldDescriptor,
+    FieldScalar,
     PrimeField,
     RationalField,
 )
@@ -39,16 +42,6 @@ from .linalg import Subspace
 from .substructures import RadicalHint, radical_or_none
 
 MAX_DIM = 512      # a dense int64 structure table of this dimension is 1 GiB
-
-PRESENTATION_TYPES = (
-    "structure_constants",
-    "skew_truncated",
-    "matrix_generators",
-    "tensor",
-    "trivial_extension",
-    "quotient",
-    "opposite",
-)
 
 
 def parse_field(obj, path="field") -> FieldDescriptor:
@@ -166,17 +159,26 @@ def _parse_hint(field, spec, path: str, dim: int) -> RadicalHint:
         if not isinstance(spec["vectors"], list):
             raise FileFormatError(f"{path}.vectors: expected a list", f"{path}.vectors")
         vectors = tuple(
-            tuple(parse_vector(field, vec, f"{path}.vectors[{i}]", dim).tolist())
+            tuple(parse_vector(field, vec, f"{path}.vectors[{i}]", dim))
             for i, vec in enumerate(spec["vectors"])
         )
     return RadicalHint(spec["kind"], vectors)
 
 
-def _parse_presentation(field, node, path: str, hint=None, name=None) -> Algebra:
+def _parse_form(field, spec, path: str, dim: int):
+    form = parse_vector(field, spec, path)
+    if len(form) != dim:
+        raise FileFormatError(f"{path}: expected {dim} coordinates", path)
+    return form
+
+
+def _parse_presentation(field, node, path: str, hint=None, form=None,
+                        name=None) -> Algebra:
     """The algebra of one presentation node.
 
-    ``hint`` is the (spec, path) of a radical hint that overrides the
-    node's own; a hint is parsed once the dimension it must match is known.
+    ``hint`` and ``form`` are the (spec, path) of a radical hint and of a
+    symmetrizing form that override the node's own; both are parsed once
+    the dimension they must match is known.
     """
     if not isinstance(node, dict) or "type" not in node:
         raise FileFormatError(f"{path}: expected an object with a 'type'", path)
@@ -184,14 +186,12 @@ def _parse_presentation(field, node, path: str, hint=None, name=None) -> Algebra
     # can propagate radical knowledge from their components
     if hint is None and "radical_hint" in node:
         hint = (node["radical_hint"], f"{path}.radical_hint")
-    sym_form = None
-    if "symmetrizing_form" in node:
-        sym_form = parse_vector(field, node["symmetrizing_form"],
-                                f"{path}.symmetrizing_form")
+    if form is None and "symmetrizing_form" in node:
+        form = (node["symmetrizing_form"], f"{path}.symmetrizing_form")
     ptype = node["type"]
     if ptype == "structure_constants":
-        return _parse_structure_constants(field, node, path, hint, sym_form, name)
-    if ptype == "skew_truncated":
+        alg = _parse_structure_constants(field, node, path)
+    elif ptype == "skew_truncated":
         bounds = node.get("bounds")
         if not isinstance(bounds, list) or not all(
                 isinstance(b, int) and not isinstance(b, bool) for b in bounds):
@@ -213,7 +213,7 @@ def _parse_presentation(field, node, path: str, hint=None, name=None) -> Algebra
                     f"{path}.q: keys look like 'j,i' with 1-based j > i", path
                 ) from None
             enc = parse_scalar(field, val, f"{path}.q[{key}]")
-            qspec.append(((j - 1, i - 1), field.scalar(enc)))
+            qspec.append(((j - 1, i - 1), FieldScalar(field, enc)))
         names = _names(node, "variables", path)
         pres = SkewPresentation(
             tuple(bounds), tuple(qspec),
@@ -274,12 +274,13 @@ def _parse_presentation(field, node, path: str, hint=None, name=None) -> Algebra
     else:
         raise FileFormatError(f"{path}: unknown presentation type {ptype!r}", path)
     radical_hint = None if hint is None else _parse_hint(field, *hint, alg.dim)
+    sym_form = None if form is None else _parse_form(field, *form, alg.dim)
     if name is None and radical_hint is None and sym_form is None:
         return alg
     return alg.replace(name=name, radical_hint=radical_hint, sym_form=sym_form)
 
 
-def _parse_structure_constants(field, node, path, hint, sym_form, name):
+def _parse_structure_constants(field, node, path) -> Algebra:
     table_spec = node.get("table")
     one_spec = node.get("one")
     if "dim" not in node or table_spec is None or one_spec is None:
@@ -298,11 +299,7 @@ def _parse_structure_constants(field, node, path, hint, sym_form, name):
         for j, vec in enumerate(plane):
             table[i, j] = parse_vector(field, vec, f"{path}.table[{i}][{j}]", dim)
     one = parse_vector(field, one_spec, f"{path}.one", dim)
-    return Algebra(
-        field, table, one, labels=labels,
-        radical_hint=None if hint is None else _parse_hint(field, *hint, dim),
-        sym_form=sym_form, name=name,
-    )
+    return Algebra(field, table, one, labels=labels)
 
 
 def parse_document(doc: dict) -> Algebra:
@@ -310,29 +307,16 @@ def parse_document(doc: dict) -> Algebra:
     if not isinstance(doc, dict):
         raise FileFormatError("top level: expected a JSON object", "top")
     field = parse_field(doc.get("field"), "field")
-    hint = None
-    if "radical_hint" in doc:
-        hint = (doc["radical_hint"], "radical_hint")
-    sym_form = None
-    if "symmetrizing_form" in doc:
-        sym_form = parse_vector(field, doc["symmetrizing_form"], "symmetrizing_form")
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
         raise FileFormatError("name: expected a string", "name")
-    alg = _parse_presentation(
+    # the top-level hint and form override any in the presentation
+    hint, form = ((doc[key], key) if key in doc else None
+                  for key in ("radical_hint", "symmetrizing_form"))
+    return _parse_presentation(
         field, doc.get("presentation"), "presentation",
-        hint=hint, name=name,
+        hint=hint, form=form, name=name,
     )
-    if sym_form is None:
-        return alg
-    # the top-level form overrides any in the presentation; its length is
-    # only known once the presentation is built
-    if len(sym_form) != alg.dim:
-        raise FileFormatError(
-            f"symmetrizing_form: expected {alg.dim} coordinates",
-            "symmetrizing_form",
-        )
-    return alg.replace(sym_form=sym_form)
 
 
 def read_document(path: str):
@@ -364,7 +348,7 @@ def load_algebra(path: str) -> Algebra:
     return parse_document(read_document(path))
 
 
-def emit_structure_constants(alg: Algebra, include_radical: bool = True) -> str:
+def emit_structure_constants(alg: Algebra) -> str:
     """Canonical explicit file for an algebra (used by cmd_construct)."""
     field = alg.field
     doc = {"name": alg.name or "algebra", "field": field_to_json(field)}
@@ -381,7 +365,7 @@ def emit_structure_constants(alg: Algebra, include_radical: bool = True) -> str:
     if alg.labels is not None:
         pres["labels"] = list(alg.labels)
     doc["presentation"] = pres
-    cert = radical_or_none(alg) if include_radical else None
+    cert = radical_or_none(alg)
     if cert is not None:
         doc["radical_hint"] = {
             "kind": "basis",

@@ -373,3 +373,26 @@ def test_encoded_rows_over_gf25_are_kept():
     for bad in ([25, 0], [-1, 0]):
         with pytest.raises(ScalarFormatError):
             a.element(np.array(bad))
+
+
+@pytest.mark.parametrize("form", [[0, 4], [0, -2]])
+def test_out_of_range_encodings_are_refused(form):
+    a = get("dual_gf3")
+    with pytest.raises(ScalarFormatError):
+        a.replace(sym_form=np.array(form))
+    with pytest.raises(ScalarFormatError):
+        Algebra(a.field, a.table, np.array(form[::-1]))
+    bad = a.table.copy()
+    bad[1, 1] = form
+    with pytest.raises(ScalarFormatError):
+        Algebra(a.field, bad, a.one)
+
+
+def test_float_multiples_are_refused(dual3):
+    x = dual3.monomial("x1")
+    assert (x * 2).coords.tolist() == [0, 2]
+    for bad in (2.7, 2.0):
+        with pytest.raises(ScalarFormatError):
+            x * bad
+        with pytest.raises(ScalarFormatError):
+            bad * x

@@ -8,6 +8,8 @@ import pytest
 
 from conftest import CASES
 
+from symcenter import cli
+
 
 def run_cli(*args, cwd=None):
     return subprocess.run(
@@ -148,6 +150,20 @@ def test_construct_includes_form_and_radical(tmp_path):
     assert doc["symmetrizing_form"] == [0, 0, 1, 0]
     assert doc["radical_hint"]["kind"] == "basis"
     assert len(doc["radical_hint"]["vectors"]) == 3
+
+
+def test_construct_reads_its_input_once(tmp_path, monkeypatch):
+    src = str(CASES / "trivext_dual_gf3.json")
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    assert cli.main(["construct", src, "--out", str(tmp_path / "t.json")]) == 0
+    assert opened.count(src) == 1
 
 
 def test_construct_rejects_plain_presentation(tmp_path):

@@ -164,6 +164,41 @@ def test_scalar_literal_forms(f25):
     assert QQ.format_enc(Fraction(-1, 2)) == "-1/2"
 
 
+def test_python_ints_are_numbers_and_numpy_ints_are_encodings(f25):
+    # 7 encodes t + 2 in GF(25); the number 7 is 7 * 1 = 2
+    assert f25.arr([7]).tolist() == [2]
+    assert f25.scalar(7) == 2
+    assert f25.arr([np.int64(7), 7]).tolist() == [7, 2]
+    assert f25.arr(np.array([7, 0])).tolist() == [7, 0]
+    assert f25.scalar(np.int64(7)).value == 7
+    assert f25.arr([Fraction(1, 2), f25.scalar(np.int64(7))]).tolist() == [3, 7]
+    assert QQ.arr(np.array([-3, 2])).tolist() == [Fraction(-3), Fraction(2)]
+    assert QQ.scalar(np.int64(-3)) == -3
+
+
+@pytest.mark.parametrize("bad", [np.int64(25), np.int64(-1), np.uint8(30)], ids=repr)
+def test_numpy_ints_outside_the_field_are_refused(f25, bad):
+    with pytest.raises(ScalarFormatError, match=r"outside \[0, 25\)"):
+        f25.scalar(bad)
+    with pytest.raises(ScalarFormatError, match=r"outside \[0, 25\)"):
+        f25.arr([0, bad])
+    with pytest.raises(ScalarFormatError, match=r"outside \[0, 25\)"):
+        f25.arr(np.array([0, bad], dtype=bad.dtype))
+
+
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=repr)
+def test_floats_are_refused(field):
+    for bad in (2.7, 2.0, np.float64(0.5)):
+        with pytest.raises(ScalarFormatError, match="floating-point"):
+            field.scalar(bad)
+        with pytest.raises(ScalarFormatError, match="floating-point"):
+            field.arr([1, bad])
+    with pytest.raises(ScalarFormatError, match="floating-point"):
+        field.arr(np.array([0.0, 1.0]))
+    with pytest.raises(TypeError):
+        field.scalar(1) * 2.7
+
+
 # -- the exact QQ matrix product and the in-place row elimination --------------
 
 

@@ -7,7 +7,9 @@ import pytest
 
 from conftest import CASES
 
+from symcenter import cli
 from symcenter.analysis import analyze
+from symcenter.corpus import get
 from symcenter.errors import (
     AlgebraValidationError,
     FileFormatError,
@@ -246,3 +248,67 @@ def test_constructions_are_capped_at_their_dimension(presentation, monkeypatch):
     with pytest.raises(FileFormatError, match="dimension 4 exceeds") as err:
         parse_document(doc)
     assert err.value.location == "presentation"
+
+
+def test_node_symmetrizing_form_is_anchored():
+    base = {"type": "skew_truncated", "bounds": [2], "symmetrizing_form": [0, 1, 2]}
+    doc = {"field": {"kind": "prime", "p": 3},
+           "presentation": {"type": "trivial_extension", "base": base}}
+    with pytest.raises(FileFormatError, match="expected 2 coordinates") as err:
+        parse_document(doc)
+    assert err.value.location == "presentation.base.symmetrizing_form"
+    base["symmetrizing_form"] = [0, 1]
+    assert parse_document(doc).dim == 4
+
+
+# -- GF(25) encodings in files: coefficient lists outside GF(5) ------------------
+
+GF25 = {"kind": "extension", "p": 5, "modulus": [2, 0, 1]}
+# F[x, y]/(x, y)^2 in the basis 1, t + x, y: (t + x)^2 = 2 + 2t(t + x) and
+# (t + x)y = ty; its radical basis holds x = (t + x) - t, i.e. the entry 3t
+SHIFTED_SQUARE_ZERO = {
+    "type": "structure_constants",
+    "dim": 3,
+    "table": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+              [[0, 1, 0], [2, [0, 2], 0], [0, 0, [0, 1]]],
+              [[0, 0, 1], [0, 0, [0, 1]], [0, 0, 0]]],
+    "one": [1, 0, 0],
+}
+
+
+def _same_report_as_counterexample_A(path):
+    assert analyze(load_algebra(str(path))).to_machine() == \
+        analyze(get("counterexample_A")).to_machine()
+
+
+def _dim_2(path):
+    assert load_algebra(str(path)).dim == 2
+
+
+def _basis_hint_accepted(path):
+    report = analyze(load_algebra(str(path)))
+    assert report.dims["J"] == 1 and report.radical_strategy == "hinted_local"
+
+
+def _construct_output_reloads(path):
+    out = path.with_name("constructed.json")
+    assert cli.main(["construct", str(path), "--out", str(out)]) == 0
+    assert [0, 3] in json.loads(out.read_text())["radical_hint"]["vectors"][0]
+    assert analyze(load_algebra(str(out))).to_machine() == \
+        analyze(load_algebra(str(path))).to_machine()
+
+
+@pytest.mark.parametrize("presentation, extra, check", [
+    ({"type": "skew_truncated", "bounds": [5, 5, 2],
+      "q": {"2,1": -1, "3,1": [1, 1], "3,2": [1, 1]}},
+     {"name": "counterexample_A"}, _same_report_as_counterexample_A),
+    ({"type": "matrix_generators", "size": 2,
+      "generators": {"n": [[0, [0, 1]], [0, 0]]}}, {}, _dim_2),
+    (DUAL_GF3_TABLE, {"radical_hint": {"kind": "basis", "vectors": [[0, [0, 1]]]}},
+     _basis_hint_accepted),
+    ({"type": "opposite", "base": SHIFTED_SQUARE_ZERO}, {}, _construct_output_reloads),
+], ids=["skew_q", "matrix_generators", "basis_hint", "construct_output"])
+def test_gf25_encodings_in_files_keep_their_meaning(presentation, extra, check, tmp_path):
+    path = tmp_path / "gf25.json"
+    path.write_text(json.dumps({"field": GF25, "presentation": presentation, **extra}))
+    check(path)
