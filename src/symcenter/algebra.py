@@ -460,9 +460,14 @@ class LoewyProfile:
 
 
 class AlgebraElement:
-    """An element of a structure-constant algebra, held as coordinates."""
+    """An element of a structure-constant algebra, held as coordinates.
+
+    A numpy integer multiple is an encoding on either side: numpy defers to
+    the reflected operators (``__array_ufunc__ = None``).
+    """
 
     __slots__ = ("algebra", "coords")
+    __array_ufunc__ = None
 
     def __init__(self, algebra: Algebra, coords: np.ndarray):
         self.algebra = algebra

@@ -279,7 +279,7 @@ def from_skew_presentation(field: FieldDescriptor, pres: SkewPresentation,
                         continue
                     qji = qmap.get((j, i), field.one_enc)
                     if qji != field.one_enc:
-                        factor = field.s_mul(
+                        factor = field.a_mul(
                             factor, field.s_pow(qji, ra[j] * rb[i])
                         )
             table[a_idx, b_idx, index_of[total]] = factor

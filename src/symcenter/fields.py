@@ -11,11 +11,16 @@ One rule turns values into encodings, in ``arr`` (arrays) and ``scalar``
 is already an encoding, range-checked against [0, q) over a finite field; a
 Python ``int`` or ``Fraction`` is a number, so over GF(25) the int 7 means
 7 * 1 = 2 while ``np.int64(7)`` is the encoding of t + 2; a float is
-refused.  Over QQ a value is its own encoding.
+refused.  Over QQ a value is its own encoding.  The same rule holds for the
+operators of ``FieldScalar`` and ``AlgebraElement``: a numpy integer on
+either side is an encoding.
 
-Every descriptor also acts as an array kernel: it
-knows how to add, multiply and exactly matrix-multiply numpy arrays of
-encoded values, which is what the linear-algebra layer builds on.
+Every descriptor is an array kernel: it knows how to add, multiply and
+exactly matrix-multiply numpy arrays of encoded values, which is what the
+linear-algebra layer builds on.  It is the only arithmetic: a single value
+is a 0-d operand of the same ``a_add`` / ``a_sub`` / ``a_neg`` / ``a_mul``,
+and ``s_div`` and ``s_pow`` are written once on ``a_mul``.  The one scalar
+method per field is ``s_inv``, which has no array counterpart.
 
 Exactness of the fast paths:
 
@@ -143,25 +148,13 @@ class FieldDescriptor:
     def from_int(self, i: int):
         return int(i) % self.characteristic
 
-    def s_add(self, a, b):
-        raise NotImplementedError
-
-    def s_sub(self, a, b):
-        raise NotImplementedError
-
-    def s_neg(self, a):
-        raise NotImplementedError
-
-    def s_mul(self, a, b):
-        raise NotImplementedError
-
     def s_inv(self, a):
         raise NotImplementedError
 
     def s_div(self, a, b):
         if b == self.zero_enc:
             raise DivisionByZero("division by zero")
-        return self.s_mul(a, self.s_inv(b))
+        return self.a_mul(a, self.s_inv(b))
 
     def s_pow(self, a, e: int):
         if e < 0:
@@ -170,8 +163,8 @@ class FieldDescriptor:
         base = a
         while e:
             if e & 1:
-                result = self.s_mul(result, base)
-            base = self.s_mul(base, base)
+                result = self.a_mul(result, base)
+            base = self.a_mul(base, base)
             e >>= 1
         return result
 
@@ -314,18 +307,6 @@ class PrimeField(FieldDescriptor):
 
     def __repr__(self):
         return f"GF({self.p})"
-
-    def s_add(self, a, b):
-        return (a + b) % self.p
-
-    def s_sub(self, a, b):
-        return (a - b) % self.p
-
-    def s_neg(self, a):
-        return (-a) % self.p
-
-    def s_mul(self, a, b):
-        return (a * b) % self.p
 
     def s_inv(self, a):
         if a == 0:
@@ -509,18 +490,6 @@ class ExtensionField(FieldDescriptor):
     def enc_to_coeffs(self, enc: int) -> tuple[int, ...]:
         return tuple(int(x) for x in self._digits[enc])
 
-    def s_add(self, a, b):
-        return int(self._add_table[a, b])
-
-    def s_sub(self, a, b):
-        return int(self._sub_table[a, b])
-
-    def s_neg(self, a):
-        return int(self._neg_table[a])
-
-    def s_mul(self, a, b):
-        return int(self._mul_table[a, b])
-
     def s_inv(self, a):
         if a == 0:
             raise DivisionByZero("inverse of zero")
@@ -645,18 +614,6 @@ class RationalField(FieldDescriptor):
     def _from_fraction(self, f: Fraction) -> Fraction:
         return f
 
-    def s_add(self, a, b):
-        return a + b
-
-    def s_sub(self, a, b):
-        return a - b
-
-    def s_neg(self, a):
-        return -a
-
-    def s_mul(self, a, b):
-        return a * b
-
     def s_inv(self, a):
         if a == 0:
             raise DivisionByZero("inverse of zero")
@@ -728,16 +685,23 @@ def gf25() -> ExtensionField:
 
 
 class FieldScalar:
-    """An exact field element: a descriptor plus a canonical encoded value."""
+    """An exact field element: a descriptor plus a canonical encoded value.
+
+    ``value`` is a Python ``int`` over a finite field (table lookups of the
+    array kernel return numpy integers) and a ``Fraction`` over QQ.  Numpy
+    integers on either side of an operator are encodings, by ``_enc``;
+    ``__array_ufunc__ = None`` makes numpy defer to the reflected operators.
+    """
 
     __slots__ = ("field", "value")
+    __array_ufunc__ = None
 
     def __init__(self, field: FieldDescriptor, value):
         self.field = field
-        self.value = value
+        self.value = int(value) if field.order is not None else value
 
     def _coerce(self, other):
-        if isinstance(other, (FieldScalar, int, Fraction)):
+        if isinstance(other, (FieldScalar, int, Fraction, np.integer)):
             return self.field._enc(other)
         return None
 
@@ -745,7 +709,7 @@ class FieldScalar:
         v = self._coerce(other)
         if v is None:
             return NotImplemented
-        return FieldScalar(self.field, self.field.s_add(self.value, v))
+        return FieldScalar(self.field, self.field.a_add(self.value, v))
 
     __radd__ = __add__
 
@@ -753,22 +717,22 @@ class FieldScalar:
         v = self._coerce(other)
         if v is None:
             return NotImplemented
-        return FieldScalar(self.field, self.field.s_sub(self.value, v))
+        return FieldScalar(self.field, self.field.a_sub(self.value, v))
 
     def __rsub__(self, other):
         v = self._coerce(other)
         if v is None:
             return NotImplemented
-        return FieldScalar(self.field, self.field.s_sub(v, self.value))
+        return FieldScalar(self.field, self.field.a_sub(v, self.value))
 
     def __neg__(self):
-        return FieldScalar(self.field, self.field.s_neg(self.value))
+        return FieldScalar(self.field, self.field.a_neg(self.value))
 
     def __mul__(self, other):
         v = self._coerce(other)
         if v is None:
             return NotImplemented
-        return FieldScalar(self.field, self.field.s_mul(self.value, v))
+        return FieldScalar(self.field, self.field.a_mul(self.value, v))
 
     __rmul__ = __mul__
 
@@ -796,7 +760,7 @@ class FieldScalar:
     def __eq__(self, other):
         if isinstance(other, FieldScalar):
             return self.field == other.field and self.value == other.value
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction, np.integer)):
             return self.value == self.field._enc(other)
         return NotImplemented
 
@@ -815,7 +779,7 @@ class FieldScalar:
         n = 1
         acc = self.value
         while acc != self.field.one_enc:
-            acc = self.field.s_mul(acc, self.value)
+            acc = self.field.a_mul(acc, self.value)
             n += 1
         return n
 

@@ -158,7 +158,7 @@ class Subspace:
         return reduce_rows(self.field, rows, self.basis, self.pivot_columns())
 
     def contains_vector(self, vec) -> bool:
-        row = np.asarray(vec, dtype=self.field.dtype).reshape(1, -1)
+        row = self.field.arr(vec).reshape(1, -1)
         if row.shape[1] != self.ambient_dim:
             raise AmbientMismatch("vector length does not match ambient dimension")
         return bool(np.all(self.reduce(row) == self.field.zero_enc))

@@ -71,12 +71,9 @@ def is_nilpotent_ideal(algebra: Algebra, n: Subspace) -> bool:
 def trace_gram(field: FieldDescriptor, table: np.ndarray) -> np.ndarray:
     """Gram matrix of (x, y) -> tr(L_{xy}) on the given structure table."""
     n = table.shape[0]
-    traces = field.zeros(n)
-    for m in range(n):
-        acc = field.zero_enc
-        for k in range(n):
-            acc = field.s_add(acc, table[m, k, k])
-        traces[m] = acc
+    # tr(L_{e_m}) is the run m of the diagonal entries table[m, k, k]
+    diag = np.diagonal(table, axis1=1, axis2=2).reshape(-1)
+    traces = field.a_sum_runs(diag, np.arange(0, n * n, n))
     return field.tensordot_lf(table, traces.reshape(n, 1)).reshape(n, n)
 
 

@@ -335,7 +335,7 @@ def _products_oracle(a, rows, side):
                 acc = f.zero_enc
                 for i in range(n):
                     c = a.table[i, j, k] if side == "left" else a.table[j, i, k]
-                    acc = f.s_add(acc, f.s_mul(rows[s, i], c))
+                    acc = f.a_add(acc, f.a_mul(rows[s, i], c))
                 out[s, j, k] = acc
     return out
 
@@ -396,3 +396,12 @@ def test_float_multiples_are_refused(dual3):
             x * bad
         with pytest.raises(ScalarFormatError):
             bad * x
+
+
+def test_numpy_int_multiples_are_encodings():
+    x = get("dual_gf25").one_element()
+    f, seven = x.algebra.field, np.int64(7)
+    expect = f.a_mul(seven, x.coords).tolist()
+    assert (x * seven).coords.tolist() == expect
+    assert (seven * x).coords.tolist() == expect
+    assert (seven * x).coords.tolist() != (x * 7).coords.tolist()

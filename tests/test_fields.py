@@ -8,7 +8,7 @@ import pytest
 
 from oracles import gf25_elements_of_order
 
-from symcenter import GF, QQ, ExtensionField, FieldScalar, element_of_order
+from symcenter import GF, QQ, ExtensionField, FieldScalar, element_of_order, gf25
 from symcenter.fields import _F64_EXACT, _poly_mod
 from symcenter.errors import (
     DivisionByZero,
@@ -37,11 +37,11 @@ def test_gf25_generator_square_is_minus_two(f25):
 def test_field_axioms_exhaustive(p):
     f = GF(p)
     for a, b, c in product(range(p), repeat=3):
-        assert f.s_add(f.s_add(a, b), c) == f.s_add(a, f.s_add(b, c))
-        assert f.s_mul(f.s_mul(a, b), c) == f.s_mul(a, f.s_mul(b, c))
-        assert f.s_mul(a, f.s_add(b, c)) == f.s_add(f.s_mul(a, b), f.s_mul(a, c))
+        assert f.a_add(f.a_add(a, b), c) == f.a_add(a, f.a_add(b, c))
+        assert f.a_mul(f.a_mul(a, b), c) == f.a_mul(a, f.a_mul(b, c))
+        assert f.a_mul(a, f.a_add(b, c)) == f.a_add(f.a_mul(a, b), f.a_mul(a, c))
     for a in range(1, p):
-        assert f.s_mul(a, f.s_inv(a)) == 1
+        assert f.a_mul(a, f.s_inv(a)) == 1
 
 
 def test_field_axioms_sampled_gf25_and_rationals(f25, rng):
@@ -138,7 +138,7 @@ def test_matmul_exact_against_naive(f25, rng):
             for j in range(4):
                 acc = field.zero_enc
                 for t in range(5):
-                    acc = field.s_add(acc, field.s_mul(a[i, t], b[t, j]))
+                    acc = field.a_add(acc, field.a_mul(a[i, t], b[t, j]))
                 assert m[i, j] == acc
 
 
@@ -174,6 +174,32 @@ def test_python_ints_are_numbers_and_numpy_ints_are_encodings(f25):
     assert f25.arr([Fraction(1, 2), f25.scalar(np.int64(7))]).tolist() == [3, 7]
     assert QQ.arr(np.array([-3, 2])).tolist() == [Fraction(-3), Fraction(2)]
     assert QQ.scalar(np.int64(-3)) == -3
+
+
+def test_numpy_ints_beside_a_scalar_are_encodings(f25):
+    # np.int64(7) encodes t + 2, so 1 + it is t + 3 = [3,1] in either order
+    one, seven = f25.scalar(1), np.int64(7)
+    assert (one + seven).value == (seven + one).value == f25.coeffs_to_enc([3, 1])
+    assert (seven - one).value == f25.coeffs_to_enc([1, 1])
+    assert (one - seven).value == f25.coeffs_to_enc([4, 4])
+    assert (one * seven).value == (seven * one).value == 7
+    assert (f25.scalar(2) == seven) is False
+    assert (seven == f25.scalar(2)) is False
+    assert f25.scalar(seven) == seven and seven == f25.scalar(seven)
+    with pytest.raises(ScalarFormatError, match=r"outside \[0, 25\)"):
+        one + np.int64(25)
+    with pytest.raises(ScalarFormatError, match=r"outside \[0, 25\)"):
+        np.int64(25) * one
+
+
+@pytest.mark.parametrize("field", [GF(3), gf25(), QQ], ids=repr)
+def test_scalar_values_stay_python_numbers(field):
+    kind = int if field.order is not None else Fraction
+    a, b = field.scalar(2), field.scalar(np.int64(1))
+    for r in (a + b, a - b, -a, a * b, a / b, 1 / a, a ** 3, a ** -2, a.inverse()):
+        assert type(r.value) is kind
+    if field.order is not None:
+        assert type(a.multiplicative_order()) is int
 
 
 @pytest.mark.parametrize("bad", [np.int64(25), np.int64(-1), np.uint8(30)], ids=repr)
@@ -270,7 +296,7 @@ def test_elim_touches_only_rows_with_nonzero_factor(field_name, f25, rng):
         if f[i] == field.zero_enc:
             assert np.array_equal(m[i], before[i])
         else:
-            expect = [field.s_sub(x, field.s_mul(f[i], y)) for x, y in zip(before[i], row)]
+            expect = [field.a_sub(x, field.a_mul(f[i], y)) for x, y in zip(before[i], row)]
             assert list(m[i]) == expect
 
 
@@ -307,7 +333,7 @@ def test_extension_matmul_every_rung(p, modulus, shape, rung, rng):
         for j in range(c):
             acc = field.zero_enc
             for t in range(m):
-                acc = field.s_add(acc, field.s_mul(int(a[i, t]), int(b[t, j])))
+                acc = field.a_add(acc, field.a_mul(int(a[i, t]), int(b[t, j])))
             assert got[i, j] == acc
 
 

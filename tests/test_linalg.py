@@ -8,7 +8,7 @@ import pytest
 from oracles import naive_kernel_mod, naive_rank_mod
 
 from symcenter import GF, QQ, Subspace, contains, kernel, member, rank
-from symcenter.errors import AmbientMismatch
+from symcenter.errors import AmbientMismatch, ScalarFormatError
 from symcenter.linalg import (
     express_in_rows,
     random_subspace,
@@ -117,6 +117,17 @@ def test_member_and_contains(g3):
     assert contains(w, u) and not contains(u, w)
 
 
+def test_member_reads_vectors_by_the_encoding_rule(f25):
+    # the Python ints 1, 7 are the numbers 1, 7 (encodings 1, 2) everywhere
+    u = Subspace.from_vectors(f25, 2, [[1, 7]])
+    assert member(u, [1, 7])
+    assert member(u, np.array([1, 2]))
+    assert not member(u, np.array([1, 7]))
+    assert member(u, [30, 0])
+    with pytest.raises(ScalarFormatError, match=r"outside \[0, 25\)"):
+        member(u, np.array([30, 0]))
+
+
 def test_ambient_mismatch(g3):
     u = Subspace.full(g3, 3)
     v = Subspace.full(g3, 4)
@@ -174,7 +185,7 @@ def _sequential_reduce(field, rows, basis, pivots):
         for r, c in enumerate(pivots):
             f = res[i, c]
             for j in range(res.shape[1]):
-                res[i, j] = field.s_sub(res[i, j], field.s_mul(f, basis[r, j]))
+                res[i, j] = field.a_sub(res[i, j], field.a_mul(f, basis[r, j]))
     return res
 
 

@@ -198,7 +198,7 @@ def test_dimension_100_trivial_extension(rng):
     i, j = (int(v) for v in rng.choice([x for x in range(n) if x not in units], 2))
     bad = a.table.copy()
     k = int(rng.integers(0, n))
-    bad[i, j, k] = f.s_add(bad[i, j, k], f.one_enc)
+    bad[i, j, k] = f.a_add(bad[i, j, k], f.one_enc)
     with pytest.raises(AlgebraValidationError) as err:
         Algebra(f, bad, a.one)
     x, y, z = err.value.triple
