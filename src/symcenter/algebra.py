@@ -22,8 +22,7 @@ quotients, ...) cannot go stale.  A different name, hint or form means a
 new algebra, made by ``replace``.  Every per-algebra result, here and in
 the modules built on this one, is memoised by the one decorator
 ``memoised(key)``, once per further argument where the result has one
-(the symmetric quotient by z); ``memo`` reads what it stored without
-computing anything.
+(the symmetric quotient by z).
 """
 
 from __future__ import annotations
@@ -60,11 +59,6 @@ def memoised(key: str):
             return cache[slot]
         return wrapper
     return decorate
-
-
-def memo(algebra: "Algebra", key: str):
-    """What ``memoised`` stored under ``key``, or None if nothing yet."""
-    return algebra._cache.get(key)
 
 
 _JOIN_BLOCK = 4_000_000     # terms per block of the associativity join
@@ -191,9 +185,10 @@ class Algebra:
         self.sym_form = sym_form
         self.name = name
         self._cache: dict = {}
-        # (subspace, evidence): passed only by constructions whose math
-        # guarantees the subspace is all of J(A); radical() re-checks it is a
-        # nilpotent ideal.  Callers with outside knowledge use radical_hint.
+        # A function of no arguments returning (subspace, evidence) or None,
+        # passed only by constructions whose math makes the subspace J(A);
+        # radical() calls it once and re-checks that it is a nilpotent ideal.
+        # Callers with outside knowledge use radical_hint.
         self._radical_seed = _radical_seed
         if not _skip_validation:
             self._validate()
@@ -417,7 +412,7 @@ class Algebra:
     # -- formatting ----------------------------------------------------------------
 
     def element_str(self, coords) -> str:
-        coords = np.asarray(coords, dtype=self.field.dtype).reshape(self.dim)
+        coords = self.field.arr(coords).reshape(self.dim)
         nz = [i for i in range(self.dim) if coords[i] != self.field.zero_enc]
         if not nz:
             return "0"

@@ -1,9 +1,10 @@
 """Builders that produce new algebras from old ones.
 
-Each construction propagates whatever radical knowledge it can justify:
+Each construction states its output's radical from its inputs' radicals:
 tensor products combine component radicals, trivial extensions adjoin the
 square-zero dual copy, quotients push the radical forward when the ideal
-sits inside it.  Propagated radicals are re-verified when first used.
+sits inside it, opposites keep it.  Nothing is computed at build time: the
+radical is derived from the parents' when first asked for, and re-verified.
 """
 
 from __future__ import annotations
@@ -12,14 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, memo, memoised, quotient_data
+from .algebra import Algebra, memoised, quotient_data
 from .errors import AlgebraValidationError, BasisClaimFailed
 from .fields import FieldDescriptor
 from .linalg import Subspace, contains, express_in_rows, kernel, subspace_sum
 from .substructures import (
     RadicalHint,
     j_of_center,
-    known_radical,
     property_verdicts,
     radical_or_none,
     soc_of_center,
@@ -29,8 +29,10 @@ from .substructures import (
 # -- tensor product ------------------------------------------------------------
 
 
+@memoised("tensor")
 def tensor(a1: Algebra, a2: Algebra) -> Algebra:
-    """A1 (x) A2 on the basis e_i (x) f_j, ordered row-major in (i, j)."""
+    """A1 (x) A2 on the basis e_i (x) f_j, ordered row-major in (i, j),
+    built once per pair: memoised on A1, keyed by A2."""
     f = a1.field
     f.check_same(a2.field)
     n1, n2 = a1.dim, a2.dim
@@ -48,19 +50,22 @@ def tensor(a1: Algebra, a2: Algebra) -> Algebra:
     if a1.sym_form is not None and a2.sym_form is not None:
         sym = f.a_mul(a1.sym_form[:, None], a2.sym_form[None, :]).reshape(n)
     name = f"({a1.name or 'A1'})⊗({a2.name or 'A2'})"
-    seed = None
-    c1, c2 = radical_or_none(a1), radical_or_none(a2)
-    if c1 is not None and c2 is not None:
+
+    def seed():
+        c1, c2 = radical_or_none(a1), radical_or_none(a2)
+        if c1 is None or c2 is None:
+            return None
         eye1, eye2 = f.eye(n1), f.eye(n2)
         left = f.a_mul(c1.radical.basis[:, None, :, None], eye2[None, :, None, :])
         right = f.a_mul(eye1[:, None, :, None], c2.radical.basis[None, :, None, :])
         rows = np.concatenate(
             [left.reshape(-1, n), right.reshape(-1, n)], axis=0
         )
-        seed = (
+        return (
             Subspace.from_rows(f, n, rows),
             "J(A1) (x) A2 + A1 (x) J(A2) from component radicals",
         )
+
     return Algebra(f, table, one, labels=labels, sym_form=sym, name=name,
                    _radical_seed=seed)
 
@@ -89,16 +94,19 @@ def trivial_extension(a: Algebra) -> Algebra:
     if a.labels is not None:
         labels = list(a.labels) + [s + "*" for s in a.labels]
     name = f"T({a.name or 'A'})"
-    seed = None
-    cert = radical_or_none(a)
-    if cert is not None:
+
+    def seed():
+        cert = radical_or_none(a)
+        if cert is None:
+            return None
         rows = f.zeros((cert.radical.dim + n, 2 * n))
         rows[: cert.radical.dim, :n] = cert.radical.basis
         rows[cert.radical.dim :, n:] = f.eye(n)
-        seed = (
+        return (
             Subspace.from_rows(f, 2 * n, rows),
             "J(A) + A* (dual copy squares to zero)",
         )
+
     return Algebra(f, t, one, labels=labels, sym_form=lam, name=name,
                    _radical_seed=seed)
 
@@ -157,14 +165,17 @@ def quotient(a: Algebra, ideal: Subspace) -> Algebra:
     """A/I on the complement coordinates of the ideal's RREF basis."""
     table, one, comp, labels = quotient_data(a, ideal)
     name = f"({a.name or 'A'})/I"
-    seed = None
-    cert = known_radical(a)
-    if cert is not None and contains(cert.radical, ideal):
+
+    def seed():
+        cert = radical_or_none(a)
+        if cert is None or not contains(cert.radical, ideal):
+            return None
         projected = ideal.reduce(cert.radical.basis)[:, comp]
-        seed = (
+        return (
             Subspace.from_rows(a.field, len(comp), projected),
             "J(A)/I: the ideal is contained in J(A), so the radical passes down",
         )
+
     return Algebra(a.field, table, one, labels=labels, name=name,
                    _radical_seed=seed)
 
@@ -172,16 +183,16 @@ def quotient(a: Algebra, ideal: Subspace) -> Algebra:
 def opposite(a: Algebra) -> Algebra:
     """Same space, reversed multiplication (transposed table)."""
     table = np.ascontiguousarray(a.table.transpose(1, 0, 2))
-    seed = a._radical_seed
-    cert = memo(a, "radical_cert")
-    if seed is None and cert is not None:
-        seed = (cert.radical, "the radical is opposite-invariant")
+
+    def seed():
+        cert = radical_or_none(a)
+        return None if cert is None else (cert.radical, "the radical is opposite-invariant")
+
     return Algebra(
         a.field,
         table,
         a.one.copy(),
         labels=None if a.labels is None else list(a.labels),
-        radical_hint=a.radical_hint,
         sym_form=None if a.sym_form is None else a.sym_form.copy(),
         name=f"op({a.name or 'A'})",
         _radical_seed=seed,

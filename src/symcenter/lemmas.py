@@ -11,7 +11,6 @@ statements; they verify, they do not prove.
 
 from __future__ import annotations
 
-import functools
 import zlib
 
 import numpy as np
@@ -40,7 +39,6 @@ from .substructures import (
     j_of_center,
     property_verdicts,
     radical,
-    radical_or_none,
     reynolds,
     soc_of_center,
     socle,
@@ -103,11 +101,6 @@ def _rng(suite_id: str) -> np.random.Generator:
     return np.random.default_rng(SEED ^ zlib.crc32(suite_id.encode()))
 
 
-@functools.cache
-def _tensor_pair(ida: str, idb: str) -> Algebra:
-    return tensor(get(ida), get(idb))
-
-
 def _symmetric_entries() -> list[str]:
     out = []
     for entry in ENTRY_IDS:
@@ -120,12 +113,11 @@ def _local_entries() -> list[str]:
     out = []
     for entry in ENTRY_IDS:
         a = get(entry)
-        if radical_or_none(a) is not None and is_local(a):
+        if is_local(a):
             out.append(entry)
     return out
 
 
-@functools.cache
 def _derived_symmetric_locals() -> list[tuple[str, Algebra]]:
     """Noncommutative symmetric local quotients used to de-trivialise scopes."""
     a12 = get("dim12_sharp")
@@ -140,7 +132,6 @@ def _derived_symmetric_locals() -> list[tuple[str, Algebra]]:
     return out
 
 
-@functools.cache
 def _trivext_family_sample() -> list[tuple[str, Algebra]]:
     """A few small commutative trivial extensions, shared across scopes."""
     return [(f"T({base.member_id})", trivial_extension(base.algebra))
@@ -239,7 +230,7 @@ def _check_soctensor(sink: ClaimSink):
     for ida, idb in TENSOR_PAIR_IDS:
         pair = f"{ida}(x){idb}"
         a1, a2 = get(ida), get(idb)
-        t = _tensor_pair(ida, idb)
+        t = tensor(a1, a2)
         f = t.field
         soc_formula = _kron_span(f, socle(a1), socle(a2), a1.dim, a2.dim)
         sink.check(f"soc_formula/{pair}", "PAPER", socle(t) == soc_formula)
@@ -252,7 +243,7 @@ def _check_idealtensor(sink: ClaimSink):
     for ida, idb in TENSOR_PAIR_IDS:
         pair = f"{ida}(x){idb}"
         a1, a2 = get(ida), get(idb)
-        t = _tensor_pair(ida, idb)
+        t = tensor(a1, a2)
         samples = [
             (radical(a1).radical, radical(a2).radical),
             (socle(a1), socle(a2)),
@@ -279,7 +270,7 @@ def _check_jacobsontensorproduct(sink: ClaimSink):
         pair = f"{ida}(x){idb}"
         v1 = property_verdicts(get(ida))
         v2 = property_verdicts(get(idb))
-        vt = property_verdicts(_tensor_pair(ida, idb))
+        vt = property_verdicts(tensor(get(ida), get(idb)))
         sink.check(f"p2_conjunction/{pair}", "PAPER",
                    vt.p2.holds == (v1.p2.holds and v2.p2.holds))
         sink.check(f"p3_conjunction/{pair}", "PAPER",
@@ -366,7 +357,6 @@ def _check_remark_ka(sink: ClaimSink):
                    a.is_ideal(a.commutator_space()) == a.is_commutative())
 
 
-@functools.cache
 def _witness_samples():
     """Symmetric quotient witnesses: z over a J(Z) basis plus z = 1."""
     out = []
@@ -652,7 +642,7 @@ def _dim9_algebras():
     for base in commutative_local_bases(8):
         if base.algebra.dim <= 9:
             out.append((f"base/{base.member_id}", base.algebra))
-    return [(n, a) for n, a in out if a.dim <= 9 and radical_or_none(a) is not None and is_local(a)]
+    return [(n, a) for n, a in out if a.dim <= 9 and is_local(a)]
 
 
 def _check_dim9_trivext_lemma(sink: ClaimSink):

@@ -7,8 +7,8 @@ semisimple by codimension 1 (A/N is then the field), by a nondegenerate
 trace form tr(L_xy) on A/N, or by the theorem behind the candidate:
 
 * propagated -- a construction (tensor, trivial extension, quotient,
-  opposite) knows the radical of its output from the radicals of its
-  inputs;
+  opposite) derives the radical of its output from its inputs' radicals
+  when first asked; without them the output falls through to the rest;
 * hinted_local / hinted_general / semisimple_traceform -- the caller's
   hint names the candidate (the non-identity coordinates, explicit
   vectors, or zero), and codimension 1 or the trace form certifies A/N;
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, memo, memoised, quotient_data
+from .algebra import Algebra, memoised, quotient_data
 from .errors import (
     CriterionDisagreement,
     HintRejected,
@@ -123,8 +123,9 @@ def _hint_span(algebra: Algebra, hint: RadicalHint) -> Subspace:
 @memoised("radical_cert")
 def radical(algebra: Algebra) -> RadicalCertificate:
     """Verified Jacobson radical; strategy order: propagated, hinted, dickson."""
-    if algebra._radical_seed is not None:
-        sub, evidence = algebra._radical_seed
+    seed = None if algebra._radical_seed is None else algebra._radical_seed()
+    if seed is not None:
+        sub, evidence = seed
         _certify(algebra, sub, lambda _: InternalCheckError(
             "propagated radical failed verification: " + evidence), None)
         return RadicalCertificate(sub, "propagated", evidence)
@@ -174,15 +175,6 @@ def radical_or_none(algebra: Algebra) -> RadicalCertificate | None:
         return radical(algebra)
     except RadicalUnavailable:
         return None
-
-
-def known_radical(algebra: Algebra) -> RadicalCertificate | None:
-    """The radical if it is already known -- the algebra is seeded or hinted,
-    or its radical is memoised -- else None.  Never runs the Dickson strategy."""
-    if (algebra._radical_seed is None and algebra.radical_hint is None
-            and memo(algebra, "radical_cert") is None):
-        return None
-    return radical_or_none(algebra)
 
 
 def verify_certificate(algebra: Algebra, cert: RadicalCertificate) -> bool:

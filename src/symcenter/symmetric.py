@@ -91,13 +91,13 @@ class QuotientWitness:
 
     def project_rows(self, rows: np.ndarray) -> np.ndarray:
         """nu on coordinate rows: reduce mod the ideal, keep complement columns."""
-        rows = np.asarray(rows, dtype=self.algebra.field.dtype).reshape(-1, self.algebra.dim)
+        rows = self.algebra.field.arr(rows).reshape(-1, self.algebra.dim)
         return self.ideal.reduce(rows)[:, self.comp_cols]
 
     def lift_rows(self, rows: np.ndarray) -> np.ndarray:
         """The canonical section of nu (zero at the ideal's pivot columns)."""
         f = self.algebra.field
-        rows = np.asarray(rows, dtype=f.dtype).reshape(-1, len(self.comp_cols))
+        rows = f.arr(rows).reshape(-1, len(self.comp_cols))
         out = f.zeros((rows.shape[0], self.algebra.dim))
         out[:, self.comp_cols] = rows
         return out

@@ -143,7 +143,7 @@ def test_hint_rejected_cases(mat2, dual3):
 def test_bad_seed_is_an_internal_error(mat2, seed_rows):
     seed = (Subspace.from_vectors(mat2.field, 4, list(seed_rows)), "a bogus theorem")
     a = Algebra(mat2.field, mat2.table, mat2.one,
-                radical_hint=RadicalHint("semisimple"), _radical_seed=seed)
+                radical_hint=RadicalHint("semisimple"), _radical_seed=lambda: seed)
     with pytest.raises(InternalCheckError,
                        match=r"^propagated radical failed verification: a bogus theorem$"):
         radical(a)
@@ -153,6 +153,7 @@ _CODIM1 = ("hinted_local", "nilpotent two-sided ideal of codimension 1 in a unit
 _TENSOR = ("propagated", "J(A1) (x) A2 + A1 (x) J(A2) from component radicals")
 _TRIVEXT = ("propagated", "J(A) + A* (dual copy squares to zero)")
 _QUOTIENT = ("propagated", "J(A)/I: the ideal is contained in J(A), so the radical passes down")
+_OPPOSITE = ("propagated", "the radical is opposite-invariant")
 _SEMISIMPLE = ("semisimple_traceform", "trace form of the regular representation is nondegenerate")
 
 
@@ -201,11 +202,10 @@ _PROVENANCE = {
     "quotient_of_cached": (lambda: _socle_quotient(_cached()), _QUOTIENT),
     "quotient_of_unknown": (
         lambda: quotient(_trunc3(GF(7)), Subspace.from_vectors(GF(7), 3, [[0, 0, 1]])),
-        ("dickson", "radical of the trace form tr(L_xy) (char 7 vs dim 2)"),
+        _QUOTIENT,
     ),
-    "opposite_of_seeded": (lambda: opposite(_seeded()), _TRIVEXT),
-    "opposite_of_cached": (lambda: opposite(_cached()),
-                           ("propagated", "the radical is opposite-invariant")),
+    "opposite_of_seeded": (lambda: opposite(_seeded()), _OPPOSITE),
+    "opposite_of_cached": (lambda: opposite(_cached()), _OPPOSITE),
     "hinted_local_default_span": (
         lambda: from_skew_presentation(GF(3), SkewPresentation.anticommuting([2, 2])),
         _CODIM1,
@@ -248,6 +248,32 @@ def test_radical_provenance(case):
     cert = radical(a)
     assert (cert.strategy, cert.evidence) == expected
     assert verify_certificate(a, cert)
+
+
+def test_construction_provenance_does_not_depend_on_call_order():
+    # a hintless GF(7) algebra, its quotient by x^2 (inside J) and its opposite
+    def build(parent_first):
+        a = _trunc3(GF(7))
+        if parent_first:
+            radical(a)
+        return quotient(a, Subspace.from_vectors(GF(7), 3, [[0, 0, 1]])), opposite(a)
+
+    fresh, warmed = build(False), build(True)
+    for expected, b1, b2 in zip((_QUOTIENT, _OPPOSITE), fresh, warmed):
+        for b in (b1, b2):
+            assert (radical(b).strategy, radical(b).evidence) == expected
+        assert analyze(b1).to_text() == analyze(b2).to_text()
+
+
+def test_constructions_compute_no_radical_at_build_time():
+    # span{x} is not an ideal of k[x]/(x^3): the hint fails only when asked
+    bogus = _trunc3(GF(3), radical_hint=RadicalHint("basis", ((0, 1, 0),)))
+    x2 = Subspace.from_vectors(GF(3), 3, [[0, 0, 1]])
+    built = [tensor(bogus, bogus), trivial_extension(bogus), quotient(bogus, x2),
+             opposite(bogus)]
+    for b in built:
+        with pytest.raises(HintRejected, match=r"^basis hint rejected: span is not an ideal$"):
+            radical(b)
 
 
 def test_general_basis_hint_with_nondegenerate_quotient(mat2, dual3):

@@ -18,6 +18,7 @@ from symcenter.errors import (
     InternalCheckError,
     NotSymmetricForm,
     RadicalUnavailable,
+    ScalarFormatError,
 )
 from symcenter.linalg import random_subspace, subspace_intersect, subspace_sum
 from symcenter.substructures import radical, socle
@@ -180,20 +181,40 @@ def test_symmetric_quotient_lets_internal_check_errors_through(monkeypatch):
     # a fresh memo, so the patched radical never reaches the shared corpus
     # algebra and no quotient built by an earlier test is handed back
     a = get("dim12_sharp").replace(name="dim12_sharp, fresh memo")
+    w = symmetric_quotient(a, a.monomial("M^2"))
 
+    # the quotient's seed asks radical_or_none(a), which calls this binding
     def broken(_algebra):
         raise InternalCheckError("propagated radical failed verification")
 
     monkeypatch.setattr(substructures, "radical", broken)
-    with pytest.raises(InternalCheckError):
-        symmetric_quotient(a, a.monomial("M^2"))
+    with pytest.raises(InternalCheckError, match="^propagated radical failed verification$"):
+        radical(w.quotient)
 
     def unavailable(_algebra):
         raise RadicalUnavailable("no radical strategy applies")
 
     monkeypatch.setattr(substructures, "radical", unavailable)
-    w = symmetric_quotient(a, a.monomial("M^2"))
-    assert w.quotient._radical_seed is None
+    with pytest.raises(RadicalUnavailable, match=rf"char 3 <= dim {w.quotient.dim} "):
+        radical(w.quotient)
+
+
+def test_quotient_witness_reads_rows_by_the_encoding_rule():
+    # the Python int 7 is the number 7 = 2 in GF(25); np.int64(30) is no encoding
+    a = get("dual_gf25")
+    w = symmetric_quotient(a, a.one)
+    assert w.project_rows([[7, 0]]).tolist() == [[2, 0]]
+    assert w.project_rows(np.array([[7, 0]])).tolist() == [[7, 0]]
+    with pytest.raises(ScalarFormatError):
+        w.project_rows(np.array([[30, 0]]))
+
+
+def test_quotient_witness_lifts_rows_by_the_encoding_rule():
+    a = get("dual_gf25")
+    w = symmetric_quotient(a, a.one)
+    assert w.lift_rows([[7, 0]]).tolist() == [[2, 0]]
+    with pytest.raises(ScalarFormatError):
+        w.lift_rows(np.array([[30, 0]]))
 
 
 def test_symmetric_quotient_is_built_once_per_z():
