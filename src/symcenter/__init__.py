@@ -7,7 +7,7 @@ whether J(Z(A)), soc(Z(A)) and R(A) are two-sided ideals, and ships a
 corpus of worked examples with their expected exact values.
 """
 
-from .algebra import Algebra, AlgebraElement, LoewyProfile
+from .algebra import Algebra, AlgebraElement
 from .analysis import AnalysisReport, analyze
 from .constructions import (
     SkewPresentation,
@@ -68,7 +68,7 @@ from .symmetric import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Algebra", "AlgebraElement", "LoewyProfile",
+    "Algebra", "AlgebraElement",
     "AnalysisReport", "analyze",
     "SkewPresentation", "TrivExtCriteria",
     "from_matrix_generators", "from_skew_presentation",

@@ -28,7 +28,6 @@ the modules built on this one, is memoised by the one decorator
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,7 +157,10 @@ class Algebra:
         n = table.shape[0]
         if n == 0:
             raise AlgebraValidationError("algebras here are unital, so dim >= 1")
-        one = field.arr(one).reshape(n)
+        one = field.arr(one)
+        if one.size != n:
+            raise AlgebraValidationError(f"unit has {one.size} coordinates, expected {n}")
+        one = one.reshape(n)
         if labels is not None:
             labels = [str(s) for s in labels]
             if len(labels) != n:
@@ -245,8 +247,8 @@ class Algebra:
         return AlgebraElement(self, self.one.copy())
 
     def monomial(self, label: str) -> "AlgebraElement":
-        if self.labels is None:
-            raise KeyError("algebra has no basis labels")
+        if label not in (self.labels or ()):
+            raise KeyError(f"no basis element is labelled {label!r}")
         return self.basis_element(self.labels.index(label))
 
     def left_products(self, rows: np.ndarray) -> np.ndarray:
@@ -279,7 +281,12 @@ class Algebra:
             if x.algebra is not self:
                 raise AlgebraMismatch("element belongs to a different algebra")
             return x.coords
-        return self.field.arr(x).reshape(self.dim)
+        coords = self.field.arr(x)
+        if coords.shape != (self.dim,):
+            raise AlgebraMismatch(
+                f"coordinates of shape {coords.shape} for an algebra of dimension {self.dim}"
+            )
+        return coords
 
     # -- basic subspaces ----------------------------------------------------------
 
@@ -387,8 +394,8 @@ class Algebra:
     def radical_powers(self, j: Subspace) -> list[Subspace]:
         """The chain [A, J, J^2, ...] down to the first zero power.
 
-        Raises NotNilpotent when the chain fails to reach zero within dim
-        steps (which it must for a nilpotent ideal).
+        Raises NotNilpotent when a power fails to shrink, which for a
+        nilpotent ideal cannot happen before zero.
         """
         self._check_subspace(j)
         chain = [self.full_space(), j]
@@ -397,22 +404,18 @@ class Algebra:
             if nxt.dim >= chain[-1].dim:
                 raise NotNilpotent("subspace power chain does not descend to zero")
             chain.append(nxt)
-            if len(chain) > self.dim + 2:
-                raise NotNilpotent("subspace is not nilpotent within dim steps")
         return chain
 
-    def loewy_series(self, j: Subspace) -> "LoewyProfile":
-        """Layer dimensions of A = J^0 over J, J over J^2, ... (J nilpotent)."""
+    def loewy_series(self, j: Subspace) -> tuple[int, ...]:
+        """Layer dimensions of A = J^0 over J, J over J^2, ... (J nilpotent);
+        their number is the nilpotency index of J."""
         chain = self.radical_powers(j)
-        layers = tuple(
-            chain[i].dim - chain[i + 1].dim for i in range(len(chain) - 1)
-        )
-        return LoewyProfile(layers=layers, ell=len(layers))
+        return tuple(chain[i].dim - chain[i + 1].dim for i in range(len(chain) - 1))
 
     # -- formatting ----------------------------------------------------------------
 
     def element_str(self, coords) -> str:
-        coords = self.field.arr(coords).reshape(self.dim)
+        coords = self._coords_of(coords)
         nz = [i for i in range(self.dim) if coords[i] != self.field.zero_enc]
         if not nz:
             return "0"
@@ -444,14 +447,6 @@ class Algebra:
     def __repr__(self):
         label = self.name or "Algebra"
         return f"{label}(dim {self.dim} over {self.field})"
-
-
-@dataclass(frozen=True)
-class LoewyProfile:
-    """Loewy layer dimensions and the nilpotency index of the radical."""
-
-    layers: tuple[int, ...]
-    ell: int
 
 
 class AlgebraElement:
@@ -530,23 +525,21 @@ class AlgebraElement:
 def quotient_data(algebra: Algebra, ideal: Subspace):
     """Complement-coordinate data of A / ideal.
 
-    Returns (table, one, complement_columns, labels).  The ideal must be a
-    proper two-sided ideal; coordinates of the quotient are the non-pivot
-    columns of the ideal's RREF basis, which makes the construction
-    canonical and deterministic.
+    Returns (table, one, labels).  The ideal must be a proper two-sided
+    ideal; the quotient is coordinatised by ``ideal.quotient_coords`` on the
+    non-pivot columns of the ideal's RREF basis, which makes the
+    construction canonical and deterministic.
     """
     algebra._check_subspace(ideal)
     if ideal.dim == algebra.dim:
         raise ImproperIdeal("cannot form the quotient by the whole algebra")
     if not algebra.is_ideal(ideal):
         raise NotAnIdeal("quotient requires a two-sided ideal")
-    f, c, n = algebra.field, algebra.table, algebra.dim
+    c, n = algebra.table, algebra.dim
     comp = ideal.complement_columns()
     d = len(comp)
-    prods = c[np.ix_(comp, comp)].reshape(d * d, n)
-    reduced = ideal.reduce(prods)[:, comp].reshape(d, d, d)
-    one_red = ideal.reduce(algebra.one.reshape(1, -1))[0, comp]
+    table = ideal.quotient_coords(c[np.ix_(comp, comp)].reshape(d * d, n))
     labels = None
     if algebra.labels is not None:
         labels = [algebra.labels[i] for i in comp]
-    return reduced, one_red, comp, labels
+    return table.reshape(d, d, d), ideal.quotient_coords(algebra.one)[0], labels

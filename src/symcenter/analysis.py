@@ -156,8 +156,8 @@ def analyze(algebra: Algebra, name: str | None = None) -> AnalysisReport:
             "socZ": socz.dim,
             "R": r.dim,
         },
-        loewy_layers=loewy.layers,
-        loewy_ell=loewy.ell,
+        loewy_layers=loewy,
+        loewy_ell=len(loewy),
         commutative=algebra.is_commutative(),
         local=is_local(algebra),
         basic=is_basic(algebra),

@@ -163,16 +163,16 @@ def trivext_criteria(a: Algebra) -> TrivExtCriteria:
 
 def quotient(a: Algebra, ideal: Subspace) -> Algebra:
     """A/I on the complement coordinates of the ideal's RREF basis."""
-    table, one, comp, labels = quotient_data(a, ideal)
+    table, one, labels = quotient_data(a, ideal)
     name = f"({a.name or 'A'})/I"
 
     def seed():
         cert = radical_or_none(a)
         if cert is None or not contains(cert.radical, ideal):
             return None
-        projected = ideal.reduce(cert.radical.basis)[:, comp]
         return (
-            Subspace.from_rows(a.field, len(comp), projected),
+            Subspace.from_rows(a.field, a.dim - ideal.dim,
+                               ideal.quotient_coords(cert.radical.basis)),
             "J(A)/I: the ideal is contained in J(A), so the radical passes down",
         )
 

@@ -433,9 +433,8 @@ def suite_soc20(sink: ClaimSink):
     sink.check("matrix_relations", "PAPER", rel)
     a = get("soc20_base")
     sink.check("dim_10", "PAPER", a.dim == 10)
-    cert = radical(a)
-    lw = a.loewy_series(cert.radical)
-    sink.check("loewy_1_2_2_2_2_1", "PAPER", lw.layers == (1, 2, 2, 2, 2, 1))
+    sink.check("loewy_1_2_2_2_2_1", "PAPER",
+               a.loewy_series(radical(a).radical) == (1, 2, 2, 2, 2, 1))
     em = a.monomial("M")
     m4e, m5e = em ** 4, em ** 5
     jz = j_of_center(a)

@@ -36,7 +36,6 @@ MAX_FAMILY_DIM = 24
 class FamilyMember:
     member_id: str
     algebra: Algebra
-    origin: str
 
 
 def _bound_tuples(max_product: int):
@@ -57,7 +56,7 @@ def _bound_tuples(max_product: int):
 def _truncated_polynomial_base(p: int, bounds: tuple[int, ...]) -> FamilyMember:
     name = f"B_gf{p}_" + ("x".join(str(b) for b in bounds) or "1")
     alg = from_skew_presentation(GF(p), SkewPresentation.commuting(bounds), name=name)
-    return FamilyMember(name, alg, "truncated polynomial base")
+    return FamilyMember(name, alg)
 
 
 def commutative_local_bases(max_base_dim: int) -> list[FamilyMember]:
@@ -75,7 +74,7 @@ def symmetric_local_corpus_ids() -> list[str]:
             if symmetric_gram(get(entry_id)) is not None and is_local(get(entry_id))]
 
 
-def _admit(members: list, seen: set, member: FamilyMember, max_dim: int):
+def _admit(members: list, member: FamilyMember, max_dim: int):
     a = member.algebra
     if a.dim > max_dim:
         return
@@ -83,9 +82,6 @@ def _admit(members: list, seen: set, member: FamilyMember, max_dim: int):
         raise InternalCheckError(f"family member {member.member_id} has no form")
     if not is_local(a):
         raise InternalCheckError(f"family member {member.member_id} is not local")
-    if member.member_id in seen:
-        return
-    seen.add(member.member_id)
     members.append(member)
 
 
@@ -96,15 +92,14 @@ def generate_symmetric_local_family(max_dim: int) -> list[FamilyMember]:
     if max_dim > MAX_FAMILY_DIM:
         raise ValueError(f"family generator is desk-scale: max_dim <= {MAX_FAMILY_DIM}")
     members: list[FamilyMember] = []
-    seen: set[str] = set()
     bases = commutative_local_bases(max_dim // 2)
     trivexts = []
     for base in bases:
         t = trivial_extension(base.algebra)
-        member = FamilyMember(f"T({base.member_id})", t, "trivial extension of (a)")
+        member = FamilyMember(f"T({base.member_id})", t)
         if t.dim <= max_dim:
             trivexts.append(member)
-            _admit(members, seen, member, max_dim)
+            _admit(members, member, max_dim)
     for member in trivexts:
         t = member.algebra
         dims_taken = set()
@@ -114,23 +109,13 @@ def generate_symmetric_local_family(max_dim: int) -> list[FamilyMember]:
             if q.dim in dims_taken:
                 continue
             dims_taken.add(q.dim)
-            _admit(
-                members, seen,
-                FamilyMember(f"{member.member_id}/dim{q.dim}", q,
-                             "symmetric quotient of (a)"),
-                max_dim,
-            )
+            _admit(members, FamilyMember(f"{member.member_id}/dim{q.dim}", q), max_dim)
     for entry_id in symmetric_local_corpus_ids():
         a = get(entry_id)
         for idx, row in enumerate(j_of_center(a).basis_vectors()):
             witness = symmetric_quotient(a, row)
             q = witness.quotient
-            _admit(
-                members, seen,
-                FamilyMember(f"{entry_id}/z{idx}_dim{q.dim}", q,
-                             "symmetric quotient of a corpus algebra"),
-                max_dim,
-            )
+            _admit(members, FamilyMember(f"{entry_id}/z{idx}_dim{q.dim}", q), max_dim)
     for i, left in enumerate(trivexts):
         for right in trivexts[i:]:
             if left.algebra.field != right.algebra.field:
@@ -138,12 +123,8 @@ def generate_symmetric_local_family(max_dim: int) -> list[FamilyMember]:
             if left.algebra.dim * right.algebra.dim > max_dim:
                 continue
             prod = tensor(left.algebra, right.algebra)
-            _admit(
-                members, seen,
-                FamilyMember(f"{left.member_id}(x){right.member_id}", prod,
-                             "tensor of two (a) members"),
-                max_dim,
-            )
+            _admit(members, FamilyMember(f"{left.member_id}(x){right.member_id}", prod),
+                   max_dim)
     return members
 
 

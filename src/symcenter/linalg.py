@@ -18,6 +18,11 @@ canonicalising RREF runs: ``kernel`` eliminates the columns in reverse
 order, which puts the leading 1 of each null-space row at its own free
 column; ``subspace_intersect`` is the Zassenhaus algorithm, whose
 intersection rows form the lower right block of a single RREF.
+
+The quotient map F^n -> F^n / U has one home, ``Subspace.quotient_coords``:
+reduce modulo U and keep the complement (non-pivot) columns of U's RREF
+basis, the coordinates of every quotient built in this package.  Its
+section ``lift_coords`` is zero at the pivot columns.
 """
 
 from __future__ import annotations
@@ -73,6 +78,25 @@ def reduce_rows(field: FieldDescriptor, rows: np.ndarray, basis: np.ndarray,
     return field.a_sub(res, field.matmul2(res[:, pivots], basis))
 
 
+def _coord_rows(field: FieldDescriptor, rows, width: int) -> np.ndarray:
+    """``rows`` (one vector or a 2-D block) as encoded rows of ``width``
+    coordinates, read by the field's encoding rule; raises AmbientMismatch
+    on any other width.  An object array over QQ is taken as already
+    encoded, since reading it again costs one Python call per entry."""
+    if not (field.dtype is object and isinstance(rows, np.ndarray)
+            and rows.dtype == object):
+        rows = field.arr(rows)
+    if rows.size == 0:
+        return field.zeros((0, width))
+    if rows.ndim == 1:
+        rows = rows[None, :]
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise AmbientMismatch(
+            f"coordinate rows of shape {rows.shape} do not have {width} columns"
+        )
+    return rows
+
+
 def rank(field: FieldDescriptor, data: np.ndarray) -> int:
     """Rank of an encoded 2-D array."""
     return len(rref_data(field, data)[1])
@@ -104,7 +128,7 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, field: FieldDescriptor, ambient_dim: int, vectors) -> "Subspace":
-        return cls.from_rows(field, ambient_dim, field.arr(vectors))
+        return cls.from_rows(field, ambient_dim, _coord_rows(field, vectors, ambient_dim))
 
     @classmethod
     def zero(cls, field: FieldDescriptor, ambient_dim: int) -> "Subspace":
@@ -158,10 +182,25 @@ class Subspace:
         return reduce_rows(self.field, rows, self.basis, self.pivot_columns())
 
     def contains_vector(self, vec) -> bool:
-        row = self.field.arr(vec).reshape(1, -1)
-        if row.shape[1] != self.ambient_dim:
-            raise AmbientMismatch("vector length does not match ambient dimension")
+        row = _coord_rows(self.field, vec, self.ambient_dim)
         return bool(np.all(self.reduce(row) == self.field.zero_enc))
+
+    def quotient_coords(self, rows) -> np.ndarray:
+        """The quotient map nu: F^n -> F^n / self on coordinate rows.
+
+        Reduces the rows modulo this subspace and keeps the complement
+        columns, on which every quotient built here is coordinatised.
+        """
+        rows = _coord_rows(self.field, rows, self.ambient_dim)
+        return self.reduce(rows)[:, self.complement_columns()]
+
+    def lift_coords(self, rows) -> np.ndarray:
+        """The section of ``quotient_coords``: zero at the pivot columns."""
+        comp = self.complement_columns()
+        rows = _coord_rows(self.field, rows, len(comp))
+        out = self.field.zeros((rows.shape[0], self.ambient_dim))
+        out[:, comp] = rows
+        return out
 
 
 def kernel(field: FieldDescriptor, data: np.ndarray) -> Subspace:

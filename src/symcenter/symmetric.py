@@ -29,7 +29,7 @@ from .errors import (
     InternalCheckError,
     NotSymmetricForm,
 )
-from .linalg import Subspace, contains, kernel, rank, subspace_intersect, subspace_sum
+from .linalg import Subspace, contains, kernel, rank, subspace_intersect
 from .substructures import j_of_center, soc_of_center, socle
 
 
@@ -77,9 +77,11 @@ def perp(algebra: Algebra, x: Subspace) -> Subspace:
 class QuotientWitness:
     """The symmetric quotient A/(Az)^perp with its transfer maps.
 
-    comp_cols are the non-pivot columns of the ideal's RREF basis; the
-    quotient is coordinatised on them, making everything canonical.  The
-    forms are ``algebra.sym_form`` and ``quotient.sym_form``.
+    The quotient is coordinatised on the non-pivot columns of the ideal's
+    RREF basis, which makes everything canonical: the projection nu is
+    ``ideal.quotient_coords``, its section ``ideal.lift_coords``, and
+    nu*(xbar) is the lift of xbar times z.  The forms are
+    ``algebra.sym_form`` and ``quotient.sym_form``.
     """
 
     algebra: Algebra
@@ -87,35 +89,11 @@ class QuotientWitness:
     az: Subspace
     ideal: Subspace
     quotient: Algebra
-    comp_cols: list[int]
-
-    def project_rows(self, rows: np.ndarray) -> np.ndarray:
-        """nu on coordinate rows: reduce mod the ideal, keep complement columns."""
-        rows = self.algebra.field.arr(rows).reshape(-1, self.algebra.dim)
-        return self.ideal.reduce(rows)[:, self.comp_cols]
-
-    def lift_rows(self, rows: np.ndarray) -> np.ndarray:
-        """The canonical section of nu (zero at the ideal's pivot columns)."""
-        f = self.algebra.field
-        rows = f.arr(rows).reshape(-1, len(self.comp_cols))
-        out = f.zeros((rows.shape[0], self.algebra.dim))
-        out[:, self.comp_cols] = rows
-        return out
-
-    def project_subspace(self, u: Subspace) -> Subspace:
-        return Subspace.from_rows(self.quotient.field, self.quotient.dim,
-                                  self.project_rows(u.basis))
-
-    def preimage_subspace(self, u: Subspace) -> Subspace:
-        """nu^{-1}(u) = ideal + lifted u."""
-        lifted = Subspace.from_rows(self.algebra.field, self.algebra.dim,
-                                    self.lift_rows(u.basis))
-        return subspace_sum(self.ideal, lifted)
 
     def nu_star_rows(self, rows: np.ndarray) -> np.ndarray:
         """nu*(xbar) = (any lift of xbar) * z; well defined since I*z = 0."""
         ez = self.algebra.right_products(self.z[None, :])[0]  # rows e_j z
-        return self.algebra.field.matmul2(self.lift_rows(rows), ez)
+        return self.algebra.field.matmul2(self.ideal.lift_coords(rows), ez)
 
     def nu_star(self, xbar) -> np.ndarray:
         coords = self.quotient._coords_of(xbar)
@@ -133,7 +111,7 @@ class QuotientWitness:
         d = self.quotient.dim
         nu_rows = self.nu_star_rows(f.eye(d))
         lhs = f.matmul2(nu_rows, symmetric_gram(self.algebra))
-        proj = self.project_rows(f.eye(self.algebra.dim))
+        proj = self.ideal.quotient_coords(f.eye(self.algebra.dim))
         rhs = f.matmul2(symmetric_gram(self.quotient), proj.T)
         return bool(np.all(lhs == rhs))
 
@@ -176,7 +154,6 @@ def _symmetric_quotient(algebra: Algebra, key) -> QuotientWitness:
         az=az,
         ideal=ideal,
         quotient=quotient,
-        comp_cols=comp,
     )
 
 
@@ -213,8 +190,10 @@ def check_nustar_relations(witness: QuotientWitness) -> NuStarReport:
     center_ok = img_center == subspace_intersect(z_a, witness.az)
 
     img_jz = witness.nu_star_subspace(j_of_center(q))
-    soc_q = socle(q)
-    pre = witness.preimage_subspace(soc_q)
+    # nu^{-1}(soc(Abar)) = ideal + the lift of soc(Abar)
+    ideal = witness.ideal
+    pre = Subspace.from_rows(a.field, a.dim, np.concatenate(
+        [ideal.basis, ideal.lift_coords(socle(q).basis)]))
     rhs = subspace_intersect(z_a, perp(a, pre))
     jz_equal = img_jz == rhs
     bound = subspace_intersect(j_of_center(a), witness.az)

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from symcenter import (
+    GF,
+    QQ,
     SkewPresentation,
     Subspace,
+    contains,
     from_matrix_generators,
     from_skew_presentation,
+    gf25,
     opposite,
     quotient,
     tensor,
@@ -129,15 +133,38 @@ def test_quotient_commutator_formula():
     a = get("soc20_base")
     i = a.ideal_closure(a.commutator_space())
     q = quotient(a, i)
-    comp = i.complement_columns()
-    projected = i.reduce(a.commutator_space().basis)[:, comp]
+    projected = i.quotient_coords(a.commutator_space().basis)
     expected = Subspace.from_rows(a.field, q.dim, projected)
     assert q.commutator_space() == expected  # K(A/I) = (K(A)+I)/I
     j = radical(a).radical
-    q2 = quotient(a, a.subspace_product(j, j))
-    comp2 = a.subspace_product(j, j).complement_columns()
-    proj2 = a.subspace_product(j, j).reduce(a.commutator_space().basis)[:, comp2]
+    j2 = a.subspace_product(j, j)
+    q2 = quotient(a, j2)
+    proj2 = j2.quotient_coords(a.commutator_space().basis)
     assert q2.commutator_space() == Subspace.from_rows(a.field, q2.dim, proj2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: from_skew_presentation(GF(2), SkewPresentation.commuting((3,))),
+    lambda: from_skew_presentation(gf25(), SkewPresentation.commuting((3,))),
+    lambda: from_skew_presentation(QQ, SkewPresentation.commuting((3,))),
+    lambda: get("counterexample_B"),
+], ids=["trunc3_gf2", "trunc3_gf25", "trunc3_qq", "counterexample_B"])
+def test_quotient_coords_round_trip(make, rng):
+    a = make()
+    f, n = a.field, a.dim
+    j = radical(a).radical
+    for ideal in (j, a.subspace_product(j, j)):
+        assert 0 < ideal.dim < n
+        d = n - ideal.dim
+        # nu vanishes on the ideal
+        assert not np.any(ideal.quotient_coords(ideal.basis) != f.zero_enc)
+        # the lift is a section: nu(lift(y)) == y
+        ys = np.concatenate([f.eye(d), f.random_enc(rng, (4, d))])
+        assert np.array_equal(ideal.quotient_coords(ideal.lift_coords(ys)), ys)
+        # and lift(nu(x)) == x modulo the ideal
+        xs = f.random_enc(rng, (6, n))
+        diff = f.a_sub(ideal.lift_coords(ideal.quotient_coords(xs)), xs)
+        assert contains(ideal, Subspace.from_rows(f, n, diff))
 
 
 def test_quotient_rejects_non_ideal(mat2):

@@ -137,6 +137,12 @@ def test_ambient_mismatch(g3):
         member(u, g3.arr([1, 0, 0, 0]))
 
 
+def test_from_vectors_rejects_vectors_of_the_wrong_width(g3):
+    # one 4-vector is not two vectors of the plane
+    with pytest.raises(AmbientMismatch):
+        Subspace.from_vectors(g3, 2, [[1, 2, 1, 0]])
+
+
 def test_express_in_rows(g3):
     basis = g3.arr([[1, 0, 1], [0, 1, 2]])
     targets = g3.arr([[2, 1, 1], [1, 2, 2]])
@@ -352,5 +358,6 @@ def test_public_api_names_resolve():
     for name in symcenter.__all__:
         assert hasattr(symcenter, name), name
     assert {"kernel", "rank", "rref_data"} <= set(symcenter.__all__)
-    for gone in ("Matrix", "rref", "SymmetricStructure", "symmetric_structure"):
+    for gone in ("Matrix", "rref", "SymmetricStructure", "symmetric_structure",
+                 "LoewyProfile"):
         assert gone not in symcenter.__all__ and not hasattr(symcenter, gone)

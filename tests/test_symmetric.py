@@ -13,6 +13,7 @@ import symcenter.symmetric as symmetric
 from symcenter import QQ, SkewPresentation, analyze, from_skew_presentation
 from symcenter.corpus import get
 from symcenter.errors import (
+    AmbientMismatch,
     CentralityViolated,
     Degenerate,
     InternalCheckError,
@@ -137,7 +138,7 @@ def test_nu_star_of_unit_is_z():
     a = get("dim12_sharp")
     z = a.monomial("M^2")
     w = symmetric_quotient(a, z)
-    onebar = w.project_rows(a.one.reshape(1, -1))[0]
+    onebar = w.ideal.quotient_coords(a.one.reshape(1, -1))[0]
     assert np.array_equal(w.nu_star_rows(onebar.reshape(1, -1))[0], z.coords)
 
 
@@ -151,7 +152,7 @@ def test_nu_star_bimodule_identity_and_injectivity():
         xbar = q.basis_element(s)
         for j in range(a.dim):
             y = a.basis_element(j)
-            ybar = q.element(w.project_rows(y.coords.reshape(1, -1))[0])
+            ybar = q.element(w.ideal.quotient_coords(y.coords.reshape(1, -1))[0])
             left = a.element(w.nu_star(xbar)) * y
             right = a.element(w.nu_star(xbar * ybar))
             assert left == right
@@ -161,11 +162,11 @@ def test_nu_projection_is_algebra_morphism():
     a = get("dim12_sharp")
     w = symmetric_quotient(a, a.monomial("M^2"))
     q = w.quotient
-    proj = w.project_rows(a.field.eye(a.dim))
+    proj = w.ideal.quotient_coords(a.field.eye(a.dim))
     for i in range(a.dim):
         for j in range(a.dim):
             prod = a.multiply_coords(a.field.eye(a.dim)[i], a.field.eye(a.dim)[j])
-            lhs = w.project_rows(prod.reshape(1, -1))[0]
+            lhs = w.ideal.quotient_coords(prod.reshape(1, -1))[0]
             rhs = q.multiply_coords(proj[i], proj[j])
             assert np.array_equal(lhs, rhs)
 
@@ -203,18 +204,28 @@ def test_quotient_witness_reads_rows_by_the_encoding_rule():
     # the Python int 7 is the number 7 = 2 in GF(25); np.int64(30) is no encoding
     a = get("dual_gf25")
     w = symmetric_quotient(a, a.one)
-    assert w.project_rows([[7, 0]]).tolist() == [[2, 0]]
-    assert w.project_rows(np.array([[7, 0]])).tolist() == [[7, 0]]
+    assert w.ideal.quotient_coords([[7, 0]]).tolist() == [[2, 0]]
+    assert w.ideal.quotient_coords(np.array([[7, 0]])).tolist() == [[7, 0]]
     with pytest.raises(ScalarFormatError):
-        w.project_rows(np.array([[30, 0]]))
+        w.ideal.quotient_coords(np.array([[30, 0]]))
 
 
 def test_quotient_witness_lifts_rows_by_the_encoding_rule():
     a = get("dual_gf25")
     w = symmetric_quotient(a, a.one)
-    assert w.lift_rows([[7, 0]]).tolist() == [[2, 0]]
+    assert w.ideal.lift_coords([[7, 0]]).tolist() == [[2, 0]]
     with pytest.raises(ScalarFormatError):
-        w.lift_rows(np.array([[30, 0]]))
+        w.ideal.lift_coords(np.array([[30, 0]]))
+
+
+def test_quotient_map_rejects_rows_of_the_wrong_width():
+    a = get("dual_gf3")
+    zero = symmetric_quotient(a, a.one).ideal  # A/0 has dimension 2
+    for ideal, bad_lift in ((zero, [1, 0, 0]), (radical(a).radical, [1, 0])):
+        with pytest.raises(AmbientMismatch):
+            ideal.quotient_coords([1, 0, 0, 1])
+        with pytest.raises(AmbientMismatch):
+            ideal.lift_coords(bad_lift)
 
 
 def test_symmetric_quotient_is_built_once_per_z():
