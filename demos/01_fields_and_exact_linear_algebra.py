@@ -46,8 +46,8 @@ g2 = GF(2)
 k = kernel(g2, g2.arr([[1, 1]]))
 print("kernel of [1 1] over GF(2):", k, "basis", k.basis.tolist())
 
-u = Subspace.from_vectors(g3, 4, [[1, 0, 2, 0], [0, 1, 1, 1]])
-v = Subspace.from_vectors(g3, 4, [[1, 1, 0, 1]])
+u = Subspace.from_rows(g3, 4, [[1, 0, 2, 0], [0, 1, 1, 1]])
+v = Subspace.from_rows(g3, 4, [[1, 1, 0, 1]])
 s = subspace_sum(u, v)
 i = subspace_intersect(u, v)
 print("dim u =", u.dim, " dim v =", v.dim,
@@ -57,5 +57,5 @@ print("dimension formula holds:", s.dim + i.dim == u.dim + v.dim)
 print()
 print("Subspaces are stored as reduced-row-echelon bases, so equal spaces")
 print("compare equal as plain arrays:")
-w = Subspace.from_vectors(g3, 4, [[1, 1, 0, 1], [2, 2, 0, 2]])
+w = Subspace.from_rows(g3, 4, [[1, 1, 0, 1], [2, 2, 0, 2]])
 print("span{[1,1,0,1]} == span{[1,1,0,1],[2,2,0,2]}:", v == w)

@@ -5,6 +5,10 @@ tensor products combine component radicals, trivial extensions adjoin the
 square-zero dual copy, quotients push the radical forward when the ideal
 sits inside it, opposites keep it.  Nothing is computed at build time: the
 radical is derived from the parents' when first asked for, and re-verified.
+The subspaces of these statements are built by the one home of each in
+``linalg``: ``subspace_tensor`` for J(A1) (x) A2 + A1 (x) J(A2),
+``subspace_direct_sum`` for J(A) + A*, ``quotient_coords`` for J(A)/I, and
+``kernel_on`` for the S of ``trivext_criteria``.
 """
 
 from __future__ import annotations
@@ -16,7 +20,15 @@ import numpy as np
 from .algebra import Algebra, memoised, quotient_data
 from .errors import AlgebraValidationError, BasisClaimFailed
 from .fields import FieldDescriptor
-from .linalg import Subspace, contains, express_in_rows, kernel, subspace_sum
+from .linalg import (
+    Subspace,
+    contains,
+    express_in_rows,
+    kernel_on,
+    subspace_direct_sum,
+    subspace_sum,
+    subspace_tensor,
+)
 from .substructures import (
     RadicalHint,
     j_of_center,
@@ -35,8 +47,7 @@ def tensor(a1: Algebra, a2: Algebra) -> Algebra:
     built once per pair: memoised on A1, keyed by A2."""
     f = a1.field
     f.check_same(a2.field)
-    n1, n2 = a1.dim, a2.dim
-    n = n1 * n2
+    n = a1.dim * a2.dim
     big = f.a_mul(
         a1.table[:, None, :, None, :, None],
         a2.table[None, :, None, :, None, :],
@@ -55,14 +66,9 @@ def tensor(a1: Algebra, a2: Algebra) -> Algebra:
         c1, c2 = radical_or_none(a1), radical_or_none(a2)
         if c1 is None or c2 is None:
             return None
-        eye1, eye2 = f.eye(n1), f.eye(n2)
-        left = f.a_mul(c1.radical.basis[:, None, :, None], eye2[None, :, None, :])
-        right = f.a_mul(eye1[:, None, :, None], c2.radical.basis[None, :, None, :])
-        rows = np.concatenate(
-            [left.reshape(-1, n), right.reshape(-1, n)], axis=0
-        )
         return (
-            Subspace.from_rows(f, n, rows),
+            subspace_sum(subspace_tensor(c1.radical, a2.full_space()),
+                         subspace_tensor(a1.full_space(), c2.radical)),
             "J(A1) (x) A2 + A1 (x) J(A2) from component radicals",
         )
 
@@ -99,11 +105,8 @@ def trivial_extension(a: Algebra) -> Algebra:
         cert = radical_or_none(a)
         if cert is None:
             return None
-        rows = f.zeros((cert.radical.dim + n, 2 * n))
-        rows[: cert.radical.dim, :n] = cert.radical.basis
-        rows[cert.radical.dim :, n:] = f.eye(n)
         return (
-            Subspace.from_rows(f, 2 * n, rows),
+            subspace_direct_sum(cert.radical, a.full_space()),
             "J(A) + A* (dual copy squares to zero)",
         )
 
@@ -130,19 +133,14 @@ class TrivExtCriteria:
 
 
 def trivext_criteria(a: Algebra) -> TrivExtCriteria:
-    f, n = a.field, a.dim
+    n = a.dim
     k = a.commutator_space()
     jz = j_of_center(a)
     socz = soc_of_center(a)
     i_sub = subspace_sum(k, a.subspace_product(a.full_space(), jz))
-    if socz.dim == 0:
-        s_sub = a.zero_space()
-    else:
-        # sum_s alpha_s e_j b_s in K(A) for every j: the residuals mod K(A) vanish
-        prods = a.right_products(socz.basis).reshape(-1, n)
-        resid = k.reduce(prods).reshape(socz.dim, n * n)
-        alpha = kernel(f, resid.T)
-        s_sub = Subspace.from_rows(f, n, f.matmul2(alpha.basis, socz.basis))
+    # b in soc(Z(A)) with e_j b in K(A) for every j: the residuals mod K(A) vanish
+    prods = a.right_products(socz.basis).reshape(-1, n)
+    s_sub = kernel_on(socz, k.reduce(prods).reshape(socz.dim, n * n))
     s_ok = a.is_ideal(s_sub)
     i_ok = a.is_ideal(i_sub)
     k_ok = a.is_ideal(k)
@@ -346,7 +344,12 @@ def from_matrix_generators(field: FieldDescriptor, size: int, generators,
     if size < 1:
         raise AlgebraValidationError("algebras here are unital, so size >= 1")
     gen_names = list(generators.keys())
-    mats = [field.arr(generators[g]).reshape(size, size) for g in gen_names]
+    mats = [field.arr(generators[g]) for g in gen_names]
+    for g, m in zip(gen_names, mats):
+        if m.shape != (size, size):
+            raise AlgebraValidationError(
+                f"generator {g!r} has shape {m.shape}, expected ({size}, {size})"
+            )
     amb = size * size
     ident = field.eye(size)
     span = Subspace.from_rows(field, amb, ident.reshape(1, amb))

@@ -23,6 +23,13 @@ The quotient map F^n -> F^n / U has one home, ``Subspace.quotient_coords``:
 reduce modulo U and keep the complement (non-pivot) columns of U's RREF
 basis, the coordinates of every quotient built in this package.  Its
 section ``lift_coords`` is zero at the pivot columns.
+
+Three more subspace constructions have one home each, and each reads its
+RREF basis straight off its input bases, with no elimination of its own:
+``subspace_tensor`` (U (x) V in the row-major coordinates of a tensor
+product), ``subspace_direct_sum`` (U + V in the coordinates of F^m + F^n,
+as in a trivial extension A + A*) and ``kernel_on`` (the vectors of W
+whose images vanish under a linear map given on W's basis).
 """
 
 from __future__ import annotations
@@ -118,17 +125,9 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, field: FieldDescriptor, ambient_dim: int, rows) -> "Subspace":
-        """Canonicalise arbitrary spanning rows into a Subspace."""
-        arr = np.asarray(rows, dtype=field.dtype)
-        if arr.size == 0:
-            return cls.zero(field, ambient_dim)
-        arr = arr.reshape(-1, ambient_dim)
-        red, pivots = rref_data(field, arr)
+        """Canonicalise spanning rows, read by ``_coord_rows``, into a Subspace."""
+        red, pivots = rref_data(field, _coord_rows(field, rows, ambient_dim))
         return cls(field, ambient_dim, red[: len(pivots)])
-
-    @classmethod
-    def from_vectors(cls, field: FieldDescriptor, ambient_dim: int, vectors) -> "Subspace":
-        return cls.from_rows(field, ambient_dim, _coord_rows(field, vectors, ambient_dim))
 
     @classmethod
     def zero(cls, field: FieldDescriptor, ambient_dim: int) -> "Subspace":
@@ -230,6 +229,50 @@ def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     u._check_ambient(v)
     stacked = np.concatenate([u.basis, v.basis], axis=0)
     return Subspace.from_rows(u.field, u.ambient_dim, stacked)
+
+
+def subspace_tensor(u: Subspace, v: Subspace) -> Subspace:
+    """span{u_s (x) v_t} in F^(m n), coordinate (i, j) at i * n + j: the
+    row-major order of the basis e_i (x) f_j of ``constructions.tensor``.
+
+    The Kronecker rows of two RREF bases, in row-major order of (s, t), are
+    already RREF: row (s, t) leads at (p_s, q_t), the pivots of u_s and v_t,
+    and every other row is zero there.
+    """
+    u.field.check_same(v.field)
+    n = u.ambient_dim * v.ambient_dim
+    rows = u.field.a_mul(u.basis[:, None, :, None], v.basis[None, :, None, :])
+    return Subspace(u.field, n, rows.reshape(-1, n))
+
+
+def subspace_direct_sum(u: Subspace, v: Subspace) -> Subspace:
+    """U + V in F^m + F^n: u in the first m coordinates, v in the last n.
+
+    The block rows [[U, 0], [0, V]] of two RREF bases are already RREF.
+    """
+    u.field.check_same(v.field)
+    m = u.ambient_dim
+    rows = u.field.zeros((u.dim + v.dim, m + v.ambient_dim))
+    rows[: u.dim, :m] = u.basis
+    rows[u.dim:, m:] = v.basis
+    return Subspace(u.field, m + v.ambient_dim, rows)
+
+
+def kernel_on(w: Subspace, images) -> Subspace:
+    """{sum_s a_s w_s : sum_s a_s images[s] = 0}, for the linear map that
+    sends basis vector w_s to ``images[s]`` (an array whose first axis runs
+    over W's basis; the further axes are flattened).
+
+    With alpha the RREF kernel basis of the coefficient system, the rows
+    alpha W are already RREF: row r is alpha_r at W's pivot columns, so it
+    leads at the pivot of w_{s_r}, where s_r is the pivot of alpha_r, and
+    is zero at every other such pivot.
+    """
+    f = w.field
+    images = np.asarray(images)
+    system = images.reshape(w.dim, -1) if images.size else f.zeros((w.dim, 0))
+    alpha = kernel(f, system.T)
+    return Subspace(f, w.ambient_dim, f.matmul2(alpha.basis, w.basis))
 
 
 def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:

@@ -32,7 +32,7 @@ from .errors import (
     InternalCheckError,
     RadicalUnavailable,
 )
-from .linalg import Subspace, contains, kernel, rank, subspace_intersect
+from .linalg import Subspace, contains, kernel, kernel_on, rank, subspace_intersect
 from .fields import FieldDescriptor
 
 
@@ -103,7 +103,7 @@ def _hint_span(algebra: Algebra, hint: RadicalHint) -> Subspace:
         return algebra.zero_space()
     if hint.kind == "local_codim1":
         if hint.vectors is not None:
-            sub = Subspace.from_vectors(f, n, list(hint.vectors))
+            sub = Subspace.from_rows(f, n, list(hint.vectors))
         else:
             skip = int(np.nonzero(algebra.one != f.zero_enc)[0][0])
             sub = Subspace.from_rows(f, n, np.delete(f.eye(n), skip, axis=0))
@@ -116,7 +116,7 @@ def _hint_span(algebra: Algebra, hint: RadicalHint) -> Subspace:
     if hint.kind == "basis":
         if hint.vectors is None:
             raise HintRejected("basis hint requires explicit vectors")
-        return Subspace.from_vectors(f, n, list(hint.vectors))
+        return Subspace.from_rows(f, n, list(hint.vectors))
     raise HintRejected(f"unknown hint kind {hint.kind!r}")
 
 
@@ -199,14 +199,8 @@ def j_of_center(algebra: Algebra) -> Subspace:
 
 def annihilator_in_center(algebra: Algebra, v: Subspace) -> Subspace:
     """{z in Z(A) : z v = 0 for all v in the given subspace}."""
-    f, n = algebra.field, algebra.dim
     z = algebra.center()
-    if v.dim == 0 or z.dim == 0:
-        return z
-    # z_s v_t summed over s: one equation per (t, coordinate)
-    system = algebra.basis_products(z, v).transpose(1, 2, 0).reshape(-1, z.dim)
-    alpha = kernel(f, system)
-    return Subspace.from_rows(f, n, f.matmul2(alpha.basis, z.basis))
+    return kernel_on(z, algebra.basis_products(z, v))
 
 
 @memoised("soc_of_center")

@@ -98,8 +98,8 @@ def test_center_closed_under_multiplication():
 
 
 def test_subspace_product_with_unit_span(mat2):
-    u = Subspace.from_vectors(mat2.field, 4, [[0, 1, 0, 0], [0, 0, 1, 0]])
-    one_span = Subspace.from_vectors(mat2.field, 4, [[1, 0, 0, 1]])
+    u = Subspace.from_rows(mat2.field, 4, [[0, 1, 0, 0], [0, 0, 1, 0]])
+    one_span = Subspace.from_rows(mat2.field, 4, [[1, 0, 0, 1]])
     assert mat2.subspace_product(u, one_span) == u
 
 
@@ -148,7 +148,7 @@ def test_ideal_closure_smallest_with_commutative_quotient(mat2):
 
 
 def test_annihilators(mat2):
-    one_span = Subspace.from_vectors(mat2.field, 4, [[1, 0, 0, 1]])
+    one_span = Subspace.from_rows(mat2.field, 4, [[1, 0, 0, 1]])
     assert mat2.left_annihilator(one_span).dim == 0
     assert mat2.right_annihilator(one_span).dim == 0
     assert mat2.left_annihilator(mat2.zero_space()) == mat2.full_space()
@@ -159,7 +159,7 @@ def test_annihilators(mat2):
 
 
 def test_loewy_series_examples(dual3):
-    x_span = Subspace.from_vectors(dual3.field, 2, [[0, 1]])
+    x_span = Subspace.from_rows(dual3.field, 2, [[0, 1]])
     layers = dual3.loewy_series(x_span)
     assert layers == (1, 1) and len(layers) == 2
     a = get("soc20_base")
@@ -212,7 +212,7 @@ def test_opposite_duality():
 
 def test_quotient_data_guards(mat2, dual3):
     with pytest.raises(NotAnIdeal):
-        quotient_data(mat2, Subspace.from_vectors(mat2.field, 4, [[0, 1, 0, 0]]))
+        quotient_data(mat2, Subspace.from_rows(mat2.field, 4, [[0, 1, 0, 0]]))
     with pytest.raises(ImproperIdeal):
         quotient_data(dual3, dual3.full_space())
 

@@ -169,7 +169,7 @@ def test_quotient_coords_round_trip(make, rng):
 
 def test_quotient_rejects_non_ideal(mat2):
     with pytest.raises(NotAnIdeal):
-        quotient(mat2, Subspace.from_vectors(mat2.field, 4, [[0, 1, 0, 0]]))
+        quotient(mat2, Subspace.from_rows(mat2.field, 4, [[0, 1, 0, 0]]))
 
 
 def test_counterexample_quotient_realisation(f25):
@@ -221,6 +221,14 @@ def test_skew_presentation_names_must_match_bounds(g3):
 def test_matrix_generators_size_zero_rejected(g3):
     with pytest.raises(AlgebraValidationError, match="size >= 1"):
         from_matrix_generators(g3, 0, {})
+
+
+def test_matrix_generators_name_a_generator_of_the_wrong_size(g3):
+    # three entries are neither a 2 x 2 matrix nor silently reshaped
+    with pytest.raises(AlgebraValidationError, match=r"generator 'M' has shape \(1, 3\)"):
+        from_matrix_generators(g3, 2, {"M": [[1, 0, 0]]})
+    with pytest.raises(AlgebraValidationError, match="generator 'N'"):
+        from_matrix_generators(g3, 2, {"M": [[1, 0], [0, 1]], "N": [1, 0, 0, 1]})
 
 
 def test_matrix_generators_trivial(g3):

@@ -11,11 +11,14 @@ from symcenter import GF, QQ, Subspace, contains, kernel, member, rank
 from symcenter.errors import AmbientMismatch, ScalarFormatError
 from symcenter.linalg import (
     express_in_rows,
+    kernel_on,
     random_subspace,
     reduce_rows,
     rref_data,
+    subspace_direct_sum,
     subspace_intersect,
     subspace_sum,
+    subspace_tensor,
 )
 
 
@@ -62,13 +65,13 @@ def test_rank_matches_naive_oracle(rng):
 
 
 def test_lattice_trivialities(g3):
-    u = Subspace.from_vectors(g3, 4, [[1, 0, 2, 0], [0, 1, 1, 1]])
+    u = Subspace.from_rows(g3, 4, [[1, 0, 2, 0], [0, 1, 1, 1]])
     zero = Subspace.zero(g3, 4)
     full = Subspace.full(g3, 4)
     assert subspace_sum(u, zero) == u
     assert subspace_intersect(u, full) == u
-    e1 = Subspace.from_vectors(g3, 2, [[1, 0]])
-    e2 = Subspace.from_vectors(g3, 2, [[0, 1]])
+    e1 = Subspace.from_rows(g3, 2, [[1, 0]])
+    e2 = Subspace.from_rows(g3, 2, [[0, 1]])
     assert subspace_intersect(e1, e2).dim == 0
 
 
@@ -103,23 +106,23 @@ def test_kernel_of_rref_agrees(g3, rng):
 
 
 def test_canonical_equality_of_spanning_sets(g3):
-    u = Subspace.from_vectors(g3, 3, [[1, 1, 0], [0, 1, 1]])
-    v = Subspace.from_vectors(g3, 3, [[1, 2, 1], [2, 2, 0], [0, 2, 2]])
+    u = Subspace.from_rows(g3, 3, [[1, 1, 0], [0, 1, 1]])
+    v = Subspace.from_rows(g3, 3, [[1, 2, 1], [2, 2, 0], [0, 2, 2]])
     assert u == v
     assert np.all(u.basis == v.basis)
 
 
 def test_member_and_contains(g3):
-    u = Subspace.from_vectors(g3, 3, [[1, 0, 2]])
+    u = Subspace.from_rows(g3, 3, [[1, 0, 2]])
     assert member(u, g3.arr([2, 0, 1]))
     assert not member(u, g3.arr([1, 1, 1]))
-    w = Subspace.from_vectors(g3, 3, [[1, 0, 2], [0, 1, 0]])
+    w = Subspace.from_rows(g3, 3, [[1, 0, 2], [0, 1, 0]])
     assert contains(w, u) and not contains(u, w)
 
 
 def test_member_reads_vectors_by_the_encoding_rule(f25):
     # the Python ints 1, 7 are the numbers 1, 7 (encodings 1, 2) everywhere
-    u = Subspace.from_vectors(f25, 2, [[1, 7]])
+    u = Subspace.from_rows(f25, 2, [[1, 7]])
     assert member(u, [1, 7])
     assert member(u, np.array([1, 2]))
     assert not member(u, np.array([1, 7]))
@@ -137,10 +140,25 @@ def test_ambient_mismatch(g3):
         member(u, g3.arr([1, 0, 0, 0]))
 
 
-def test_from_vectors_rejects_vectors_of_the_wrong_width(g3):
+def test_from_rows_rejects_rows_of_the_wrong_width(g3):
     # one 4-vector is not two vectors of the plane
     with pytest.raises(AmbientMismatch):
-        Subspace.from_vectors(g3, 2, [[1, 2, 1, 0]])
+        Subspace.from_rows(g3, 2, [[1, 2, 1, 0]])
+    # nor are three 2-vectors two vectors of F^3
+    with pytest.raises(AmbientMismatch):
+        Subspace.from_rows(g3, 3, [[1, 2], [0, 1], [1, 1]])
+    with pytest.raises(AmbientMismatch):
+        Subspace.from_rows(g3, 3, g3.arr([[1, 2], [0, 1], [1, 1]]))
+
+
+def test_from_rows_reads_rows_by_the_encoding_rule(f25, g3):
+    # the Python int 7 is the number 7 = 2; the numpy int 7 is the encoding t + 2
+    assert Subspace.from_rows(f25, 2, [[1, 7]]).basis.tolist() == [[1, 2]]
+    assert Subspace.from_rows(f25, 2, np.array([[1, 7]])).basis.tolist() == [[1, 7]]
+    # the number 30 is 0 in GF(3); the encoding 30 is out of range
+    assert Subspace.from_rows(g3, 2, [[1, 30]]).basis.tolist() == [[1, 0]]
+    with pytest.raises(ScalarFormatError, match=r"outside \[0, 3\)"):
+        Subspace.from_rows(g3, 2, np.array([[1, 30]]))
 
 
 def test_express_in_rows(g3):
@@ -352,12 +370,124 @@ def test_intersect_equals_kernel_reference_other_fields(field_name, f25, rng):
             assert np.array_equal(got.basis, want.basis)
 
 
+# -- the tensor span, the direct sum and the kernel on a subspace, against
+# -- oracles written out entry by entry
+
+
+_ALL_FIELDS = ["GF(2)", "GF(3)", "GF(25)", "QQ"]
+
+
+def _field(name, f25):
+    return {"GF(2)": GF(2), "GF(3)": GF(3), "GF(25)": f25, "QQ": QQ}[name]
+
+
+def _assert_rref(sub):
+    red, pivots = rref_data(sub.field, sub.basis)
+    assert len(pivots) == sub.dim and np.array_equal(red, sub.basis)
+
+
+def _subspace_pairs(field, rng):
+    """Pairs (U, V) of subspaces of F^m and F^n, zero and full ones included."""
+    for m, n in [(1, 1), (2, 3), (3, 2), (3, 3), (4, 2)]:
+        yield Subspace.zero(field, m), random_subspace(field, n, rng)
+        yield random_subspace(field, m, rng), Subspace.zero(field, n)
+        yield Subspace.full(field, m), random_subspace(field, n, rng)
+        for _ in range(4):
+            yield (random_subspace(field, m, rng, max_dim=m),
+                   random_subspace(field, n, rng, max_dim=n))
+
+
+@pytest.mark.parametrize("field_name", _ALL_FIELDS)
+def test_subspace_tensor_matches_entrywise_kronecker_rows(field_name, f25, rng):
+    field = _field(field_name, f25)
+    for u, v in _subspace_pairs(field, rng):
+        m, n = u.ambient_dim, v.ambient_dim
+        rows = field.zeros((u.dim * v.dim, m * n))
+        for s, t, i, j in itertools.product(range(u.dim), range(v.dim),
+                                            range(m), range(n)):
+            rows[s * v.dim + t, i * n + j] = field.a_mul(u.basis[s, i], v.basis[t, j])
+        got = subspace_tensor(u, v)
+        assert got == Subspace.from_rows(field, m * n, rows)
+        assert got.dim == u.dim * v.dim
+        _assert_rref(got)
+
+
+@pytest.mark.parametrize("field_name", _ALL_FIELDS)
+def test_subspace_direct_sum_is_block_placement(field_name, f25, rng):
+    field = _field(field_name, f25)
+    for u, v in _subspace_pairs(field, rng):
+        m, n = u.ambient_dim, v.ambient_dim
+        rows = []
+        for s in range(u.dim):
+            rows.append(list(u.basis[s]) + [field.zero_enc] * n)
+        for t in range(v.dim):
+            rows.append([field.zero_enc] * m + list(v.basis[t]))
+        got = subspace_direct_sum(u, v)
+        assert got == Subspace.from_rows(field, m + n, rows)
+        assert got.dim == u.dim + v.dim
+        _assert_rref(got)
+
+
+def _kernel_on_inputs(field, rng):
+    """Pairs (W, images), with images of shape (dim W, ...)."""
+    for n in (1, 3, 5):
+        yield Subspace.zero(field, n), field.zeros((0, 4))       # dim W = 0
+        yield Subspace.full(field, n), field.zeros((n, 0))       # empty images
+        yield Subspace.full(field, n), field.zeros((n, 2))       # zero map
+        for _ in range(6):
+            w = random_subspace(field, n, rng)
+            width = int(rng.integers(1, 5))
+            images = field.random_enc(rng, (w.dim, width))
+            if w.dim > 1:
+                images[-1] = images[0]                          # force a kernel
+            yield w, images
+            yield w, field.random_enc(rng, (w.dim, 2, 2))       # further axes
+
+
+def _kernel_on_by_enumeration(w, images, p):
+    """Every vector sum_s a_s w_s with sum_s a_s images[s] = 0, over GF(p)."""
+    out = set()
+    for coeffs in itertools.product(range(p), repeat=w.dim):
+        image = sum((c * images[s].astype(np.int64) for s, c in enumerate(coeffs)), 0)
+        if not np.any(np.asarray(image) % p):
+            vec = sum((c * w.basis[s] for s, c in enumerate(coeffs)),
+                      np.zeros(w.ambient_dim, dtype=np.int64))
+            out.add(tuple((vec % p).tolist()))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_kernel_on_matches_brute_force_enumeration(p, rng):
+    field = GF(p)
+    for w, images in _kernel_on_inputs(field, rng):
+        want = _kernel_on_by_enumeration(w, images, p)
+        before = images.copy()
+        got = kernel_on(w, images)
+        assert np.array_equal(images, before)
+        assert got.ambient_dim == w.ambient_dim
+        _assert_rref(got)
+        assert _span_set(got, p) == want
+
+
+@pytest.mark.parametrize("field_name", ["GF(25)", "QQ"])
+def test_kernel_on_vectors_are_in_w_and_map_to_zero(field_name, f25, rng):
+    field = _field(field_name, f25)
+    for w, images in _kernel_on_inputs(field, rng):
+        flat = images.reshape(w.dim, -1).copy() if images.size else field.zeros((w.dim, 0))
+        got = kernel_on(w, images)
+        _assert_rref(got)
+        assert got.dim == w.dim - rank(field, flat)
+        coeffs = express_in_rows(field, w.basis, got.basis)
+        assert np.all(field.matmul2(coeffs, flat) == field.zero_enc)
+
+
 def test_public_api_names_resolve():
     import symcenter
 
     for name in symcenter.__all__:
         assert hasattr(symcenter, name), name
     assert {"kernel", "rank", "rref_data"} <= set(symcenter.__all__)
+    assert not hasattr(symcenter.Subspace, "from_vectors")
     for gone in ("Matrix", "rref", "SymmetricStructure", "symmetric_structure",
                  "LoewyProfile"):
         assert gone not in symcenter.__all__ and not hasattr(symcenter, gone)

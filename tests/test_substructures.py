@@ -59,7 +59,7 @@ def test_dickson_over_rationals():
     a = Algebra(QQ, _dual_table(QQ), QQ.arr([1, 0]), name="dual_qq")
     cert = radical(a)
     assert cert.strategy == "dickson"
-    assert cert.radical == Subspace.from_vectors(QQ, 2, [[0, 1]])
+    assert cert.radical == Subspace.from_rows(QQ, 2, [[0, 1]])
 
 
 def test_dickson_large_characteristic():
@@ -141,7 +141,7 @@ def test_hint_rejected_cases(mat2, dual3):
     ((0, 1, 0, 0),),                                           # not an ideal
 ])
 def test_bad_seed_is_an_internal_error(mat2, seed_rows):
-    seed = (Subspace.from_vectors(mat2.field, 4, list(seed_rows)), "a bogus theorem")
+    seed = (Subspace.from_rows(mat2.field, 4, list(seed_rows)), "a bogus theorem")
     a = Algebra(mat2.field, mat2.table, mat2.one,
                 radical_hint=RadicalHint("semisimple"), _radical_seed=lambda: seed)
     with pytest.raises(InternalCheckError,
@@ -201,7 +201,7 @@ _PROVENANCE = {
     "quotient_of_seeded": (lambda: _socle_quotient(_seeded()), _QUOTIENT),
     "quotient_of_cached": (lambda: _socle_quotient(_cached()), _QUOTIENT),
     "quotient_of_unknown": (
-        lambda: quotient(_trunc3(GF(7)), Subspace.from_vectors(GF(7), 3, [[0, 0, 1]])),
+        lambda: quotient(_trunc3(GF(7)), Subspace.from_rows(GF(7), 3, [[0, 0, 1]])),
         _QUOTIENT,
     ),
     "opposite_of_seeded": (lambda: opposite(_seeded()), _OPPOSITE),
@@ -256,7 +256,7 @@ def test_construction_provenance_does_not_depend_on_call_order():
         a = _trunc3(GF(7))
         if parent_first:
             radical(a)
-        return quotient(a, Subspace.from_vectors(GF(7), 3, [[0, 0, 1]])), opposite(a)
+        return quotient(a, Subspace.from_rows(GF(7), 3, [[0, 0, 1]])), opposite(a)
 
     fresh, warmed = build(False), build(True)
     for expected, b1, b2 in zip((_QUOTIENT, _OPPOSITE), fresh, warmed):
@@ -268,7 +268,7 @@ def test_construction_provenance_does_not_depend_on_call_order():
 def test_constructions_compute_no_radical_at_build_time():
     # span{x} is not an ideal of k[x]/(x^3): the hint fails only when asked
     bogus = _trunc3(GF(3), radical_hint=RadicalHint("basis", ((0, 1, 0),)))
-    x2 = Subspace.from_vectors(GF(3), 3, [[0, 0, 1]])
+    x2 = Subspace.from_rows(GF(3), 3, [[0, 0, 1]])
     built = [tensor(bogus, bogus), trivial_extension(bogus), quotient(bogus, x2),
              opposite(bogus)]
     for b in built:
