@@ -35,7 +35,6 @@ from .errors import (
     AlgebraMismatch,
     AlgebraValidationError,
     ImproperIdeal,
-    InternalCheckError,
     NotAnIdeal,
     NotNilpotent,
 )
@@ -346,24 +345,15 @@ class Algebra:
         return bool(np.all(u.reduce(self.left_products(u.basis).reshape(-1, n)) == zero))
 
     def ideal_closure(self, u: Subspace) -> Subspace:
-        """Smallest two-sided ideal containing u (fixpoint of u + Au + uA)."""
+        """Smallest two-sided ideal containing u: the span A u A.
+
+        A u (every e_j u_s) contains u because 1 is in A, so the ideal is the
+        span of the products (e_j u_s) e_k: two eliminations, no fixpoint.
+        """
         self._check_subspace(u)
         n = self.dim
-        current = u
-        for _ in range(n + 1):
-            rows = np.concatenate(
-                [
-                    current.basis,
-                    self.right_products(current.basis).reshape(-1, n),
-                    self.left_products(current.basis).reshape(-1, n),
-                ],
-                axis=0,
-            )
-            bigger = Subspace.from_rows(self.field, self.dim, rows)
-            if bigger.dim == current.dim:
-                return bigger
-            current = bigger
-        raise InternalCheckError("ideal closure failed to stabilise within dim steps")
+        au = Subspace.from_rows(self.field, n, self.right_products(u.basis).reshape(-1, n))
+        return Subspace.from_rows(self.field, n, self.left_products(au.basis).reshape(-1, n))
 
     def left_annihilator(self, s: Subspace) -> Subspace:
         """{x : x v = 0 for all v in s}."""

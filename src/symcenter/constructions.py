@@ -222,9 +222,6 @@ class SkewPresentation:
     def commuting(bounds, names=None) -> "SkewPresentation":
         return SkewPresentation(tuple(bounds), (), None if names is None else tuple(names))
 
-    def q_dict(self) -> dict:
-        return dict(self.q)
-
 
 def _monomial_label(exps, names) -> str:
     parts = []
@@ -236,16 +233,25 @@ def _monomial_label(exps, names) -> str:
     return "*".join(parts) if parts else "1"
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def from_skew_presentation(field: FieldDescriptor, pres: SkewPresentation,
                            name: str | None = None) -> Algebra:
     """Monomial-basis algebra of a truncated skew-commutative presentation.
 
     The basis is all exponent tuples below the bounds, enumerated with the
     first variable fastest; a local_codim1 radical hint is attached since
-    every positive-degree monomial is nilpotent.
+    every positive-degree monomial is nilpotent.  The table is built for all
+    basis pairs at once: x^a x^b = prod_{j > i} q_ji^(a_j b_i) x^(a + b)
+    when every exponent of a + b stays below its bound, and 0 otherwise.
     """
-    bounds = tuple(int(b) for b in pres.bounds)
-    if any(b < 1 for b in bounds):
+    for b in pres.bounds:
+        if not _is_int(b):
+            raise AlgebraValidationError(f"skew presentation bound {b!r} is not an integer")
+    bounds = np.array(pres.bounds, dtype=np.int64)
+    if np.any(bounds < 1):
         raise AlgebraValidationError("skew presentation bounds must be >= 1")
     nvars = len(bounds)
     if pres.names is not None and len(pres.names) != nvars:
@@ -254,47 +260,35 @@ def from_skew_presentation(field: FieldDescriptor, pres: SkewPresentation,
         )
     names = pres.names or tuple(f"x{i+1}" for i in range(nvars))
     qmap = {}
-    for (j, i), val in pres.q_dict().items():
-        if not (0 <= i < j < nvars):
+    for entry in pres.q:
+        try:
+            (j, i), val = entry
+        except (TypeError, ValueError):
+            raise AlgebraValidationError(f"q entry {entry!r} is not ((j, i), value)") from None
+        if not (_is_int(j) and _is_int(i) and 0 <= i < j < nvars):
             raise AlgebraValidationError(f"bad q index pair {(j, i)}")
+        j, i = int(j), int(i)
+        if (j, i) in qmap:
+            raise AlgebraValidationError(f"q pair {(j, i)} ({names[j]}, {names[i]}) is given twice")
         enc = field.scalar(val).value
         if enc == field.zero_enc:
             raise AlgebraValidationError("q coefficients must be nonzero")
         qmap[(j, i)] = enc
-    dim = 1
-    for b in bounds:
-        dim *= b
-    exps = []
-    for idx in range(dim):
-        t = idx
-        e = []
-        for b in bounds:
-            e.append(t % b)
-            t //= b
-        exps.append(tuple(e))
-    index_of = {e: i for i, e in enumerate(exps)}
+    strides = np.cumprod(np.concatenate([[1], bounds]))[:-1]
+    dim = int(np.prod(bounds))
+    exps = np.arange(dim)[:, None] // strides % bounds
+    total = exps[:, None, :] + exps[None, :, :]
+    a_idx, b_idx = np.nonzero(np.all(total < bounds, axis=2))
+    factor = np.full(a_idx.size, field.one_enc, dtype=field.dtype)
+    for (j, i), q in qmap.items():
+        powers = [field.s_pow(q, e) for e in range((bounds[j] - 1) * (bounds[i] - 1) + 1)]
+        exponent = exps[a_idx, j] * exps[b_idx, i]
+        factor = field.a_mul(factor, np.array(powers, dtype=field.dtype)[exponent])
     table = field.zeros((dim, dim, dim))
-    for a_idx, ra in enumerate(exps):
-        for b_idx, rb in enumerate(exps):
-            total = tuple(x + y for x, y in zip(ra, rb))
-            if any(t >= b for t, b in zip(total, bounds)):
-                continue
-            factor = field.one_enc
-            for j in range(nvars):
-                if ra[j] == 0:
-                    continue
-                for i in range(j):
-                    if rb[i] == 0:
-                        continue
-                    qji = qmap.get((j, i), field.one_enc)
-                    if qji != field.one_enc:
-                        factor = field.a_mul(
-                            factor, field.s_pow(qji, ra[j] * rb[i])
-                        )
-            table[a_idx, b_idx, index_of[total]] = factor
+    table[a_idx, b_idx, total[a_idx, b_idx] @ strides] = factor
     one = field.zeros(dim)
     one[0] = field.one_enc
-    labels = [_monomial_label(e, names) for e in exps]
+    labels = [_monomial_label(e, names) for e in exps.tolist()]
     return Algebra(
         field,
         table,
@@ -330,16 +324,29 @@ def _parse_word(word: str, names: list[str]) -> list[tuple[int, int]]:
     return out
 
 
+def _matrix_products(field: FieldDescriptor, left: np.ndarray,
+                     right: np.ndarray) -> np.ndarray:
+    """Every product left[s] @ right[t] of two stacks of size x size matrices,
+    flattened, one row per pair (s, t) in row-major order: one contraction
+    with the right stack placed side by side."""
+    size = left.shape[-1]
+    side = np.ascontiguousarray(right.transpose(1, 0, 2)).reshape(size, -1)
+    prods = field.tensordot_lf(left, side).reshape(len(left), size, len(right), size)
+    return np.ascontiguousarray(prods.transpose(0, 2, 1, 3)).reshape(-1, size * size)
+
+
 def from_matrix_generators(field: FieldDescriptor, size: int, generators,
                            monomial_basis=None, radical_hint=None,
                            name: str | None = None) -> Algebra:
     """Unitary subalgebra of Mat_size(F) generated by named matrices.
 
-    The spanning closure starts from the identity and the generators and
-    appends products with generators until the span is stable (at most
-    size^2 rounds).  When a monomial_basis word list is supplied, the words
-    are evaluated, checked to be an independent spanning set, and used as
-    the labelled basis; structure constants are then solved exactly.
+    The span S starts as span{1, generators} and grows by whole rounds,
+    S <- S + S G for all generators at once, until its dimension stops
+    growing; every round but the last adds a dimension.  Without a word list
+    the RREF basis of S is the basis.  When a monomial_basis word list is
+    supplied, the words are evaluated, checked to be an independent spanning
+    set, and used as the labelled basis; structure constants are then solved
+    exactly.
     """
     if size < 1:
         raise AlgebraValidationError("algebras here are unital, so size >= 1")
@@ -352,31 +359,14 @@ def from_matrix_generators(field: FieldDescriptor, size: int, generators,
             )
     amb = size * size
     ident = field.eye(size)
-    span = Subspace.from_rows(field, amb, ident.reshape(1, amb))
-    frontier = [ident]
-    for g in mats:
-        flat = g.reshape(1, amb)
-        if np.any(span.reduce(flat) != field.zero_enc):
-            span = Subspace.from_rows(
-                field, amb, np.concatenate([span.basis, flat], axis=0)
-            )
-            frontier.append(g)
-    rounds = 0
-    while frontier:
-        rounds += 1
-        if rounds > amb + 1:
-            raise AlgebraValidationError("matrix closure failed to stabilise")
-        new_frontier = []
-        for r in frontier:
-            for g in mats:
-                prod = field.matmul2(r, g)
-                flat = prod.reshape(1, amb)
-                if np.any(span.reduce(flat) != field.zero_enc):
-                    span = Subspace.from_rows(
-                        field, amb, np.concatenate([span.basis, flat], axis=0)
-                    )
-                    new_frontier.append(prod)
-        frontier = new_frontier
+    gens = np.array(mats, dtype=field.dtype).reshape(-1, size, size)
+    span = Subspace.from_rows(field, amb, np.concatenate([ident.reshape(1, amb),
+                                                          gens.reshape(-1, amb)]))
+    grown = 0
+    while span.dim > grown:
+        grown = span.dim
+        prods = _matrix_products(field, span.basis.reshape(-1, size, size), gens)
+        span = Subspace.from_rows(field, amb, np.concatenate([span.basis, prods]))
     d = span.dim
     if monomial_basis is not None:
         words = list(monomial_basis)
@@ -399,12 +389,10 @@ def from_matrix_generators(field: FieldDescriptor, size: int, generators,
             )
         labels = words
     else:
-        flats = span.basis.copy()
+        flats = span.basis
         labels = None
-    stack = np.stack([flats[i].reshape(size, size) for i in range(d)], axis=0)
-    swapped = np.ascontiguousarray(stack.transpose(1, 0, 2)).reshape(size, d * size)
-    prods = field.tensordot_lf(stack, swapped).reshape(d, size, d, size)
-    prods = np.ascontiguousarray(prods.transpose(0, 2, 1, 3)).reshape(d * d, amb)
+    stack = flats.reshape(d, size, size)
+    prods = _matrix_products(field, stack, stack)
     try:
         coeffs = express_in_rows(field, flats, prods)
         one_coords = express_in_rows(field, flats, ident.reshape(1, amb))[0]

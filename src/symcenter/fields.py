@@ -11,7 +11,7 @@ One rule turns values into encodings, in ``arr`` (arrays) and ``scalar``
 is already an encoding, range-checked against [0, q) over a finite field; a
 Python ``int`` or ``Fraction`` is a number, so over GF(25) the int 7 means
 7 * 1 = 2 while ``np.int64(7)`` is the encoding of t + 2; a float is
-refused.  Over QQ a value is its own encoding.  The same rule holds for the
+refused, and so are nested rows of different lengths.  Over QQ a value is its own encoding.  The same rule holds for the
 operators of ``FieldScalar`` and ``AlgebraElement``: a numpy integer on
 either side is an encoding.
 
@@ -198,17 +198,27 @@ class FieldDescriptor:
         raise ScalarFormatError(f"{v!r} is not a value of {self}")
 
     def arr(self, values) -> np.ndarray:
-        """The encodings of a (nested) sequence of values, each read by ``_enc``;
-        a finite field takes an integer ndarray whole after checking its range."""
-        if isinstance(values, np.ndarray) and values.dtype.kind in "iu" and self.order is not None:
-            if values.size:
-                self._enc(values.min()), self._enc(values.max())
-            return values.astype(self.dtype, copy=False)
+        """The encodings of an array or a nested sequence of values, each read
+        by ``_enc``; a finite field takes an integer ndarray whole after
+        checking its range.  A nested sequence must be rectangular: rows of
+        different lengths are refused."""
+        if isinstance(values, np.ndarray):
+            if values.dtype.kind in "iu" and self.order is not None:
+                if values.size:
+                    self._enc(values.min()), self._enc(values.max())
+                return values.astype(self.dtype, copy=False)
+            flat = [self._enc(v) for v in values.flat]
+            return np.array(flat, dtype=self.dtype).reshape(values.shape)
         def conv(v):
-            if isinstance(v, (list, tuple, np.ndarray)):
-                return [conv(x) for x in v]
-            return self._enc(v)
-        return np.array(conv(list(values)), dtype=self.dtype)
+            # (nested list of encodings, shape)
+            if not isinstance(v, (list, tuple, np.ndarray)):
+                return self._enc(v), ()
+            items = [conv(x) for x in v]
+            shapes = {s for _, s in items}
+            if len(shapes) > 1:
+                raise ScalarFormatError(f"rows of different shapes {sorted(shapes)} in one array")
+            return [x for x, _ in items], (len(items), *(shapes.pop() if shapes else ()))
+        return np.array(conv(list(values))[0], dtype=self.dtype)
 
     def _from_fraction(self, f: Fraction):
         return self.s_div(self.from_int(f.numerator), self.from_int(f.denominator))

@@ -6,6 +6,7 @@ derived expected values are frozen against a second implementation.
 """
 
 from fractions import Fraction
+from itertools import product
 
 
 def naive_rref_mod(rows, p):
@@ -151,3 +152,113 @@ def gf25_elements_of_order(n):
         if gf25_order(a) == n:
             out.append(a)
     return out
+
+
+def gf25_enc_add(a, b):
+    """Sum of two GF(25) encodings a0 + 5 a1."""
+    return (a % 5 + b % 5) % 5 + 5 * ((a // 5 + b // 5) % 5)
+
+
+def gf25_enc_mul(a, b):
+    """Product of two GF(25) encodings a0 + 5 a1."""
+    c0, c1 = gf25_mul((a % 5, a // 5), (b % 5, b // 5))
+    return c0 + 5 * c1
+
+
+# -- three constructions, one vector or one basis pair at a time ----------------
+
+
+def naive_ideal_closure(table, rows, add, mul, zero, span):
+    """The fixpoint u <- u + A u + u A of the span of ``rows``.
+
+    ``table[i][j][k]`` is coefficient k of e_i e_j, as nested lists of field
+    values with the arithmetic ``add``/``mul``/``zero``; ``span`` takes a
+    list of rows to the RREF basis of their span (a list of rows).
+    """
+    n = len(table)
+
+    def times(u, left):
+        # coefficient k of e_j u (left) or u e_j: sum_i u_i (e_j e_i)_k or (e_i e_j)_k
+        out = []
+        for j in range(n):
+            vec = [zero] * n
+            for i in range(n):
+                if u[i] == zero:
+                    continue
+                entry = table[j][i] if left else table[i][j]
+                for k in range(n):
+                    vec[k] = add(vec[k], mul(u[i], entry[k]))
+            out.append(vec)
+        return out
+
+    basis = span(list(rows))
+    while True:
+        grown = list(basis)
+        for u in basis:
+            grown += times(u, True) + times(u, False)
+        grown = span(grown)
+        if len(grown) == len(basis):
+            return grown
+        basis = grown
+
+
+def naive_skew_table(bounds, q, mul, zero, one):
+    """Structure table of x_i^{b_i} = 0, x_j x_i = q[(j, i)] x_i x_j (j > i),
+    on the exponent tuples below the bounds, first variable fastest; one
+    basis pair at a time.  Missing q pairs commute."""
+    exps = [tuple(reversed(t)) for t in product(*(range(b) for b in reversed(bounds)))]
+    dim = len(exps)
+    table = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+    for a, ra in enumerate(exps):
+        for b, rb in enumerate(exps):
+            total = tuple(x + y for x, y in zip(ra, rb))
+            if any(t >= bd for t, bd in zip(total, bounds)):
+                continue
+            coeff = one
+            for j in range(len(bounds)):
+                for i in range(j):
+                    for _ in range(ra[j] * rb[i]):
+                        coeff = mul(coeff, q.get((j, i), one))
+            table[a][b][exps.index(total)] = coeff
+    return table
+
+
+def naive_matrix_closure(gens, size, p):
+    """Unital subalgebra of Mat_size(GF(p)) generated by plain-int matrices:
+    a frontier search that multiplies each new matrix by every generator.
+
+    Returns (table, one) on the RREF basis of the span: coefficient r of a
+    span element is its entry at the pivot column of basis row r.
+    """
+    def flat(m):
+        return [x % p for row in m for x in row]
+
+    def matrix(v):
+        return [v[r * size:(r + 1) * size] for r in range(size)]
+
+    ident = [[int(r == c) for c in range(size)] for r in range(size)]
+    rows = [flat(ident)]
+    frontier = [ident]
+    for g in gens:
+        if not naive_in_span_mod(rows, flat(g), p):
+            rows.append(flat(g))
+            frontier.append(g)
+    while frontier:
+        new = []
+        for m in frontier:
+            for g in gens:
+                prod = naive_mat_mul_mod(m, g, p)
+                if not naive_in_span_mod(rows, flat(prod), p):
+                    rows.append(flat(prod))
+                    new.append(prod)
+        frontier = new
+    red, pivots = naive_rref_mod(rows, p)
+    basis = red[:len(pivots)]
+
+    def coords(v):
+        assert naive_in_span_mod(basis, v, p)
+        return [v[c] for c in pivots]
+
+    table = [[coords(flat(naive_mat_mul_mod(matrix(x), matrix(y), p))) for y in basis]
+             for x in basis]
+    return table, coords(flat(ident))

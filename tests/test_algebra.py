@@ -1,9 +1,19 @@
 """Algebra values: validation, multiplication, centers, ideals, Loewy series."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from oracles import naive_rank_mod, naive_spans_equal_mod
+from oracles import (
+    gf25_enc_add,
+    gf25_enc_mul,
+    naive_ideal_closure,
+    naive_rank_mod,
+    naive_rref_frac,
+    naive_rref_mod,
+    naive_spans_equal_mod,
+)
 
 from symcenter import QQ, Subspace, contains, rank
 from symcenter.algebra import Algebra, memoised, quotient_data
@@ -145,6 +155,52 @@ def test_ideal_closure_smallest_with_commutative_quotient(mat2):
     from symcenter.constructions import quotient
 
     assert quotient(a, cl).is_commutative()
+
+
+def _closure_oracle(a, rows):
+    """The fixpoint closure of the span of ``rows`` by ``naive_ideal_closure``,
+    eliminated by the plain-Python RREFs (the library's over GF(25))."""
+    f = a.field
+    if f == QQ:
+        arith = (lambda x, y: x + y, lambda x, y: x * y, Fraction(0))
+        def span(r):
+            red, piv = naive_rref_frac(r)
+            return red[:len(piv)]
+    elif f.order == 25:
+        arith = (gf25_enc_add, gf25_enc_mul, 0)
+        def span(r):
+            block = np.array(r, dtype=np.int64).reshape(-1, a.dim)
+            return Subspace.from_rows(f, a.dim, block).basis.tolist()
+    else:
+        p = f.order
+        arith = (lambda x, y: (x + y) % p, lambda x, y: x * y % p, 0)
+        def span(r):
+            red, piv = naive_rref_mod(r, p)
+            return red[:len(piv)]
+    return naive_ideal_closure(a.table.tolist(), rows.tolist(), *arith, span)
+
+
+@pytest.mark.parametrize("entry", ["matn", "trunc3_gf3", "soc20_base",
+                                   "counterexample_B", "skew23_qq"])
+def test_ideal_closure_matches_the_fixpoint_oracle(entry):
+    if entry == "skew23_qq":
+        a = from_skew_presentation(QQ, SkewPresentation.anticommuting([2, 3]))
+    else:
+        a = get(entry)
+    f, n = a.field, a.dim
+    rng = np.random.default_rng(sum(map(ord, entry)))
+    # U = 0, U = A, K(A), a random vector, and random vectors without a
+    # component on e_0 (the unit of the presentations), which stay in J(A)
+    blocks = [f.zeros((0, n)), f.eye(n), a.commutator_space().basis,
+              f.random_enc(rng, (1, n))]
+    for k in (1, 2):
+        rows = f.random_enc(rng, (k, n))
+        rows[:, 0] = f.zero_enc
+        blocks.append(rows)
+    for rows in blocks:
+        closure = a.ideal_closure(Subspace.from_rows(f, n, rows))
+        assert closure.basis.tolist() == _closure_oracle(a, rows)
+        assert a.is_ideal(closure)
 
 
 def test_annihilators(mat2):

@@ -283,3 +283,16 @@ def test_malformed_document_exit_2(entries, anchor, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert anchor in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_q_pair_given_twice_in_a_file_exits_2(tmp_path, capsys):
+    # "2,1" and "2, 1" both name the pair x2 x1; the later key used to win silently
+    doc = {"field": {"kind": "prime", "p": 5},
+           "presentation": {"type": "skew_truncated", "bounds": [2, 2],
+                            "q": {"2,1": 2, "2, 1": 1}}}
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "q pair (1, 0) (x2, x1) is given twice" in err
+    assert "Traceback" not in err

@@ -1,7 +1,16 @@
 """Builders: tensor, trivial extension, quotient, opposite, presentations."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+
+from oracles import (
+    gf25_elements_of_order,
+    gf25_enc_mul,
+    naive_matrix_closure,
+    naive_skew_table,
+)
 
 from symcenter import (
     GF,
@@ -18,12 +27,21 @@ from symcenter import (
     trivial_extension,
     trivext_criteria,
 )
-from symcenter.corpus import _DIM12_M, _DIM12_N, _DIM12_WORDS, get, grid
+from symcenter.corpus import (
+    _DIM12_M,
+    _DIM12_N,
+    _DIM12_WORDS,
+    _SOC20_M,
+    _SOC20_N,
+    get,
+    grid,
+)
 from symcenter.errors import (
     AlgebraValidationError,
     BasisClaimFailed,
     FieldMismatch,
     NotAnIdeal,
+    ScalarFormatError,
 )
 from symcenter.linalg import kernel, subspace_sum
 from symcenter.substructures import (
@@ -210,6 +228,68 @@ def test_skew_presentation_guards(g3):
         from_skew_presentation(g3, SkewPresentation((2, 2), (((0, 1), 1),)))
 
 
+@pytest.mark.parametrize("bounds, bad", [((2.5, 2), "2.5"), ((True, 2), "True"),
+                                         ("22", "'2'")])
+def test_skew_presentation_bounds_must_be_integers(g3, bounds, bad):
+    # int() would truncate 2.5, read True as 1 and "2" as 2
+    with pytest.raises(AlgebraValidationError, match=f"bound {bad} is not an integer"):
+        from_skew_presentation(g3, SkewPresentation(bounds))
+    assert from_skew_presentation(g3, SkewPresentation((np.int64(2), 2))).dim == 4
+
+
+def test_skew_presentation_q_pair_given_twice_is_refused():
+    # the later value used to overwrite the earlier one, giving a commutative algebra
+    pres = SkewPresentation((2, 2), q=(((1, 0), 2), ((1, 0), 1)))
+    with pytest.raises(AlgebraValidationError, match=r"q pair \(1, 0\) \(x2, x1\) is given twice"):
+        from_skew_presentation(GF(5), pres)
+
+
+@pytest.mark.parametrize("q", [((1, 2),), (((1, 0),),), (((1, 0), 2, 3),), (5,)])
+def test_skew_presentation_malformed_q_entry(g3, q):
+    with pytest.raises(AlgebraValidationError, match="is not \\(\\(j, i\\), value\\)"):
+        from_skew_presentation(g3, SkewPresentation((2, 2), q=q))
+
+
+@pytest.mark.parametrize("pair", [(1.0, 0), ("1", "0"), (True, 0)])
+def test_skew_presentation_q_indices_must_be_integers(g3, pair):
+    with pytest.raises(AlgebraValidationError, match="bad q index pair"):
+        from_skew_presentation(g3, SkewPresentation((2, 2), q=((pair, 2),)))
+
+
+_Q24 = gf25_elements_of_order(24)[0]
+
+
+@pytest.mark.parametrize("field, bounds, q", [
+    (GF(3), (3, 2), {}),
+    (GF(3), (2, 3, 2), {(1, 0): -1, (2, 0): -1, (2, 1): -1}),
+    (GF(5), (3, 1, 3), {(2, 0): 2, (1, 0): 3}),
+    (QQ, (2, 3), {(1, 0): Fraction(-1)}),
+    (QQ, (3, 3), {(1, 0): Fraction(2, 3)}),
+    (gf25(), (5, 5, 2), {(1, 0): -1, (2, 0): _Q24, (2, 1): _Q24}),
+    (gf25(), (2, 4), {(1, 0): _Q24}),
+    (GF(3), (), {}),
+    (GF(3), (1,), {}),
+])
+def test_skew_table_matches_the_per_pair_oracle(field, bounds, q):
+    if field == gf25():
+        def enc(v):
+            return v[0] + 5 * v[1] if isinstance(v, tuple) else v % 5
+        spec = {k: np.int64(enc(v)) for k, v in q.items()}   # numpy ints are encodings
+        oracle = naive_skew_table(bounds, {k: enc(v) for k, v in q.items()},
+                                  gf25_enc_mul, 0, 1)
+    elif field == QQ:
+        spec = q
+        oracle = naive_skew_table(bounds, q, lambda x, y: x * y, Fraction(0), Fraction(1))
+    else:
+        p = field.order
+        spec = q
+        oracle = naive_skew_table(bounds, {k: v % p for k, v in q.items()},
+                                  lambda x, y: x * y % p, 0, 1)
+    a = from_skew_presentation(field, SkewPresentation(bounds, tuple(spec.items())))
+    assert a.table.tolist() == oracle
+    assert a.one.tolist() == [field.one_enc] + [field.zero_enc] * (a.dim - 1)
+
+
 def test_skew_presentation_names_must_match_bounds(g3):
     for names in (("x",), ("x", "y", "z"), ()):
         with pytest.raises(AlgebraValidationError, match="variable names"):
@@ -241,6 +321,31 @@ def test_matrix_generators_closures(g3, g2):
     assert a.dim == 12 and a.labels == _DIM12_WORDS
     b = get("soc20_base")
     assert b.dim == 10
+
+
+def test_matrix_generators_ragged_generator_is_a_scalar_format_error(g3):
+    with pytest.raises(ScalarFormatError, match="different shapes"):
+        from_matrix_generators(g3, 2, {"M": [[1, 0], [0]]})
+
+
+_JORDAN3 = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
+
+
+@pytest.mark.parametrize("p, size, gens", [
+    (3, 12, {"M": grid(_DIM12_M), "N": grid(_DIM12_N)}),
+    (2, 10, {"M": grid(_SOC20_M), "N": grid(_SOC20_N)}),
+    (5, 3, {}),
+    # 2 * 1 and 2 * N lie in the span of the identity and N already
+    (3, 3, {"N": _JORDAN3, "twice_one": [[2, 0, 0], [0, 2, 0], [0, 0, 2]],
+            "twice_N": [[2 * x for x in row] for row in _JORDAN3]}),
+    # the transpose of a Jordan block generates all of Mat_3
+    (5, 3, {"N": _JORDAN3, "T": [list(col) for col in zip(*_JORDAN3)]}),
+])
+def test_matrix_closure_table_matches_the_frontier_oracle(p, size, gens):
+    a = from_matrix_generators(GF(p), size, gens)
+    table, one = naive_matrix_closure(list(gens.values()), size, p)
+    assert a.table.tolist() == table
+    assert a.one.tolist() == one
 
 
 def test_matrix_generators_basis_claims(g3):

@@ -212,6 +212,26 @@ def test_numpy_ints_outside_the_field_are_refused(f25, bad):
         f25.arr(np.array([0, bad], dtype=bad.dtype))
 
 
+@pytest.mark.parametrize("field", [GF(3), gf25(), QQ], ids=repr)
+@pytest.mark.parametrize("ragged", [
+    [[1, 0], [0]],
+    [[1, 0], []],
+    [[1], [[2]]],
+    [[[1, 2]], [[3]]],
+], ids=repr)
+def test_ragged_nested_input_is_a_scalar_format_error(field, ragged):
+    with pytest.raises(ScalarFormatError, match="different shapes"):
+        field.arr(ragged)
+
+
+@pytest.mark.parametrize("field", [GF(3), gf25(), QQ], ids=repr)
+def test_rectangular_nested_input_keeps_its_shape(field):
+    assert field.arr([[1, 0], [0, 2]]).shape == (2, 2)
+    assert field.arr([[], []]).shape == (2, 0)
+    assert field.arr(([1], (2,), np.array([1]))).shape == (3, 1)
+    assert field.arr(np.array([[1, 0]], dtype=object)).tolist() == [[field.one_enc, field.zero_enc]]
+
+
 @pytest.mark.parametrize("field", [GF(3), QQ], ids=repr)
 def test_floats_are_refused(field):
     for bad in (2.7, 2.0, np.float64(0.5)):
