@@ -36,7 +36,6 @@ from .linalg import (
     Subspace,
     contains,
     kernel,
-    member,
     rank,
     rref_data,
     subspace_intersect,
@@ -62,6 +61,7 @@ from .symmetric import (
     perp,
     symmetric_gram,
     symmetric_quotient,
+    symmetrize,
     verify_symmetric,
 )
 
@@ -76,11 +76,11 @@ __all__ = [
     "SymcenterError",
     "GF", "QQ", "ExtensionField", "FieldDescriptor", "FieldScalar",
     "PrimeField", "RationalField", "element_of_order", "gf25",
-    "Subspace", "contains", "kernel", "member", "rank", "rref_data",
+    "Subspace", "contains", "kernel", "rank", "rref_data",
     "subspace_intersect", "subspace_sum",
     "PropertyVerdicts", "RadicalCertificate", "RadicalHint",
     "annihilator_in_center", "is_basic", "is_local", "j_of_center",
     "property_verdicts", "radical", "reynolds", "soc_of_center", "socle",
     "QuotientWitness", "check_nustar_relations",
-    "perp", "symmetric_gram", "symmetric_quotient", "verify_symmetric",
+    "perp", "symmetric_gram", "symmetric_quotient", "symmetrize", "verify_symmetric",
 ]

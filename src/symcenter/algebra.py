@@ -533,3 +533,9 @@ def quotient_data(algebra: Algebra, ideal: Subspace):
     if algebra.labels is not None:
         labels = [algebra.labels[i] for i in comp]
     return table.reshape(d, d, d), ideal.quotient_coords(algebra.one)[0], labels
+
+
+def form_gram(field: FieldDescriptor, table: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Gram matrix G[i, j] = mu(e_i e_j) of the linear form mu on a structure table."""
+    n = table.shape[0]
+    return field.tensordot_lf(table, mu.reshape(n, 1)).reshape(n, n)

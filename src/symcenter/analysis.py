@@ -35,7 +35,6 @@ class AnalysisReport:
     dim: int
     dims: dict
     loewy_layers: tuple
-    loewy_ell: int
     commutative: bool
     local: bool
     basic: bool
@@ -58,7 +57,7 @@ class AnalysisReport:
             "dim": self.dim,
             "dims": dict(self.dims),
             "loewy_layers": list(self.loewy_layers),
-            "loewy_ell": self.loewy_ell,
+            "loewy_ell": len(self.loewy_layers),
             "flags": {
                 "commutative": self.commutative,
                 "local": self.local,
@@ -90,7 +89,7 @@ class AnalysisReport:
             lines.append(line)
         lines.append(
             "loewy     layers " + ",".join(str(x) for x in self.loewy_layers)
-            + f"  (J^{self.loewy_ell} = 0)"
+            + f"  (J^{len(self.loewy_layers)} = 0)"
         )
         lines.append(
             "flags     "
@@ -157,7 +156,6 @@ def analyze(algebra: Algebra, name: str | None = None) -> AnalysisReport:
             "R": r.dim,
         },
         loewy_layers=loewy,
-        loewy_ell=len(loewy),
         commutative=algebra.is_commutative(),
         local=is_local(algebra),
         basic=is_basic(algebra),

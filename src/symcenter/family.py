@@ -103,7 +103,7 @@ def generate_symmetric_local_family(max_dim: int) -> list[FamilyMember]:
     for member in trivexts:
         t = member.algebra
         dims_taken = set()
-        for row in j_of_center(t).basis_vectors():
+        for row in j_of_center(t).basis:
             witness = symmetric_quotient(t, row)
             q = witness.quotient
             if q.dim in dims_taken:
@@ -112,7 +112,7 @@ def generate_symmetric_local_family(max_dim: int) -> list[FamilyMember]:
             _admit(members, FamilyMember(f"{member.member_id}/dim{q.dim}", q), max_dim)
     for entry_id in symmetric_local_corpus_ids():
         a = get(entry_id)
-        for idx, row in enumerate(j_of_center(a).basis_vectors()):
+        for idx, row in enumerate(j_of_center(a).basis):
             witness = symmetric_quotient(a, row)
             q = witness.quotient
             _admit(members, FamilyMember(f"{entry_id}/z{idx}_dim{q.dim}", q), max_dim)

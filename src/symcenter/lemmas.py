@@ -106,20 +106,11 @@ def _rng(suite_id: str) -> np.random.Generator:
 
 
 def _symmetric_entries() -> list[str]:
-    out = []
-    for entry in ENTRY_IDS:
-        if symmetric_gram(get(entry)) is not None:
-            out.append(entry)
-    return out
+    return [entry for entry in ENTRY_IDS if symmetric_gram(get(entry)) is not None]
 
 
 def _local_entries() -> list[str]:
-    out = []
-    for entry in ENTRY_IDS:
-        a = get(entry)
-        if is_local(a):
-            out.append(entry)
-    return out
+    return [entry for entry in ENTRY_IDS if is_local(get(entry))]
 
 
 def _derived_symmetric_locals() -> list[tuple[str, Algebra]]:
@@ -128,7 +119,7 @@ def _derived_symmetric_locals() -> list[tuple[str, Algebra]]:
     w = symmetric_quotient(a12, a12.monomial("M^2"))
     out = [("dim12_sharp/quot_M2", w.quotient)]
     t20 = get("soc20_trivext")
-    for idx, row in enumerate(j_of_center(t20).basis_vectors()):
+    for idx, row in enumerate(j_of_center(t20).basis):
         w = symmetric_quotient(t20, row)
         if not w.quotient.is_commutative():
             out.append((f"soc20_trivext/quot_z{idx}", w.quotient))
@@ -186,7 +177,7 @@ def _check_condsocleprod(sink: ClaimSink):
         z = a.center()
         k = a.commutator_space()
         ok = True
-        for row in z.basis_vectors():
+        for row in z.basis:
             az_rows = a.right_products(row[None, :])[0]
             az_in_z = bool(np.all(z.reduce(az_rows) == a.field.zero_enc))
             kz_zero = a.subspace_product(
@@ -352,7 +343,7 @@ def _witness_samples():
     for entry in _symmetric_entries():
         a = get(entry)
         zs = [("one", a.one_element())]
-        for idx, row in enumerate(j_of_center(a).basis_vectors()):
+        for idx, row in enumerate(j_of_center(a).basis):
             zs.append((f"jz{idx}", row))
         for tag, z in zs:
             out.append((f"{entry}/{tag}", symmetric_quotient(a, z)))
@@ -409,7 +400,7 @@ def _heredity_algebras():
 
 def _z_samples(a: Algebra, rng) -> list:
     jz = j_of_center(a)
-    rows = list(jz.basis_vectors())
+    rows = list(jz.basis)
     for _ in range(10):
         if jz.dim == 0:
             break

@@ -163,9 +163,6 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of F^{self.ambient_dim})"
 
-    def basis_vectors(self) -> list[np.ndarray]:
-        return [self.basis[i] for i in range(self.dim)]
-
     def is_zero(self) -> bool:
         return self.dim == 0
 
@@ -303,11 +300,6 @@ def contains(u: Subspace, v: Subspace) -> bool:
     if v.is_zero():
         return True
     return bool(np.all(u.reduce(v.basis) == u.field.zero_enc))
-
-
-def member(u: Subspace, x) -> bool:
-    """Whether the coordinate vector x lies in u."""
-    return u.contains_vector(x)
 
 
 def express_in_rows(field: FieldDescriptor, basis_rows: np.ndarray,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, memoised, quotient_data
+from .algebra import Algebra, form_gram, memoised, quotient_data
 from .errors import (
     CriterionDisagreement,
     HintRejected,
@@ -73,8 +73,7 @@ def trace_gram(field: FieldDescriptor, table: np.ndarray) -> np.ndarray:
     n = table.shape[0]
     # tr(L_{e_m}) is the run m of the diagonal entries table[m, k, k]
     diag = np.diagonal(table, axis1=1, axis2=2).reshape(-1)
-    traces = field.a_sum_runs(diag, np.arange(0, n * n, n))
-    return field.tensordot_lf(table, traces.reshape(n, 1)).reshape(n, n)
+    return form_gram(field, table, field.a_sum_runs(diag, np.arange(0, n * n, n)))
 
 
 def _certify(algebra: Algebra, sub: Subspace, fail, top_reason: str | None):

@@ -3,9 +3,13 @@
 A symmetrizing form is a linear form lambda whose associated bilinear form
 beta(a, b) = lambda(ab) is symmetric and nondegenerate.  It is part of the
 algebra's data, ``Algebra.sym_form``: another form means another algebra.
-Orthogonal complements under beta swap ideals with their annihilators; the
-quotients A / (Az)^perp for central z are exactly the quotients of A that
-remain symmetric, and come with an injective A-bimodule section x+I -> xz.
+Orthogonal complements under beta swap ideals with their annihilators.
+
+``symmetrize`` builds every symmetric quotient: for any linear form mu
+that kills K(A), I_mu = {x : mu(xA) = 0} is an ideal and A/I_mu is
+symmetric with the induced form.  For central z and mu = lambda(. z),
+I_mu = (Az)^perp: these are exactly the quotients of A that remain
+symmetric, and come with an injective A-bimodule section x+I -> xz.
 
 Both per-algebra results go through ``memoised``: ``symmetric_gram``
 verifies the form once, and ``symmetric_quotient`` builds A/(Az)^perp once
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constructions
-from .algebra import Algebra, memoised
+from .algebra import Algebra, form_gram, memoised
 from .errors import (
     CentralityViolated,
     Degenerate,
@@ -33,18 +37,29 @@ from .linalg import Subspace, contains, kernel, rank, subspace_intersect
 from .substructures import j_of_center, soc_of_center, socle
 
 
-def verify_symmetric(algebra: Algebra) -> np.ndarray:
-    """The Gram matrix lambda(e_i e_j) of the algebra's form; raises unless
-    the form is symmetrizing."""
-    f, n = algebra.field, algebra.dim
-    gram = f.tensordot_lf(algebra.table, algebra.sym_form.reshape(n, 1)).reshape(n, n)
+def _require_form(algebra: Algebra):
+    if algebra.sym_form is None:
+        raise NotSymmetricForm(f"{algebra!r} carries no symmetrizing form")
+
+
+def _symmetric_form_gram(algebra: Algebra, mu: np.ndarray) -> np.ndarray:
+    """form_gram of mu; raises NotSymmetricForm unless it is symmetric."""
+    gram = form_gram(algebra.field, algebra.table, mu)
     if not np.all(gram == gram.T):
         i, j = (int(v) for v in np.argwhere(gram != gram.T)[0])
         raise NotSymmetricForm(
             f"lambda(e_{i} e_{j}) != lambda(e_{j} e_{i}); "
             "the form does not vanish on the commutator space"
         )
-    r = rank(f, gram)
+    return gram
+
+
+def verify_symmetric(algebra: Algebra) -> np.ndarray:
+    """The Gram matrix lambda(e_i e_j) of the algebra's form; raises unless
+    the algebra has a form and it is symmetrizing."""
+    _require_form(algebra)
+    gram = _symmetric_form_gram(algebra, algebra.sym_form)
+    r, n = rank(algebra.field, gram), algebra.dim
     if r != n:
         raise Degenerate(
             f"Gram matrix has rank {r} < {n}; "
@@ -63,14 +78,32 @@ def symmetric_gram(algebra: Algebra) -> np.ndarray | None:
 
 def perp(algebra: Algebra, x: Subspace) -> Subspace:
     """Orthogonal complement {a : beta(a, v) = 0 for v in x} under beta."""
+    _require_form(algebra)
     gram = symmetric_gram(algebra)
-    if gram is None:
-        raise NotSymmetricForm(f"{algebra!r} carries no symmetrizing form")
     algebra._check_subspace(x)
-    f = algebra.field
-    if x.dim == 0:
-        return algebra.full_space()
-    return kernel(f, f.matmul2(x.basis, gram.T))
+    return kernel(algebra.field, algebra.field.matmul2(x.basis, gram.T))
+
+
+def symmetrize(algebra: Algebra, mu) -> tuple[Subspace, Algebra]:
+    """I_mu and A/I_mu with the induced form, for a linear form mu that
+    kills K(A); raises NotSymmetricForm when mu(e_i e_j) is not symmetric."""
+    return _symmetrize(algebra, algebra._coords_of(mu), f"({algebra.name or 'A'})/I_mu")
+
+
+def _symmetrize(algebra: Algebra, mu: np.ndarray, name: str):
+    """symmetrize, with the quotient named before its form is verified, so
+    that the verified Gram matrix stays in the memo of the algebra returned."""
+    # I_mu = {x : mu(x e_j) = 0 for all j}, the kernel of the symmetric gram
+    ideal = kernel(algebra.field, _symmetric_form_gram(algebra, mu))
+    quotient = constructions.quotient(algebra, ideal).replace(
+        name=name, sym_form=mu[ideal.complement_columns()])
+    try:
+        symmetric_gram(quotient)
+    except (NotSymmetricForm, Degenerate) as exc:
+        raise InternalCheckError(
+            f"symmetric quotient lost its form, which cannot happen: {exc}"
+        ) from exc
+    return ideal, quotient
 
 
 @dataclass(frozen=True)
@@ -100,8 +133,6 @@ class QuotientWitness:
         return self.nu_star_rows(coords.reshape(1, -1))[0]
 
     def nu_star_subspace(self, u: Subspace) -> Subspace:
-        if u.dim == 0:
-            return self.algebra.zero_space()
         return Subspace.from_rows(self.algebra.field, self.algebra.dim,
                                   self.nu_star_rows(u.basis))
 
@@ -122,8 +153,8 @@ class QuotientWitness:
 
 
 def symmetric_quotient(algebra: Algebra, z) -> QuotientWitness:
-    """A/(Az)^perp with its verified symmetrizing form lam(a z), built once
-    per algebra and exact z."""
+    """A/(Az)^perp = A/I_mu for mu = lam(. z), with its verified
+    symmetrizing form, built once per algebra and exact z."""
     z = algebra._coords_of(z)
     key = tuple(z.tolist()) if algebra.field.dtype is object else z.astype(np.int64).tobytes()
     return _symmetric_quotient(algebra, key)
@@ -135,26 +166,13 @@ def _symmetric_quotient(algebra: Algebra, key) -> QuotientWitness:
     z = np.array(key, dtype=object) if f.dtype is object else np.frombuffer(key, np.int64).copy()
     if not algebra.center().contains_vector(z):
         raise CentralityViolated("symmetric quotients require a central element")
+    # lambda must be symmetrizing, which makes mu = lambda(. z) kill K(A)
+    _require_form(algebra)
+    symmetric_gram(algebra)
     az_rows = algebra.right_products(z[None, :])[0]  # rows e_j z
-    az = Subspace.from_rows(f, n, az_rows)
-    ideal = perp(algebra, az)
-    quotient = constructions.quotient(algebra, ideal)
-    comp = ideal.complement_columns()
-    lam_bar = f.matmul2(az_rows[comp], algebra.sym_form.reshape(n, 1)).reshape(len(comp))
-    quotient = quotient.replace(name=(algebra.name or "A") + "/(Az)^perp", sym_form=lam_bar)
-    try:
-        symmetric_gram(quotient)
-    except (NotSymmetricForm, Degenerate) as exc:
-        raise InternalCheckError(
-            f"symmetric quotient lost its form, which cannot happen: {exc}"
-        ) from exc
-    return QuotientWitness(
-        algebra=algebra,
-        z=z,
-        az=az,
-        ideal=ideal,
-        quotient=quotient,
-    )
+    mu = f.matmul2(az_rows, algebra.sym_form.reshape(n, 1)).reshape(n)
+    ideal, quotient = _symmetrize(algebra, mu, (algebra.name or "A") + "/(Az)^perp")
+    return QuotientWitness(algebra, z, Subspace.from_rows(f, n, az_rows), ideal, quotient)
 
 
 @dataclass(frozen=True)
@@ -167,12 +185,7 @@ class NuStarReport:
     socz_image_contained: bool
 
     def all_hold(self) -> bool:
-        return (
-            self.center_image_equal
-            and self.jz_image_equal
-            and self.jz_image_contained
-            and self.socz_image_contained
-        )
+        return all(vars(self).values())
 
 
 def check_nustar_relations(witness: QuotientWitness) -> NuStarReport:

@@ -262,3 +262,20 @@ def naive_matrix_closure(gens, size, p):
     table = [[coords(flat(naive_mat_mul_mod(matrix(x), matrix(y), p))) for y in basis]
              for x in basis]
     return table, coords(flat(ident))
+
+
+# -- the radical of a linear form ----------------------------------------------------
+
+
+def naive_form_radical_mod(table, mu, p):
+    """I_mu = {x : mu(x e_j) = 0 for all j} over GF(p), as RREF rows.
+
+    ``table[i][j][k]`` is coefficient k of e_i e_j and ``mu[k]`` is mu(e_k),
+    all plain ints; the system has one row per j, x -> sum_i x_i mu(e_i e_j).
+    """
+    n = len(table)
+    rows = [[sum(table[i][j][k] * mu[k] for k in range(n)) % p for i in range(n)]
+            for j in range(n)]
+    basis = naive_kernel_mod(rows, p)
+    red, pivots = naive_rref_mod(basis, p)
+    return red[:len(pivots)]

@@ -119,7 +119,7 @@ def test_commutator_annihilation_characterises_central_multiples():
         a = get(entry)
         z = a.center()
         k = a.commutator_space()
-        for row in z.basis_vectors():
+        for row in z.basis:
             az = a.right_mult_matrix(row).T
             central = bool(np.all(z.reduce(az) == a.field.zero_enc))
             span = Subspace.from_rows(a.field, a.dim, row.reshape(1, -1))
@@ -300,7 +300,7 @@ def test_subspace_product_matches_naive_span():
     k = a.commutator_space()
     jz_rows = [list(map(int, r)) for r in k.basis]
     prods = []
-    for u in k.basis_vectors():
+    for u in k.basis:
         for i in range(a.dim):
             e = a.field.zeros(a.dim)
             e[i] = 1

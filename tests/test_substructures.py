@@ -309,7 +309,7 @@ def test_socle_firstexample_matches_naive_rann_oracle():
     j = radical(a).radical
     # oracle: right annihilator of J via naive kernels of stacked systems
     rows = []
-    for s in j.basis_vectors():
+    for s in j.basis:
         # rAnn(J) = {x : s x = 0}; in column convention s x = L_s x
         ls = a.left_mult_matrix(a.element(s))
         rows.extend([list(map(int, r)) for r in ls])

@@ -2,32 +2,35 @@
 
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+import re
 
 import numpy as np
 import pytest
 
-from oracles import naive_rank_mod
+from oracles import naive_form_radical_mod, naive_rank_mod
 
 import symcenter.substructures as substructures
 import symcenter.symmetric as symmetric
 from symcenter import QQ, SkewPresentation, analyze, from_skew_presentation
-from symcenter.corpus import get
+from symcenter.corpus import _BUILDERS, get
 from symcenter.errors import (
     AmbientMismatch,
     CentralityViolated,
     Degenerate,
+    ImproperIdeal,
     InternalCheckError,
     NotSymmetricForm,
     RadicalUnavailable,
     ScalarFormatError,
 )
-from symcenter.linalg import random_subspace, subspace_intersect, subspace_sum
-from symcenter.substructures import radical, socle
+from symcenter.linalg import kernel, random_subspace, subspace_intersect, subspace_sum
+from symcenter.substructures import j_of_center, radical, socle
 from symcenter.symmetric import (
     check_nustar_relations,
     perp,
     symmetric_gram,
     symmetric_quotient,
+    symmetrize,
     verify_symmetric,
 )
 
@@ -73,10 +76,14 @@ def test_soc20_base_has_no_attached_form():
 
 
 def test_no_form_raises_a_library_error():
+    # one message for every entry point that needs the algebra's own form
     a = get("soc20_base")
-    with pytest.raises(NotSymmetricForm):
+    message = rf"^{re.escape(repr(a))} carries no symmetrizing form$"
+    with pytest.raises(NotSymmetricForm, match=message):
+        verify_symmetric(a)
+    with pytest.raises(NotSymmetricForm, match=message):
         perp(a, a.zero_space())
-    with pytest.raises(NotSymmetricForm):
+    with pytest.raises(NotSymmetricForm, match=message):
         symmetric_quotient(a, a.one_element())
 
 
@@ -279,3 +286,66 @@ def test_form_is_verified_once_per_algebra(monkeypatch):
     assert w.adjoint_identity_holds()
     assert analyze(a).symmetric and analyze(w.quotient).symmetric
     assert len(calls) == 2 and calls[0] is a and calls[1] is w.quotient
+
+
+_SYMMETRIZE_ENTRIES = ("dual_gf3", "trunc3_gf3", "skew22_gf3", "matn", "skew222_gf3",
+                       "mat2_dual_numbers")
+
+
+@pytest.mark.parametrize("entry", _SYMMETRIZE_ENTRIES)
+def test_symmetrize_matches_the_form_radical_oracle(entry):
+    a = get(entry)
+    f, p = a.field, a.field.characteristic
+    table = [[[int(v) for v in a.table[i, j]] for j in range(a.dim)] for i in range(a.dim)]
+    # the forms that kill K(A): {mu : k . mu = 0 for k in K(A)}
+    forms = kernel(f, a.commutator_space().basis)
+    rng = np.random.default_rng(0x5EED + a.dim)
+    draws = [mu for mu in f.matmul2(f.random_enc(rng, (8, forms.dim)), forms.basis)
+             if np.any(mu != f.zero_enc)]
+    assert len(draws) >= 4
+    for mu in draws:
+        ideal, q = symmetrize(a, mu)
+        assert ideal.basis.tolist() == naive_form_radical_mod(table, mu.tolist(), p)
+        comp = ideal.complement_columns()
+        assert q.dim == len(comp)
+        assert q.sym_form.tolist() == [int(mu[c]) for c in comp]
+        assert symmetric_gram(q) is not None
+
+
+@pytest.mark.parametrize("entry", ["skew22_gf3", "matn", "skew222_gf3", "mat2_dual_numbers"])
+def test_symmetrize_rejects_a_form_that_does_not_kill_k(entry):
+    a = get(entry)
+    k = a.commutator_space()
+    # mu = e_c^* with column c of K's basis nonzero: mu(k) != 0 for some k in K
+    c = int(np.nonzero(np.any(k.basis != a.field.zero_enc, axis=0))[0][0])
+    with pytest.raises(NotSymmetricForm, match="does not vanish on the commutator space"):
+        symmetrize(a, a.field.eye(a.dim)[c])
+
+
+@pytest.mark.parametrize("entry", ["dual_gf3", "matn", "mat2_dual_numbers", "dim12_sharp"])
+def test_symmetrize_by_the_own_form_is_the_identity(entry):
+    a = get(entry)
+    ideal, q = symmetrize(a, a.sym_form)
+    assert ideal.dim == 0
+    assert q.same_table(a)
+    assert np.array_equal(q.sym_form, a.sym_form)
+
+
+def test_symmetrize_by_the_zero_form_is_improper():
+    a = get("skew22_gf3")
+    with pytest.raises(ImproperIdeal):
+        symmetrize(a, a.field.zeros(a.dim))
+
+
+@pytest.mark.parametrize("entry", [name for name in _BUILDERS if get(name).sym_form is not None])
+def test_symmetric_quotient_is_the_perp_of_az(entry):
+    a = get(entry)
+    f, n = a.field, a.dim
+    for z in [a.one, *j_of_center(a).basis]:
+        w = symmetric_quotient(a, z)
+        assert w.ideal == perp(a, w.az)
+        # lambda_bar(e_c + I) = lambda(e_c z) on the complement columns c
+        comp = w.ideal.complement_columns()
+        ez = a.right_products(z[None, :])[0]
+        expected = f.matmul2(ez[comp], a.sym_form.reshape(n, 1)).reshape(len(comp))
+        assert np.array_equal(w.quotient.sym_form, expected)
