@@ -35,7 +35,7 @@ print("witness:", v.p2.witness.describe(t))
 print()
 
 print("-- the family sweep ----------------------------------------------")
-members = generate_symmetric_local_family(16)
+members = generate_symmetric_local_family()
 print(f"{len(members)} verified symmetric local algebras")
 print("dimension histogram:", dimension_histogram(members))
 bad_p1 = [m.member_id for m in members

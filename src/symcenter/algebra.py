@@ -16,13 +16,15 @@ tests, annihilators, Loewy series) is exact linear algebra over the
 algebra's field.
 
 Algebra instances are immutable: every attribute is set in ``__init__``
-and never assigned again, so the results memoised in ``_cache`` (center,
-radical certificate, Gram matrix of the symmetrizing form, symmetric
-quotients, ...) cannot go stale.  A different name, hint or form means a
-new algebra, made by ``replace``.  Every per-algebra result, here and in
-the modules built on this one, is memoised by the one decorator
-``memoised(key)``, once per further argument where the result has one
-(the symmetric quotient by z).
+and never assigned again, and the table, unit and form are read-only
+arrays (a caller's writeable array is copied, never aliased), so the
+results memoised in ``_cache`` (center, radical certificate, Gram matrix
+of the symmetrizing form, symmetric quotients, ...) cannot go stale.  A
+different name, hint or form means a new algebra, made by ``replace``,
+which over a finite field shares the read-only arrays.  Every
+per-algebra result, here and in the modules built on this one, is
+memoised by the one decorator ``memoised(key)``, once per further
+argument where the result has one (the symmetric quotient by z).
 """
 
 from __future__ import annotations
@@ -135,6 +137,16 @@ def _first_nonassociative_triple(f: FieldDescriptor, c: np.ndarray):
     return None
 
 
+def _read_only(field: FieldDescriptor, values) -> np.ndarray:
+    """The encodings of ``values`` in an array nobody can write: an input
+    array the caller could still write is copied, a read-only one is shared."""
+    arr = field.arr(values)
+    if arr is values and arr.flags.writeable:
+        arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
+
+
 def _nonzero_rows(f: FieldDescriptor, system: np.ndarray) -> np.ndarray:
     """The rows of a linear system that have a nonzero entry.
 
@@ -150,13 +162,13 @@ class Algebra:
     def __init__(self, field: FieldDescriptor, table, one, labels=None,
                  radical_hint=None, sym_form=None, name: str | None = None,
                  _radical_seed=None, _skip_validation: bool = False):
-        table = field.arr(table)
+        table = _read_only(field, table)
         if table.ndim != 3 or table.shape[0] != table.shape[1] or table.shape[0] != table.shape[2]:
             raise AlgebraValidationError("structure table must have shape (n, n, n)")
         n = table.shape[0]
         if n == 0:
             raise AlgebraValidationError("algebras here are unital, so dim >= 1")
-        one = field.arr(one)
+        one = _read_only(field, one)
         if one.size != n:
             raise AlgebraValidationError(f"unit has {one.size} coordinates, expected {n}")
         one = one.reshape(n)
@@ -165,7 +177,7 @@ class Algebra:
             if len(labels) != n:
                 raise AlgebraValidationError("label count must equal the dimension")
         if sym_form is not None:
-            sym_form = field.arr(sym_form)
+            sym_form = _read_only(field, sym_form)
             if sym_form.size != n:
                 raise AlgebraValidationError(
                     f"symmetrizing form has {sym_form.size} coordinates, expected {n}"

@@ -44,7 +44,6 @@ class AnalysisReport:
     radical_evidence: str
     verdicts: dict
     subspaces: dict = field(default_factory=dict)
-    notes: tuple = (BASE_FIELD_NOTE,)
 
     def to_machine(self) -> dict:
         # radical provenance stays out: a construction node and its
@@ -68,7 +67,7 @@ class AnalysisReport:
                 k: {"holds": v["holds"], "witness": v["witness"]}
                 for k, v in self.verdicts.items()
             },
-            "notes": list(self.notes),
+            "notes": [BASE_FIELD_NOTE],
         }
 
     def to_text(self) -> str:
@@ -108,12 +107,11 @@ class AnalysisReport:
                 lines.append(
                     f"({prop})      {label} is NOT an ideal of A; witness: {v['witness']}"
                 )
-        for note in self.notes:
-            lines.append(f"note      {note}")
+        lines.append(f"note      {BASE_FIELD_NOTE}")
         return "\n".join(lines) + "\n"
 
 
-def analyze(algebra: Algebra, name: str | None = None) -> AnalysisReport:
+def analyze(algebra: Algebra) -> AnalysisReport:
     """Full report; raises RadicalUnavailable when no strategy applies."""
     cert = radical(algebra)
     z = algebra.center()
@@ -143,7 +141,7 @@ def analyze(algebra: Algebra, name: str | None = None) -> AnalysisReport:
         if sub.dim <= 12:
             subspaces[key] = algebra.subspace_str(sub)
     return AnalysisReport(
-        name=name or algebra.name or "algebra",
+        name=algebra.name or "algebra",
         field_desc=repr(algebra.field),
         dim=algebra.dim,
         dims={

@@ -186,15 +186,8 @@ def opposite(a: Algebra) -> Algebra:
         cert = radical_or_none(a)
         return None if cert is None else (cert.radical, "the radical is opposite-invariant")
 
-    return Algebra(
-        a.field,
-        table,
-        a.one.copy(),
-        labels=None if a.labels is None else list(a.labels),
-        sym_form=None if a.sym_form is None else a.sym_form.copy(),
-        name=f"op({a.name or 'A'})",
-        _radical_seed=seed,
-    )
+    return Algebra(a.field, table, a.one, labels=a.labels, sym_form=a.sym_form,
+                   name=f"op({a.name or 'A'})", _radical_seed=seed)
 
 
 # -- skew truncated presentations -----------------------------------------------------
@@ -213,14 +206,14 @@ class SkewPresentation:
     names: tuple[str, ...] | None = None
 
     @staticmethod
-    def anticommuting(bounds, names=None) -> "SkewPresentation":
+    def anticommuting(bounds) -> "SkewPresentation":
         n = len(bounds)
         q = tuple(((j, i), -1) for j in range(n) for i in range(j))
-        return SkewPresentation(tuple(bounds), q, None if names is None else tuple(names))
+        return SkewPresentation(tuple(bounds), q)
 
     @staticmethod
-    def commuting(bounds, names=None) -> "SkewPresentation":
-        return SkewPresentation(tuple(bounds), (), None if names is None else tuple(names))
+    def commuting(bounds) -> "SkewPresentation":
+        return SkewPresentation(tuple(bounds))
 
 
 def _monomial_label(exps, names) -> str:
@@ -336,8 +329,7 @@ def _matrix_products(field: FieldDescriptor, left: np.ndarray,
 
 
 def from_matrix_generators(field: FieldDescriptor, size: int, generators,
-                           monomial_basis=None, radical_hint=None,
-                           name: str | None = None) -> Algebra:
+                           monomial_basis=None, name: str | None = None) -> Algebra:
     """Unitary subalgebra of Mat_size(F) generated by named matrices.
 
     The span S starts as span{1, generators} and grows by whole rounds,
@@ -398,12 +390,4 @@ def from_matrix_generators(field: FieldDescriptor, size: int, generators,
         one_coords = express_in_rows(field, flats, ident.reshape(1, amb))[0]
     except ValueError as exc:
         raise BasisClaimFailed(f"basis solve failed: {exc}") from None
-    table = coeffs.reshape(d, d, d)
-    return Algebra(
-        field,
-        table,
-        one_coords,
-        labels=labels,
-        radical_hint=radical_hint,
-        name=name,
-    )
+    return Algebra(field, coeffs.reshape(d, d, d), one_coords, labels=labels, name=name)

@@ -214,21 +214,19 @@ def _dim12() -> Algebra:
     a = from_matrix_generators(
         f, 12, {"M": grid(_DIM12_M), "N": grid(_DIM12_N)},
         monomial_basis=_DIM12_WORDS,
-        radical_hint=RadicalHint("local_codim1"),
         name="dim12_sharp",
     )
     lam = np.zeros(12, dtype=np.int64)
     lam[_DIM12_WORDS.index("M^6")] = 1
-    return a.replace(sym_form=lam)
+    return a.replace(radical_hint=RadicalHint("local_codim1"), sym_form=lam)
 
 
 def _soc20() -> Algebra:
     return from_matrix_generators(
         GF(2), 10, {"M": grid(_SOC20_M), "N": grid(_SOC20_N)},
         monomial_basis=_SOC20_WORDS,
-        radical_hint=RadicalHint("local_codim1"),
         name="soc20_base",
-    )
+    ).replace(radical_hint=RadicalHint("local_codim1"))
 
 
 _BUILDERS = {

@@ -12,8 +12,8 @@ must satisfy (P2).  The family combines
       basis vector z of J(Z(A)), and
   (d) tensor products of pairs from (a) over the same field,
 
-all within the requested dimension bound and each verified to be symmetric
-and local before being admitted.
+all of dimension at most ``FAMILY_MAX_DIM``, the (P2) bound, and each
+verified to be symmetric and local before being admitted.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .fields import GF
 from .substructures import is_local, j_of_center
 from .symmetric import symmetric_gram, symmetric_quotient
 
-MAX_FAMILY_DIM = 24
+FAMILY_MAX_DIM = 16
 
 
 @dataclass(frozen=True)
@@ -74,9 +74,9 @@ def symmetric_local_corpus_ids() -> list[str]:
             if symmetric_gram(get(entry_id)) is not None and is_local(get(entry_id))]
 
 
-def _admit(members: list, member: FamilyMember, max_dim: int):
+def _admit(members: list, member: FamilyMember):
     a = member.algebra
-    if a.dim > max_dim:
+    if a.dim > FAMILY_MAX_DIM:
         return
     if symmetric_gram(a) is None:
         raise InternalCheckError(f"family member {member.member_id} has no form")
@@ -86,20 +86,15 @@ def _admit(members: list, member: FamilyMember, max_dim: int):
 
 
 @functools.cache
-def generate_symmetric_local_family(max_dim: int) -> list[FamilyMember]:
+def generate_symmetric_local_family() -> list[FamilyMember]:
     """The deterministic verified family, in a fixed construction order;
-    built once per process for each bound."""
-    if max_dim > MAX_FAMILY_DIM:
-        raise ValueError(f"family generator is desk-scale: max_dim <= {MAX_FAMILY_DIM}")
+    built once per process."""
     members: list[FamilyMember] = []
-    bases = commutative_local_bases(max_dim // 2)
-    trivexts = []
-    for base in bases:
-        t = trivial_extension(base.algebra)
-        member = FamilyMember(f"T({base.member_id})", t)
-        if t.dim <= max_dim:
-            trivexts.append(member)
-            _admit(members, member, max_dim)
+    # bases of dim <= FAMILY_MAX_DIM // 2, so every T(B) is within the bound
+    trivexts = [FamilyMember(f"T({base.member_id})", trivial_extension(base.algebra))
+                for base in commutative_local_bases(FAMILY_MAX_DIM // 2)]
+    for member in trivexts:
+        _admit(members, member)
     for member in trivexts:
         t = member.algebra
         dims_taken = set()
@@ -109,22 +104,21 @@ def generate_symmetric_local_family(max_dim: int) -> list[FamilyMember]:
             if q.dim in dims_taken:
                 continue
             dims_taken.add(q.dim)
-            _admit(members, FamilyMember(f"{member.member_id}/dim{q.dim}", q), max_dim)
+            _admit(members, FamilyMember(f"{member.member_id}/dim{q.dim}", q))
     for entry_id in symmetric_local_corpus_ids():
         a = get(entry_id)
         for idx, row in enumerate(j_of_center(a).basis):
             witness = symmetric_quotient(a, row)
             q = witness.quotient
-            _admit(members, FamilyMember(f"{entry_id}/z{idx}_dim{q.dim}", q), max_dim)
+            _admit(members, FamilyMember(f"{entry_id}/z{idx}_dim{q.dim}", q))
     for i, left in enumerate(trivexts):
         for right in trivexts[i:]:
             if left.algebra.field != right.algebra.field:
                 continue
-            if left.algebra.dim * right.algebra.dim > max_dim:
+            if left.algebra.dim * right.algebra.dim > FAMILY_MAX_DIM:
                 continue
             prod = tensor(left.algebra, right.algebra)
-            _admit(members, FamilyMember(f"{left.member_id}(x){right.member_id}", prod),
-                   max_dim)
+            _admit(members, FamilyMember(f"{left.member_id}(x){right.member_id}", prod))
     return members
 
 

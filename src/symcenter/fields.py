@@ -10,10 +10,11 @@ One rule turns values into encodings, in ``arr`` (arrays) and ``scalar``
 (one value) alike: a ``FieldScalar`` or a numpy integer (array or scalar)
 is already an encoding, range-checked against [0, q) over a finite field; a
 Python ``int`` or ``Fraction`` is a number, so over GF(25) the int 7 means
-7 * 1 = 2 while ``np.int64(7)`` is the encoding of t + 2; a float is
-refused, and so are nested rows of different lengths.  Over QQ a value is its own encoding.  The same rule holds for the
-operators of ``FieldScalar`` and ``AlgebraElement``: a numpy integer on
-either side is an encoding.
+7 * 1 = 2 while ``np.int64(7)`` is the encoding of t + 2; a float or a
+bool is refused, and so are nested rows of different lengths.  Over QQ a
+value is its own encoding.  The same rule holds for the operators of
+``FieldScalar`` and ``AlgebraElement``: a numpy integer on either side is
+an encoding.
 
 Every descriptor is an array kernel: it knows how to add, multiply and
 exactly matrix-multiply numpy arrays of encoded values, which is what the
@@ -182,6 +183,10 @@ class FieldDescriptor:
 
     def _enc(self, v):
         """The encoding of one value, by the rule in the module docstring."""
+        if type(v) is int:      # the commonest value; the Fraction test is slow
+            return self.from_int(v)
+        if isinstance(v, (bool, np.bool_)):
+            raise ScalarFormatError("booleans are not scalars")
         if isinstance(v, FieldScalar):
             self.check_same(v.field)
             return v.value

@@ -79,10 +79,8 @@ def field_to_json(field: FieldDescriptor) -> dict:
 def parse_scalar(field: FieldDescriptor, value, path: str):
     """A scalar from its JSON form: int, literal string, or coefficient list."""
     try:
-        if isinstance(value, bool):
-            raise ScalarFormatError("booleans are not scalars")
-        if isinstance(value, int):
-            return field.from_int(value)
+        if isinstance(value, int):      # a bool too, which _enc refuses
+            return field._enc(value)
         if isinstance(value, str):
             return field.parse_enc(value)
         if isinstance(value, list) and isinstance(field, ExtensionField):
@@ -265,7 +263,11 @@ def _parse_presentation(field, node, path: str, hint=None, form=None,
         for i, vec in enumerate(spec["vectors"]):
             rows[i] = parse_vector(field, vec, f"{path}.ideal.vectors[{i}]", base.dim)
         sub = Subspace.from_rows(field, base.dim, rows)
-        if spec.get("closure", False):
+        closure = spec.get("closure", False)
+        if not isinstance(closure, bool):
+            raise FileFormatError(f"{path}.ideal.closure: expected true or false, "
+                                  f"got {closure!r}", f"{path}.ideal.closure")
+        if closure:
             sub = base.ideal_closure(sub)
         alg = quotient(base, sub)
     elif ptype == "opposite":

@@ -550,7 +550,7 @@ def _check_centerdim3greater(sink: ClaimSink):
 
 def _kultheob_algebras():
     out = _symmetric_local_algebras()
-    for m in generate_symmetric_local_family(16):
+    for m in generate_symmetric_local_family():
         out.append((f"family/{m.member_id}", m.algebra))
     return out
 

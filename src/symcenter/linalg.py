@@ -127,7 +127,7 @@ class Subspace:
     def from_rows(cls, field: FieldDescriptor, ambient_dim: int, rows) -> "Subspace":
         """Canonicalise spanning rows, read by ``_coord_rows``, into a Subspace."""
         red, pivots = rref_data(field, _coord_rows(field, rows, ambient_dim))
-        return cls(field, ambient_dim, red[: len(pivots)])
+        return cls(field, ambient_dim, red[: len(pivots)].copy())  # a view would pin red
 
     @classmethod
     def zero(cls, field: FieldDescriptor, ambient_dim: int) -> "Subspace":

@@ -17,19 +17,19 @@ from .constructions import trivial_extension, trivext_criteria
 from .corpus import ClaimSink, SuiteResult, run_suite
 from .errors import UnknownCase
 from .family import (
+    FAMILY_MAX_DIM,
     commutative_local_bases,
     dimension_histogram,
     generate_symmetric_local_family,
 )
 from .substructures import property_verdicts
 
-FAMILY_MAX_DIM = 16
 FAMILY_MIN_SIZE = 30
 
 
 def _family_suite(sink: ClaimSink):
     """The dimension-bound sweep over the generated symmetric local family."""
-    members = generate_symmetric_local_family(FAMILY_MAX_DIM)
+    members = generate_symmetric_local_family()
     sink.check("size_ge_30", "DERIVED", len(members) >= FAMILY_MIN_SIZE,
                witness=f"{len(members)} members")
     hist = dimension_histogram(members)
@@ -101,7 +101,7 @@ def suite_report_machine(results: list[SuiteResult]) -> dict:
                     "suites": len(results)},
     }
     if any(r.suite_id == "family" for r in results):
-        hist = dimension_histogram(generate_symmetric_local_family(FAMILY_MAX_DIM))
+        hist = dimension_histogram(generate_symmetric_local_family())
         doc["family"] = {"dim_histogram": {str(d): n for d, n in hist.items()}}
     return doc
 

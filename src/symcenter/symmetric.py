@@ -119,9 +119,14 @@ class QuotientWitness:
 
     algebra: Algebra
     z: np.ndarray
-    az: Subspace
     ideal: Subspace
     quotient: Algebra
+
+    @property
+    def az(self) -> Subspace:
+        """The left ideal Az, spanned by the rows e_j z; computed on each read."""
+        return Subspace.from_rows(self.algebra.field, self.algebra.dim,
+                                  self.algebra.right_products(self.z[None, :])[0])
 
     def nu_star_rows(self, rows: np.ndarray) -> np.ndarray:
         """nu*(xbar) = (any lift of xbar) * z; well defined since I*z = 0."""
@@ -172,7 +177,7 @@ def _symmetric_quotient(algebra: Algebra, key) -> QuotientWitness:
     az_rows = algebra.right_products(z[None, :])[0]  # rows e_j z
     mu = f.matmul2(az_rows, algebra.sym_form.reshape(n, 1)).reshape(n)
     ideal, quotient = _symmetrize(algebra, mu, (algebra.name or "A") + "/(Az)^perp")
-    return QuotientWitness(algebra, z, Subspace.from_rows(f, n, az_rows), ideal, quotient)
+    return QuotientWitness(algebra, z, ideal, quotient)
 
 
 @dataclass(frozen=True)
@@ -198,9 +203,10 @@ def check_nustar_relations(witness: QuotientWitness) -> NuStarReport:
     """
     a = witness.algebra
     q = witness.quotient
+    az = witness.az
     z_a = a.center()
     img_center = witness.nu_star_subspace(q.center())
-    center_ok = img_center == subspace_intersect(z_a, witness.az)
+    center_ok = img_center == subspace_intersect(z_a, az)
 
     img_jz = witness.nu_star_subspace(j_of_center(q))
     # nu^{-1}(soc(Abar)) = ideal + the lift of soc(Abar)
@@ -209,7 +215,7 @@ def check_nustar_relations(witness: QuotientWitness) -> NuStarReport:
         [ideal.basis, ideal.lift_coords(socle(q).basis)]))
     rhs = subspace_intersect(z_a, perp(a, pre))
     jz_equal = img_jz == rhs
-    bound = subspace_intersect(j_of_center(a), witness.az)
+    bound = subspace_intersect(j_of_center(a), az)
     jz_contained = contains(bound, img_jz)
 
     img_socz = witness.nu_star_subspace(soc_of_center(q))

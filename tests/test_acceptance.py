@@ -148,7 +148,7 @@ def test_criterion_6_lemma_suites_zero_failures():
 
 
 def test_criterion_7_family_sweep():
-    members = generate_symmetric_local_family(16)
+    members = generate_symmetric_local_family()
     assert len(members) >= 30
     bad_p1 = [m.member_id for m in members
               if m.algebra.dim <= 11 and not property_verdicts(m.algebra).p1.holds]

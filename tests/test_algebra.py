@@ -32,6 +32,13 @@ from symcenter.substructures import RadicalHint, radical
 from symcenter.symmetric import symmetric_quotient
 
 
+def _dual_table():
+    """GF(3)[x]/(x^2) on (1, x): e_0 is the unit and e_1 squares to zero."""
+    t = np.zeros((2, 2, 2), dtype=np.int64)
+    t[0, 0, 0] = t[0, 1, 1] = t[1, 0, 1] = 1
+    return t
+
+
 def test_validation_cites_failing_triple(g3, mat2):
     bad = mat2.table.copy()
     bad[1, 2, 0] = 2  # E12*E21 = 2*E11 breaks associativity
@@ -50,6 +57,43 @@ def test_validation_unit_law(g3):
     with pytest.raises(AlgebraValidationError) as err:
         Algebra(g3, table, g3.arr([1, 0]))
     assert "unit law" in str(err.value)
+    table = _dual_table()
+    table[1, 0, 1] = 0  # one * e_1 = e_1 still, but e_1 * one = 0
+    with pytest.raises(AlgebraValidationError, match=r"unit law fails: e_1 \* one != e_1"):
+        Algebra(g3, table, [1, 0])
+
+
+@pytest.mark.parametrize("table, one, labels, message", [
+    (np.zeros((2, 2, 3), dtype=np.int64), [1, 0], None, r"shape \(n, n, n\)"),
+    (np.zeros((2, 2), dtype=np.int64), [1, 0], None, r"shape \(n, n, n\)"),
+    (np.zeros((0, 0, 0), dtype=np.int64), [], None, "dim >= 1"),
+    (_dual_table(), [1, 0], ["1"], "label count must equal the dimension"),
+])
+def test_constructor_refuses_malformed_data(g3, table, one, labels, message):
+    with pytest.raises(AlgebraValidationError, match=message):
+        Algebra(g3, table, one, labels=labels)
+
+
+def test_a_callers_later_edit_does_not_reach_the_algebra(g3):
+    table, one, form = _dual_table(), np.array([1, 0]), np.array([0, 1])
+    a = Algebra(g3, table, one, sym_form=form)
+    x = a.basis_element(1)
+    assert (x * x).is_zero() and a.is_commutative()
+    table[1, 1, 0] = 1
+    one[1] = form[0] = 1
+    assert (x * x).is_zero()
+    assert (a.one.tolist(), a.sym_form.tolist()) == ([1, 0], [0, 1])
+
+
+def test_table_unit_and_form_are_read_only_and_shared_by_replace(g3):
+    a = Algebra(g3, _dual_table(), np.array([1, 0]), sym_form=np.array([0, 1]))
+    for arr in (a.table, a.one, a.sym_form):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    b = a.replace(name="x")
+    assert b.table is a.table
+    assert np.shares_memory(b.one, a.one) and np.shares_memory(b.sym_form, a.sym_form)
 
 
 def test_one_times_x(mat2):

@@ -8,7 +8,16 @@ import pytest
 
 from oracles import gf25_elements_of_order
 
-from symcenter import GF, QQ, ExtensionField, FieldScalar, element_of_order, gf25
+from symcenter import (
+    GF,
+    QQ,
+    ExtensionField,
+    FieldScalar,
+    SkewPresentation,
+    element_of_order,
+    from_skew_presentation,
+    gf25,
+)
 from symcenter.fields import _F64_EXACT, _poly_mod
 from symcenter.errors import (
     DivisionByZero,
@@ -243,6 +252,22 @@ def test_floats_are_refused(field):
         field.arr(np.array([0.0, 1.0]))
     with pytest.raises(TypeError):
         field.scalar(1) * 2.7
+
+
+@pytest.mark.parametrize("field", [GF(5), gf25(), QQ], ids=repr)
+def test_booleans_are_refused(field):
+    for bad in (True, False, np.True_):
+        with pytest.raises(ScalarFormatError, match="booleans are not scalars"):
+            field.scalar(bad)
+        with pytest.raises(ScalarFormatError, match="booleans are not scalars"):
+            field.arr([1, bad])
+    for bad in (True, False):
+        with pytest.raises(ScalarFormatError, match="booleans are not scalars"):
+            field.scalar(2) + bad
+    with pytest.raises(ScalarFormatError, match="booleans are not scalars"):
+        field.arr(np.array([True, False]))
+    with pytest.raises(ScalarFormatError, match="booleans are not scalars"):
+        from_skew_presentation(field, SkewPresentation((2, 2), (((1, 0), True),)))
 
 
 # -- the exact QQ matrix product and the in-place row elimination --------------

@@ -137,6 +137,35 @@ def test_quotient_node_requires_ideal():
     assert alg.dim == 2  # the ideal generated by x1 is {x1, x1*x2}
 
 
+@pytest.mark.parametrize("closure", ["no", 0, 1, None, [True]])
+def test_quotient_closure_must_be_a_boolean(closure):
+    doc = {
+        "field": {"kind": "prime", "p": 7},
+        "presentation": {
+            "type": "quotient",
+            "base": {"type": "skew_truncated", "bounds": [3]},
+            "ideal": {"vectors": [[0, 1, 0]], "closure": closure},
+        },
+    }
+    with pytest.raises(FileFormatError, match="expected true or false") as err:
+        parse_document(doc)
+    assert err.value.location == "presentation.ideal.closure"
+    doc["presentation"]["ideal"]["closure"] = False
+    with pytest.raises(NotAnIdeal):
+        parse_document(doc)
+
+
+def test_boolean_scalars_are_refused_at_their_path():
+    doc = {
+        "field": {"kind": "prime", "p": 3},
+        "presentation": {"type": "structure_constants", "dim": 1,
+                         "table": [[[1]]], "one": [True]},
+    }
+    with pytest.raises(FileFormatError, match="booleans are not scalars") as err:
+        parse_document(doc)
+    assert err.value.location == "presentation.one[0]"
+
+
 def test_unknown_kinds_rejected():
     with pytest.raises(FileFormatError):
         parse_document({"field": {"kind": "septenary"}, "presentation": {}})
