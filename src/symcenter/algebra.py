@@ -15,21 +15,33 @@ dense check would.  Everything downstream (centers, commutator spaces, ideal
 tests, annihilators, Loewy series) is exact linear algebra over the
 algebra's field.
 
-Algebra instances are immutable: every attribute is set in ``__init__``
-and never assigned again, and the table, unit and form are read-only
-arrays (a caller's writeable array is copied, never aliased), so the
-results memoised in ``_cache`` (center, radical certificate, Gram matrix
-of the symmetrizing form, symmetric quotients, ...) cannot go stale.  A
-different name, hint or form means a new algebra, made by ``replace``,
-which over a finite field shares the read-only arrays.  Every
-per-algebra result, here and in the modules built on this one, is
-memoised by the one decorator ``memoised(key)``, once per further
-argument where the result has one (the symmetric quotient by z).
+An Algebra is a thin *view* over an interned *core* (hash-consing):
+
+* per table, on the core: the field, the read-only table and unit, the
+  validation, and every fact that depends on them alone -- the center,
+  the commutator space, the radical certificate checks and the facts
+  derived from J(A), the Gram matrix of each verified form and the
+  symmetric quotient by each form, and the cores that the tensor and
+  trivial-extension constructions built from this one.  ``memoised(key)``
+  keeps a result there, once per further argument where it has one;
+* per view, on the Algebra: the name, labels, radical hint, symmetrizing
+  form, construction seed, and the radical certificate with its
+  provenance (``_cache["radical_cert"]``).
+
+Cores are interned in a weak table keyed by the field, the dimension and
+a hash of the table and unit; the arrays are compared exactly before a
+core is shared, so a table is validated once while any view of it is
+alive.  A core holds no view, so no Algebra is in a reference cycle and a
+core lives exactly as long as its views and the cores that built on it.
+Both are immutable: the table, unit and form are read-only arrays (a
+caller's writeable array is copied, never aliased).  A different name,
+hint or form means a new view, made by ``replace`` on the same core.
 """
 
 from __future__ import annotations
 
 import functools
+import weakref
 
 import numpy as np
 
@@ -46,19 +58,30 @@ from .linalg import Subspace, kernel
 
 def memoised(key: str):
     """Decorator for a function of one algebra (or a method), optionally
-    with further hashable arguments: compute the result once per arguments
-    and keep it in the algebra's memo, under ``key`` or ``(key, *args)``.
-    A call that raises stores nothing."""
+    with further hashable arguments, whose result depends only on the table
+    and those arguments: compute it once and keep it on the table's core,
+    under ``key`` or ``(key, *args)``, for every view of the table.  A call
+    that raises stores nothing."""
     def decorate(fn):
         @functools.wraps(fn)
         def wrapper(algebra, *args):
-            cache = algebra._cache
+            facts = algebra._core.facts
             slot = (key, *args) if args else key
-            if slot not in cache:
-                cache[slot] = fn(algebra, *args)
-            return cache[slot]
+            if slot not in facts:
+                facts[slot] = fn(algebra, *args)
+            return facts[slot]
         return wrapper
     return decorate
+
+
+def coords_key(field: FieldDescriptor, coords: np.ndarray):
+    """An exact hashable key for encoded coordinates: the int64 bytes over
+    GF(p) and GF(p^k), the tuple of values over QQ (the bytes of an object
+    array are pointers).  Keys are compared only within one core, whose
+    dimension fixes the length."""
+    if field.dtype is object:
+        return tuple(coords.flat)
+    return coords.astype(np.int64, copy=False).tobytes()
 
 
 _JOIN_BLOCK = 4_000_000     # terms per block of the associativity join
@@ -137,12 +160,19 @@ def _first_nonassociative_triple(f: FieldDescriptor, c: np.ndarray):
     return None
 
 
-def _read_only(field: FieldDescriptor, values) -> np.ndarray:
-    """The encodings of ``values`` in an array nobody can write: an input
-    array the caller could still write is copied, a read-only one is shared."""
-    arr = field.arr(values)
-    if arr is values and arr.flags.writeable:
-        arr = arr.copy()
+def _read_only(field: FieldDescriptor, values, fresh: bool = False) -> np.ndarray:
+    """The encodings of ``values`` in an array nobody can write.
+
+    A construction's freshly built array of encodings (``fresh``) is frozen
+    in place; otherwise an input array the caller could still write is
+    copied, and a read-only one is shared.
+    """
+    if fresh and isinstance(values, np.ndarray) and values.dtype == field.dtype:
+        arr = values
+    else:
+        arr = field.arr(values)
+        if arr is values and arr.flags.writeable:
+            arr = arr.copy()
     arr.flags.writeable = False
     return arr
 
@@ -156,22 +186,98 @@ def _nonzero_rows(f: FieldDescriptor, system: np.ndarray) -> np.ndarray:
     return system[np.any(system != f.zero_enc, axis=1)]
 
 
+def _validate(f: FieldDescriptor, c: np.ndarray, one: np.ndarray):
+    """Raise AlgebraValidationError unless ``one`` is a two-sided unit of
+    the table ``c`` and the table is associative."""
+    n = c.shape[0]
+    ident = f.eye(n)
+    left_unit = f.tensordot_lf(one[None, :], c.reshape(n, -1)).reshape(n, n)
+    if not np.all(left_unit == ident):
+        i = int(np.nonzero(np.any(left_unit != ident, axis=1))[0][0])
+        raise AlgebraValidationError(f"unit law fails: one * e_{i} != e_{i}")
+    ct = np.ascontiguousarray(c.transpose(1, 0, 2))
+    right_unit = f.tensordot_lf(one[None, :], ct.reshape(n, -1)).reshape(n, n)
+    if not np.all(right_unit == ident):
+        i = int(np.nonzero(np.any(right_unit != ident, axis=1))[0][0])
+        raise AlgebraValidationError(f"unit law fails: e_{i} * one != e_{i}")
+    triple = _first_nonassociative_triple(f, c)
+    if triple is not None:
+        i, j, l = triple
+        raise AlgebraValidationError(
+            f"associativity fails at basis triple ({i},{j},{l}): "
+            f"(e_{i} e_{j}) e_{l} != e_{i} (e_{j} e_{l})",
+            triple=triple,
+        )
+
+
+class _Core:
+    """One structure table: the field, the read-only table and unit, and
+    ``facts``, every result that depends on them alone.  It holds no view."""
+
+    __slots__ = ("field", "table", "one", "key", "facts", "__weakref__")
+
+    def __init__(self, field: FieldDescriptor, table: np.ndarray, one: np.ndarray, key=None):
+        self.field = field
+        self.table = table
+        self.one = one
+        self.key = key
+        self.facts: dict = {}
+
+    def holds(self, table: np.ndarray, one: np.ndarray) -> bool:
+        """Exactly this table and unit (the field is part of the intern key)."""
+        return ((self.table is table or np.array_equal(self.table, table))
+                and (self.one is one or np.array_equal(self.one, one)))
+
+
+_CORES: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
+
+
+def _digest(field: FieldDescriptor, table: np.ndarray, one: np.ndarray) -> int:
+    """A hash of the table and unit.  Over QQ it reads the positions and
+    values of the nonzero entries, since the bytes of an object array are
+    pointers; equal values hash equally, whatever their Python type."""
+    if field.dtype is not object:
+        return hash((table.tobytes(), one.tobytes()))
+    nonzero = [np.flatnonzero(arr) for arr in (table, one)]
+    return hash(tuple((nz.tobytes(), tuple(arr.flat[nz]))
+                      for arr, nz in zip((table, one), nonzero)))
+
+
+def _interned(field: FieldDescriptor, table: np.ndarray, one: np.ndarray) -> _Core:
+    """The live core holding exactly this table and unit, else a new one,
+    validated first and then interned.  Hashes that collide take the next
+    free slot, so unequal tables never share a core."""
+    key = (field._key(), table.shape[0], _digest(field, table, one))
+    slot = 0
+    while (core := _CORES.get((key, slot))) is not None:
+        if core.holds(table, one):
+            return core
+        slot += 1
+    _validate(field, table, one)
+    core = _CORES[(key, slot)] = _Core(field, table, one, (key, slot))
+    return core
+
+
 class Algebra:
-    """A unital associative algebra presented by structure constants."""
+    """A unital associative algebra presented by structure constants: a
+    view (name, labels, hint, form, seed, radical provenance) over the
+    interned core of its table."""
 
     def __init__(self, field: FieldDescriptor, table, one, labels=None,
                  radical_hint=None, sym_form=None, name: str | None = None,
-                 _radical_seed=None, _skip_validation: bool = False):
-        table = _read_only(field, table)
-        if table.ndim != 3 or table.shape[0] != table.shape[1] or table.shape[0] != table.shape[2]:
-            raise AlgebraValidationError("structure table must have shape (n, n, n)")
-        n = table.shape[0]
-        if n == 0:
-            raise AlgebraValidationError("algebras here are unital, so dim >= 1")
-        one = _read_only(field, one)
-        if one.size != n:
-            raise AlgebraValidationError(f"unit has {one.size} coordinates, expected {n}")
-        one = one.reshape(n)
+                 _radical_seed=None, _core: _Core | None = None, _fresh: bool = False):
+        if _core is None:
+            table = _read_only(field, table, _fresh)
+            if table.ndim != 3 or table.shape[0] != table.shape[1] or table.shape[0] != table.shape[2]:
+                raise AlgebraValidationError("structure table must have shape (n, n, n)")
+            n = table.shape[0]
+            if n == 0:
+                raise AlgebraValidationError("algebras here are unital, so dim >= 1")
+            one = _read_only(field, one, _fresh)
+            if one.size != n:
+                raise AlgebraValidationError(f"unit has {one.size} coordinates, expected {n}")
+            _core = _interned(field, table, one.reshape(n))
+        n = _core.table.shape[0]
         if labels is not None:
             labels = [str(s) for s in labels]
             if len(labels) != n:
@@ -189,29 +295,31 @@ class Algebra:
                     raise AlgebraValidationError(
                         f"radical hint vector {i} has {len(vec)} coordinates, expected {n}"
                     )
-        self.field = field
+        self._core = _core
+        self.field = _core.field
         self.dim = n
-        self.table = table
-        self.one = one
+        self.table = _core.table
+        self.one = _core.one
         self.labels = labels
         self.radical_hint = radical_hint
         self.sym_form = sym_form
         self.name = name
+        # this view's radical certificate, under "radical_cert": its
+        # provenance depends on the seed and hint, not on the table alone
         self._cache: dict = {}
         # A function of no arguments returning (subspace, evidence) or None,
         # passed only by constructions whose math makes the subspace J(A);
         # radical() calls it once and re-checks that it is a nilpotent ideal.
         # Callers with outside knowledge use radical_hint.
         self._radical_seed = _radical_seed
-        if not _skip_validation:
-            self._validate()
 
     def replace(self, *, name=None, radical_hint=None, sym_form=None) -> "Algebra":
-        """A new algebra on the same validated table with the given fields changed.
+        """A new view of the same core with the given fields changed.
 
-        Arguments left as None keep this algebra's value.  The construction
-        seed is kept; the memo cache starts empty, since a new hint or form
-        changes the radical and symmetric results.
+        Arguments left as None keep this view's value, and the labels and
+        construction seed are kept.  Nothing is validated or encoded again,
+        and every per-table fact is shared; the new view computes its own
+        radical certificate, since a new hint can change its provenance.
         """
         return Algebra(
             self.field, self.table, self.one, labels=self.labels,
@@ -219,30 +327,8 @@ class Algebra:
             sym_form=self.sym_form if sym_form is None else sym_form,
             name=self.name if name is None else name,
             _radical_seed=self._radical_seed,
-            _skip_validation=True,
+            _core=self._core,
         )
-
-    # -- construction-time checks ---------------------------------------------
-
-    def _validate(self):
-        f, c, n = self.field, self.table, self.dim
-        ident = f.eye(n)
-        left_unit = self.left_products(self.one[None, :])[0]
-        if not np.all(left_unit == ident):
-            i = int(np.nonzero(np.any(left_unit != ident, axis=1))[0][0])
-            raise AlgebraValidationError(f"unit law fails: one * e_{i} != e_{i}")
-        right_unit = self.right_products(self.one[None, :])[0]
-        if not np.all(right_unit == ident):
-            i = int(np.nonzero(np.any(right_unit != ident, axis=1))[0][0])
-            raise AlgebraValidationError(f"unit law fails: e_{i} * one != e_{i}")
-        triple = _first_nonassociative_triple(f, c)
-        if triple is not None:
-            i, j, l = triple
-            raise AlgebraValidationError(
-                f"associativity fails at basis triple ({i},{j},{l}): "
-                f"(e_{i} e_{j}) e_{l} != e_{i} (e_{j} e_{l})",
-                triple=triple,
-            )
 
     # -- elements ---------------------------------------------------------------
 
@@ -439,11 +525,10 @@ class Algebra:
 
     def same_table(self, other: "Algebra") -> bool:
         """Byte-identical presentation: same field, table and identity."""
-        return (
+        return self._core is other._core or (
             self.field == other.field
             and self.dim == other.dim
-            and bool(np.all(self.table == other.table))
-            and bool(np.all(self.one == other.one))
+            and self._core.holds(other.table, other.one)
         )
 
     def __repr__(self):
@@ -527,10 +612,10 @@ class AlgebraElement:
 def quotient_data(algebra: Algebra, ideal: Subspace):
     """Complement-coordinate data of A / ideal.
 
-    Returns (table, one, labels).  The ideal must be a proper two-sided
-    ideal; the quotient is coordinatised by ``ideal.quotient_coords`` on the
-    non-pivot columns of the ideal's RREF basis, which makes the
-    construction canonical and deterministic.
+    Returns (table, one), both freshly built.  The ideal must be a proper
+    two-sided ideal; the quotient is coordinatised by
+    ``ideal.quotient_coords`` on the non-pivot columns of the ideal's RREF
+    basis, which makes the construction canonical and deterministic.
     """
     algebra._check_subspace(ideal)
     if ideal.dim == algebra.dim:
@@ -541,10 +626,7 @@ def quotient_data(algebra: Algebra, ideal: Subspace):
     comp = ideal.complement_columns()
     d = len(comp)
     table = ideal.quotient_coords(c[np.ix_(comp, comp)].reshape(d * d, n))
-    labels = None
-    if algebra.labels is not None:
-        labels = [algebra.labels[i] for i in comp]
-    return table.reshape(d, d, d), ideal.quotient_coords(algebra.one)[0], labels
+    return table.reshape(d, d, d), ideal.quotient_coords(algebra.one)[0]
 
 
 def form_gram(field: FieldDescriptor, table: np.ndarray, mu: np.ndarray) -> np.ndarray:

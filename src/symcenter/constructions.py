@@ -9,6 +9,12 @@ The subspaces of these statements are built by the one home of each in
 ``linalg``: ``subspace_tensor`` for J(A1) (x) A2 + A1 (x) J(A2),
 ``subspace_direct_sum`` for J(A) + A*, ``quotient_coords`` for J(A)/I, and
 ``kernel_on`` for the S of ``trivext_criteria``.
+
+Every call returns a new view, with its own name, labels, form and seed.
+The tensor product and the trivial extension keep the core they built on
+the input's core (keyed by the other factor's intern key), never a view,
+so a repeated call builds and validates nothing and no algebra is caught
+in a reference cycle.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, memoised, quotient_data
+from .algebra import Algebra, quotient_data
 from .errors import AlgebraValidationError, BasisClaimFailed
 from .fields import FieldDescriptor
 from .linalg import (
@@ -41,19 +47,24 @@ from .substructures import (
 # -- tensor product ------------------------------------------------------------
 
 
-@memoised("tensor")
 def tensor(a1: Algebra, a2: Algebra) -> Algebra:
-    """A1 (x) A2 on the basis e_i (x) f_j, ordered row-major in (i, j),
-    built once per pair: memoised on A1, keyed by A2."""
+    """A1 (x) A2 on the basis e_i (x) f_j, ordered row-major in (i, j); its
+    table is built once per pair of tables."""
     f = a1.field
     f.check_same(a2.field)
     n = a1.dim * a2.dim
-    big = f.a_mul(
-        a1.table[:, None, :, None, :, None],
-        a2.table[None, :, None, :, None, :],
-    )
-    table = big.reshape(n, n, n)
-    one = f.a_mul(a1.one[:, None], a2.one[None, :]).reshape(n)
+    # a2's intern key names its table only while a2's core lives, so the
+    # entry keeps the arrays it was built from and is compared with them
+    facts, slot = a1._core.facts, ("tensor", a2._core.key)
+    if slot not in facts or not a2._core.holds(*facts[slot][:2]):
+        big = f.a_mul(
+            a1.table[:, None, :, None, :, None],
+            a2.table[None, :, None, :, None, :],
+        )
+        one = f.a_mul(a1.one[:, None], a2.one[None, :]).reshape(n)
+        built = Algebra(f, big.reshape(n, n, n), one, _fresh=True)
+        facts[slot] = (a2.table, a2.one, built._core)
+    core = facts[slot][2]
     labels = None
     if a1.labels is not None and a2.labels is not None:
         labels = [f"{l1}⊗{l2}" for l1 in a1.labels for l2 in a2.labels]
@@ -72,29 +83,32 @@ def tensor(a1: Algebra, a2: Algebra) -> Algebra:
             "J(A1) (x) A2 + A1 (x) J(A2) from component radicals",
         )
 
-    return Algebra(f, table, one, labels=labels, sym_form=sym, name=name,
-                   _radical_seed=seed)
+    return Algebra(f, core.table, core.one, labels=labels, sym_form=sym, name=name,
+                   _radical_seed=seed, _core=core)
 
 
 # -- trivial extension -----------------------------------------------------------
 
 
-@memoised("trivial_extension")
 def trivial_extension(a: Algebra) -> Algebra:
     """T(A) = A + A* with (a,f)(b,g) = (ab, ag + fb) and A* squaring to zero.
 
     The basis is all e_i followed by all dual vectors e_i*; the canonical
-    symmetrizing form (a, f) -> f(1) is attached.  Built once per algebra,
-    so every caller shares one T(A) and what its memo has computed.
+    symmetrizing form (a, f) -> f(1) is attached.  Its table is built once
+    per table of A, so every view of T(A) shares what its core computes.
     """
     f, n, c = a.field, a.dim, a.table
-    t = f.zeros((2 * n, 2 * n, 2 * n))
-    t[:n, :n, :n] = c
-    # e_i * e_j^* = sum_k c[k, i, j] e_k^*   (module action (a f)(x) = f(x a))
-    t[:n, n:, n:] = np.ascontiguousarray(c.transpose(1, 2, 0))
-    # e_j^* * e_i = sum_k c[i, k, j] e_k^*   (module action (f a)(x) = f(a x))
-    t[n:, :n, n:] = np.ascontiguousarray(c.transpose(2, 0, 1))
-    one = np.concatenate([a.one, f.zeros(n)])
+    facts = a._core.facts
+    if "trivial_extension" not in facts:
+        t = f.zeros((2 * n, 2 * n, 2 * n))
+        t[:n, :n, :n] = c
+        # e_i * e_j^* = sum_k c[k, i, j] e_k^*   (module action (a f)(x) = f(x a))
+        t[:n, n:, n:] = np.ascontiguousarray(c.transpose(1, 2, 0))
+        # e_j^* * e_i = sum_k c[i, k, j] e_k^*   (module action (f a)(x) = f(a x))
+        t[n:, :n, n:] = np.ascontiguousarray(c.transpose(2, 0, 1))
+        one = np.concatenate([a.one, f.zeros(n)])
+        facts["trivial_extension"] = Algebra(f, t, one, _fresh=True)._core
+    core = facts["trivial_extension"]
     lam = np.concatenate([f.zeros(n), a.one])
     labels = None
     if a.labels is not None:
@@ -110,8 +124,8 @@ def trivial_extension(a: Algebra) -> Algebra:
             "J(A) + A* (dual copy squares to zero)",
         )
 
-    return Algebra(f, t, one, labels=labels, sym_form=lam, name=name,
-                   _radical_seed=seed)
+    return Algebra(f, core.table, core.one, labels=labels, sym_form=lam, name=name,
+                   _radical_seed=seed, _core=core)
 
 
 @dataclass(frozen=True)
@@ -161,8 +175,18 @@ def trivext_criteria(a: Algebra) -> TrivExtCriteria:
 
 def quotient(a: Algebra, ideal: Subspace) -> Algebra:
     """A/I on the complement coordinates of the ideal's RREF basis."""
-    table, one, labels = quotient_data(a, ideal)
-    name = f"({a.name or 'A'})/I"
+    table, one = quotient_data(a, ideal)
+    return quotient_view(a, ideal, table, one, _fresh=True)
+
+
+def quotient_view(a: Algebra, ideal: Subspace, table, one, *, name=None, sym_form=None,
+                  **core) -> Algebra:
+    """The view A/I -- labels, name (by default (A)/I), form and radical
+    seed -- on its table: as ``quotient`` builds it (``_fresh``), or on the
+    core an earlier call built (``_core``)."""
+    labels = None
+    if a.labels is not None:
+        labels = [a.labels[i] for i in ideal.complement_columns()]
 
     def seed():
         cert = radical_or_none(a)
@@ -174,8 +198,8 @@ def quotient(a: Algebra, ideal: Subspace) -> Algebra:
             "J(A)/I: the ideal is contained in J(A), so the radical passes down",
         )
 
-    return Algebra(a.field, table, one, labels=labels, name=name,
-                   _radical_seed=seed)
+    return Algebra(a.field, table, one, labels=labels, sym_form=sym_form,
+                   name=name or f"({a.name or 'A'})/I", _radical_seed=seed, **core)
 
 
 def opposite(a: Algebra) -> Algebra:
@@ -187,7 +211,7 @@ def opposite(a: Algebra) -> Algebra:
         return None if cert is None else (cert.radical, "the radical is opposite-invariant")
 
     return Algebra(a.field, table, a.one, labels=a.labels, sym_form=a.sym_form,
-                   name=f"op({a.name or 'A'})", _radical_seed=seed)
+                   name=f"op({a.name or 'A'})", _radical_seed=seed, _fresh=True)
 
 
 # -- skew truncated presentations -----------------------------------------------------
@@ -289,6 +313,7 @@ def from_skew_presentation(field: FieldDescriptor, pres: SkewPresentation,
         labels=labels,
         radical_hint=RadicalHint("local_codim1"),
         name=name,
+        _fresh=True,
     )
 
 
@@ -390,4 +415,5 @@ def from_matrix_generators(field: FieldDescriptor, size: int, generators,
         one_coords = express_in_rows(field, flats, ident.reshape(1, amb))[0]
     except ValueError as exc:
         raise BasisClaimFailed(f"basis solve failed: {exc}") from None
-    return Algebra(field, coeffs.reshape(d, d, d), one_coords, labels=labels, name=name)
+    return Algebra(field, coeffs.reshape(d, d, d), one_coords, labels=labels, name=name,
+                   _fresh=True)

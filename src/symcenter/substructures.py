@@ -17,15 +17,25 @@ trace form tr(L_xy) on A/N, or by the theorem behind the candidate:
 
 When nothing applies the engine raises RadicalUnavailable instead of
 guessing; ``radical_or_none`` is the one place that turns that into None.
+
+The certificate, with its strategy and evidence, belongs to the view: two
+views of one table may reach J(A) by different routes, or one may not
+reach it at all.  What ``_certify`` finds for a candidate depends only on
+the table, so its outcome is kept on the table's core, as is the one
+certified J(A); a view that certifies a different subspace is an internal
+error.  The facts derived from J(A) (socle, J(Z), soc(Z), R(A) and the
+verdicts) are kept on the core too, and a view reads them only after its
+own radical has been certified.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, form_gram, memoised, quotient_data
+from .algebra import Algebra, coords_key, form_gram, memoised, quotient_data
 from .errors import (
     CriterionDisagreement,
     HintRejected,
@@ -81,18 +91,35 @@ def _certify(algebra: Algebra, sub: Subspace, fail, top_reason: str | None):
 
     sub must be a nilpotent two-sided ideal, and A/sub semisimple: by
     codimension 1, or by a nondegenerate trace form on A/sub.  top_reason
-    is None when the caller's theorem already makes A/sub semisimple.
+    is None when the caller's theorem already makes A/sub semisimple.  The
+    reason (or None) is kept on the core per candidate and top_reason; a
+    certified sub becomes the table's J(A), which is unique.
     """
+    facts = algebra._core.facts
+    slot = ("certify", coords_key(algebra.field, sub.basis), top_reason)
+    if slot not in facts:
+        facts[slot] = _failure(algebra, sub, top_reason)
+    if facts[slot] is not None:
+        raise fail(facts[slot])
+    if facts.setdefault("radical", sub) != sub:
+        raise InternalCheckError(
+            f"certified radical of dimension {sub.dim} differs from the "
+            f"table's J(A) of dimension {facts['radical'].dim}")
+
+
+def _failure(algebra: Algebra, sub: Subspace, top_reason: str | None) -> str | None:
+    """Why sub is not certified as J(A), or None; see ``_certify``."""
     if not algebra.is_ideal(sub):
-        raise fail("span is not an ideal")
+        return "span is not an ideal"
     if not is_nilpotent_ideal(algebra, sub):
-        raise fail("span is not nilpotent")
+        return "span is not nilpotent"
     if top_reason is None or algebra.dim - sub.dim == 1:
-        return
+        return None
     f = algebra.field
     qtable = quotient_data(algebra, sub)[0]
     if rank(f, trace_gram(f, qtable)) < qtable.shape[0]:
-        raise fail(top_reason)
+        return top_reason
+    return None
 
 
 def _hint_span(algebra: Algebra, hint: RadicalHint) -> Subspace:
@@ -119,9 +146,18 @@ def _hint_span(algebra: Algebra, hint: RadicalHint) -> Subspace:
     raise HintRejected(f"unknown hint kind {hint.kind!r}")
 
 
-@memoised("radical_cert")
 def radical(algebra: Algebra) -> RadicalCertificate:
-    """Verified Jacobson radical; strategy order: propagated, hinted, dickson."""
+    """Verified Jacobson radical; strategy order: propagated, hinted, dickson.
+
+    Kept per view, in ``algebra._cache["radical_cert"]``; a call that
+    raises stores nothing."""
+    cache = algebra._cache
+    if "radical_cert" not in cache:
+        cache["radical_cert"] = _radical(algebra)
+    return cache["radical_cert"]
+
+
+def _radical(algebra: Algebra) -> RadicalCertificate:
     seed = None if algebra._radical_seed is None else algebra._radical_seed()
     if seed is not None:
         sub, evidence = seed
@@ -184,13 +220,27 @@ def verify_certificate(algebra: Algebra, cert: RadicalCertificate) -> bool:
 # -- derived substructures ---------------------------------------------------
 
 
-@memoised("socle")
+def _given_radical(key: str):
+    """``memoised(key)`` for a fact derived from J(A), read only once the
+    view's own radical is certified: the view's J(A) is then the core's."""
+    def decorate(fn):
+        shared = memoised(key)(fn)
+
+        @functools.wraps(fn)
+        def wrapper(algebra):
+            radical(algebra)
+            return shared(algebra)
+        return wrapper
+    return decorate
+
+
+@_given_radical("socle")
 def socle(algebra: Algebra) -> Subspace:
     """Right annihilator of the radical (the left socle)."""
     return algebra.right_annihilator(radical(algebra).radical)
 
 
-@memoised("j_of_center")
+@_given_radical("j_of_center")
 def j_of_center(algebra: Algebra) -> Subspace:
     """J(Z(A)) = J(A) intersected with Z(A)."""
     return subspace_intersect(radical(algebra).radical, algebra.center())
@@ -202,13 +252,13 @@ def annihilator_in_center(algebra: Algebra, v: Subspace) -> Subspace:
     return kernel_on(z, algebra.basis_products(z, v))
 
 
-@memoised("soc_of_center")
+@_given_radical("soc_of_center")
 def soc_of_center(algebra: Algebra) -> Subspace:
     """Annihilator of J(Z(A)) inside Z(A) (two-sided by commutativity of Z)."""
     return annihilator_in_center(algebra, j_of_center(algebra))
 
 
-@memoised("reynolds")
+@_given_radical("reynolds")
 def reynolds(algebra: Algebra) -> Subspace:
     """R(A) = soc(A) intersected with Z(A)."""
     return subspace_intersect(socle(algebra), algebra.center())
@@ -275,7 +325,7 @@ def _verdict_for(algebra: Algebra, u: Subspace, k: Subspace, name: str) -> Verdi
     return Verdict(False, Witness(u.basis[s].copy(), k.basis[t].copy(), prods[s, t].copy()))
 
 
-@memoised("property_verdicts")
+@_given_radical("property_verdicts")
 def property_verdicts(algebra: Algebra) -> PropertyVerdicts:
     """Is J(Z(A)) / soc(Z(A)) / R(A) an ideal of A?
 

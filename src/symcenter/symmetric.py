@@ -11,12 +11,12 @@ symmetric with the induced form.  For central z and mu = lambda(. z),
 I_mu = (Az)^perp: these are exactly the quotients of A that remain
 symmetric, and come with an injective A-bimodule section x+I -> xz.
 
-Both per-algebra results go through ``memoised``: ``symmetric_gram``
-verifies the form once, and ``symmetric_quotient`` builds A/(Az)^perp once
-per exact z and hands every later caller the same frozen QuotientWitness.
-The key is z's coordinates -- the int64 bytes over GF(p) and GF(p^k), the
-tuple of Fractions over QQ (the bytes of an object array are pointers) --
-so an element and an array with equal coordinates share one entry.
+Both form-dependent results are kept on the table's core, keyed by the
+form's coordinates (``coords_key``), so every view of the table with an
+equal form shares them: ``symmetric_gram`` verifies each form once, and
+``symmetrize`` finds I_mu and builds the table of A/I_mu once per mu.  Each
+call still returns a new quotient view with its own name, form and seed,
+and ``symmetric_quotient`` a new QuotientWitness.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constructions
-from .algebra import Algebra, form_gram, memoised
+from .algebra import Algebra, coords_key, form_gram, memoised
 from .errors import (
     CentralityViolated,
     Degenerate,
@@ -68,11 +68,17 @@ def verify_symmetric(algebra: Algebra) -> np.ndarray:
     return gram
 
 
-@memoised("sym_gram")
 def symmetric_gram(algebra: Algebra) -> np.ndarray | None:
     """The verified Gram matrix of the algebra's form; None if it has none."""
     if algebra.sym_form is None:
         return None
+    return _verified_gram(algebra, coords_key(algebra.field, algebra.sym_form))
+
+
+@memoised("sym_gram")
+def _verified_gram(algebra: Algebra, form_key) -> np.ndarray:
+    """verify_symmetric, kept on the core per form (``form_key`` names
+    ``algebra.sym_form``)."""
     return verify_symmetric(algebra)
 
 
@@ -91,11 +97,16 @@ def symmetrize(algebra: Algebra, mu) -> tuple[Subspace, Algebra]:
 
 
 def _symmetrize(algebra: Algebra, mu: np.ndarray, name: str):
-    """symmetrize, with the quotient named before its form is verified, so
-    that the verified Gram matrix stays in the memo of the algebra returned."""
-    # I_mu = {x : mu(x e_j) = 0 for all j}, the kernel of the symmetric gram
-    ideal = kernel(algebra.field, _symmetric_form_gram(algebra, mu))
-    quotient = constructions.quotient(algebra, ideal).replace(
+    """symmetrize, naming the quotient view; I_mu and the quotient's core
+    are kept on the core of A per mu."""
+    facts, slot = algebra._core.facts, ("symmetrize", coords_key(algebra.field, mu))
+    if slot not in facts:
+        # I_mu = {x : mu(x e_j) = 0 for all j}, the kernel of the symmetric gram
+        ideal = kernel(algebra.field, _symmetric_form_gram(algebra, mu))
+        facts[slot] = ideal, constructions.quotient(algebra, ideal)._core
+    ideal, core = facts[slot]
+    quotient = constructions.quotient_view(
+        algebra, ideal, core.table, core.one, _core=core,
         name=name, sym_form=mu[ideal.complement_columns()])
     try:
         symmetric_gram(quotient)
@@ -159,16 +170,9 @@ class QuotientWitness:
 
 def symmetric_quotient(algebra: Algebra, z) -> QuotientWitness:
     """A/(Az)^perp = A/I_mu for mu = lam(. z), with its verified
-    symmetrizing form, built once per algebra and exact z."""
-    z = algebra._coords_of(z)
-    key = tuple(z.tolist()) if algebra.field.dtype is object else z.astype(np.int64).tobytes()
-    return _symmetric_quotient(algebra, key)
-
-
-@memoised("sym_quotient")
-def _symmetric_quotient(algebra: Algebra, key) -> QuotientWitness:
+    symmetrizing form; its table is built once per table and mu."""
     f, n = algebra.field, algebra.dim
-    z = np.array(key, dtype=object) if f.dtype is object else np.frombuffer(key, np.int64).copy()
+    z = algebra._coords_of(z).copy()
     if not algebra.center().contains_vector(z):
         raise CentralityViolated("symmetric quotients require a central element")
     # lambda must be symmetrizing, which makes mu = lambda(. z) kill K(A)

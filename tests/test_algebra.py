@@ -393,7 +393,8 @@ def test_memoised_computes_once_and_never_stores_a_failure(mat2):
         with pytest.raises(HintRejected):
             failing(a)
     assert len(calls) == 3
-    assert probe(mat2.replace()) == 4
+    # the memo belongs to the table: another view of it reads the same result
+    assert probe(mat2.replace()) == 1 and len(calls) == 3
 
 
 def test_replace_keeps_construction_seeds(dual3):

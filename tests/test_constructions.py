@@ -88,10 +88,11 @@ def test_trivial_extension_of_commutative_base(dual3):
 
 
 def test_trivial_extension_is_built_once(dual3):
-    a = dual3.replace(name="dual numbers, fresh memo")
+    a = dual3.replace(name="dual numbers, another view")
     t = trivial_extension(a)
-    assert trivial_extension(a) is t
-    assert trivial_extension(a.replace()) is not t
+    again, renamed = trivial_extension(a), trivial_extension(a.replace(name="b"))
+    assert again is not t and again._core is t._core and renamed._core is t._core
+    assert (t.name, renamed.name) == ("T(dual numbers, another view)", "T(b)")
 
 
 def test_trivial_extension_soc20():

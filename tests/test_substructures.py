@@ -250,6 +250,22 @@ def test_radical_provenance(case):
     assert verify_certificate(a, cert)
 
 
+@pytest.mark.parametrize("case", list(_PROVENANCE))
+def test_radical_provenance_with_a_twin_alive(case):
+    # a twin of the same table, certified by an explicit basis hint, shares
+    # the core (and its J) but not its strategy
+    build, expected = _PROVENANCE[case]
+    first = build()
+    hint = RadicalHint("basis", tuple(map(tuple, radical(first).radical.basis.tolist())))
+    twin = Algebra(first.field, first.table.copy(), first.one.copy(), radical_hint=hint)
+    assert radical(twin).strategy.startswith("hinted")
+    del first
+    a = build()
+    assert a._core is twin._core
+    assert (radical(a).strategy, radical(a).evidence) == expected
+    assert verify_certificate(a, radical(a))
+
+
 def test_construction_provenance_does_not_depend_on_call_order():
     # a hintless GF(7) algebra, its quotient by x^2 (inside J) and its opposite
     def build(parent_first):

@@ -186,9 +186,9 @@ def test_nustar_relations_trivial_and_m2():
 
 
 def test_symmetric_quotient_lets_internal_check_errors_through(monkeypatch):
-    # a fresh memo, so the patched radical never reaches the shared corpus
-    # algebra and no quotient built by an earlier test is handed back
-    a = get("dim12_sharp").replace(name="dim12_sharp, fresh memo")
+    # another view, so the patched radical never reaches the corpus view's
+    # certificate; each call returns a new quotient view with no certificate
+    a = get("dim12_sharp").replace(name="dim12_sharp, another view")
     w = symmetric_quotient(a, a.monomial("M^2"))
 
     # the quotient's seed asks radical_or_none(a), which calls this binding
@@ -235,13 +235,17 @@ def test_quotient_map_rejects_rows_of_the_wrong_width():
             ideal.lift_coords(bad_lift)
 
 
+def _same_quotient(w1, w2) -> bool:
+    return w1.quotient._core is w2.quotient._core and w1.ideal == w2.ideal
+
+
 def test_symmetric_quotient_is_built_once_per_z():
-    a = get("dim12_sharp").replace(name="dim12_sharp, fresh memo")
+    a = get("dim12_sharp").replace(name="dim12_sharp, another view")
     z = a.monomial("M^2")
     w = symmetric_quotient(a, z)
-    assert symmetric_quotient(a, z.coords.copy()) is w
-    assert symmetric_quotient(a, a.element(z.coords.copy())) is w
-    assert symmetric_quotient(a, a.monomial("M^6")) is not w
+    assert _same_quotient(symmetric_quotient(a, z.coords.copy()), w)
+    assert _same_quotient(symmetric_quotient(a, a.element(z.coords.copy())), w)
+    assert not _same_quotient(symmetric_quotient(a, a.monomial("M^6")), w)
     with pytest.raises(FrozenInstanceError):
         w.quotient = a
 
@@ -256,7 +260,7 @@ def test_symmetric_quotient_memo_belongs_to_the_form(dual3):
 
 
 def test_symmetric_quotient_failure_is_not_memoised():
-    a = get("dim12_sharp").replace(name="dim12_sharp, fresh memo")
+    a = get("dim12_sharp").replace(name="dim12_sharp, another view")
     for _ in range(2):
         with pytest.raises(CentralityViolated):
             symmetric_quotient(a, a.monomial("M"))
@@ -267,25 +271,30 @@ def test_symmetric_quotient_memo_over_qq_keys_on_values():
     a = _with_form(from_skew_presentation(QQ, SkewPresentation.commuting([2, 2])),
                    [0, 0, 0, 1])
     w = symmetric_quotient(a, [0, Fraction(1, 2), 0, 0])
-    assert symmetric_quotient(a, a.element([0, Fraction(2, 4), 0, 0])) is w
-    assert symmetric_quotient(a, [0, Fraction(1, 3), 0, 0]) is not w
+    assert _same_quotient(symmetric_quotient(a, a.element([0, Fraction(2, 4), 0, 0])), w)
+    other = symmetric_quotient(a, [0, Fraction(1, 3), 0, 0])
+    assert other.quotient.sym_form.tolist() != w.quotient.sym_form.tolist()
 
 
-def test_form_is_verified_once_per_algebra(monkeypatch):
+def test_form_is_verified_once_per_table_and_form(monkeypatch):
     calls = []
 
     def counting(algebra):
-        calls.append(algebra)
+        calls.append((algebra._core, algebra.sym_form.tobytes()))
         return verify_symmetric(algebra)
 
     monkeypatch.setattr(symmetric, "verify_symmetric", counting)
-    a = get("dim12_sharp").replace(name="dim12_sharp, fresh memo")
+    # a form no other test gives dim12_sharp's table, so its check is new
+    a = get("dim12_sharp")
+    a = a.replace(name="dim12_sharp, 2 lambda", sym_form=a.field.a_mul(2, a.sym_form))
     assert perp(a, a.commutator_space()) == perp(a, a.commutator_space())
     w = symmetric_quotient(a, a.monomial("M^2"))
-    assert symmetric_quotient(a, a.monomial("M^2")) is w
+    assert _same_quotient(symmetric_quotient(a, a.monomial("M^2")), w)
     assert w.adjoint_identity_holds()
     assert analyze(a).symmetric and analyze(w.quotient).symmetric
-    assert len(calls) == 2 and calls[0] is a and calls[1] is w.quotient
+    assert analyze(a.replace(name="again")).symmetric
+    assert calls[0] == (a._core, a.sym_form.tobytes())
+    assert len(calls) == len(set(calls)) and 1 <= len(calls) <= 2
 
 
 _SYMMETRIZE_ENTRIES = ("dual_gf3", "trunc3_gf3", "skew22_gf3", "matn", "skew222_gf3",
