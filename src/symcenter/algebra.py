@@ -15,33 +15,39 @@ dense check would.  Everything downstream (centers, commutator spaces, ideal
 tests, annihilators, Loewy series) is exact linear algebra over the
 algebra's field.
 
-An Algebra is a thin *view* over an interned *core* (hash-consing):
+An Algebra is a thin *view* over a *core* (hash-consing):
 
 * per table, on the core: the field, the read-only table and unit, the
   validation, and every fact that depends on them alone -- the center,
   the commutator space, the radical certificate checks and the facts
-  derived from J(A), the Gram matrix of each verified form and the
-  symmetric quotient by each form, and the cores that the tensor and
+  derived from J(A), the Gram matrix of each verified form, I_mu and the
+  table of A/I_mu for each form mu, and the tables that the tensor and
   trivial-extension constructions built from this one.  ``memoised(key)``
   keeps a result there, once per further argument where it has one;
 * per view, on the Algebra: the name, labels, radical hint, symmetrizing
   form, construction seed, and the radical certificate with its
   provenance (``_cache["radical_cert"]``).
 
-Cores are interned in a weak table keyed by the field, the dimension and
-a hash of the table and unit; the arrays are compared exactly before a
-core is shared, so a table is validated once while any view of it is
-alive.  A core holds no view, so no Algebra is in a reference cycle and a
-core lives exactly as long as its views and the cores that built on it.
-Both are immutable: the table, unit and form are read-only arrays (a
-caller's writeable array is copied, never aliased).  A different name,
-hint or form means a new view, made by ``replace`` on the same core.
+``replace`` and the constructions' memos hand out new views of an existing
+core.  Tables are interned only inside an ``interning()`` block, which the
+paper suite runs in: there a table equal to one built earlier in the block
+(same field, exactly equal arrays, found by a hash of them) gets that
+core, validated and analysed once.  The block holds its cores until it
+ends, so what is shared depends only on what the block builds, never on
+which algebras happen to be alive.  Outside a block every new table gets
+a core of its own.  A core keeps only cores made after it, and no view,
+so no core or view is ever in a reference cycle: each is freed as soon as
+the last reference to it goes.  Both are immutable: the table, unit and
+form are read-only arrays (a caller's writeable array is copied, never
+aliased).  A different name, hint or form means a new view of the same
+core, made by ``replace``.
 """
 
 from __future__ import annotations
 
 import functools
-import weakref
+import itertools
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -58,27 +64,44 @@ from .linalg import Subspace, kernel
 
 def memoised(key: str):
     """Decorator for a function of one algebra (or a method), optionally
-    with further hashable arguments, whose result depends only on the table
-    and those arguments: compute it once and keep it on the table's core,
-    under ``key`` or ``(key, *args)``, for every view of the table.  A call
-    that raises stores nothing."""
+    with further arguments, whose result depends only on the table and
+    those arguments: compute it once and keep it on the table's core, for
+    every view of the table.  The entry is ``key`` or ``(key, *args)``,
+    where an array or subspace argument stands as its exact coordinates
+    (``coords_key``).  A call that raises stores nothing, and a result that
+    is a core made no later than the algebra's own (its own core, or one an
+    interning block found) is returned but not kept: a core keeps only
+    younger cores, so cores never form a reference cycle."""
     def decorate(fn):
         @functools.wraps(fn)
         def wrapper(algebra, *args):
-            facts = algebra._core.facts
-            slot = (key, *args) if args else key
-            if slot not in facts:
-                facts[slot] = fn(algebra, *args)
-            return facts[slot]
+            core = algebra._core
+            slot = (key, *(_arg_key(core.field, x) for x in args)) if args else key
+            if slot in core.facts:
+                return core.facts[slot]
+            result = fn(algebra, *args)
+            if not (isinstance(result, _Core) and result.serial <= core.serial):
+                core.facts[slot] = result
+            return result
         return wrapper
     return decorate
+
+
+def _arg_key(field: FieldDescriptor, x):
+    """A memo key for one further argument of a ``memoised`` function."""
+    if isinstance(x, Subspace):
+        return coords_key(field, x.basis)
+    if isinstance(x, np.ndarray):
+        return coords_key(field, x)
+    return x
 
 
 def coords_key(field: FieldDescriptor, coords: np.ndarray):
     """An exact hashable key for encoded coordinates: the int64 bytes over
     GF(p) and GF(p^k), the tuple of values over QQ (the bytes of an object
-    array are pointers).  Keys are compared only within one core, whose
-    dimension fixes the length."""
+    array are pointers).  Keys are compared only within one core, so the
+    field is fixed, and an argument's role fixes its shape up to length,
+    which the key tells apart."""
     if field.dtype is object:
         return tuple(coords.flat)
     return coords.astype(np.int64, copy=False).tobytes()
@@ -212,24 +235,50 @@ def _validate(f: FieldDescriptor, c: np.ndarray, one: np.ndarray):
 
 class _Core:
     """One structure table: the field, the read-only table and unit, and
-    ``facts``, every result that depends on them alone.  It holds no view."""
+    ``facts``, every result that depends on them alone.  It holds no view.
+    ``serial`` orders cores by creation (see ``memoised``)."""
 
-    __slots__ = ("field", "table", "one", "key", "facts", "__weakref__")
+    __slots__ = ("field", "table", "one", "serial", "facts", "__weakref__")
 
-    def __init__(self, field: FieldDescriptor, table: np.ndarray, one: np.ndarray, key=None):
+    def __init__(self, field: FieldDescriptor, table: np.ndarray, one: np.ndarray):
         self.field = field
         self.table = table
         self.one = one
-        self.key = key
+        self.serial = next(_SERIALS)
         self.facts: dict = {}
 
     def holds(self, table: np.ndarray, one: np.ndarray) -> bool:
-        """Exactly this table and unit (the field is part of the intern key)."""
+        """Exactly this table and unit (the field is the caller's to check)."""
         return ((self.table is table or np.array_equal(self.table, table))
                 and (self.one is one or np.array_equal(self.one, one)))
 
 
-_CORES: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
+_SERIALS = itertools.count()
+
+# the open interning block: (field key, dim, hash of table and unit) -> the
+# cores with that key, in order of creation; None outside a block
+_INTERNED: dict | None = None
+
+
+@contextmanager
+def interning():
+    """A block in which equal tables share one core.
+
+    An Algebra built inside on the table and unit of a core the block made
+    earlier, over the same field, gets that core: its table is validated,
+    and each fact computed, once in the block.  The block holds every core
+    it made until it ends, so sharing does not depend on which algebras are
+    still alive.  A block opened inside another joins it.
+    """
+    global _INTERNED
+    if _INTERNED is not None:
+        yield
+        return
+    _INTERNED = {}
+    try:
+        yield
+    finally:
+        _INTERNED = None
 
 
 def _digest(field: FieldDescriptor, table: np.ndarray, one: np.ndarray) -> int:
@@ -243,25 +292,27 @@ def _digest(field: FieldDescriptor, table: np.ndarray, one: np.ndarray) -> int:
                       for arr, nz in zip((table, one), nonzero)))
 
 
-def _interned(field: FieldDescriptor, table: np.ndarray, one: np.ndarray) -> _Core:
-    """The live core holding exactly this table and unit, else a new one,
-    validated first and then interned.  Hashes that collide take the next
-    free slot, so unequal tables never share a core."""
-    key = (field._key(), table.shape[0], _digest(field, table, one))
-    slot = 0
-    while (core := _CORES.get((key, slot))) is not None:
+def _core_of(field: FieldDescriptor, table: np.ndarray, one: np.ndarray) -> _Core:
+    """Inside an interning block, the block's core holding exactly this
+    table and unit, if it has one.  Otherwise a new core, validated first
+    (and, inside a block, interned).  Unequal tables whose hashes collide
+    never share a core: the arrays are compared first."""
+    if _INTERNED is None:
+        _validate(field, table, one)
+        return _Core(field, table, one)
+    cores = _INTERNED.setdefault((field._key(), table.shape[0], _digest(field, table, one)), [])
+    for core in cores:
         if core.holds(table, one):
             return core
-        slot += 1
     _validate(field, table, one)
-    core = _CORES[(key, slot)] = _Core(field, table, one, (key, slot))
-    return core
+    cores.append(_Core(field, table, one))
+    return cores[-1]
 
 
 class Algebra:
     """A unital associative algebra presented by structure constants: a
     view (name, labels, hint, form, seed, radical provenance) over the
-    interned core of its table."""
+    core of its table."""
 
     def __init__(self, field: FieldDescriptor, table, one, labels=None,
                  radical_hint=None, sym_form=None, name: str | None = None,
@@ -276,7 +327,7 @@ class Algebra:
             one = _read_only(field, one, _fresh)
             if one.size != n:
                 raise AlgebraValidationError(f"unit has {one.size} coordinates, expected {n}")
-            _core = _interned(field, table, one.reshape(n))
+            _core = _core_of(field, table, one.reshape(n))
         n = _core.table.shape[0]
         if labels is not None:
             labels = [str(s) for s in labels]

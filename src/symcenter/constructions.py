@@ -12,9 +12,9 @@ The subspaces of these statements are built by the one home of each in
 
 Every call returns a new view, with its own name, labels, form and seed.
 The tensor product and the trivial extension keep the core they built on
-the input's core (keyed by the other factor's intern key), never a view,
-so a repeated call builds and validates nothing and no algebra is caught
-in a reference cycle.
+the input's core (``memoised``, keyed by the other factor's table), never
+a view, so a repeated call builds and validates nothing and no algebra is
+caught in a reference cycle.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, quotient_data
+from .algebra import Algebra, memoised, quotient_data
 from .errors import AlgebraValidationError, BasisClaimFailed
 from .fields import FieldDescriptor
 from .linalg import (
@@ -53,18 +53,7 @@ def tensor(a1: Algebra, a2: Algebra) -> Algebra:
     f = a1.field
     f.check_same(a2.field)
     n = a1.dim * a2.dim
-    # a2's intern key names its table only while a2's core lives, so the
-    # entry keeps the arrays it was built from and is compared with them
-    facts, slot = a1._core.facts, ("tensor", a2._core.key)
-    if slot not in facts or not a2._core.holds(*facts[slot][:2]):
-        big = f.a_mul(
-            a1.table[:, None, :, None, :, None],
-            a2.table[None, :, None, :, None, :],
-        )
-        one = f.a_mul(a1.one[:, None], a2.one[None, :]).reshape(n)
-        built = Algebra(f, big.reshape(n, n, n), one, _fresh=True)
-        facts[slot] = (a2.table, a2.one, built._core)
-    core = facts[slot][2]
+    core = _tensor_core(a1, a2.table, a2.one)
     labels = None
     if a1.labels is not None and a2.labels is not None:
         labels = [f"{l1}⊗{l2}" for l1 in a1.labels for l2 in a2.labels]
@@ -87,6 +76,15 @@ def tensor(a1: Algebra, a2: Algebra) -> Algebra:
                    _radical_seed=seed, _core=core)
 
 
+@memoised("tensor")
+def _tensor_core(a1: Algebra, table2: np.ndarray, one2: np.ndarray):
+    """The core of the table of A1 (x) A2, given A2's table and unit."""
+    f, n = a1.field, a1.dim * len(one2)
+    big = f.a_mul(a1.table[:, None, :, None, :, None], table2[None, :, None, :, None, :])
+    one = f.a_mul(a1.one[:, None], one2[None, :]).reshape(n)
+    return Algebra(f, big.reshape(n, n, n), one, _fresh=True)._core
+
+
 # -- trivial extension -----------------------------------------------------------
 
 
@@ -97,18 +95,8 @@ def trivial_extension(a: Algebra) -> Algebra:
     symmetrizing form (a, f) -> f(1) is attached.  Its table is built once
     per table of A, so every view of T(A) shares what its core computes.
     """
-    f, n, c = a.field, a.dim, a.table
-    facts = a._core.facts
-    if "trivial_extension" not in facts:
-        t = f.zeros((2 * n, 2 * n, 2 * n))
-        t[:n, :n, :n] = c
-        # e_i * e_j^* = sum_k c[k, i, j] e_k^*   (module action (a f)(x) = f(x a))
-        t[:n, n:, n:] = np.ascontiguousarray(c.transpose(1, 2, 0))
-        # e_j^* * e_i = sum_k c[i, k, j] e_k^*   (module action (f a)(x) = f(a x))
-        t[n:, :n, n:] = np.ascontiguousarray(c.transpose(2, 0, 1))
-        one = np.concatenate([a.one, f.zeros(n)])
-        facts["trivial_extension"] = Algebra(f, t, one, _fresh=True)._core
-    core = facts["trivial_extension"]
+    f, n = a.field, a.dim
+    core = _trivext_core(a)
     lam = np.concatenate([f.zeros(n), a.one])
     labels = None
     if a.labels is not None:
@@ -126,6 +114,20 @@ def trivial_extension(a: Algebra) -> Algebra:
 
     return Algebra(f, core.table, core.one, labels=labels, sym_form=lam, name=name,
                    _radical_seed=seed, _core=core)
+
+
+@memoised("trivial_extension")
+def _trivext_core(a: Algebra):
+    """The core of the table of T(A)."""
+    f, n, c = a.field, a.dim, a.table
+    t = f.zeros((2 * n, 2 * n, 2 * n))
+    t[:n, :n, :n] = c
+    # e_i * e_j^* = sum_k c[k, i, j] e_k^*   (module action (a f)(x) = f(x a))
+    t[:n, n:, n:] = np.ascontiguousarray(c.transpose(1, 2, 0))
+    # e_j^* * e_i = sum_k c[i, k, j] e_k^*   (module action (f a)(x) = f(a x))
+    t[n:, :n, n:] = np.ascontiguousarray(c.transpose(2, 0, 1))
+    one = np.concatenate([a.one, f.zeros(n)])
+    return Algebra(f, t, one, _fresh=True)._core
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, coords_key, form_gram, memoised, quotient_data
+from .algebra import Algebra, form_gram, memoised, quotient_data
 from .errors import (
     CriterionDisagreement,
     HintRejected,
@@ -95,18 +95,17 @@ def _certify(algebra: Algebra, sub: Subspace, fail, top_reason: str | None):
     reason (or None) is kept on the core per candidate and top_reason; a
     certified sub becomes the table's J(A), which is unique.
     """
+    reason = _failure(algebra, sub, top_reason)
+    if reason is not None:
+        raise fail(reason)
     facts = algebra._core.facts
-    slot = ("certify", coords_key(algebra.field, sub.basis), top_reason)
-    if slot not in facts:
-        facts[slot] = _failure(algebra, sub, top_reason)
-    if facts[slot] is not None:
-        raise fail(facts[slot])
     if facts.setdefault("radical", sub) != sub:
         raise InternalCheckError(
             f"certified radical of dimension {sub.dim} differs from the "
             f"table's J(A) of dimension {facts['radical'].dim}")
 
 
+@memoised("certify")
 def _failure(algebra: Algebra, sub: Subspace, top_reason: str | None) -> str | None:
     """Why sub is not certified as J(A), or None; see ``_certify``."""
     if not algebra.is_ideal(sub):

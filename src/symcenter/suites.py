@@ -3,15 +3,17 @@
 Every suite is a body ``f(sink)`` that only adds claims.  ``SUITES`` lists
 them in their fixed output order (corpus entries, then lemma suites, then
 the family sweep) and ``run_paper_suite`` runs the selected ones through
-``corpus.run_suite``, the one place that times a suite.  Selecting by case
-(``--case`` on the command line) is the one way to run part of the table.
-Every random draw is seeded, so two runs produce identical machine reports
-byte for byte.
+``corpus.run_suite``, the one place that times a suite.  It runs them in
+one interning block, so a table the run builds twice is validated and
+analysed once.  Selecting by case (``--case`` on the command line) is the
+one way to run part of the table.  Every random draw is seeded, so two
+runs produce identical machine reports byte for byte.
 """
 
 from __future__ import annotations
 
 from . import corpus, lemmas
+from .algebra import interning
 from .analysis import SCHEMA_VERSION
 from .constructions import trivial_extension, trivext_criteria
 from .corpus import ClaimSink, SuiteResult, run_suite
@@ -79,7 +81,8 @@ def run_paper_suite(case_filter: str | None = None) -> list[SuiteResult]:
             f"unknown case {case_filter!r}; cases are corpus entries, "
             "lemma ids, or 'family'"
         )
-    return [run_suite(sid, body) for sid, body in plan]
+    with interning():
+        return [run_suite(sid, body) for sid, body in plan]
 
 
 def suite_report_machine(results: list[SuiteResult]) -> dict:

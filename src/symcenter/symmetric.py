@@ -11,9 +11,9 @@ symmetric with the induced form.  For central z and mu = lambda(. z),
 I_mu = (Az)^perp: these are exactly the quotients of A that remain
 symmetric, and come with an injective A-bimodule section x+I -> xz.
 
-Both form-dependent results are kept on the table's core, keyed by the
-form's coordinates (``coords_key``), so every view of the table with an
-equal form shares them: ``symmetric_gram`` verifies each form once, and
+The form-dependent results are kept on the table's core by ``memoised``,
+keyed by the form's coordinates, so every view of the table with an equal
+form shares them: ``symmetric_gram`` verifies each form once, and
 ``symmetrize`` finds I_mu and builds the table of A/I_mu once per mu.  Each
 call still returns a new quotient view with its own name, form and seed,
 and ``symmetric_quotient`` a new QuotientWitness.
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constructions
-from .algebra import Algebra, coords_key, form_gram, memoised
+from .algebra import Algebra, form_gram, memoised, quotient_data
 from .errors import (
     CentralityViolated,
     Degenerate,
@@ -72,12 +72,12 @@ def symmetric_gram(algebra: Algebra) -> np.ndarray | None:
     """The verified Gram matrix of the algebra's form; None if it has none."""
     if algebra.sym_form is None:
         return None
-    return _verified_gram(algebra, coords_key(algebra.field, algebra.sym_form))
+    return _verified_gram(algebra, algebra.sym_form)
 
 
 @memoised("sym_gram")
-def _verified_gram(algebra: Algebra, form_key) -> np.ndarray:
-    """verify_symmetric, kept on the core per form (``form_key`` names
+def _verified_gram(algebra: Algebra, form: np.ndarray) -> np.ndarray:
+    """verify_symmetric, kept on the core per form (``form`` is
     ``algebra.sym_form``)."""
     return verify_symmetric(algebra)
 
@@ -97,14 +97,9 @@ def symmetrize(algebra: Algebra, mu) -> tuple[Subspace, Algebra]:
 
 
 def _symmetrize(algebra: Algebra, mu: np.ndarray, name: str):
-    """symmetrize, naming the quotient view; I_mu and the quotient's core
-    are kept on the core of A per mu."""
-    facts, slot = algebra._core.facts, ("symmetrize", coords_key(algebra.field, mu))
-    if slot not in facts:
-        # I_mu = {x : mu(x e_j) = 0 for all j}, the kernel of the symmetric gram
-        ideal = kernel(algebra.field, _symmetric_form_gram(algebra, mu))
-        facts[slot] = ideal, constructions.quotient(algebra, ideal)._core
-    ideal, core = facts[slot]
+    """symmetrize, naming the quotient view."""
+    ideal = _form_radical(algebra, mu)
+    core = _symmetrize_core(algebra, mu)
     quotient = constructions.quotient_view(
         algebra, ideal, core.table, core.one, _core=core,
         name=name, sym_form=mu[ideal.complement_columns()])
@@ -115,6 +110,19 @@ def _symmetrize(algebra: Algebra, mu: np.ndarray, name: str):
             f"symmetric quotient lost its form, which cannot happen: {exc}"
         ) from exc
     return ideal, quotient
+
+
+@memoised("form_radical")
+def _form_radical(algebra: Algebra, mu: np.ndarray) -> Subspace:
+    """I_mu = {x : mu(x e_j) = 0 for all j}, the kernel of the symmetric gram."""
+    return kernel(algebra.field, _symmetric_form_gram(algebra, mu))
+
+
+@memoised("symmetrize")
+def _symmetrize_core(algebra: Algebra, mu: np.ndarray):
+    """The core of the table of A/I_mu."""
+    table, one = quotient_data(algebra, _form_radical(algebra, mu))
+    return Algebra(algebra.field, table, one, _fresh=True)._core
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
-"""Hash-consed structure tables: one validated core per live table.
+"""Hash-consed structure tables: one validated core per table in a block.
 
-Every view of a table shares its core and the facts kept there, unequal
-tables never share one, the radical provenance stays with each view, and
-views and cores are freed by reference counting alone, so what a run
-computes does not depend on when the cycle collector runs.
+Every view of a table shares its core and the facts kept there.  Inside an
+``interning()`` block equal tables share one core, whether or not the first
+view is still alive; outside one every new table gets its own.  Unequal
+tables never share a core, the radical provenance stays with each view,
+and views and cores are freed by reference counting alone, so what a run
+computes depends neither on when the cycle collector runs nor on who else
+holds an algebra.
 """
 
 import gc
@@ -21,7 +24,7 @@ import pytest
 
 from symcenter import GF, QQ, SkewPresentation, from_skew_presentation, gf25
 from symcenter import algebra, linalg
-from symcenter.algebra import Algebra
+from symcenter.algebra import Algebra, interning
 from symcenter.analysis import analyze
 from symcenter.constructions import opposite, quotient, tensor, trivial_extension
 from symcenter.corpus import get
@@ -36,7 +39,8 @@ from symcenter.substructures import (
     soc_of_center,
     socle,
 )
-from symcenter.symmetric import symmetric_quotient
+from symcenter.suites import run_paper_suite
+from symcenter.symmetric import symmetric_quotient, symmetrize
 
 from conftest import CASES
 
@@ -57,6 +61,28 @@ def _dual_table(field):
     return t
 
 
+@contextmanager
+def _counting():
+    """Count the calls of algebra._validate and linalg.rref_data."""
+    counts = Counter()
+    saved = [(mod, name, getattr(mod, name))
+             for mod, name in ((algebra, "_validate"), (linalg, "rref_data"))]
+
+    def counter(name, fn):
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+        return counted
+
+    for mod, name, fn in saved:
+        setattr(mod, name, counter(name, fn))
+    try:
+        yield counts
+    finally:
+        for mod, name, fn in saved:
+            setattr(mod, name, fn)
+
+
 # -- sharing ------------------------------------------------------------------
 
 
@@ -69,35 +95,71 @@ def test_replace_shares_the_table_and_unit(field):
 
 
 def test_a_construction_array_is_frozen_in_place_and_a_caller_array_copied():
-    f = GF(101)                   # a table no other test keeps alive
-    table, one = _dual_table(f), f.arr([1, 0])
-    fresh = Algebra(f, table, one, _fresh=True)
-    assert fresh.table is table and not table.flags.writeable
-    table, one = _dual_table(f), f.arr([1, 0])
-    copied = Algebra(f, table, one)
+    f = GF(101)
+    with interning():
+        table, one = _dual_table(f), f.arr([1, 0])
+        fresh = Algebra(f, table, one, _fresh=True)
+        assert fresh.table is table and not table.flags.writeable
+        table, one = _dual_table(f), f.arr([1, 0])
+        copied = Algebra(f, table, one)
     assert copied._core is fresh._core
     assert copied.table is not table and table.flags.writeable and one.flags.writeable
 
 
-def test_equal_tables_share_one_core_and_its_facts(g3):
-    a = Algebra(g3, _dual_table(g3), [1, 0])
-    b = Algebra(g3, _dual_table(g3), [1, 0], name="b")
-    assert b._core is a._core and a.same_table(b)
+def test_equal_tables_share_one_core_and_its_facts_inside_a_block(g3):
+    with interning(), _counting() as counts:
+        a = Algebra(g3, _dual_table(g3), [1, 0])
+        b = Algebra(g3, _dual_table(g3), [1, 0], name="b")
+    assert b._core is a._core and a.same_table(b) and counts["_validate"] == 1
     assert b.center() is a.center()
 
 
+def test_outside_a_block_every_table_gets_its_own_core(g3):
+    with _counting() as counts:
+        a = Algebra(g3, _dual_table(g3), [1, 0])
+        b = Algebra(g3, _dual_table(g3), [1, 0])
+    assert b._core is not a._core and a.same_table(b) and counts["_validate"] == 2
+
+
+def test_a_block_shares_a_table_whose_first_view_is_gone(g3):
+    # what is shared depends on what the block built, not on what is alive
+    with interning():
+        first = Algebra(g3, _dual_table(g3), [1, 0])
+        core = weakref.ref(first._core)
+        del first
+        again = Algebra(g3, _dual_table(g3), [1, 0])
+        assert again._core is core()
+    del again
+    assert core() is None
+
+
+def test_a_block_opened_inside_another_joins_it_and_any_block_ends(g3):
+    with interning():
+        a = Algebra(g3, _dual_table(g3), [1, 0])
+        with interning():
+            b = Algebra(g3, _dual_table(g3), [1, 0])
+        c = Algebra(g3, _dual_table(g3), [1, 0])
+        assert a._core is b._core is c._core
+    with pytest.raises(ValueError), interning():
+        raise ValueError
+    assert algebra._INTERNED is None
+    assert Algebra(g3, _dual_table(g3), [1, 0])._core is not a._core
+
+
 def test_one_table_over_two_fields_gets_two_cores(g2, g3):
-    a2 = Algebra(g2, _dual_table(g2), [1, 0])
-    a3 = Algebra(g3, _dual_table(g3), [1, 0])
+    with interning():
+        a2 = Algebra(g2, _dual_table(g2), [1, 0])
+        a3 = Algebra(g3, _dual_table(g3), [1, 0])
     assert a2._core is not a3._core
 
 
 def test_tables_that_differ_in_one_entry_get_two_cores():
     f = GF(3)
-    a = from_skew_presentation(f, SkewPresentation.commuting([3]))
-    t = a.table.copy()
-    t[1, 1, 2] = 2                # x * x = 2 x^2 is another algebra
-    b = Algebra(f, t, a.one)
+    with interning():
+        a = from_skew_presentation(f, SkewPresentation.commuting([3]))
+        t = a.table.copy()
+        t[1, 1, 2] = 2                # x * x = 2 x^2 is another algebra
+        b = Algebra(f, t, a.one)
     assert b._core is not a._core and not a.same_table(b)
     assert not np.array_equal(a.table, b.table)
 
@@ -105,38 +167,52 @@ def test_tables_that_differ_in_one_entry_get_two_cores():
 def test_a_colliding_hash_never_shares_unequal_tables(monkeypatch):
     monkeypatch.setattr(algebra, "_digest", lambda field, table, one: 0)
     f = GF(5)
-    built = [from_skew_presentation(f, SkewPresentation.commuting([3])),
-             from_skew_presentation(f, SkewPresentation(bounds=(2, 2), q=(((1, 0), 2),))),
-             from_skew_presentation(f, SkewPresentation.anticommuting([2, 2])),
-             from_skew_presentation(f, SkewPresentation.commuting([2, 2]))]
-    assert len({id(a._core) for a in built}) == 4
-    # every equal table still finds its own core among the colliding ones
-    again = from_skew_presentation(f, SkewPresentation.anticommuting([2, 2]))
-    assert again._core is built[2]._core
-    # the tensor memo is keyed by the colliding key, and checks the arrays
-    t1, t2 = tensor(built[0], built[2]), tensor(built[0], built[3])
+    with interning():
+        built = [from_skew_presentation(f, SkewPresentation.commuting([3])),
+                 from_skew_presentation(f, SkewPresentation(bounds=(2, 2), q=(((1, 0), 2),))),
+                 from_skew_presentation(f, SkewPresentation.anticommuting([2, 2])),
+                 from_skew_presentation(f, SkewPresentation.commuting([2, 2]))]
+        assert len({id(a._core) for a in built}) == 4
+        # every equal table still finds its own core among the colliding ones
+        again = from_skew_presentation(f, SkewPresentation.anticommuting([2, 2]))
+        assert again._core is built[2]._core
+        t1, t2 = tensor(built[0], built[2]), tensor(built[0], built[3])
     assert not t1.same_table(t2)
 
 
 def test_qq_tables_are_keyed_by_value():
-    a = Algebra(QQ, _dual_table(QQ), [1, 0])
-    b = Algebra(QQ, np.array(_dual_table(QQ).tolist(), dtype=object), [Fraction(2, 2), 0])
-    t = _dual_table(QQ)
-    t[1, 1, 0] = Fraction(1, 2)   # x^2 = 1/2, not the dual numbers
-    c = Algebra(QQ, t, [1, 0])
+    with interning():
+        a = Algebra(QQ, _dual_table(QQ), [1, 0])
+        b = Algebra(QQ, np.array(_dual_table(QQ).tolist(), dtype=object), [Fraction(2, 2), 0])
+        t = _dual_table(QQ)
+        t[1, 1, 0] = Fraction(1, 2)   # x^2 = 1/2, not the dual numbers
+        c = Algebra(QQ, t, [1, 0])
     assert b._core is a._core and c._core is not a._core
+
+
+def test_paper_suite_validates_each_table_once():
+    # a cold process, so that no algebra from another test is reused
+    proc = subprocess.run([sys.executable, __file__, "paper-suite"], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 0, proc.stderr
+    per_table = json.loads(proc.stdout)
+    assert per_table and set(per_table) == {1}
 
 
 # -- provenance stays with the view --------------------------------------------
 
 
 def test_a_hintless_twin_of_a_certified_table_still_has_no_radical():
-    t = get("soc20_trivext")
-    assert radical(t).strategy == "propagated"
-    facts = (socle, j_of_center, soc_of_center, reynolds, property_verdicts)
-    for fact in facts:
-        fact(t)
-    twin = Algebra(t.field, t.table, t.one)
+    base = get("soc20_base")
+    with interning():
+        # soc20_trivext as the registry builds it, on tables new to the block
+        t = trivial_extension(Algebra(base.field, base.table.copy(), base.one.copy(),
+                                      radical_hint=base.radical_hint))
+        assert radical(t).strategy == "propagated"
+        facts = (socle, j_of_center, soc_of_center, reynolds, property_verdicts)
+        for fact in facts:
+            fact(t)
+        twin = Algebra(t.field, t.table.copy(), t.one.copy())
     assert twin._core is t._core
     with pytest.raises(RadicalUnavailable, match="char 2 <= dim 20"):
         radical(twin)
@@ -157,11 +233,13 @@ def test_a_wrong_hint_is_rejected_with_the_same_message_after_j_is_known():
 
 
 def test_a_second_certified_radical_for_one_table_is_an_internal_error(g3):
-    a = from_skew_presentation(g3, SkewPresentation.commuting([3]))
-    assert radical(a).radical.dim == 2
     # span{x^2} is a nilpotent ideal, and a seed's theorem is trusted for A/N
     x2 = linalg.Subspace.from_rows(g3, 3, [[0, 0, 1]])
-    bogus = Algebra(g3, a.table, a.one, _radical_seed=lambda: (x2, "a bogus theorem"))
+    with interning():
+        a = from_skew_presentation(g3, SkewPresentation.commuting([3]))
+        assert radical(a).radical.dim == 2
+        bogus = Algebra(g3, a.table, a.one, _radical_seed=lambda: (x2, "a bogus theorem"))
+    assert bogus._core is a._core
     with pytest.raises(InternalCheckError, match="differs from the table's J"):
         radical(bogus)
 
@@ -176,12 +254,12 @@ def _tracked(monkeypatch):
     (say, a corpus algebra's, which the registry keeps) are left out."""
     refs = []
     init = Algebra.__init__
-    before = list(algebra._CORES.values())
+    first_new = next(algebra._SERIALS) + 1
 
     def tracking(self, *args, **kwargs):
         init(self, *args, **kwargs)
         refs.append(weakref.ref(self))
-        if all(self._core is not c for c in before):
+        if self._core.serial >= first_new:
             refs.append(weakref.ref(self._core))
 
     monkeypatch.setattr(Algebra, "__init__", tracking)
@@ -192,7 +270,10 @@ def _tracked(monkeypatch):
         gc.enable()
 
 
-def _run_op(op: str):
+def _run_op(op: str, raised=None):
+    """One analyze_small operation; a RadicalUnavailable it raises is kept
+    in ``raised`` when given, and with it every frame of its traceback and
+    the algebras they hold, as a caller that stores exceptions would."""
     kind, _, name = op.partition(":")
     path = CASES / f"{name}.json"
     try:
@@ -201,8 +282,9 @@ def _run_op(op: str):
         else:
             a = parse_document(json.loads(emit_structure_constants(load_algebra(path))))
         analyze(a).to_machine()
-    except RadicalUnavailable:
-        pass
+    except RadicalUnavailable as exc:
+        if raised is not None:
+            raised.append(exc)
 
 
 @pytest.mark.parametrize("path", sorted(CASES.glob("*.json")), ids=lambda p: p.stem)
@@ -212,58 +294,96 @@ def test_analyze_frees_every_algebra_by_reference_counting(path, monkeypatch):
         assert refs and [r for r in refs if r() is not None] == []
 
 
-def test_constructions_free_every_algebra_by_reference_counting(monkeypatch):
-    def build():
-        f = GF(11)                # no other test keeps these tables alive
-        a = from_skew_presentation(f, SkewPresentation.commuting([2, 3])).replace(
-            sym_form=[0, 0, 0, 0, 0, 1])
-        jz = linalg.Subspace.from_rows(f, 6, [[0, 0, 0, 0, 0, 1]])
-        built = [tensor(a, a), trivial_extension(a), quotient(a, jz), opposite(a),
-                 symmetric_quotient(a, a.monomial("x2")).quotient]
-        built.append(trivial_extension(built[1]))
-        for b in built:
-            property_verdicts(b)
+def _build_every_construction(f):
+    """Every construction on a table no other test builds, including the
+    ones whose table is the input's own: A/I_mu with I_mu = 0, and A (x) k."""
+    a = from_skew_presentation(f, SkewPresentation.commuting([2, 3])).replace(
+        sym_form=[0, 0, 0, 0, 0, 1])
+    k = Algebra(f, [[[1]]], [1])
+    jz = linalg.Subspace.from_rows(f, 6, [[0, 0, 0, 0, 0, 1]])
+    built = [tensor(a, a), trivial_extension(a), quotient(a, jz), opposite(a),
+             symmetric_quotient(a, a.monomial("x2")).quotient,
+             symmetric_quotient(a, a.one_element()).quotient,
+             symmetrize(a, a.sym_form)[1], tensor(a, k), tensor(k, a)]
+    built.append(trivial_extension(built[1]))
+    for b in built:
+        property_verdicts(b)
+    return a, built
 
+
+def test_constructions_free_every_algebra_by_reference_counting(monkeypatch):
     with _tracked(monkeypatch) as refs:
-        build()
+        _build_every_construction(GF(11))
         assert len(refs) > 10 and [r for r in refs if r() is not None] == []
 
 
-def _counts_per_order(orders) -> list:
+def test_a_block_frees_every_algebra_by_reference_counting_when_it_ends(monkeypatch):
+    with _tracked(monkeypatch) as refs:
+        with interning():
+            a, built = _build_every_construction(GF(13))
+            # in the block these quotients and products have A's own table
+            assert all(b._core is a._core for b in built[5:9])
+            del a, built
+        assert len(refs) > 10 and [r for r in refs if r() is not None] == []
+
+
+def test_a_core_keeps_only_cores_made_after_it(g3):
+    base = from_skew_presentation(g3, SkewPresentation.commuting([2]))
+    t = trivial_extension(base)
+    with interning():
+        older = Algebra(g3, t.table.copy(), t.one.copy())      # T(A)'s table first
+        a = Algebra(g3, base.table.copy(), base.one.copy())
+        assert trivial_extension(a)._core is older._core
+        assert trivial_extension(a)._core is older._core
+    assert "trivial_extension" not in a._core.facts
+    assert trivial_extension(base)._core is base._core.facts["trivial_extension"]
+
+
+def _counts_per_order(orders, keep_raised) -> list:
     """The _validate and rref_data calls of each order of operations, run
     one after another in this process."""
-    counts = Counter()
-    validate, rref = algebra._validate, linalg.rref_data
-
-    def counting_validate(*args):
-        counts["validate"] += 1
-        return validate(*args)
-
-    def counting_rref(*args):
-        counts["rref_data"] += 1
-        return rref(*args)
-
-    algebra._validate, linalg.rref_data = counting_validate, counting_rref
-    try:
-        seen = []
-        for order in orders:
-            counts.clear()
+    seen, raised = [], []
+    for order in orders:
+        with _counting() as counts:
             for op in order:
-                _run_op(op)
-            seen.append(dict(counts))
-        return seen
-    finally:
-        algebra._validate, linalg.rref_data = validate, rref
+                _run_op(op, raised if keep_raised else None)
+        seen.append(dict(counts))
+    return seen
 
 
-def test_counts_do_not_depend_on_the_order_of_operations():
-    # a cold process, where no other test keeps an algebra alive
-    proc = subprocess.run([sys.executable, __file__], capture_output=True, text=True,
+@pytest.mark.parametrize("keep_raised", [False, True], ids=["dropped", "kept"])
+def test_counts_do_not_depend_on_the_order_of_operations(keep_raised):
+    # a cold process, where no other test keeps an algebra alive; with
+    # "kept", every algebra of a failed operation stays alive to the end
+    proc = subprocess.run([sys.executable, __file__, "orders", str(int(keep_raised))],
+                          capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
-    assert seen[0] == seen[1] == seen[2] and seen[0]["validate"] > 0
+    assert seen[0] == seen[1] == seen[2] and seen[0]["_validate"] > 0
+
+
+def _validations_per_table() -> list:
+    """How often one in-process paper-suite run validates each table."""
+    per_table = Counter()
+    validate = algebra._validate
+
+    def counting(field, table, one):
+        per_table[(field._key(), table.tobytes() if field.dtype is not object
+                   else str(table.tolist()), str(one.tolist()))] += 1
+        return validate(field, table, one)
+
+    algebra._validate = counting
+    try:
+        run_paper_suite()
+    finally:
+        algebra._validate = validate
+    return sorted(set(per_table.values()))
 
 
 if __name__ == "__main__":
-    print(json.dumps(_counts_per_order([_OPS, _OPS[::-1], _OPS[1::2] + _OPS[::2]])))
+    if sys.argv[1] == "orders":
+        print(json.dumps(_counts_per_order(
+            [_OPS, _OPS[::-1], _OPS[1::2] + _OPS[::2]], keep_raised=sys.argv[2] == "1")))
+    else:
+        print(json.dumps(_validations_per_table()))

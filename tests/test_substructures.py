@@ -6,7 +6,7 @@ import pytest
 from oracles import naive_kernel_mod, naive_rank_mod, naive_span_contains_mod
 
 from symcenter import GF, QQ, SkewPresentation, from_skew_presentation, tensor
-from symcenter.algebra import Algebra
+from symcenter.algebra import Algebra, interning
 from symcenter.analysis import analyze
 from symcenter.corpus import get
 from symcenter.constructions import opposite, quotient, trivial_extension
@@ -252,15 +252,16 @@ def test_radical_provenance(case):
 
 @pytest.mark.parametrize("case", list(_PROVENANCE))
 def test_radical_provenance_with_a_twin_alive(case):
-    # a twin of the same table, certified by an explicit basis hint, shares
-    # the core (and its J) but not its strategy
+    # in an interning block, a twin of the same table certified by an
+    # explicit basis hint shares the core (and its J) but not its strategy
     build, expected = _PROVENANCE[case]
-    first = build()
-    hint = RadicalHint("basis", tuple(map(tuple, radical(first).radical.basis.tolist())))
-    twin = Algebra(first.field, first.table.copy(), first.one.copy(), radical_hint=hint)
-    assert radical(twin).strategy.startswith("hinted")
-    del first
-    a = build()
+    with interning():
+        first = build()
+        hint = RadicalHint("basis", tuple(map(tuple, radical(first).radical.basis.tolist())))
+        twin = Algebra(first.field, first.table.copy(), first.one.copy(), radical_hint=hint)
+        assert radical(twin).strategy.startswith("hinted")
+        del first
+        a = build()
     assert a._core is twin._core
     assert (radical(a).strategy, radical(a).evidence) == expected
     assert verify_certificate(a, radical(a))
