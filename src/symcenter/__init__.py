@@ -44,7 +44,6 @@ from .linalg import (
 from .substructures import (
     PropertyVerdicts,
     RadicalCertificate,
-    RadicalHint,
     annihilator_in_center,
     is_basic,
     is_local,
@@ -78,7 +77,7 @@ __all__ = [
     "PrimeField", "RationalField", "element_of_order", "gf25",
     "Subspace", "contains", "kernel", "rank", "rref_data",
     "subspace_intersect", "subspace_sum",
-    "PropertyVerdicts", "RadicalCertificate", "RadicalHint",
+    "PropertyVerdicts", "RadicalCertificate",
     "annihilator_in_center", "is_basic", "is_local", "j_of_center",
     "property_verdicts", "radical", "reynolds", "soc_of_center", "socle",
     "QuotientWitness", "check_nustar_relations",

@@ -24,9 +24,9 @@ An Algebra is a thin *view* over a *core* (hash-consing):
   table of A/I_mu for each form mu, and the tables that the tensor and
   trivial-extension constructions built from this one.  ``memoised(key)``
   keeps a result there, once per further argument where it has one;
-* per view, on the Algebra: the name, labels, radical hint, symmetrizing
-  form, construction seed, and the radical certificate with its
-  provenance (``_cache["radical_cert"]``).
+* per view, on the Algebra: the name, labels, symmetrizing form,
+  construction seed, and the radical certificate with its provenance
+  (``_cache["radical_cert"]``).
 
 ``replace`` and the constructions' memos hand out new views of an existing
 core.  Tables are interned only inside an ``interning()`` block, which the
@@ -39,8 +39,8 @@ a core of its own.  A core keeps only cores made after it, and no view,
 so no core or view is ever in a reference cycle: each is freed as soon as
 the last reference to it goes.  Both are immutable: the table, unit and
 form are read-only arrays (a caller's writeable array is copied, never
-aliased).  A different name, hint or form means a new view of the same
-core, made by ``replace``.
+aliased).  A different name or form means a new view of the same core,
+made by ``replace``.
 """
 
 from __future__ import annotations
@@ -311,11 +311,11 @@ def _core_of(field: FieldDescriptor, table: np.ndarray, one: np.ndarray) -> _Cor
 
 class Algebra:
     """A unital associative algebra presented by structure constants: a
-    view (name, labels, hint, form, seed, radical provenance) over the
-    core of its table."""
+    view (name, labels, form, seed, radical provenance) over the core of
+    its table."""
 
     def __init__(self, field: FieldDescriptor, table, one, labels=None,
-                 radical_hint=None, sym_form=None, name: str | None = None,
+                 sym_form=None, name: str | None = None,
                  _radical_seed=None, _core: _Core | None = None, _fresh: bool = False):
         if _core is None:
             table = _read_only(field, table, _fresh)
@@ -340,41 +340,33 @@ class Algebra:
                     f"symmetrizing form has {sym_form.size} coordinates, expected {n}"
                 )
             sym_form = sym_form.reshape(n)
-        if radical_hint is not None and radical_hint.vectors is not None:
-            for i, vec in enumerate(radical_hint.vectors):
-                if len(vec) != n:
-                    raise AlgebraValidationError(
-                        f"radical hint vector {i} has {len(vec)} coordinates, expected {n}"
-                    )
         self._core = _core
         self.field = _core.field
         self.dim = n
         self.table = _core.table
         self.one = _core.one
         self.labels = labels
-        self.radical_hint = radical_hint
         self.sym_form = sym_form
         self.name = name
         # this view's radical certificate, under "radical_cert": its
-        # provenance depends on the seed and hint, not on the table alone
+        # provenance depends on the seed, not on the table alone
         self._cache: dict = {}
         # A function of no arguments returning (subspace, evidence) or None,
         # passed only by constructions whose math makes the subspace J(A);
-        # radical() calls it once and re-checks that it is a nilpotent ideal.
-        # Callers with outside knowledge use radical_hint.
+        # radical() calls it once and re-checks that it is a nilpotent
+        # ideal.  Without a seed, radical() computes J(A) from the table.
         self._radical_seed = _radical_seed
 
-    def replace(self, *, name=None, radical_hint=None, sym_form=None) -> "Algebra":
+    def replace(self, *, name=None, sym_form=None) -> "Algebra":
         """A new view of the same core with the given fields changed.
 
         Arguments left as None keep this view's value, and the labels and
         construction seed are kept.  Nothing is validated or encoded again,
-        and every per-table fact is shared; the new view computes its own
-        radical certificate, since a new hint can change its provenance.
+        and every per-table fact is shared; the new view certifies its own
+        radical, by the same seed.
         """
         return Algebra(
             self.field, self.table, self.one, labels=self.labels,
-            radical_hint=self.radical_hint if radical_hint is None else radical_hint,
             sym_form=self.sym_form if sym_form is None else sym_form,
             name=self.name if name is None else name,
             _radical_seed=self._radical_seed,

@@ -112,7 +112,8 @@ class AnalysisReport:
 
 
 def analyze(algebra: Algebra) -> AnalysisReport:
-    """Full report; raises RadicalUnavailable when no strategy applies."""
+    """Full report.  J(A) comes from the construction's seed or from the
+    radical rule, so every valid algebra gets one."""
     cert = radical(algebra)
     z = algebra.center()
     k = algebra.commutator_space()

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 every check passed, 1 a mathematical claim failed, 2 an
-input or usage error (bad file, unknown case, no radical strategy).
+input or usage error (bad file, a radical hint that is not J(A), unknown
+case).
 Stdout is deterministic; wall-clock timing goes to stderr.
 """
 

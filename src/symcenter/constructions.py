@@ -3,8 +3,12 @@
 Each construction states its output's radical from its inputs' radicals:
 tensor products combine component radicals, trivial extensions adjoin the
 square-zero dual copy, quotients push the radical forward when the ideal
-sits inside it, opposites keep it.  Nothing is computed at build time: the
-radical is derived from the parents' when first asked for, and re-verified.
+sits inside it, opposites keep it; a skew presentation's monomials of
+positive degree are its radical by the exponent grading.  Nothing is
+computed at build time: the radical is derived from the parents' when
+first asked for, and re-verified.  A quotient by an ideal outside J(A),
+and an algebra with no construction behind it, get the radical rule of
+``substructures``.
 The subspaces of these statements are built by the one home of each in
 ``linalg``: ``subspace_tensor`` for J(A1) (x) A2 + A1 (x) J(A2),
 ``subspace_direct_sum`` for J(A) + A*, ``quotient_coords`` for J(A)/I, and
@@ -35,13 +39,7 @@ from .linalg import (
     subspace_sum,
     subspace_tensor,
 )
-from .substructures import (
-    RadicalHint,
-    j_of_center,
-    property_verdicts,
-    radical_or_none,
-    soc_of_center,
-)
+from .substructures import j_of_center, property_verdicts, radical, soc_of_center
 
 
 # -- tensor product ------------------------------------------------------------
@@ -63,12 +61,9 @@ def tensor(a1: Algebra, a2: Algebra) -> Algebra:
     name = f"({a1.name or 'A1'})⊗({a2.name or 'A2'})"
 
     def seed():
-        c1, c2 = radical_or_none(a1), radical_or_none(a2)
-        if c1 is None or c2 is None:
-            return None
         return (
-            subspace_sum(subspace_tensor(c1.radical, a2.full_space()),
-                         subspace_tensor(a1.full_space(), c2.radical)),
+            subspace_sum(subspace_tensor(radical(a1).radical, a2.full_space()),
+                         subspace_tensor(a1.full_space(), radical(a2).radical)),
             "J(A1) (x) A2 + A1 (x) J(A2) from component radicals",
         )
 
@@ -104,11 +99,8 @@ def trivial_extension(a: Algebra) -> Algebra:
     name = f"T({a.name or 'A'})"
 
     def seed():
-        cert = radical_or_none(a)
-        if cert is None:
-            return None
         return (
-            subspace_direct_sum(cert.radical, a.full_space()),
+            subspace_direct_sum(radical(a).radical, a.full_space()),
             "J(A) + A* (dual copy squares to zero)",
         )
 
@@ -191,12 +183,11 @@ def quotient_view(a: Algebra, ideal: Subspace, table, one, *, name=None, sym_for
         labels = [a.labels[i] for i in ideal.complement_columns()]
 
     def seed():
-        cert = radical_or_none(a)
-        if cert is None or not contains(cert.radical, ideal):
+        j = radical(a).radical
+        if not contains(j, ideal):
             return None
         return (
-            Subspace.from_rows(a.field, a.dim - ideal.dim,
-                               ideal.quotient_coords(cert.radical.basis)),
+            Subspace.from_rows(a.field, a.dim - ideal.dim, ideal.quotient_coords(j.basis)),
             "J(A)/I: the ideal is contained in J(A), so the radical passes down",
         )
 
@@ -209,8 +200,7 @@ def opposite(a: Algebra) -> Algebra:
     table = np.ascontiguousarray(a.table.transpose(1, 0, 2))
 
     def seed():
-        cert = radical_or_none(a)
-        return None if cert is None else (cert.radical, "the radical is opposite-invariant")
+        return radical(a).radical, "the radical is opposite-invariant"
 
     return Algebra(a.field, table, a.one, labels=a.labels, sym_form=a.sym_form,
                    name=f"op({a.name or 'A'})", _radical_seed=seed, _fresh=True)
@@ -261,10 +251,12 @@ def from_skew_presentation(field: FieldDescriptor, pres: SkewPresentation,
     """Monomial-basis algebra of a truncated skew-commutative presentation.
 
     The basis is all exponent tuples below the bounds, enumerated with the
-    first variable fastest; a local_codim1 radical hint is attached since
-    every positive-degree monomial is nilpotent.  The table is built for all
-    basis pairs at once: x^a x^b = prod_{j > i} q_ji^(a_j b_i) x^(a + b)
-    when every exponent of a + b stays below its bound, and 0 otherwise.
+    first variable fastest.  Its radical seed is the span of the monomials
+    of positive degree: a product of them has a larger total degree, so
+    they span an ideal that is nilpotent, of codimension 1.  The table is
+    built for all basis pairs at once: x^a x^b = prod_{j > i} q_ji^(a_j b_i)
+    x^(a + b) when every exponent of a + b stays below its bound, and 0
+    otherwise.
     """
     for b in pres.bounds:
         if not _is_int(b):
@@ -308,15 +300,14 @@ def from_skew_presentation(field: FieldDescriptor, pres: SkewPresentation,
     one = field.zeros(dim)
     one[0] = field.one_enc
     labels = [_monomial_label(e, names) for e in exps.tolist()]
-    return Algebra(
-        field,
-        table,
-        one,
-        labels=labels,
-        radical_hint=RadicalHint("local_codim1"),
-        name=name,
-        _fresh=True,
-    )
+
+    def seed():
+        # the unit is e_0, so the other basis rows are already an RREF basis
+        return (Subspace(field, dim, field.eye(dim)[1:]),
+                "monomials of positive degree: a nilpotent ideal of codimension 1")
+
+    return Algebra(field, table, one, labels=labels, name=name, _radical_seed=seed,
+                   _fresh=True)
 
 
 # -- matrix-generated subalgebras ---------------------------------------------------

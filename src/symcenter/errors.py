@@ -66,16 +66,6 @@ class ImproperIdeal(SymcenterError):
     """Quotient by the whole algebra was requested."""
 
 
-# -- radical engine ----------------------------------------------------------
-
-class RadicalUnavailable(SymcenterError):
-    """No verified radical strategy applies to this algebra."""
-
-
-class HintRejected(SymcenterError):
-    """A radical hint failed one of its verification sub-checks."""
-
-
 # -- symmetrizing forms ------------------------------------------------------
 
 class NotSymmetricForm(SymcenterError):
@@ -103,7 +93,8 @@ class UnknownCase(SymcenterError):
 
 
 class FileFormatError(SymcenterError):
-    """An algebra definition file is malformed.
+    """An algebra definition file is malformed, or its radical hint names a
+    span that is not the computed J(A).
 
     ``location`` is a line number (parse errors) or a path such as
     ``presentation.table[2][1]`` (semantic errors).

@@ -1,7 +1,9 @@
 """Algebra definition files: a single JSON document per algebra.
 
 The document names a field, one presentation node (possibly nested
-constructions) and optional radical hint / symmetrizing form.  Scalars use
+constructions) and an optional symmetrizing form and radical hint.  A
+radical hint is a checked claim: the file is refused, at the hint's path,
+unless the span it names is the J(A) the engine computes.  Scalars use
 the exact literal syntax of the field: prime-field values are decimal
 integers, extension values are coefficient lists (low degree first),
 rationals are "a/b" strings or integers.  Parsed values reach the library
@@ -19,6 +21,8 @@ from __future__ import annotations
 
 import json
 import math
+
+import numpy as np
 
 from .algebra import Algebra
 from .constructions import (
@@ -39,7 +43,7 @@ from .fields import (
     RationalField,
 )
 from .linalg import Subspace
-from .substructures import RadicalHint, radical_or_none
+from .substructures import radical
 
 MAX_DIM = 512      # a dense int64 structure table of this dimension is 1 GiB
 
@@ -149,18 +153,28 @@ def _names(node: dict, key: str, path: str, length: int | None = None):
     return value
 
 
-def _parse_hint(field, spec, path: str, dim: int) -> RadicalHint:
+def _parse_hint(field, spec, path: str, one) -> Subspace:
+    """The span a radical hint names: explicit vectors (kinds 'basis' and
+    'local_codim1'), every basis vector but the unit's first nonzero
+    coordinate ('local_codim1' without vectors), or zero ('semisimple')."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise FileFormatError(f"{path}: expected an object with 'kind'", path)
-    vectors = None
-    if "vectors" in spec:
-        if not isinstance(spec["vectors"], list):
-            raise FileFormatError(f"{path}.vectors: expected a list", f"{path}.vectors")
-        vectors = tuple(
-            tuple(parse_vector(field, vec, f"{path}.vectors[{i}]", dim))
-            for i, vec in enumerate(spec["vectors"])
-        )
-    return RadicalHint(spec["kind"], vectors)
+    kind, dim = spec["kind"], len(one)
+    if kind == "semisimple":
+        return Subspace.zero(field, dim)
+    if kind not in ("basis", "local_codim1"):
+        raise FileFormatError(f"{path}: unknown radical hint kind {kind!r}", path)
+    if "vectors" not in spec:
+        if kind == "basis":
+            raise FileFormatError(f"{path}: a basis hint needs 'vectors'", path)
+        skip = int(np.nonzero(one != field.zero_enc)[0][0])
+        return Subspace.from_rows(field, dim, np.delete(field.eye(dim), skip, axis=0))
+    if not isinstance(spec["vectors"], list):
+        raise FileFormatError(f"{path}.vectors: expected a list", f"{path}.vectors")
+    rows = field.zeros((len(spec["vectors"]), dim))
+    for i, vec in enumerate(spec["vectors"]):
+        rows[i] = parse_vector(field, vec, f"{path}.vectors[{i}]", dim)
+    return Subspace.from_rows(field, dim, rows)
 
 
 def _parse_form(field, spec, path: str, dim: int):
@@ -176,12 +190,12 @@ def _parse_presentation(field, node, path: str, hint=None, form=None,
 
     ``hint`` and ``form`` are the (spec, path) of a radical hint and of a
     symmetrizing form that override the node's own; both are parsed once
-    the dimension they must match is known.
+    the dimension they must match is known, and the hint is then checked
+    against the node's J(A).
     """
     if not isinstance(node, dict) or "type" not in node:
         raise FileFormatError(f"{path}: expected an object with a 'type'", path)
-    # nested nodes may carry their own hint and form, so that constructions
-    # can propagate radical knowledge from their components
+    # nested nodes may carry their own hint and form
     if hint is None and "radical_hint" in node:
         hint = (node["radical_hint"], f"{path}.radical_hint")
     if form is None and "symmetrizing_form" in node:
@@ -275,11 +289,17 @@ def _parse_presentation(field, node, path: str, hint=None, form=None,
         alg = opposite(base)
     else:
         raise FileFormatError(f"{path}: unknown presentation type {ptype!r}", path)
-    radical_hint = None if hint is None else _parse_hint(field, *hint, alg.dim)
+    claimed = None if hint is None else _parse_hint(field, *hint, alg.one)
     sym_form = None if form is None else _parse_form(field, *form, alg.dim)
-    if name is None and radical_hint is None and sym_form is None:
-        return alg
-    return alg.replace(name=name, radical_hint=radical_hint, sym_form=sym_form)
+    if name is not None or sym_form is not None:
+        alg = alg.replace(name=name, sym_form=sym_form)
+    if claimed is not None:
+        j = radical(alg).radical
+        if j != claimed:
+            raise FileFormatError(
+                f"{hint[1]}: the hint names a span of dimension {claimed.dim}, which "
+                f"is not J(A) (dimension {j.dim})", hint[1])
+    return alg
 
 
 def _parse_structure_constants(field, node, path) -> Algebra:
@@ -367,15 +387,11 @@ def emit_structure_constants(alg: Algebra) -> str:
     if alg.labels is not None:
         pres["labels"] = list(alg.labels)
     doc["presentation"] = pres
-    cert = radical_or_none(alg)
-    if cert is not None:
-        doc["radical_hint"] = {
-            "kind": "basis",
-            "vectors": [
-                [scalar_to_json(field, v) for v in row]
-                for row in cert.radical.basis
-            ],
-        }
+    doc["radical_hint"] = {
+        "kind": "basis",
+        "vectors": [[scalar_to_json(field, v) for v in row]
+                    for row in radical(alg).radical.basis],
+    }
     if alg.sym_form is not None:
         doc["symmetrizing_form"] = [scalar_to_json(field, v) for v in alg.sym_form]
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"

@@ -1,31 +1,30 @@
 """Radical certificates, socles, center substructures and ideal verdicts.
 
-Every verdict rests on one verified object, J(A), and one rule certifies
-it: a subspace N is J(A) when N is a nilpotent two-sided ideal and A/N is
-semisimple.  ``_certify`` checks the first half always; A/N is certified
-semisimple by codimension 1 (A/N is then the field), by a nondegenerate
-trace form tr(L_xy) on A/N, or by the theorem behind the candidate:
+Every verdict rests on one verified object, J(A), which has two routes:
 
-* propagated -- a construction (tensor, trivial extension, quotient,
-  opposite) derives the radical of its output from its inputs' radicals
-  when first asked; without them the output falls through to the rest;
-* hinted_local / hinted_general / semisimple_traceform -- the caller's
-  hint names the candidate (the non-identity coordinates, explicit
-  vectors, or zero), and codimension 1 or the trace form certifies A/N;
-* dickson -- over char 0 or char p > dim A, J(A) is exactly the radical of
-  the trace form of the regular representation.
+* propagated -- a construction states the radical of its output as a
+  theorem: tensor products, trivial extensions, quotients by an ideal
+  inside J(A) and opposites derive it from their inputs' radicals when
+  first asked, and a skew presentation's monomials of positive degree
+  span a nilpotent ideal of codimension 1 (the exponent grading);
+* the rule -- otherwise J(A) = {x : x e_j in T(A) for every j}, where
+  T(A) is computed from the table alone (``t_space``).  Over QQ, T(A) is
+  ker(tr o L) and the rule is Dickson's criterion ("dickson"); over a
+  field of q elements, T(A) is Kuelshammer's {x : x^e in K(A)} = J(A) +
+  K(A), with e the least power of q that is at least dim A
+  ("kuelshammer").
 
-When nothing applies the engine raises RadicalUnavailable instead of
-guessing; ``radical_or_none`` is the one place that turns that into None.
+``_certify`` re-checks either candidate: it must be a nilpotent two-sided
+ideal, and the theorem behind it makes A/J(A) semisimple.  A candidate
+that fails is an internal error, never a verdict.
 
 The certificate, with its strategy and evidence, belongs to the view: two
-views of one table may reach J(A) by different routes, or one may not
-reach it at all.  What ``_certify`` finds for a candidate depends only on
-the table, so its outcome is kept on the table's core, as is the one
-certified J(A); a view that certifies a different subspace is an internal
-error.  The facts derived from J(A) (socle, J(Z), soc(Z), R(A) and the
-verdicts) are kept on the core too, and a view reads them only after its
-own radical has been certified.
+views of one table may reach J(A) by different routes.  The rule, the
+certification of each candidate and the one certified J(A) depend only on
+the table, so they are kept on the table's core; a view that certifies a
+different subspace is an internal error.  The facts derived from J(A)
+(socle, J(Z), soc(Z), R(A) and the verdicts) are kept on the core too, and
+a view reads them only after its own radical has been certified.
 """
 
 from __future__ import annotations
@@ -35,27 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, form_gram, memoised, quotient_data
-from .errors import (
-    CriterionDisagreement,
-    HintRejected,
-    InternalCheckError,
-    RadicalUnavailable,
-)
-from .linalg import Subspace, contains, kernel, kernel_on, rank, subspace_intersect
-from .fields import FieldDescriptor
-
-
-@dataclass(frozen=True)
-class RadicalHint:
-    """Caller-supplied radical knowledge, verified before use.
-
-    kind is one of 'local_codim1' (the non-identity part of the basis spans
-    a nilpotent ideal), 'basis' (explicit spanning vectors) or 'semisimple'.
-    """
-
-    kind: str
-    vectors: tuple | None = None
+from .algebra import Algebra, memoised
+from .errors import CriterionDisagreement, InternalCheckError
+from .linalg import Subspace, contains, kernel, kernel_on, subspace_intersect
 
 
 @dataclass(frozen=True)
@@ -78,26 +59,11 @@ def is_nilpotent_ideal(algebra: Algebra, n: Subspace) -> bool:
     return True
 
 
-def trace_gram(field: FieldDescriptor, table: np.ndarray) -> np.ndarray:
-    """Gram matrix of (x, y) -> tr(L_{xy}) on the given structure table."""
-    n = table.shape[0]
-    # tr(L_{e_m}) is the run m of the diagonal entries table[m, k, k]
-    diag = np.diagonal(table, axis1=1, axis2=2).reshape(-1)
-    return form_gram(field, table, field.a_sum_runs(diag, np.arange(0, n * n, n)))
-
-
-def _certify(algebra: Algebra, sub: Subspace, fail, top_reason: str | None):
-    """Raise fail(reason) unless sub is J(A).
-
-    sub must be a nilpotent two-sided ideal, and A/sub semisimple: by
-    codimension 1, or by a nondegenerate trace form on A/sub.  top_reason
-    is None when the caller's theorem already makes A/sub semisimple.  The
-    reason (or None) is kept on the core per candidate and top_reason; a
-    certified sub becomes the table's J(A), which is unique.
-    """
-    reason = _failure(algebra, sub, top_reason)
-    if reason is not None:
-        raise fail(reason)
+def _certify(algebra: Algebra, sub: Subspace, error: str):
+    """Raise InternalCheckError(error) unless sub is a nilpotent two-sided
+    ideal; a certified sub becomes the table's J(A), which is unique."""
+    if not _nilpotent_ideal(algebra, sub):
+        raise InternalCheckError(error)
     facts = algebra._core.facts
     if facts.setdefault("radical", sub) != sub:
         raise InternalCheckError(
@@ -106,47 +72,89 @@ def _certify(algebra: Algebra, sub: Subspace, fail, top_reason: str | None):
 
 
 @memoised("certify")
-def _failure(algebra: Algebra, sub: Subspace, top_reason: str | None) -> str | None:
-    """Why sub is not certified as J(A), or None; see ``_certify``."""
-    if not algebra.is_ideal(sub):
-        return "span is not an ideal"
-    if not is_nilpotent_ideal(algebra, sub):
-        return "span is not nilpotent"
-    if top_reason is None or algebra.dim - sub.dim == 1:
-        return None
-    f = algebra.field
-    qtable = quotient_data(algebra, sub)[0]
-    if rank(f, trace_gram(f, qtable)) < qtable.shape[0]:
-        return top_reason
-    return None
+def _nilpotent_ideal(algebra: Algebra, sub: Subspace) -> bool:
+    return algebra.is_ideal(sub) and is_nilpotent_ideal(algebra, sub)
 
 
-def _hint_span(algebra: Algebra, hint: RadicalHint) -> Subspace:
-    """The candidate radical a hint names."""
+def _frobenius_exponent(algebra: Algebra) -> int:
+    """The least power e of q = |F| with e >= dim A, over a finite field."""
+    e = algebra.field.order
+    while e < algebra.dim:
+        e *= algebra.field.order
+    return e
+
+
+def _basis_powers(algebra: Algebra, e: int) -> np.ndarray:
+    """Row i is e_i^e, for every basis vector at once, by square-and-multiply."""
     f, n = algebra.field, algebra.dim
-    if hint.kind == "semisimple":
-        return algebra.zero_space()
-    if hint.kind == "local_codim1":
-        if hint.vectors is not None:
-            sub = Subspace.from_rows(f, n, list(hint.vectors))
-        else:
-            skip = int(np.nonzero(algebra.one != f.zero_enc)[0][0])
-            sub = Subspace.from_rows(f, n, np.delete(f.eye(n), skip, axis=0))
-        if sub.dim != n - 1:
-            raise HintRejected(
-                f"local_codim1 hint rejected: span has dimension {sub.dim}, "
-                f"expected {n - 1}"
-            )
-        return sub
-    if hint.kind == "basis":
-        if hint.vectors is None:
-            raise HintRejected("basis hint requires explicit vectors")
-        return Subspace.from_rows(f, n, list(hint.vectors))
-    raise HintRejected(f"unknown hint kind {hint.kind!r}")
+    runs = np.arange(0, n * n * n, n)
+
+    def times(x, y):
+        # row s is x_s y_s = sum_j y[s, j] (x_s e_j): runs of n terms over j
+        terms = f.a_mul(y[:, None, :], algebra.left_products(x).transpose(0, 2, 1))
+        return f.a_sum_runs(terms.reshape(-1), runs).reshape(n, n)
+
+    result, base = None, f.eye(n)
+    while True:
+        if e & 1:
+            result = base if result is None else times(result, base)
+        e >>= 1
+        if not e:
+            return result
+        base = times(base, base)
+
+
+def _t_functionals(algebra: Algebra) -> np.ndarray:
+    """Independent linear functionals, as rows, whose common kernel is T(A).
+
+    Over QQ, T(A) = ker(tr o L), the x with tr(L_x) = 0: Dickson's
+    criterion.  Over a finite field it is Kuelshammer's T(A) =
+    {x : x^e in K(A)} = J(A) + K(A), with e from ``_frobenius_exponent``.  It
+    contains J(A) + K(A) since e is at least the nilpotency index of J(A),
+    and no more, since on a block M_n(E) of A/J(A), tr(x^e) = tr(x)^e.
+
+    Since (a + b)^p = a^p + b^p mod K(A) and K(A)^p lies in K(A), the map
+    x -> x^p mod K(A) is well defined on residues and sends sum_i x_i e_i
+    to sum_i x_i^p e_i^p: from the rows e_i^p, every further p-th power is
+    a matrix product.  As lambda^e = lambda on F, x -> x^e mod K(A) is
+    F-linear; its matrix is the rows e_i^e reduced modulo K(A), and its
+    columns are the functionals.
+    """
+    f, n, p = algebra.field, algebra.dim, algebra.field.characteristic
+    if p == 0:
+        # tr(L_{e_m}) is the run m of the diagonal entries table[m, k, k]
+        diag = np.diagonal(algebra.table, axis1=1, axis2=2).reshape(-1)
+        return f.a_sum_runs(diag, np.arange(0, n * n, n)).reshape(1, n)
+    frobenius = algebra.commutator_space().reduce(_basis_powers(algebra, p))
+    rows, power = f.eye(n), 1
+    while power < _frobenius_exponent(algebra):
+        rows = f.matmul2(f.s_pow(rows, p), frobenius)
+        power *= p
+    return Subspace.from_rows(f, n, rows.T).basis
+
+
+def t_space(algebra: Algebra) -> Subspace:
+    """The space T(A) of the radical rule: J(A) = {x : x e_j in T(A) for all j}
+    (see ``_t_functionals``).  For a symmetric algebra over a finite field,
+    R(A) is T(A)^perp."""
+    return kernel(algebra.field, _t_functionals(algebra))
+
+
+@memoised("radical_rule")
+def _radical_rule(algebra: Algebra) -> Subspace:
+    """{x : x e_j in T(A) for every j}, which is J(A).
+
+    Over a finite field J(A) lies in T(A) = J(A) + K(A), and the E-trace is
+    nondegenerate on each block M_n(E) of A/J(A), so no x outside J(A) has
+    x A inside J(A) + K(A).  The condition is linear in x: x e_j is
+    sum_i x_i e_i e_j, on which every functional of T(A) must vanish.
+    """
+    phi = _t_functionals(algebra)
+    return kernel_on(algebra.full_space(), algebra.field.tensordot_lf(algebra.table, phi.T))
 
 
 def radical(algebra: Algebra) -> RadicalCertificate:
-    """Verified Jacobson radical; strategy order: propagated, hinted, dickson.
+    """Verified Jacobson radical: the construction's seed, else the rule.
 
     Kept per view, in ``algebra._cache["radical_cert"]``; a call that
     raises stores nothing."""
@@ -160,55 +168,17 @@ def _radical(algebra: Algebra) -> RadicalCertificate:
     seed = None if algebra._radical_seed is None else algebra._radical_seed()
     if seed is not None:
         sub, evidence = seed
-        _certify(algebra, sub, lambda _: InternalCheckError(
-            "propagated radical failed verification: " + evidence), None)
+        _certify(algebra, sub, "propagated radical failed verification: " + evidence)
         return RadicalCertificate(sub, "propagated", evidence)
-    hint = algebra.radical_hint
-    if hint is not None:
-        sub = _hint_span(algebra, hint)
-        semisimple = hint.kind == "semisimple"
-        _certify(
-            algebra, sub, lambda why: HintRejected(f"{hint.kind} hint rejected: {why}"),
-            "trace form tr(L_xy) is degenerate" if semisimple else
-            "trace form on the quotient is degenerate, so semisimplicity of A/N "
-            "is not certified",
-        )
-        if semisimple:
-            return RadicalCertificate(
-                sub, "semisimple_traceform",
-                "trace form of the regular representation is nondegenerate",
-            )
-        if sub.dim == algebra.dim - 1:
-            return RadicalCertificate(
-                sub, "hinted_local",
-                "nilpotent two-sided ideal of codimension 1 in a unital algebra",
-            )
+    sub = _radical_rule(algebra)
+    _certify(algebra, sub, "computed radical failed verification")
+    if algebra.field.characteristic == 0:
         return RadicalCertificate(
-            sub, "hinted_general",
-            "nilpotent two-sided ideal with nondegenerate trace form on the quotient",
-        )
-    f, p = algebra.field, algebra.field.characteristic
-    if p == 0 or p > algebra.dim:
-        j = kernel(f, trace_gram(f, algebra.table))
-        _certify(algebra, j, lambda _: InternalCheckError(
-            "trace-form radical failed verification"), None)
-        return RadicalCertificate(
-            j,
-            "dickson",
-            f"radical of the trace form tr(L_xy) (char {p or 0} vs dim {algebra.dim})",
-        )
-    raise RadicalUnavailable(
-        "no radical strategy applies: no propagated radical, no hint, and "
-        f"char {p} <= dim {algebra.dim} rules out the trace-form criterion"
-    )
-
-
-def radical_or_none(algebra: Algebra) -> RadicalCertificate | None:
-    """The verified radical, or None when no strategy applies."""
-    try:
-        return radical(algebra)
-    except RadicalUnavailable:
-        return None
+            sub, "dickson",
+            f"radical of the trace form tr(L_xy) (char 0 vs dim {algebra.dim})")
+    return RadicalCertificate(
+        sub, "kuelshammer",
+        f"{{x : xA in T(A)}}, T(A) = {{x : x^{_frobenius_exponent(algebra)} in K(A)}}")
 
 
 def verify_certificate(algebra: Algebra, cert: RadicalCertificate) -> bool:

@@ -8,7 +8,6 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from symcenter import GF, SkewPresentation, from_skew_presentation, gf25
 from symcenter.algebra import Algebra
-from symcenter.substructures import RadicalHint
 
 CASES = Path(__file__).parent.parent / "cases"
 
@@ -43,7 +42,6 @@ def mat2(g3):
     return Algebra(
         g3, mat2_table(), g3.arr([1, 0, 0, 1]),
         labels=["E11", "E12", "E21", "E22"],
-        radical_hint=RadicalHint("semisimple"),
         sym_form=g3.arr([1, 0, 0, 1]),
         name="mat2",
     )

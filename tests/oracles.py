@@ -279,3 +279,66 @@ def naive_form_radical_mod(table, mu, p):
     basis = naive_kernel_mod(rows, p)
     red, pivots = naive_rref_mod(basis, p)
     return red[:len(pivots)]
+
+
+# -- the Jacobson radical by enumeration ---------------------------------------------
+
+
+def naive_radical_mod(table, one, p):
+    """J(A) over GF(p) by enumeration, as RREF rows: x is in J(A) exactly
+    when the two-sided ideal A x A it generates is nilpotent.
+
+    ``table[i][j][k]`` is coefficient k of e_i e_j and ``one`` the unit's
+    coordinates, all plain ints; meant for p^dim up to a few thousand.  Every
+    element is visited once.  One that is nonzero at a pivot column of the
+    part of J(A) found so far is skipped: its coset modulo that part holds
+    an element zero at every such column, which is visited too.  A visited
+    x is tested only if it is nilpotent, which every element of J(A) is;
+    when A x A is nilpotent, all of it joins the part found.
+    """
+    n = len(table)
+    assert len(one) == n
+    terms = [[[(k, c) for k, c in enumerate(table[i][j]) if c % p] for j in range(n)]
+             for i in range(n)]
+
+    def mul(x, y):
+        out = [0] * n
+        for i, xi in enumerate(x):
+            if xi:
+                for j, yj in enumerate(y):
+                    if yj:
+                        for k, c in terms[i][j]:
+                            out[k] += xi * yj * c
+        return [v % p for v in out]
+
+    def nilpotent_span(rows):
+        """Whether the algebra spanned by ``rows`` (closed under products) is nilpotent."""
+        power = naive_rref_mod(rows, p)[0]
+        power = [r for r in power if any(r)]
+        while power:
+            nxt = [r for r in naive_rref_mod([mul(u, v) for u in power for v in rows], p)[0]
+                   if any(r)]
+            if len(nxt) >= len(power):
+                return False
+            power = nxt
+        return True
+
+    def nilpotent(x):
+        power = x
+        for _ in range(n):
+            if not any(power):
+                return True
+            power = mul(power, x)
+        return not any(power)
+
+    units = [[int(i == k) for k in range(n)] for i in range(n)]
+    found, pivots = [], []
+    for x in product(range(p), repeat=n):
+        x = list(x)
+        if not any(x) or any(x[c] for c in pivots) or not nilpotent(x):
+            continue
+        ideal = [mul(mul(e, x), f) for e in units for f in units]
+        if nilpotent_span(ideal):
+            red, pivots = naive_rref_mod(found + ideal, p)
+            found = red[:len(pivots)]
+    return found

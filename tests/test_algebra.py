@@ -22,13 +22,12 @@ from symcenter.corpus import get
 from symcenter.errors import (
     AlgebraMismatch,
     AlgebraValidationError,
-    HintRejected,
     ImproperIdeal,
     NotAnIdeal,
     NotNilpotent,
     ScalarFormatError,
 )
-from symcenter.substructures import RadicalHint, radical
+from symcenter.substructures import radical
 from symcenter.symmetric import symmetric_quotient
 
 
@@ -354,24 +353,23 @@ def test_subspace_product_matches_naive_span():
 
 
 def test_replace_returns_a_new_algebra_on_the_same_table(dual3):
-    hint = RadicalHint("basis", ((0, 1),))
-    b = dual3.replace(name="other", radical_hint=hint, sym_form=dual3.field.arr([1, 1]))
+    b = dual3.replace(name="other", sym_form=dual3.field.arr([1, 1]))
     assert b is not dual3
-    assert (b.name, b.radical_hint, list(b.sym_form)) == ("other", hint, [1, 1])
+    assert (b.name, list(b.sym_form)) == ("other", [1, 1])
     assert dual3.name == "dual3"
-    assert dual3.radical_hint == RadicalHint("local_codim1")
     assert list(dual3.sym_form) == [0, 1]
     assert np.shares_memory(b.table, dual3.table)
     assert b.same_table(dual3) and b.labels == dual3.labels
 
 
 def test_replace_resets_the_memoised_radical(mat2):
-    assert radical(mat2).strategy == "semisimple_traceform"
+    cert = radical(mat2)
+    assert cert.strategy == "kuelshammer" and cert.radical.dim == 0
     assert "radical_cert" in mat2._cache
-    rehinted = mat2.replace(radical_hint=RadicalHint("local_codim1"))
-    with pytest.raises(HintRejected):
-        radical(rehinted)
-    assert radical(mat2).strategy == "semisimple_traceform"
+    renamed = mat2.replace(name="renamed")
+    assert "radical_cert" not in renamed._cache
+    assert radical(renamed) is not cert and radical(renamed) == cert
+    assert radical(mat2) is cert
 
 
 def test_memoised_computes_once_and_never_stores_a_failure(mat2):
@@ -386,11 +384,11 @@ def test_memoised_computes_once_and_never_stores_a_failure(mat2):
     @memoised("failing")
     def failing(algebra):
         calls.append(algebra)
-        raise HintRejected("no")
+        raise NotAnIdeal("no")
 
     assert probe(a) == 1 and probe(a) == 1
     for _ in range(2):
-        with pytest.raises(HintRejected):
+        with pytest.raises(NotAnIdeal):
             failing(a)
     assert len(calls) == 3
     # the memo belongs to the table: another view of it reads the same result
@@ -414,15 +412,6 @@ def test_wrong_length_symmetrizing_form_rejected(g3, mat2):
         Algebra(g3, mat2.table, mat2.one, sym_form=g3.arr([1, 0, 1]))
     with pytest.raises(AlgebraValidationError, match="5 coordinates, expected 4"):
         mat2.replace(sym_form=g3.arr([1, 0, 0, 1, 0]))
-
-
-def test_wrong_length_radical_hint_rejected(g3, mat2):
-    with pytest.raises(AlgebraValidationError,
-                       match="radical hint vector 1 has 3 coordinates, expected 4"):
-        Algebra(g3, mat2.table, mat2.one,
-                radical_hint=RadicalHint("basis", ((0, 1, 0, 0), (0, 0, 1))))
-    with pytest.raises(AlgebraValidationError, match="5 coordinates, expected 4"):
-        mat2.replace(radical_hint=RadicalHint("local_codim1", ((1, 0, 0, 0, 0),)))
 
 
 def _products_oracle(a, rows, side):

@@ -88,9 +88,32 @@ def test_radical_unavailable_exit_2(tmp_path):
     }
     path = tmp_path / "nohint.json"
     path.write_text(json.dumps(doc))
+    # char 2 <= dim and no hint: the radical rule certifies J = span{x}
+    proc = run_cli("analyze", str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert "dim J(A)      1" in proc.stdout
+    assert "radical   kuelshammer: " in proc.stdout
+
+
+@pytest.mark.parametrize("hint", [
+    {"kind": "semisimple"},
+    {"kind": "basis", "vectors": [[1, 1]]},
+    {"kind": "local_codim1", "vectors": []},
+    {"kind": "bogus"},
+    {"kind": "basis"},
+], ids=["semisimple", "basis", "local_codim1", "unknown_kind", "basis_without_vectors"])
+def test_contradicting_radical_hint_exit_2(tmp_path, hint):
+    # J(A) = span{x}: each hint names another span, or none, at a nested node
+    presentation = {"type": "structure_constants", "dim": 2,
+                    "table": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], "one": [1, 0]}
+    doc = {"field": {"kind": "prime", "p": 2},
+           "presentation": {"type": "opposite", "base": dict(presentation, radical_hint=hint)}}
+    path = tmp_path / "wrong_hint.json"
+    path.write_text(json.dumps(doc))
     proc = run_cli("analyze", str(path))
     assert proc.returncode == 2
-    assert "no radical strategy applies" in proc.stderr
+    assert proc.stderr.startswith("error: presentation.base.radical_hint: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_missing_file_exit_2():

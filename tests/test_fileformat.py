@@ -13,9 +13,7 @@ from symcenter.corpus import get
 from symcenter.errors import (
     AlgebraValidationError,
     FileFormatError,
-    HintRejected,
     NotAnIdeal,
-    RadicalUnavailable,
 )
 import symcenter.fileformat as fileformat
 from symcenter.fileformat import (
@@ -194,19 +192,22 @@ def test_emitted_file_reanalyzes_identically():
 
 
 def test_rejected_hint_raises_from_emit():
+    # a hint is checked when the file is read, so nothing is ever emitted
+    # from a wrong one: span{E12, E21, E22} is not J(Mat2) = 0
     doc = json.loads((CASES / "mat2_gf3.json").read_text(encoding="utf-8"))
     doc["radical_hint"] = {"kind": "local_codim1"}
-    alg = parse_document(doc)
-    with pytest.raises(HintRejected):
-        emit_structure_constants(alg)
+    with pytest.raises(FileFormatError, match="dimension 3, which is not J") as err:
+        parse_document(doc)
+    assert err.value.location == "radical_hint"
 
 
 def test_unavailable_radical_emits_without_hint():
+    # soc20_trivext's radical is propagated from the rule's J of its base
     alg = load_algebra(str(CASES / "soc20_trivext.json"))
     doc = json.loads(emit_structure_constants(alg))
-    assert "radical_hint" not in doc
-    with pytest.raises(RadicalUnavailable):
-        analyze(parse_document(doc))
+    assert doc["radical_hint"]["kind"] == "basis"
+    assert len(doc["radical_hint"]["vectors"]) == 19
+    assert analyze(parse_document(doc)).to_machine() == analyze(alg).to_machine()
 
 
 def test_wrong_length_symmetrizing_form_is_anchored():
@@ -316,7 +317,7 @@ def _dim_2(path):
 
 def _basis_hint_accepted(path):
     report = analyze(load_algebra(str(path)))
-    assert report.dims["J"] == 1 and report.radical_strategy == "hinted_local"
+    assert report.dims["J"] == 1 and report.radical_strategy == "kuelshammer"
 
 
 def _construct_output_reloads(path):

@@ -28,10 +28,9 @@ from symcenter.algebra import Algebra, interning
 from symcenter.analysis import analyze
 from symcenter.constructions import opposite, quotient, tensor, trivial_extension
 from symcenter.corpus import get
-from symcenter.errors import HintRejected, InternalCheckError, RadicalUnavailable
+from symcenter.errors import FileFormatError, InternalCheckError, SymcenterError
 from symcenter.fileformat import emit_structure_constants, load_algebra, parse_document
 from symcenter.substructures import (
-    RadicalHint,
     j_of_center,
     property_verdicts,
     radical,
@@ -202,34 +201,36 @@ def test_paper_suite_validates_each_table_once():
 # -- provenance stays with the view --------------------------------------------
 
 
-def test_a_hintless_twin_of_a_certified_table_still_has_no_radical():
+def test_a_seedless_twin_of_a_certified_table_gets_the_rule():
     base = get("soc20_base")
     with interning():
         # soc20_trivext as the registry builds it, on tables new to the block
-        t = trivial_extension(Algebra(base.field, base.table.copy(), base.one.copy(),
-                                      radical_hint=base.radical_hint))
+        t = trivial_extension(Algebra(base.field, base.table.copy(), base.one.copy()))
         assert radical(t).strategy == "propagated"
         facts = (socle, j_of_center, soc_of_center, reynolds, property_verdicts)
-        for fact in facts:
-            fact(t)
+        kept = [fact(t) for fact in facts]
         twin = Algebra(t.field, t.table.copy(), t.one.copy())
     assert twin._core is t._core
-    with pytest.raises(RadicalUnavailable, match="char 2 <= dim 20"):
-        radical(twin)
-    for fact in facts:       # kept on the core, but read only after the view's own J
-        with pytest.raises(RadicalUnavailable):
-            fact(twin)
+    # the facts are kept on the core, but read only after the view's own J,
+    # which the twin computes by the rule and which must be the core's J
+    cert = radical(twin)
+    assert cert.strategy == "kuelshammer" and cert.radical == radical(t).radical
+    assert "radical_rule" in t._core.facts
+    assert all(fact(twin) is k for fact, k in zip(facts, kept))
 
 
 def test_a_wrong_hint_is_rejected_with_the_same_message_after_j_is_known():
-    a = get("dim12_sharp")
-    radical(a)
-    wrong = a.replace(radical_hint=RadicalHint("basis", ((0,) * 11 + (1,),)))
-    for _ in range(2):
-        with pytest.raises(HintRejected, match=(
-                r"^basis hint rejected: trace form on the quotient is degenerate, "
-                r"so semisimplicity of A/N is not certified$")):
-            radical(wrong)
+    with interning():
+        a = get("dim12_sharp")
+        doc = {"field": {"kind": "prime", "p": 3},
+               "presentation": {"type": "structure_constants", "dim": 12,
+                                "table": a.table.tolist(), "one": a.one.tolist()},
+               "radical_hint": {"kind": "basis", "vectors": [[0] * 11 + [1]]}}
+        for _ in range(2):      # the second time, J is known on the interned core
+            with pytest.raises(FileFormatError, match=(
+                    r"^radical_hint: the hint names a span of dimension 1, which is "
+                    r"not J\(A\) \(dimension 11\)$")):
+                parse_document(doc)
 
 
 def test_a_second_certified_radical_for_one_table_is_an_internal_error(g3):
@@ -271,8 +272,8 @@ def _tracked(monkeypatch):
 
 
 def _run_op(op: str, raised=None):
-    """One analyze_small operation; a RadicalUnavailable it raises is kept
-    in ``raised`` when given, and with it every frame of its traceback and
+    """One analyze_small operation; a SymcenterError it raises is kept in
+    ``raised`` when given, and with it every frame of its traceback and
     the algebras they hold, as a caller that stores exceptions would."""
     kind, _, name = op.partition(":")
     path = CASES / f"{name}.json"
@@ -282,7 +283,7 @@ def _run_op(op: str, raised=None):
         else:
             a = parse_document(json.loads(emit_structure_constants(load_algebra(path))))
         analyze(a).to_machine()
-    except RadicalUnavailable as exc:
+    except SymcenterError as exc:
         if raised is not None:
             raised.append(exc)
 

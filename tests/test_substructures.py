@@ -1,19 +1,33 @@
-"""Radical strategies, socles, center substructures and the three verdicts."""
+"""Radical routes, socles, center substructures and the three verdicts."""
+
+import re
 
 import numpy as np
 import pytest
 
-from oracles import naive_kernel_mod, naive_rank_mod, naive_span_contains_mod
+from oracles import (
+    naive_kernel_mod,
+    naive_radical_mod,
+    naive_rank_mod,
+    naive_span_contains_mod,
+)
 
-from symcenter import GF, QQ, SkewPresentation, from_skew_presentation, tensor
+from symcenter import GF, QQ, SkewPresentation, from_skew_presentation, gf25, tensor
 from symcenter.algebra import Algebra, interning
 from symcenter.analysis import analyze
-from symcenter.corpus import get
-from symcenter.constructions import opposite, quotient, trivial_extension
-from symcenter.errors import HintRejected, InternalCheckError, RadicalUnavailable
+from symcenter.corpus import _BUILDERS, get
+from symcenter.constructions import (
+    from_matrix_generators,
+    opposite,
+    quotient,
+    trivial_extension,
+)
+from symcenter.errors import FileFormatError, InternalCheckError
+from symcenter.family import generate_symmetric_local_family
+from symcenter.fields import ExtensionField
+from symcenter.fileformat import parse_document
 from symcenter.linalg import Subspace, subspace_intersect
 from symcenter.substructures import (
-    RadicalHint,
     is_basic,
     is_local,
     j_of_center,
@@ -22,9 +36,10 @@ from symcenter.substructures import (
     reynolds,
     soc_of_center,
     socle,
-    trace_gram,
+    t_space,
     verify_certificate,
 )
+from symcenter.symmetric import perp, symmetric_gram
 
 
 def _dual_table(field):
@@ -36,17 +51,20 @@ def _dual_table(field):
 
 
 def test_local_hint_on_skew_quotient(f25):
+    # the skew presentation's seed names J(A): the monomials of positive degree
     b = get("counterexample_B")
     cert = radical(b)
-    assert cert.strategy == "hinted_local" and cert.radical.dim == 7
+    assert cert.strategy == "propagated" and cert.radical.dim == 7
 
 
 def test_semisimple_hint_verified_by_gram_oracle(mat2):
     cert = radical(mat2)
     assert cert.radical.dim == 0
-    # oracle: the trace-form Gram matrix of Mat2 has full naive rank
-    gram = trace_gram(mat2.field, mat2.table)
-    assert naive_rank_mod([list(map(int, r)) for r in gram], 3) == 4
+    # oracle: the trace-form Gram matrix tr(L_{e_i e_j}) of Mat2 has full naive rank
+    t = mat2.table.tolist()
+    tr = [sum(t[m][k][k] for k in range(4)) for m in range(4)]
+    gram = [[sum(t[i][j][m] * tr[m] for m in range(4)) for j in range(4)] for i in range(4)]
+    assert naive_rank_mod(gram, 3) == 4
 
 
 def test_dim12_local_radical():
@@ -62,19 +80,35 @@ def test_dickson_over_rationals():
     assert cert.radical == Subspace.from_rows(QQ, 2, [[0, 1]])
 
 
-def test_dickson_large_characteristic():
+def test_rule_in_large_characteristic():
     g7 = GF(7)
     a = Algebra(g7, _dual_table(g7), g7.arr([1, 0]))
     cert = radical(a)
-    assert cert.strategy == "dickson" and cert.radical.dim == 1
+    assert cert.strategy == "kuelshammer" and cert.radical.dim == 1
 
 
-def test_radical_unavailable_names_the_gap():
+def test_rule_closes_the_small_characteristic_gap():
     g2 = GF(2)
     a = Algebra(g2, _dual_table(g2), g2.arr([1, 0]))
-    with pytest.raises(RadicalUnavailable) as err:
-        radical(a)
-    assert "no hint" in str(err.value) and "char 2" in str(err.value)
+    cert = radical(a)
+    assert (cert.strategy, cert.evidence) == _rule(2)
+    assert cert.radical == Subspace.from_rows(g2, 2, [[0, 1]])
+    assert t_space(a) == cert.radical      # K(A) = 0
+
+
+@pytest.mark.parametrize("field", [gf25(), ExtensionField(2, [1, 1, 1])], ids=repr)
+def test_rule_over_an_extension_field(field):
+    # GF(q)[g] for g with eigenvalues t, t (one Jordan block) and 1 + t, on
+    # the basis 1, g, g^2: structure constants outside the prime field, so
+    # the p-th powers of residues need the Frobenius on their coordinates
+    t, u = field.coeffs_to_enc([0, 1]), field.coeffs_to_enc([1, 1])
+    g = np.array([[t, 1, 0], [0, t, 0], [0, 0, u]], dtype=np.int64)
+    a = from_matrix_generators(field, 3, {"g": g}, monomial_basis=["1", "g", "g^2"])
+    cert = radical(a)
+    # J = span{(g - t)(g - u)} = span{t u - (t + u) g + g^2}
+    coords = [field.a_mul(t, u), field.a_neg(field.a_add(t, u)), field.one_enc]
+    assert cert.strategy == "kuelshammer"
+    assert cert.radical == Subspace.from_rows(field, 3, np.array([coords], dtype=np.int64))
 
 
 def _diagonal_table(field):
@@ -85,55 +119,43 @@ def _diagonal_table(field):
     return t
 
 
-def test_hint_rejected_cases(mat2, dual3):
+def _hinted_document(field, table, one, hint):
+    return {"field": {"kind": "prime", "p": field.p},
+            "presentation": {"type": "structure_constants", "dim": len(one),
+                             "table": table.tolist(), "one": one.tolist()},
+            "radical_hint": hint}
+
+
+def test_hint_rejected_cases(mat2):
+    # a file's hint is a claim about J(A), refused unless it names J(A) exactly
     g2, g3 = GF(2), GF(3)
-    dual2 = Algebra(g2, _dual_table(g2), g2.arr([1, 0]),
-                    radical_hint=RadicalHint("semisimple"))
-    with pytest.raises(HintRejected,
-                       match=r"^semisimple hint rejected: trace form tr\(L_xy\) is degenerate$"):
-        radical(dual2)
-    bad_local = Algebra(mat2.field, mat2.table, mat2.one,
-                        radical_hint=RadicalHint("local_codim1"))
-    with pytest.raises(HintRejected,
-                       match=r"^local_codim1 hint rejected: span is not an ideal$"):
-        radical(bad_local)
-    split = Algebra(g3, _diagonal_table(g3), g3.arr([1, 1]),
-                    radical_hint=RadicalHint("local_codim1"))
-    with pytest.raises(HintRejected,
-                       match=r"^local_codim1 hint rejected: span is not nilpotent$"):
-        radical(split)
-    too_big = Algebra(g3, _dual_table(g3), g3.arr([1, 0]),
-                      radical_hint=RadicalHint("local_codim1", ((1, 0), (0, 1))))
-    with pytest.raises(HintRejected,
-                       match=r"^local_codim1 hint rejected: span has dimension 2, expected 1$"):
-        radical(too_big)
-    not_nilp = Algebra(
-        mat2.field, mat2.table, mat2.one,
-        radical_hint=RadicalHint("basis", ((1, 0, 0, 0), (0, 1, 0, 0),
-                                           (0, 0, 1, 0), (0, 0, 0, 1))),
-    )
-    with pytest.raises(HintRejected,
-                       match=r"^basis hint rejected: span is not nilpotent$"):
-        radical(not_nilp)
-    not_ideal = Algebra(mat2.field, mat2.table, mat2.one,
-                        radical_hint=RadicalHint("basis", ((0, 1, 0, 0),)))
-    with pytest.raises(HintRejected,
-                       match=r"^basis hint rejected: span is not an ideal$"):
-        radical(not_ideal)
-    degenerate_quotient = Algebra(g2, _dual_table(g2), g2.arr([1, 0]),
-                                  radical_hint=RadicalHint("basis", ()))
-    with pytest.raises(HintRejected,
-                       match=r"^basis hint rejected: trace form on the quotient is "
-                             r"degenerate, so semisimplicity of A/N is not certified$"):
-        radical(degenerate_quotient)
-    no_vectors = Algebra(g3, _dual_table(g3), g3.arr([1, 0]),
-                         radical_hint=RadicalHint("basis"))
-    with pytest.raises(HintRejected, match=r"^basis hint requires explicit vectors$"):
-        radical(no_vectors)
-    unknown = Algebra(g3, _dual_table(g3), g3.arr([1, 0]),
-                      radical_hint=RadicalHint("bogus"))
-    with pytest.raises(HintRejected, match=r"^unknown hint kind 'bogus'$"):
-        radical(unknown)
+    dual2 = (g2, _dual_table(g2), g2.arr([1, 0]))
+    dual3 = (g3, _dual_table(g3), g3.arr([1, 0]))
+    split = (g3, _diagonal_table(g3), g3.arr([1, 1]))
+    mat = (mat2.field, mat2.table, mat2.one)
+    cases = [
+        (dual2, {"kind": "semisimple"}, "dimension 0, which is not J(A) (dimension 1)"),
+        (mat, {"kind": "local_codim1"}, "dimension 3, which is not J(A) (dimension 0)"),
+        (split, {"kind": "local_codim1"}, "dimension 1, which is not J(A) (dimension 0)"),
+        (dual3, {"kind": "local_codim1", "vectors": [[1, 0], [0, 1]]},
+         "dimension 2, which is not J(A) (dimension 1)"),
+        (mat, {"kind": "basis", "vectors": np.eye(4, dtype=int).tolist()},
+         "dimension 4, which is not J(A) (dimension 0)"),
+        (mat, {"kind": "basis", "vectors": [[0, 1, 0, 0]]},
+         "dimension 1, which is not J(A) (dimension 0)"),
+        (dual2, {"kind": "basis", "vectors": []},
+         "dimension 0, which is not J(A) (dimension 1)"),
+        (dual3, {"kind": "basis"}, "a basis hint needs 'vectors'"),
+        (dual3, {"kind": "bogus"}, "unknown radical hint kind 'bogus'"),
+    ]
+    for algebra, hint, why in cases:
+        with pytest.raises(FileFormatError, match="^radical_hint: .*" + re.escape(why)) as err:
+            parse_document(_hinted_document(*algebra, hint))
+        assert err.value.location == "radical_hint"
+    for algebra, hint, dim_j in ((dual3, {"kind": "local_codim1"}, 1),
+                                 (mat, {"kind": "semisimple"}, 0),
+                                 (dual2, {"kind": "basis", "vectors": [[0, 1]]}, 1)):
+        assert radical(parse_document(_hinted_document(*algebra, hint))).radical.dim == dim_j
 
 
 @pytest.mark.parametrize("seed_rows", [
@@ -142,19 +164,21 @@ def test_hint_rejected_cases(mat2, dual3):
 ])
 def test_bad_seed_is_an_internal_error(mat2, seed_rows):
     seed = (Subspace.from_rows(mat2.field, 4, list(seed_rows)), "a bogus theorem")
-    a = Algebra(mat2.field, mat2.table, mat2.one,
-                radical_hint=RadicalHint("semisimple"), _radical_seed=lambda: seed)
+    a = Algebra(mat2.field, mat2.table, mat2.one, _radical_seed=lambda: seed)
     with pytest.raises(InternalCheckError,
                        match=r"^propagated radical failed verification: a bogus theorem$"):
         radical(a)
 
 
-_CODIM1 = ("hinted_local", "nilpotent two-sided ideal of codimension 1 in a unital algebra")
+def _rule(e):
+    return "kuelshammer", f"{{x : xA in T(A)}}, T(A) = {{x : x^{e} in K(A)}}"
+
+
+_SKEW = ("propagated", "monomials of positive degree: a nilpotent ideal of codimension 1")
 _TENSOR = ("propagated", "J(A1) (x) A2 + A1 (x) J(A2) from component radicals")
 _TRIVEXT = ("propagated", "J(A) + A* (dual copy squares to zero)")
 _QUOTIENT = ("propagated", "J(A)/I: the ideal is contained in J(A), so the radical passes down")
 _OPPOSITE = ("propagated", "the radical is opposite-invariant")
-_SEMISIMPLE = ("semisimple_traceform", "trace form of the regular representation is nondegenerate")
 
 
 def _trunc3(field, **kw):
@@ -171,7 +195,7 @@ def _seeded():
 
 
 def _cached():
-    """No seed and no hint, but the radical has been computed (Dickson)."""
+    """No seed, but the radical has been computed (the rule)."""
     a = _trunc3(GF(7))
     radical(a)
     return a
@@ -183,16 +207,17 @@ def _socle_quotient(a):
 
 def _mat2():
     m = get("matn")
-    return Algebra(m.field, m.table, m.one, radical_hint=RadicalHint("semisimple"))
+    return Algebra(m.field, m.table, m.one)
 
 
-def _hinted_general():
-    """Mat2 (x) GF(3)[x]/(x^2) with its radical given as basis vectors E_ij (x) x."""
+def _mat2_dual():
+    """The table of Mat2 (x) GF(3)[x]/(x^2), without the tensor product's seed."""
     t = tensor(_mat2(), from_skew_presentation(GF(3), SkewPresentation.commuting([2])))
-    vectors = tuple(tuple(int(i == 2 * r + 1) for i in range(8)) for r in range(4))
-    return Algebra(t.field, t.table, t.one, radical_hint=RadicalHint("basis", vectors))
+    return Algebra(t.field, t.table, t.one)
 
 
+# The hinted and Dickson case names keep the route each algebra took before
+# the radical rule: hints are gone, and a finite field always takes the rule.
 _PROVENANCE = {
     "tensor_of_seeded": (lambda: tensor(_seeded(), _seeded()), _TENSOR),
     "tensor_of_cached": (lambda: tensor(_cached(), _cached()), _TENSOR),
@@ -204,40 +229,28 @@ _PROVENANCE = {
         lambda: quotient(_trunc3(GF(7)), Subspace.from_rows(GF(7), 3, [[0, 0, 1]])),
         _QUOTIENT,
     ),
+    "quotient_outside_j": (
+        lambda: quotient(Algebra(GF(3), _diagonal_table(GF(3)), GF(3).arr([1, 1])),
+                         Subspace.from_rows(GF(3), 2, [[0, 1]])),
+        _rule(3),
+    ),
     "opposite_of_seeded": (lambda: opposite(_seeded()), _OPPOSITE),
     "opposite_of_cached": (lambda: opposite(_cached()), _OPPOSITE),
     "hinted_local_default_span": (
         lambda: from_skew_presentation(GF(3), SkewPresentation.anticommuting([2, 2])),
-        _CODIM1,
+        _SKEW,
     ),
-    "hinted_local_vectors": (
-        lambda: _trunc3(GF(3), radical_hint=RadicalHint("local_codim1",
-                                                        ((0, 1, 0), (0, 0, 1)))),
-        _CODIM1,
-    ),
-    "basis_hint_codim1": (
-        lambda: _trunc3(GF(3), radical_hint=RadicalHint("basis", ((0, 1, 0), (0, 0, 1)))),
-        _CODIM1,
-    ),
-    "hinted_general": (
-        lambda: _hinted_general(),
-        ("hinted_general",
-         "nilpotent two-sided ideal with nondegenerate trace form on the quotient"),
-    ),
-    "semisimple_traceform": (lambda: _mat2(), _SEMISIMPLE),
+    "hinted_local_vectors": (lambda: _trunc3(GF(3)), _rule(3)),
+    "basis_hint_codim1": (lambda: _trunc3(GF(2)), _rule(4)),
+    "hinted_general": (_mat2_dual, _rule(9)),
+    "semisimple_traceform": (_mat2, _rule(9)),
     "semisimple_traceform_dim1": (
-        lambda: Algebra(GF(3), GF(3).arr([[[1]]]), GF(3).arr([1]),
-                        radical_hint=RadicalHint("semisimple")),
-        _SEMISIMPLE,
-    ),
+        lambda: Algebra(GF(3), GF(3).arr([[[1]]]), GF(3).arr([1])), _rule(3)),
     "dickson_qq": (
         lambda: Algebra(QQ, _dual_table(QQ), QQ.arr([1, 0])),
         ("dickson", "radical of the trace form tr(L_xy) (char 0 vs dim 2)"),
     ),
-    "dickson_gf7": (
-        lambda: _trunc3(GF(7)),
-        ("dickson", "radical of the trace form tr(L_xy) (char 7 vs dim 3)"),
-    ),
+    "dickson_gf7": (lambda: _trunc3(GF(7)), _rule(7)),
 }
 
 
@@ -252,14 +265,15 @@ def test_radical_provenance(case):
 
 @pytest.mark.parametrize("case", list(_PROVENANCE))
 def test_radical_provenance_with_a_twin_alive(case):
-    # in an interning block, a twin of the same table certified by an
-    # explicit basis hint shares the core (and its J) but not its strategy
+    # in an interning block, a seedless twin of the same table takes the
+    # rule: it shares the core and its J, but not the provenance
     build, expected = _PROVENANCE[case]
     with interning():
         first = build()
-        hint = RadicalHint("basis", tuple(map(tuple, radical(first).radical.basis.tolist())))
-        twin = Algebra(first.field, first.table.copy(), first.one.copy(), radical_hint=hint)
-        assert radical(twin).strategy.startswith("hinted")
+        j = radical(first).radical
+        twin = Algebra(first.field, first.table.copy(), first.one.copy())
+        assert radical(twin).strategy in ("dickson", "kuelshammer")
+        assert radical(twin).radical == j
         del first
         a = build()
     assert a._core is twin._core
@@ -283,29 +297,27 @@ def test_construction_provenance_does_not_depend_on_call_order():
 
 
 def test_constructions_compute_no_radical_at_build_time():
-    # span{x} is not an ideal of k[x]/(x^3): the hint fails only when asked
-    bogus = _trunc3(GF(3), radical_hint=RadicalHint("basis", ((0, 1, 0),)))
-    x2 = Subspace.from_rows(GF(3), 3, [[0, 0, 1]])
+    # span{x} is not an ideal of k[x]/(x^3): the bogus seed fails only when asked
+    g3 = GF(3)
+    seed = (Subspace.from_rows(g3, 3, [[0, 1, 0]]), "a bogus theorem")
+    bogus = Algebra(g3, _trunc3(g3).table, g3.arr([1, 0, 0]), _radical_seed=lambda: seed)
+    x2 = Subspace.from_rows(g3, 3, [[0, 0, 1]])
     built = [tensor(bogus, bogus), trivial_extension(bogus), quotient(bogus, x2),
              opposite(bogus)]
     for b in built:
-        with pytest.raises(HintRejected, match=r"^basis hint rejected: span is not an ideal$"):
+        with pytest.raises(InternalCheckError,
+                           match=r"^propagated radical failed verification: a bogus theorem$"):
             radical(b)
 
 
 def test_general_basis_hint_with_nondegenerate_quotient(mat2, dual3):
+    # without the tensor product's seed, the rule finds the span of E_ij (x) x
     t = tensor(mat2, dual3)
-    # strip the propagated radical, then certify via an explicit basis hint:
-    # the span of E_ij (x) x is nilpotent with quotient Mat2
-    vectors = []
-    for i in range(4):
-        vec = [0] * 8
-        vec[2 * i + 1] = 1
-        vectors.append(tuple(vec))
-    bare = Algebra(t.field, t.table, t.one,
-                   radical_hint=RadicalHint("basis", tuple(vectors)))
+    bare = Algebra(t.field, t.table, t.one)
     cert = radical(bare)
-    assert cert.strategy == "hinted_general" and cert.radical.dim == 4
+    vectors = [[int(i == 2 * r + 1) for i in range(8)] for r in range(4)]
+    assert cert.strategy == "kuelshammer"
+    assert cert.radical == Subspace.from_rows(t.field, 8, vectors) == radical(t).radical
 
 
 def test_certificates_reverify():
@@ -427,3 +439,102 @@ def test_qq_skew_cross_check_against_gf31():
         assert rep.dims == {"Z": 6, "K": 10, "J": 17, "soc": 1, "JZ": 5, "socZ": 3, "R": 1}
         assert tuple(rep.loewy_layers) == (1, 3, 5, 5, 3, 1)
         assert [rep.verdicts[p]["holds"] for p in ("p1", "p2", "p3")] == [False, False, True]
+
+
+# -- the radical rule against enumeration and the paper's T(A) --------------------
+
+
+def _block_triangular_subalgebra(seed):
+    """A seeded unital subalgebra of M_m(GF(p)), p in (2, 3) and m <= 4, with
+    p^dim <= 4096: up to three random generators, all upper triangular in one
+    random block pattern, so that most have a nonzero radical."""
+    rng = np.random.default_rng(seed)
+    p = (2, 3)[seed % 2]
+    while True:
+        m = int(rng.integers(2, 5))
+        cuts = rng.integers(0, 2, m - 1).cumsum()
+        block = np.concatenate([[0], cuts])
+        mask = block[:, None] <= block[None, :]
+        gens = {f"g{g}": rng.integers(0, p, (m, m)) * mask
+                for g in range(int(rng.integers(1, 4)))}
+        a = from_matrix_generators(GF(p), m, gens)
+        if p ** a.dim <= 4096:
+            return a
+
+
+def _group_algebra(p, cayley):
+    """GF(p)G from the Cayley table of G, element 0 the identity."""
+    n = len(cayley)
+    table = np.zeros((n, n, n), dtype=np.int64)
+    for g in range(n):
+        for h in range(n):
+            table[g, h, cayley[g][h]] = 1
+    return Algebra(GF(p), table, GF(p).arr([1] + [0] * (n - 1)))
+
+
+# S3 as 0 = (), 1 = (123), 2 = (132), 3 = (12), 4 = (13), 5 = (23); C4 = Z/4
+_S3 = [[0, 1, 2, 3, 4, 5],
+       [1, 2, 0, 4, 5, 3],
+       [2, 0, 1, 5, 3, 4],
+       [3, 5, 4, 0, 2, 1],
+       [4, 3, 5, 1, 0, 2],
+       [5, 4, 3, 2, 1, 0]]
+_C4 = [[(g + h) % 4 for h in range(4)] for g in range(4)]
+
+_ORACLE_CASES = {
+    **{f"matrix_subalgebra_{seed}": (lambda seed=seed: _block_triangular_subalgebra(seed), None)
+       for seed in range(24)},
+    # dim J from group theory: GF(2)S3 = GF(2)C2 + M_2(GF(2)); GF(3)S3 has a
+    # normal Sylow 3-subgroup; GF(2)C4 is local
+    "S3_gf2": (lambda: _group_algebra(2, _S3), 1),
+    "S3_gf3": (lambda: _group_algebra(3, _S3), 4),
+    "C4_gf2": (lambda: _group_algebra(2, _C4), 3),
+}
+
+
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+def test_radical_rule_matches_enumeration(case):
+    build, dim_j = _ORACLE_CASES[case]
+    built = build()
+    a = Algebra(built.field, built.table, built.one)     # no seed: the rule
+    p = a.field.p
+    rows = naive_radical_mod(a.table.tolist(), a.one.tolist(), p)
+    cert = radical(a)
+    assert cert.strategy == "kuelshammer"
+    assert cert.radical == Subspace.from_rows(a.field, a.dim, np.reshape(rows, (-1, a.dim)))
+    if dim_j is not None:
+        assert cert.radical.dim == dim_j
+
+
+def _distinct_corpus_and_family():
+    """Every corpus algebra and family member, one per (field, table)."""
+    seen = {}
+    algebras = [get(name) for name in _BUILDERS]
+    algebras += [m.algebra for m in generate_symmetric_local_family()]
+    for a in algebras:
+        key = (a.field._key(), a.table.tobytes() if a.field.dtype is not object
+               else str(a.table.tolist()), a.one.tobytes())
+        seen.setdefault(key, a)
+    return list(seen.values())
+
+
+def test_radical_rule_matches_every_certificate_of_corpus_and_family():
+    algebras = _distinct_corpus_and_family()
+    assert len(algebras) > 49 and any(a.dim == 50 for a in algebras)  # counterexample_A
+    for a in algebras:
+        fresh = Algebra(a.field, a.table, a.one)        # a new core: nothing shared
+        assert fresh._core is not a._core
+        assert radical(fresh).radical == radical(a).radical, a.name
+
+
+def test_reynolds_ideal_is_the_perp_of_t():
+    # the paper's characterisation R(A) = T(A)^perp of a symmetric algebra
+    # over a finite field
+    checked = 0
+    for a in _distinct_corpus_and_family():
+        if a.field.characteristic == 0 or a.sym_form is None:
+            continue
+        symmetric_gram(a)
+        assert perp(a, t_space(a)) == reynolds(a), a.name
+        checked += 1
+    assert checked > 40

@@ -9,7 +9,7 @@ import pytest
 
 from oracles import naive_form_radical_mod, naive_rank_mod
 
-import symcenter.substructures as substructures
+import symcenter.constructions as constructions
 import symcenter.symmetric as symmetric
 from symcenter import QQ, SkewPresentation, analyze, from_skew_presentation
 from symcenter.corpus import _BUILDERS, get
@@ -20,7 +20,6 @@ from symcenter.errors import (
     ImproperIdeal,
     InternalCheckError,
     NotSymmetricForm,
-    RadicalUnavailable,
     ScalarFormatError,
 )
 from symcenter.linalg import kernel, random_subspace, subspace_intersect, subspace_sum
@@ -191,19 +190,12 @@ def test_symmetric_quotient_lets_internal_check_errors_through(monkeypatch):
     a = get("dim12_sharp").replace(name="dim12_sharp, another view")
     w = symmetric_quotient(a, a.monomial("M^2"))
 
-    # the quotient's seed asks radical_or_none(a), which calls this binding
+    # the quotient's seed asks constructions.radical for A's radical
     def broken(_algebra):
         raise InternalCheckError("propagated radical failed verification")
 
-    monkeypatch.setattr(substructures, "radical", broken)
+    monkeypatch.setattr(constructions, "radical", broken)
     with pytest.raises(InternalCheckError, match="^propagated radical failed verification$"):
-        radical(w.quotient)
-
-    def unavailable(_algebra):
-        raise RadicalUnavailable("no radical strategy applies")
-
-    monkeypatch.setattr(substructures, "radical", unavailable)
-    with pytest.raises(RadicalUnavailable, match=rf"char 3 <= dim {w.quotient.dim} "):
         radical(w.quotient)
 
 
