@@ -3,8 +3,10 @@ and arbitrary-precision rationals.
 
 Finite-field values are stored *encoded* as Python ints in [0, q): a prime
 field element is its representative, an extension element is the base-p
-digit encoding of its coefficient vector (low degree first).  Rationals are
-``fractions.Fraction``.
+digit encoding of its coefficient vector (low degree first).  A rational
+is a Python ``int`` when it is integral and a ``fractions.Fraction``
+otherwise, so the zeros and units that fill most tables cost integer
+arithmetic only.
 
 One rule turns values into encodings, in ``arr`` (arrays) and ``scalar``
 (one value) alike: a ``FieldScalar`` or a numpy integer (array or scalar)
@@ -12,9 +14,14 @@ is already an encoding, range-checked against [0, q) over a finite field; a
 Python ``int`` or ``Fraction`` is a number, so over GF(25) the int 7 means
 7 * 1 = 2 while ``np.int64(7)`` is the encoding of t + 2; a float or a
 bool is refused, and so are nested rows of different lengths.  Over QQ a
-value is its own encoding.  The same rule holds for the operators of
-``FieldScalar`` and ``AlgebraElement``: a numpy integer on either side is
-an encoding.
+value is its own number: every way in (``arr``, ``scalar``, ``parse_enc``,
+``s_inv``, ``matmul2``, ``random_enc``, ``zeros``, ``eye``) hands back an
+``int`` for an integral value, so ``Fraction(4, 2)`` is read as ``2``.  The
+elementwise kernels (``a_add``, ``a_sub``, ``a_neg``, ``a_mul``,
+``a_sum_runs``) may leave an integral ``Fraction``; nothing depends on the
+type, because an integral ``Fraction`` equals, hashes and prints as its
+``int``.  The same rule holds for the operators of ``FieldScalar`` and
+``AlgebraElement``: a numpy integer on either side is an encoding.
 
 Every descriptor is an array kernel: it knows how to add, multiply and
 exactly matrix-multiply numpy arrays of encoded values, which is what the
@@ -44,11 +51,12 @@ Exactness of the fast paths:
   When float64 could lose exactness, the coefficient planes are multiplied
   separately in int64 and end in the same lookup;
 * rationals multiply through integers: each operand is scaled by the lcm
-  of its denominators, the integer matrices are multiplied on the same
-  float64 / int64 / Python-int ladder as prime fields (bounded by
-  m * max|a| * max|b|), and the product is divided back into canonical
-  ``Fraction`` entries.  No arithmetic on ``Fraction`` objects runs inside
-  the product.
+  of its denominators (an operand of ``int`` entries is taken as it is),
+  the integer matrices are multiplied on the same float64 / int64 /
+  Python-int ladder as prime fields (bounded by m * max|a| * max|b|), and
+  the product is divided back into canonical entries: ``v // den`` where
+  ``den`` divides ``v``, ``Fraction(v, den)`` elsewhere.  No arithmetic on
+  ``Fraction`` objects runs inside the product.
 
 Row elimination (``elim``) works in place on the rows whose factor is
 nonzero and leaves every other row untouched; the linear-algebra layer
@@ -595,25 +603,34 @@ class ExtensionField(FieldDescriptor):
         return rng.integers(0, self.order, size=shape, dtype=np.int64)
 
 
+def _canon(x):
+    """The canonical encoding of a rational ``int`` or ``Fraction``: an
+    ``int`` when it is integral, else the ``Fraction``."""
+    return x.numerator if x.denominator == 1 else x
+
+
 def _common_denominator(a: np.ndarray) -> tuple[np.ndarray, int, int]:
     """Scale a rational array to integers.
 
-    Returns the object array of Python ints ``a * den``, the lcm ``den`` of
-    the entries' denominators, and the largest absolute scaled entry.
+    Returns an object array of Python ints ``a * den``, the lcm ``den`` of
+    the entries' denominators, and the largest absolute scaled entry.  An
+    array of ``int`` entries is returned as it is, with ``den = 1``.
     """
     flat = a.ravel().tolist()
-    den = math.lcm(*[int(x.denominator) for x in flat])
-    ints = [int(x.numerator) * (den // int(x.denominator)) for x in flat]
+    if set(map(type, flat)) == {int}:
+        return a, 1, max(map(abs, flat))
+    den = math.lcm(*[x.denominator for x in flat])
+    ints = [x.numerator * (den // x.denominator) for x in flat]
     return np.array(ints, dtype=object).reshape(a.shape), den, max(map(abs, ints))
 
 
 class RationalField(FieldDescriptor):
-    """The rationals with arbitrary-precision Fraction arithmetic."""
+    """The rationals with arbitrary-precision arithmetic: an integral value
+    is a Python ``int``, any other a ``Fraction`` (see the module
+    docstring)."""
 
     kind = "rational"
     dtype = object
-    zero_enc = Fraction(0)
-    one_enc = Fraction(1)
     order = None
     characteristic = 0
 
@@ -623,28 +640,25 @@ class RationalField(FieldDescriptor):
     def __repr__(self):
         return "QQ"
 
-    def from_int(self, i: int) -> Fraction:
-        return Fraction(i)
+    def from_int(self, i: int) -> int:
+        return int(i)
 
-    def _from_fraction(self, f: Fraction) -> Fraction:
-        return f
+    def _from_fraction(self, f: Fraction):
+        return _canon(f)
 
     def s_inv(self, a):
         if a == 0:
             raise DivisionByZero("inverse of zero")
-        return Fraction(1) / a
+        return _canon(1 / Fraction(a))
 
-    def parse_enc(self, text: str) -> Fraction:
+    def parse_enc(self, text: str):
         try:
-            return Fraction(text.strip())
+            return _canon(Fraction(text.strip()))
         except (ValueError, ZeroDivisionError):
             raise ScalarFormatError(f"bad rational literal {text!r}") from None
 
     def format_enc(self, enc) -> str:
         return str(enc)
-
-    def zeros(self, shape):
-        return np.full(shape, Fraction(0), dtype=object)
 
     def a_add(self, a, b):
         return a + b
@@ -671,8 +685,8 @@ class RationalField(FieldDescriptor):
         if ma == 0 or mb == 0:
             return self.zeros((r, c))
         prod = _int_matmul(ia, ib, m * ma * mb)
-        den, zero = da * db, self.zero_enc
-        out = [zero if v == 0 else Fraction(v, den) for v in prod.ravel().tolist()]
+        den = da * db
+        out = [v // den if v % den == 0 else Fraction(v, den) for v in prod.ravel().tolist()]
         return np.array(out, dtype=object).reshape(r, c)
 
     def random_enc(self, rng, shape):
@@ -683,7 +697,7 @@ class RationalField(FieldDescriptor):
         flat_num = num.reshape(-1)
         flat_den = den.reshape(-1)
         for i in range(flat_out.size):
-            flat_out[i] = Fraction(int(flat_num[i]), int(flat_den[i]))
+            flat_out[i] = _canon(Fraction(int(flat_num[i]), int(flat_den[i])))
         return out
 
 
@@ -703,7 +717,8 @@ class FieldScalar:
     """An exact field element: a descriptor plus a canonical encoded value.
 
     ``value`` is a Python ``int`` over a finite field (table lookups of the
-    array kernel return numpy integers) and a ``Fraction`` over QQ.  Numpy
+    array kernel return numpy integers); over QQ it is canonical, an ``int``
+    when it is integral and a ``Fraction`` otherwise.  Numpy
     integers on either side of an operator are encodings, by ``_enc``;
     ``__array_ufunc__ = None`` makes numpy defer to the reflected operators.
     """
@@ -713,7 +728,7 @@ class FieldScalar:
 
     def __init__(self, field: FieldDescriptor, value):
         self.field = field
-        self.value = int(value) if field.order is not None else value
+        self.value = int(value) if field.order is not None else _canon(value)
 
     def _coerce(self, other):
         if isinstance(other, (FieldScalar, int, Fraction, np.integer)):

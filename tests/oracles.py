@@ -112,6 +112,30 @@ def naive_rref_frac(rows):
     return m, pivots
 
 
+def naive_kernel_frac(rows):
+    """Basis of {x : rows . x = 0} over Q, in Fractions."""
+    if not rows:
+        return []
+    cols = len(rows[0])
+    red, pivots = naive_rref_frac(rows)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        vec = [Fraction(0)] * cols
+        vec[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -red[i][fc]
+        basis.append(vec)
+    return basis
+
+
+def naive_mat_mul_frac(a, b):
+    """Product of two list matrices over Q, summed in Fractions."""
+    inner = len(b)
+    return [[sum((Fraction(a[i][t]) * b[t][j] for t in range(inner)), Fraction(0))
+             for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
 # -- a second, tuple-based implementation of GF(25) = GF(5)[t]/(t^2+2) -------
 
 

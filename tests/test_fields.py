@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from oracles import gf25_elements_of_order
+from oracles import gf25_elements_of_order, naive_mat_mul_frac
 
 from symcenter import (
     GF,
@@ -201,12 +201,17 @@ def test_numpy_ints_beside_a_scalar_are_encodings(f25):
         np.int64(25) * one
 
 
+def _qq_type(v):
+    """The type of the canonical rational encoding of ``v``: ``int`` exactly
+    when ``v`` is integral, ``Fraction`` otherwise."""
+    return int if Fraction(v).denominator == 1 else Fraction
+
+
 @pytest.mark.parametrize("field", [GF(3), gf25(), QQ], ids=repr)
 def test_scalar_values_stay_python_numbers(field):
-    kind = int if field.order is not None else Fraction
     a, b = field.scalar(2), field.scalar(np.int64(1))
     for r in (a + b, a - b, -a, a * b, a / b, 1 / a, a ** 3, a ** -2, a.inverse()):
-        assert type(r.value) is kind
+        assert type(r.value) is (int if field.order is not None else _qq_type(r.value))
     if field.order is not None:
         assert type(a.multiplicative_order()) is int
 
@@ -273,18 +278,11 @@ def test_booleans_are_refused(field):
 # -- the exact QQ matrix product and the in-place row elimination --------------
 
 
-def _naive_qq_product(a, b):
-    r, m = a.shape
-    c = b.shape[1]
-    return [[sum((a[i, t] * b[t, j] for t in range(m)), Fraction(0)) for j in range(c)]
-            for i in range(r)]
-
-
 def _assert_canonical_product(a, b):
     got = QQ.matmul2(a, b)
     assert got.dtype == object and got.shape == (a.shape[0], b.shape[1])
-    assert all(type(v) is Fraction for v in got.flat)
-    assert got.tolist() == _naive_qq_product(a, b)
+    assert all(type(v) is _qq_type(v) for v in got.flat)
+    assert got.tolist() == naive_mat_mul_frac(a.tolist(), b.tolist())
 
 
 def test_qq_matmul2_mixed_denominators(rng):
@@ -318,10 +316,39 @@ def test_qq_matmul2_zero_sizes_and_zero_operand():
     for r, m, c in ((0, 3, 2), (2, 0, 3), (3, 2, 0), (0, 0, 0)):
         got = QQ.matmul2(QQ.zeros((r, m)), QQ.zeros((m, c)))
         assert got.shape == (r, c) and got.dtype == object
-        assert all(v == 0 and type(v) is Fraction for v in got.flat)
+        assert all(v == 0 and type(v) is _qq_type(v) for v in got.flat)
     zero = QQ.zeros((2, 2))
     huge = QQ.arr([[2**2000, 1], [Fraction(1, 3), 2]])
     _assert_canonical_product(zero, huge)
+
+
+def test_qq_entry_points_return_canonical_values():
+    def canonical(*values):
+        return all(type(v) is _qq_type(v) for v in values)
+
+    assert QQ.zero_enc == 0 and QQ.one_enc == 1 and canonical(QQ.zero_enc, QQ.one_enc)
+    assert QQ.from_int(4) == 4 and canonical(QQ.from_int(4), QQ.from_int(np.int64(-4)))
+    reads = [(4, 4), (Fraction(4, 2), 2), (np.int64(-4), -4), (Fraction(-1, 2), Fraction(-1, 2)),
+             (QQ.scalar(Fraction(8, 4)), 2), (QQ.scalar(Fraction(1, 2)) * 4, 2)]
+    for v, want in reads:
+        got = QQ._enc(v)
+        assert got == want and canonical(got), v
+        assert QQ.scalar(v).value == want and canonical(QQ.scalar(v).value)
+    assert QQ.arr([Fraction(6, 3), Fraction(1, 3), 0]).tolist() == [2, Fraction(1, 3), 0]
+    assert canonical(*QQ.arr([Fraction(6, 3), Fraction(1, 3), np.int64(0)]).flat)
+    for text, want in (("4/2", 2), ("-6/3", -2), (" 7 ", 7), ("1/2", Fraction(1, 2))):
+        assert QQ.parse_enc(text) == want and canonical(QQ.parse_enc(text)), text
+    for a, want in ((1, 1), (-1, -1), (2, Fraction(1, 2)), (Fraction(1, 3), 3),
+                    (Fraction(2), Fraction(1, 2)), (Fraction(-2, 4), -2)):
+        assert QQ.s_inv(a) == want and canonical(QQ.s_inv(a)), a
+    half = QQ.arr([[Fraction(1, 2), Fraction(3, 2)]])
+    got = QQ.matmul2(half, QQ.arr([[1], [1]]))
+    assert got.tolist() == [[2]] and canonical(*got.flat)
+    assert canonical(*QQ.matmul2(half, QQ.arr([[1], [0]])).flat)
+    assert canonical(*QQ.zeros((2, 3)).flat, *QQ.eye(3).flat)
+    assert QQ.eye(2).tolist() == [[1, 0], [0, 1]]
+    drawn = QQ.random_enc(np.random.default_rng(23), (6, 6))
+    assert canonical(*drawn.flat) and {int, Fraction} == set(map(type, drawn.flat))
 
 
 @pytest.mark.parametrize("field_name", ["gf7", "gf25", "qq"])

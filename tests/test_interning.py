@@ -189,6 +189,35 @@ def test_qq_tables_are_keyed_by_value():
     assert b._core is a._core and c._core is not a._core
 
 
+def test_an_integral_fraction_is_read_as_its_int():
+    # a built table may hold Fraction(2) where a parsed one holds 2; every
+    # reader goes by value: keys, digest, sharing, printing and emission
+    def x_cubed_table(two, unit):
+        t = np.zeros((3, 3, 3), dtype=object)    # basis 1, x, x^2/2
+        t[0, 0, 0] = t[0, 1, 1] = t[1, 0, 1] = t[0, 2, 2] = t[2, 0, 2] = unit
+        t[1, 1, 2] = two
+        return t
+
+    as_int = x_cubed_table(2, 1)
+    as_frac = x_cubed_table(Fraction(2), Fraction(1))
+    assert algebra.coords_key(QQ, as_int) == algebra.coords_key(QQ, as_frac)
+    one_int, one_frac = np.array([1, 0, 0], dtype=object), np.array([Fraction(1), 0, 0], dtype=object)
+    assert algebra._digest(QQ, as_int, one_int) == algebra._digest(QQ, as_frac, one_frac)
+    with interning():
+        a = Algebra(QQ, as_int, one_int, _fresh=True)
+        b = Algebra(QQ, as_frac, one_frac, _fresh=True, labels=["1", "x", "y"])
+    assert b._core is a._core
+    a = Algebra(QQ, x_cubed_table(2, 1), [1, 0, 0], labels=["1", "x", "y"], name="x3")
+    b = Algebra(QQ, x_cubed_table(Fraction(2), Fraction(1)), np.array(one_frac), _fresh=True,
+                labels=["1", "x", "y"], name="x3")
+    assert b._core is not a._core and b.table[1, 1, 2] == 2 and type(b.table[1, 1, 2]) is Fraction
+    assert a.element_str([3, 0, Fraction(1, 2)]) == "3*1 + 1/2*y"
+    assert b.element_str([Fraction(6, 2), 0, Fraction(1, 2)]) == "3*1 + 1/2*y"
+    assert emit_structure_constants(a) == emit_structure_constants(b)
+    assert json.loads(emit_structure_constants(b))["presentation"]["table"][1][1] == [0, 0, 2]
+    assert analyze(a).to_text() == analyze(b).to_text()
+
+
 def test_paper_suite_validates_each_table_once():
     # a cold process, so that no algebra from another test is reused
     proc = subprocess.run([sys.executable, __file__, "paper-suite"], capture_output=True,

@@ -1,11 +1,18 @@
 """Exact linear algebra: RREF, kernels, the subspace lattice."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from oracles import naive_kernel_mod, naive_rank_mod
+from oracles import (
+    naive_kernel_frac,
+    naive_kernel_mod,
+    naive_mat_mul_frac,
+    naive_rank_mod,
+    naive_rref_frac,
+)
 
 from symcenter import GF, QQ, Subspace, contains, kernel, rank
 from symcenter.errors import AmbientMismatch, ScalarFormatError
@@ -319,6 +326,35 @@ def test_kernel_equals_two_rref_reference(field_name, f25, rng):
         assert np.array_equal(red, got.basis)          # already RREF: a no-op
         if got.dim and data.shape[0]:
             assert np.all(field.matmul2(data, got.basis.T) == field.zero_enc)
+
+
+def _mixed_rationals(rng, rows, cols, rank):
+    """A seeded rows x cols rational matrix of rank at most ``rank`` as an
+    object array whose entries mix ints, integral Fractions and
+    non-integral Fractions, none of them canonicalised."""
+    def draw(shape):
+        return [[Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
+                 for _ in range(shape[1])] for _ in range(shape[0])]
+
+    values = naive_mat_mul_frac(draw((rows, rank)), draw((rank, cols)))
+    return np.array([[int(v) if v.denominator == 1 and rng.integers(2) else v for v in row]
+                     for row in values], dtype=object)
+
+
+def test_qq_kernels_agree_with_fraction_oracles_on_mixed_encodings():
+    rng = np.random.default_rng(23)   # its own draws: the shared stream stays as it was
+    kinds = set()
+    for rows, cols, rank in [(4, 5, 2), (5, 3, 3), (6, 6, 4), (3, 7, 1), (5, 5, 5)]:
+        a = _mixed_rationals(rng, rows, cols, rank)
+        b = _mixed_rationals(rng, cols, 4, min(cols, 4))
+        kinds.update((type(v), v.denominator == 1) for v in a.flat)
+        assert QQ.matmul2(a, b).tolist() == naive_mat_mul_frac(a.tolist(), b.tolist())
+        red, pivots = rref_data(QQ, a)
+        assert (red.tolist(), pivots) == naive_rref_frac(a.tolist())
+        k = kernel(QQ, a)
+        naive = naive_kernel_frac(a.tolist())
+        assert k.basis.tolist() == (naive_rref_frac(naive)[0] if naive else [])
+    assert kinds == {(int, True), (Fraction, True), (Fraction, False)}
 
 
 def _span_set(sub, p):
