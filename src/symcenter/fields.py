@@ -15,13 +15,14 @@ Python ``int`` or ``Fraction`` is a number, so over GF(25) the int 7 means
 7 * 1 = 2 while ``np.int64(7)`` is the encoding of t + 2; a float or a
 bool is refused, and so are nested rows of different lengths.  Over QQ a
 value is its own number: every way in (``arr``, ``scalar``, ``parse_enc``,
-``s_inv``, ``matmul2``, ``random_enc``, ``zeros``, ``eye``) hands back an
-``int`` for an integral value, so ``Fraction(4, 2)`` is read as ``2``.  The
-elementwise kernels (``a_add``, ``a_sub``, ``a_neg``, ``a_mul``,
-``a_sum_runs``) may leave an integral ``Fraction``; nothing depends on the
-type, because an integral ``Fraction`` equals, hashes and prints as its
-``int``.  The same rule holds for the operators of ``FieldScalar`` and
-``AlgebraElement``: a numpy integer on either side is an encoding.
+``s_inv``, ``matmul2``, ``random_enc``, ``zeros``, ``eye``, and the RREF of
+``linalg.rref_data``) hands back an ``int`` for an integral value, so
+``Fraction(4, 2)`` is read as ``2``.  The elementwise kernels (``a_add``,
+``a_sub``, ``a_neg``, ``a_mul``, ``a_sum_runs``) may leave an integral
+``Fraction``; nothing depends on the type, because an integral
+``Fraction`` equals, hashes and prints as its ``int``.  The same rule
+holds for the operators of ``FieldScalar`` and ``AlgebraElement``: a numpy
+integer on either side is an encoding.
 
 Every descriptor is an array kernel: it knows how to add, multiply and
 exactly matrix-multiply numpy arrays of encoded values, which is what the
@@ -60,7 +61,10 @@ Exactness of the fast paths:
 
 Row elimination (``elim``) works in place on the rows whose factor is
 nonzero and leaves every other row untouched; the linear-algebra layer
-hands it matrices it owns.
+hands it matrices it owns.  ``linalg.rref_data`` reaches it only over
+GF(p) for p >= 5, GF(p^k) and QQ: over GF(2) and GF(3) it eliminates on
+bit-sliced rows of its own.  Over QQ the RREF it returns is canonical, an
+``int`` wherever an entry is integral, zero rows included.
 
 Descriptors and scalars are immutable after construction: lookup tables are
 built once and only read.

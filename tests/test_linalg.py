@@ -12,6 +12,7 @@ from oracles import (
     naive_mat_mul_frac,
     naive_rank_mod,
     naive_rref_frac,
+    naive_rref_mod,
 )
 
 from symcenter import GF, QQ, Subspace, contains, kernel, rank
@@ -185,12 +186,20 @@ def test_express_in_rows(g3):
 
 
 def test_rref_and_reduce_leave_inputs_unmodified(f25, rng):
-    for field in (GF(5), f25, QQ):
-        data = field.random_enc(rng, (5, 7))
+    own = np.random.default_rng(24)   # GF(2), GF(3): the shared stream stays as it was
+    for field, draw in [(GF(2), own), (GF(3), own), (GF(5), rng), (f25, rng), (QQ, rng)]:
+        data = field.random_enc(draw, (5, 7))
         data_before = data.copy()
         red, pivots = rref_data(field, data)
         assert np.array_equal(data, data_before)
-        rows = field.random_enc(rng, (4, 7))
+        # a read-only input (every Algebra array is one) is read, never written
+        frozen = data.copy()
+        frozen.flags.writeable = False
+        red_frozen, pivots_frozen = rref_data(field, frozen)
+        assert np.array_equal(frozen, data_before) and not frozen.flags.writeable
+        assert pivots_frozen == pivots and np.array_equal(red_frozen, red)
+        assert red_frozen.flags.writeable
+        rows = field.random_enc(draw, (4, 7))
         rows_before = rows.copy()
         basis = red[: len(pivots)]
         basis_before = basis.copy()
@@ -354,7 +363,46 @@ def test_qq_kernels_agree_with_fraction_oracles_on_mixed_encodings():
         k = kernel(QQ, a)
         naive = naive_kernel_frac(a.tolist())
         assert k.basis.tolist() == (naive_rref_frac(naive)[0] if naive else [])
+        # canonical output: an integral entry is an int, zero rows included
+        for v in [*red.flat, *k.basis.flat]:
+            assert type(v) is int if v.denominator == 1 else type(v) is Fraction
     assert kinds == {(int, True), (Fraction, True), (Fraction, False)}
+
+
+def _sparse(field, rng, rows, cols, density):
+    """A seeded rows x cols matrix whose entries are nonzero with the given
+    probability: the shape of the tall commutator systems."""
+    values = field.random_enc(rng, (rows, cols))
+    return np.where(rng.random((rows, cols)) < density, values, 0)
+
+
+def _bitsliced_inputs(field, rng):
+    yield field.zeros((0, 5))
+    yield field.zeros((5, 0))
+    yield field.zeros((0, 0))
+    yield field.zeros((4, 7))
+    yield field.eye(9)
+    # both sides of the 63 // (p - 1) columns that one int64 word packs (31
+    # over GF(3), 63 over GF(2)), and rows of two and three words
+    for cols in (30, 31, 32, 33, 61, 62, 63, 64, 65, 66, 127, 128, 129):
+        yield field.random_enc(rng, (cols // 2, cols))
+        yield field.random_enc(rng, (cols + 3, cols))
+        yield _low_rank(field, rng, cols, cols, cols // 3)
+    yield _sparse(field, rng, 2000, 54, 0.005)       # three rows in four are zero
+    yield field.random_enc(rng, (108, 108))
+    yield _low_rank(field, rng, 108, 108, 70)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_rref_data_matches_naive_oracle_over_gf2_gf3(p):
+    field = GF(p)
+    rng = np.random.default_rng(24)   # its own draws: the shared stream stays as it was
+    for data in _bitsliced_inputs(field, rng):
+        red, pivots = rref_data(field, data)
+        naive, naive_pivots = naive_rref_mod(data.tolist(), p)
+        assert red.dtype == np.int64 and red.shape == data.shape
+        assert pivots == naive_pivots
+        assert np.array_equal(red, np.array(naive, dtype=np.int64).reshape(data.shape))
 
 
 def _span_set(sub, p):
