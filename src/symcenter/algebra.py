@@ -15,15 +15,25 @@ dense check would.  Everything downstream (centers, commutator spaces, ideal
 tests, annihilators, Loewy series) is exact linear algebra over the
 algebra's field.
 
+Products of a block of rows with the table (``left_products`` and
+``right_products``, and so ``is_ideal``, ``basis_products``,
+``ideal_closure`` and the annihilators) read the n x n^2 table of their
+side, ``table.reshape(n, n * n)`` or its (j, i) transpose, on its nonzero
+columns alone (Gustavson's column compression, ACM TOMS 4(3), 1978): one
+product with the dense n x c block of those columns, scattered into a zero
+output.  A table is mostly zero; over paper-suite's tables a third of the
+columns hold a nonzero constant.
+
 An Algebra is a thin *view* over a *core* (hash-consing):
 
 * per table, on the core: the field, the read-only table and unit, the
   validation, and every fact that depends on them alone -- the center,
-  the commutator space, the radical certificate checks and the facts
-  derived from J(A), the Gram matrix of each verified form, I_mu and the
-  table of A/I_mu for each form mu, and the tables that the tensor and
-  trivial-extension constructions built from this one.  ``memoised(key)``
-  keeps a result there, once per further argument where it has one;
+  the commutator space, the nonzero columns of each side's table and their
+  block, the radical certificate checks and the facts derived from J(A),
+  the Gram matrix of each verified form, I_mu and the table of A/I_mu for
+  each form mu, and the tables that the tensor and trivial-extension
+  constructions built from this one.  ``memoised(key)`` keeps a result
+  there, once per further argument where it has one;
 * per view, on the Algebra: the name, labels, symmetrizing form,
   construction seed, and the radical certificate with its provenance
   (``_cache["radical_cert"]``).
@@ -37,10 +47,11 @@ ends, so what is shared depends only on what the block builds, never on
 which algebras happen to be alive.  Outside a block every new table gets
 a core of its own.  A core keeps only cores made after it, and no view,
 so no core or view is ever in a reference cycle: each is freed as soon as
-the last reference to it goes.  Both are immutable: the table, unit and
-form are read-only arrays (a caller's writeable array is copied, never
-aliased).  A different name or form means a new view of the same core,
-made by ``replace``.
+the last reference to it goes.  A memo whose result is an older core (A/I_mu
+with I_mu = 0 has A's own table) is kept by the open block instead, until
+it ends.  Both are immutable: the table, unit and form are read-only arrays
+(a caller's writeable array is copied, never aliased).  A different name or
+form means a new view of the same core, made by ``replace``.
 """
 
 from __future__ import annotations
@@ -68,10 +79,12 @@ def memoised(key: str):
     those arguments: compute it once and keep it on the table's core, for
     every view of the table.  The entry is ``key`` or ``(key, *args)``,
     where an array or subspace argument stands as its exact coordinates
-    (``coords_key``).  A call that raises stores nothing, and a result that
-    is a core made no later than the algebra's own (its own core, or one an
-    interning block found) is returned but not kept: a core keeps only
-    younger cores, so cores never form a reference cycle."""
+    (``coords_key``).  A call that raises stores nothing.  A result that is
+    a core made no later than the algebra's own (its own core, or one an
+    interning block found) is never kept on the core: a core keeps only
+    younger cores, so cores never form a reference cycle.  Inside an
+    interning block the block keeps it instead, keyed by the core's serial
+    and the slot, until the block ends; outside one it is recomputed."""
     def decorate(fn):
         @functools.wraps(fn)
         def wrapper(algebra, *args):
@@ -79,9 +92,13 @@ def memoised(key: str):
             slot = (key, *(_arg_key(core.field, x) for x in args)) if args else key
             if slot in core.facts:
                 return core.facts[slot]
+            if _OLDER is not None and (core.serial, slot) in _OLDER:
+                return _OLDER[core.serial, slot]
             result = fn(algebra, *args)
             if not (isinstance(result, _Core) and result.serial <= core.serial):
                 core.facts[slot] = result
+            elif _OLDER is not None:
+                _OLDER[core.serial, slot] = result
             return result
         return wrapper
     return decorate
@@ -258,6 +275,9 @@ _SERIALS = itertools.count()
 # the open interning block: (field key, dim, hash of table and unit) -> the
 # cores with that key, in order of creation; None outside a block
 _INTERNED: dict | None = None
+# the open block's memo results that are cores no younger than the core
+# they were computed on: (core serial, memo slot) -> that result core
+_OLDER: dict | None = None
 
 
 @contextmanager
@@ -268,17 +288,18 @@ def interning():
     earlier, over the same field, gets that core: its table is validated,
     and each fact computed, once in the block.  The block holds every core
     it made until it ends, so sharing does not depend on which algebras are
-    still alive.  A block opened inside another joins it.
+    still alive; it also keeps the memo results that no core may keep (see
+    ``memoised``).  A block opened inside another joins it.
     """
-    global _INTERNED
+    global _INTERNED, _OLDER
     if _INTERNED is not None:
         yield
         return
-    _INTERNED = {}
+    _INTERNED, _OLDER = {}, {}
     try:
         yield
     finally:
-        _INTERNED = None
+        _INTERNED = _OLDER = None
 
 
 def _digest(field: FieldDescriptor, table: np.ndarray, one: np.ndarray) -> int:
@@ -307,6 +328,21 @@ def _core_of(field: FieldDescriptor, table: np.ndarray, one: np.ndarray) -> _Cor
     _validate(field, table, one)
     cores.append(_Core(field, table, one))
     return cores[-1]
+
+
+@memoised("nonzero_columns")
+def _nonzero_columns(algebra: Algebra, right: bool):
+    """The columns of one side's n x n^2 table that hold a nonzero constant,
+    and the n x c block of them: ``table.reshape(n, n * n)`` on the left,
+    whose column (j, k) holds the coefficients of e_k in e_i e_j for each
+    row i, and the (j, i) transpose on the right.  A table is mostly zero,
+    so its products are read from the block alone."""
+    n, table = algebra.dim, algebra.table
+    flat = (table.transpose(1, 0, 2) if right else table).reshape(n, n * n)
+    cols = np.flatnonzero(np.any(flat != algebra.field.zero_enc, axis=0))
+    block = flat[:, cols]
+    block.flags.writeable = False
+    return cols, block
 
 
 class Algebra:
@@ -393,15 +429,19 @@ class Algebra:
 
     def left_products(self, rows: np.ndarray) -> np.ndarray:
         """Array P of shape (len(rows), dim, dim) with P[s, j] = rows[s] * e_j."""
-        n = self.dim
-        out = self.field.tensordot_lf(rows, self.table.reshape(n, -1))
-        return out.reshape(rows.shape[0], n, n)
+        return self._products(rows, right=False)
 
     def right_products(self, rows: np.ndarray) -> np.ndarray:
         """Array P of shape (len(rows), dim, dim) with P[s, j] = e_j * rows[s]."""
+        return self._products(rows, right=True)
+
+    def _products(self, rows: np.ndarray, right: bool) -> np.ndarray:
+        """rows times one side's n x n^2 table, read on its nonzero columns
+        alone: one product with their block, scattered into zeros."""
         n = self.dim
-        ct = np.ascontiguousarray(self.table.transpose(1, 0, 2))
-        out = self.field.tensordot_lf(rows, ct.reshape(n, -1))
+        cols, block = _nonzero_columns(self, right)
+        out = self.field.zeros((rows.shape[0], n * n))
+        out[:, cols] = self.field.matmul2(rows, block)
         return out.reshape(rows.shape[0], n, n)
 
     def multiply_coords(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -480,10 +520,11 @@ class Algebra:
         if u.dim == 0:
             return True
         n, zero = self.dim, self.field.zero_enc
-        # A u first (e_j u_s), then u A (u_s e_j)
-        if np.any(u.reduce(self.right_products(u.basis).reshape(-1, n)) != zero):
+        # A u first (e_j u_s), then u A (u_s e_j): each product is in u when
+        # its quotient coordinates, all its residual can hold, are zero
+        if np.any(u.quotient_coords(self.right_products(u.basis).reshape(-1, n)) != zero):
             return False
-        return bool(np.all(u.reduce(self.left_products(u.basis).reshape(-1, n)) == zero))
+        return bool(np.all(u.quotient_coords(self.left_products(u.basis).reshape(-1, n)) == zero))
 
     def ideal_closure(self, u: Subspace) -> Subspace:
         """Smallest two-sided ideal containing u: the span A u A.

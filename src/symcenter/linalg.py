@@ -13,8 +13,9 @@ with p - 1 bits per entry, so a row operation is a few boolean operations
 on the whole row.  Over GF(3) the even bits of a row are its plane of 1s
 and the odd bits its plane of 2s.  Every other field eliminates column by
 column through the field's ``elim``: more bits per entry would make the
-sums longer, for a few percent of the calls.  Over QQ the returned entries
-are ``int`` wherever they are integral.
+sums longer, for a few percent of the calls.  Both drop the all-zero rows
+first, which leaves the RREF unchanged.  Over QQ the returned entries are
+``int`` wherever they are integral.
 
 Every basis handed to ``reduce_rows`` (and so every ``Subspace.basis``)
 must be in RREF: its pivot columns form an identity block.  That lets a
@@ -29,8 +30,11 @@ column; ``subspace_intersect`` is the Zassenhaus algorithm, whose
 intersection rows form the lower right block of a single RREF.
 
 The quotient map F^n -> F^n / U has one home, ``Subspace.quotient_coords``:
-reduce modulo U and keep the complement (non-pivot) columns of U's RREF
-basis, the coordinates of every quotient built in this package.  Its
+the residual modulo U on the complement (non-pivot) columns of U's RREF
+basis, the coordinates of every quotient built in this package.  The
+residual is zero at the pivot columns, so only the complement columns are
+computed, ``rows[:, comp] - rows[:, pivots] @ basis[:, comp]``; membership
+(``contains``, ``Algebra.is_ideal``) tests that block for zero.  Its
 section ``lift_coords`` is zero at the pivot columns.
 
 Three more subspace constructions have one home each, and each reads its
@@ -60,9 +64,12 @@ def rref_data(field: FieldDescriptor, data: np.ndarray):
     """
     if field.order in (2, 3):
         return _rref_bitsliced(field.order, np.asarray(data))
-    m = np.array(data, dtype=field.dtype)
-    rows, cols = m.shape
     zero, one = field.zero_enc, field.one_enc
+    out = field.zeros(np.shape(data))
+    # all-zero rows take no part: the loop runs on (a copy of) the others
+    m = np.asarray(data, dtype=field.dtype)
+    m = m[np.any(m != zero, axis=1)]
+    rows, cols = m.shape
     pivots: list[int] = []
     r = 0
     for c in range(cols):
@@ -82,11 +89,9 @@ def rref_data(field: FieldDescriptor, data: np.ndarray):
         field.elim(m, factors, m[r])
         pivots.append(c)
         r += 1
-    if field.dtype is object:
-        # QQ: the elimination can leave integral Fractions; hand back ints
-        m[:r] = _canon_entries(m[:r])
-        m[r:] = zero
-    return m, pivots
+    # QQ: the elimination can leave integral Fractions; hand back ints
+    out[:r] = _canon_entries(m[:r]) if field.dtype is object else m[:r]
+    return out, pivots
 
 
 # bit offsets and place values of the entries of one int64 word, for
@@ -286,8 +291,7 @@ class Subspace:
         return (self.basis != self.field.zero_enc).argmax(axis=1).tolist()
 
     def complement_columns(self) -> list[int]:
-        piv = set(self.pivot_columns())
-        return [c for c in range(self.ambient_dim) if c not in piv]
+        return _complement(self.pivot_columns(), self.ambient_dim)
 
     def __eq__(self, other):
         return (
@@ -322,11 +326,20 @@ class Subspace:
     def quotient_coords(self, rows) -> np.ndarray:
         """The quotient map nu: F^n -> F^n / self on coordinate rows.
 
-        Reduces the rows modulo this subspace and keeps the complement
-        columns, on which every quotient built here is coordinatised.
+        The residual of the rows modulo this subspace, on the complement
+        columns, on which every quotient built here is coordinatised.  The
+        residual is zero at the pivot columns, since ``basis[:, pivots]``
+        is the identity, so only ``rows[:, comp] - rows[:, pivots] @
+        basis[:, comp]`` is computed.
         """
         rows = _coord_rows(self.field, rows, self.ambient_dim)
-        return self.reduce(rows)[:, self.complement_columns()]
+        pivots = self.pivot_columns()
+        comp = _complement(pivots, self.ambient_dim)
+        out = rows[:, comp]
+        if not pivots or not rows.shape[0]:
+            return out
+        f = self.field
+        return f.a_sub(out, f.matmul2(rows[:, pivots], self.basis[:, comp]))
 
     def lift_coords(self, rows) -> np.ndarray:
         """The section of ``quotient_coords``: zero at the pivot columns."""
@@ -335,6 +348,12 @@ class Subspace:
         out = self.field.zeros((rows.shape[0], self.ambient_dim))
         out[:, comp] = rows
         return out
+
+
+def _complement(pivots: list[int], n: int) -> list[int]:
+    """The columns 0, ..., n - 1 that are not pivots."""
+    piv = set(pivots)
+    return [c for c in range(n) if c not in piv]
 
 
 def kernel(field: FieldDescriptor, data: np.ndarray) -> Subspace:
@@ -350,7 +369,7 @@ def kernel(field: FieldDescriptor, data: np.ndarray) -> Subspace:
     """
     red, pivots = rref_data(field, np.asarray(data)[:, ::-1])
     n = red.shape[1]
-    free = [c for c in range(n) if c not in pivots]
+    free = _complement(pivots, n)
     if not free:
         return Subspace.zero(field, n)
     # one row per free column: 1 there, minus that column of red at the pivots
@@ -437,7 +456,7 @@ def contains(u: Subspace, v: Subspace) -> bool:
     u._check_ambient(v)
     if v.is_zero():
         return True
-    return bool(np.all(u.reduce(v.basis) == u.field.zero_enc))
+    return bool(np.all(u.quotient_coords(v.basis) == u.field.zero_enc))
 
 
 def express_in_rows(field: FieldDescriptor, basis_rows: np.ndarray,

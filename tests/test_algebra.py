@@ -15,7 +15,7 @@ from oracles import (
     naive_spans_equal_mod,
 )
 
-from symcenter import QQ, Subspace, contains, rank
+from symcenter import QQ, Subspace, contains, gf25, rank
 from symcenter.algebra import Algebra, memoised, quotient_data
 from symcenter.constructions import SkewPresentation, from_skew_presentation, opposite, tensor
 from symcenter.corpus import get
@@ -429,16 +429,21 @@ def _products_oracle(a, rows, side):
     return out
 
 
-@pytest.mark.parametrize("entry", ["matn", "dim12_sharp", "counterexample_B", "skew22_qq"])
+@pytest.mark.parametrize("entry", ["matn", "dim12_sharp", "counterexample_B", "skew22_qq",
+                                   "skew22_gf25"])
 def test_left_and_right_products_match_entrywise_oracle(entry, rng):
+    draw = rng
     if entry == "skew22_qq":
         a = from_skew_presentation(QQ, SkewPresentation.anticommuting([2, 2]))
+    elif entry == "skew22_gf25":
+        a = from_skew_presentation(gf25(), SkewPresentation.anticommuting([2, 2]))
+        draw = np.random.default_rng(25)   # its own draws: the shared stream stays as it was
     else:
         a = get(entry)
     assert not a.is_commutative()        # left and right products differ
     f, n = a.field, a.dim
     for r in (0, 1, 3):
-        rows = f.random_enc(rng, (r, n))
+        rows = f.random_enc(draw, (r, n))
         left, right = a.left_products(rows), a.right_products(rows)
         assert left.shape == right.shape == (r, n, n)
         assert np.array_equal(left, _products_oracle(a, rows, "left"))

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from symcenter import GF, QQ, SkewPresentation, from_skew_presentation, gf25
-from symcenter import algebra, linalg
+from symcenter import algebra, linalg, symmetric
 from symcenter.algebra import Algebra, interning
 from symcenter.analysis import analyze
 from symcenter.constructions import opposite, quotient, tensor, trivial_extension
@@ -367,6 +367,28 @@ def test_a_core_keeps_only_cores_made_after_it(g3):
         assert trivial_extension(a)._core is older._core
     assert "trivial_extension" not in a._core.facts
     assert trivial_extension(base)._core is base._core.facts["trivial_extension"]
+
+
+def test_a_block_keeps_a_memo_whose_result_is_an_older_core(monkeypatch):
+    built = []
+
+    def counting(a, ideal):
+        built.append(ideal.dim)
+        return algebra.quotient_data(a, ideal)
+
+    monkeypatch.setattr(symmetric, "quotient_data", counting)
+    with interning():
+        a = from_skew_presentation(GF(7), SkewPresentation.commuting([2, 3])).replace(
+            sym_form=[0, 0, 0, 0, 0, 1])
+        for _ in range(3):
+            # for z = 1, I_mu = 0 and A/I_mu has A's own table: an older core
+            w = symmetric_quotient(a, a.one_element())
+            assert w.ideal.dim == 0 and w.quotient._core is a._core
+        assert built == [0]
+        # the block keeps the result, never the core: no core holds an older one
+        assert not any(isinstance(v, algebra._Core) and v.serial <= a._core.serial
+                       for v in a._core.facts.values())
+    assert algebra._OLDER is None
 
 
 def _counts_per_order(orders, keep_raised) -> list:

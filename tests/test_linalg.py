@@ -369,6 +369,81 @@ def test_qq_kernels_agree_with_fraction_oracles_on_mixed_encodings():
     assert kinds == {(int, True), (Fraction, True), (Fraction, False)}
 
 
+def _with_zero_rows(data, rng, k, zero):
+    """``data`` with k all-zero rows (entries ``zero``) shuffled in among its
+    rows."""
+    stacked = np.concatenate([data, np.full((k, data.shape[1]), zero, dtype=data.dtype)])
+    return stacked[rng.permutation(stacked.shape[0])]
+
+
+_ZERO_ROW_SHAPES = [(3, 4, 2), (6, 5, 3), (5, 8, 5), (9, 6, 1), (4, 4, 4)]
+
+
+def test_rref_data_drops_zero_rows_and_matches_naive_oracles():
+    rng = np.random.default_rng(25)   # its own draws: the shared stream stays as it was
+    for rows, cols, r in _ZERO_ROW_SHAPES:
+        for k in (1, 4):
+            data = _with_zero_rows(_low_rank(GF(5), rng, rows, cols, r), rng, k, 0)
+            red, pivots = rref_data(GF(5), data)
+            naive, naive_pivots = naive_rref_mod(data.tolist(), 5)
+            assert red.dtype == np.int64 and red.shape == data.shape
+            assert (red.tolist(), pivots) == (naive, naive_pivots)
+            # QQ, its zero rows written as the non-canonical Fraction(0)
+            data = _with_zero_rows(_mixed_rationals(rng, rows, cols, r), rng, k, Fraction(0))
+            red, pivots = rref_data(QQ, data)
+            assert red.dtype == object and red.shape == data.shape
+            assert (red.tolist(), pivots) == naive_rref_frac(data.tolist())
+            for v in red.flat:
+                assert type(v) is int if v.denominator == 1 else type(v) is Fraction
+
+
+def test_rref_data_over_gf25_ignores_zero_rows(f25):
+    rng = np.random.default_rng(25)
+    for rows, cols, r in _ZERO_ROW_SHAPES:
+        data = _low_rank(f25, rng, rows, cols, r)
+        padded = _with_zero_rows(data, rng, 4, 0)
+        red, pivots = rref_data(f25, data)
+        red_padded, pivots_padded = rref_data(f25, padded)
+        assert red_padded.dtype == np.int64 and red_padded.shape == padded.shape
+        assert pivots_padded == pivots
+        assert np.array_equal(red_padded[:rows], red)
+        assert np.all(red_padded[rows:] == 0)
+
+
+def _quotient_inputs(field, rng):
+    """(U, rows) pairs: the zero subspace, the full space (whose quotient
+    coordinates have no columns), random subspaces with a first row in U,
+    and no rows at all."""
+    for n in (1, 4, 7):
+        yield Subspace.zero(field, n), field.random_enc(rng, (3, n))
+        yield Subspace.full(field, n), field.random_enc(rng, (3, n))
+        for _ in range(4):
+            u = random_subspace(field, n, rng)
+            rows = field.random_enc(rng, (5, n))
+            rows[0] = field.matmul2(field.random_enc(rng, (1, u.dim)), u.basis)[0]
+            yield u, rows
+    yield random_subspace(field, 5, rng), field.zeros((0, 5))
+
+
+@pytest.mark.parametrize("field_name", ["GF(2)", "GF(3)", "GF(5)", "GF(25)", "QQ"])
+def test_quotient_coords_and_contains_agree_with_the_full_reduce(field_name, f25):
+    field = {"GF(2)": GF(2), "GF(3)": GF(3), "GF(5)": GF(5), "GF(25)": f25, "QQ": QQ}[field_name]
+    rng = np.random.default_rng(25)   # its own draws: the shared stream stays as it was
+    verdicts = set()
+    for u, rows in _quotient_inputs(field, rng):
+        comp = u.complement_columns()
+        full = u.reduce(rows)
+        got = u.quotient_coords(rows)
+        assert got.shape == (rows.shape[0], len(comp)) and got.dtype == full.dtype
+        assert np.array_equal(got, full[:, comp])
+        for v in (Subspace.from_rows(field, u.ambient_dim, rows),
+                  Subspace.from_rows(field, u.ambient_dim, rows[:1])):
+            want = bool(np.all(u.reduce(v.basis) == field.zero_enc))
+            assert contains(u, v) == want
+            verdicts.add(want)
+    assert verdicts == {True, False}
+
+
 def _sparse(field, rng, rows, cols, density):
     """A seeded rows x cols matrix whose entries are nonzero with the given
     probability: the shape of the tall commutator systems."""
