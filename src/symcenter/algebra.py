@@ -22,18 +22,23 @@ side, ``table.reshape(n, n * n)`` or its (j, i) transpose, on its nonzero
 columns alone (Gustavson's column compression, ACM TOMS 4(3), 1978): one
 product with the dense n x c block of those columns, scattered into a zero
 output.  A table is mostly zero; over paper-suite's tables a third of the
-columns hold a nonzero constant.
+columns hold a nonzero constant.  ``basis_products(u, v)`` contracts v's
+basis with the products u_s e_j the same way: only on the coordinates j
+that v's basis uses, and on the columns of those rows that hold a nonzero
+product.
 
 An Algebra is a thin *view* over a *core* (hash-consing):
 
 * per table, on the core: the field, the read-only table and unit, the
   validation, and every fact that depends on them alone -- the center,
   the commutator space, the nonzero columns of each side's table and their
-  block, the radical certificate checks and the facts derived from J(A),
-  the Gram matrix of each verified form, I_mu and the table of A/I_mu for
-  each form mu, and the tables that the tensor and trivial-extension
-  constructions built from this one.  ``memoised(key)`` keeps a result
-  there, once per further argument where it has one;
+  block, the ideal test of each subspace, the radical certificate checks
+  and the facts derived from J(A), the Gram matrix of each verified form,
+  I_mu for each form mu, and the tables that the quotient, tensor and
+  trivial-extension constructions built from this one (A/I once per ideal
+  I, whichever route asks for it) with the radical seed of each A/I.
+  ``memoised(key)`` keeps a result there, once per further argument where
+  it has one;
 * per view, on the Algebra: the name, labels, symmetrizing form,
   construction seed, and the radical certificate with its provenance
   (``_cache["radical_cert"]``).
@@ -345,6 +350,17 @@ def _nonzero_columns(algebra: Algebra, right: bool):
     return cols, block
 
 
+@memoised("is_ideal")
+def _is_ideal(algebra: Algebra, u: Subspace) -> bool:
+    """``Algebra.is_ideal`` for a nonzero subspace of the algebra."""
+    n, zero = algebra.dim, algebra.field.zero_enc
+    # A u first (e_j u_s), then u A (u_s e_j): each product is in u when
+    # its quotient coordinates, all its residual can hold, are zero
+    if np.any(u.quotient_coords(algebra.right_products(u.basis).reshape(-1, n)) != zero):
+        return False
+    return bool(np.all(u.quotient_coords(algebra.left_products(u.basis).reshape(-1, n)) == zero))
+
+
 class Algebra:
     """A unital associative algebra presented by structure constants: a
     view (name, labels, form, seed, radical provenance) over the core of
@@ -504,10 +520,14 @@ class Algebra:
         f, n = self.field, self.dim
         if u.dim == 0 or v.dim == 0:
             return f.zeros((u.dim, v.dim, n))
-        # contract v over j in u_s * e_j
-        t1 = np.ascontiguousarray(self.left_products(u.basis).transpose(1, 0, 2))
-        prod = f.tensordot_lf(v.basis, t1.reshape(n, u.dim * n)).reshape(v.dim, u.dim, n)
-        return prod.transpose(1, 0, 2)
+        # contract v over j in u_s * e_j, on the rows j that v's basis uses
+        # and the columns (s, k) of those rows that hold a nonzero product
+        js = (v.basis != f.zero_enc).any(0).nonzero()[0]
+        block = self.left_products(u.basis).transpose(1, 0, 2)[js].reshape(len(js), u.dim * n)
+        cols = (block != f.zero_enc).any(0).nonzero()[0]
+        prod = f.zeros((v.dim, u.dim * n))
+        prod[:, cols] = f.matmul2(v.basis[:, js], block[:, cols])
+        return prod.reshape(v.dim, u.dim, n).transpose(1, 0, 2)
 
     def subspace_product(self, u: Subspace, v: Subspace) -> Subspace:
         """Span of u_s * v_t over all basis pairs."""
@@ -515,16 +535,12 @@ class Algebra:
         return Subspace.from_rows(self.field, self.dim, prod.reshape(-1, self.dim))
 
     def is_ideal(self, u: Subspace) -> bool:
-        """Two-sided ideal test via basis products."""
+        """Two-sided ideal test via basis products, run once per table and
+        subspace; the subspace is checked against this algebra first."""
         self._check_subspace(u)
         if u.dim == 0:
             return True
-        n, zero = self.dim, self.field.zero_enc
-        # A u first (e_j u_s), then u A (u_s e_j): each product is in u when
-        # its quotient coordinates, all its residual can hold, are zero
-        if np.any(u.quotient_coords(self.right_products(u.basis).reshape(-1, n)) != zero):
-            return False
-        return bool(np.all(u.quotient_coords(self.left_products(u.basis).reshape(-1, n)) == zero))
+        return _is_ideal(self, u)
 
     def ideal_closure(self, u: Subspace) -> Subspace:
         """Smallest two-sided ideal containing u: the span A u A.
@@ -711,6 +727,16 @@ def quotient_data(algebra: Algebra, ideal: Subspace):
     d = len(comp)
     table = ideal.quotient_coords(c[np.ix_(comp, comp)].reshape(d * d, n))
     return table.reshape(d, d, d), ideal.quotient_coords(algebra.one)[0]
+
+
+@memoised("quotient")
+def quotient_core(algebra: Algebra, ideal: Subspace) -> _Core:
+    """The core of the table of A / ideal (``quotient_data``), validated
+    and built once per table and ideal; A/0 is A's own core."""
+    if ideal.dim == 0:
+        return algebra._core
+    table, one = quotient_data(algebra, ideal)
+    return Algebra(algebra.field, table, one, _fresh=True)._core
 
 
 def form_gram(field: FieldDescriptor, table: np.ndarray, mu: np.ndarray) -> np.ndarray:

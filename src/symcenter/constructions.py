@@ -15,10 +15,11 @@ The subspaces of these statements are built by the one home of each in
 ``kernel_on`` for the S of ``trivext_criteria``.
 
 Every call returns a new view, with its own name, labels, form and seed.
-The tensor product and the trivial extension keep the core they built on
-the input's core (``memoised``, keyed by the other factor's table), never
-a view, so a repeated call builds and validates nothing and no algebra is
-caught in a reference cycle.
+The quotient, the tensor product and the trivial extension keep the core
+they built on the input's core (``memoised``, keyed by the ideal or the
+other factor's table), never a view, so a repeated call builds and
+validates nothing and no algebra is caught in a reference cycle.  The
+quotient's seed J(A)/I is kept there too, once per ideal.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, memoised, quotient_data
+from .algebra import Algebra, memoised, quotient_core
 from .errors import AlgebraValidationError, BasisClaimFailed
 from .fields import FieldDescriptor
 from .linalg import (
@@ -169,30 +170,36 @@ def trivext_criteria(a: Algebra) -> TrivExtCriteria:
 
 def quotient(a: Algebra, ideal: Subspace) -> Algebra:
     """A/I on the complement coordinates of the ideal's RREF basis."""
-    table, one = quotient_data(a, ideal)
-    return quotient_view(a, ideal, table, one, _fresh=True)
+    return quotient_view(a, ideal)
 
 
-def quotient_view(a: Algebra, ideal: Subspace, table, one, *, name=None, sym_form=None,
-                  **core) -> Algebra:
-    """The view A/I -- labels, name (by default (A)/I), form and radical
-    seed -- on its table: as ``quotient`` builds it (``_fresh``), or on the
-    core an earlier call built (``_core``)."""
+def quotient_view(a: Algebra, ideal: Subspace, *, name=None, sym_form=None) -> Algebra:
+    """A new view A/I -- labels, name (by default (A)/I), form and radical
+    seed -- on the core of its table, which is built once per table of A
+    and ideal.  The ideal is checked against A first: the memos are keyed
+    by its coordinates alone."""
+    a._check_subspace(ideal)
+    core = quotient_core(a, ideal)
     labels = None
     if a.labels is not None:
         labels = [a.labels[i] for i in ideal.complement_columns()]
+    return Algebra(a.field, core.table, core.one, labels=labels, sym_form=sym_form,
+                   name=name or f"({a.name or 'A'})/I",
+                   _radical_seed=lambda: _quotient_seed(a, ideal), _core=core)
 
-    def seed():
-        j = radical(a).radical
-        if not contains(j, ideal):
-            return None
-        return (
-            Subspace.from_rows(a.field, a.dim - ideal.dim, ideal.quotient_coords(j.basis)),
-            "J(A)/I: the ideal is contained in J(A), so the radical passes down",
-        )
 
-    return Algebra(a.field, table, one, labels=labels, sym_form=sym_form,
-                   name=name or f"({a.name or 'A'})/I", _radical_seed=seed, **core)
+@memoised("quotient_seed")
+def _quotient_seed(a: Algebra, ideal: Subspace):
+    """J(A)/I with its evidence when the ideal lies in J(A), else None.  J(A)
+    is unique per table (``substructures._certify``), so this is kept on
+    A's core; each view of A/I still certifies it for itself."""
+    j = radical(a).radical
+    if not contains(j, ideal):
+        return None
+    return (
+        Subspace.from_rows(a.field, a.dim - ideal.dim, ideal.quotient_coords(j.basis)),
+        "J(A)/I: the ideal is contained in J(A), so the radical passes down",
+    )
 
 
 def opposite(a: Algebra) -> Algebra:

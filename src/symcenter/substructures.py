@@ -14,9 +14,11 @@ Every verdict rests on one verified object, J(A), which has two routes:
   K(A), with e the least power of q that is at least dim A
   ("kuelshammer").
 
-``_certify`` re-checks either candidate: it must be a nilpotent two-sided
-ideal, and the theorem behind it makes A/J(A) semisimple.  A candidate
-that fails is an internal error, never a verdict.
+``_certify`` proves either candidate N equal to J(A): N must be a nilpotent
+two-sided ideal, which puts it inside J(A), and A/N must be semisimple,
+which puts J(A) inside it.  The rule decides the latter on A/N (J(A/N) =
+0); when N has codimension 1, A/N is the field and nothing is computed.
+A candidate that fails is an internal error, never a verdict.
 
 The certificate, with its strategy and evidence, belongs to the view: two
 views of one table may reach J(A) by different routes.  The rule, the
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, memoised
+from .algebra import Algebra, memoised, quotient_core
 from .errors import CriterionDisagreement, InternalCheckError
 from .linalg import Subspace, contains, kernel, kernel_on, subspace_intersect
 
@@ -60,20 +62,30 @@ def is_nilpotent_ideal(algebra: Algebra, n: Subspace) -> bool:
 
 
 def _certify(algebra: Algebra, sub: Subspace, error: str):
-    """Raise InternalCheckError(error) unless sub is a nilpotent two-sided
-    ideal; a certified sub becomes the table's J(A), which is unique."""
-    if not _nilpotent_ideal(algebra, sub):
-        raise InternalCheckError(error)
+    """Raise InternalCheckError(error) unless sub is J(A); a certified sub
+    becomes the table's J(A), which is unique, so once it is known any
+    other subspace is refused without a check."""
     facts = algebra._core.facts
-    if facts.setdefault("radical", sub) != sub:
+    if "radical" in facts and facts["radical"] != sub:
         raise InternalCheckError(
             f"certified radical of dimension {sub.dim} differs from the "
             f"table's J(A) of dimension {facts['radical'].dim}")
+    if not _is_radical(algebra, sub):
+        raise InternalCheckError(error)
+    facts["radical"] = sub
 
 
-@memoised("certify")
-def _nilpotent_ideal(algebra: Algebra, sub: Subspace) -> bool:
-    return algebra.is_ideal(sub) and is_nilpotent_ideal(algebra, sub)
+def _proves_radical(algebra: Algebra, sub: Subspace) -> bool:
+    """sub = J(A): a nilpotent two-sided ideal with A/sub semisimple."""
+    if not (algebra.is_ideal(sub) and is_nilpotent_ideal(algebra, sub)):
+        return False
+    if algebra.dim - sub.dim == 1:
+        return True     # A/sub is the field
+    core = quotient_core(algebra, sub)
+    return _radical_rule(Algebra(core.field, core.table, core.one, _core=core)).dim == 0
+
+
+_is_radical = memoised("certify")(_proves_radical)
 
 
 def _frobenius_exponent(algebra: Algebra) -> int:
@@ -182,8 +194,9 @@ def _radical(algebra: Algebra) -> RadicalCertificate:
 
 
 def verify_certificate(algebra: Algebra, cert: RadicalCertificate) -> bool:
-    """Re-check the certificate invariants (used by the test suite)."""
-    return algebra.is_ideal(cert.radical) and is_nilpotent_ideal(algebra, cert.radical)
+    """Re-check that the certificate's subspace is J(A) (used by the test
+    suite)."""
+    return _proves_radical(algebra, cert.radical)
 
 
 # -- derived substructures ---------------------------------------------------

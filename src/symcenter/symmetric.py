@@ -14,7 +14,8 @@ symmetric, and come with an injective A-bimodule section x+I -> xz.
 The form-dependent results are kept on the table's core by ``memoised``,
 keyed by the form's coordinates, so every view of the table with an equal
 form shares them: ``symmetric_gram`` verifies each form once, and
-``symmetrize`` finds I_mu and builds the table of A/I_mu once per mu.  Each
+``symmetrize`` finds I_mu once per mu; the table of A/I_mu is built once
+per ideal, by ``quotient_core``, however many forms share the ideal.  Each
 call still returns a new quotient view with its own name, form and seed,
 and ``symmetric_quotient`` a new QuotientWitness.
 """
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constructions
-from .algebra import Algebra, form_gram, memoised, quotient_data
+from .algebra import Algebra, form_gram, memoised
 from .errors import (
     CentralityViolated,
     Degenerate,
@@ -99,10 +100,8 @@ def symmetrize(algebra: Algebra, mu) -> tuple[Subspace, Algebra]:
 def _symmetrize(algebra: Algebra, mu: np.ndarray, name: str):
     """symmetrize, naming the quotient view."""
     ideal = _form_radical(algebra, mu)
-    core = _symmetrize_core(algebra, mu)
     quotient = constructions.quotient_view(
-        algebra, ideal, core.table, core.one, _core=core,
-        name=name, sym_form=mu[ideal.complement_columns()])
+        algebra, ideal, name=name, sym_form=mu[ideal.complement_columns()])
     try:
         symmetric_gram(quotient)
     except (NotSymmetricForm, Degenerate) as exc:
@@ -116,13 +115,6 @@ def _symmetrize(algebra: Algebra, mu: np.ndarray, name: str):
 def _form_radical(algebra: Algebra, mu: np.ndarray) -> Subspace:
     """I_mu = {x : mu(x e_j) = 0 for all j}, the kernel of the symmetric gram."""
     return kernel(algebra.field, _symmetric_form_gram(algebra, mu))
-
-
-@memoised("symmetrize")
-def _symmetrize_core(algebra: Algebra, mu: np.ndarray):
-    """The core of the table of A/I_mu."""
-    table, one = quotient_data(algebra, _form_radical(algebra, mu))
-    return Algebra(algebra.field, table, one, _fresh=True)._core
 
 
 @dataclass(frozen=True)

@@ -200,27 +200,34 @@ def test_ideal_closure_smallest_with_commutative_quotient(mat2):
     assert quotient(a, cl).is_commutative()
 
 
+def _arith(f):
+    """(add, mul, zero) of the plain-Python oracles over the field ``f``:
+    Fractions over QQ, the tuple-based GF(25), integers mod p otherwise."""
+    if f == QQ:
+        return lambda x, y: x + y, lambda x, y: x * y, Fraction(0)
+    if f.order == 25:
+        return gf25_enc_add, gf25_enc_mul, 0
+    p = f.order
+    return lambda x, y: (x + y) % p, lambda x, y: x * y % p, 0
+
+
 def _closure_oracle(a, rows):
     """The fixpoint closure of the span of ``rows`` by ``naive_ideal_closure``,
     eliminated by the plain-Python RREFs (the library's over GF(25))."""
     f = a.field
     if f == QQ:
-        arith = (lambda x, y: x + y, lambda x, y: x * y, Fraction(0))
         def span(r):
             red, piv = naive_rref_frac(r)
             return red[:len(piv)]
     elif f.order == 25:
-        arith = (gf25_enc_add, gf25_enc_mul, 0)
         def span(r):
             block = np.array(r, dtype=np.int64).reshape(-1, a.dim)
             return Subspace.from_rows(f, a.dim, block).basis.tolist()
     else:
-        p = f.order
-        arith = (lambda x, y: (x + y) % p, lambda x, y: x * y % p, 0)
         def span(r):
-            red, piv = naive_rref_mod(r, p)
+            red, piv = naive_rref_mod(r, f.order)
             return red[:len(piv)]
-    return naive_ideal_closure(a.table.tolist(), rows.tolist(), *arith, span)
+    return naive_ideal_closure(a.table.tolist(), rows.tolist(), *_arith(f), span)
 
 
 @pytest.mark.parametrize("entry", ["matn", "trunc3_gf3", "soc20_base",
@@ -244,6 +251,61 @@ def test_ideal_closure_matches_the_fixpoint_oracle(entry):
         closure = a.ideal_closure(Subspace.from_rows(f, n, rows))
         assert closure.basis.tolist() == _closure_oracle(a, rows)
         assert a.is_ideal(closure)
+
+
+def _basis_products_oracle(a, u, v):
+    """P[s][t][k] = sum over i, j of u[s, i] v[t, j] c_ijk: the plain dense
+    contraction, in the oracle arithmetic of the field."""
+    add, mul, zero = _arith(a.field)
+    c, n = a.table.tolist(), a.dim
+    out = []
+    for us in u.basis.tolist():
+        out.append([])
+        for vt in v.basis.tolist():
+            acc = [zero] * n
+            for i in range(n):
+                for j in range(n):
+                    w = mul(us[i], vt[j])
+                    for k in range(n):
+                        acc[k] = add(acc[k], mul(w, c[i][j][k]))
+            out[-1].append(acc)
+    return out
+
+
+@pytest.mark.parametrize("entry", ["soc20_base", "mat2_dual_numbers", "qplane22_gf5",
+                                   "counterexample_B", "skew23_qq"])
+def test_basis_products_match_the_dense_contraction(entry):
+    # GF(2), GF(3), GF(5), GF(25) and QQ
+    if entry == "skew23_qq":
+        a = from_skew_presentation(QQ, SkewPresentation.anticommuting([2, 3]))
+    else:
+        a = get(entry)
+    f, n = a.field, a.dim
+    rng = np.random.default_rng(sum(map(ord, entry)) + 1)
+
+    def span(k, zero_columns=()):
+        if f == QQ:
+            rows = f.arr([[Fraction(int(x), int(d)) for x, d in
+                           zip(rng.integers(-3, 4, n), rng.integers(1, 4, n))]
+                          for _ in range(k)])
+        else:
+            rows = f.random_enc(rng, (k, n))
+        rows[:, list(zero_columns)] = f.zero_enc
+        return Subspace.from_rows(f, n, rows)
+
+    j = radical(a).radical
+    killer = a.left_annihilator(j)      # the socle on the side with u J(A) = 0
+    sparse = span(3, rng.permutation(n)[: n // 2])
+    assert np.any(np.all(sparse.basis == f.zero_enc, axis=0))
+    cases = [(span(3), span(4)), (a.zero_space(), span(2)), (span(2), a.zero_space()),
+             (span(2), sparse), (a.full_space(), sparse), (killer, j)]
+    for u, v in cases:
+        prods = a.basis_products(u, v)
+        assert prods.shape == (u.dim, v.dim, n)
+        assert prods.tolist() == _basis_products_oracle(a, u, v)
+        if f == QQ:     # integral values are ints
+            assert all(type(x) is int or x.denominator > 1 for x in prods.flat)
+    assert killer.dim and j.dim and np.all(a.basis_products(killer, j) == f.zero_enc)
 
 
 def test_annihilators(mat2):

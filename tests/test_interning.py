@@ -23,12 +23,18 @@ import numpy as np
 import pytest
 
 from symcenter import GF, QQ, SkewPresentation, from_skew_presentation, gf25
-from symcenter import algebra, linalg, symmetric
-from symcenter.algebra import Algebra, interning
+from symcenter import algebra, constructions, linalg
+from symcenter.algebra import Algebra, interning, memoised
 from symcenter.analysis import analyze
 from symcenter.constructions import opposite, quotient, tensor, trivial_extension
 from symcenter.corpus import get
-from symcenter.errors import FileFormatError, InternalCheckError, SymcenterError
+from symcenter.errors import (
+    AlgebraMismatch,
+    FieldMismatch,
+    FileFormatError,
+    InternalCheckError,
+    SymcenterError,
+)
 from symcenter.fileformat import emit_structure_constants, load_algebra, parse_document
 from symcenter.substructures import (
     j_of_center,
@@ -227,6 +233,45 @@ def test_paper_suite_validates_each_table_once():
     assert per_table and set(per_table) == {1}
 
 
+def test_paper_suite_runs_each_ideal_test_and_quotient_seed_once():
+    # a cold process, so that no memo from another test is found
+    proc = subprocess.run([sys.executable, __file__, "memos"], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    for name in ("is_ideal", "quotient_seed"):
+        assert runs[name]["keys"] > 0 and runs[name]["runs per key"] == [1], name
+
+
+def test_is_ideal_runs_once_per_table_and_subspace(monkeypatch):
+    computed = []
+    quotient_coords = linalg.Subspace.quotient_coords
+
+    def counting(self, rows):
+        computed.append(self.dim)
+        return quotient_coords(self, rows)
+
+    monkeypatch.setattr(linalg.Subspace, "quotient_coords", counting)
+    base = get("dim12_sharp")
+    a = Algebra(base.field, base.table, base.one)      # a new core, with no memo
+    k = a.commutator_space()
+    for u in (k, a.ideal_closure(k)):
+        verdict, before = a.is_ideal(u), len(computed)
+        assert before > 0
+        # another view of the table, and an equal subspace, compute nothing
+        twin = linalg.Subspace(u.field, u.ambient_dim, u.basis.copy())
+        assert a.replace(name="another view").is_ideal(twin) is verdict
+        assert len(computed) == before
+        computed.clear()
+    assert not a.is_ideal(k) and a.is_ideal(a.ideal_closure(k))
+    # a subspace with the same bytes over another field, or in another
+    # ambient dimension, is refused before the memo is read
+    with pytest.raises(FieldMismatch):
+        a.is_ideal(linalg.Subspace(GF(5), k.ambient_dim, k.basis))
+    with pytest.raises(AlgebraMismatch):
+        a.is_ideal(linalg.Subspace(k.field, k.ambient_dim * k.dim, k.basis.reshape(1, -1)))
+
+
 # -- provenance stays with the view --------------------------------------------
 
 
@@ -263,7 +308,8 @@ def test_a_wrong_hint_is_rejected_with_the_same_message_after_j_is_known():
 
 
 def test_a_second_certified_radical_for_one_table_is_an_internal_error(g3):
-    # span{x^2} is a nilpotent ideal, and a seed's theorem is trusted for A/N
+    # span{x^2} is a nilpotent ideal but not J(A); once the table's J(A) is
+    # known, another subspace is refused against it, before any check
     x2 = linalg.Subspace.from_rows(g3, 3, [[0, 0, 1]])
     with interning():
         a = from_skew_presentation(g3, SkewPresentation.commuting([3]))
@@ -371,24 +417,46 @@ def test_a_core_keeps_only_cores_made_after_it(g3):
 
 def test_a_block_keeps_a_memo_whose_result_is_an_older_core(monkeypatch):
     built = []
+    quotient_data = algebra.quotient_data
 
     def counting(a, ideal):
         built.append(ideal.dim)
-        return algebra.quotient_data(a, ideal)
+        return quotient_data(a, ideal)
 
-    monkeypatch.setattr(symmetric, "quotient_data", counting)
+    # the one binding quotient_core builds A/I with
+    monkeypatch.setattr(algebra, "quotient_data", counting)
     with interning():
+        c = from_skew_presentation(GF(7), SkewPresentation.commuting([3]))
         a = from_skew_presentation(GF(7), SkewPresentation.commuting([2, 3])).replace(
             sym_form=[0, 0, 0, 0, 0, 1])
         for _ in range(3):
-            # for z = 1, I_mu = 0 and A/I_mu has A's own table: an older core
+            # for z = x1, A/I_mu is k[x2]/(x2^3) on the table of c: an older core
+            w = symmetric_quotient(a, a.monomial("x1"))
+            assert w.ideal.dim == 3 and w.quotient._core is c._core
+            # for z = 1, I_mu = 0 and A/I_mu is A itself, with nothing to build
             w = symmetric_quotient(a, a.one_element())
             assert w.ideal.dim == 0 and w.quotient._core is a._core
-        assert built == [0]
-        # the block keeps the result, never the core: no core holds an older one
+        assert built == [3]
+        # the block keeps the results, never the core: no core holds an older one
         assert not any(isinstance(v, algebra._Core) and v.serial <= a._core.serial
                        for v in a._core.facts.values())
     assert algebra._OLDER is None
+
+
+def test_quotient_refuses_a_foreign_ideal_after_a_memo_hit():
+    base = get("dim12_sharp")
+    a = Algebra(base.field, base.table, base.one)      # a new core, with no memo
+    for ideal in (a.zero_space(), radical(a).radical):
+        q = quotient(a, ideal)
+        assert quotient(a, ideal)._core is q._core
+        # the same coordinates over another field, or in another ambient
+        # dimension, are refused before the memo is read
+        with pytest.raises(FieldMismatch):
+            quotient(a, linalg.Subspace(GF(5), ideal.ambient_dim, ideal.basis))
+        wide = ideal.basis.reshape(min(ideal.dim, 1), ideal.dim * ideal.ambient_dim)
+        with pytest.raises(AlgebraMismatch):
+            quotient(a, linalg.Subspace(ideal.field, wide.shape[1], wide))
+    assert quotient(a, a.zero_space())._core is a._core     # A/0 is A
 
 
 def _counts_per_order(orders, keep_raised) -> list:
@@ -415,6 +483,26 @@ def test_counts_do_not_depend_on_the_order_of_operations(keep_raised):
     assert seen[0] == seen[1] == seen[2] and seen[0]["_validate"] > 0
 
 
+def _memo_runs_per_key() -> dict:
+    """How often one in-process paper-suite run computes the ideal test of
+    each (core, subspace) and the quotient seed of each (parent core,
+    ideal), through the memos of the same slots."""
+    runs = {"is_ideal": Counter(), "quotient_seed": Counter()}
+
+    def counting(name, fn):
+        def counted(a, sub):
+            runs[name][a._core.serial, algebra.coords_key(a.field, sub.basis)] += 1
+            return fn(a, sub)
+        return memoised(name)(counted)
+
+    algebra._is_ideal = counting("is_ideal", algebra._is_ideal.__wrapped__)
+    constructions._quotient_seed = counting("quotient_seed",
+                                            constructions._quotient_seed.__wrapped__)
+    run_paper_suite()
+    return {name: {"keys": len(c), "runs per key": sorted(set(c.values()))}
+            for name, c in runs.items()}
+
+
 def _validations_per_table() -> list:
     """How often one in-process paper-suite run validates each table."""
     per_table = Counter()
@@ -437,5 +525,7 @@ if __name__ == "__main__":
     if sys.argv[1] == "orders":
         print(json.dumps(_counts_per_order(
             [_OPS, _OPS[::-1], _OPS[1::2] + _OPS[::2]], keep_raised=sys.argv[2] == "1")))
+    elif sys.argv[1] == "memos":
+        print(json.dumps(_memo_runs_per_key()))
     else:
         print(json.dumps(_validations_per_table()))

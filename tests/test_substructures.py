@@ -28,7 +28,9 @@ from symcenter.fields import ExtensionField
 from symcenter.fileformat import parse_document
 from symcenter.linalg import Subspace, subspace_intersect
 from symcenter.substructures import (
+    RadicalCertificate,
     is_basic,
+    is_nilpotent_ideal,
     is_local,
     j_of_center,
     property_verdicts,
@@ -168,6 +170,28 @@ def test_bad_seed_is_an_internal_error(mat2, seed_rows):
     with pytest.raises(InternalCheckError,
                        match=r"^propagated radical failed verification: a bogus theorem$"):
         radical(a)
+
+
+def test_a_nilpotent_ideal_smaller_than_the_radical_is_an_internal_error():
+    # soc(A) of dim12_sharp is a nilpotent ideal, so it lies in J(A), but its
+    # dimension is 1 against J(A)'s 11: A/soc(A) is not semisimple.  Taken
+    # as J(A), it would flip all three verdicts.
+    base = get("dim12_sharp")
+    soc = socle(base)
+    assert soc.dim == 1 and base.is_ideal(soc) and is_nilpotent_ideal(base, soc)
+    assert not verify_certificate(base, RadicalCertificate(soc, "propagated", "soc(A)"))
+    # a new core, on which J(A) is not known yet
+    a = Algebra(base.field, base.table, base.one, _radical_seed=lambda: (soc, "soc(A)"))
+    assert a._core is not base._core
+    with pytest.raises(InternalCheckError,
+                       match=r"^propagated radical failed verification: soc\(A\)$"):
+        radical(a)
+    assert "radical" not in a._core.facts
+    # a seedless view of the same table gets the true J(A) and verdicts
+    twin = Algebra(a.field, a.table, a.one, _core=a._core)
+    assert radical(twin).radical == radical(base).radical
+    verdicts = property_verdicts(twin)
+    assert (verdicts.p1.holds, verdicts.p2.holds, verdicts.p3.holds) == (False, True, True)
 
 
 def _rule(e):

@@ -11,7 +11,7 @@ from oracles import naive_form_radical_mod, naive_rank_mod
 
 import symcenter.constructions as constructions
 import symcenter.symmetric as symmetric
-from symcenter import QQ, SkewPresentation, analyze, from_skew_presentation
+from symcenter import QQ, Algebra, SkewPresentation, analyze, from_skew_presentation
 from symcenter.corpus import _BUILDERS, get
 from symcenter.errors import (
     AmbientMismatch,
@@ -185,9 +185,13 @@ def test_nustar_relations_trivial_and_m2():
 
 
 def test_symmetric_quotient_lets_internal_check_errors_through(monkeypatch):
-    # another view, so the patched radical never reaches the corpus view's
-    # certificate; each call returns a new quotient view with no certificate
-    a = get("dim12_sharp").replace(name="dim12_sharp, another view")
+    # a fresh core, so the patched radical never reaches the corpus view's
+    # certificate and the quotient's seed, kept per parent table, has not
+    # run yet; each call returns a new quotient view with no certificate
+    base = get("dim12_sharp")
+    a = Algebra(base.field, base.table, base.one, labels=base.labels,
+                sym_form=base.sym_form, name="dim12_sharp, another table")
+    assert a._core is not base._core
     w = symmetric_quotient(a, a.monomial("M^2"))
 
     # the quotient's seed asks constructions.radical for A's radical
