@@ -1,42 +1,43 @@
 """Structure-constant algebras and their first-order invariants.
 
-An Algebra is a finite-dimensional unital associative algebra given by a
-table of structure constants: ``table[i, j]`` holds the coordinates of
-e_i * e_j.  Associativity and the unit law are always verified at
-construction.  Associativity is checked on the nonzero structure constants
-alone: the terms c_ijk c_klm of (e_i e_j) e_l and c_jlr c_irm of
-e_i (e_j e_l) come from joining the table's nonzero entries with each
-other, and are summed per key (i, j, m, l), where m is the output
+An Algebra is a finite-dimensional unital associative algebra given by its
+structure constants: c_ijk is the coefficient of e_k in e_i * e_j.  A table
+is mostly zero, so it is held as its nonzero constants alone (the entries:
+index arrays i, j, k in C order and the encoded values); ``Algebra(field,
+table, one)`` reads a dense n x n x n table once, the constructions build
+entries directly, and ``Algebra.table`` rebuilds the dense array for
+callers outside the package.  Associativity and the unit law are always
+verified at construction.  Associativity is checked by joining the entries
+with each other: the terms c_ijk c_klm of (e_i e_j) e_l and c_jlr c_irm of
+e_i (e_j e_l) are summed per key (i, j, m, l), where m is the output
 coordinate.  The work is on the order of dim times the nonzero count,
-against dim^5 for the dense identity L(e_i e_j) = L(e_i) L(e_j); the
-tables the constructions build are monomial or nearly so.  That identity
-is indexed in the same order, so the first failing key names the triple a
-dense check would.  Everything downstream (centers, commutator spaces, ideal
-tests, annihilators, Loewy series) is exact linear algebra over the
-algebra's field.
+against dim^5 for the dense identity L(e_i e_j) = L(e_i) L(e_j).  That
+identity is indexed in the same order, so the first failing key names the
+triple a dense check would.  Everything downstream (centers, commutator
+spaces, ideal tests, annihilators, Loewy series) is exact linear algebra
+over the algebra's field, on systems built from the entries.
 
 Products of a block of rows with the table (``left_products`` and
 ``right_products``, and so ``is_ideal``, ``basis_products``,
-``ideal_closure`` and the annihilators) read the n x n^2 table of their
-side, ``table.reshape(n, n * n)`` or its (j, i) transpose, on its nonzero
-columns alone (Gustavson's column compression, ACM TOMS 4(3), 1978): one
-product with the dense n x c block of those columns, scattered into a zero
-output.  A table is mostly zero; over paper-suite's tables a third of the
-columns hold a nonzero constant.  ``basis_products(u, v)`` contracts v's
-basis with the products u_s e_j the same way: only on the coordinates j
-that v's basis uses, and on the columns of those rows that hold a nonzero
-product.
+``ideal_closure`` and the annihilators) read the entries too: the output
+column (j, k) of rows[s] e_j, or (i, k) of e_i rows[s], sums the terms
+rows[s, i] c_ijk of its entries (Gustavson's column compression, ACM TOMS
+4(3), 1978), scattered into a zero output.  Each side keeps its entries
+grouped by output column, the fullest columns first, so the sums are
+taken one layer at a time: the t-th entry of every column with more than
+t.  Most columns hold one entry, and a side whose columns all do needs no
+sum.
 
 An Algebra is a thin *view* over a *core* (hash-consing):
 
-* per table, on the core: the field, the read-only table and unit, the
+* per table, on the core: the field, the read-only entries and unit, the
   validation, and every fact that depends on them alone -- the center,
-  the commutator space, the nonzero columns of each side's table and their
-  block, the ideal test of each subspace, the radical certificate checks
-  and the facts derived from J(A), the Gram matrix of each verified form,
-  I_mu for each form mu, and the tables that the quotient, tensor and
-  trivial-extension constructions built from this one (A/I once per ideal
-  I, whichever route asks for it) with the radical seed of each A/I.
+  the commutator space, each side's column grouping, the ideal test of
+  each subspace, the radical certificate checks and the facts derived
+  from J(A), the Gram matrix of each verified form, I_mu for each form
+  mu, and the tables that the quotient, tensor and trivial-extension
+  constructions built from this one (A/I once per ideal I, whichever
+  route asks for it) with the radical seed of each A/I.
   ``memoised(key)`` keeps a result there, once per further argument where
   it has one;
 * per view, on the Algebra: the name, labels, symmetrizing form,
@@ -46,7 +47,7 @@ An Algebra is a thin *view* over a *core* (hash-consing):
 ``replace`` and the constructions' memos hand out new views of an existing
 core.  Tables are interned only inside an ``interning()`` block, which the
 paper suite runs in: there a table equal to one built earlier in the block
-(same field, exactly equal arrays, found by a hash of them) gets that
+(same field, exactly equal entries, found by a hash of them) gets that
 core, validated and analysed once.  The block holds its cores until it
 ends, so what is shared depends only on what the block builds, never on
 which algebras happen to be alive.  Outside a block every new table gets
@@ -54,9 +55,10 @@ a core of its own.  A core keeps only cores made after it, and no view,
 so no core or view is ever in a reference cycle: each is freed as soon as
 the last reference to it goes.  A memo whose result is an older core (A/I_mu
 with I_mu = 0 has A's own table) is kept by the open block instead, until
-it ends.  Both are immutable: the table, unit and form are read-only arrays
-(a caller's writeable array is copied, never aliased).  A different name or
-form means a new view of the same core, made by ``replace``.
+it ends.  Both are immutable: the entries, unit and form are read-only
+arrays (a caller's writeable unit or form is copied, never aliased).  A
+different name or form means a new view of the same core, made by
+``replace``.
 """
 
 from __future__ import annotations
@@ -141,25 +143,31 @@ def _runs(starts: np.ndarray, counts: np.ndarray):
     return t, starts[t] + np.arange(len(t)) - (np.cumsum(counts) - counts)[t]
 
 
-def _first_nonassociative_triple(f: FieldDescriptor, c: np.ndarray):
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal values begins in a sorted key array."""
+    if not keys.size:
+        return np.zeros(0, dtype=np.int64)
+    return np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+
+
+def _first_nonassociative_triple(core: "_Core"):
     """The first basis triple (i, j, l) with (e_i e_j) e_l != e_i (e_j e_l), or None.
 
-    Works on the nonzero entries (i, j, k) of the table, taken in C order,
-    so the entries of each basis pair (i, j), and of each row i, are
-    contiguous.  Coefficient m of (e_i e_j) e_l sums the terms c_ijk c_klm
-    (pair (i, j) joined with row k); coefficient m of e_i (e_j e_l) sums
-    c_jlr c_irm (row j joined with pair (i, r)).  Both kinds of term are
-    keyed (i, j, m, l) and summed per key, the second negated; associativity
-    holds where every sum is zero.  The key order is the index order of the
-    operator identity L(e_i e_j) = L(e_i) L(e_j), so the smallest key whose
-    sum is nonzero names the first failing (i, j, l) in that order, the
-    triple a dense check of the identity reports.  Pairs (i, j) are joined
-    in that order, in blocks of at most ``_JOIN_BLOCK`` terms (or of one
-    pair), so memory stays bounded on dense tables too.
+    Works on the entries (i, j, k) of the table, in C order, so the
+    entries of each basis pair (i, j), and of each row i, are contiguous.
+    Coefficient m of (e_i e_j) e_l sums the terms c_ijk c_klm (pair (i, j)
+    joined with row k); coefficient m of e_i (e_j e_l) sums c_jlr c_irm
+    (row j joined with pair (i, r)).  Both kinds of term are keyed (i, j,
+    m, l) and summed per key, the second negated; associativity holds where
+    every sum is zero.  The key order is the index order of the operator
+    identity L(e_i e_j) = L(e_i) L(e_j), so the smallest key whose sum is
+    nonzero names the first failing (i, j, l) in that order, the triple a
+    dense check of the identity reports.  Pairs (i, j) are joined in that
+    order, in blocks of at most ``_JOIN_BLOCK`` terms (or of one pair), so
+    memory stays bounded on dense tables too.
     """
-    n = c.shape[0]
-    ei, ej, ek = (x.astype(np.int64) for x in np.nonzero(c != f.zero_enc))
-    val = c[ei, ej, ek]
+    f, n = core.field, core.dim
+    ei, ej, ek, val = core.entries
     pair_cnt = np.bincount(ei * n + ej, minlength=n * n)
     pair_start = np.concatenate([[0], np.cumsum(pair_cnt)])
     row_cnt = np.bincount(ei, minlength=n)
@@ -197,7 +205,7 @@ def _first_nonassociative_triple(f: FieldDescriptor, c: np.ndarray):
             continue
         order = np.argsort(keys)
         keys = keys[order]
-        starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+        starts = _run_starts(keys)
         bad = np.flatnonzero(f.a_sum_runs(np.concatenate(terms)[order], starts) != f.zero_enc)
         if bad.size:
             i, j, _, l = (int(v) for v in np.unravel_index(keys[starts[bad[0]]], (n,) * 4))
@@ -222,30 +230,114 @@ def _read_only(field: FieldDescriptor, values, fresh: bool = False) -> np.ndarra
     return arr
 
 
-def _nonzero_rows(f: FieldDescriptor, system: np.ndarray) -> np.ndarray:
-    """The rows of a linear system that have a nonzero entry.
+def _entries(n: int, flat: np.ndarray, val: np.ndarray) -> tuple:
+    """The read-only entries (i, j, k, value) at sorted flat indexes
+    (i n + j) n + k of nonzero constants."""
+    ij, k = np.divmod(flat.astype(np.int64, copy=False), n)
+    entries = (*np.divmod(ij, n), k, val)
+    for arr in entries:
+        arr.flags.writeable = False
+    return entries
 
-    The n^2 x n center and commutator systems are mostly zero rows, and
-    dropping them leaves the RREF, and so the kernel or span, unchanged.
+
+def _dense_entries(field: FieldDescriptor, table: np.ndarray) -> tuple:
+    """The entries of an encoded dense n x n x n table, read once."""
+    flat = np.flatnonzero(table != field.zero_enc)
+    return _entries(table.shape[0], flat, table.reshape(-1)[flat])
+
+
+def sum_by_key(field: FieldDescriptor, keys: np.ndarray, terms: np.ndarray):
+    """The distinct keys of a sorted key array and the sum of the terms
+    (along axis 0) of each."""
+    starts = _run_starts(keys)
+    if len(starts) == len(keys):
+        return keys, terms
+    return keys[starts], field.a_sum_runs(terms, starts)
+
+
+def _table_entries(field: FieldDescriptor, n: int, flat: np.ndarray, terms: np.ndarray) -> tuple:
+    """The entries of the n-dimensional table whose constant at flat index
+    (i n + j) n + k is the sum of the terms there: indexes may repeat and
+    come in any order, and a zero sum is no entry."""
+    order = np.argsort(flat)
+    flat, val = sum_by_key(field, flat[order], terms[order])
+    keep = val != field.zero_enc
+    return _entries(n, flat[keep], val[keep])
+
+
+def _difference_rows(f: FieldDescriptor, n: int, val: np.ndarray, plus, minus) -> np.ndarray:
+    """The nonzero rows, in order, of the n-column system that holds
+    +val[e] at plus[e] = (row, column) and -val[e] at minus[e].
+
+    The center and commutator systems are two placements of the constants,
+    subtracted, so only the rows a constant reaches are built; dropping the
+    rest leaves the RREF, and so the kernel or span, unchanged.
     """
+    reached = np.zeros(n * n, dtype=bool)
+    reached[plus[0]] = reached[minus[0]] = True
+    index = np.cumsum(reached) - 1
+    a, b = f.zeros((index[-1] + 1, n)), f.zeros((index[-1] + 1, n))
+    a[index[plus[0]], plus[1]] = val
+    b[index[minus[0]], minus[1]] = val
+    system = f.a_sub(a, b)
     return system[np.any(system != f.zero_enc, axis=1)]
 
 
-def _validate(f: FieldDescriptor, c: np.ndarray, one: np.ndarray):
-    """Raise AlgebraValidationError unless ``one`` is a two-sided unit of
-    the table ``c`` and the table is associative."""
-    n = c.shape[0]
-    ident = f.eye(n)
-    left_unit = f.tensordot_lf(one[None, :], c.reshape(n, -1)).reshape(n, n)
-    if not np.all(left_unit == ident):
-        i = int(np.nonzero(np.any(left_unit != ident, axis=1))[0][0])
-        raise AlgebraValidationError(f"unit law fails: one * e_{i} != e_{i}")
-    ct = np.ascontiguousarray(c.transpose(1, 0, 2))
-    right_unit = f.tensordot_lf(one[None, :], ct.reshape(n, -1)).reshape(n, n)
-    if not np.all(right_unit == ident):
-        i = int(np.nonzero(np.any(right_unit != ident, axis=1))[0][0])
-        raise AlgebraValidationError(f"unit law fails: e_{i} * one != e_{i}")
-    triple = _first_nonassociative_triple(f, c)
+def _side(core: "_Core", right: bool) -> tuple:
+    """One side's products as layers of terms, kept on the core.
+
+    The output column of an entry (i, j, k) is (j, k) on the left, where
+    rows[s] e_j sums rows[s, i] c_ijk over i, and (i, k) on the right, where
+    e_i rows[s] sums over j.  The entries are ordered by depth within their
+    column, then by column, fullest columns first: layer t holds the t-th
+    entry of the first ``widths[t]`` columns, which are the columns with
+    more than t entries.  Returns (row index and value of each entry in that
+    order, the output columns, widths)."""
+    key = ("side", right)
+    if key not in core.facts:
+        n = core.dim
+        ei, ej, ek, val = core.entries
+        src, other = (ej, ei) if right else (ei, ej)
+        col = other * n + ek
+        order = np.argsort(col)
+        col = col[order]
+        starts = _run_starts(col)
+        counts = np.diff(np.concatenate([starts, [col.size]]))
+        fullest = np.argsort(-counts)
+        rank = np.empty_like(fullest)
+        rank[fullest] = np.arange(len(fullest))
+        depth = np.arange(col.size) - np.repeat(starts, counts)
+        take = order[np.argsort(depth * len(counts) + np.repeat(rank, counts))]
+        core.facts[key] = (src[take], val[take], col[starts[fullest]],
+                           np.bincount(depth, minlength=1).tolist())
+    return core.facts[key]
+
+
+def _products(core: "_Core", rows: np.ndarray, right: bool) -> np.ndarray:
+    """Array P of shape (len(rows), n, n): rows times one side's table, as
+    the layered sums of ``_side`` scattered into zeros."""
+    f, n = core.field, core.dim
+    src, val, cols, widths = _side(core, right)
+    terms = f.a_mul(rows[:, src], val)
+    sums, done = terms[:, :widths[0]], widths[0]
+    for w in widths[1:]:
+        sums[:, :w] = f.a_add(sums[:, :w], terms[:, done: done + w])
+        done += w
+    out = f.zeros((rows.shape[0], n * n))
+    out[:, cols] = sums
+    return out.reshape(rows.shape[0], n, n)
+
+
+def _validate(core: "_Core"):
+    """Raise AlgebraValidationError unless the core's unit is a two-sided
+    unit of its table and the table is associative."""
+    ident = core.field.eye(core.dim)
+    for right, law in ((False, "one * e_{i} != e_{i}"), (True, "e_{i} * one != e_{i}")):
+        unit = _products(core, core.one[None, :], right)[0]
+        if not np.all(unit == ident):
+            i = int(np.nonzero(np.any(unit != ident, axis=1))[0][0])
+            raise AlgebraValidationError("unit law fails: " + law.format(i=i))
+    triple = _first_nonassociative_triple(core)
     if triple is not None:
         i, j, l = triple
         raise AlgebraValidationError(
@@ -256,29 +348,35 @@ def _validate(f: FieldDescriptor, c: np.ndarray, one: np.ndarray):
 
 
 class _Core:
-    """One structure table: the field, the read-only table and unit, and
+    """One structure table: the field, the read-only entries and unit, and
     ``facts``, every result that depends on them alone.  It holds no view.
     ``serial`` orders cores by creation (see ``memoised``)."""
 
-    __slots__ = ("field", "table", "one", "serial", "facts", "__weakref__")
+    __slots__ = ("field", "dim", "ei", "ej", "ek", "val", "one", "serial", "facts",
+                 "__weakref__")
 
-    def __init__(self, field: FieldDescriptor, table: np.ndarray, one: np.ndarray):
+    def __init__(self, field: FieldDescriptor, dim: int, entries: tuple, one: np.ndarray):
         self.field = field
-        self.table = table
+        self.dim = dim
+        self.ei, self.ej, self.ek, self.val = entries
         self.one = one
         self.serial = next(_SERIALS)
         self.facts: dict = {}
 
-    def holds(self, table: np.ndarray, one: np.ndarray) -> bool:
-        """Exactly this table and unit (the field is the caller's to check)."""
-        return ((self.table is table or np.array_equal(self.table, table))
+    @property
+    def entries(self) -> tuple:
+        return self.ei, self.ej, self.ek, self.val
+
+    def holds(self, entries: tuple, one: np.ndarray) -> bool:
+        """Exactly these entries and unit (the field is the caller's to check)."""
+        return (all(a is b or np.array_equal(a, b) for a, b in zip(self.entries, entries))
                 and (self.one is one or np.array_equal(self.one, one)))
 
 
 _SERIALS = itertools.count()
 
-# the open interning block: (field key, dim, hash of table and unit) -> the
-# cores with that key, in order of creation; None outside a block
+# the open interning block: (field key, dim, hash of entries and unit) ->
+# the cores with that key, in order of creation; None outside a block
 _INTERNED: dict | None = None
 # the open block's memo results that are cores no younger than the core
 # they were computed on: (core serial, memo slot) -> that result core
@@ -307,47 +405,42 @@ def interning():
         _INTERNED = _OLDER = None
 
 
-def _digest(field: FieldDescriptor, table: np.ndarray, one: np.ndarray) -> int:
-    """A hash of the table and unit.  Over QQ it reads the positions and
-    values of the nonzero entries, since the bytes of an object array are
-    pointers; equal values hash equally, whatever their Python type."""
+def _digest(field: FieldDescriptor, entries: tuple, one: np.ndarray) -> int:
+    """A hash of the entries and unit.  Over QQ it reads the values, since
+    the bytes of an object array are pointers; equal values hash equally,
+    whatever their Python type."""
     if field.dtype is not object:
-        return hash((table.tobytes(), one.tobytes()))
-    nonzero = [np.flatnonzero(arr) for arr in (table, one)]
-    return hash(tuple((nz.tobytes(), tuple(arr.flat[nz]))
-                      for arr, nz in zip((table, one), nonzero)))
+        return hash(tuple(arr.tobytes() for arr in (*entries, one)))
+    nz = np.flatnonzero(one)
+    return hash((*(arr.tobytes() for arr in entries[:3]), tuple(entries[3]),
+                 nz.tobytes(), tuple(one[nz])))
 
 
-def _core_of(field: FieldDescriptor, table: np.ndarray, one: np.ndarray) -> _Core:
-    """Inside an interning block, the block's core holding exactly this
-    table and unit, if it has one.  Otherwise a new core, validated first
+def _core_of(field: FieldDescriptor, n: int, entries: tuple, one: np.ndarray) -> _Core:
+    """Inside an interning block, the block's core holding exactly these
+    entries and unit, if it has one.  Otherwise a new core, validated
     (and, inside a block, interned).  Unequal tables whose hashes collide
-    never share a core: the arrays are compared first."""
+    never share a core: the entries are compared first."""
     if _INTERNED is None:
-        _validate(field, table, one)
-        return _Core(field, table, one)
-    cores = _INTERNED.setdefault((field._key(), table.shape[0], _digest(field, table, one)), [])
+        core = _Core(field, n, entries, one)
+        _validate(core)
+        return core
+    cores = _INTERNED.setdefault((field._key(), n, _digest(field, entries, one)), [])
     for core in cores:
-        if core.holds(table, one):
+        if core.holds(entries, one):
             return core
-    _validate(field, table, one)
-    cores.append(_Core(field, table, one))
-    return cores[-1]
+    core = _Core(field, n, entries, one)
+    _validate(core)
+    cores.append(core)
+    return core
 
 
-@memoised("nonzero_columns")
-def _nonzero_columns(algebra: Algebra, right: bool):
-    """The columns of one side's n x n^2 table that hold a nonzero constant,
-    and the n x c block of them: ``table.reshape(n, n * n)`` on the left,
-    whose column (j, k) holds the coefficients of e_k in e_i e_j for each
-    row i, and the (j, i) transpose on the right.  A table is mostly zero,
-    so its products are read from the block alone."""
-    n, table = algebra.dim, algebra.table
-    flat = (table.transpose(1, 0, 2) if right else table).reshape(n, n * n)
-    cols = np.flatnonzero(np.any(flat != algebra.field.zero_enc, axis=0))
-    block = flat[:, cols]
-    block.flags.writeable = False
-    return cols, block
+def core_of_terms(field: FieldDescriptor, n: int, flat: np.ndarray, terms: np.ndarray,
+                  one: np.ndarray) -> _Core:
+    """The core of the n-dimensional table whose constant at each flat index
+    (i n + j) n + k is the sum of the terms there (``_table_entries``), with
+    a freshly built unit: how the constructions make a table."""
+    return _core_of(field, n, _table_entries(field, n, flat, terms), _read_only(field, one, True))
 
 
 @memoised("is_ideal")
@@ -364,13 +457,14 @@ def _is_ideal(algebra: Algebra, u: Subspace) -> bool:
 class Algebra:
     """A unital associative algebra presented by structure constants: a
     view (name, labels, form, seed, radical provenance) over the core of
-    its table."""
+    its table.  Given ``_core``, the table and unit arguments are unused."""
 
     def __init__(self, field: FieldDescriptor, table, one, labels=None,
                  sym_form=None, name: str | None = None,
                  _radical_seed=None, _core: _Core | None = None, _fresh: bool = False):
         if _core is None:
-            table = _read_only(field, table, _fresh)
+            if not (_fresh and isinstance(table, np.ndarray) and table.dtype == field.dtype):
+                table = field.arr(table)
             if table.ndim != 3 or table.shape[0] != table.shape[1] or table.shape[0] != table.shape[2]:
                 raise AlgebraValidationError("structure table must have shape (n, n, n)")
             n = table.shape[0]
@@ -379,8 +473,8 @@ class Algebra:
             one = _read_only(field, one, _fresh)
             if one.size != n:
                 raise AlgebraValidationError(f"unit has {one.size} coordinates, expected {n}")
-            _core = _core_of(field, table, one.reshape(n))
-        n = _core.table.shape[0]
+            _core = _core_of(field, n, _dense_entries(field, table), one.reshape(n))
+        n = _core.dim
         if labels is not None:
             labels = [str(s) for s in labels]
             if len(labels) != n:
@@ -395,7 +489,6 @@ class Algebra:
         self._core = _core
         self.field = _core.field
         self.dim = n
-        self.table = _core.table
         self.one = _core.one
         self.labels = labels
         self.sym_form = sym_form
@@ -409,6 +502,22 @@ class Algebra:
         # ideal.  Without a seed, radical() computes J(A) from the table.
         self._radical_seed = _radical_seed
 
+    @property
+    def entries(self) -> tuple:
+        """The nonzero structure constants c_ijk: read-only index arrays i,
+        j, k in C order and the encoded values."""
+        return self._core.entries
+
+    @property
+    def table(self) -> np.ndarray:
+        """The dense n x n x n table, built from the entries on each access
+        (read-only), for callers outside the package."""
+        ei, ej, ek, val = self.entries
+        table = self.field.zeros((self.dim,) * 3)
+        table[ei, ej, ek] = val
+        table.flags.writeable = False
+        return table
+
     def replace(self, *, name=None, sym_form=None) -> "Algebra":
         """A new view of the same core with the given fields changed.
 
@@ -418,7 +527,7 @@ class Algebra:
         radical, by the same seed.
         """
         return Algebra(
-            self.field, self.table, self.one, labels=self.labels,
+            self.field, None, None, labels=self.labels,
             sym_form=self.sym_form if sym_form is None else sym_form,
             name=self.name if name is None else name,
             _radical_seed=self._radical_seed,
@@ -445,20 +554,11 @@ class Algebra:
 
     def left_products(self, rows: np.ndarray) -> np.ndarray:
         """Array P of shape (len(rows), dim, dim) with P[s, j] = rows[s] * e_j."""
-        return self._products(rows, right=False)
+        return _products(self._core, rows, right=False)
 
     def right_products(self, rows: np.ndarray) -> np.ndarray:
         """Array P of shape (len(rows), dim, dim) with P[s, j] = e_j * rows[s]."""
-        return self._products(rows, right=True)
-
-    def _products(self, rows: np.ndarray, right: bool) -> np.ndarray:
-        """rows times one side's n x n^2 table, read on its nonzero columns
-        alone: one product with their block, scattered into zeros."""
-        n = self.dim
-        cols, block = _nonzero_columns(self, right)
-        out = self.field.zeros((rows.shape[0], n * n))
-        out[:, cols] = self.field.matmul2(rows, block)
-        return out.reshape(rows.shape[0], n, n)
+        return _products(self._core, rows, right=True)
 
     def multiply_coords(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         xe = self.left_products(x[None, :])[0]
@@ -494,22 +594,28 @@ class Algebra:
 
     @memoised("commutative")
     def is_commutative(self) -> bool:
-        return bool(np.all(self.table == self.table.transpose(1, 0, 2)))
+        """The entries equal their transpose (i and j swapped)."""
+        n, (ei, ej, ek, val) = self.dim, self.entries
+        swapped = (ej * n + ei) * n + ek
+        order = np.argsort(swapped)
+        return bool(np.array_equal(swapped[order], (ei * n + ej) * n + ek)
+                    and np.array_equal(val[order], val))
 
     @memoised("center")
     def center(self) -> Subspace:
-        """Elements commuting with every basis vector."""
-        f, c, n = self.field, self.table, self.dim
-        diff = f.a_sub(np.ascontiguousarray(c.transpose(1, 0, 2)), c)  # [j,i,k] = (e_j e_i - e_i e_j)_k .. as functions of j
-        system = np.ascontiguousarray(diff.transpose(1, 2, 0)).reshape(n * n, n)
-        return kernel(f, _nonzero_rows(f, system))
+        """Elements x commuting with every basis vector: row (b, k) of the
+        system is coordinate k of e_b x - x e_b, which x_a enters with
+        c_bak - c_abk."""
+        n, (ei, ej, ek, val) = self.dim, self.entries
+        system = _difference_rows(self.field, n, val, (ei * n + ek, ej), (ej * n + ek, ei))
+        return kernel(self.field, system)
 
     @memoised("commutator")
     def commutator_space(self) -> Subspace:
-        """Span of all commutators [e_i, e_j]."""
-        f, c, n = self.field, self.table, self.dim
-        comm = f.a_sub(c, np.ascontiguousarray(c.transpose(1, 0, 2)))
-        return Subspace.from_rows(f, n, _nonzero_rows(f, comm.reshape(n * n, n)))
+        """Span of all commutators [e_i, e_j], whose coordinate k is c_ijk - c_jik."""
+        n, (ei, ej, ek, val) = self.dim, self.entries
+        system = _difference_rows(self.field, n, val, (ei * n + ej, ek), (ej * n + ei, ek))
+        return Subspace.from_rows(self.field, n, system)
 
     # -- subspace products and ideals ----------------------------------------------
 
@@ -628,7 +734,7 @@ class Algebra:
         return self._core is other._core or (
             self.field == other.field
             and self.dim == other.dim
-            and self._core.holds(other.table, other.one)
+            and self._core.holds(other.entries, other.one)
         )
 
     def __repr__(self):
@@ -712,21 +818,32 @@ class AlgebraElement:
 def quotient_data(algebra: Algebra, ideal: Subspace):
     """Complement-coordinate data of A / ideal.
 
-    Returns (table, one), both freshly built.  The ideal must be a proper
+    Returns (entries, one), both freshly built.  The ideal must be a proper
     two-sided ideal; the quotient is coordinatised by
     ``ideal.quotient_coords`` on the non-pivot columns of the ideal's RREF
-    basis, which makes the construction canonical and deterministic.
+    basis, which makes the construction canonical and deterministic.  Each
+    constant c_ijk with i and j complement columns adds c_ijk nu(e_k) to
+    e_i e_j, for the nonzero coordinates of nu(e_k).
     """
     algebra._check_subspace(ideal)
     if ideal.dim == algebra.dim:
         raise ImproperIdeal("cannot form the quotient by the whole algebra")
     if not algebra.is_ideal(ideal):
         raise NotAnIdeal("quotient requires a two-sided ideal")
-    c, n = algebra.table, algebra.dim
+    f, n, (ei, ej, ek, val) = algebra.field, algebra.dim, algebra.entries
     comp = ideal.complement_columns()
     d = len(comp)
-    table = ideal.quotient_coords(c[np.ix_(comp, comp)].reshape(d * d, n))
-    return table.reshape(d, d, d), ideal.quotient_coords(algebra.one)[0]
+    pos = np.full(n, -1)
+    pos[comp] = np.arange(d)
+    nu = ideal.quotient_coords(f.eye(n))            # row k: nu(e_k)
+    nk, nt = np.nonzero(nu != f.zero_enc)
+    row_cnt = np.bincount(nk, minlength=n)
+    e = np.flatnonzero((pos[ei] >= 0) & (pos[ej] >= 0))
+    t, b = _runs((np.cumsum(row_cnt) - row_cnt)[ek[e]], row_cnt[ek[e]])
+    e = e[t]
+    flat = (pos[ei[e]] * d + pos[ej[e]]) * d + nt[b]
+    entries = _table_entries(f, d, flat, f.a_mul(val[e], nu[nk[b], nt[b]]))
+    return entries, ideal.quotient_coords(algebra.one)[0]
 
 
 @memoised("quotient")
@@ -735,11 +852,20 @@ def quotient_core(algebra: Algebra, ideal: Subspace) -> _Core:
     and built once per table and ideal; A/0 is A's own core."""
     if ideal.dim == 0:
         return algebra._core
-    table, one = quotient_data(algebra, ideal)
-    return Algebra(algebra.field, table, one, _fresh=True)._core
+    entries, one = quotient_data(algebra, ideal)
+    return _core_of(algebra.field, len(one), entries, _read_only(algebra.field, one, True))
 
 
-def form_gram(field: FieldDescriptor, table: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Gram matrix G[i, j] = mu(e_i e_j) of the linear form mu on a structure table."""
-    n = table.shape[0]
-    return field.tensordot_lf(table, mu.reshape(n, 1)).reshape(n, n)
+def form_values(algebra: Algebra, forms: np.ndarray) -> np.ndarray:
+    """V[i, j, s] = forms[s](e_i e_j) for linear forms given as rows: one
+    term c_ijk forms[s, k] per constant, summed per pair (i, j)."""
+    f, n, (ei, ej, ek, val) = algebra.field, algebra.dim, algebra.entries
+    pairs, sums = sum_by_key(f, ei * n + ej, f.a_mul(val[:, None], forms.T[ek]))
+    out = f.zeros((n * n, len(forms)))
+    out[pairs] = sums
+    return out.reshape(n, n, len(forms))
+
+
+def form_gram(algebra: Algebra, mu: np.ndarray) -> np.ndarray:
+    """Gram matrix G[i, j] = mu(e_i e_j) of a linear form mu on the algebra's table."""
+    return form_values(algebra, mu.reshape(1, algebra.dim))[:, :, 0]

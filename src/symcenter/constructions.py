@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, memoised, quotient_core
+from .algebra import Algebra, core_of_terms, memoised, quotient_core
 from .errors import AlgebraValidationError, BasisClaimFailed
 from .fields import FieldDescriptor
 from .linalg import (
@@ -52,7 +52,8 @@ def tensor(a1: Algebra, a2: Algebra) -> Algebra:
     f = a1.field
     f.check_same(a2.field)
     n = a1.dim * a2.dim
-    core = _tensor_core(a1, a2.table, a2.one)
+    ei, ej, ek, val = a2.entries
+    core = _tensor_core(a1, (ei * a2.dim + ej) * a2.dim + ek, val, a2.one)
     labels = None
     if a1.labels is not None and a2.labels is not None:
         labels = [f"{l1}⊗{l2}" for l1 in a1.labels for l2 in a2.labels]
@@ -68,17 +69,23 @@ def tensor(a1: Algebra, a2: Algebra) -> Algebra:
             "J(A1) (x) A2 + A1 (x) J(A2) from component radicals",
         )
 
-    return Algebra(f, core.table, core.one, labels=labels, sym_form=sym, name=name,
+    return Algebra(f, None, None, labels=labels, sym_form=sym, name=name,
                    _radical_seed=seed, _core=core)
 
 
 @memoised("tensor")
-def _tensor_core(a1: Algebra, table2: np.ndarray, one2: np.ndarray):
-    """The core of the table of A1 (x) A2, given A2's table and unit."""
-    f, n = a1.field, a1.dim * len(one2)
-    big = f.a_mul(a1.table[:, None, :, None, :, None], table2[None, :, None, :, None, :])
+def _tensor_core(a1: Algebra, flat2: np.ndarray, val2: np.ndarray, one2: np.ndarray):
+    """The core of the table of A1 (x) A2, given A2's entries (at flat
+    indexes) and unit: c_ijk d_abc sits at ((i, a), (j, b), (k, c))."""
+    f, n1, n2 = a1.field, a1.dim, len(one2)
+    n = n1 * n2
+    ei, ej, ek, val = a1.entries
+    ij2, k2 = np.divmod(flat2, n2)
+    i2, j2 = np.divmod(ij2, n2)
+    i, j, k = (x1[:, None] * n2 + x2[None, :] for x1, x2 in ((ei, i2), (ej, j2), (ek, k2)))
+    flat = ((i * n + j) * n + k).reshape(-1)
     one = f.a_mul(a1.one[:, None], one2[None, :]).reshape(n)
-    return Algebra(f, big.reshape(n, n, n), one, _fresh=True)._core
+    return core_of_terms(f, n, flat, f.a_mul(val[:, None], val2[None, :]).reshape(-1), one)
 
 
 # -- trivial extension -----------------------------------------------------------
@@ -105,22 +112,25 @@ def trivial_extension(a: Algebra) -> Algebra:
             "J(A) + A* (dual copy squares to zero)",
         )
 
-    return Algebra(f, core.table, core.one, labels=labels, sym_form=lam, name=name,
+    return Algebra(f, None, None, labels=labels, sym_form=lam, name=name,
                    _radical_seed=seed, _core=core)
 
 
 @memoised("trivial_extension")
 def _trivext_core(a: Algebra):
-    """The core of the table of T(A)."""
-    f, n, c = a.field, a.dim, a.table
-    t = f.zeros((2 * n, 2 * n, 2 * n))
-    t[:n, :n, :n] = c
-    # e_i * e_j^* = sum_k c[k, i, j] e_k^*   (module action (a f)(x) = f(x a))
-    t[:n, n:, n:] = np.ascontiguousarray(c.transpose(1, 2, 0))
-    # e_j^* * e_i = sum_k c[i, k, j] e_k^*   (module action (f a)(x) = f(a x))
-    t[n:, :n, n:] = np.ascontiguousarray(c.transpose(2, 0, 1))
+    """The core of the table of T(A): each constant c_ijk of A sits at
+    (i, j, k), and twice more on the dual copy (e_i* is index n + i)."""
+    f, n, (i, j, k, val) = a.field, a.dim, a.entries
+    m = 2 * n
+    flat = np.concatenate([
+        (i * m + j) * m + k,
+        # e_j * e_k^* = sum_i c[i, j, k] e_i^*   (module action (a f)(x) = f(x a))
+        (j * m + n + k) * m + n + i,
+        # e_k^* * e_i = sum_j c[i, j, k] e_j^*   (module action (f a)(x) = f(a x))
+        ((n + k) * m + i) * m + n + j,
+    ])
     one = np.concatenate([a.one, f.zeros(n)])
-    return Algebra(f, t, one, _fresh=True)._core
+    return core_of_terms(f, m, flat, np.concatenate([val] * 3), one)
 
 
 @dataclass(frozen=True)
@@ -183,7 +193,7 @@ def quotient_view(a: Algebra, ideal: Subspace, *, name=None, sym_form=None) -> A
     labels = None
     if a.labels is not None:
         labels = [a.labels[i] for i in ideal.complement_columns()]
-    return Algebra(a.field, core.table, core.one, labels=labels, sym_form=sym_form,
+    return Algebra(a.field, None, None, labels=labels, sym_form=sym_form,
                    name=name or f"({a.name or 'A'})/I",
                    _radical_seed=lambda: _quotient_seed(a, ideal), _core=core)
 
@@ -203,14 +213,15 @@ def _quotient_seed(a: Algebra, ideal: Subspace):
 
 
 def opposite(a: Algebra) -> Algebra:
-    """Same space, reversed multiplication (transposed table)."""
-    table = np.ascontiguousarray(a.table.transpose(1, 0, 2))
+    """Same space, reversed multiplication: c_ijk moves to (j, i, k)."""
+    n, (i, j, k, val) = a.dim, a.entries
+    core = core_of_terms(a.field, n, (j * n + i) * n + k, val, a.one)
 
     def seed():
         return radical(a).radical, "the radical is opposite-invariant"
 
-    return Algebra(a.field, table, a.one, labels=a.labels, sym_form=a.sym_form,
-                   name=f"op({a.name or 'A'})", _radical_seed=seed, _fresh=True)
+    return Algebra(a.field, None, None, labels=a.labels, sym_form=a.sym_form,
+                   name=f"op({a.name or 'A'})", _radical_seed=seed, _core=core)
 
 
 # -- skew truncated presentations -----------------------------------------------------
@@ -302,8 +313,7 @@ def from_skew_presentation(field: FieldDescriptor, pres: SkewPresentation,
         powers = [field.s_pow(q, e) for e in range((bounds[j] - 1) * (bounds[i] - 1) + 1)]
         exponent = exps[a_idx, j] * exps[b_idx, i]
         factor = field.a_mul(factor, np.array(powers, dtype=field.dtype)[exponent])
-    table = field.zeros((dim, dim, dim))
-    table[a_idx, b_idx, total[a_idx, b_idx] @ strides] = factor
+    flat = (a_idx * dim + b_idx) * dim + total[a_idx, b_idx] @ strides
     one = field.zeros(dim)
     one[0] = field.one_enc
     labels = [_monomial_label(e, names) for e in exps.tolist()]
@@ -313,8 +323,8 @@ def from_skew_presentation(field: FieldDescriptor, pres: SkewPresentation,
         return (Subspace(field, dim, field.eye(dim)[1:]),
                 "monomials of positive degree: a nilpotent ideal of codimension 1")
 
-    return Algebra(field, table, one, labels=labels, name=name, _radical_seed=seed,
-                   _fresh=True)
+    return Algebra(field, None, None, labels=labels, name=name, _radical_seed=seed,
+                   _core=core_of_terms(field, dim, flat, factor, one))
 
 
 # -- matrix-generated subalgebras ---------------------------------------------------

@@ -142,13 +142,14 @@ class FieldDescriptor:
         raise NotImplementedError
 
     def __eq__(self, other):
-        return isinstance(other, FieldDescriptor) and self._key() == other._key()
+        return self is other or (isinstance(other, FieldDescriptor)
+                                 and self._key() == other._key())
 
     def __hash__(self):
         return hash(self._key())
 
     def check_same(self, other: "FieldDescriptor"):
-        if self != other:
+        if self is not other and self != other:
             raise FieldMismatch(f"cannot mix elements of {self} and {other}")
 
     # -- scalar interface (encoded values) ------------------------------------
@@ -221,8 +222,9 @@ class FieldDescriptor:
         different lengths are refused."""
         if isinstance(values, np.ndarray):
             if values.dtype.kind in "iu" and self.order is not None:
-                if values.size:
-                    self._enc(values.min()), self._enc(values.max())
+                if values.size and (values.min() < 0 or values.max() >= self.order):
+                    raise ScalarFormatError(
+                        f"an encoded value lies outside [0, {self.order}) for {self}")
                 return values.astype(self.dtype, copy=False)
             flat = [self._enc(v) for v in values.flat]
             return np.array(flat, dtype=self.dtype).reshape(values.shape)
@@ -277,7 +279,7 @@ class FieldDescriptor:
         return m
 
     def a_sum_runs(self, a: np.ndarray, starts: np.ndarray) -> np.ndarray:
-        """Sums of the runs a[starts[g]:starts[g + 1]] of a 1-D array.
+        """Sums of the runs a[starts[g]:starts[g + 1]] along axis 0.
 
         ``starts`` is strictly increasing from 0; the last run ends at the
         end of ``a``.

@@ -372,16 +372,16 @@ def load_algebra(path: str) -> Algebra:
 
 def emit_structure_constants(alg: Algebra) -> str:
     """Canonical explicit file for an algebra (used by cmd_construct)."""
-    field = alg.field
+    field, n = alg.field, alg.dim
     doc = {"name": alg.name or "algebra", "field": field_to_json(field)}
+    zero = scalar_to_json(field, field.zero_enc)
+    table = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for i, j, k, v in zip(*(arr.tolist() for arr in alg.entries)):
+        table[i][j][k] = scalar_to_json(field, v)
     pres = {
         "type": "structure_constants",
-        "dim": alg.dim,
-        "table": [
-            [[scalar_to_json(field, alg.table[i, j, k]) for k in range(alg.dim)]
-             for j in range(alg.dim)]
-            for i in range(alg.dim)
-        ],
+        "dim": n,
+        "table": table,
         "one": [scalar_to_json(field, v) for v in alg.one],
     }
     if alg.labels is not None:

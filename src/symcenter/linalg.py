@@ -132,7 +132,8 @@ def _rref_bitsliced(p: int, data: np.ndarray):
     rows, cols = data.shape
     out = np.zeros((rows, cols), dtype=np.int64)
     b = p - 1                                   # bits per entry
-    packed = [x for x in _pack(data, b) if x]
+    # a repeated row adds nothing to the span
+    packed = list(dict.fromkeys(x for x in _pack(data, b) if x))
     basis = (_gf2_basis if p == 2 else _gf3_basis)(packed, cols)
     keys = sorted(basis)
     _unpack([basis[k] for k in keys], out[: len(keys)], b)
@@ -257,20 +258,27 @@ class Subspace:
 
     ``basis`` must already be in RREF: ``pivot_columns``, ``reduce`` and the
     equality test rely on it.  ``from_rows`` canonicalises arbitrary rows.
+    The basis is read-only, and its pivot columns are the ones passed by
+    the elimination that found them, or found once when first asked for.
     """
 
-    __slots__ = ("field", "ambient_dim", "basis")
+    __slots__ = ("field", "ambient_dim", "basis", "_pivots", "_comp")
 
-    def __init__(self, field: FieldDescriptor, ambient_dim: int, basis: np.ndarray):
+    def __init__(self, field: FieldDescriptor, ambient_dim: int, basis: np.ndarray,
+                 pivots: list[int] | None = None):
         self.field = field
         self.ambient_dim = int(ambient_dim)
         self.basis = np.asarray(basis, dtype=field.dtype)
+        self.basis.flags.writeable = False
+        self._pivots = pivots
+        self._comp = None
 
     @classmethod
     def from_rows(cls, field: FieldDescriptor, ambient_dim: int, rows) -> "Subspace":
         """Canonicalise spanning rows, read by ``_coord_rows``, into a Subspace."""
         red, pivots = rref_data(field, _coord_rows(field, rows, ambient_dim))
-        return cls(field, ambient_dim, red[: len(pivots)].copy())  # a view would pin red
+        # a view would pin red
+        return cls(field, ambient_dim, red[: len(pivots)].copy(), pivots)
 
     @classmethod
     def zero(cls, field: FieldDescriptor, ambient_dim: int) -> "Subspace":
@@ -286,12 +294,15 @@ class Subspace:
 
     def pivot_columns(self) -> list[int]:
         """The leading column of each basis row."""
-        if not self.dim:
-            return []
-        return (self.basis != self.field.zero_enc).argmax(axis=1).tolist()
+        if self._pivots is None:
+            self._pivots = ((self.basis != self.field.zero_enc).argmax(axis=1).tolist()
+                            if self.dim else [])
+        return self._pivots
 
     def complement_columns(self) -> list[int]:
-        return _complement(self.pivot_columns(), self.ambient_dim)
+        if self._comp is None:
+            self._comp = _complement(self.pivot_columns(), self.ambient_dim)
+        return self._comp
 
     def __eq__(self, other):
         return (
@@ -333,8 +344,7 @@ class Subspace:
         basis[:, comp]`` is computed.
         """
         rows = _coord_rows(self.field, rows, self.ambient_dim)
-        pivots = self.pivot_columns()
-        comp = _complement(pivots, self.ambient_dim)
+        pivots, comp = self.pivot_columns(), self.complement_columns()
         out = rows[:, comp]
         if not pivots or not rows.shape[0]:
             return out
@@ -376,7 +386,7 @@ def kernel(field: FieldDescriptor, data: np.ndarray) -> Subspace:
     rows = field.zeros((len(free), n))
     rows[np.arange(len(free)), free] = field.one_enc
     rows[:, pivots] = field.a_neg(red[: len(pivots), free].T)
-    return Subspace(field, n, rows[::-1, ::-1].copy())
+    return Subspace(field, n, rows[::-1, ::-1].copy(), [n - 1 - f for f in reversed(free)])
 
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
@@ -448,7 +458,7 @@ def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
     block[u.dim:, :n] = v.basis
     red, pivots = rref_data(field, block)
     first = bisect.bisect_left(pivots, n)
-    return Subspace(field, n, red[first: len(pivots), n:].copy())
+    return Subspace(field, n, red[first: len(pivots), n:].copy(), [p - n for p in pivots[first:]])
 
 
 def contains(u: Subspace, v: Subspace) -> bool:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, memoised, quotient_core
+from .algebra import Algebra, form_values, memoised, quotient_core, sum_by_key
 from .errors import CriterionDisagreement, InternalCheckError
 from .linalg import Subspace, contains, kernel, kernel_on, subspace_intersect
 
@@ -82,7 +82,7 @@ def _proves_radical(algebra: Algebra, sub: Subspace) -> bool:
     if algebra.dim - sub.dim == 1:
         return True     # A/sub is the field
     core = quotient_core(algebra, sub)
-    return _radical_rule(Algebra(core.field, core.table, core.one, _core=core)).dim == 0
+    return _radical_rule(Algebra(core.field, None, None, _core=core)).dim == 0
 
 
 _is_radical = memoised("certify")(_proves_radical)
@@ -134,9 +134,12 @@ def _t_functionals(algebra: Algebra) -> np.ndarray:
     """
     f, n, p = algebra.field, algebra.dim, algebra.field.characteristic
     if p == 0:
-        # tr(L_{e_m}) is the run m of the diagonal entries table[m, k, k]
-        diag = np.diagonal(algebra.table, axis1=1, axis2=2).reshape(-1)
-        return f.a_sum_runs(diag, np.arange(0, n * n, n)).reshape(1, n)
+        # tr(L_{e_m}) sums the diagonal constants c_mkk, m for m
+        ei, ej, ek, val = algebra.entries
+        rows, sums = sum_by_key(f, ei[ej == ek], val[ej == ek])
+        trace = f.zeros((1, n))
+        trace[0, rows] = sums
+        return trace
     frobenius = algebra.commutator_space().reduce(_basis_powers(algebra, p))
     rows, power = f.eye(n), 1
     while power < _frobenius_exponent(algebra):
@@ -162,7 +165,7 @@ def _radical_rule(algebra: Algebra) -> Subspace:
     sum_i x_i e_i e_j, on which every functional of T(A) must vanish.
     """
     phi = _t_functionals(algebra)
-    return kernel_on(algebra.full_space(), algebra.field.tensordot_lf(algebra.table, phi.T))
+    return kernel_on(algebra.full_space(), form_values(algebra, phi))
 
 
 def radical(algebra: Algebra) -> RadicalCertificate:

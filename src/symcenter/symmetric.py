@@ -45,7 +45,7 @@ def _require_form(algebra: Algebra):
 
 def _symmetric_form_gram(algebra: Algebra, mu: np.ndarray) -> np.ndarray:
     """form_gram of mu; raises NotSymmetricForm unless it is symmetric."""
-    gram = form_gram(algebra.field, algebra.table, mu)
+    gram = form_gram(algebra, mu)
     if not np.all(gram == gram.T):
         i, j = (int(v) for v in np.argwhere(gram != gram.T)[0])
         raise NotSymmetricForm(

@@ -85,13 +85,19 @@ def test_a_callers_later_edit_does_not_reach_the_algebra(g3):
 
 
 def test_table_unit_and_form_are_read_only_and_shared_by_replace(g3):
-    a = Algebra(g3, _dual_table(), np.array([1, 0]), sym_form=np.array([0, 1]))
-    for arr in (a.table, a.one, a.sym_form):
+    table = _dual_table()
+    a = Algebra(g3, table, np.array([1, 0]), sym_form=np.array([0, 1]))
+    for arr in (*a.entries, a.table, a.one, a.sym_form):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0
+    # the caller's table is read once, never aliased: writing it changes nothing
+    assert not any(np.shares_memory(table, arr) for arr in a.entries)
+    table[1, 1, 0] = 1
+    assert a.table.tolist() == _dual_table().tolist()
     b = a.replace(name="x")
-    assert b.table is a.table
+    assert b._core is a._core and b.entries is not None
+    assert all(x is y for x, y in zip(b.entries, a.entries))
     assert np.shares_memory(b.one, a.one) and np.shares_memory(b.sym_form, a.sym_form)
 
 
@@ -420,7 +426,8 @@ def test_replace_returns_a_new_algebra_on_the_same_table(dual3):
     assert (b.name, list(b.sym_form)) == ("other", [1, 1])
     assert dual3.name == "dual3"
     assert list(dual3.sym_form) == [0, 1]
-    assert np.shares_memory(b.table, dual3.table)
+    assert b._core is dual3._core
+    assert all(x is y for x, y in zip(b.entries, dual3.entries))
     assert b.same_table(dual3) and b.labels == dual3.labels
 
 
@@ -478,14 +485,14 @@ def test_wrong_length_symmetrizing_form_rejected(g3, mat2):
 
 def _products_oracle(a, rows, side):
     """Entry by entry: P[s, j] = rows[s] * e_j (left) or e_j * rows[s] (right)."""
-    f, n = a.field, a.dim
+    f, n, table = a.field, a.dim, a.table
     out = f.zeros((rows.shape[0], n, n))
     for s in range(rows.shape[0]):
         for j in range(n):
             for k in range(n):
                 acc = f.zero_enc
                 for i in range(n):
-                    c = a.table[i, j, k] if side == "left" else a.table[j, i, k]
+                    c = table[i, j, k] if side == "left" else table[j, i, k]
                     acc = f.a_add(acc, f.a_mul(rows[s, i], c))
                 out[s, j, k] = acc
     return out

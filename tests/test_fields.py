@@ -226,6 +226,15 @@ def test_numpy_ints_outside_the_field_are_refused(f25, bad):
         f25.arr(np.array([0, bad], dtype=bad.dtype))
 
 
+@pytest.mark.parametrize("bad", [-1, 7], ids=["negative", "order"])
+def test_an_encoded_array_outside_the_prime_field_is_refused(bad):
+    f = GF(7)
+    for dtype in (np.int64, np.int32):
+        with pytest.raises(ScalarFormatError, match=r"outside \[0, 7\) for GF\(7\)"):
+            f.arr(np.array([[0, 6], [bad, 1]], dtype=dtype))
+    assert f.arr(np.array([[0, 6]], dtype=np.int32)).dtype == np.int64
+
+
 @pytest.mark.parametrize("field", [GF(3), gf25(), QQ], ids=repr)
 @pytest.mark.parametrize("ragged", [
     [[1, 0], [0]],

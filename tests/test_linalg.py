@@ -242,15 +242,43 @@ def test_reduce_rows_equals_sequential_elimination(field_name, f25, rng):
         assert np.all(got[0] == field.zero_enc)     # a row in the span reduces to 0
 
 
+def _first_nonzero_columns(sub):
+    return [next(j for j in range(sub.ambient_dim) if sub.basis[i, j] != sub.field.zero_enc)
+            for i in range(sub.dim)]
+
+
 def test_pivot_columns_are_first_nonzero_columns(f25, rng):
     for field in (GF(5), f25, QQ):
         for rank, n in [(0, 4), (1, 1), (2, 6), (4, 8)]:
             sub = random_subspace(field, n, rng, max_dim=rank)
-            want = [
-                next(j for j in range(n) if sub.basis[i, j] != field.zero_enc)
-                for i in range(sub.dim)
-            ]
+            want = _first_nonzero_columns(sub)
+            assert sub._pivots == want          # carried from the elimination
             assert sub.pivot_columns() == want
+    # every constructor: from_rows, kernel and subspace_intersect carry the
+    # pivots their elimination found; the others find them once, when asked
+    draw = np.random.default_rng(245)   # its own draws: the shared stream stays as it was
+    for field in (GF(2), GF(3), GF(5), f25, QQ):
+        u, v = (Subspace.from_rows(field, 7, field.random_enc(draw, (3, 7))) for _ in range(2))
+        m = field.random_enc(draw, (4, 7))
+        carried = [Subspace.from_rows(field, 7, m), kernel(field, m), kernel(field, m[:, :3]),
+                   subspace_intersect(subspace_sum(u, v), u), subspace_intersect(u, v)]
+        for sub in carried:
+            assert sub._pivots == _first_nonzero_columns(sub) or (sub.dim, sub._pivots) == (0, None)
+        found = [Subspace(field, 7, u.basis), Subspace.full(field, 3), Subspace.zero(field, 3),
+                 Subspace.zero(field, 0),
+                 subspace_tensor(u, v), subspace_direct_sum(u, v),
+                 kernel_on(u, field.random_enc(draw, (u.dim, 2)))]
+        for sub in found + carried:
+            assert sub.pivot_columns() == _first_nonzero_columns(sub)
+            assert sub.complement_columns() == [
+                j for j in range(sub.ambient_dim) if j not in sub.pivot_columns()]
+
+
+def test_subspace_basis_is_read_only(g3):
+    for sub in (Subspace.from_rows(g3, 3, [[1, 2, 0]]), kernel(g3, g3.arr([[1, 1, 0]])),
+                Subspace.full(g3, 2)):
+        with pytest.raises(ValueError):
+            sub.basis[0, 0] = 2
 
 
 def test_kernel_is_rref_span_of_naive_kernel(rng):
@@ -476,6 +504,21 @@ def test_rref_data_matches_naive_oracle_over_gf2_gf3(p):
         red, pivots = rref_data(field, data)
         naive, naive_pivots = naive_rref_mod(data.tolist(), p)
         assert red.dtype == np.int64 and red.shape == data.shape
+        assert pivots == naive_pivots
+        assert np.array_equal(red, np.array(naive, dtype=np.int64).reshape(data.shape))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_rref_data_with_repeated_rows_matches_naive_oracle(p):
+    # the bit-sliced elimination drops repeated packed rows before it starts
+    field = GF(p)
+    draw = np.random.default_rng(26)
+    for cols in (5, 40, 70):
+        rows = field.random_enc(draw, (6, cols))
+        data = rows[draw.integers(0, 6, 30)]
+        data[::5] = 0
+        red, pivots = rref_data(field, data)
+        naive, naive_pivots = naive_rref_mod(data.tolist(), p)
         assert pivots == naive_pivots
         assert np.array_equal(red, np.array(naive, dtype=np.int64).reshape(data.shape))
 

@@ -25,7 +25,8 @@ from symcenter.linalg import rref_data
 def _unvalidated(field, table, one) -> Algebra:
     """A view of the table on a core of its own, never validated or interned."""
     table, one = field.arr(table), field.arr(one)
-    return Algebra(field, table, one, _core=algebra._Core(field, table, one.reshape(-1)))
+    core = algebra._Core(field, len(table), algebra._dense_entries(field, table), one.reshape(-1))
+    return Algebra(field, None, None, _core=core)
 
 
 def dense_validation_error(field, table, one):
