@@ -26,7 +26,9 @@ rows[s, i] c_ijk of its entries (Gustavson's column compression, ACM TOMS
 grouped by output column, the fullest columns first, so the sums are
 taken one layer at a time: the t-th entry of every column with more than
 t.  Most columns hold one entry, and a side whose columns all do needs no
-sum.
+sum.  A product of two rows (``row_products``, and so ``multiply_coords``
+and the radical rule's powers) sums the terms x_i y_j c_ijk per output
+coordinate k, a block of row pairs at a time.
 
 An Algebra is a thin *view* over a *core* (hash-consing):
 
@@ -37,12 +39,10 @@ An Algebra is a thin *view* over a *core* (hash-consing):
   from J(A), the Gram matrix of each verified form, I_mu for each form
   mu, and the tables that the quotient, tensor and trivial-extension
   constructions built from this one (A/I once per ideal I, whichever
-  route asks for it) with the radical seed of each A/I.
-  ``memoised(key)`` keeps a result there, once per further argument where
-  it has one;
-* per view, on the Algebra: the name, labels, symmetrizing form,
-  construction seed, and the radical certificate with its provenance
-  (``_cache["radical_cert"]``).
+  route asks for it).  ``memoised(key)`` keeps a result there, once per
+  further argument where it has one;
+* per view, on the Algebra: the name, labels, symmetrizing form and the
+  radical certificate (``_cache["radical_cert"]``).
 
 ``replace`` and the constructions' memos hand out new views of an existing
 core.  Tables are interned only inside an ``interning()`` block, which the
@@ -132,6 +132,7 @@ def coords_key(field: FieldDescriptor, coords: np.ndarray):
 
 
 _JOIN_BLOCK = 4_000_000     # terms per block of the associativity join
+_ROW_TERMS = 200_000        # terms per row block of ``row_products``
 
 
 def _runs(starts: np.ndarray, counts: np.ndarray):
@@ -328,6 +329,31 @@ def _products(core: "_Core", rows: np.ndarray, right: bool) -> np.ndarray:
     return out.reshape(rows.shape[0], n, n)
 
 
+@memoised("by_output")
+def _by_output(algebra: "Algebra") -> tuple:
+    """The entries ordered by output coordinate k: i, j and value of each,
+    the distinct k, and where the run of each begins."""
+    ei, ej, ek, val = algebra.entries
+    order = np.argsort(ek)
+    k = ek[order]
+    starts = _run_starts(k)
+    return ei[order], ej[order], val[order], k[starts], starts
+
+
+def row_products(algebra: "Algebra", x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row s is x[s] * y[s]: each constant c_ijk adds x[s, i] y[s, j] c_ijk to
+    coordinate k.  The terms are summed per k for a block of rows at a time,
+    of at most ``_ROW_TERMS`` terms, so no n x n x n array is built."""
+    f = algebra.field
+    ei, ej, val, ks, starts = _by_output(algebra)
+    out = f.zeros((len(x), algebra.dim))
+    step = max(1, _ROW_TERMS // len(val))
+    for s in range(0, len(x), step):
+        terms = f.a_mul(f.a_mul(x[s: s + step].T[ei], y[s: s + step].T[ej]), val[:, None])
+        out[s: s + step, ks] = f.a_sum_runs(terms, starts).T
+    return out
+
+
 def _validate(core: "_Core"):
     """Raise AlgebraValidationError unless the core's unit is a two-sided
     unit of its table and the table is associative."""
@@ -456,12 +482,12 @@ def _is_ideal(algebra: Algebra, u: Subspace) -> bool:
 
 class Algebra:
     """A unital associative algebra presented by structure constants: a
-    view (name, labels, form, seed, radical provenance) over the core of
-    its table.  Given ``_core``, the table and unit arguments are unused."""
+    view (name, labels, form, radical certificate) over the core of its
+    table.  Given ``_core``, the table and unit arguments are unused."""
 
     def __init__(self, field: FieldDescriptor, table, one, labels=None,
                  sym_form=None, name: str | None = None,
-                 _radical_seed=None, _core: _Core | None = None, _fresh: bool = False):
+                 _core: _Core | None = None, _fresh: bool = False):
         if _core is None:
             if not (_fresh and isinstance(table, np.ndarray) and table.dtype == field.dtype):
                 table = field.arr(table)
@@ -493,14 +519,8 @@ class Algebra:
         self.labels = labels
         self.sym_form = sym_form
         self.name = name
-        # this view's radical certificate, under "radical_cert": its
-        # provenance depends on the seed, not on the table alone
+        # this view's radical certificate, under "radical_cert"
         self._cache: dict = {}
-        # A function of no arguments returning (subspace, evidence) or None,
-        # passed only by constructions whose math makes the subspace J(A);
-        # radical() calls it once and re-checks that it is a nilpotent
-        # ideal.  Without a seed, radical() computes J(A) from the table.
-        self._radical_seed = _radical_seed
 
     @property
     def entries(self) -> tuple:
@@ -521,16 +541,14 @@ class Algebra:
     def replace(self, *, name=None, sym_form=None) -> "Algebra":
         """A new view of the same core with the given fields changed.
 
-        Arguments left as None keep this view's value, and the labels and
-        construction seed are kept.  Nothing is validated or encoded again,
-        and every per-table fact is shared; the new view certifies its own
-        radical, by the same seed.
+        Arguments left as None keep this view's value, and the labels are
+        kept.  Nothing is validated or encoded again, and every per-table
+        fact is shared; the new view certifies its own radical.
         """
         return Algebra(
             self.field, None, None, labels=self.labels,
             sym_form=self.sym_form if sym_form is None else sym_form,
             name=self.name if name is None else name,
-            _radical_seed=self._radical_seed,
             _core=self._core,
         )
 
@@ -561,8 +579,7 @@ class Algebra:
         return _products(self._core, rows, right=True)
 
     def multiply_coords(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        xe = self.left_products(x[None, :])[0]
-        return self.field.tensordot_lf(y[None, :], xe).reshape(self.dim)
+        return row_products(self, x[None, :], y[None, :])[0]
 
     def left_mult_matrix(self, x) -> np.ndarray:
         """Matrix of y -> x y on the basis (columns are images)."""

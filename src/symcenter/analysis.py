@@ -46,8 +46,7 @@ class AnalysisReport:
     subspaces: dict = field(default_factory=dict)
 
     def to_machine(self) -> dict:
-        # radical provenance stays out: a construction node and its
-        # materialised structure-constant file must report identically
+        # the radical's strategy and evidence are in the text report only
         return {
             "schema_version": SCHEMA_VERSION,
             "kind": "analysis",
@@ -112,8 +111,8 @@ class AnalysisReport:
 
 
 def analyze(algebra: Algebra) -> AnalysisReport:
-    """Full report.  J(A) comes from the construction's seed or from the
-    radical rule, so every valid algebra gets one."""
+    """Full report.  J(A) comes from the radical rule, so every valid
+    algebra gets one."""
     cert = radical(algebra)
     z = algebra.center()
     k = algebra.commutator_space()

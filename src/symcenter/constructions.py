@@ -1,25 +1,19 @@
 """Builders that produce new algebras from old ones.
 
-Each construction states its output's radical from its inputs' radicals:
-tensor products combine component radicals, trivial extensions adjoin the
-square-zero dual copy, quotients push the radical forward when the ideal
-sits inside it, opposites keep it; a skew presentation's monomials of
-positive degree are its radical by the exponent grading.  Nothing is
-computed at build time: the radical is derived from the parents' when
-first asked for, and re-verified.  A quotient by an ideal outside J(A),
-and an algebra with no construction behind it, get the radical rule of
-``substructures``.
-The subspaces of these statements are built by the one home of each in
-``linalg``: ``subspace_tensor`` for J(A1) (x) A2 + A1 (x) J(A2),
-``subspace_direct_sum`` for J(A) + A*, ``quotient_coords`` for J(A)/I, and
-``kernel_on`` for the S of ``trivext_criteria``.
+Nothing about the radical is computed or stated at build time: every
+output's J(A) comes from the radical rule of ``substructures``, run on its
+table when first asked for.  Each construction's theorem about its
+output's radical -- J(A1) (x) A2 + A1 (x) J(A2) for a tensor product, J(A)
++ A* for a trivial extension, J(A)/I for a quotient by an ideal inside
+J(A), J(A) for an opposite, the monomials of positive degree for a skew
+presentation -- is checked against the rule by the test suite and the
+lemma claims.
 
-Every call returns a new view, with its own name, labels, form and seed.
-The quotient, the tensor product and the trivial extension keep the core
-they built on the input's core (``memoised``, keyed by the ideal or the
-other factor's table), never a view, so a repeated call builds and
-validates nothing and no algebra is caught in a reference cycle.  The
-quotient's seed J(A)/I is kept there too, once per ideal.
+Every call returns a new view, with its own name, labels and form.  The
+quotient, the tensor product and the trivial extension keep the core they
+built on the input's core (``memoised``, keyed by the ideal or the other
+factor's table), never a view, so a repeated call builds and validates
+nothing and no algebra is caught in a reference cycle.
 """
 
 from __future__ import annotations
@@ -31,16 +25,8 @@ import numpy as np
 from .algebra import Algebra, core_of_terms, memoised, quotient_core
 from .errors import AlgebraValidationError, BasisClaimFailed
 from .fields import FieldDescriptor
-from .linalg import (
-    Subspace,
-    contains,
-    express_in_rows,
-    kernel_on,
-    subspace_direct_sum,
-    subspace_sum,
-    subspace_tensor,
-)
-from .substructures import j_of_center, property_verdicts, radical, soc_of_center
+from .linalg import Subspace, express_in_rows, kernel_on, subspace_sum
+from .substructures import j_of_center, property_verdicts, soc_of_center
 
 
 # -- tensor product ------------------------------------------------------------
@@ -61,16 +47,7 @@ def tensor(a1: Algebra, a2: Algebra) -> Algebra:
     if a1.sym_form is not None and a2.sym_form is not None:
         sym = f.a_mul(a1.sym_form[:, None], a2.sym_form[None, :]).reshape(n)
     name = f"({a1.name or 'A1'})⊗({a2.name or 'A2'})"
-
-    def seed():
-        return (
-            subspace_sum(subspace_tensor(radical(a1).radical, a2.full_space()),
-                         subspace_tensor(a1.full_space(), radical(a2).radical)),
-            "J(A1) (x) A2 + A1 (x) J(A2) from component radicals",
-        )
-
-    return Algebra(f, None, None, labels=labels, sym_form=sym, name=name,
-                   _radical_seed=seed, _core=core)
+    return Algebra(f, None, None, labels=labels, sym_form=sym, name=name, _core=core)
 
 
 @memoised("tensor")
@@ -105,15 +82,7 @@ def trivial_extension(a: Algebra) -> Algebra:
     if a.labels is not None:
         labels = list(a.labels) + [s + "*" for s in a.labels]
     name = f"T({a.name or 'A'})"
-
-    def seed():
-        return (
-            subspace_direct_sum(radical(a).radical, a.full_space()),
-            "J(A) + A* (dual copy squares to zero)",
-        )
-
-    return Algebra(f, None, None, labels=labels, sym_form=lam, name=name,
-                   _radical_seed=seed, _core=core)
+    return Algebra(f, None, None, labels=labels, sym_form=lam, name=name, _core=core)
 
 
 @memoised("trivial_extension")
@@ -184,44 +153,25 @@ def quotient(a: Algebra, ideal: Subspace) -> Algebra:
 
 
 def quotient_view(a: Algebra, ideal: Subspace, *, name=None, sym_form=None) -> Algebra:
-    """A new view A/I -- labels, name (by default (A)/I), form and radical
-    seed -- on the core of its table, which is built once per table of A
-    and ideal.  The ideal is checked against A first: the memos are keyed
-    by its coordinates alone."""
+    """A new view A/I -- labels, name (by default (A)/I) and form -- on the
+    core of its table, which is built once per table of A and ideal.  The
+    ideal is checked against A first: the memos are keyed by its
+    coordinates alone."""
     a._check_subspace(ideal)
     core = quotient_core(a, ideal)
     labels = None
     if a.labels is not None:
         labels = [a.labels[i] for i in ideal.complement_columns()]
     return Algebra(a.field, None, None, labels=labels, sym_form=sym_form,
-                   name=name or f"({a.name or 'A'})/I",
-                   _radical_seed=lambda: _quotient_seed(a, ideal), _core=core)
-
-
-@memoised("quotient_seed")
-def _quotient_seed(a: Algebra, ideal: Subspace):
-    """J(A)/I with its evidence when the ideal lies in J(A), else None.  J(A)
-    is unique per table (``substructures._certify``), so this is kept on
-    A's core; each view of A/I still certifies it for itself."""
-    j = radical(a).radical
-    if not contains(j, ideal):
-        return None
-    return (
-        Subspace.from_rows(a.field, a.dim - ideal.dim, ideal.quotient_coords(j.basis)),
-        "J(A)/I: the ideal is contained in J(A), so the radical passes down",
-    )
+                   name=name or f"({a.name or 'A'})/I", _core=core)
 
 
 def opposite(a: Algebra) -> Algebra:
     """Same space, reversed multiplication: c_ijk moves to (j, i, k)."""
     n, (i, j, k, val) = a.dim, a.entries
     core = core_of_terms(a.field, n, (j * n + i) * n + k, val, a.one)
-
-    def seed():
-        return radical(a).radical, "the radical is opposite-invariant"
-
     return Algebra(a.field, None, None, labels=a.labels, sym_form=a.sym_form,
-                   name=f"op({a.name or 'A'})", _radical_seed=seed, _core=core)
+                   name=f"op({a.name or 'A'})", _core=core)
 
 
 # -- skew truncated presentations -----------------------------------------------------
@@ -269,10 +219,8 @@ def from_skew_presentation(field: FieldDescriptor, pres: SkewPresentation,
     """Monomial-basis algebra of a truncated skew-commutative presentation.
 
     The basis is all exponent tuples below the bounds, enumerated with the
-    first variable fastest.  Its radical seed is the span of the monomials
-    of positive degree: a product of them has a larger total degree, so
-    they span an ideal that is nilpotent, of codimension 1.  The table is
-    built for all basis pairs at once: x^a x^b = prod_{j > i} q_ji^(a_j b_i)
+    first variable fastest; the unit is the first.  The table is built for
+    all basis pairs at once: x^a x^b = prod_{j > i} q_ji^(a_j b_i)
     x^(a + b) when every exponent of a + b stays below its bound, and 0
     otherwise.
     """
@@ -317,13 +265,7 @@ def from_skew_presentation(field: FieldDescriptor, pres: SkewPresentation,
     one = field.zeros(dim)
     one[0] = field.one_enc
     labels = [_monomial_label(e, names) for e in exps.tolist()]
-
-    def seed():
-        # the unit is e_0, so the other basis rows are already an RREF basis
-        return (Subspace(field, dim, field.eye(dim)[1:]),
-                "monomials of positive degree: a nilpotent ideal of codimension 1")
-
-    return Algebra(field, None, None, labels=labels, name=name, _radical_seed=seed,
+    return Algebra(field, None, None, labels=labels, name=name,
                    _core=core_of_terms(field, dim, flat, factor, one))
 
 

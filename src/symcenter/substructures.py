@@ -1,32 +1,28 @@
 """Radical certificates, socles, center substructures and ideal verdicts.
 
-Every verdict rests on one verified object, J(A), which has two routes:
+Every verdict rests on one verified object, J(A), which the rule computes
+from the table alone: J(A) = {x : x e_j in T(A) for every j}, where T(A)
+is ``t_space``.  Over QQ, T(A) is ker(tr o L) and the rule is Dickson's
+criterion ("dickson"); over a field of q elements, T(A) is Kuelshammer's
+{x : x^e in K(A)} = J(A) + K(A), with e the least power of q that is at
+least dim A ("kuelshammer").  The constructions' theorems about their
+outputs' radicals (tensor products, trivial extensions, quotients inside
+J(A), opposites, skew presentations) are checked against the rule by the
+test suite and the lemma claims, never used in its place.
 
-* propagated -- a construction states the radical of its output as a
-  theorem: tensor products, trivial extensions, quotients by an ideal
-  inside J(A) and opposites derive it from their inputs' radicals when
-  first asked, and a skew presentation's monomials of positive degree
-  span a nilpotent ideal of codimension 1 (the exponent grading);
-* the rule -- otherwise J(A) = {x : x e_j in T(A) for every j}, where
-  T(A) is computed from the table alone (``t_space``).  Over QQ, T(A) is
-  ker(tr o L) and the rule is Dickson's criterion ("dickson"); over a
-  field of q elements, T(A) is Kuelshammer's {x : x^e in K(A)} = J(A) +
-  K(A), with e the least power of q that is at least dim A
-  ("kuelshammer").
+``_certify`` proves the rule's candidate N equal to J(A): N must be a
+nilpotent two-sided ideal, which puts it inside J(A), and A/N must be
+semisimple, which puts J(A) inside it.  The rule decides the latter on A/N
+(J(A/N) = 0); when N has codimension 1, A/N is the field and nothing is
+computed.  A candidate that fails is an internal error, never a verdict.
 
-``_certify`` proves either candidate N equal to J(A): N must be a nilpotent
-two-sided ideal, which puts it inside J(A), and A/N must be semisimple,
-which puts J(A) inside it.  The rule decides the latter on A/N (J(A/N) =
-0); when N has codimension 1, A/N is the field and nothing is computed.
-A candidate that fails is an internal error, never a verdict.
-
-The certificate, with its strategy and evidence, belongs to the view: two
-views of one table may reach J(A) by different routes.  The rule, the
-certification of each candidate and the one certified J(A) depend only on
-the table, so they are kept on the table's core; a view that certifies a
-different subspace is an internal error.  The facts derived from J(A)
-(socle, J(Z), soc(Z), R(A) and the verdicts) are kept on the core too, and
-a view reads them only after its own radical has been certified.
+The certificate, with its strategy and evidence, belongs to the view
+(``_cache["radical_cert"]``).  The rule, the certification of each
+candidate and the one certified J(A) depend only on the table, so they are
+kept on the table's core; a view that certifies a different subspace is an
+internal error.  The facts derived from J(A) (socle, J(Z), soc(Z), R(A) and
+the verdicts) are kept on the core too, and a view reads them only after
+its own radical has been certified.
 """
 
 from __future__ import annotations
@@ -36,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, form_values, memoised, quotient_core, sum_by_key
+from .algebra import Algebra, form_values, memoised, quotient_core, row_products, sum_by_key
 from .errors import CriterionDisagreement, InternalCheckError
 from .linalg import Subspace, contains, kernel, kernel_on, subspace_intersect
 
@@ -98,22 +94,14 @@ def _frobenius_exponent(algebra: Algebra) -> int:
 
 def _basis_powers(algebra: Algebra, e: int) -> np.ndarray:
     """Row i is e_i^e, for every basis vector at once, by square-and-multiply."""
-    f, n = algebra.field, algebra.dim
-    runs = np.arange(0, n * n * n, n)
-
-    def times(x, y):
-        # row s is x_s y_s = sum_j y[s, j] (x_s e_j): runs of n terms over j
-        terms = f.a_mul(y[:, None, :], algebra.left_products(x).transpose(0, 2, 1))
-        return f.a_sum_runs(terms.reshape(-1), runs).reshape(n, n)
-
-    result, base = None, f.eye(n)
+    result, base = None, algebra.field.eye(algebra.dim)
     while True:
         if e & 1:
-            result = base if result is None else times(result, base)
+            result = base if result is None else row_products(algebra, result, base)
         e >>= 1
         if not e:
             return result
-        base = times(base, base)
+        base = row_products(algebra, base, base)
 
 
 def _t_functionals(algebra: Algebra) -> np.ndarray:
@@ -169,7 +157,7 @@ def _radical_rule(algebra: Algebra) -> Subspace:
 
 
 def radical(algebra: Algebra) -> RadicalCertificate:
-    """Verified Jacobson radical: the construction's seed, else the rule.
+    """Verified Jacobson radical, by the rule.
 
     Kept per view, in ``algebra._cache["radical_cert"]``; a call that
     raises stores nothing."""
@@ -180,11 +168,6 @@ def radical(algebra: Algebra) -> RadicalCertificate:
 
 
 def _radical(algebra: Algebra) -> RadicalCertificate:
-    seed = None if algebra._radical_seed is None else algebra._radical_seed()
-    if seed is not None:
-        sub, evidence = seed
-        _certify(algebra, sub, "propagated radical failed verification: " + evidence)
-        return RadicalCertificate(sub, "propagated", evidence)
     sub = _radical_rule(algebra)
     _certify(algebra, sub, "computed radical failed verification")
     if algebra.field.characteristic == 0:

@@ -16,8 +16,8 @@ keyed by the form's coordinates, so every view of the table with an equal
 form shares them: ``symmetric_gram`` verifies each form once, and
 ``symmetrize`` finds I_mu once per mu; the table of A/I_mu is built once
 per ideal, by ``quotient_core``, however many forms share the ideal.  Each
-call still returns a new quotient view with its own name, form and seed,
-and ``symmetric_quotient`` a new QuotientWitness.
+call still returns a new quotient view with its own name and form, and
+``symmetric_quotient`` a new QuotientWitness.
 """
 
 from __future__ import annotations

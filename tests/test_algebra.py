@@ -16,8 +16,8 @@ from oracles import (
 )
 
 from symcenter import QQ, Subspace, contains, gf25, rank
-from symcenter.algebra import Algebra, memoised, quotient_data
-from symcenter.constructions import SkewPresentation, from_skew_presentation, opposite, tensor
+from symcenter.algebra import Algebra, memoised, quotient_data, row_products
+from symcenter.constructions import SkewPresentation, from_skew_presentation
 from symcenter.corpus import get
 from symcenter.errors import (
     AlgebraMismatch,
@@ -464,18 +464,6 @@ def test_memoised_computes_once_and_never_stores_a_failure(mat2):
     assert probe(mat2.replace()) == 1 and len(calls) == 3
 
 
-def test_replace_keeps_construction_seeds(dual3):
-    t = tensor(dual3, dual3)
-    a = get("counterexample_B")
-    radical(a)
-    o = opposite(a)
-    for built in (t, o):
-        assert built._radical_seed is not None
-        renamed = built.replace(name="renamed")
-        assert renamed._radical_seed is built._radical_seed
-        assert radical(renamed).strategy == "propagated"
-
-
 def test_wrong_length_symmetrizing_form_rejected(g3, mat2):
     with pytest.raises(AlgebraValidationError, match="3 coordinates, expected 4"):
         Algebra(g3, mat2.table, mat2.one, sym_form=g3.arr([1, 0, 1]))
@@ -498,17 +486,22 @@ def _products_oracle(a, rows, side):
     return out
 
 
-@pytest.mark.parametrize("entry", ["matn", "dim12_sharp", "counterexample_B", "skew22_qq",
-                                   "skew22_gf25"])
-def test_left_and_right_products_match_entrywise_oracle(entry, rng):
-    draw = rng
+_PRODUCT_ENTRIES = ["matn", "dim12_sharp", "counterexample_B", "skew22_qq", "skew22_gf25"]
+
+
+def _product_algebra(entry):
     if entry == "skew22_qq":
-        a = from_skew_presentation(QQ, SkewPresentation.anticommuting([2, 2]))
-    elif entry == "skew22_gf25":
-        a = from_skew_presentation(gf25(), SkewPresentation.anticommuting([2, 2]))
-        draw = np.random.default_rng(25)   # its own draws: the shared stream stays as it was
-    else:
-        a = get(entry)
+        return from_skew_presentation(QQ, SkewPresentation.anticommuting([2, 2]))
+    if entry == "skew22_gf25":
+        return from_skew_presentation(gf25(), SkewPresentation.anticommuting([2, 2]))
+    return get(entry)
+
+
+@pytest.mark.parametrize("entry", _PRODUCT_ENTRIES)
+def test_left_and_right_products_match_entrywise_oracle(entry, rng):
+    a = _product_algebra(entry)
+    # skew22_gf25 has its own draws: the shared stream stays as it was
+    draw = np.random.default_rng(25) if entry == "skew22_gf25" else rng
     assert not a.is_commutative()        # left and right products differ
     f, n = a.field, a.dim
     for r in (0, 1, 3):
@@ -517,6 +510,29 @@ def test_left_and_right_products_match_entrywise_oracle(entry, rng):
         assert left.shape == right.shape == (r, n, n)
         assert np.array_equal(left, _products_oracle(a, rows, "left"))
         assert np.array_equal(right, _products_oracle(a, rows, "right"))
+
+
+@pytest.mark.parametrize("entry", _PRODUCT_ENTRIES)
+def test_row_products_match_entrywise_oracle(entry, monkeypatch):
+    a = _product_algebra(entry)
+    f, n, table = a.field, a.dim, a.table
+    draw = np.random.default_rng(sum(map(ord, entry)))
+    x, y = f.random_enc(draw, (5, n)), f.random_enc(draw, (5, n))
+    expected = f.zeros((5, n))
+    for s in range(5):
+        for k in range(n):
+            acc = f.zero_enc
+            for i in range(n):
+                for j in range(n):
+                    acc = f.a_add(acc, f.a_mul(f.a_mul(x[s, i], y[s, j]), table[i, j, k]))
+            expected[s, k] = acc
+    assert np.array_equal(row_products(a, x, y), expected)
+    assert row_products(a, x[:0], y[:0]).shape == (0, n)
+    for s in range(5):
+        assert np.array_equal(a.multiply_coords(x[s], y[s]), expected[s])
+    # blocks of one row each give the same rows
+    monkeypatch.setattr("symcenter.algebra._ROW_TERMS", 1)
+    assert np.array_equal(row_products(a, x, y), expected)
 
 
 def test_encoded_rows_over_gf25_are_kept():

@@ -1,6 +1,8 @@
 """Builders: tensor, trivial extension, quotient, opposite, presentations."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,14 +45,19 @@ from symcenter.errors import (
     NotAnIdeal,
     ScalarFormatError,
 )
-from symcenter.linalg import kernel, subspace_sum
+from symcenter.fileformat import parse_document, parse_field, parse_vector
+from symcenter.lemmas import TENSOR_PAIR_IDS, TRIVEXT_BASE_IDS
+from symcenter.linalg import kernel, subspace_direct_sum, subspace_sum, subspace_tensor
 from symcenter.substructures import (
     j_of_center,
     property_verdicts,
     radical,
     reynolds,
     socle,
+    verify_certificate,
 )
+
+CASES = Path(__file__).parent.parent / "cases"
 
 
 def test_tensor_dimension_and_field_guard(mat2, dual3):
@@ -361,10 +368,81 @@ def test_matrix_generators_basis_claims(g3):
                                monomial_basis=list(_DIM12_WORDS[:-1]) + ["Q"])
 
 
-def test_tensor_radical_propagation(mat2, dual3):
-    t = tensor(mat2, dual3)
-    cert = radical(t)
-    assert cert.strategy == "propagated" and cert.radical.dim == 4
+# -- each construction's theorem about its output's radical ----------------------
+
+
+def _theorem_radical(kind, out, parts, ideal=None):
+    """J(out) as the construction's theorem states it, from the certified
+    radicals of its inputs."""
+    j = [radical(part).radical for part in parts]
+    if kind == "tensor":
+        a1, a2 = parts
+        return subspace_sum(subspace_tensor(j[0], a2.full_space()),
+                            subspace_tensor(a1.full_space(), j[1]))
+    if kind == "trivial_extension":
+        return subspace_direct_sum(j[0], parts[0].full_space())
+    if kind == "quotient":
+        assert contains(j[0], ideal)        # the theorem needs I inside J(A)
+        return Subspace.from_rows(out.field, out.dim, ideal.quotient_coords(j[0].basis))
+    if kind == "opposite":
+        return j[0]
+    # skew_truncated: the monomials of positive degree; the unit is the first
+    return Subspace.from_rows(out.field, out.dim, out.field.eye(out.dim)[1:])
+
+
+def _case_node(field_spec, node):
+    """A construction node of a case file: its algebra, its inputs' algebras
+    (each parsed from its own node) and, for a quotient, the ideal."""
+    def build(n):
+        return parse_document({"field": field_spec, "presentation": n})
+
+    parts = [build(node[key]) for key in ("left", "right", "base") if key in node]
+    ideal = None
+    if node["type"] == "quotient":
+        field, base = parse_field(field_spec), parts[0]
+        rows = [parse_vector(field, v, "ideal", base.dim) for v in node["ideal"]["vectors"]]
+        ideal = Subspace.from_rows(field, base.dim, rows)
+        if node["ideal"].get("closure", False):
+            ideal = base.ideal_closure(ideal)
+    return build(node), parts, ideal
+
+
+def _theorem_cases():
+    """Every construction node in cases/, nested ones too, then the tensor
+    pairs and trivial-extension bases of the lemma suites."""
+    params = []
+    for path in sorted(CASES.glob("*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        stack = [("presentation", doc["presentation"])]
+        while stack:
+            where, node = stack.pop()
+            if node["type"] not in ("structure_constants", "matrix_generators"):
+                params.append(pytest.param(
+                    node["type"], lambda f=doc["field"], n=node: _case_node(f, n),
+                    id=f"{path.stem}:{where}"))
+            stack += [(f"{where}.{key}", node[key])
+                      for key in ("left", "right", "base") if key in node]
+    for ida, idb in TENSOR_PAIR_IDS:
+        params.append(pytest.param(
+            "tensor", lambda a=ida, b=idb: (tensor(get(a), get(b)), [get(a), get(b)], None),
+            id=f"tensor:{ida}(x){idb}"))
+    for entry in TRIVEXT_BASE_IDS:
+        params.append(pytest.param(
+            "trivial_extension", lambda e=entry: (trivial_extension(get(e)), [get(e)], None),
+            id=f"trivext:{entry}"))
+    return params
+
+
+@pytest.mark.parametrize("kind, build", _theorem_cases())
+def test_certified_radical_equals_the_construction_theorem(kind, build):
+    # the rule, which knows nothing of the construction, finds what its
+    # theorem states: J(A1) (x) A2 + A1 (x) J(A2), J(A) + A*, J(A)/I, J(A)
+    # for op(A), and the monomials of positive degree
+    out, parts, ideal = build()
+    cert = radical(out)
+    assert cert.strategy in ("kuelshammer", "dickson")
+    assert cert.radical == _theorem_radical(kind, out, parts, ideal)
+    assert verify_certificate(out, cert)
 
 
 def test_tensor_reynolds_formula():

@@ -202,7 +202,7 @@ def test_rejected_hint_raises_from_emit():
 
 
 def test_unavailable_radical_emits_without_hint():
-    # soc20_trivext's radical is propagated from the rule's J of its base
+    # soc20_trivext's radical comes from the rule, and the file names it as a hint
     alg = load_algebra(str(CASES / "soc20_trivext.json"))
     doc = json.loads(emit_structure_constants(alg))
     assert doc["radical_hint"]["kind"] == "basis"

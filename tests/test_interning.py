@@ -3,7 +3,7 @@
 Every view of a table shares its core and the facts kept there.  Inside an
 ``interning()`` block equal tables share one core, whether or not the first
 view is still alive; outside one every new table gets its own.  Unequal
-tables never share a core, the radical provenance stays with each view,
+tables never share a core, the radical certificate stays with each view,
 and views and cores are freed by reference counting alone, so what a run
 computes depends neither on when the cycle collector runs nor on who else
 holds an algebra.
@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from symcenter import GF, QQ, SkewPresentation, from_skew_presentation, gf25
-from symcenter import algebra, constructions, linalg
+from symcenter import algebra, linalg, substructures
 from symcenter.algebra import Algebra, interning, memoised
 from symcenter.analysis import analyze
 from symcenter.constructions import opposite, quotient, tensor, trivial_extension
@@ -239,13 +239,14 @@ def test_paper_suite_validates_each_table_once():
     assert per_table and set(per_table) == {1}
 
 
-def test_paper_suite_runs_each_ideal_test_and_quotient_seed_once():
-    # a cold process, so that no memo from another test is found
+def test_paper_suite_runs_each_ideal_test_and_radical_rule_once():
+    # a cold process, so that no memo from another test is found; the rule
+    # runs on every table whose radical is asked for, at most once per core
     proc = subprocess.run([sys.executable, __file__, "memos"], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     assert proc.returncode == 0, proc.stderr
     runs = json.loads(proc.stdout)
-    for name in ("is_ideal", "quotient_seed"):
+    for name in ("is_ideal", "radical_rule"):
         assert runs[name]["keys"] > 0 and runs[name]["runs per key"] == [1], name
 
 
@@ -282,19 +283,21 @@ def test_is_ideal_runs_once_per_table_and_subspace(monkeypatch):
 
 
 def test_a_seedless_twin_of_a_certified_table_gets_the_rule():
+    # every view takes the rule; the twin's run of it is the core's memo
     base = get("soc20_base")
     with interning():
         # soc20_trivext as the registry builds it, on tables new to the block
         t = trivial_extension(Algebra(base.field, base.table.copy(), base.one.copy()))
-        assert radical(t).strategy == "propagated"
+        assert radical(t).strategy == "kuelshammer"
         facts = (socle, j_of_center, soc_of_center, reynolds, property_verdicts)
         kept = [fact(t) for fact in facts]
         twin = Algebra(t.field, t.table.copy(), t.one.copy())
     assert twin._core is t._core
     # the facts are kept on the core, but read only after the view's own J,
-    # which the twin computes by the rule and which must be the core's J
+    # which the twin certifies for itself and which must be the core's J
+    assert "radical_cert" not in twin._cache
     cert = radical(twin)
-    assert cert.strategy == "kuelshammer" and cert.radical == radical(t).radical
+    assert cert == radical(t) and cert is not radical(t)
     assert "radical_rule" in t._core.facts
     assert all(fact(twin) is k for fact, k in zip(facts, kept))
 
@@ -319,11 +322,14 @@ def test_a_second_certified_radical_for_one_table_is_an_internal_error(g3):
     x2 = linalg.Subspace.from_rows(g3, 3, [[0, 0, 1]])
     with interning():
         a = from_skew_presentation(g3, SkewPresentation.commuting([3]))
-        assert radical(a).radical.dim == 2
-        bogus = Algebra(g3, a.table, a.one, _radical_seed=lambda: (x2, "a bogus theorem"))
-    assert bogus._core is a._core
+        j = radical(a).radical
+        assert j.dim == 2
+        twin = Algebra(g3, a.table, a.one)
+    assert twin._core is a._core
+    kept = set(twin._core.facts)
     with pytest.raises(InternalCheckError, match="differs from the table's J"):
-        radical(bogus)
+        substructures._certify(twin, x2, "a second radical")
+    assert set(twin._core.facts) == kept and twin._core.facts["radical"] is j
 
 
 # -- lifetimes ----------------------------------------------------------------
@@ -491,19 +497,20 @@ def test_counts_do_not_depend_on_the_order_of_operations(keep_raised):
 
 def _memo_runs_per_key() -> dict:
     """How often one in-process paper-suite run computes the ideal test of
-    each (core, subspace) and the quotient seed of each (parent core,
-    ideal), through the memos of the same slots."""
-    runs = {"is_ideal": Counter(), "quotient_seed": Counter()}
+    each (core, subspace) and the radical rule of each core, through the
+    memos of the same slots."""
+    runs = {"is_ideal": Counter(), "radical_rule": Counter()}
 
     def counting(name, fn):
-        def counted(a, sub):
-            runs[name][a._core.serial, algebra.coords_key(a.field, sub.basis)] += 1
-            return fn(a, sub)
+        def counted(a, *sub):
+            runs[name][(a._core.serial,
+                        *(algebra.coords_key(a.field, u.basis) for u in sub))] += 1
+            return fn(a, *sub)
         return memoised(name)(counted)
 
     algebra._is_ideal = counting("is_ideal", algebra._is_ideal.__wrapped__)
-    constructions._quotient_seed = counting("quotient_seed",
-                                            constructions._quotient_seed.__wrapped__)
+    substructures._radical_rule = counting("radical_rule",
+                                           substructures._radical_rule.__wrapped__)
     run_paper_suite()
     return {name: {"keys": len(c), "runs per key": sorted(set(c.values()))}
             for name, c in runs.items()}

@@ -1,6 +1,7 @@
 """Radical routes, socles, center substructures and the three verdicts."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,15 @@ from oracles import (
     naive_span_contains_mod,
 )
 
-from symcenter import GF, QQ, SkewPresentation, from_skew_presentation, gf25, tensor
+from symcenter import (
+    GF,
+    QQ,
+    SkewPresentation,
+    from_skew_presentation,
+    gf25,
+    substructures,
+    tensor,
+)
 from symcenter.algebra import Algebra, interning
 from symcenter.analysis import analyze
 from symcenter.corpus import _BUILDERS, get
@@ -53,10 +62,10 @@ def _dual_table(field):
 
 
 def test_local_hint_on_skew_quotient(f25):
-    # the skew presentation's seed names J(A): the monomials of positive degree
+    # the rule finds the monomials of positive degree, which span J(A)
     b = get("counterexample_B")
     cert = radical(b)
-    assert cert.strategy == "propagated" and cert.radical.dim == 7
+    assert cert.strategy == "kuelshammer" and cert.radical.dim == 7
 
 
 def test_semisimple_hint_verified_by_gram_oracle(mat2):
@@ -113,6 +122,23 @@ def test_rule_over_an_extension_field(field):
     assert cert.radical == Subspace.from_rows(field, 3, np.array([coords], dtype=np.int64))
 
 
+def test_basis_powers_build_no_cube():
+    # T(counterexample_A), dim 100 over GF(25): the rows e_i^p are summed
+    # over the 2 025 nonzero constants a block of rows at a time, so the
+    # peak stays below the size of one dense n x n x n int64 array
+    a = trivial_extension(get("counterexample_A"))
+    p = a.field.characteristic
+    tracemalloc.start()
+    try:
+        powers = substructures._basis_powers(a, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < a.dim ** 3 * 8
+    for i in (0, 1, a.dim // 2, a.dim - 1):
+        assert np.array_equal(powers[i], (a.basis_element(i) ** p).coords)
+
+
 def _diagonal_table(field):
     """F x F on the idempotents e_1, e_2."""
     t = field.zeros((2, 2, 2))
@@ -164,30 +190,41 @@ def test_hint_rejected_cases(mat2):
     ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),   # not nilpotent
     ((0, 1, 0, 0),),                                           # not an ideal
 ])
-def test_bad_seed_is_an_internal_error(mat2, seed_rows):
-    seed = (Subspace.from_rows(mat2.field, 4, list(seed_rows)), "a bogus theorem")
-    a = Algebra(mat2.field, mat2.table, mat2.one, _radical_seed=lambda: seed)
-    with pytest.raises(InternalCheckError,
-                       match=r"^propagated radical failed verification: a bogus theorem$"):
+def test_bad_seed_is_an_internal_error(monkeypatch, mat2, seed_rows):
+    # a rule that returns a wrong candidate on a new core is caught by _certify
+    a = Algebra(mat2.field, mat2.table, mat2.one)
+    assert a._core is not mat2._core
+    _rule_returns(monkeypatch, a, Subspace.from_rows(mat2.field, 4, list(seed_rows)))
+    with pytest.raises(InternalCheckError, match=r"^computed radical failed verification$"):
         radical(a)
+    assert "radical" not in a._core.facts and "radical_cert" not in a._cache
 
 
-def test_a_nilpotent_ideal_smaller_than_the_radical_is_an_internal_error():
+def _rule_returns(monkeypatch, algebra, sub):
+    """Make the radical rule return sub on the algebra's table, and run as
+    before on every other table (the quotients that ``_certify`` checks)."""
+    rule = substructures._radical_rule
+    monkeypatch.setattr(substructures, "_radical_rule",
+                        lambda b: sub if b._core is algebra._core else rule(b))
+
+
+def test_a_nilpotent_ideal_smaller_than_the_radical_is_an_internal_error(monkeypatch):
     # soc(A) of dim12_sharp is a nilpotent ideal, so it lies in J(A), but its
     # dimension is 1 against J(A)'s 11: A/soc(A) is not semisimple.  Taken
     # as J(A), it would flip all three verdicts.
     base = get("dim12_sharp")
     soc = socle(base)
     assert soc.dim == 1 and base.is_ideal(soc) and is_nilpotent_ideal(base, soc)
-    assert not verify_certificate(base, RadicalCertificate(soc, "propagated", "soc(A)"))
+    assert not verify_certificate(base, RadicalCertificate(soc, "kuelshammer", "soc(A)"))
     # a new core, on which J(A) is not known yet
-    a = Algebra(base.field, base.table, base.one, _radical_seed=lambda: (soc, "soc(A)"))
+    a = Algebra(base.field, base.table, base.one)
     assert a._core is not base._core
-    with pytest.raises(InternalCheckError,
-                       match=r"^propagated radical failed verification: soc\(A\)$"):
-        radical(a)
-    assert "radical" not in a._core.facts
-    # a seedless view of the same table gets the true J(A) and verdicts
+    with monkeypatch.context() as patched:
+        _rule_returns(patched, a, soc)
+        with pytest.raises(InternalCheckError, match=r"^computed radical failed verification$"):
+            radical(a)
+    assert "radical" not in a._core.facts and "radical_cert" not in a._cache
+    # with the true rule, another view of the same table gets J(A) and verdicts
     twin = Algebra(a.field, a.table, a.one, _core=a._core)
     assert radical(twin).radical == radical(base).radical
     verdicts = property_verdicts(twin)
@@ -196,13 +233,6 @@ def test_a_nilpotent_ideal_smaller_than_the_radical_is_an_internal_error():
 
 def _rule(e):
     return "kuelshammer", f"{{x : xA in T(A)}}, T(A) = {{x : x^{e} in K(A)}}"
-
-
-_SKEW = ("propagated", "monomials of positive degree: a nilpotent ideal of codimension 1")
-_TENSOR = ("propagated", "J(A1) (x) A2 + A1 (x) J(A2) from component radicals")
-_TRIVEXT = ("propagated", "J(A) + A* (dual copy squares to zero)")
-_QUOTIENT = ("propagated", "J(A)/I: the ideal is contained in J(A), so the radical passes down")
-_OPPOSITE = ("propagated", "the radical is opposite-invariant")
 
 
 def _trunc3(field, **kw):
@@ -214,12 +244,12 @@ def _trunc3(field, **kw):
 
 
 def _seeded():
-    """An algebra whose radical comes from its construction."""
+    """An algebra built by constructions, its radical not yet asked for."""
     return trivial_extension(from_skew_presentation(GF(3), SkewPresentation.commuting([2])))
 
 
 def _cached():
-    """No seed, but the radical has been computed (the rule)."""
+    """An algebra whose radical has been computed before anything is built on it."""
     a = _trunc3(GF(7))
     radical(a)
     return a
@@ -235,34 +265,35 @@ def _mat2():
 
 
 def _mat2_dual():
-    """The table of Mat2 (x) GF(3)[x]/(x^2), without the tensor product's seed."""
+    """The table of Mat2 (x) GF(3)[x]/(x^2), as a plain structure table."""
     t = tensor(_mat2(), from_skew_presentation(GF(3), SkewPresentation.commuting([2])))
     return Algebra(t.field, t.table, t.one)
 
 
-# The hinted and Dickson case names keep the route each algebra took before
-# the radical rule: hints are gone, and a finite field always takes the rule.
+# The case names keep the route each algebra took before the rule became the
+# only one: construction seeds and hints are gone, and every algebra over a
+# finite field takes Kuelshammer's rule, with its own exponent.
 _PROVENANCE = {
-    "tensor_of_seeded": (lambda: tensor(_seeded(), _seeded()), _TENSOR),
-    "tensor_of_cached": (lambda: tensor(_cached(), _cached()), _TENSOR),
-    "trivext_of_seeded": (lambda: trivial_extension(_seeded()), _TRIVEXT),
-    "trivext_of_cached": (lambda: trivial_extension(_cached()), _TRIVEXT),
-    "quotient_of_seeded": (lambda: _socle_quotient(_seeded()), _QUOTIENT),
-    "quotient_of_cached": (lambda: _socle_quotient(_cached()), _QUOTIENT),
+    "tensor_of_seeded": (lambda: tensor(_seeded(), _seeded()), _rule(27)),
+    "tensor_of_cached": (lambda: tensor(_cached(), _cached()), _rule(49)),
+    "trivext_of_seeded": (lambda: trivial_extension(_seeded()), _rule(9)),
+    "trivext_of_cached": (lambda: trivial_extension(_cached()), _rule(7)),
+    "quotient_of_seeded": (lambda: _socle_quotient(_seeded()), _rule(3)),
+    "quotient_of_cached": (lambda: _socle_quotient(_cached()), _rule(7)),
     "quotient_of_unknown": (
         lambda: quotient(_trunc3(GF(7)), Subspace.from_rows(GF(7), 3, [[0, 0, 1]])),
-        _QUOTIENT,
+        _rule(7),
     ),
     "quotient_outside_j": (
         lambda: quotient(Algebra(GF(3), _diagonal_table(GF(3)), GF(3).arr([1, 1])),
                          Subspace.from_rows(GF(3), 2, [[0, 1]])),
         _rule(3),
     ),
-    "opposite_of_seeded": (lambda: opposite(_seeded()), _OPPOSITE),
-    "opposite_of_cached": (lambda: opposite(_cached()), _OPPOSITE),
+    "opposite_of_seeded": (lambda: opposite(_seeded()), _rule(9)),
+    "opposite_of_cached": (lambda: opposite(_cached()), _rule(7)),
     "hinted_local_default_span": (
         lambda: from_skew_presentation(GF(3), SkewPresentation.anticommuting([2, 2])),
-        _SKEW,
+        _rule(9),
     ),
     "hinted_local_vectors": (lambda: _trunc3(GF(3)), _rule(3)),
     "basis_hint_codim1": (lambda: _trunc3(GF(2)), _rule(4)),
@@ -289,14 +320,14 @@ def test_radical_provenance(case):
 
 @pytest.mark.parametrize("case", list(_PROVENANCE))
 def test_radical_provenance_with_a_twin_alive(case):
-    # in an interning block, a seedless twin of the same table takes the
-    # rule: it shares the core and its J, but not the provenance
+    # in an interning block, a plain twin of the same table shares the core,
+    # its J and its certificate's strategy and evidence
     build, expected = _PROVENANCE[case]
     with interning():
         first = build()
         j = radical(first).radical
         twin = Algebra(first.field, first.table.copy(), first.one.copy())
-        assert radical(twin).strategy in ("dickson", "kuelshammer")
+        assert (radical(twin).strategy, radical(twin).evidence) == expected
         assert radical(twin).radical == j
         del first
         a = build()
@@ -306,7 +337,7 @@ def test_radical_provenance_with_a_twin_alive(case):
 
 
 def test_construction_provenance_does_not_depend_on_call_order():
-    # a hintless GF(7) algebra, its quotient by x^2 (inside J) and its opposite
+    # a GF(7) algebra, its quotient by x^2 (inside J) and its opposite
     def build(parent_first):
         a = _trunc3(GF(7))
         if parent_first:
@@ -314,28 +345,31 @@ def test_construction_provenance_does_not_depend_on_call_order():
         return quotient(a, Subspace.from_rows(GF(7), 3, [[0, 0, 1]])), opposite(a)
 
     fresh, warmed = build(False), build(True)
-    for expected, b1, b2 in zip((_QUOTIENT, _OPPOSITE), fresh, warmed):
+    for b1, b2 in zip(fresh, warmed):
         for b in (b1, b2):
-            assert (radical(b).strategy, radical(b).evidence) == expected
+            assert (radical(b).strategy, radical(b).evidence) == _rule(7)
         assert analyze(b1).to_text() == analyze(b2).to_text()
 
 
-def test_constructions_compute_no_radical_at_build_time():
-    # span{x} is not an ideal of k[x]/(x^3): the bogus seed fails only when asked
+def test_constructions_compute_no_radical_at_build_time(monkeypatch):
+    # the rule runs only when a radical is asked for, never while building
+    def refused(_algebra):
+        raise InternalCheckError("the radical rule ran")
+
     g3 = GF(3)
-    seed = (Subspace.from_rows(g3, 3, [[0, 1, 0]]), "a bogus theorem")
-    bogus = Algebra(g3, _trunc3(g3).table, g3.arr([1, 0, 0]), _radical_seed=lambda: seed)
+    a = _trunc3(g3)
+    monkeypatch.setattr(substructures, "_radical_rule", refused)
     x2 = Subspace.from_rows(g3, 3, [[0, 0, 1]])
-    built = [tensor(bogus, bogus), trivial_extension(bogus), quotient(bogus, x2),
-             opposite(bogus)]
-    for b in built:
-        with pytest.raises(InternalCheckError,
-                           match=r"^propagated radical failed verification: a bogus theorem$"):
+    built = [tensor(a, a), trivial_extension(a), quotient(a, x2), opposite(a),
+             from_skew_presentation(g3, SkewPresentation.anticommuting([2, 2]))]
+    for b in [a] + built:
+        assert "radical" not in b._core.facts
+        with pytest.raises(InternalCheckError, match="^the radical rule ran$"):
             radical(b)
 
 
 def test_general_basis_hint_with_nondegenerate_quotient(mat2, dual3):
-    # without the tensor product's seed, the rule finds the span of E_ij (x) x
+    # the rule finds the span of E_ij (x) x, on a plain table and on the tensor
     t = tensor(mat2, dual3)
     bare = Algebra(t.field, t.table, t.one)
     cert = radical(bare)

@@ -9,7 +9,7 @@ import pytest
 
 from oracles import naive_form_radical_mod, naive_rank_mod
 
-import symcenter.constructions as constructions
+import symcenter.substructures as substructures
 import symcenter.symmetric as symmetric
 from symcenter import QQ, Algebra, SkewPresentation, analyze, from_skew_presentation
 from symcenter.corpus import _BUILDERS, get
@@ -185,22 +185,21 @@ def test_nustar_relations_trivial_and_m2():
 
 
 def test_symmetric_quotient_lets_internal_check_errors_through(monkeypatch):
-    # a fresh core, so the patched radical never reaches the corpus view's
-    # certificate and the quotient's seed, kept per parent table, has not
-    # run yet; each call returns a new quotient view with no certificate
+    # a fresh core, so the quotient's table is new and no radical of it is
+    # known; each call returns a new quotient view with no certificate
     base = get("dim12_sharp")
     a = Algebra(base.field, base.table, base.one, labels=base.labels,
                 sym_form=base.sym_form, name="dim12_sharp, another table")
     assert a._core is not base._core
     w = symmetric_quotient(a, a.monomial("M^2"))
 
-    # the quotient's seed asks constructions.radical for A's radical
     def broken(_algebra):
-        raise InternalCheckError("propagated radical failed verification")
+        raise InternalCheckError("computed radical failed verification")
 
-    monkeypatch.setattr(constructions, "radical", broken)
-    with pytest.raises(InternalCheckError, match="^propagated radical failed verification$"):
+    monkeypatch.setattr(substructures, "_radical_rule", broken)
+    with pytest.raises(InternalCheckError, match="^computed radical failed verification$"):
         radical(w.quotient)
+    assert "radical" not in w.quotient._core.facts and "radical_cert" not in w.quotient._cache
 
 
 def test_quotient_witness_reads_rows_by_the_encoding_rule():
