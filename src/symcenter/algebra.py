@@ -17,24 +17,26 @@ triple a dense check would.  Everything downstream (centers, commutator
 spaces, ideal tests, annihilators, Loewy series) is exact linear algebra
 over the algebra's field, on systems built from the entries.
 
-Products of a block of rows with the table (``left_products`` and
-``right_products``, and so ``is_ideal``, ``basis_products``,
-``ideal_closure`` and the annihilators) read the entries too: the output
-column (j, k) of rows[s] e_j, or (i, k) of e_i rows[s], sums the terms
-rows[s, i] c_ijk of its entries (Gustavson's column compression, ACM TOMS
-4(3), 1978), scattered into a zero output.  Each side keeps its entries
-grouped by output column, the fullest columns first, so the sums are
-taken one layer at a time: the t-th entry of every column with more than
-t.  Most columns hold one entry, and a side whose columns all do needs no
-sum.  A product of two rows (``row_products``, and so ``multiply_coords``
-and the radical rule's powers) sums the terms x_i y_j c_ijk per output
-coordinate k, a block of row pairs at a time.
+Every product with the table is one contraction of the entries with
+rows, which keeps some of the indices (i, j, k) and sums over the others
+(Gustavson's column compression, ACM TOMS 4(3), 1978): (j, k) for
+``left_products``, where column (j, k) of rows[s] e_j sums rows[s, i]
+c_ijk; (i, k) for ``right_products``; (i, j) for ``form_values`` and
+``form_gram``, where mu_s(e_i e_j) sums c_ijk mu_s[k]; and (k) for
+``row_products``, ``multiply_coords`` and the radical rule's powers, where
+coordinate k of x[s] y[s] sums x[s, i] y[s, j] c_ijk.  The ideal tests,
+``basis_products``, ``ideal_closure``, the annihilators and the unit law
+read these.  For each kept index set the core keeps one layering of the
+entries: grouped by output column, the fullest columns first, so that the
+terms, laid out (entries, rows), are summed one layer at a time, the t-th
+entry of every column with more than t.  Most columns hold one entry, and
+a contraction whose columns all do needs no sum.
 
 An Algebra is a thin *view* over a *core* (hash-consing):
 
 * per table, on the core: the field, the read-only entries and unit, the
   validation, and every fact that depends on them alone -- the center,
-  the commutator space, each side's column grouping, the ideal test of
+  the commutator space, each contraction's layering, the ideal test of
   each subspace, the radical certificate checks and the facts derived
   from J(A), the Gram matrix of each verified form, I_mu for each form
   mu, and the tables that the quotient, tensor and trivial-extension
@@ -132,7 +134,7 @@ def coords_key(field: FieldDescriptor, coords: np.ndarray):
 
 
 _JOIN_BLOCK = 4_000_000     # terms per block of the associativity join
-_ROW_TERMS = 200_000        # terms per row block of ``row_products``
+_ROW_TERMS = 200_000        # terms per row block of a contraction
 
 
 def _runs(starts: np.ndarray, counts: np.ndarray):
@@ -284,82 +286,75 @@ def _difference_rows(f: FieldDescriptor, n: int, val: np.ndarray, plus, minus) -
     return system[np.any(system != f.zero_enc, axis=1)]
 
 
-def _side(core: "_Core", right: bool) -> tuple:
-    """One side's products as layers of terms, kept on the core.
+def _layering(core: "_Core", keep: tuple) -> tuple:
+    """The entries in layers for the contractions that keep the indices
+    ``keep`` of (i, j, k) and sum over the others, kept on the core.
 
-    The output column of an entry (i, j, k) is (j, k) on the left, where
-    rows[s] e_j sums rows[s, i] c_ijk over i, and (i, k) on the right, where
-    e_i rows[s] sums over j.  The entries are ordered by depth within their
-    column, then by column, fullest columns first: layer t holds the t-th
-    entry of the first ``widths[t]`` columns, which are the columns with
-    more than t entries.  Returns (row index and value of each entry in that
-    order, the output columns, widths)."""
-    key = ("side", right)
+    The output column of an entry is its kept indices, flattened.  The
+    entries are ordered by depth within their column, then by column,
+    fullest columns first: layer t holds the t-th entry of the first
+    ``widths[t]`` columns, which are the columns with more than t entries.
+    Returns (the summed indices of each entry in that order, their values
+    as a column, the output columns, widths)."""
+    key = ("layers", keep)
     if key not in core.facts:
-        n = core.dim
-        ei, ej, ek, val = core.entries
-        src, other = (ej, ei) if right else (ei, ej)
-        col = other * n + ek
+        n, entries, col = core.dim, core.entries, 0
+        for axis in keep:
+            col = col * n + entries[axis]
         order = np.argsort(col)
-        col = col[order]
-        starts = _run_starts(col)
-        counts = np.diff(np.concatenate([starts, [col.size]]))
-        fullest = np.argsort(-counts)
-        rank = np.empty_like(fullest)
-        rank[fullest] = np.arange(len(fullest))
+        starts = _run_starts(col[order])
+        counts = np.diff(starts, append=col.size)
         depth = np.arange(col.size) - np.repeat(starts, counts)
-        take = order[np.argsort(depth * len(counts) + np.repeat(rank, counts))]
-        core.facts[key] = (src[take], val[take], col[starts[fullest]],
+        # by depth, then the fuller column first, then by column
+        take = order[np.lexsort((col[order], -np.repeat(counts, counts), depth))]
+        summed = tuple(entries[axis][take] for axis in range(3) if axis not in keep)
+        core.facts[key] = (summed, core.val[take, None], col[take[:len(counts)]],
                            np.bincount(depth, minlength=1).tolist())
     return core.facts[key]
 
 
-def _products(core: "_Core", rows: np.ndarray, right: bool) -> np.ndarray:
-    """Array P of shape (len(rows), n, n): rows times one side's table, as
-    the layered sums of ``_side`` scattered into zeros."""
-    f, n = core.field, core.dim
-    src, val, cols, widths = _side(core, right)
-    terms = f.a_mul(rows[:, src], val)
-    sums, done = terms[:, :widths[0]], widths[0]
+def _layer_sum(f: FieldDescriptor, terms: np.ndarray, widths: list) -> np.ndarray:
+    """The column sums of layered terms of shape (entries, rows): layer t is
+    the next ``widths[t]`` terms, added to the first ``widths[t]`` sums.
+    The sums are taken in place in ``terms``."""
+    sums, done = terms[:widths[0]], widths[0]
     for w in widths[1:]:
-        sums[:, :w] = f.a_add(sums[:, :w], terms[:, done: done + w])
+        sums[:w] = f.a_add(sums[:w], terms[done: done + w])
         done += w
-    out = f.zeros((rows.shape[0], n * n))
-    out[:, cols] = sums
-    return out.reshape(rows.shape[0], n, n)
+    return sums
 
 
-@memoised("by_output")
-def _by_output(algebra: "Algebra") -> tuple:
-    """The entries ordered by output coordinate k: i, j and value of each,
-    the distinct k, and where the run of each begins."""
-    ei, ej, ek, val = algebra.entries
-    order = np.argsort(ek)
-    k = ek[order]
-    starts = _run_starts(k)
-    return ei[order], ej[order], val[order], k[starts], starts
+def _contract(core: "_Core", keep: tuple, *factors: np.ndarray) -> np.ndarray:
+    """Array out of shape (rows, n ** len(keep)): out[s, c] sums, over the
+    entries of output column c (``_layering``), the constant times
+    factors[t][s, x_t], where x_t is the t-th index of (i, j, k) that is
+    summed over.  The terms are laid out (entries, rows) and built for a
+    block of rows at a time, of at most ``_ROW_TERMS`` terms, so no
+    n x n x n array is built."""
+    f = core.field
+    summed, val, cols, widths = _layering(core, keep)
+    out = f.zeros((len(factors[0]), core.dim ** len(keep)))
+    step = _ROW_TERMS // max(1, len(val)) or 1
+    for s in range(0, len(out), step):
+        terms = val
+        for x, factor in zip(summed, factors):
+            terms = f.a_mul(factor[s: s + step].T[x], terms)
+        out[s: s + step, cols] = _layer_sum(f, terms, widths).T
+    return out
 
 
 def row_products(algebra: "Algebra", x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Row s is x[s] * y[s]: each constant c_ijk adds x[s, i] y[s, j] c_ijk to
-    coordinate k.  The terms are summed per k for a block of rows at a time,
-    of at most ``_ROW_TERMS`` terms, so no n x n x n array is built."""
-    f = algebra.field
-    ei, ej, val, ks, starts = _by_output(algebra)
-    out = f.zeros((len(x), algebra.dim))
-    step = max(1, _ROW_TERMS // len(val))
-    for s in range(0, len(x), step):
-        terms = f.a_mul(f.a_mul(x[s: s + step].T[ei], y[s: s + step].T[ej]), val[:, None])
-        out[s: s + step, ks] = f.a_sum_runs(terms, starts).T
-    return out
+    coordinate k."""
+    return _contract(algebra._core, (2,), x, y)
 
 
 def _validate(core: "_Core"):
     """Raise AlgebraValidationError unless the core's unit is a two-sided
     unit of its table and the table is associative."""
-    ident = core.field.eye(core.dim)
-    for right, law in ((False, "one * e_{i} != e_{i}"), (True, "e_{i} * one != e_{i}")):
-        unit = _products(core, core.one[None, :], right)[0]
+    n, ident = core.dim, core.field.eye(core.dim)
+    for keep, law in (((1, 2), "one * e_{i} != e_{i}"), ((0, 2), "e_{i} * one != e_{i}")):
+        unit = _contract(core, keep, core.one[None, :]).reshape(n, n)
         if not np.all(unit == ident):
             i = int(np.nonzero(np.any(unit != ident, axis=1))[0][0])
             raise AlgebraValidationError("unit law fails: " + law.format(i=i))
@@ -487,16 +482,15 @@ class Algebra:
 
     def __init__(self, field: FieldDescriptor, table, one, labels=None,
                  sym_form=None, name: str | None = None,
-                 _core: _Core | None = None, _fresh: bool = False):
+                 _core: _Core | None = None):
         if _core is None:
-            if not (_fresh and isinstance(table, np.ndarray) and table.dtype == field.dtype):
-                table = field.arr(table)
+            table = field.arr(table)
             if table.ndim != 3 or table.shape[0] != table.shape[1] or table.shape[0] != table.shape[2]:
                 raise AlgebraValidationError("structure table must have shape (n, n, n)")
             n = table.shape[0]
             if n == 0:
                 raise AlgebraValidationError("algebras here are unital, so dim >= 1")
-            one = _read_only(field, one, _fresh)
+            one = _read_only(field, one)
             if one.size != n:
                 raise AlgebraValidationError(f"unit has {one.size} coordinates, expected {n}")
             _core = _core_of(field, n, _dense_entries(field, table), one.reshape(n))
@@ -572,11 +566,11 @@ class Algebra:
 
     def left_products(self, rows: np.ndarray) -> np.ndarray:
         """Array P of shape (len(rows), dim, dim) with P[s, j] = rows[s] * e_j."""
-        return _products(self._core, rows, right=False)
+        return _contract(self._core, (1, 2), rows).reshape(-1, self.dim, self.dim)
 
     def right_products(self, rows: np.ndarray) -> np.ndarray:
         """Array P of shape (len(rows), dim, dim) with P[s, j] = e_j * rows[s]."""
-        return _products(self._core, rows, right=True)
+        return _contract(self._core, (0, 2), rows).reshape(-1, self.dim, self.dim)
 
     def multiply_coords(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return row_products(self, x[None, :], y[None, :])[0]
@@ -876,11 +870,8 @@ def quotient_core(algebra: Algebra, ideal: Subspace) -> _Core:
 def form_values(algebra: Algebra, forms: np.ndarray) -> np.ndarray:
     """V[i, j, s] = forms[s](e_i e_j) for linear forms given as rows: one
     term c_ijk forms[s, k] per constant, summed per pair (i, j)."""
-    f, n, (ei, ej, ek, val) = algebra.field, algebra.dim, algebra.entries
-    pairs, sums = sum_by_key(f, ei * n + ej, f.a_mul(val[:, None], forms.T[ek]))
-    out = f.zeros((n * n, len(forms)))
-    out[pairs] = sums
-    return out.reshape(n, n, len(forms))
+    n = algebra.dim
+    return _contract(algebra._core, (0, 1), forms).T.reshape(n, n, len(forms))
 
 
 def form_gram(algebra: Algebra, mu: np.ndarray) -> np.ndarray:

@@ -126,9 +126,9 @@ def trivext_criteria(a: Algebra) -> TrivExtCriteria:
     jz = j_of_center(a)
     socz = soc_of_center(a)
     i_sub = subspace_sum(k, a.subspace_product(a.full_space(), jz))
-    # b in soc(Z(A)) with e_j b in K(A) for every j: the residuals mod K(A) vanish
+    # b in soc(Z(A)) with e_j b in K(A) for every j: their images in A/K(A) vanish
     prods = a.right_products(socz.basis).reshape(-1, n)
-    s_sub = kernel_on(socz, k.reduce(prods).reshape(socz.dim, n * n))
+    s_sub = kernel_on(socz, k.quotient_coords(prods).reshape(socz.dim, n * (n - k.dim)))
     s_ok = a.is_ideal(s_sub)
     i_ok = a.is_ideal(i_sub)
     k_ok = a.is_ideal(k)
@@ -367,5 +367,6 @@ def from_matrix_generators(field: FieldDescriptor, size: int, generators,
         one_coords = express_in_rows(field, flats, ident.reshape(1, amb))[0]
     except ValueError as exc:
         raise BasisClaimFailed(f"basis solve failed: {exc}") from None
-    return Algebra(field, coeffs.reshape(d, d, d), one_coords, labels=labels, name=name,
-                   _fresh=True)
+    flat = np.flatnonzero(coeffs != field.zero_enc)
+    return Algebra(field, None, None, labels=labels, name=name,
+                   _core=core_of_terms(field, d, flat, coeffs.reshape(-1)[flat], one_coords))

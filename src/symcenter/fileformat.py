@@ -321,7 +321,7 @@ def _parse_structure_constants(field, node, path) -> Algebra:
         for j, vec in enumerate(plane):
             table[i, j] = parse_vector(field, vec, f"{path}.table[{i}][{j}]", dim)
     one = parse_vector(field, one_spec, f"{path}.one", dim)
-    return Algebra(field, table, one, labels=labels, _fresh=True)
+    return Algebra(field, table, one, labels=labels)
 
 
 def parse_document(doc: dict) -> Algebra:

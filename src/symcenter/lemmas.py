@@ -179,7 +179,7 @@ def _check_condsocleprod(sink: ClaimSink):
         ok = True
         for row in z.basis:
             az_rows = a.right_products(row[None, :])[0]
-            az_in_z = bool(np.all(z.reduce(az_rows) == a.field.zero_enc))
+            az_in_z = bool(np.all(z.quotient_coords(az_rows) == a.field.zero_enc))
             kz_zero = a.subspace_product(
                 k, Subspace.from_rows(a.field, a.dim, row.reshape(1, -1))
             ).is_zero()

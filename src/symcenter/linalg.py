@@ -33,9 +33,11 @@ The quotient map F^n -> F^n / U has one home, ``Subspace.quotient_coords``:
 the residual modulo U on the complement (non-pivot) columns of U's RREF
 basis, the coordinates of every quotient built in this package.  The
 residual is zero at the pivot columns, so only the complement columns are
-computed, ``rows[:, comp] - rows[:, pivots] @ basis[:, comp]``; membership
-(``contains``, ``Algebra.is_ideal``) tests that block for zero.  Its
-section ``lift_coords`` is zero at the pivot columns.
+computed, ``rows[:, comp] - rows[:, pivots] @ basis[:, comp]``; every
+membership test (``contains``, ``contains_vector``, ``Algebra.is_ideal``)
+tests that block for zero.  Its section ``lift_coords`` is zero at the
+pivot columns.  Only the radical rule's Frobenius map, a square matrix,
+takes the full residual (``reduce``).
 
 Three more subspace constructions have one home each, and each reads its
 RREF basis straight off its input bases, with no elimination of its own:
@@ -331,8 +333,7 @@ class Subspace:
         return reduce_rows(self.field, rows, self.basis, self.pivot_columns())
 
     def contains_vector(self, vec) -> bool:
-        row = _coord_rows(self.field, vec, self.ambient_dim)
-        return bool(np.all(self.reduce(row) == self.field.zero_enc))
+        return bool(np.all(self.quotient_coords(vec) == self.field.zero_enc))
 
     def quotient_coords(self, rows) -> np.ndarray:
         """The quotient map nu: F^n -> F^n / self on coordinate rows.

@@ -100,18 +100,26 @@ def test_replace_shares_the_table_and_unit(field):
     assert b.name == "x" and a.name is None
 
 
+def _built(field, table, one, **view):
+    """An algebra whose table is handed over as a construction hands one
+    over: its nonzero constants, kept as they are, and a fresh unit."""
+    flat = np.flatnonzero(table != field.zero_enc)
+    core = algebra.core_of_terms(field, len(one), flat, table.reshape(-1)[flat], one)
+    return Algebra(field, None, None, _core=core, **view)
+
+
 def test_a_construction_array_is_frozen_in_place_and_a_caller_array_copied():
     f = GF(101)
     with interning():
-        table, one = _dual_table(f), f.arr([1, 0])
-        fresh = Algebra(f, table, one, _fresh=True)
+        one = f.arr([1, 0])
+        fresh = _built(f, _dual_table(f), one)
         assert np.shares_memory(fresh.one, one) and not one.flags.writeable
-        # the table is read into entries, never aliased: writing it changes nothing
-        assert not any(np.shares_memory(table, arr) for arr in fresh.entries)
-        table[1, 1, 0] = 1
-        assert fresh.table.tolist() == _dual_table(f).tolist()
         table, one = _dual_table(f), f.arr([1, 0])
         copied = Algebra(f, table, one)
+        # the table is read into entries, never aliased: writing it changes nothing
+        assert not any(np.shares_memory(table, arr) for arr in copied.entries)
+        table[1, 1, 0] = 1
+        assert copied.table.tolist() == _dual_table(f).tolist()
     assert copied._core is fresh._core
     assert not np.shares_memory(copied.one, one) and table.flags.writeable and one.flags.writeable
 
@@ -216,12 +224,12 @@ def test_an_integral_fraction_is_read_as_its_int():
     assert (algebra._digest(QQ, algebra._dense_entries(QQ, as_int), one_int)
             == algebra._digest(QQ, algebra._dense_entries(QQ, as_frac), one_frac))
     with interning():
-        a = Algebra(QQ, as_int, one_int, _fresh=True)
-        b = Algebra(QQ, as_frac, one_frac, _fresh=True, labels=["1", "x", "y"])
+        a = Algebra(QQ, as_int, one_int)
+        b = _built(QQ, as_frac, one_frac, labels=["1", "x", "y"])
     assert b._core is a._core
     a = Algebra(QQ, x_cubed_table(2, 1), [1, 0, 0], labels=["1", "x", "y"], name="x3")
-    b = Algebra(QQ, x_cubed_table(Fraction(2), Fraction(1)), np.array(one_frac), _fresh=True,
-                labels=["1", "x", "y"], name="x3")
+    b = _built(QQ, x_cubed_table(Fraction(2), Fraction(1)), np.array(one_frac),
+               labels=["1", "x", "y"], name="x3")
     assert b._core is not a._core and b.table[1, 1, 2] == 2 and type(b.table[1, 1, 2]) is Fraction
     assert a.element_str([3, 0, Fraction(1, 2)]) == "3*1 + 1/2*y"
     assert b.element_str([Fraction(6, 2), 0, Fraction(1, 2)]) == "3*1 + 1/2*y"

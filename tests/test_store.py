@@ -17,7 +17,7 @@ from oracles import gf25_enc_add, gf25_enc_mul
 from test_validation import matrix_algebra_random_basis
 
 from symcenter import GF, QQ, SkewPresentation, Subspace, from_skew_presentation, gf25, kernel
-from symcenter.algebra import Algebra, form_gram, quotient_data
+from symcenter.algebra import Algebra, form_gram, form_values, quotient_data
 from symcenter.constructions import opposite, quotient, tensor, trivial_extension
 from symcenter.corpus import get
 from symcenter.errors import AlgebraValidationError
@@ -145,13 +145,25 @@ def test_form_gram_matches_the_dense_contraction(algebra):
     f, n = algebra.field, algebra.dim
     add, mul, zero, _ = _arith(f)
     c = algebra.table.tolist()
-    for mu in (algebra.one, _rows(f, np.random.default_rng(7), 1, n)[0]):
+
+    def values(mu):
         want = [[zero] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    want[i][j] = add(want[i][j], mul(c[i][j][k], mu.tolist()[k]))
-        assert form_gram(algebra, mu).tolist() == want
+                    want[i][j] = add(want[i][j], mul(c[i][j][k], mu[k]))
+        return want
+
+    for mu in (algebra.one, _rows(f, np.random.default_rng(7), 1, n)[0]):
+        assert form_gram(algebra, mu).tolist() == values(mu.tolist())
+    # several forms at once, as the radical rule asks for up to n of them
+    rng = np.random.default_rng(n)
+    for r in (0, 1, n):
+        forms = _rows(f, rng, r, n)
+        want = [values(mu) for mu in forms.tolist()]
+        got = form_values(algebra, forms)
+        assert got.shape == (n, n, r)
+        assert got.transpose(2, 0, 1).tolist() == want
 
 
 def _unit_law_error(f, table, one):
