@@ -37,14 +37,15 @@ An Algebra is a thin *view* over a *core* (hash-consing):
 * per table, on the core: the field, the read-only entries and unit, the
   validation, and every fact that depends on them alone -- the center,
   the commutator space, each contraction's layering, the ideal test of
-  each subspace, the radical certificate checks and the facts derived
-  from J(A), the Gram matrix of each verified form, I_mu for each form
-  mu, and the tables that the quotient, tensor and trivial-extension
-  constructions built from this one (A/I once per ideal I, whichever
-  route asks for it).  ``memoised(key)`` keeps a result there, once per
-  further argument where it has one;
-* per view, on the Algebra: the name, labels, symmetrizing form and the
-  radical certificate (``_cache["radical_cert"]``).
+  each subspace, the certified J(A) and the facts derived from it, the
+  Gram matrix of each verified form, I_mu for each form mu, and the
+  tables that the quotient, tensor and trivial-extension constructions
+  built from this one (A/I once per ideal I, whichever route asks for
+  it).  ``memoised(key)`` keeps a result there, once per further
+  argument where it has one;
+* per view, on the Algebra: the name, labels and symmetrizing form.  A
+  view holds no radical of its own: ``_cache["radical_cert"]`` notes the
+  core's certificate once the view has asked for it.
 
 ``replace`` and the constructions' memos hand out new views of an existing
 core.  Tables are interned only inside an ``interning()`` block, which the
@@ -56,17 +57,18 @@ which algebras happen to be alive.  Outside a block every new table gets
 a core of its own.  A core keeps only cores made after it, and no view,
 so no core or view is ever in a reference cycle: each is freed as soon as
 the last reference to it goes.  A memo whose result is an older core (A/I_mu
-with I_mu = 0 has A's own table) is kept by the open block instead, until
-it ends.  Both are immutable: the entries, unit and form are read-only
-arrays (a caller's writeable unit or form is copied, never aliased).  A
-different name or form means a new view of the same core, made by
-``replace``.
+with I_mu = 0 has A's own table) is kept as a weak reference: it is
+recomputed once that core is gone, which inside a block it never is.  Both
+are immutable: the entries, unit and form are read-only arrays (a caller's
+writeable unit or form is copied, never aliased).  A different name or
+form means a new view of the same core, made by ``replace``.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -82,6 +84,9 @@ from .fields import FieldDescriptor
 from .linalg import Subspace, kernel
 
 
+_MISS = object()
+
+
 def memoised(key: str):
     """Decorator for a function of one algebra (or a method), optionally
     with further arguments, whose result depends only on the table and
@@ -90,24 +95,21 @@ def memoised(key: str):
     where an array or subspace argument stands as its exact coordinates
     (``coords_key``).  A call that raises stores nothing.  A result that is
     a core made no later than the algebra's own (its own core, or one an
-    interning block found) is never kept on the core: a core keeps only
-    younger cores, so cores never form a reference cycle.  Inside an
-    interning block the block keeps it instead, keyed by the core's serial
-    and the slot, until the block ends; outside one it is recomputed."""
+    interning block found) is kept as a weak reference: a core holds only
+    younger cores, so cores never form a reference cycle.  A dead reference
+    reads as a miss."""
     def decorate(fn):
         @functools.wraps(fn)
         def wrapper(algebra, *args):
             core = algebra._core
             slot = (key, *(_arg_key(core.field, x) for x in args)) if args else key
-            if slot in core.facts:
-                return core.facts[slot]
-            if _OLDER is not None and (core.serial, slot) in _OLDER:
-                return _OLDER[core.serial, slot]
-            result = fn(algebra, *args)
-            if not (isinstance(result, _Core) and result.serial <= core.serial):
-                core.facts[slot] = result
-            elif _OLDER is not None:
-                _OLDER[core.serial, slot] = result
+            result = core.facts.get(slot, _MISS)
+            if isinstance(result, weakref.ref):
+                result = result() or _MISS
+            if result is _MISS:
+                result = fn(algebra, *args)
+                older = isinstance(result, _Core) and result.serial <= core.serial
+                core.facts[slot] = weakref.ref(result) if older else result
             return result
         return wrapper
     return decorate
@@ -207,11 +209,10 @@ def _first_nonassociative_triple(core: "_Core"):
         if keys.size == 0:
             continue
         order = np.argsort(keys)
-        keys = keys[order]
-        starts = _run_starts(keys)
-        bad = np.flatnonzero(f.a_sum_runs(np.concatenate(terms)[order], starts) != f.zero_enc)
+        keys, sums = sum_by_key(f, keys[order], np.concatenate(terms)[order])
+        bad = np.flatnonzero(sums != f.zero_enc)
         if bad.size:
-            i, j, _, l = (int(v) for v in np.unravel_index(keys[starts[bad[0]]], (n,) * 4))
+            i, j, _, l = (int(v) for v in np.unravel_index(keys[bad[0]], (n,) * 4))
             return i, j, l
     return None
 
@@ -399,9 +400,6 @@ _SERIALS = itertools.count()
 # the open interning block: (field key, dim, hash of entries and unit) ->
 # the cores with that key, in order of creation; None outside a block
 _INTERNED: dict | None = None
-# the open block's memo results that are cores no younger than the core
-# they were computed on: (core serial, memo slot) -> that result core
-_OLDER: dict | None = None
 
 
 @contextmanager
@@ -412,18 +410,18 @@ def interning():
     earlier, over the same field, gets that core: its table is validated,
     and each fact computed, once in the block.  The block holds every core
     it made until it ends, so sharing does not depend on which algebras are
-    still alive; it also keeps the memo results that no core may keep (see
-    ``memoised``).  A block opened inside another joins it.
+    still alive, and a memo's weak reference to an older core (see
+    ``memoised``) stays live.  A block opened inside another joins it.
     """
-    global _INTERNED, _OLDER
+    global _INTERNED
     if _INTERNED is not None:
         yield
         return
-    _INTERNED, _OLDER = {}, {}
+    _INTERNED = {}
     try:
         yield
     finally:
-        _INTERNED = _OLDER = None
+        _INTERNED = None
 
 
 def _digest(field: FieldDescriptor, entries: tuple, one: np.ndarray) -> int:
@@ -477,8 +475,8 @@ def _is_ideal(algebra: Algebra, u: Subspace) -> bool:
 
 class Algebra:
     """A unital associative algebra presented by structure constants: a
-    view (name, labels, form, radical certificate) over the core of its
-    table.  Given ``_core``, the table and unit arguments are unused."""
+    view (name, labels, form) over the core of its table.  Given
+    ``_core``, the table and unit arguments are unused."""
 
     def __init__(self, field: FieldDescriptor, table, one, labels=None,
                  sym_form=None, name: str | None = None,
@@ -513,7 +511,7 @@ class Algebra:
         self.labels = labels
         self.sym_form = sym_form
         self.name = name
-        # this view's radical certificate, under "radical_cert"
+        # the core's radical certificate, under "radical_cert", once asked for
         self._cache: dict = {}
 
     @property
@@ -537,7 +535,7 @@ class Algebra:
 
         Arguments left as None keep this view's value, and the labels are
         kept.  Nothing is validated or encoded again, and every per-table
-        fact is shared; the new view certifies its own radical.
+        fact, the certified radical too, is shared.
         """
         return Algebra(
             self.field, None, None, labels=self.labels,

@@ -10,24 +10,18 @@ outputs' radicals (tensor products, trivial extensions, quotients inside
 J(A), opposites, skew presentations) are checked against the rule by the
 test suite and the lemma claims, never used in its place.
 
-``_certify`` proves the rule's candidate N equal to J(A): N must be a
-nilpotent two-sided ideal, which puts it inside J(A), and A/N must be
+``_proves_radical`` proves the rule's candidate N equal to J(A): N must be
+a nilpotent two-sided ideal, which puts it inside J(A), and A/N must be
 semisimple, which puts J(A) inside it.  The rule decides the latter on A/N
 (J(A/N) = 0); when N has codimension 1, A/N is the field and nothing is
 computed.  A candidate that fails is an internal error, never a verdict.
-
-The certificate, with its strategy and evidence, belongs to the view
-(``_cache["radical_cert"]``).  The rule, the certification of each
-candidate and the one certified J(A) depend only on the table, so they are
-kept on the table's core; a view that certifies a different subspace is an
-internal error.  The facts derived from J(A) (socle, J(Z), soc(Z), R(A) and
-the verdicts) are kept on the core too, and a view reads them only after
-its own radical has been certified.
+The certificate and every fact derived from it (socle, J(Z), soc(Z), R(A)
+and the verdicts) depend only on the table, so each is computed once per
+table and kept on its core (``memoised``).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,20 +51,6 @@ def is_nilpotent_ideal(algebra: Algebra, n: Subspace) -> bool:
     return True
 
 
-def _certify(algebra: Algebra, sub: Subspace, error: str):
-    """Raise InternalCheckError(error) unless sub is J(A); a certified sub
-    becomes the table's J(A), which is unique, so once it is known any
-    other subspace is refused without a check."""
-    facts = algebra._core.facts
-    if "radical" in facts and facts["radical"] != sub:
-        raise InternalCheckError(
-            f"certified radical of dimension {sub.dim} differs from the "
-            f"table's J(A) of dimension {facts['radical'].dim}")
-    if not _is_radical(algebra, sub):
-        raise InternalCheckError(error)
-    facts["radical"] = sub
-
-
 def _proves_radical(algebra: Algebra, sub: Subspace) -> bool:
     """sub = J(A): a nilpotent two-sided ideal with A/sub semisimple."""
     if not (algebra.is_ideal(sub) and is_nilpotent_ideal(algebra, sub)):
@@ -79,9 +59,6 @@ def _proves_radical(algebra: Algebra, sub: Subspace) -> bool:
         return True     # A/sub is the field
     core = quotient_core(algebra, sub)
     return _radical_rule(Algebra(core.field, None, None, _core=core)).dim == 0
-
-
-_is_radical = memoised("certify")(_proves_radical)
 
 
 def _frobenius_exponent(algebra: Algebra) -> int:
@@ -157,19 +134,21 @@ def _radical_rule(algebra: Algebra) -> Subspace:
 
 
 def radical(algebra: Algebra) -> RadicalCertificate:
-    """Verified Jacobson radical, by the rule.
-
-    Kept per view, in ``algebra._cache["radical_cert"]``; a call that
-    raises stores nothing."""
+    """Verified Jacobson radical, by the rule: the core's certificate,
+    noted in ``algebra._cache["radical_cert"]``.  A call that raises
+    stores nothing."""
     cache = algebra._cache
     if "radical_cert" not in cache:
         cache["radical_cert"] = _radical(algebra)
     return cache["radical_cert"]
 
 
+@memoised("radical")
 def _radical(algebra: Algebra) -> RadicalCertificate:
+    """The rule's candidate, certified as J(A) once per table."""
     sub = _radical_rule(algebra)
-    _certify(algebra, sub, "computed radical failed verification")
+    if not _proves_radical(algebra, sub):
+        raise InternalCheckError("computed radical failed verification")
     if algebra.field.characteristic == 0:
         return RadicalCertificate(
             sub, "dickson",
@@ -188,27 +167,13 @@ def verify_certificate(algebra: Algebra, cert: RadicalCertificate) -> bool:
 # -- derived substructures ---------------------------------------------------
 
 
-def _given_radical(key: str):
-    """``memoised(key)`` for a fact derived from J(A), read only once the
-    view's own radical is certified: the view's J(A) is then the core's."""
-    def decorate(fn):
-        shared = memoised(key)(fn)
-
-        @functools.wraps(fn)
-        def wrapper(algebra):
-            radical(algebra)
-            return shared(algebra)
-        return wrapper
-    return decorate
-
-
-@_given_radical("socle")
+@memoised("socle")
 def socle(algebra: Algebra) -> Subspace:
     """Right annihilator of the radical (the left socle)."""
     return algebra.right_annihilator(radical(algebra).radical)
 
 
-@_given_radical("j_of_center")
+@memoised("j_of_center")
 def j_of_center(algebra: Algebra) -> Subspace:
     """J(Z(A)) = J(A) intersected with Z(A)."""
     return subspace_intersect(radical(algebra).radical, algebra.center())
@@ -220,13 +185,13 @@ def annihilator_in_center(algebra: Algebra, v: Subspace) -> Subspace:
     return kernel_on(z, algebra.basis_products(z, v))
 
 
-@_given_radical("soc_of_center")
+@memoised("soc_of_center")
 def soc_of_center(algebra: Algebra) -> Subspace:
     """Annihilator of J(Z(A)) inside Z(A) (two-sided by commutativity of Z)."""
     return annihilator_in_center(algebra, j_of_center(algebra))
 
 
-@_given_radical("reynolds")
+@memoised("reynolds")
 def reynolds(algebra: Algebra) -> Subspace:
     """R(A) = soc(A) intersected with Z(A)."""
     return subspace_intersect(socle(algebra), algebra.center())
@@ -293,7 +258,7 @@ def _verdict_for(algebra: Algebra, u: Subspace, k: Subspace, name: str) -> Verdi
     return Verdict(False, Witness(u.basis[s].copy(), k.basis[t].copy(), prods[s, t].copy()))
 
 
-@_given_radical("property_verdicts")
+@memoised("property_verdicts")
 def property_verdicts(algebra: Algebra) -> PropertyVerdicts:
     """Is J(Z(A)) / soc(Z(A)) / R(A) an ideal of A?
 

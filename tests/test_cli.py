@@ -76,7 +76,7 @@ def test_non_associative_table_exit_2(tmp_path):
     assert "associativity fails at basis triple" in proc.stderr
 
 
-def test_radical_unavailable_exit_2(tmp_path):
+def test_analyze_without_a_hint_certifies_the_rule_radical(tmp_path):
     doc = {
         "field": {"kind": "prime", "p": 2},
         "presentation": {

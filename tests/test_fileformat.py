@@ -201,7 +201,7 @@ def test_rejected_hint_raises_from_emit():
     assert err.value.location == "radical_hint"
 
 
-def test_unavailable_radical_emits_without_hint():
+def test_emit_names_the_rule_radical_as_a_hint():
     # soc20_trivext's radical comes from the rule, and the file names it as a hint
     alg = load_algebra(str(CASES / "soc20_trivext.json"))
     doc = json.loads(emit_structure_constants(alg))

@@ -3,8 +3,8 @@
 Every view of a table shares its core and the facts kept there.  Inside an
 ``interning()`` block equal tables share one core, whether or not the first
 view is still alive; outside one every new table gets its own.  Unequal
-tables never share a core, the radical certificate stays with each view,
-and views and cores are freed by reference counting alone, so what a run
+tables never share a core, the certified radical is one per table, and
+views and cores are freed by reference counting alone, so what a run
 computes depends neither on when the cycle collector runs nor on who else
 holds an algebra.
 """
@@ -32,7 +32,6 @@ from symcenter.errors import (
     AlgebraMismatch,
     FieldMismatch,
     FileFormatError,
-    InternalCheckError,
     SymcenterError,
 )
 from symcenter.fileformat import emit_structure_constants, load_algebra, parse_document
@@ -287,11 +286,11 @@ def test_is_ideal_runs_once_per_table_and_subspace(monkeypatch):
         a.is_ideal(linalg.Subspace(k.field, k.ambient_dim * k.dim, k.basis.reshape(1, -1)))
 
 
-# -- provenance stays with the view --------------------------------------------
+# -- one certified radical per table -------------------------------------------
 
 
 def test_a_seedless_twin_of_a_certified_table_gets_the_rule():
-    # every view takes the rule; the twin's run of it is the core's memo
+    # every view takes the rule; the twin's radical is the core's certificate
     base = get("soc20_base")
     with interning():
         # soc20_trivext as the registry builds it, on tables new to the block
@@ -301,13 +300,40 @@ def test_a_seedless_twin_of_a_certified_table_gets_the_rule():
         kept = [fact(t) for fact in facts]
         twin = Algebra(t.field, t.table.copy(), t.one.copy())
     assert twin._core is t._core
-    # the facts are kept on the core, but read only after the view's own J,
-    # which the twin certifies for itself and which must be the core's J
+    # the certificate and the facts derived from it are kept on the core
     assert "radical_cert" not in twin._cache
-    cert = radical(twin)
-    assert cert == radical(t) and cert is not radical(t)
+    assert radical(twin) is radical(t) and twin._cache["radical_cert"] is radical(t)
     assert "radical_rule" in t._core.facts
     assert all(fact(twin) is k for fact, k in zip(facts, kept))
+
+
+def test_the_radical_is_certified_once_per_table(monkeypatch):
+    proved = []
+    proves = substructures._proves_radical
+
+    def counting(a, sub):
+        proved.append(a._core)
+        return proves(a, sub)
+
+    monkeypatch.setattr(substructures, "_proves_radical", counting)
+    f, facts = GF(7), (socle, j_of_center, soc_of_center, reynolds, property_verdicts)
+    with interning():
+        c = from_skew_presentation(f, SkewPresentation.commuting([3]))
+        a = from_skew_presentation(f, SkewPresentation.commuting([2, 3])).replace(
+            sym_form=[0, 0, 0, 0, 0, 1])
+        # each table by a second route, a plain copy, then by replace views
+        # and quotients: A/I_mu is A for mu = the form, k[x2]/(x2^3) for x1
+        twin_c, twin_a = (Algebra(f, b.table.copy(), b.one.copy()) for b in (c, a))
+        views = [a, twin_a, a.replace(name="renamed"), twin_a.replace(sym_form=a.sym_form),
+                 symmetrize(a, a.sym_form)[1]]
+        quotients = [c, twin_c, symmetric_quotient(a, a.monomial("x1")).quotient]
+        for group in (views, quotients):
+            assert all(v._core is group[0]._core for v in group)
+            cert = radical(group[0])
+            assert all(radical(v) is cert and v._cache["radical_cert"] is cert for v in group)
+            derived = [fact(group[0]) for fact in facts]
+            assert all(fact(v) is d for v in group for fact, d in zip(facts, derived))
+    assert proved == [a._core, c._core]
 
 
 def test_a_wrong_hint_is_rejected_with_the_same_message_after_j_is_known():
@@ -322,22 +348,6 @@ def test_a_wrong_hint_is_rejected_with_the_same_message_after_j_is_known():
                     r"^radical_hint: the hint names a span of dimension 1, which is "
                     r"not J\(A\) \(dimension 11\)$")):
                 parse_document(doc)
-
-
-def test_a_second_certified_radical_for_one_table_is_an_internal_error(g3):
-    # span{x^2} is a nilpotent ideal but not J(A); once the table's J(A) is
-    # known, another subspace is refused against it, before any check
-    x2 = linalg.Subspace.from_rows(g3, 3, [[0, 0, 1]])
-    with interning():
-        a = from_skew_presentation(g3, SkewPresentation.commuting([3]))
-        j = radical(a).radical
-        assert j.dim == 2
-        twin = Algebra(g3, a.table, a.one)
-    assert twin._core is a._core
-    kept = set(twin._core.facts)
-    with pytest.raises(InternalCheckError, match="differs from the table's J"):
-        substructures._certify(twin, x2, "a second radical")
-    assert set(twin._core.facts) == kept and twin._core.facts["radical"] is j
 
 
 # -- lifetimes ----------------------------------------------------------------
@@ -431,7 +441,12 @@ def test_a_core_keeps_only_cores_made_after_it(g3):
         a = Algebra(g3, base.table.copy(), base.one.copy())
         assert trivial_extension(a)._core is older._core
         assert trivial_extension(a)._core is older._core
-    assert "trivial_extension" not in a._core.facts
+    # A's memo of the older core is a weak reference, a miss once it is gone
+    memo = a._core.facts["trivial_extension"]
+    assert isinstance(memo, weakref.ref) and memo() is older._core
+    del older
+    assert memo() is None
+    assert trivial_extension(a)._core is a._core.facts["trivial_extension"]
     assert trivial_extension(base)._core is base._core.facts["trivial_extension"]
 
 
@@ -457,10 +472,12 @@ def test_a_block_keeps_a_memo_whose_result_is_an_older_core(monkeypatch):
             w = symmetric_quotient(a, a.one_element())
             assert w.ideal.dim == 0 and w.quotient._core is a._core
         assert built == [3]
-        # the block keeps the results, never the core: no core holds an older one
+        # A's core holds the older results only as weak references, which
+        # the block keeps live
         assert not any(isinstance(v, algebra._Core) and v.serial <= a._core.serial
                        for v in a._core.facts.values())
-    assert algebra._OLDER is None
+        held = [v() for v in a._core.facts.values() if isinstance(v, weakref.ref)]
+        assert sorted(core.serial for core in held) == [c._core.serial, a._core.serial]
 
 
 def test_quotient_refuses_a_foreign_ideal_after_a_memo_hit():

@@ -191,7 +191,7 @@ def test_hint_rejected_cases(mat2):
     ((0, 1, 0, 0),),                                           # not an ideal
 ])
 def test_bad_seed_is_an_internal_error(monkeypatch, mat2, seed_rows):
-    # a rule that returns a wrong candidate on a new core is caught by _certify
+    # a rule that returns a wrong candidate on a new core is caught by _radical
     a = Algebra(mat2.field, mat2.table, mat2.one)
     assert a._core is not mat2._core
     _rule_returns(monkeypatch, a, Subspace.from_rows(mat2.field, 4, list(seed_rows)))
@@ -202,7 +202,7 @@ def test_bad_seed_is_an_internal_error(monkeypatch, mat2, seed_rows):
 
 def _rule_returns(monkeypatch, algebra, sub):
     """Make the radical rule return sub on the algebra's table, and run as
-    before on every other table (the quotients that ``_certify`` checks)."""
+    before on every other table (the quotients that ``_proves_radical`` checks)."""
     rule = substructures._radical_rule
     monkeypatch.setattr(substructures, "_radical_rule",
                         lambda b: sub if b._core is algebra._core else rule(b))
