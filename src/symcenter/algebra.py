@@ -4,9 +4,8 @@ An Algebra is a finite-dimensional unital associative algebra given by its
 structure constants: c_ijk is the coefficient of e_k in e_i * e_j.  A table
 is mostly zero, so it is held as its nonzero constants alone (the entries:
 index arrays i, j, k in C order and the encoded values); ``Algebra(field,
-table, one)`` reads a dense n x n x n table once, the constructions build
-entries directly, and ``Algebra.table`` rebuilds the dense array for
-callers outside the package.  Associativity and the unit law are always
+table, one)`` reads a dense n x n x n table once, and the constructions
+build entries directly.  Associativity and the unit law are always
 verified at construction.  Associativity is checked by joining the entries
 with each other: the terms c_ijk c_klm of (e_i e_j) e_l and c_jlr c_irm of
 e_i (e_j e_l) are summed per key (i, j, m, l), where m is the output
@@ -26,17 +25,18 @@ c_ijk; (i, k) for ``right_products``; (i, j) for ``form_values`` and
 ``row_products``, ``multiply_coords`` and the radical rule's powers, where
 coordinate k of x[s] y[s] sums x[s, i] y[s, j] c_ijk.  The ideal tests,
 ``basis_products``, ``ideal_closure``, the annihilators and the unit law
-read these.  For each kept index set the core keeps one layering of the
-entries: grouped by output column, the fullest columns first, so that the
-terms, laid out (entries, rows), are summed one layer at a time, the t-th
-entry of every column with more than t.  Most columns hold one entry, and
-a contraction whose columns all do needs no sum.
+read these.  For each kept index set the core keeps one grouping of the
+entries, sorted by output column, and the terms, laid out (entries, rows),
+are summed per column by ``sum_by_key``, which every sum by key in the
+program goes through (the associativity join and the tables the
+constructions build too).  Most columns hold one entry, and a contraction
+whose columns all do needs no sum.
 
 An Algebra is a thin *view* over a *core* (hash-consing):
 
 * per table, on the core: the field, the read-only entries and unit, the
   validation, and every fact that depends on them alone -- the center,
-  the commutator space, each contraction's layering, the ideal test of
+  the commutator space, each contraction's grouping, the ideal test of
   each subspace, the certified J(A) and the facts derived from it, the
   Gram matrix of each verified form, I_mu for each form mu, and the
   tables that the quotient, tensor and trivial-extension constructions
@@ -252,7 +252,7 @@ def _dense_entries(field: FieldDescriptor, table: np.ndarray) -> tuple:
 
 def sum_by_key(field: FieldDescriptor, keys: np.ndarray, terms: np.ndarray):
     """The distinct keys of a sorted key array and the sum of the terms
-    (along axis 0) of each."""
+    (along axis 0) of each; where every key is distinct, the inputs."""
     starts = _run_starts(keys)
     if len(starts) == len(keys):
         return keys, terms
@@ -287,60 +287,40 @@ def _difference_rows(f: FieldDescriptor, n: int, val: np.ndarray, plus, minus) -
     return system[np.any(system != f.zero_enc, axis=1)]
 
 
-def _layering(core: "_Core", keep: tuple) -> tuple:
-    """The entries in layers for the contractions that keep the indices
-    ``keep`` of (i, j, k) and sum over the others, kept on the core.
-
-    The output column of an entry is its kept indices, flattened.  The
-    entries are ordered by depth within their column, then by column,
-    fullest columns first: layer t holds the t-th entry of the first
-    ``widths[t]`` columns, which are the columns with more than t entries.
-    Returns (the summed indices of each entry in that order, their values
-    as a column, the output columns, widths)."""
-    key = ("layers", keep)
+def _grouping(core: "_Core", keep: tuple) -> tuple:
+    """The entries grouped by output column for the contractions that keep
+    the indices ``keep`` of (i, j, k) and sum over the others, kept on the
+    core.  The output column of an entry is its kept indices, flattened.
+    Returns (the summed indices of each entry in column order, their values
+    as a column, the sorted output column of each entry)."""
+    key = ("grouping", keep)
     if key not in core.facts:
         n, entries, col = core.dim, core.entries, 0
         for axis in keep:
             col = col * n + entries[axis]
-        order = np.argsort(col)
-        starts = _run_starts(col[order])
-        counts = np.diff(starts, append=col.size)
-        depth = np.arange(col.size) - np.repeat(starts, counts)
-        # by depth, then the fuller column first, then by column
-        take = order[np.lexsort((col[order], -np.repeat(counts, counts), depth))]
-        summed = tuple(entries[axis][take] for axis in range(3) if axis not in keep)
-        core.facts[key] = (summed, core.val[take, None], col[take[:len(counts)]],
-                           np.bincount(depth, minlength=1).tolist())
+        order = np.argsort(col, kind="stable")
+        summed = tuple(entries[axis][order] for axis in range(3) if axis not in keep)
+        core.facts[key] = (summed, core.val[order, None], col[order])
     return core.facts[key]
-
-
-def _layer_sum(f: FieldDescriptor, terms: np.ndarray, widths: list) -> np.ndarray:
-    """The column sums of layered terms of shape (entries, rows): layer t is
-    the next ``widths[t]`` terms, added to the first ``widths[t]`` sums.
-    The sums are taken in place in ``terms``."""
-    sums, done = terms[:widths[0]], widths[0]
-    for w in widths[1:]:
-        sums[:w] = f.a_add(sums[:w], terms[done: done + w])
-        done += w
-    return sums
 
 
 def _contract(core: "_Core", keep: tuple, *factors: np.ndarray) -> np.ndarray:
     """Array out of shape (rows, n ** len(keep)): out[s, c] sums, over the
-    entries of output column c (``_layering``), the constant times
+    entries of output column c (``_grouping``), the constant times
     factors[t][s, x_t], where x_t is the t-th index of (i, j, k) that is
     summed over.  The terms are laid out (entries, rows) and built for a
     block of rows at a time, of at most ``_ROW_TERMS`` terms, so no
     n x n x n array is built."""
     f = core.field
-    summed, val, cols, widths = _layering(core, keep)
+    summed, val, col = _grouping(core, keep)
     out = f.zeros((len(factors[0]), core.dim ** len(keep)))
     step = _ROW_TERMS // max(1, len(val)) or 1
     for s in range(0, len(out), step):
         terms = val
         for x, factor in zip(summed, factors):
             terms = f.a_mul(factor[s: s + step].T[x], terms)
-        out[s: s + step, cols] = _layer_sum(f, terms, widths).T
+        cols, sums = sum_by_key(f, col, terms)
+        out[s: s + step, cols] = sums.T
     return out
 
 
@@ -519,16 +499,6 @@ class Algebra:
         """The nonzero structure constants c_ijk: read-only index arrays i,
         j, k in C order and the encoded values."""
         return self._core.entries
-
-    @property
-    def table(self) -> np.ndarray:
-        """The dense n x n x n table, built from the entries on each access
-        (read-only), for callers outside the package."""
-        ei, ej, ek, val = self.entries
-        table = self.field.zeros((self.dim,) * 3)
-        table[ei, ej, ek] = val
-        table.flags.writeable = False
-        return table
 
     def replace(self, *, name=None, sym_form=None) -> "Algebra":
         """A new view of the same core with the given fields changed.

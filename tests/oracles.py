@@ -136,6 +136,15 @@ def naive_mat_mul_frac(a, b):
             for i in range(len(a))]
 
 
+def dense_table(a):
+    """The dense n x n x n array of an algebra's structure constants, built
+    from its nonzero entries: table[i, j, k] is coefficient k of e_i e_j."""
+    ei, ej, ek, val = a.entries
+    table = a.field.zeros((a.dim,) * 3)
+    table[ei, ej, ek] = val
+    return table
+
+
 # -- a second, tuple-based implementation of GF(25) = GF(5)[t]/(t^2+2) -------
 
 

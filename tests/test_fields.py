@@ -18,6 +18,7 @@ from symcenter import (
     from_skew_presentation,
     gf25,
 )
+from symcenter.algebra import sum_by_key
 from symcenter.fields import _F64_EXACT, _poly_mod
 from symcenter.errors import (
     DivisionByZero,
@@ -149,6 +150,45 @@ def test_matmul_exact_against_naive(f25, rng):
                 for t in range(5):
                     acc = field.a_add(acc, field.a_mul(a[i, t], b[t, j]))
                 assert m[i, j] == acc
+
+
+_SUM_FIELDS = {
+    "GF(2)": lambda: GF(2),
+    "GF(7)": lambda: GF(7),
+    "GF(25)": gf25,
+    "GF(2^10)": lambda: ExtensionField(2, [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1]),
+    "QQ": lambda: QQ,
+}
+
+
+@pytest.mark.parametrize("name", _SUM_FIELDS)
+def test_sum_runs_match_entrywise_oracle(name, rng):
+    """a_sum_runs, through sum_by_key the one sum of every product with a
+    table, adds each run as a_add folded entry by entry: on 1-D and on
+    (entries, rows) terms, with runs of one term and a run of 70."""
+    field = _SUM_FIELDS[name]()
+    for lengths in ([1] * 9, [2, 1, 70, 1, 3]):
+        starts = np.cumsum([0, *lengths[:-1]])
+        keys = np.repeat(3 * np.arange(len(lengths)), lengths)
+        for shape in ((len(keys),), (len(keys), 4)):
+            terms = field.random_enc(rng, shape)
+            if field.order is not None and max(lengths) > 64:
+                terms[starts[2]: starts[2] + 70] = field.order - 1     # the largest digits
+            want = []
+            for start, length in zip(starts, lengths):
+                acc = terms[start]
+                for term in terms[start + 1: start + length]:
+                    acc = field.a_add(acc, term)
+                want.append(acc)
+            got = field.a_sum_runs(terms, starts)
+            assert got.shape == (len(lengths), *shape[1:])
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            got_keys, sums = sum_by_key(field, keys, terms)
+            assert got_keys.tolist() == sorted(set(keys.tolist()))
+            if len(starts) == len(keys):
+                assert got_keys is keys and sums is terms
+            else:
+                assert all(np.array_equal(g, w) for g, w in zip(sums, want))
 
 
 def test_matmul_large_prime_fallback(rng):

@@ -47,6 +47,7 @@ from symcenter.suites import run_paper_suite
 from symcenter.symmetric import symmetric_quotient, symmetrize
 
 from conftest import CASES
+from oracles import dense_table
 
 ROOT = CASES.parent
 
@@ -118,7 +119,7 @@ def test_a_construction_array_is_frozen_in_place_and_a_caller_array_copied():
         # the table is read into entries, never aliased: writing it changes nothing
         assert not any(np.shares_memory(table, arr) for arr in copied.entries)
         table[1, 1, 0] = 1
-        assert copied.table.tolist() == _dual_table(f).tolist()
+        assert dense_table(copied).tolist() == _dual_table(f).tolist()
     assert copied._core is fresh._core
     assert not np.shares_memory(copied.one, one) and table.flags.writeable and one.flags.writeable
 
@@ -174,11 +175,11 @@ def test_tables_that_differ_in_one_entry_get_two_cores():
     f = GF(3)
     with interning():
         a = from_skew_presentation(f, SkewPresentation.commuting([3]))
-        t = a.table.copy()
+        t = dense_table(a)
         t[1, 1, 2] = 2                # x * x = 2 x^2 is another algebra
         b = Algebra(f, t, a.one)
     assert b._core is not a._core and not a.same_table(b)
-    assert not np.array_equal(a.table, b.table)
+    assert not np.array_equal(dense_table(a), dense_table(b))
 
 
 def test_a_colliding_hash_never_shares_unequal_tables(monkeypatch):
@@ -229,7 +230,8 @@ def test_an_integral_fraction_is_read_as_its_int():
     a = Algebra(QQ, x_cubed_table(2, 1), [1, 0, 0], labels=["1", "x", "y"], name="x3")
     b = _built(QQ, x_cubed_table(Fraction(2), Fraction(1)), np.array(one_frac),
                labels=["1", "x", "y"], name="x3")
-    assert b._core is not a._core and b.table[1, 1, 2] == 2 and type(b.table[1, 1, 2]) is Fraction
+    c = dense_table(b)[1, 1, 2]
+    assert b._core is not a._core and c == 2 and type(c) is Fraction
     assert a.element_str([3, 0, Fraction(1, 2)]) == "3*1 + 1/2*y"
     assert b.element_str([Fraction(6, 2), 0, Fraction(1, 2)]) == "3*1 + 1/2*y"
     assert emit_structure_constants(a) == emit_structure_constants(b)
@@ -267,7 +269,7 @@ def test_is_ideal_runs_once_per_table_and_subspace(monkeypatch):
 
     monkeypatch.setattr(linalg.Subspace, "quotient_coords", counting)
     base = get("dim12_sharp")
-    a = Algebra(base.field, base.table, base.one)      # a new core, with no memo
+    a = Algebra(base.field, dense_table(base), base.one)      # a new core, with no memo
     k = a.commutator_space()
     for u in (k, a.ideal_closure(k)):
         verdict, before = a.is_ideal(u), len(computed)
@@ -294,11 +296,11 @@ def test_a_seedless_twin_of_a_certified_table_gets_the_rule():
     base = get("soc20_base")
     with interning():
         # soc20_trivext as the registry builds it, on tables new to the block
-        t = trivial_extension(Algebra(base.field, base.table.copy(), base.one.copy()))
+        t = trivial_extension(Algebra(base.field, dense_table(base), base.one.copy()))
         assert radical(t).strategy == "kuelshammer"
         facts = (socle, j_of_center, soc_of_center, reynolds, property_verdicts)
         kept = [fact(t) for fact in facts]
-        twin = Algebra(t.field, t.table.copy(), t.one.copy())
+        twin = Algebra(t.field, dense_table(t), t.one.copy())
     assert twin._core is t._core
     # the certificate and the facts derived from it are kept on the core
     assert "radical_cert" not in twin._cache
@@ -323,7 +325,7 @@ def test_the_radical_is_certified_once_per_table(monkeypatch):
             sym_form=[0, 0, 0, 0, 0, 1])
         # each table by a second route, a plain copy, then by replace views
         # and quotients: A/I_mu is A for mu = the form, k[x2]/(x2^3) for x1
-        twin_c, twin_a = (Algebra(f, b.table.copy(), b.one.copy()) for b in (c, a))
+        twin_c, twin_a = (Algebra(f, dense_table(b), b.one.copy()) for b in (c, a))
         views = [a, twin_a, a.replace(name="renamed"), twin_a.replace(sym_form=a.sym_form),
                  symmetrize(a, a.sym_form)[1]]
         quotients = [c, twin_c, symmetric_quotient(a, a.monomial("x1")).quotient]
@@ -341,7 +343,7 @@ def test_a_wrong_hint_is_rejected_with_the_same_message_after_j_is_known():
         a = get("dim12_sharp")
         doc = {"field": {"kind": "prime", "p": 3},
                "presentation": {"type": "structure_constants", "dim": 12,
-                                "table": a.table.tolist(), "one": a.one.tolist()},
+                                "table": dense_table(a).tolist(), "one": a.one.tolist()},
                "radical_hint": {"kind": "basis", "vectors": [[0] * 11 + [1]]}}
         for _ in range(2):      # the second time, J is known on the interned core
             with pytest.raises(FileFormatError, match=(
@@ -437,8 +439,8 @@ def test_a_core_keeps_only_cores_made_after_it(g3):
     base = from_skew_presentation(g3, SkewPresentation.commuting([2]))
     t = trivial_extension(base)
     with interning():
-        older = Algebra(g3, t.table.copy(), t.one.copy())      # T(A)'s table first
-        a = Algebra(g3, base.table.copy(), base.one.copy())
+        older = Algebra(g3, dense_table(t), t.one.copy())      # T(A)'s table first
+        a = Algebra(g3, dense_table(base), base.one.copy())
         assert trivial_extension(a)._core is older._core
         assert trivial_extension(a)._core is older._core
     # A's memo of the older core is a weak reference, a miss once it is gone
@@ -482,7 +484,7 @@ def test_a_block_keeps_a_memo_whose_result_is_an_older_core(monkeypatch):
 
 def test_quotient_refuses_a_foreign_ideal_after_a_memo_hit():
     base = get("dim12_sharp")
-    a = Algebra(base.field, base.table, base.one)      # a new core, with no memo
+    a = Algebra(base.field, dense_table(base), base.one)      # a new core, with no memo
     for ideal in (a.zero_space(), radical(a).radical):
         q = quotient(a, ideal)
         assert quotient(a, ideal)._core is q._core

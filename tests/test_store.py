@@ -4,7 +4,7 @@ A core holds only the nonzero constants c_ijk of its table.  Each result
 computed from them here -- products, center, commutator space, Gram
 matrices, the unit-law checks, quotient tables, tensor products, trivial
 extensions and opposites -- must equal the same result computed from the
-dense table (``Algebra.table``) in the plain-Python arithmetic of
+dense table (``oracles.dense_table``) in the plain-Python arithmetic of
 ``oracles``.
 """
 
@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import gf25_enc_add, gf25_enc_mul
+from oracles import dense_table, gf25_enc_add, gf25_enc_mul
 from test_validation import matrix_algebra_random_basis
 
 from symcenter import GF, QQ, SkewPresentation, Subspace, from_skew_presentation, gf25, kernel
@@ -52,7 +52,7 @@ def _in_random_basis(a, seed):
         lower[x, x] = upper[x, x] = f.one_enc
     p = f.matmul2(lower, upper)
     inv = rref_data(f, np.concatenate([p, f.eye(n)], axis=1))[0][:, n:]
-    inner = f.tensordot_lf(p, a.table.transpose(1, 0, 2))          # [y, i, :]
+    inner = f.tensordot_lf(p, dense_table(a).transpose(1, 0, 2))    # [y, i, :]
     prods = f.tensordot_lf(p, inner.transpose(1, 0, 2))             # [x, y, :]
     table = f.tensordot_lf(prods.reshape(n * n, n), inv).reshape(n, n, n)
     one = f.tensordot_lf(a.one.reshape(1, n), inv).reshape(n)
@@ -92,15 +92,15 @@ def test_the_suite_covers_every_field_and_a_column_with_several_entries():
     fields = {repr(a.field) for a in ALGEBRAS}
     assert fields == {"GF(2)", "GF(3)", "GF(5)", "GF(5^2)", "QQ"}
     a = get("soc20_trivext")
-    for side in (a.table, a.table.transpose(1, 0, 2)):
+    for side in (dense_table(a), dense_table(a).transpose(1, 0, 2)):
         per_column = np.count_nonzero(side != 0, axis=0)
         assert per_column.max() > 1
     assert any(type(v) is Fraction for v in ALGEBRAS[4].entries[3])
-    assert np.count_nonzero(ALGEBRAS[5].table) > ALGEBRAS[5].dim ** 3 // 2
+    assert np.count_nonzero(dense_table(ALGEBRAS[5])) > ALGEBRAS[5].dim ** 3 // 2
 
 
 def test_entries_are_the_nonzero_constants_in_c_order(algebra):
-    c = algebra.table
+    c = dense_table(algebra)
     ei, ej, ek, val = algebra.entries
     assert [tuple(x) for x in np.argwhere(c != 0).tolist()] == list(zip(ei, ej, ek))
     assert list(val) == list(c[ei, ej, ek]) and all(v != 0 for v in val)
@@ -109,7 +109,7 @@ def test_entries_are_the_nonzero_constants_in_c_order(algebra):
 def test_products_match_the_dense_contraction(algebra):
     f, n = algebra.field, algebra.dim
     add, mul, zero, _ = _arith(f)
-    c = algebra.table.tolist()
+    c = dense_table(algebra).tolist()
     rng = np.random.default_rng(n)
     for r in (0, 1, n):
         rows = _rows(f, rng, r, n)
@@ -129,7 +129,7 @@ def test_products_match_the_dense_contraction(algebra):
 def test_center_and_commutator_space_match_the_dense_systems(algebra):
     f, n = algebra.field, algebra.dim
     add, mul, _, minus = _arith(f)
-    c = algebra.table.tolist()
+    c = dense_table(algebra).tolist()
     # row (b, k), column a: c_bak - c_abk; row (i, j), column k: c_ijk - c_jik
     center = [[add(c[b][a][k], mul(minus, c[a][b][k])) for a in range(n)]
               for b in range(n) for k in range(n)]
@@ -137,14 +137,14 @@ def test_center_and_commutator_space_match_the_dense_systems(algebra):
             for i in range(n) for j in range(n)]
     assert algebra.center() == kernel(f, f.arr(center))
     assert algebra.commutator_space() == Subspace.from_rows(f, n, f.arr(comm))
-    assert algebra.is_commutative() == (algebra.table.tolist()
-                                        == algebra.table.transpose(1, 0, 2).tolist())
+    assert algebra.is_commutative() == (dense_table(algebra).tolist()
+                                        == dense_table(algebra).transpose(1, 0, 2).tolist())
 
 
 def test_form_gram_matches_the_dense_contraction(algebra):
     f, n = algebra.field, algebra.dim
     add, mul, zero, _ = _arith(f)
-    c = algebra.table.tolist()
+    c = dense_table(algebra).tolist()
 
     def values(mu):
         want = [[zero] * n for _ in range(n)]
@@ -188,7 +188,7 @@ def test_unit_law_checks_match_the_dense_check(algebra):
     support = np.flatnonzero(algebra.one != f.zero_enc)
     failures = 0
     for _ in range(8):
-        bad = algebra.table.copy()
+        bad = dense_table(algebra)
         # a constant of the unit's support times a basis vector, on either side
         u, j, k = int(rng.choice(support)), int(rng.integers(n)), int(rng.integers(n))
         pos = (u, j, k) if rng.integers(2) else (j, u, k)
@@ -206,7 +206,7 @@ def test_unit_law_checks_match_the_dense_check(algebra):
 def test_quotient_tables_match_the_dense_reduction(algebra):
     f, n = algebra.field, algebra.dim
     add, mul, zero, minus = _arith(f)
-    c = algebra.table.tolist()
+    c = dense_table(algebra).tolist()
     ideals = [radical(algebra).radical, algebra.ideal_closure(algebra.commutator_space())]
     for ideal in ideals:
         if ideal.dim in (0, n):
@@ -224,7 +224,7 @@ def test_quotient_tables_match_the_dense_reduction(algebra):
             return out
 
         want = [[nu(c[i][j]) for j in comp] for i in comp]
-        assert quotient(algebra, ideal).table.tolist() == want
+        assert dense_table(quotient(algebra, ideal)).tolist() == want
         entries, one = quotient_data(algebra, ideal)
         d = len(comp)
         dense = [[[zero] * d for _ in range(d)] for _ in range(d)]
@@ -236,11 +236,11 @@ def test_quotient_tables_match_the_dense_reduction(algebra):
 def test_tensor_trivial_extension_and_opposite_match_dense_tables(algebra):
     f, n = algebra.field, algebra.dim
     _, mul, zero, _ = _arith(f)
-    c = algebra.table.tolist()
+    c = dense_table(algebra).tolist()
     other = get("dual_gf25") if f.order == 25 else (
         from_skew_presentation(f, SkewPresentation.commuting([2])))
-    d, m = other.table.tolist(), other.dim
-    big = tensor(algebra, other).table.tolist()
+    d, m = dense_table(other).tolist(), other.dim
+    big = dense_table(tensor(algebra, other)).tolist()
     assert big == [[[mul(c[i][j][k], d[a][b][e]) for k in range(n) for e in range(m)]
                     for j in range(n) for b in range(m)]
                    for i in range(n) for a in range(m)]
@@ -251,8 +251,8 @@ def test_tensor_trivial_extension_and_opposite_match_dense_tables(algebra):
                 t[i][j][k] = c[i][j][k]
                 t[j][n + k][n + i] = c[i][j][k]     # e_j e_k* = sum_i c_ijk e_i*
                 t[n + k][i][n + j] = c[i][j][k]     # e_k* e_i = sum_j c_ijk e_j*
-    assert trivial_extension(algebra).table.tolist() == t
-    assert opposite(algebra).table.tolist() == [[[c[j][i][k] for k in range(n)]
+    assert dense_table(trivial_extension(algebra)).tolist() == t
+    assert dense_table(opposite(algebra)).tolist() == [[[c[j][i][k] for k in range(n)]
                                                  for j in range(n)] for i in range(n)]
 
 
@@ -280,7 +280,7 @@ def test_a_core_holds_no_dense_table_or_column_block():
     held += list(_arrays(core.facts))
     assert len(held) > 5
     blocks = {np.count_nonzero(np.any(side.reshape(n, n * n) != 0, axis=0))
-              for side in (a.table, a.table.transpose(1, 0, 2))}
+              for side in (dense_table(a), dense_table(a).transpose(1, 0, 2))}
     for arr in held:
         assert arr.size < n ** 3
         assert not (arr.ndim == 2 and arr.shape[0] == n and arr.shape[1] in blocks)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    dense_table,
     naive_kernel_mod,
     naive_radical_mod,
     naive_rank_mod,
@@ -72,7 +73,7 @@ def test_semisimple_hint_verified_by_gram_oracle(mat2):
     cert = radical(mat2)
     assert cert.radical.dim == 0
     # oracle: the trace-form Gram matrix tr(L_{e_i e_j}) of Mat2 has full naive rank
-    t = mat2.table.tolist()
+    t = dense_table(mat2).tolist()
     tr = [sum(t[m][k][k] for k in range(4)) for m in range(4)]
     gram = [[sum(t[i][j][m] * tr[m] for m in range(4)) for j in range(4)] for i in range(4)]
     assert naive_rank_mod(gram, 3) == 4
@@ -160,7 +161,7 @@ def test_hint_rejected_cases(mat2):
     dual2 = (g2, _dual_table(g2), g2.arr([1, 0]))
     dual3 = (g3, _dual_table(g3), g3.arr([1, 0]))
     split = (g3, _diagonal_table(g3), g3.arr([1, 1]))
-    mat = (mat2.field, mat2.table, mat2.one)
+    mat = (mat2.field, dense_table(mat2), mat2.one)
     cases = [
         (dual2, {"kind": "semisimple"}, "dimension 0, which is not J(A) (dimension 1)"),
         (mat, {"kind": "local_codim1"}, "dimension 3, which is not J(A) (dimension 0)"),
@@ -192,7 +193,7 @@ def test_hint_rejected_cases(mat2):
 ])
 def test_bad_seed_is_an_internal_error(monkeypatch, mat2, seed_rows):
     # a rule that returns a wrong candidate on a new core is caught by _radical
-    a = Algebra(mat2.field, mat2.table, mat2.one)
+    a = Algebra(mat2.field, dense_table(mat2), mat2.one)
     assert a._core is not mat2._core
     _rule_returns(monkeypatch, a, Subspace.from_rows(mat2.field, 4, list(seed_rows)))
     with pytest.raises(InternalCheckError, match=r"^computed radical failed verification$"):
@@ -217,7 +218,7 @@ def test_a_nilpotent_ideal_smaller_than_the_radical_is_an_internal_error(monkeyp
     assert soc.dim == 1 and base.is_ideal(soc) and is_nilpotent_ideal(base, soc)
     assert not verify_certificate(base, RadicalCertificate(soc, "kuelshammer", "soc(A)"))
     # a new core, on which J(A) is not known yet
-    a = Algebra(base.field, base.table, base.one)
+    a = Algebra(base.field, dense_table(base), base.one)
     assert a._core is not base._core
     with monkeypatch.context() as patched:
         _rule_returns(patched, a, soc)
@@ -225,7 +226,7 @@ def test_a_nilpotent_ideal_smaller_than_the_radical_is_an_internal_error(monkeyp
             radical(a)
     assert "radical" not in a._core.facts and "radical_cert" not in a._cache
     # with the true rule, another view of the same table gets J(A) and verdicts
-    twin = Algebra(a.field, a.table, a.one, _core=a._core)
+    twin = Algebra(a.field, dense_table(a), a.one, _core=a._core)
     assert radical(twin).radical == radical(base).radical
     verdicts = property_verdicts(twin)
     assert (verdicts.p1.holds, verdicts.p2.holds, verdicts.p3.holds) == (False, True, True)
@@ -243,7 +244,7 @@ def _trunc3(field, **kw):
     return Algebra(field, t, field.arr([1, 0, 0]), **kw)
 
 
-def _seeded():
+def _constructed():
     """An algebra built by constructions, its radical not yet asked for."""
     return trivial_extension(from_skew_presentation(GF(3), SkewPresentation.commuting([2])))
 
@@ -261,24 +262,26 @@ def _socle_quotient(a):
 
 def _mat2():
     m = get("matn")
-    return Algebra(m.field, m.table, m.one)
+    return Algebra(m.field, dense_table(m), m.one)
 
 
 def _mat2_dual():
     """The table of Mat2 (x) GF(3)[x]/(x^2), as a plain structure table."""
     t = tensor(_mat2(), from_skew_presentation(GF(3), SkewPresentation.commuting([2])))
-    return Algebra(t.field, t.table, t.one)
+    return Algebra(t.field, dense_table(t), t.one)
 
 
-# The case names keep the route each algebra took before the rule became the
-# only one: construction seeds and hints are gone, and every algebra over a
-# finite field takes Kuelshammer's rule, with its own exponent.
+# Every algebra over a finite field takes Kuelshammer's rule, with its own
+# exponent.  The *_of_constructed cases build on an algebra whose radical is
+# not yet asked for, the *_of_cached ones on one whose radical is known.  The
+# hinted_* and basis_hint_codim1 names still keep the route those algebras
+# took before hints were deleted.
 _PROVENANCE = {
-    "tensor_of_seeded": (lambda: tensor(_seeded(), _seeded()), _rule(27)),
+    "tensor_of_constructed": (lambda: tensor(_constructed(), _constructed()), _rule(27)),
     "tensor_of_cached": (lambda: tensor(_cached(), _cached()), _rule(49)),
-    "trivext_of_seeded": (lambda: trivial_extension(_seeded()), _rule(9)),
+    "trivext_of_constructed": (lambda: trivial_extension(_constructed()), _rule(9)),
     "trivext_of_cached": (lambda: trivial_extension(_cached()), _rule(7)),
-    "quotient_of_seeded": (lambda: _socle_quotient(_seeded()), _rule(3)),
+    "quotient_of_constructed": (lambda: _socle_quotient(_constructed()), _rule(3)),
     "quotient_of_cached": (lambda: _socle_quotient(_cached()), _rule(7)),
     "quotient_of_unknown": (
         lambda: quotient(_trunc3(GF(7)), Subspace.from_rows(GF(7), 3, [[0, 0, 1]])),
@@ -289,7 +292,7 @@ _PROVENANCE = {
                          Subspace.from_rows(GF(3), 2, [[0, 1]])),
         _rule(3),
     ),
-    "opposite_of_seeded": (lambda: opposite(_seeded()), _rule(9)),
+    "opposite_of_constructed": (lambda: opposite(_constructed()), _rule(9)),
     "opposite_of_cached": (lambda: opposite(_cached()), _rule(7)),
     "hinted_local_default_span": (
         lambda: from_skew_presentation(GF(3), SkewPresentation.anticommuting([2, 2])),
@@ -326,7 +329,7 @@ def test_radical_provenance_with_a_twin_alive(case):
     with interning():
         first = build()
         j = radical(first).radical
-        twin = Algebra(first.field, first.table.copy(), first.one.copy())
+        twin = Algebra(first.field, dense_table(first), first.one.copy())
         assert (radical(twin).strategy, radical(twin).evidence) == expected
         assert radical(twin).radical == j
         del first
@@ -371,7 +374,7 @@ def test_constructions_compute_no_radical_at_build_time(monkeypatch):
 def test_general_basis_hint_with_nondegenerate_quotient(mat2, dual3):
     # the rule finds the span of E_ij (x) x, on a plain table and on the tensor
     t = tensor(mat2, dual3)
-    bare = Algebra(t.field, t.table, t.one)
+    bare = Algebra(t.field, dense_table(t), t.one)
     cert = radical(bare)
     vectors = [[int(i == 2 * r + 1) for i in range(8)] for r in range(4)]
     assert cert.strategy == "kuelshammer"
@@ -554,9 +557,9 @@ _ORACLE_CASES = {
 def test_radical_rule_matches_enumeration(case):
     build, dim_j = _ORACLE_CASES[case]
     built = build()
-    a = Algebra(built.field, built.table, built.one)     # no seed: the rule
+    a = Algebra(built.field, dense_table(built), built.one)     # no seed: the rule
     p = a.field.p
-    rows = naive_radical_mod(a.table.tolist(), a.one.tolist(), p)
+    rows = naive_radical_mod(dense_table(a).tolist(), a.one.tolist(), p)
     cert = radical(a)
     assert cert.strategy == "kuelshammer"
     assert cert.radical == Subspace.from_rows(a.field, a.dim, np.reshape(rows, (-1, a.dim)))
@@ -570,8 +573,8 @@ def _distinct_corpus_and_family():
     algebras = [get(name) for name in _BUILDERS]
     algebras += [m.algebra for m in generate_symmetric_local_family()]
     for a in algebras:
-        key = (a.field._key(), a.table.tobytes() if a.field.dtype is not object
-               else str(a.table.tolist()), a.one.tobytes())
+        key = (a.field._key(), dense_table(a).tobytes() if a.field.dtype is not object
+               else str(dense_table(a).tolist()), a.one.tobytes())
         seen.setdefault(key, a)
     return list(seen.values())
 
@@ -580,7 +583,7 @@ def test_radical_rule_matches_every_certificate_of_corpus_and_family():
     algebras = _distinct_corpus_and_family()
     assert len(algebras) > 49 and any(a.dim == 50 for a in algebras)  # counterexample_A
     for a in algebras:
-        fresh = Algebra(a.field, a.table, a.one)        # a new core: nothing shared
+        fresh = Algebra(a.field, dense_table(a), a.one)        # a new core: nothing shared
         assert fresh._core is not a._core
         assert radical(fresh).radical == radical(a).radical, a.name
 

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import naive_form_radical_mod, naive_rank_mod
+from oracles import dense_table, naive_form_radical_mod, naive_rank_mod
 
 import symcenter.substructures as substructures
 import symcenter.symmetric as symmetric
@@ -188,7 +188,7 @@ def test_symmetric_quotient_lets_internal_check_errors_through(monkeypatch):
     # a fresh core, so the quotient's table is new and no radical of it is
     # known; each call returns a new quotient view with no certificate
     base = get("dim12_sharp")
-    a = Algebra(base.field, base.table, base.one, labels=base.labels,
+    a = Algebra(base.field, dense_table(base), base.one, labels=base.labels,
                 sym_form=base.sym_form, name="dim12_sharp, another table")
     assert a._core is not base._core
     w = symmetric_quotient(a, a.monomial("M^2"))
@@ -300,7 +300,7 @@ _SYMMETRIZE_ENTRIES = ("dual_gf3", "trunc3_gf3", "skew22_gf3", "matn", "skew222_
 def test_symmetrize_matches_the_form_radical_oracle(entry):
     a = get(entry)
     f, p = a.field, a.field.characteristic
-    table = [[[int(v) for v in a.table[i, j]] for j in range(a.dim)] for i in range(a.dim)]
+    table = dense_table(a).tolist()
     # the forms that kill K(A): {mu : k . mu = 0 for k in K(A)}
     forms = kernel(f, a.commutator_space().basis)
     rng = np.random.default_rng(0x5EED + a.dim)

@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 from conftest import CASES
+from oracles import dense_table
 
 from symcenter import GF, QQ, SkewPresentation, from_skew_presentation, gf25
 from symcenter import algebra
@@ -32,7 +33,7 @@ def _unvalidated(field, table, one) -> Algebra:
 def dense_validation_error(field, table, one):
     """The AlgebraValidationError a dense check raises on (table, one), or None."""
     a = _unvalidated(field, table, one)
-    f, c, n = field, a.table, a.dim
+    f, c, n = field, dense_table(a), a.dim
     ident = f.eye(n)
     left_unit = a.left_products(a.one[None, :])[0]
     if not np.all(left_unit == ident):
@@ -146,9 +147,9 @@ def _small_algebras():
 def test_corpus_and_cases_agree_with_dense_reference():
     for name in _BUILDERS:
         a = get(name)
-        assert assert_checks_agree(a.field, a.table, a.one) is None, name
+        assert assert_checks_agree(a.field, dense_table(a), a.one) is None, name
     for name, a in _case_algebras():
-        assert assert_checks_agree(a.field, a.table, a.one) is None, name
+        assert assert_checks_agree(a.field, dense_table(a), a.one) is None, name
 
 
 @pytest.mark.parametrize("cells", [1, 2])
@@ -157,7 +158,7 @@ def test_perturbations_agree_with_dense_reference(cells, rng):
     triples = 0
     for a in algebras:
         for _ in range(6):
-            bad = perturbed(a.field, a.table, a.one, rng, cells)
+            bad = perturbed(a.field, dense_table(a), a.one, rng, cells)
             err = assert_checks_agree(a.field, bad, a.one)
             triples += err is not None and err.triple is not None
     # most perturbations break associativity; the rest leave a valid table
@@ -168,7 +169,7 @@ def test_large_corpus_tables_perturbed_agree_with_dense_reference(rng):
     for name in ("counterexample_A", "firstexample_i"):
         a = get(name)
         for cells in (1, 2):
-            assert_checks_agree(a.field, perturbed(a.field, a.table, a.one, rng, cells), a.one)
+            assert_checks_agree(a.field, perturbed(a.field, dense_table(a), a.one, rng, cells), a.one)
 
 
 @pytest.mark.parametrize("field", [GF(3), gf25(), QQ], ids=str)
@@ -187,7 +188,7 @@ def test_small_join_blocks_agree_with_dense_reference(block, monkeypatch, rng):
     # blocks of one or a few basis pairs, ending inside rows of the table
     monkeypatch.setattr(algebra, "_JOIN_BLOCK", block)
     m3, one3 = matrix_algebra_random_basis(GF(3), 3, rng)
-    tables = [(a.field, a.table, a.one) for a in (get("dim12_sharp"), get("soc20_trivext"))]
+    tables = [(a.field, dense_table(a), a.one) for a in (get("dim12_sharp"), get("soc20_trivext"))]
     tables.append((GF(3), m3, one3))
     for field, table, one in tables:
         assert assert_checks_agree(field, table, one) is None
@@ -203,7 +204,7 @@ def test_dimension_100_trivial_extension(rng):
     # change one product of two non-unit basis vectors, so the unit law holds
     units = set(np.nonzero(a.one != f.zero_enc)[0].tolist())
     i, j = (int(v) for v in rng.choice([x for x in range(n) if x not in units], 2))
-    bad = a.table.copy()
+    bad = dense_table(a)
     k = int(rng.integers(0, n))
     bad[i, j, k] = f.a_add(bad[i, j, k], f.one_enc)
     with pytest.raises(AlgebraValidationError) as err:
