@@ -26,11 +26,13 @@ c_ijk; (i, k) for ``right_products``; (i, j) for ``form_values`` and
 coordinate k of x[s] y[s] sums x[s, i] y[s, j] c_ijk.  The ideal tests,
 ``basis_products``, ``ideal_closure``, the annihilators and the unit law
 read these.  For each kept index set the core keeps one grouping of the
-entries, sorted by output column, and the terms, laid out (entries, rows),
-are summed per column by ``sum_by_key``, which every sum by key in the
-program goes through (the associativity join and the tables the
-constructions build too).  Most columns hold one entry, and a contraction
-whose columns all do needs no sum.
+entries, sorted by output column, with the distinct columns and the start
+of each column's run of entries; the terms, laid out (entries, rows), are
+summed per run by the field's ``a_sum_runs``, the one sum by key in the
+program (``sum_by_key`` finds the runs of a key array for the one-shot
+sums: the associativity join, the tables the constructions build and the
+trace functionals).  Most columns hold one entry, and a contraction whose
+columns all do keeps no run starts and needs no sum.
 
 An Algebra is a thin *view* over a *core* (hash-consing):
 
@@ -292,15 +294,19 @@ def _grouping(core: "_Core", keep: tuple) -> tuple:
     the indices ``keep`` of (i, j, k) and sum over the others, kept on the
     core.  The output column of an entry is its kept indices, flattened.
     Returns (the summed indices of each entry in column order, their values
-    as a column, the sorted output column of each entry)."""
+    as a column, the distinct output columns in order, the start of each
+    column's run of entries, or None when every column holds one entry)."""
     key = ("grouping", keep)
     if key not in core.facts:
         n, entries, col = core.dim, core.entries, 0
         for axis in keep:
             col = col * n + entries[axis]
         order = np.argsort(col, kind="stable")
+        col = col[order]
+        starts = _run_starts(col)
         summed = tuple(entries[axis][order] for axis in range(3) if axis not in keep)
-        core.facts[key] = (summed, core.val[order, None], col[order])
+        core.facts[key] = (summed, core.val[order, None], col[starts],
+                           None if len(starts) == len(col) else starts)
     return core.facts[key]
 
 
@@ -312,14 +318,14 @@ def _contract(core: "_Core", keep: tuple, *factors: np.ndarray) -> np.ndarray:
     block of rows at a time, of at most ``_ROW_TERMS`` terms, so no
     n x n x n array is built."""
     f = core.field
-    summed, val, col = _grouping(core, keep)
+    summed, val, cols, starts = _grouping(core, keep)
     out = f.zeros((len(factors[0]), core.dim ** len(keep)))
     step = _ROW_TERMS // max(1, len(val)) or 1
     for s in range(0, len(out), step):
         terms = val
         for x, factor in zip(summed, factors):
             terms = f.a_mul(factor[s: s + step].T[x], terms)
-        cols, sums = sum_by_key(f, col, terms)
+        sums = terms if starts is None else f.a_sum_runs(terms, starts)
         out[s: s + step, cols] = sums.T
     return out
 

@@ -16,8 +16,9 @@ from oracles import (
     naive_spans_equal_mod,
 )
 
-from symcenter import QQ, Subspace, contains, gf25, rank
-from symcenter.algebra import Algebra, memoised, quotient_data, row_products
+import symcenter.algebra as algebra_module
+from symcenter import GF, QQ, Subspace, contains, gf25, rank
+from symcenter.algebra import Algebra, form_gram, memoised, quotient_data, row_products
 from symcenter.constructions import SkewPresentation, from_skew_presentation
 from symcenter.corpus import get
 from symcenter.errors import (
@@ -533,6 +534,46 @@ def test_row_products_match_entrywise_oracle(entry, monkeypatch):
     # blocks of one row each give the same rows
     monkeypatch.setattr("symcenter.algebra._ROW_TERMS", 1)
     assert np.array_equal(row_products(a, x, y), expected)
+
+
+@pytest.mark.parametrize("entry, repeats", [
+    ("soc20_base", [True, True, True, True]),
+    ("matn", [False, False, False, True]),
+    ("scalars_gf3", [False, False, False, False]),
+])
+def test_contractions_keep_their_run_starts(entry, repeats, monkeypatch):
+    # once a core's groupings exist, no contraction looks for its runs again
+    a = (Algebra(GF(3), GF(3).arr([[[1]]]), GF(3).arr([1])) if entry == "scalars_gf3"
+         else get(entry))
+    f, n, table = a.field, a.dim, dense_table(a)
+    nonzero = np.argwhere(table != f.zero_enc)
+    # the kept indices of left, right, form and row products
+    assert [len(np.unique(nonzero[:, keep], axis=0)) < len(nonzero)
+            for keep in ((1, 2), (0, 2), (0, 1), (2,))] == repeats
+    draw = np.random.default_rng(n)
+    rows, mu = f.random_enc(draw, (3, n)), f.random_enc(draw, (n,))
+    x, y = f.random_enc(draw, (3, n)), f.random_enc(draw, (3, n))
+
+    def contract():
+        return (a.left_products(rows), a.right_products(rows), form_gram(a, mu),
+                row_products(a, x, y))
+
+    gram, expected_rows = f.zeros((n, n)), f.zeros((3, n))
+    for i, j, k in nonzero:
+        gram[i, j] = f.a_add(gram[i, j], f.a_mul(table[i, j, k], mu[k]))
+        term = f.a_mul(f.a_mul(x[:, i], y[:, j]), table[i, j, k])
+        expected_rows[:, k] = f.a_add(expected_rows[:, k], term)
+    expected = (_products_oracle(a, rows, "left"), _products_oracle(a, rows, "right"),
+                gram, expected_rows)
+    contract()
+    calls = []
+    run_starts = algebra_module._run_starts
+    monkeypatch.setattr(algebra_module, "_run_starts",
+                        lambda keys: calls.append(keys) or run_starts(keys))
+    for _ in range(2):
+        for got, want in zip(contract(), expected):
+            assert np.array_equal(got, want)
+    assert calls == []
 
 
 def test_encoded_rows_over_gf25_are_kept():

@@ -1,6 +1,7 @@
 """The command-line interface, exercised through real subprocesses."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -146,6 +147,39 @@ def test_paper_suite_single_case():
     assert proc.returncode == 0
     assert "PASS soc20_base/matrix_relations" in proc.stdout
     assert "FAIL" not in proc.stdout
+
+
+# The modules loaded after ``import symcenter.cli``, then after one command:
+# each command imports only the layer it runs.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import symcenter.cli
+loaded = [sorted(m for m in sys.modules if m.split(".")[0] == "symcenter")]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = symcenter.cli.main(sys.argv[1:])
+loaded.append(sorted(m for m in sys.modules if m.split(".")[0] == "symcenter"))
+print(json.dumps([code, loaded]))
+"""
+
+_CLI_MODULES = {"symcenter"} | {
+    f"symcenter.{name}" for name in ("algebra", "analysis", "cli", "constructions",
+                                     "errors", "fields", "linalg", "substructures",
+                                     "symmetric")}
+
+
+@pytest.mark.parametrize("command, layer", [
+    (["analyze", str(CASES / "dim12_sharp.json")], {"fileformat"}),
+    (["paper-suite", "--case", "matn"], {"suites", "corpus", "lemmas", "family"}),
+])
+def test_each_command_imports_only_its_layer(command, layer):
+    env = dict(os.environ, PYTHONPATH=str(CASES.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *command],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    code, (at_import, after_command) = json.loads(proc.stdout)
+    assert code == 0
+    assert set(at_import) == _CLI_MODULES
+    assert set(after_command) - set(at_import) == {f"symcenter.{name}" for name in layer}
 
 
 def test_paper_suite_unknown_case():

@@ -163,8 +163,8 @@ _SUM_FIELDS = {
 
 @pytest.mark.parametrize("name", _SUM_FIELDS)
 def test_sum_runs_match_entrywise_oracle(name, rng):
-    """a_sum_runs, through sum_by_key the one sum of every product with a
-    table, adds each run as a_add folded entry by entry: on 1-D and on
+    """a_sum_runs, the one sum of every product with a table (directly,
+    and through sum_by_key), adds each run as a_add folded entry by entry: on 1-D and on
     (entries, rows) terms, with runs of one term and a run of 70."""
     field = _SUM_FIELDS[name]()
     for lengths in ([1] * 9, [2, 1, 70, 1, 3]):

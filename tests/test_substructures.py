@@ -274,8 +274,7 @@ def _mat2_dual():
 # Every algebra over a finite field takes Kuelshammer's rule, with its own
 # exponent.  The *_of_constructed cases build on an algebra whose radical is
 # not yet asked for, the *_of_cached ones on one whose radical is known.  The
-# hinted_* and basis_hint_codim1 names still keep the route those algebras
-# took before hints were deleted.
+# other cases are named after the algebra and its field.
 _PROVENANCE = {
     "tensor_of_constructed": (lambda: tensor(_constructed(), _constructed()), _rule(27)),
     "tensor_of_cached": (lambda: tensor(_cached(), _cached()), _rule(49)),
@@ -294,13 +293,13 @@ _PROVENANCE = {
     ),
     "opposite_of_constructed": (lambda: opposite(_constructed()), _rule(9)),
     "opposite_of_cached": (lambda: opposite(_cached()), _rule(7)),
-    "hinted_local_default_span": (
+    "skew_anticommuting_2x2_gf3": (
         lambda: from_skew_presentation(GF(3), SkewPresentation.anticommuting([2, 2])),
         _rule(9),
     ),
-    "hinted_local_vectors": (lambda: _trunc3(GF(3)), _rule(3)),
-    "basis_hint_codim1": (lambda: _trunc3(GF(2)), _rule(4)),
-    "hinted_general": (_mat2_dual, _rule(9)),
+    "trunc3_gf3": (lambda: _trunc3(GF(3)), _rule(3)),
+    "trunc3_gf2": (lambda: _trunc3(GF(2)), _rule(4)),
+    "mat2_dual_gf3": (_mat2_dual, _rule(9)),
     "semisimple_traceform": (_mat2, _rule(9)),
     "semisimple_traceform_dim1": (
         lambda: Algebra(GF(3), GF(3).arr([[[1]]]), GF(3).arr([1])), _rule(3)),
