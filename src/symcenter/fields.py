@@ -516,6 +516,10 @@ class ExtensionField(FieldDescriptor):
         vals += [0] * (self.degree - len(vals))
         return int(sum(c * int(pw) for c, pw in zip(vals, self._p_pows)))
 
+    def coeff_rows_to_enc(self, coeffs: np.ndarray) -> np.ndarray:
+        """The encoding of each row of an int64 array of ``degree`` coefficients."""
+        return (coeffs % self.p) @ self._p_pows
+
     def enc_to_coeffs(self, enc: int) -> tuple[int, ...]:
         return tuple(int(x) for x in self._digits[enc])
 

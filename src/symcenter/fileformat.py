@@ -13,14 +13,20 @@ which ``fields`` reads as numbers.
 Every declared size is checked against ``MAX_DIM`` before anything is
 allocated, so a tiny file cannot ask for a huge table.
 
-Emission is canonical: fixed key order, two-space indentation, one trailing
-newline, so identical algebras produce byte-identical files.
+Emission is canonical: the text of ``json.dumps(doc, indent=2,
+ensure_ascii=False)`` and one trailing newline, so identical algebras
+produce byte-identical files.  It is built from the table's nonzero
+constants, each distinct scalar and the zero vector laid out once; parsing
+reads each coordinate block in one numpy step when its scalars are plain
+ints.  Both are linear in the document, with no n x n x n Python list.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import defaultdict
+from itertools import chain
 
 import numpy as np
 
@@ -104,16 +110,50 @@ def scalar_to_json(field: FieldDescriptor, enc):
 
 
 def parse_vector(field, values, path: str, length: int | None = None):
-    if not isinstance(values, list):
-        raise FileFormatError(f"{path}: expected a list", path)
-    if length is not None and len(values) != length:
-        raise FileFormatError(
-            f"{path}: expected {length} entries, got {len(values)}", path
-        )
-    out = field.zeros(len(values))
-    for i, v in enumerate(values):
-        out[i] = parse_scalar(field, v, f"{path}[{i}]")
-    return out
+    return _parse_block(field, values, path, (length,))
+
+
+def _parse_block(field, values, path: str, shape: tuple) -> np.ndarray:
+    """The encodings of a nested list of scalars, an array of ``shape`` (a
+    length per level; None, outermost only, takes any), checked level by
+    level.  ``parse_scalar`` reads the scalars, and names the first bad
+    one, only where ``_encode`` cannot take the block in one step."""
+    level, dims = [values], []
+    for length in shape:
+        for t, v in enumerate(level):
+            if not isinstance(v, list) or length not in (None, len(v)):
+                at = path + "".join(f"[{i}]" for i in np.unravel_index(t, dims))
+                raise FileFormatError(f"{at}: expected a list" if not isinstance(v, list)
+                                      else f"{at}: expected {length} entries, got {len(v)}", at)
+        dims.append(len(values) if length is None else length)
+        level = list(chain.from_iterable(level))
+    enc = _encode(field, level)
+    if enc is None:
+        enc = np.array([parse_scalar(field, value, path + "".join(f"[{i}]" for i in index))
+                        for index, value in zip(np.ndindex(*dims), level)], dtype=field.dtype)
+    return enc.reshape(dims)
+
+
+def _encode(field, scalars: list):
+    """The encodings of JSON scalars in one numpy step, or None unless each
+    is an int in int64 (n meaning n * 1) or, over GF(p^k), a list of at
+    most k such ints."""
+    if isinstance(field, ExtensionField):
+        rows = [x if type(x) is list else [x] for x in scalars]
+        lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        scalars = list(chain.from_iterable(rows))
+    if field.order is None or not set(map(type, scalars)) <= {int}:
+        return None
+    try:
+        ints = np.array(scalars, dtype=np.int64)
+        if not isinstance(field, ExtensionField):
+            return ints % field.p
+        coeffs = field.zeros((len(lens), field.degree))
+        starts = np.repeat(np.cumsum(lens) - lens, lens)
+        coeffs[np.repeat(np.arange(len(lens)), lens), np.arange(len(ints)) - starts] = ints
+    except (OverflowError, IndexError):     # past int64, or more than k coefficients
+        return None
+    return field.coeff_rows_to_enc(coeffs)
 
 
 def _integer(value, path: str) -> int:
@@ -169,11 +209,7 @@ def _parse_hint(field, spec, path: str, one) -> Subspace:
             raise FileFormatError(f"{path}: a basis hint needs 'vectors'", path)
         skip = int(np.nonzero(one != field.zero_enc)[0][0])
         return Subspace.from_rows(field, dim, np.delete(field.eye(dim), skip, axis=0))
-    if not isinstance(spec["vectors"], list):
-        raise FileFormatError(f"{path}.vectors: expected a list", f"{path}.vectors")
-    rows = field.zeros((len(spec["vectors"]), dim))
-    for i, vec in enumerate(spec["vectors"]):
-        rows[i] = parse_vector(field, vec, f"{path}.vectors[{i}]", dim)
+    rows = _parse_block(field, spec["vectors"], f"{path}.vectors", (None, dim))
     return Subspace.from_rows(field, dim, rows)
 
 
@@ -242,14 +278,12 @@ def _parse_presentation(field, node, path: str, hint=None, form=None,
             )
         parsed = {}
         for gname, rows in gens.items():
-            mat = field.zeros((size, size))
             if not isinstance(rows, list) or len(rows) != size:
                 raise FileFormatError(
                     f"{path}.generators.{gname}: expected {size} rows", path
                 )
-            for r, row in enumerate(rows):
-                mat[r] = parse_vector(field, row, f"{path}.generators.{gname}[{r}]", size)
-            parsed[gname] = mat
+            parsed[gname] = _parse_block(field, rows, f"{path}.generators.{gname}",
+                                         (size, size))
         alg = from_matrix_generators(
             field, size, parsed,
             monomial_basis=_names(node, "monomial_basis", path),
@@ -269,13 +303,8 @@ def _parse_presentation(field, node, path: str, hint=None, form=None,
         spec = node.get("ideal")
         if not isinstance(spec, dict) or "vectors" not in spec:
             raise FileFormatError(f"{path}.ideal: expected vectors", path)
-        if not isinstance(spec["vectors"], list):
-            raise FileFormatError(
-                f"{path}.ideal.vectors: expected a list", f"{path}.ideal.vectors"
-            )
-        rows = field.zeros((len(spec["vectors"]), base.dim))
-        for i, vec in enumerate(spec["vectors"]):
-            rows[i] = parse_vector(field, vec, f"{path}.ideal.vectors[{i}]", base.dim)
+        rows = _parse_block(field, spec["vectors"], f"{path}.ideal.vectors",
+                            (None, base.dim))
         sub = Subspace.from_rows(field, base.dim, rows)
         closure = spec.get("closure", False)
         if not isinstance(closure, bool):
@@ -312,14 +341,12 @@ def _parse_structure_constants(field, node, path) -> Algebra:
     dim = _count(node, "dim", path)
     _check_dim("dimension", dim, f"{path}.dim")
     labels = _names(node, "labels", path, dim)
-    table = field.zeros((dim, dim, dim))
     if not isinstance(table_spec, list) or len(table_spec) != dim:
         raise FileFormatError(f"{path}.table: expected {dim} rows", path)
     for i, plane in enumerate(table_spec):
         if not isinstance(plane, list) or len(plane) != dim:
             raise FileFormatError(f"{path}.table[{i}]: expected {dim} entries", path)
-        for j, vec in enumerate(plane):
-            table[i, j] = parse_vector(field, vec, f"{path}.table[{i}][{j}]", dim)
+    table = _parse_block(field, table_spec, f"{path}.table", (dim, dim, dim))
     one = parse_vector(field, one_spec, f"{path}.one", dim)
     return Algebra(field, table, one, labels=labels)
 
@@ -370,28 +397,37 @@ def load_algebra(path: str) -> Algebra:
     return parse_document(read_document(path))
 
 
+def _dumps(value, depth: int) -> str:
+    """``value`` as ``json.dumps(indent=2)`` lays it out ``depth`` levels deep."""
+    return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n" + "  " * depth)
+
+
 def emit_structure_constants(alg: Algebra) -> str:
     """Canonical explicit file for an algebra (used by cmd_construct)."""
     field, n = alg.field, alg.dim
-    doc = {"name": alg.name or "algebra", "field": field_to_json(field)}
-    zero = scalar_to_json(field, field.zero_enc)
-    table = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for i, j, k, v in zip(*(arr.tolist() for arr in alg.entries)):
-        table[i][j][k] = scalar_to_json(field, v)
-    pres = {
-        "type": "structure_constants",
-        "dim": n,
-        "table": table,
-        "one": [scalar_to_json(field, v) for v in alg.one],
-    }
+    pad3, pad4, pad5 = ("\n" + "  " * depth for depth in (3, 4, 5))
+    values = [arr.tolist() for arr in alg.entries]
+    texts = {v: _dumps(scalar_to_json(field, v), 5) for v in {field.zero_enc, *values[3]}}
+    zero = texts[field.zero_enc]
+    rows = defaultdict(lambda: [zero] * n, {-1: [zero] * n})    # -1: the zero vector
+    for i, j, k, v in zip(*values):
+        rows[i * n + j][k] = texts[v]
+    joined = {ij: f"[{pad5}{(',' + pad5).join(row)}{pad4}]" for ij, row in rows.items()}
+    vecs = [joined.get(ij, joined[-1]) for ij in range(n * n)]
+    # the n planes of n vectors, as pieces of the one final join
+    seps = ([f",{pad4}"] * (n - 1) + [f"{pad3}],{pad3}[{pad4}"]) * n
+    seps[-1] = f"{pad3}]\n    ]"
+    pres = {"type": "structure_constants", "dim": n, "table": []}
+    rest = {"one": [scalar_to_json(field, v) for v in alg.one]}
     if alg.labels is not None:
-        pres["labels"] = list(alg.labels)
-    doc["presentation"] = pres
-    doc["radical_hint"] = {
-        "kind": "basis",
-        "vectors": [[scalar_to_json(field, v) for v in row]
-                    for row in radical(alg).radical.basis],
-    }
+        rest["labels"] = list(alg.labels)
+    tail = {"radical_hint": {"kind": "basis", "vectors": [
+        [scalar_to_json(field, v) for v in row] for row in radical(alg).radical.basis]}}
     if alg.sym_form is not None:
-        doc["symmetrizing_form"] = [scalar_to_json(field, v) for v in alg.sym_form]
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+        tail["symmetrizing_form"] = [scalar_to_json(field, v) for v in alg.sym_form]
+    # cut at fixed offsets of the canonical layout: the head ends in the
+    # table's '[]\n  }\n}', and the other two parts open with '{'
+    head = _dumps({"name": alg.name or "algebra", "field": field_to_json(field),
+                   "presentation": pres}, 0)[:-8]
+    return "".join([head, "[", pad3, "[", pad4, *chain.from_iterable(zip(vecs, seps)),
+                    ",", _dumps(rest, 1)[1:], ",", _dumps(tail, 0)[1:], "\n"])

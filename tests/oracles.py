@@ -5,8 +5,12 @@ lists, independent of the package's numpy-backed linear algebra, so that
 derived expected values are frozen against a second implementation.
 """
 
+import json
 from fractions import Fraction
 from itertools import product
+
+from symcenter.fileformat import field_to_json, scalar_to_json
+from symcenter.substructures import radical
 
 
 def naive_rref_mod(rows, p):
@@ -143,6 +147,35 @@ def dense_table(a):
     table = a.field.zeros((a.dim,) * 3)
     table[ei, ej, ek] = val
     return table
+
+
+def reference_emit(alg):
+    """The canonical file of an algebra, as ``json.dumps(indent=2)`` gives
+    it from the nested document with its dense n x n x n table: the
+    reference the emitter's text must equal byte for byte."""
+    field, n = alg.field, alg.dim
+    doc = {"name": alg.name or "algebra", "field": field_to_json(field)}
+    zero = scalar_to_json(field, field.zero_enc)
+    table = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for i, j, k, v in zip(*(arr.tolist() for arr in alg.entries)):
+        table[i][j][k] = scalar_to_json(field, v)
+    pres = {
+        "type": "structure_constants",
+        "dim": n,
+        "table": table,
+        "one": [scalar_to_json(field, v) for v in alg.one],
+    }
+    if alg.labels is not None:
+        pres["labels"] = list(alg.labels)
+    doc["presentation"] = pres
+    doc["radical_hint"] = {
+        "kind": "basis",
+        "vectors": [[scalar_to_json(field, v) for v in row]
+                    for row in radical(alg).radical.basis],
+    }
+    if alg.sym_form is not None:
+        doc["symmetrizing_form"] = [scalar_to_json(field, v) for v in alg.sym_form]
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
 # -- a second, tuple-based implementation of GF(25) = GF(5)[t]/(t^2+2) -------

@@ -1,13 +1,17 @@
 """Algebra definition files: parsing, canonical emission, round trips."""
 
+import copy
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from conftest import CASES
+from conftest import CASES, mat2_table
+from oracles import reference_emit
 
-from symcenter import cli
+from symcenter import GF, cli, gf25
+from symcenter.algebra import Algebra
 from symcenter.analysis import analyze
 from symcenter.corpus import get
 from symcenter.errors import (
@@ -16,10 +20,13 @@ from symcenter.errors import (
     NotAnIdeal,
 )
 import symcenter.fileformat as fileformat
+from symcenter.fields import ExtensionField
 from symcenter.fileformat import (
     emit_structure_constants,
     load_algebra,
     parse_document,
+    parse_scalar,
+    parse_vector,
 )
 
 EXPECTED_DIMS = {
@@ -342,3 +349,147 @@ def test_gf25_encodings_in_files_keep_their_meaning(presentation, extra, check, 
     path = tmp_path / "gf25.json"
     path.write_text(json.dumps({"field": GF25, "presentation": presentation, **extra}))
     check(path)
+
+
+# -- the emitter against its reference, the block reader against parse_scalar --
+
+
+def _labelled_with_form(name, labels):
+    g3 = GF(3)
+    return Algebra(g3, mat2_table(), g3.arr([1, 0, 0, 1]), labels=labels,
+                   sym_form=g3.arr([1, 0, 0, 1]), name=name)
+
+
+EMIT_ORACLE_CASES = {
+    **{f"case_{path.stem}": (lambda path=path: load_algebra(str(path)))
+       for path in sorted(CASES.glob("*.json"))},
+    **{f"corpus_{name}": (lambda name=name: get(name))
+       for name in ("dual_gf2", "trunc3_gf3", "qplane22_gf5", "dual_gf25", "counterexample_A")},
+    "labels_and_form": lambda: _labelled_with_form("mat2", ["E11", "E12", "E21", "E22"]),
+    "odd_name_and_labels": lambda: _labelled_with_form(
+        'mat2 "table": [] \u00e9\u2202', ['"table": []', "E\u2081\u2082", "\u00fc\n", '",\n  "one": [']),
+}
+
+
+@pytest.mark.parametrize("build", EMIT_ORACLE_CASES.values(), ids=EMIT_ORACLE_CASES)
+def test_emitter_matches_its_reference(build):
+    alg = build()
+    text = emit_structure_constants(alg)
+    assert text == reference_emit(alg)
+    again = parse_document(json.loads(text))
+    assert again.same_table(alg) and emit_structure_constants(again) == text
+
+
+@pytest.mark.parametrize("field", [GF(7), gf25(), ExtensionField(2, [1, 1, 0, 1])],
+                         ids=["gf7", "gf25", "gf8"])
+def test_block_reader_matches_parse_scalar(field, rng):
+    # plain ints, and over GF(p^k) coefficient lists of every length up to k
+    values = [int(x) for x in rng.integers(-10**12, 10**12, size=40)]
+    if isinstance(field, ExtensionField):
+        values += [rng.integers(-99, 99, size=length).tolist()
+                   for length in rng.integers(0, field.degree + 1, size=40)]
+    rows = [values[t:t + 8] for t in range(0, len(values), 8)]
+    block = fileformat._parse_block(field, rows, "v", (None, 8))
+    assert block.dtype == np.int64
+    assert block.tolist() == [[parse_scalar(field, v, "v") for v in row] for row in rows]
+
+
+def test_integers_past_int64_reduce_mod_p(f25):
+    big = [2**64 + 1, -2**70, 3**50]
+    assert parse_vector(GF(3), big, "v").tolist() == [x % 3 for x in big]
+    assert parse_vector(f25, [[big[0], big[1]], big[2]], "v").tolist() == [
+        f25.coeffs_to_enc([big[0] % 5, big[1] % 5]), big[2] % 5]
+    doc = {"field": {"kind": "prime", "p": 3},
+           "presentation": dict(DUAL_GF3_TABLE, one=[1 + 3 * 2**64, -3 * 2**70])}
+    assert parse_document(doc).same_table(parse_document(
+        {"field": {"kind": "prime", "p": 3}, "presentation": DUAL_GF3_TABLE}))
+
+
+# a document over GF(p) holding each coordinate block, the keys to one of the
+# block's vectors, and an entry of it
+ANCHOR_BLOCKS = {
+    "table": ({"presentation": DUAL_GF3_TABLE}, ["presentation", "table", 1, 0], 1),
+    "generator": ({"presentation": {"type": "matrix_generators", "size": 2,
+                                    "generators": {"n": [[0, 1], [0, 0]]}}},
+                  ["presentation", "generators", "n", 0], 1),
+    "one": ({"presentation": DUAL_GF3_TABLE}, ["presentation", "one"], 1),
+    "form": ({"presentation": DUAL_GF3_TABLE, "symmetrizing_form": [0, 1]},
+             ["symmetrizing_form"], 1),
+    "hint": ({"presentation": DUAL_GF3_TABLE,
+              "radical_hint": {"kind": "basis", "vectors": [[0, 1]]}},
+             ["radical_hint", "vectors", 0], 1),
+    "ideal": ({"presentation": {"type": "quotient",
+                                "base": {"type": "skew_truncated", "bounds": [3]},
+                                "ideal": {"vectors": [[0, 0, 1]]}}},
+              ["presentation", "ideal", "vectors", 0], 2),
+}
+# bad entries, read over GF(3) except the coefficient lists (GF(25))
+BAD_ENTRIES = {"bool": True, "float": 1.0, "string": "x",
+               "long_coeffs": [1, 2, 3], "bool_coeff": [True, 0]}
+# (location, message after "location: ") of each bad entry and of a short
+# row and a non-list vector, recorded before coordinate blocks were read in
+# one step
+ANCHORS = {
+    ("table", "bool"): ("presentation.table[1][0][1]", "booleans are not scalars"),
+    ("table", "float"): ("presentation.table[1][0][1]", "cannot read scalar 1.0"),
+    ("table", "string"): ("presentation.table[1][0][1]", "bad GF(3) literal 'x'"),
+    ("table", "long_coeffs"): ("presentation.table[1][0][1]", "coefficient list longer than degree 2"),
+    ("table", "bool_coeff"): ("presentation.table[1][0][1][0]", "expected an integer, got True"),
+    ("table", "short_row"): ("presentation.table[1][0]", "expected 2 entries, got 1"),
+    ("table", "non_list"): ("presentation.table[1][0]", "expected a list"),
+    ("generator", "bool"): ("presentation.generators.n[0][1]", "booleans are not scalars"),
+    ("generator", "float"): ("presentation.generators.n[0][1]", "cannot read scalar 1.0"),
+    ("generator", "string"): ("presentation.generators.n[0][1]", "bad GF(3) literal 'x'"),
+    ("generator", "long_coeffs"): ("presentation.generators.n[0][1]", "coefficient list longer than degree 2"),
+    ("generator", "bool_coeff"): ("presentation.generators.n[0][1][0]", "expected an integer, got True"),
+    ("generator", "short_row"): ("presentation.generators.n[0]", "expected 2 entries, got 1"),
+    ("generator", "non_list"): ("presentation.generators.n[0]", "expected a list"),
+    ("one", "bool"): ("presentation.one[1]", "booleans are not scalars"),
+    ("one", "float"): ("presentation.one[1]", "cannot read scalar 1.0"),
+    ("one", "string"): ("presentation.one[1]", "bad GF(3) literal 'x'"),
+    ("one", "long_coeffs"): ("presentation.one[1]", "coefficient list longer than degree 2"),
+    ("one", "bool_coeff"): ("presentation.one[1][0]", "expected an integer, got True"),
+    ("one", "short_row"): ("presentation.one", "expected 2 entries, got 1"),
+    ("one", "non_list"): ("presentation.one", "expected a list"),
+    ("form", "bool"): ("symmetrizing_form[1]", "booleans are not scalars"),
+    ("form", "float"): ("symmetrizing_form[1]", "cannot read scalar 1.0"),
+    ("form", "string"): ("symmetrizing_form[1]", "bad GF(3) literal 'x'"),
+    ("form", "long_coeffs"): ("symmetrizing_form[1]", "coefficient list longer than degree 2"),
+    ("form", "bool_coeff"): ("symmetrizing_form[1][0]", "expected an integer, got True"),
+    ("form", "short_row"): ("symmetrizing_form", "expected 2 coordinates"),
+    ("form", "non_list"): ("symmetrizing_form", "expected a list"),
+    ("hint", "bool"): ("radical_hint.vectors[0][1]", "booleans are not scalars"),
+    ("hint", "float"): ("radical_hint.vectors[0][1]", "cannot read scalar 1.0"),
+    ("hint", "string"): ("radical_hint.vectors[0][1]", "bad GF(3) literal 'x'"),
+    ("hint", "long_coeffs"): ("radical_hint.vectors[0][1]", "coefficient list longer than degree 2"),
+    ("hint", "bool_coeff"): ("radical_hint.vectors[0][1][0]", "expected an integer, got True"),
+    ("hint", "short_row"): ("radical_hint.vectors[0]", "expected 2 entries, got 1"),
+    ("hint", "non_list"): ("radical_hint.vectors[0]", "expected a list"),
+    ("ideal", "bool"): ("presentation.ideal.vectors[0][2]", "booleans are not scalars"),
+    ("ideal", "float"): ("presentation.ideal.vectors[0][2]", "cannot read scalar 1.0"),
+    ("ideal", "string"): ("presentation.ideal.vectors[0][2]", "bad GF(3) literal 'x'"),
+    ("ideal", "long_coeffs"): ("presentation.ideal.vectors[0][2]", "coefficient list longer than degree 2"),
+    ("ideal", "bool_coeff"): ("presentation.ideal.vectors[0][2][0]", "expected an integer, got True"),
+    ("ideal", "short_row"): ("presentation.ideal.vectors[0]", "expected 3 entries, got 2"),
+    ("ideal", "non_list"): ("presentation.ideal.vectors[0]", "expected a list"),
+}
+
+
+@pytest.mark.parametrize("block, bad", ANCHORS, ids=[f"{b}-{bad}" for b, bad in ANCHORS])
+def test_bad_entries_keep_their_anchors(block, bad):
+    doc, keys, index = copy.deepcopy(ANCHOR_BLOCKS[block])
+    doc["field"] = GF25 if bad in ("long_coeffs", "bool_coeff") else {"kind": "prime", "p": 3}
+    holder = doc
+    for key in keys[:-1]:
+        holder = holder[key]
+    if bad == "short_row":
+        holder[keys[-1]] = holder[keys[-1]][:-1]
+    elif bad == "non_list":
+        holder[keys[-1]] = 5
+    else:
+        holder[keys[-1]][index] = BAD_ENTRIES[bad]
+    with pytest.raises(FileFormatError) as err:
+        parse_document(doc)
+    location, message = ANCHORS[block, bad]
+    assert type(err.value) is FileFormatError
+    assert (err.value.location, str(err.value)) == (location, f"{location}: {message}")
