@@ -9,11 +9,13 @@ J(A), J(A) for an opposite, the monomials of positive degree for a skew
 presentation -- is checked against the rule by the test suite and the
 lemma claims.
 
-Every call returns a new view, with its own name, labels and form.  The
-quotient, the tensor product and the trivial extension keep the core they
-built on the input's core (``memoised``, keyed by the ideal or the other
-factor's table), never a view, so a repeated call builds and validates
-nothing and no algebra is caught in a reference cycle.
+Every call returns a new view, with its own name, labels and form;
+another name or form is a ``replace`` of it (``symmetrize`` gives the
+quotient view its induced form so).  The quotient, the tensor product and
+the trivial extension keep the core they built on the input's core
+(``memoised``, keyed by the ideal or the other factor's table), never a
+view, so a repeated call builds and validates nothing and no algebra is
+caught in a reference cycle.
 """
 
 from __future__ import annotations
@@ -148,22 +150,16 @@ def trivext_criteria(a: Algebra) -> TrivExtCriteria:
 
 
 def quotient(a: Algebra, ideal: Subspace) -> Algebra:
-    """A/I on the complement coordinates of the ideal's RREF basis."""
-    return quotient_view(a, ideal)
-
-
-def quotient_view(a: Algebra, ideal: Subspace, *, name=None, sym_form=None) -> Algebra:
-    """A new view A/I -- labels, name (by default (A)/I) and form -- on the
-    core of its table, which is built once per table of A and ideal.  The
-    ideal is checked against A first: the memos are keyed by its
+    """A new view A/I, named (A)/I, on the complement coordinates of the
+    ideal's RREF basis; its table is built once per table of A and ideal.
+    The ideal is checked against A first: the memos are keyed by its
     coordinates alone."""
     a._check_subspace(ideal)
-    core = quotient_core(a, ideal)
     labels = None
     if a.labels is not None:
         labels = [a.labels[i] for i in ideal.complement_columns()]
-    return Algebra(a.field, None, None, labels=labels, sym_form=sym_form,
-                   name=name or f"({a.name or 'A'})/I", _core=core)
+    return Algebra(a.field, None, None, labels=labels, name=f"({a.name or 'A'})/I",
+                   _core=quotient_core(a, ideal))
 
 
 def opposite(a: Algebra) -> Algebra:

@@ -11,13 +11,16 @@ symmetric with the induced form.  For central z and mu = lambda(. z),
 I_mu = (Az)^perp: these are exactly the quotients of A that remain
 symmetric, and come with an injective A-bimodule section x+I -> xz.
 
-The form-dependent results are kept on the table's core by ``memoised``,
-keyed by the form's coordinates, so every view of the table with an equal
-form shares them: ``symmetric_gram`` verifies each form once, and
-``symmetrize`` finds I_mu once per mu; the table of A/I_mu is built once
-per ideal, by ``quotient_core``, however many forms share the ideal.  Each
-call still returns a new quotient view with its own name and form, and
-``symmetric_quotient`` a new QuotientWitness.
+Each form is reduced once per table: ``_form`` keeps one fact per form mu
+on the table's core (``memoised``, keyed by the form's coordinates), I_mu
+with the Gram matrix when I_mu = 0, so every view of the table with an
+equal form shares it.  ``verify_symmetric`` accepts lambda when I_lambda = 0
+and ``symmetrize`` reads I_mu there, so A/(A 1)^perp of a verified form
+reduces no Gram matrix again.  The table of A/I_mu is built once per
+ideal, by ``quotient_core``, however many forms share the ideal.  Each call
+still returns a new quotient view, ``replace`` of ``constructions.quotient``
+with its own name and form, and ``symmetric_quotient`` a new
+QuotientWitness.
 """
 
 from __future__ import annotations
@@ -38,13 +41,12 @@ from .linalg import Subspace, contains, kernel, rank, subspace_intersect
 from .substructures import j_of_center, soc_of_center, socle
 
 
-def _require_form(algebra: Algebra):
-    if algebra.sym_form is None:
-        raise NotSymmetricForm(f"{algebra!r} carries no symmetrizing form")
-
-
-def _symmetric_form_gram(algebra: Algebra, mu: np.ndarray) -> np.ndarray:
-    """form_gram of mu; raises NotSymmetricForm unless it is symmetric."""
+@memoised("form")
+def _form(algebra: Algebra, mu: np.ndarray) -> tuple[np.ndarray | None, Subspace]:
+    """The Gram matrix mu(e_i e_j) and I_mu, its kernel, for a linear form
+    mu; raises NotSymmetricForm unless the Gram matrix is symmetric.  The
+    Gram matrix is kept, read-only, only when I_mu = 0 (a form that
+    verifies); otherwise it is None."""
     gram = form_gram(algebra, mu)
     if not np.all(gram == gram.T):
         i, j = (int(v) for v in np.argwhere(gram != gram.T)[0])
@@ -52,18 +54,22 @@ def _symmetric_form_gram(algebra: Algebra, mu: np.ndarray) -> np.ndarray:
             f"lambda(e_{i} e_{j}) != lambda(e_{j} e_{i}); "
             "the form does not vanish on the commutator space"
         )
-    return gram
+    ideal = kernel(algebra.field, gram)
+    if ideal.dim:
+        return None, ideal
+    gram.setflags(write=False)
+    return gram, ideal
 
 
 def verify_symmetric(algebra: Algebra) -> np.ndarray:
     """The Gram matrix lambda(e_i e_j) of the algebra's form; raises unless
     the algebra has a form and it is symmetrizing."""
-    _require_form(algebra)
-    gram = _symmetric_form_gram(algebra, algebra.sym_form)
-    r, n = rank(algebra.field, gram), algebra.dim
-    if r != n:
+    if algebra.sym_form is None:
+        raise NotSymmetricForm(f"{algebra!r} carries no symmetrizing form")
+    gram, ideal = _form(algebra, algebra.sym_form)
+    if ideal.dim:
         raise Degenerate(
-            f"Gram matrix has rank {r} < {n}; "
+            f"Gram matrix has rank {algebra.dim - ideal.dim} < {algebra.dim}; "
             "the kernel of lambda contains a nonzero one-sided ideal"
         )
     return gram
@@ -71,22 +77,12 @@ def verify_symmetric(algebra: Algebra) -> np.ndarray:
 
 def symmetric_gram(algebra: Algebra) -> np.ndarray | None:
     """The verified Gram matrix of the algebra's form; None if it has none."""
-    if algebra.sym_form is None:
-        return None
-    return _verified_gram(algebra, algebra.sym_form)
-
-
-@memoised("sym_gram")
-def _verified_gram(algebra: Algebra, form: np.ndarray) -> np.ndarray:
-    """verify_symmetric, kept on the core per form (``form`` is
-    ``algebra.sym_form``)."""
-    return verify_symmetric(algebra)
+    return None if algebra.sym_form is None else verify_symmetric(algebra)
 
 
 def perp(algebra: Algebra, x: Subspace) -> Subspace:
     """Orthogonal complement {a : beta(a, v) = 0 for v in x} under beta."""
-    _require_form(algebra)
-    gram = symmetric_gram(algebra)
+    gram = verify_symmetric(algebra)
     algebra._check_subspace(x)
     return kernel(algebra.field, algebra.field.matmul2(x.basis, gram.T))
 
@@ -94,14 +90,10 @@ def perp(algebra: Algebra, x: Subspace) -> Subspace:
 def symmetrize(algebra: Algebra, mu) -> tuple[Subspace, Algebra]:
     """I_mu and A/I_mu with the induced form, for a linear form mu that
     kills K(A); raises NotSymmetricForm when mu(e_i e_j) is not symmetric."""
-    return _symmetrize(algebra, algebra._coords_of(mu), f"({algebra.name or 'A'})/I_mu")
-
-
-def _symmetrize(algebra: Algebra, mu: np.ndarray, name: str):
-    """symmetrize, naming the quotient view."""
-    ideal = _form_radical(algebra, mu)
-    quotient = constructions.quotient_view(
-        algebra, ideal, name=name, sym_form=mu[ideal.complement_columns()])
+    mu = algebra._coords_of(mu)
+    ideal = _form(algebra, mu)[1]
+    quotient = constructions.quotient(algebra, ideal).replace(
+        name=f"({algebra.name or 'A'})/I_mu", sym_form=mu[ideal.complement_columns()])
     try:
         symmetric_gram(quotient)
     except (NotSymmetricForm, Degenerate) as exc:
@@ -109,12 +101,6 @@ def _symmetrize(algebra: Algebra, mu: np.ndarray, name: str):
             f"symmetric quotient lost its form, which cannot happen: {exc}"
         ) from exc
     return ideal, quotient
-
-
-@memoised("form_radical")
-def _form_radical(algebra: Algebra, mu: np.ndarray) -> Subspace:
-    """I_mu = {x : mu(x e_j) = 0 for all j}, the kernel of the symmetric gram."""
-    return kernel(algebra.field, _symmetric_form_gram(algebra, mu))
 
 
 @dataclass(frozen=True)
@@ -176,12 +162,12 @@ def symmetric_quotient(algebra: Algebra, z) -> QuotientWitness:
     if not algebra.center().contains_vector(z):
         raise CentralityViolated("symmetric quotients require a central element")
     # lambda must be symmetrizing, which makes mu = lambda(. z) kill K(A)
-    _require_form(algebra)
-    symmetric_gram(algebra)
+    verify_symmetric(algebra)
     az_rows = algebra.right_products(z[None, :])[0]  # rows e_j z
     mu = f.matmul2(az_rows, algebra.sym_form.reshape(n, 1)).reshape(n)
-    ideal, quotient = _symmetrize(algebra, mu, (algebra.name or "A") + "/(Az)^perp")
-    return QuotientWitness(algebra, z, ideal, quotient)
+    ideal, quotient = symmetrize(algebra, mu)
+    return QuotientWitness(algebra, z, ideal,
+                           quotient.replace(name=(algebra.name or "A") + "/(Az)^perp"))
 
 
 @dataclass(frozen=True)

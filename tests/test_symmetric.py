@@ -65,6 +65,27 @@ def test_asymmetric_form_rejected(mat2):
         symmetric_gram(_with_form(mat2, [1, 0, 0, 0]))
 
 
+_DEGENERATE = "; the kernel of lambda contains a nonzero one-sided ideal"
+
+
+@pytest.mark.parametrize("fixture, lam, error, message, flags", [
+    ("dual3", [0, 0], Degenerate, "Gram matrix has rank 0 < 2" + _DEGENERATE,
+     "commutative=yes local=yes basic=yes"),
+    ("dual3", [1, 0], Degenerate, "Gram matrix has rank 1 < 2" + _DEGENERATE,
+     "commutative=yes local=yes basic=yes"),
+    ("mat2", [1, 0, 0, 0], NotSymmetricForm,
+     "lambda(e_1 e_2) != lambda(e_2 e_1); the form does not vanish on the commutator space",
+     "commutative=no local=no basic=no"),
+])
+def test_rejected_forms_keep_their_messages(request, fixture, lam, error, message, flags):
+    a = _with_form(request.getfixturevalue(fixture), lam)
+    for check in (verify_symmetric, symmetric_gram):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            check(a)
+    lines = analyze(a).to_text().splitlines()
+    assert f"flags     {flags} symmetric=no (attached form rejected: {message})" in lines
+
+
 def test_soc20_base_has_no_attached_form():
     a = get("soc20_base")
     assert symmetric_gram(a) is None
@@ -272,13 +293,17 @@ def test_symmetric_quotient_memo_over_qq_keys_on_values():
 
 
 def test_form_is_verified_once_per_table_and_form(monkeypatch):
-    calls = []
+    # every Gram matrix computed, and those of a view's own form (its check)
+    computed, calls = [], []
+    form_gram = symmetric.form_gram
 
-    def counting(algebra):
-        calls.append((algebra._core, algebra.sym_form.tobytes()))
-        return verify_symmetric(algebra)
+    def counting(algebra, mu):
+        computed.append((algebra._core, mu.tobytes()))
+        if np.array_equal(mu, algebra.sym_form):
+            calls.append(computed[-1])
+        return form_gram(algebra, mu)
 
-    monkeypatch.setattr(symmetric, "verify_symmetric", counting)
+    monkeypatch.setattr(symmetric, "form_gram", counting)
     # a form no other test gives dim12_sharp's table, so its check is new
     a = get("dim12_sharp")
     a = a.replace(name="dim12_sharp, 2 lambda", sym_form=a.field.a_mul(2, a.sym_form))
@@ -290,6 +315,26 @@ def test_form_is_verified_once_per_table_and_form(monkeypatch):
     assert analyze(a.replace(name="again")).symmetric
     assert calls[0] == (a._core, a.sym_form.tobytes())
     assert len(calls) == len(set(calls)) and 1 <= len(calls) <= 2
+    assert len(computed) == len(set(computed))
+
+
+def test_a_verified_form_is_not_reduced_again_for_its_quotient(monkeypatch):
+    # symmetric_gram finds lambda nondegenerate; A/(A 1)^perp = A/I_lambda
+    # then needs I_lambda, which the same memo entry already holds
+    a = _with_form(from_skew_presentation(QQ, SkewPresentation.commuting([2, 2])),
+                   [0, 0, 0, 1])
+    calls = []
+    form_gram = symmetric.form_gram
+
+    def counting(algebra, mu):
+        calls.append((algebra._core, tuple(mu.tolist())))
+        return form_gram(algebra, mu)
+
+    monkeypatch.setattr(symmetric, "form_gram", counting)
+    assert symmetric_gram(a) is not None
+    w = symmetric_quotient(a, a.one_element())
+    assert w.ideal.dim == 0 and w.quotient.same_table(a)
+    assert calls == [(a._core, tuple(a.sym_form.tolist()))]
 
 
 _SYMMETRIZE_ENTRIES = ("dual_gf3", "trunc3_gf3", "skew22_gf3", "matn", "skew222_gf3",
