@@ -222,7 +222,10 @@ class FieldDescriptor:
         different lengths are refused."""
         if isinstance(values, np.ndarray):
             if values.dtype.kind in "iu" and self.order is not None:
-                if values.size and (values.min() < 0 or values.max() >= self.order):
+                # int64 is read as uint64, where a negative value is >= 2**63
+                if values.size and (values.view(np.uint64).max() >= self.order
+                                    if values.dtype == np.int64 else
+                                    values.min() < 0 or values.max() >= self.order):
                     raise ScalarFormatError(
                         f"an encoded value lies outside [0, {self.order}) for {self}")
                 return values.astype(self.dtype, copy=False)

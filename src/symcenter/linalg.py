@@ -9,13 +9,18 @@ used throughout the package into plain array equalities.
 Over GF(2) and GF(3), the paper's fields and 97 % of the RREFs in a
 ``paper-suite`` run, ``rref_data`` runs Gauss-Jordan on bit-sliced rows
 (Boothby and Bradshaw, arXiv:0901.1413, 2009): a row is one Python int
-with p - 1 bits per entry, so a row operation is a few boolean operations
-on the whole row.  Over GF(3) the even bits of a row are its plane of 1s
-and the odd bits its plane of 2s.  Every other field eliminates column by
+with b = p - 1 bits per entry, so a row operation is a few boolean
+operations on the whole row.  Every other field eliminates column by
 column through the field's ``elim``: more bits per entry would make the
 sums longer, for a few percent of the calls.  Both drop the all-zero rows
 first, which leaves the RREF unchanged.  Over QQ the returned entries are
 ``int`` wherever they are integral.
+
+A bit-sliced elimination is small (a median of 8 rows by 10 columns in
+``paper-suite``), so packing rows into ints and unpacking the RREF back
+cost about as much as the row operations.  A row of at most 63 // b
+columns, 97 % of them, is one int64 word: packed by one product and
+unpacked by one shift and mask, where a wider row goes a word at a time.
 
 Every basis handed to ``reduce_rows`` (and so every ``Subspace.basis``)
 must be in RREF: its pivot columns form an identity block.  That lets a
@@ -110,17 +115,20 @@ def _pack(data: np.ndarray, b: int) -> list[int]:
     blocks of a row are then joined by shifts.
     """
     per = 63 // b
-    ints = [0] * data.shape[0]
-    for j in range(0, data.shape[1], per):
-        block = data[:, j: j + per]
-        words = (block @ _WEIGHTS[b][: block.shape[1]]).tolist()
-        ints = [x | w << b * j for x, w in zip(ints, words)] if j else words
+    ints = (data[:, :per] @ _WEIGHTS[b][: data.shape[1]]).tolist()
+    for j in range(per, data.shape[1], per):
+        words = (data[:, j: j + per] @ _WEIGHTS[b][: data.shape[1] - j]).tolist()
+        ints = [x | w << b * j for x, w in zip(ints, words)]
     return ints
 
 
 def _unpack(ints: list[int], out: np.ndarray, b: int) -> None:
     """The inverse of ``_pack``: writes row i of ``out`` from ``ints[i]``."""
     per = 63 // b
+    if out.shape[1] <= per:                     # one word a row
+        words = np.array(ints, dtype=np.int64)
+        np.bitwise_and(words[:, None] >> _SHIFTS[b][: out.shape[1]], (1 << b) - 1, out=out)
+        return
     for j in range(0, out.shape[1], per):
         n = min(per, out.shape[1] - j)
         words = np.array([x >> b * j & (1 << b * n) - 1 for x in ints], dtype=np.int64)
@@ -134,15 +142,16 @@ def _rref_bitsliced(p: int, data: np.ndarray):
     rows, cols = data.shape
     out = np.zeros((rows, cols), dtype=np.int64)
     b = p - 1                                   # bits per entry
-    # a repeated row adds nothing to the span
-    packed = list(dict.fromkeys(x for x in _pack(data, b) if x))
+    # a repeated row adds nothing to the span, nor does a zero row
+    packed = dict.fromkeys(_pack(data, b))
+    packed.pop(0, None)
     basis = (_gf2_basis if p == 2 else _gf3_basis)(packed, cols)
     keys = sorted(basis)
     _unpack([basis[k] for k in keys], out[: len(keys)], b)
     return out, [(k.bit_length() - 1) // b for k in keys]
 
 
-def _gf2_basis(rows: list[int], cols: int) -> dict[int, int]:
+def _gf2_basis(rows: dict[int, None], cols: int) -> dict[int, int]:
     """The RREF of packed GF(2) rows, as {pivot bit: row}.
 
     The rows are inserted one at a time into a basis kept in RREF: a new
@@ -171,7 +180,7 @@ def _gf2_basis(rows: list[int], cols: int) -> dict[int, int]:
     return basis
 
 
-def _gf3_basis(rows: list[int], cols: int) -> dict[int, int]:
+def _gf3_basis(rows: dict[int, None], cols: int) -> dict[int, int]:
     """``_gf2_basis`` over GF(3), on rows packed two bits an entry.
 
     The even bits of a packed row are its plane of 1s and the odd bits its
@@ -271,7 +280,7 @@ class Subspace:
         self.field = field
         self.ambient_dim = int(ambient_dim)
         self.basis = np.asarray(basis, dtype=field.dtype)
-        self.basis.flags.writeable = False
+        self.basis.setflags(write=False)
         self._pivots = pivots
         self._comp = None
 
@@ -346,11 +355,11 @@ class Subspace:
         """
         rows = _coord_rows(self.field, rows, self.ambient_dim)
         pivots, comp = self.pivot_columns(), self.complement_columns()
-        out = rows[:, comp]
+        out = rows.take(comp, axis=1)
         if not pivots or not rows.shape[0]:
             return out
         f = self.field
-        return f.a_sub(out, f.matmul2(rows[:, pivots], self.basis[:, comp]))
+        return f.a_sub(out, f.matmul2(rows.take(pivots, axis=1), self.basis.take(comp, axis=1)))
 
     def lift_coords(self, rows) -> np.ndarray:
         """The section of ``quotient_coords``: zero at the pivot columns."""
@@ -386,7 +395,7 @@ def kernel(field: FieldDescriptor, data: np.ndarray) -> Subspace:
     # one row per free column: 1 there, minus that column of red at the pivots
     rows = field.zeros((len(free), n))
     rows[np.arange(len(free)), free] = field.one_enc
-    rows[:, pivots] = field.a_neg(red[: len(pivots), free].T)
+    rows[:, pivots] = field.a_neg(red[: len(pivots)].take(free, axis=1).T)
     return Subspace(field, n, rows[::-1, ::-1].copy(), [n - 1 - f for f in reversed(free)])
 
 

@@ -110,25 +110,24 @@ class QuotientWitness:
     The quotient is coordinatised on the non-pivot columns of the ideal's
     RREF basis, which makes everything canonical: the projection nu is
     ``ideal.quotient_coords``, its section ``ideal.lift_coords``, and
-    nu*(xbar) is the lift of xbar times z.  The forms are
-    ``algebra.sym_form`` and ``quotient.sym_form``.
+    nu*(xbar) is the lift of xbar times the rows e_j z, ``az_rows`` (read-only).
+    The forms are ``algebra.sym_form`` and ``quotient.sym_form``.
     """
 
     algebra: Algebra
     z: np.ndarray
     ideal: Subspace
     quotient: Algebra
+    az_rows: np.ndarray
 
     @property
     def az(self) -> Subspace:
-        """The left ideal Az, spanned by the rows e_j z; computed on each read."""
-        return Subspace.from_rows(self.algebra.field, self.algebra.dim,
-                                  self.algebra.right_products(self.z[None, :])[0])
+        """The left ideal Az, spanned by the rows e_j z; canonicalised on each read."""
+        return Subspace.from_rows(self.algebra.field, self.algebra.dim, self.az_rows)
 
     def nu_star_rows(self, rows: np.ndarray) -> np.ndarray:
         """nu*(xbar) = (any lift of xbar) * z; well defined since I*z = 0."""
-        ez = self.algebra.right_products(self.z[None, :])[0]  # rows e_j z
-        return self.algebra.field.matmul2(self.ideal.lift_coords(rows), ez)
+        return self.algebra.field.matmul2(self.ideal.lift_coords(rows), self.az_rows)
 
     def nu_star(self, xbar) -> np.ndarray:
         coords = self.quotient._coords_of(xbar)
@@ -164,10 +163,12 @@ def symmetric_quotient(algebra: Algebra, z) -> QuotientWitness:
     # lambda must be symmetrizing, which makes mu = lambda(. z) kill K(A)
     verify_symmetric(algebra)
     az_rows = algebra.right_products(z[None, :])[0]  # rows e_j z
+    az_rows.setflags(write=False)
     mu = f.matmul2(az_rows, algebra.sym_form.reshape(n, 1)).reshape(n)
     ideal, quotient = symmetrize(algebra, mu)
     return QuotientWitness(algebra, z, ideal,
-                           quotient.replace(name=(algebra.name or "A") + "/(Az)^perp"))
+                           quotient.replace(name=(algebra.name or "A") + "/(Az)^perp"),
+                           az_rows)
 
 
 @dataclass(frozen=True)

@@ -266,13 +266,21 @@ def test_numpy_ints_outside_the_field_are_refused(f25, bad):
         f25.arr(np.array([0, bad], dtype=bad.dtype))
 
 
-@pytest.mark.parametrize("bad", [-1, 7], ids=["negative", "order"])
+@pytest.mark.parametrize("bad", [-1, 7, int(np.iinfo(np.int64).min)],
+                         ids=["negative", "order", "int64_min"])
 def test_an_encoded_array_outside_the_prime_field_is_refused(bad):
     f = GF(7)
-    for dtype in (np.int64, np.int32):
-        with pytest.raises(ScalarFormatError, match=r"outside \[0, 7\) for GF\(7\)"):
-            f.arr(np.array([[0, 6], [bad, 1]], dtype=dtype))
+    # an int64 array is checked as uint64, where a negative value is >= 2**63;
+    # a strided view is read through the same view
+    wide = np.array([[0, 5, 6, 5], [bad, 5, 1, 5]], dtype=np.int64)
+    arrays = [np.array([[0, 6], [bad, 1]], dtype=dtype) for dtype in (np.int64, np.int32)
+              if np.iinfo(dtype).min <= bad <= np.iinfo(dtype).max]
+    for values in arrays + [wide[:, ::2], wide.T[::2]]:
+        with pytest.raises(ScalarFormatError, match=r"^an encoded value lies outside "
+                                                    r"\[0, 7\) for GF\(7\)$"):
+            f.arr(values)
     assert f.arr(np.array([[0, 6]], dtype=np.int32)).dtype == np.int64
+    assert f.arr(wide[:, 1::2]).tolist() == [[5, 5], [5, 5]]
 
 
 @pytest.mark.parametrize("field", [GF(3), gf25(), QQ], ids=repr)

@@ -494,6 +494,15 @@ def _bitsliced_inputs(field, rng):
     yield _sparse(field, rng, 2000, 54, 0.005)       # three rows in four are zero
     yield field.random_enc(rng, (108, 108))
     yield _low_rank(field, rng, 108, 108, 70)
+    # the extremes of a row packed into one word: widths 1 and 2, and the
+    # full width of 63 // (p - 1) columns.  A block of p - 1s packs to the
+    # largest input word; its RREF is a row of 1s, so the largest RREF word
+    # comes from rows of a 1 followed by p - 1s
+    for cols in (1, 2, 63 // (field.order - 1)):
+        yield field.random_enc(rng, (4, cols))
+        top = np.full((3, cols), field.order - 1, dtype=np.int64)
+        yield top
+        yield np.concatenate([np.ones((3, 1), dtype=np.int64), top[:, 1:]], axis=1)
 
 
 @pytest.mark.parametrize("p", [2, 3])

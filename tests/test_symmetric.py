@@ -205,6 +205,26 @@ def test_nustar_relations_trivial_and_m2():
         assert rep.all_hold()
 
 
+def test_quotient_witness_keeps_its_rows_e_j_z(monkeypatch):
+    # the rows e_j z are found once, by symmetric_quotient; Az and nu* read
+    # them.  A first check computes the substructures of A and A/I, which
+    # are kept per table; a second one then reaches no right product at all
+    t = get("soc20_trivext")
+    w = symmetric_quotient(t, t.one_element())
+    assert not w.az_rows.flags.writeable
+    assert check_nustar_relations(w).all_hold()
+    calls = []
+    right_products = Algebra.right_products
+
+    def counting(self, rows):
+        calls.append(self)
+        return right_products(self, rows)
+
+    monkeypatch.setattr(Algebra, "right_products", counting)
+    assert check_nustar_relations(w).all_hold()
+    assert calls == []
+
+
 def test_symmetric_quotient_lets_internal_check_errors_through(monkeypatch):
     # a fresh core, so the quotient's table is new and no radical of it is
     # known; each call returns a new quotient view with no certificate
