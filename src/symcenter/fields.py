@@ -222,13 +222,12 @@ class FieldDescriptor:
         different lengths are refused."""
         if isinstance(values, np.ndarray):
             if values.dtype.kind in "iu" and self.order is not None:
-                # int64 is read as uint64, where a negative value is >= 2**63
-                if values.size and (values.view(np.uint64).max() >= self.order
-                                    if values.dtype == np.int64 else
-                                    values.min() < 0 or values.max() >= self.order):
+                # as uint64, a negative int64 reads >= 2**63; so does a uint64 the cast wrapped
+                enc = values.astype(self.dtype, copy=False)
+                if enc.size and enc.view(np.uint64).max() >= self.order:
                     raise ScalarFormatError(
                         f"an encoded value lies outside [0, {self.order}) for {self}")
-                return values.astype(self.dtype, copy=False)
+                return enc
             flat = [self._enc(v) for v in values.flat]
             return np.array(flat, dtype=self.dtype).reshape(values.shape)
         def conv(v):

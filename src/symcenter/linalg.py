@@ -124,15 +124,13 @@ def _pack(data: np.ndarray, b: int) -> list[int]:
 
 def _unpack(ints: list[int], out: np.ndarray, b: int) -> None:
     """The inverse of ``_pack``: writes row i of ``out`` from ``ints[i]``."""
-    per = 63 // b
-    if out.shape[1] <= per:                     # one word a row
-        words = np.array(ints, dtype=np.int64)
-        np.bitwise_and(words[:, None] >> _SHIFTS[b][: out.shape[1]], (1 << b) - 1, out=out)
-        return
-    for j in range(0, out.shape[1], per):
-        n = min(per, out.shape[1] - j)
-        words = np.array([x >> b * j & (1 << b * n) - 1 for x in ints], dtype=np.int64)
-        out[:, j: j + n] = words[:, None] >> _SHIFTS[b][:n] & (1 << b) - 1
+    per, cols = 63 // b, out.shape[1]
+    for j in range(0, cols, per):
+        # each int is below 2^(b*cols), so a row of one word needs no mask
+        words = np.array(ints if cols <= per else
+                         [x >> b * j & (1 << b * per) - 1 for x in ints], dtype=np.int64)
+        np.bitwise_and(words[:, None] >> _SHIFTS[b][: cols - j], (1 << b) - 1,
+                       out=out[:, j: j + per])
 
 
 def _rref_bitsliced(p: int, data: np.ndarray):
@@ -280,7 +278,7 @@ class Subspace:
         self.field = field
         self.ambient_dim = int(ambient_dim)
         self.basis = np.asarray(basis, dtype=field.dtype)
-        self.basis.setflags(write=False)
+        self.basis.flags.writeable = False
         self._pivots = pivots
         self._comp = None
 

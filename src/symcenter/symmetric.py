@@ -26,6 +26,7 @@ QuotientWitness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -110,15 +111,21 @@ class QuotientWitness:
     The quotient is coordinatised on the non-pivot columns of the ideal's
     RREF basis, which makes everything canonical: the projection nu is
     ``ideal.quotient_coords``, its section ``ideal.lift_coords``, and
-    nu*(xbar) is the lift of xbar times the rows e_j z, ``az_rows`` (read-only).
-    The forms are ``algebra.sym_form`` and ``quotient.sym_form``.
+    nu*(xbar) is the lift of xbar times z.  The forms are
+    ``algebra.sym_form`` and ``quotient.sym_form``.
     """
 
     algebra: Algebra
     z: np.ndarray
     ideal: Subspace
     quotient: Algebra
-    az_rows: np.ndarray
+
+    @cached_property
+    def az_rows(self) -> np.ndarray:
+        """The rows e_j z, found on the first read and kept (read-only)."""
+        rows = self.algebra.right_products(self.z[None, :])[0]
+        rows.setflags(write=False)
+        return rows
 
     @property
     def az(self) -> Subspace:
@@ -163,12 +170,10 @@ def symmetric_quotient(algebra: Algebra, z) -> QuotientWitness:
     # lambda must be symmetrizing, which makes mu = lambda(. z) kill K(A)
     verify_symmetric(algebra)
     az_rows = algebra.right_products(z[None, :])[0]  # rows e_j z
-    az_rows.setflags(write=False)
     mu = f.matmul2(az_rows, algebra.sym_form.reshape(n, 1)).reshape(n)
     ideal, quotient = symmetrize(algebra, mu)
     return QuotientWitness(algebra, z, ideal,
-                           quotient.replace(name=(algebra.name or "A") + "/(Az)^perp"),
-                           az_rows)
+                           quotient.replace(name=(algebra.name or "A") + "/(Az)^perp"))
 
 
 @dataclass(frozen=True)

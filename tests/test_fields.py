@@ -256,7 +256,8 @@ def test_scalar_values_stay_python_numbers(field):
         assert type(a.multiplicative_order()) is int
 
 
-@pytest.mark.parametrize("bad", [np.int64(25), np.int64(-1), np.uint8(30)], ids=repr)
+@pytest.mark.parametrize("bad", [np.int64(25), np.int64(-1), np.uint8(30), np.uint64(2**63)],
+                         ids=repr)
 def test_numpy_ints_outside_the_field_are_refused(f25, bad):
     with pytest.raises(ScalarFormatError, match=r"outside \[0, 25\)"):
         f25.scalar(bad)

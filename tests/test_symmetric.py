@@ -206,9 +206,10 @@ def test_nustar_relations_trivial_and_m2():
 
 
 def test_quotient_witness_keeps_its_rows_e_j_z(monkeypatch):
-    # the rows e_j z are found once, by symmetric_quotient; Az and nu* read
-    # them.  A first check computes the substructures of A and A/I, which
-    # are kept per table; a second one then reaches no right product at all
+    # the witness finds the rows e_j z on their first read and keeps them;
+    # Az and nu* read them.  A first check also computes the substructures
+    # of A and A/I, which are kept per table; a second one then reaches no
+    # right product at all
     t = get("soc20_trivext")
     w = symmetric_quotient(t, t.one_element())
     assert not w.az_rows.flags.writeable
