@@ -3,18 +3,21 @@
 An Algebra is a finite-dimensional unital associative algebra given by its
 structure constants: c_ijk is the coefficient of e_k in e_i * e_j.  A table
 is mostly zero, so it is held as its nonzero constants alone (the entries:
-index arrays i, j, k in C order and the encoded values); ``Algebra(field,
-table, one)`` reads a dense n x n x n table once, and the constructions
-build entries directly.  Associativity and the unit law are always
-verified at construction.  Associativity is checked by joining the entries
-with each other: the terms c_ijk c_klm of (e_i e_j) e_l and c_jlr c_irm of
-e_i (e_j e_l) are summed per key (i, j, m, l), where m is the output
-coordinate.  The work is on the order of dim times the nonzero count,
-against dim^5 for the dense identity L(e_i e_j) = L(e_i) L(e_j).  That
-identity is indexed in the same order, so the first failing key names the
-triple a dense check would.  Everything downstream (centers, commutator
-spaces, ideal tests, annihilators, Loewy series) is exact linear algebra
-over the algebra's field, on systems built from the entries.
+index arrays i, j, k in C order and the encoded values).  Every table
+reaches its core by one path, ``core_of_terms``, from flat indexes
+(i n + j) n + k and the terms summed at each: ``Algebra(field, table,
+one)`` hands it the nonzero cells of a dense n x n x n table, read once,
+and the constructions and quotients the terms they compute.  Associativity
+and the unit law are always verified there.  Associativity is checked by
+joining the entries with each other: the terms c_ijk c_klm of (e_i e_j)
+e_l and c_jlr c_irm of e_i (e_j e_l) are summed per key (i, j, m, l),
+where m is the output coordinate.  The work is on the order of dim times
+the nonzero count, against dim^5 for the dense identity L(e_i e_j) =
+L(e_i) L(e_j).  That identity is indexed in the same order, so the first
+failing key names the triple a dense check would.  Everything downstream
+(centers, commutator spaces, ideal tests, annihilators, Loewy series) is
+exact linear algebra over the algebra's field, on systems built from the
+entries.
 
 Every product with the table is one contraction of the entries with
 rows, which keeps some of the indices (i, j, k) and sums over the others
@@ -30,9 +33,9 @@ entries, sorted by output column, with the distinct columns and the start
 of each column's run of entries; the terms, laid out (entries, rows), are
 summed per run by the field's ``a_sum_runs``, the one sum by key in the
 program (``sum_by_key`` finds the runs of a key array for the one-shot
-sums: the associativity join, the tables the constructions build and the
-trace functionals).  Most columns hold one entry, and a contraction whose
-columns all do keeps no run starts and needs no sum.
+sums: the associativity join, the tables ``core_of_terms`` builds and
+the trace functionals).  Most columns hold one entry, and a contraction
+whose columns all do keeps no run starts and needs no sum.
 
 An Algebra is a thin *view* over a *core* (hash-consing):
 
@@ -58,12 +61,13 @@ ends, so what is shared depends only on what the block builds, never on
 which algebras happen to be alive.  Outside a block every new table gets
 a core of its own.  A core keeps only cores made after it, and no view,
 so no core or view is ever in a reference cycle: each is freed as soon as
-the last reference to it goes.  A memo whose result is an older core (A/I_mu
-with I_mu = 0 has A's own table) is kept as a weak reference: it is
-recomputed once that core is gone, which inside a block it never is.  Both
-are immutable: the entries, unit and form are read-only arrays (a caller's
-writeable unit or form is copied, never aliased).  A different name or
-form means a new view of the same core, made by ``replace``.
+the last reference to it goes.  A memo whose result is an older core
+(A/I_mu with I_mu = 0 has A's own table) is kept as a weak reference: it
+is recomputed once that core is gone, which inside a block it never is.
+Both are immutable: the entries, unit and form are read-only arrays (a
+unit or form the caller could still write is copied, never aliased).  A
+different name or form means a new view of the same core, made by
+``replace``.
 """
 
 from __future__ import annotations
@@ -219,37 +223,15 @@ def _first_nonassociative_triple(core: "_Core"):
     return None
 
 
-def _read_only(field: FieldDescriptor, values, fresh: bool = False) -> np.ndarray:
-    """The encodings of ``values`` in an array nobody can write.
-
-    A construction's freshly built array of encodings (``fresh``) is frozen
-    in place; otherwise an input array the caller could still write is
-    copied, and a read-only one is shared.
-    """
-    if fresh and isinstance(values, np.ndarray) and values.dtype == field.dtype:
-        arr = values
-    else:
-        arr = field.arr(values)
-        if arr is values and arr.flags.writeable:
-            arr = arr.copy()
+def _read_only(field: FieldDescriptor, values) -> np.ndarray:
+    """The encodings of ``values`` (``field.arr``) in an array nobody can
+    write: an array the caller could still write is copied, and a read-only
+    one is shared."""
+    arr = field.arr(values)
+    if arr is values and arr.flags.writeable:
+        arr = arr.copy()
     arr.flags.writeable = False
     return arr
-
-
-def _entries(n: int, flat: np.ndarray, val: np.ndarray) -> tuple:
-    """The read-only entries (i, j, k, value) at sorted flat indexes
-    (i n + j) n + k of nonzero constants."""
-    ij, k = np.divmod(flat.astype(np.int64, copy=False), n)
-    entries = (*np.divmod(ij, n), k, val)
-    for arr in entries:
-        arr.flags.writeable = False
-    return entries
-
-
-def _dense_entries(field: FieldDescriptor, table: np.ndarray) -> tuple:
-    """The entries of an encoded dense n x n x n table, read once."""
-    flat = np.flatnonzero(table != field.zero_enc)
-    return _entries(table.shape[0], flat, table.reshape(-1)[flat])
 
 
 def sum_by_key(field: FieldDescriptor, keys: np.ndarray, terms: np.ndarray):
@@ -259,16 +241,6 @@ def sum_by_key(field: FieldDescriptor, keys: np.ndarray, terms: np.ndarray):
     if len(starts) == len(keys):
         return keys, terms
     return keys[starts], field.a_sum_runs(terms, starts)
-
-
-def _table_entries(field: FieldDescriptor, n: int, flat: np.ndarray, terms: np.ndarray) -> tuple:
-    """The entries of the n-dimensional table whose constant at flat index
-    (i n + j) n + k is the sum of the terms there: indexes may repeat and
-    come in any order, and a zero sum is no entry."""
-    order = np.argsort(flat)
-    flat, val = sum_by_key(field, flat[order], terms[order])
-    keep = val != field.zero_enc
-    return _entries(n, flat[keep], val[keep])
 
 
 def _difference_rows(f: FieldDescriptor, n: int, val: np.ndarray, plus, minus) -> np.ndarray:
@@ -421,16 +393,29 @@ def _digest(field: FieldDescriptor, entries: tuple, one: np.ndarray) -> int:
                  nz.tobytes(), tuple(one[nz])))
 
 
-def _core_of(field: FieldDescriptor, n: int, entries: tuple, one: np.ndarray) -> _Core:
-    """Inside an interning block, the block's core holding exactly these
-    entries and unit, if it has one.  Otherwise a new core, validated
-    (and, inside a block, interned).  Unequal tables whose hashes collide
-    never share a core: the entries are compared first."""
-    if _INTERNED is None:
-        core = _Core(field, n, entries, one)
-        _validate(core)
-        return core
-    cores = _INTERNED.setdefault((field._key(), n, _digest(field, entries, one)), [])
+def core_of_terms(field: FieldDescriptor, n: int, flat: np.ndarray, terms: np.ndarray,
+                  one: np.ndarray) -> _Core:
+    """The core of the n-dimensional table whose constant at each flat index
+    (i n + j) n + k is the sum of the terms there, with unit ``one``: the one
+    way from constants to a core, for dense input, files, constructions and
+    quotients alike.  Indexes may repeat and come in any order; they are
+    sorted, the terms at each are summed, a zero sum is no entry, and the
+    entries (i, j, k, value) are frozen.  The unit is ``_read_only``.
+    Inside an interning block the result is the block's core holding
+    exactly these entries and unit, if it has one; otherwise it is a new
+    core, validated (and, inside a block, interned).  Unequal tables whose
+    hashes collide never share a core: the entries are compared first."""
+    order = np.argsort(flat)
+    flat, val = sum_by_key(field, flat[order], terms[order])
+    keep = val != field.zero_enc
+    ij, k = np.divmod(flat[keep].astype(np.int64, copy=False), n)
+    entries = (*np.divmod(ij, n), k, val[keep])
+    for arr in entries:
+        arr.flags.writeable = False
+    one = _read_only(field, one)
+    # outside a block, a list of its own that nothing keeps
+    cores = [] if _INTERNED is None else _INTERNED.setdefault(
+        (field._key(), n, _digest(field, entries, one)), [])
     for core in cores:
         if core.holds(entries, one):
             return core
@@ -438,14 +423,6 @@ def _core_of(field: FieldDescriptor, n: int, entries: tuple, one: np.ndarray) ->
     _validate(core)
     cores.append(core)
     return core
-
-
-def core_of_terms(field: FieldDescriptor, n: int, flat: np.ndarray, terms: np.ndarray,
-                  one: np.ndarray) -> _Core:
-    """The core of the n-dimensional table whose constant at each flat index
-    (i n + j) n + k is the sum of the terms there (``_table_entries``), with
-    a freshly built unit: how the constructions make a table."""
-    return _core_of(field, n, _table_entries(field, n, flat, terms), _read_only(field, one, True))
 
 
 @memoised("is_ideal")
@@ -474,10 +451,11 @@ class Algebra:
             n = table.shape[0]
             if n == 0:
                 raise AlgebraValidationError("algebras here are unital, so dim >= 1")
-            one = _read_only(field, one)
+            one = field.arr(one)
             if one.size != n:
                 raise AlgebraValidationError(f"unit has {one.size} coordinates, expected {n}")
-            _core = _core_of(field, n, _dense_entries(field, table), one.reshape(n))
+            flat = np.flatnonzero(table != field.zero_enc)
+            _core = core_of_terms(field, n, flat, table.reshape(-1)[flat], one.reshape(n))
         n = _core.dim
         if labels is not None:
             labels = [str(s) for s in labels]
@@ -801,12 +779,12 @@ class AlgebraElement:
 
 
 def quotient_data(algebra: Algebra, ideal: Subspace):
-    """Complement-coordinate data of A / ideal.
-
-    Returns (entries, one), both freshly built.  The ideal must be a proper
-    two-sided ideal; the quotient is coordinatised by
-    ``ideal.quotient_coords`` on the non-pivot columns of the ideal's RREF
-    basis, which makes the construction canonical and deterministic.  Each
+    """Complement-coordinate data of A / ideal: (flat, terms, one), as every
+    construction hands a table to ``core_of_terms``; the quotient's
+    dimension is len(one).  The ideal must be a proper two-sided ideal; the
+    quotient is coordinatised by ``ideal.quotient_coords`` on the non-pivot
+    columns of the ideal's RREF basis, which makes the construction
+    canonical and deterministic.  Each
     constant c_ijk with i and j complement columns adds c_ijk nu(e_k) to
     e_i e_j, for the nonzero coordinates of nu(e_k).
     """
@@ -827,8 +805,7 @@ def quotient_data(algebra: Algebra, ideal: Subspace):
     t, b = _runs((np.cumsum(row_cnt) - row_cnt)[ek[e]], row_cnt[ek[e]])
     e = e[t]
     flat = (pos[ei[e]] * d + pos[ej[e]]) * d + nt[b]
-    entries = _table_entries(f, d, flat, f.a_mul(val[e], nu[nk[b], nt[b]]))
-    return entries, ideal.quotient_coords(algebra.one)[0]
+    return flat, f.a_mul(val[e], nu[nk[b], nt[b]]), ideal.quotient_coords(algebra.one)[0]
 
 
 @memoised("quotient")
@@ -837,8 +814,8 @@ def quotient_core(algebra: Algebra, ideal: Subspace) -> _Core:
     and built once per table and ideal; A/0 is A's own core."""
     if ideal.dim == 0:
         return algebra._core
-    entries, one = quotient_data(algebra, ideal)
-    return _core_of(algebra.field, len(one), entries, _read_only(algebra.field, one, True))
+    flat, terms, one = quotient_data(algebra, ideal)
+    return core_of_terms(algebra.field, len(one), flat, terms, one)
 
 
 def form_values(algebra: Algebra, forms: np.ndarray) -> np.ndarray:

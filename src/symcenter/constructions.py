@@ -358,11 +358,11 @@ def from_matrix_generators(field: FieldDescriptor, size: int, generators,
         labels = None
     stack = flats.reshape(d, size, size)
     prods = _matrix_products(field, stack, stack)
+    # the products and the identity in one solve: the last row is the unit
     try:
-        coeffs = express_in_rows(field, flats, prods)
-        one_coords = express_in_rows(field, flats, ident.reshape(1, amb))[0]
+        coeffs = express_in_rows(field, flats, np.concatenate([prods, ident.reshape(1, amb)]))
     except ValueError as exc:
         raise BasisClaimFailed(f"basis solve failed: {exc}") from None
-    flat = np.flatnonzero(coeffs != field.zero_enc)
+    flat = np.flatnonzero(coeffs[:-1] != field.zero_enc)
     return Algebra(field, None, None, labels=labels, name=name,
-                   _core=core_of_terms(field, d, flat, coeffs.reshape(-1)[flat], one_coords))
+                   _core=core_of_terms(field, d, flat, coeffs.reshape(-1)[flat], coeffs[-1]))

@@ -248,10 +248,7 @@ class FieldDescriptor:
         return np.zeros(shape, dtype=self.dtype)
 
     def eye(self, n: int) -> np.ndarray:
-        m = self.zeros((n, n))
-        for i in range(n):
-            m[i, i] = self.one_enc
-        return m
+        return np.eye(n, dtype=self.dtype)
 
     def a_add(self, a, b):
         raise NotImplementedError

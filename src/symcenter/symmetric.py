@@ -163,14 +163,12 @@ class QuotientWitness:
 def symmetric_quotient(algebra: Algebra, z) -> QuotientWitness:
     """A/(Az)^perp = A/I_mu for mu = lam(. z), with its verified
     symmetrizing form; its table is built once per table and mu."""
-    f, n = algebra.field, algebra.dim
     z = algebra._coords_of(z).copy()
     if not algebra.center().contains_vector(z):
         raise CentralityViolated("symmetric quotients require a central element")
-    # lambda must be symmetrizing, which makes mu = lambda(. z) kill K(A)
-    verify_symmetric(algebra)
-    az_rows = algebra.right_products(z[None, :])[0]  # rows e_j z
-    mu = f.matmul2(az_rows, algebra.sym_form.reshape(n, 1)).reshape(n)
+    # lambda must be symmetrizing, which makes mu = lambda(. z) kill K(A);
+    # z is central, so mu(e_j) = lambda(z e_j) = (z G)_j on the Gram matrix G
+    mu = algebra.field.matmul2(z[None, :], verify_symmetric(algebra))[0]
     ideal, quotient = symmetrize(algebra, mu)
     return QuotientWitness(algebra, z, ideal,
                            quotient.replace(name=(algebra.name or "A") + "/(Az)^perp"))

@@ -149,6 +149,14 @@ def dense_table(a):
     return table
 
 
+def dense_entries(field, table):
+    """The entries of an encoded dense n x n x n table, as a core holds
+    them: the index arrays i, j, k of its nonzero constants in C order and
+    their values."""
+    i, j, k = (table != field.zero_enc).nonzero()
+    return i, j, k, table[i, j, k]
+
+
 def reference_emit(alg):
     """The canonical file of an algebra, as ``json.dumps(indent=2)`` gives
     it from the nested document with its dense n x n x n table: the

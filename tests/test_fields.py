@@ -380,6 +380,19 @@ def test_qq_matmul2_zero_sizes_and_zero_operand():
     _assert_canonical_product(zero, huge)
 
 
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(7), gf25(), QQ], ids=repr)
+def test_eye_equals_the_identity_built_entry_by_entry(field):
+    want = field.zeros((4, 4))
+    for i in range(4):
+        want[i, i] = field.one_enc
+    got = field.eye(4)
+    assert got.dtype == want.dtype and got.flags.writeable
+    assert got.tolist() == want.tolist()
+    assert [type(v) for v in got.flat] == [type(v) for v in want.flat]
+    if field.dtype is object:
+        assert {type(v) for v in got.flat} == {int}
+
+
 def test_qq_entry_points_return_canonical_values():
     def canonical(*values):
         return all(type(v) is _qq_type(v) for v in values)

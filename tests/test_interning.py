@@ -23,10 +23,16 @@ import numpy as np
 import pytest
 
 from symcenter import GF, QQ, SkewPresentation, from_skew_presentation, gf25
-from symcenter import algebra, linalg, substructures
+from symcenter import algebra, constructions, linalg, substructures
 from symcenter.algebra import Algebra, interning, memoised
 from symcenter.analysis import analyze
-from symcenter.constructions import opposite, quotient, tensor, trivial_extension
+from symcenter.constructions import (
+    from_matrix_generators,
+    opposite,
+    quotient,
+    tensor,
+    trivial_extension,
+)
 from symcenter.corpus import get
 from symcenter.errors import (
     AlgebraMismatch,
@@ -47,7 +53,7 @@ from symcenter.suites import run_paper_suite
 from symcenter.symmetric import symmetric_quotient, symmetrize
 
 from conftest import CASES
-from oracles import dense_table
+from oracles import dense_entries, dense_table
 
 ROOT = CASES.parent
 
@@ -102,26 +108,69 @@ def test_replace_shares_the_table_and_unit(field):
 
 def _built(field, table, one, **view):
     """An algebra whose table is handed over as a construction hands one
-    over: its nonzero constants, kept as they are, and a fresh unit."""
+    over: the flat indexes of its nonzero constants, their values and the
+    unit."""
     flat = np.flatnonzero(table != field.zero_enc)
     core = algebra.core_of_terms(field, len(one), flat, table.reshape(-1)[flat], one)
     return Algebra(field, None, None, _core=core, **view)
 
 
-def test_a_construction_array_is_frozen_in_place_and_a_caller_array_copied():
+def test_a_caller_array_is_copied():
     f = GF(101)
     with interning():
-        one = f.arr([1, 0])
-        fresh = _built(f, _dual_table(f), one)
-        assert np.shares_memory(fresh.one, one) and not one.flags.writeable
+        built = _built(f, _dual_table(f), f.arr([1, 0]))
         table, one = _dual_table(f), f.arr([1, 0])
         copied = Algebra(f, table, one)
         # the table is read into entries, never aliased: writing it changes nothing
         assert not any(np.shares_memory(table, arr) for arr in copied.entries)
         table[1, 1, 0] = 1
         assert dense_table(copied).tolist() == _dual_table(f).tolist()
-    assert copied._core is fresh._core
+    assert copied._core is built._core
     assert not np.shares_memory(copied.one, one) and table.flags.writeable and one.flags.writeable
+
+
+def test_core_of_terms_leaves_a_caller_unit_as_it_is():
+    # a unit the caller could still write is copied, its flag untouched;
+    # a read-only one is shared
+    f = GF(101)
+    one = f.arr([1, 0])
+    a = _built(f, _dual_table(f), one)
+    assert one.flags.writeable and not a.one.flags.writeable
+    assert not np.shares_memory(a.one, one)
+    one[0] = 0
+    assert a.one.tolist() == [1, 0]
+    frozen = f.arr([1, 0])
+    frozen.flags.writeable = False
+    assert _built(f, _dual_table(f), frozen).one is frozen
+
+
+def test_every_table_reaches_its_core_through_one_core_of_terms_call(monkeypatch, g3):
+    calls = []
+    core_of_terms = algebra.core_of_terms
+
+    def counting(*args):
+        calls.append(args[1])
+        return core_of_terms(*args)
+
+    # the binding Algebra and quotient_core call, and the one the
+    # constructions imported
+    for module in (algebra, constructions):
+        monkeypatch.setattr(module, "core_of_terms", counting)
+    a = Algebra(g3, _dual_table(g3), [1, 0])
+    assert calls == [2]
+    builds = {
+        "tensor": lambda: tensor(a, a),
+        "trivial_extension": lambda: trivial_extension(a),
+        "opposite": lambda: opposite(a),
+        "quotient": lambda: quotient(a, linalg.Subspace.from_rows(g3, 2, [[0, 1]])),
+        "from_skew_presentation": lambda: from_skew_presentation(
+            g3, SkewPresentation.commuting([3])),
+        "from_matrix_generators": lambda: from_matrix_generators(
+            g3, 2, {"M": [[0, 1], [0, 0]]}),
+    }
+    for name, build in builds.items():
+        del calls[:]
+        assert [build().dim] == calls, name
 
 
 def test_equal_tables_share_one_core_and_its_facts_inside_a_block(g3):
@@ -221,8 +270,8 @@ def test_an_integral_fraction_is_read_as_its_int():
     as_frac = x_cubed_table(Fraction(2), Fraction(1))
     assert algebra.coords_key(QQ, as_int) == algebra.coords_key(QQ, as_frac)
     one_int, one_frac = np.array([1, 0, 0], dtype=object), np.array([Fraction(1), 0, 0], dtype=object)
-    assert (algebra._digest(QQ, algebra._dense_entries(QQ, as_int), one_int)
-            == algebra._digest(QQ, algebra._dense_entries(QQ, as_frac), one_frac))
+    assert (algebra._digest(QQ, dense_entries(QQ, as_int), one_int)
+            == algebra._digest(QQ, dense_entries(QQ, as_frac), one_frac))
     with interning():
         a = Algebra(QQ, as_int, one_int)
         b = _built(QQ, as_frac, one_frac, labels=["1", "x", "y"])

@@ -17,7 +17,7 @@ from oracles import dense_table, gf25_enc_add, gf25_enc_mul
 from test_validation import matrix_algebra_random_basis
 
 from symcenter import GF, QQ, SkewPresentation, Subspace, from_skew_presentation, gf25, kernel
-from symcenter.algebra import Algebra, form_gram, form_values, quotient_data
+from symcenter.algebra import Algebra, form_gram, form_values, quotient_core
 from symcenter.constructions import opposite, quotient, tensor, trivial_extension
 from symcenter.corpus import get
 from symcenter.errors import AlgebraValidationError
@@ -225,12 +225,12 @@ def test_quotient_tables_match_the_dense_reduction(algebra):
 
         want = [[nu(c[i][j]) for j in comp] for i in comp]
         assert dense_table(quotient(algebra, ideal)).tolist() == want
-        entries, one = quotient_data(algebra, ideal)
+        core = quotient_core(algebra, ideal)
         d = len(comp)
         dense = [[[zero] * d for _ in range(d)] for _ in range(d)]
-        for i, j, k, v in zip(*(x.tolist() for x in entries)):
+        for i, j, k, v in zip(*(x.tolist() for x in core.entries)):
             dense[i][j][k] = v
-        assert dense == want and one.tolist() == nu(algebra.one.tolist())
+        assert dense == want and core.one.tolist() == nu(algebra.one.tolist())
 
 
 def test_tensor_trivial_extension_and_opposite_match_dense_tables(algebra):

@@ -226,6 +226,27 @@ def test_quotient_witness_keeps_its_rows_e_j_z(monkeypatch):
     assert calls == []
 
 
+def test_symmetric_quotient_reads_mu_off_the_gram_matrix(monkeypatch):
+    # mu = lambda(. z) is z G for central z, read off the verified Gram
+    # matrix G: once the table's facts are kept, a symmetric quotient makes
+    # no right product
+    a = get("dim12_sharp")
+    z = a.monomial("M^2")
+    first = symmetric_quotient(a, z)
+    calls = []
+    right_products = Algebra.right_products
+
+    def counting(self, rows):
+        calls.append(self)
+        return right_products(self, rows)
+
+    monkeypatch.setattr(Algebra, "right_products", counting)
+    again = symmetric_quotient(a, z)
+    assert calls == []
+    assert again.ideal == first.ideal and again.quotient.same_table(first.quotient)
+    assert np.array_equal(again.quotient.sym_form, first.quotient.sym_form)
+
+
 def test_symmetric_quotient_lets_internal_check_errors_through(monkeypatch):
     # a fresh core, so the quotient's table is new and no radical of it is
     # known; each call returns a new quotient view with no certificate

@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 from conftest import CASES
-from oracles import dense_table
+from oracles import dense_entries, dense_table
 
 from symcenter import GF, QQ, SkewPresentation, from_skew_presentation, gf25
 from symcenter import algebra
@@ -26,7 +26,7 @@ from symcenter.linalg import rref_data
 def _unvalidated(field, table, one) -> Algebra:
     """A view of the table on a core of its own, never validated or interned."""
     table, one = field.arr(table), field.arr(one)
-    core = algebra._Core(field, len(table), algebra._dense_entries(field, table), one.reshape(-1))
+    core = algebra._Core(field, len(table), dense_entries(field, table), one.reshape(-1))
     return Algebra(field, None, None, _core=core)
 
 
