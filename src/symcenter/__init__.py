@@ -59,6 +59,7 @@ from .symmetric import (
     check_nustar_relations,
     perp,
     symmetric_gram,
+    symmetric_ideal,
     symmetric_quotient,
     symmetrize,
     verify_symmetric,
@@ -81,5 +82,6 @@ __all__ = [
     "annihilator_in_center", "is_basic", "is_local", "j_of_center",
     "property_verdicts", "radical", "reynolds", "soc_of_center", "socle",
     "QuotientWitness", "check_nustar_relations",
-    "perp", "symmetric_gram", "symmetric_quotient", "symmetrize", "verify_symmetric",
+    "perp", "symmetric_gram", "symmetric_ideal", "symmetric_quotient", "symmetrize",
+    "verify_symmetric",
 ]

@@ -43,7 +43,8 @@ An Algebra is a thin *view* over a *core* (hash-consing):
   validation, and every fact that depends on them alone -- the center,
   the commutator space, each contraction's grouping, the ideal test of
   each subspace, the certified J(A) and the facts derived from it, one
-  fact per form mu (I_mu, with the Gram matrix when I_mu = 0), and the
+  fact per form mu (I_mu, with the Gram matrix when I_mu = 0), one per
+  symmetrizing form and central z (I_mu and mu for mu = lambda(. z)), and the
   tables that the quotient, tensor and trivial-extension constructions
   built from this one (A/I once per ideal I, whichever route asks for
   it).  ``memoised(key)`` keeps a result there, once per further

@@ -7,7 +7,9 @@ must satisfy (P2).  The family combines
   (a) trivial extensions T(B) of commutative local truncated polynomial
       algebras B over GF(2) and GF(3),
   (b) symmetric quotients T(B)/(Tz)^perp of those (one per quotient
-      dimension and member, z running over a J(Z) basis),
+      dimension and member, z running over a J(Z) basis; dim I_mu is read
+      first, by ``symmetric_ideal``, and a quotient is built only for a
+      dimension not yet taken),
   (c) symmetric quotients of the corpus symmetric local algebras for every
       basis vector z of J(Z(A)), and
   (d) tensor products of pairs from (a) over the same field,
@@ -27,7 +29,7 @@ from .corpus import ENTRY_IDS, get
 from .errors import InternalCheckError
 from .fields import GF
 from .substructures import is_local, j_of_center
-from .symmetric import symmetric_gram, symmetric_quotient
+from .symmetric import symmetric_gram, symmetric_ideal, symmetric_quotient
 
 FAMILY_MAX_DIM = 16
 
@@ -99,12 +101,12 @@ def generate_symmetric_local_family() -> list[FamilyMember]:
         t = member.algebra
         dims_taken = set()
         for row in j_of_center(t).basis:
-            witness = symmetric_quotient(t, row)
-            q = witness.quotient
-            if q.dim in dims_taken:
+            dim = t.dim - symmetric_ideal(t, row)[0].dim
+            if dim in dims_taken:
                 continue
-            dims_taken.add(q.dim)
-            _admit(members, FamilyMember(f"{member.member_id}/dim{q.dim}", q))
+            dims_taken.add(dim)
+            q = symmetric_quotient(t, row).quotient
+            _admit(members, FamilyMember(f"{member.member_id}/dim{dim}", q))
     for entry_id in symmetric_local_corpus_ids():
         a = get(entry_id)
         for idx, row in enumerate(j_of_center(a).basis):

@@ -17,10 +17,14 @@ with the Gram matrix when I_mu = 0, so every view of the table with an
 equal form shares it.  ``verify_symmetric`` accepts lambda when I_lambda = 0
 and ``symmetrize`` reads I_mu there, so A/(A 1)^perp of a verified form
 reduces no Gram matrix again.  The table of A/I_mu is built once per
-ideal, by ``quotient_core``, however many forms share the ideal.  Each call
-still returns a new quotient view, ``replace`` of ``constructions.quotient``
-with its own name and form, and ``symmetric_quotient`` a new
-QuotientWitness.
+ideal, by ``quotient_core``, however many forms share the ideal.
+
+Each z is taken once per (table, form, z): ``symmetric_ideal`` keeps I_mu
+with mu = lambda(. z) on the table's core, keyed by the coordinates of the
+view's form and of z, after the centrality test and the check of lambda,
+and reads I_mu from ``_form``.  Each call of ``symmetrize`` or
+``symmetric_quotient`` still builds one new quotient view, with its own
+name and form, and ``symmetric_quotient`` a new QuotientWitness.
 """
 
 from __future__ import annotations
@@ -30,8 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import constructions
-from .algebra import Algebra, form_gram, memoised
+from .algebra import Algebra, form_gram, memoised, quotient_core
 from .errors import (
     CentralityViolated,
     Degenerate,
@@ -93,15 +96,24 @@ def symmetrize(algebra: Algebra, mu) -> tuple[Subspace, Algebra]:
     kills K(A); raises NotSymmetricForm when mu(e_i e_j) is not symmetric."""
     mu = algebra._coords_of(mu)
     ideal = _form(algebra, mu)[1]
-    quotient = constructions.quotient(algebra, ideal).replace(
-        name=f"({algebra.name or 'A'})/I_mu", sym_form=mu[ideal.complement_columns()])
+    return ideal, _quotient_view(algebra, ideal, mu, f"({algebra.name or 'A'})/I_mu")
+
+
+def _quotient_view(algebra: Algebra, ideal: Subspace, mu: np.ndarray, name: str) -> Algebra:
+    """One new view of A/I_mu (``quotient_core``), named ``name``, with the
+    labels and the induced form mu on the complement columns; raises
+    InternalCheckError unless that form is symmetrizing."""
+    comp = ideal.complement_columns()
+    labels = None if algebra.labels is None else [algebra.labels[c] for c in comp]
+    quotient = Algebra(algebra.field, None, None, labels=labels, sym_form=mu[comp],
+                       name=name, _core=quotient_core(algebra, ideal))
     try:
         symmetric_gram(quotient)
     except (NotSymmetricForm, Degenerate) as exc:
         raise InternalCheckError(
             f"symmetric quotient lost its form, which cannot happen: {exc}"
         ) from exc
-    return ideal, quotient
+    return quotient
 
 
 @dataclass(frozen=True)
@@ -160,18 +172,33 @@ class QuotientWitness:
         return rank(f, self.nu_star_rows(f.eye(d))) == d
 
 
-def symmetric_quotient(algebra: Algebra, z) -> QuotientWitness:
-    """A/(Az)^perp = A/I_mu for mu = lam(. z), with its verified
-    symmetrizing form; its table is built once per table and mu."""
-    z = algebra._coords_of(z).copy()
+@memoised("symmetric ideal")
+def _symmetric_ideal(algebra: Algebra, form, z: np.ndarray) -> tuple[Subspace, np.ndarray]:
+    """(I_mu, mu) for the view's form (``form``, keying the memo) and z."""
     if not algebra.center().contains_vector(z):
         raise CentralityViolated("symmetric quotients require a central element")
     # lambda must be symmetrizing, which makes mu = lambda(. z) kill K(A);
     # z is central, so mu(e_j) = lambda(z e_j) = (z G)_j on the Gram matrix G
     mu = algebra.field.matmul2(z[None, :], verify_symmetric(algebra))[0]
-    ideal, quotient = symmetrize(algebra, mu)
-    return QuotientWitness(algebra, z, ideal,
-                           quotient.replace(name=(algebra.name or "A") + "/(Az)^perp"))
+    mu.setflags(write=False)
+    return _form(algebra, mu)[1], mu
+
+
+def symmetric_ideal(algebra: Algebra, z) -> tuple[Subspace, np.ndarray]:
+    """I_mu = (Az)^perp and mu = lam(. z) (read-only) for central z, computed
+    once per table, form and z; raises unless z is central and the
+    algebra's form is symmetrizing."""
+    return _symmetric_ideal(algebra, algebra.sym_form, algebra._coords_of(z))
+
+
+def symmetric_quotient(algebra: Algebra, z) -> QuotientWitness:
+    """A/(Az)^perp = A/I_mu for mu = lam(. z), with its verified
+    symmetrizing form: a new view per call of a table built once per
+    table and I_mu."""
+    z = algebra._coords_of(z).copy()
+    ideal, mu = symmetric_ideal(algebra, z)
+    return QuotientWitness(algebra, z, ideal, _quotient_view(
+        algebra, ideal, mu, (algebra.name or "A") + "/(Az)^perp"))
 
 
 @dataclass(frozen=True)

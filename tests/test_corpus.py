@@ -1,7 +1,11 @@
 """Corpus suites, lemma checkers and the family generator."""
 
+import hashlib
+
 import pytest
 
+import symcenter.family as family
+from symcenter.algebra import interning
 from symcenter.corpus import ENTRY_IDS, get
 from symcenter.errors import UnknownCase
 from symcenter.family import (
@@ -12,7 +16,7 @@ from symcenter.family import (
 from symcenter.lemmas import LEMMA_IDS
 from symcenter.substructures import is_local
 from symcenter.suites import SUITES, run_paper_suite
-from symcenter.symmetric import symmetric_gram
+from symcenter.symmetric import symmetric_gram, symmetric_quotient
 
 
 def _corpus_results():
@@ -78,6 +82,39 @@ def test_family_generation():
     for m in fam:
         assert symmetric_gram(m.algebra) is not None
         assert is_local(m.algebra)
+
+
+# the member ids, joined by newlines, and the dimension histogram of the
+# family when source (b) built a quotient for every z: reading dim I_mu
+# first must leave both as they were
+_FAMILY_IDS_SHA256 = "ef85f677140bc81b0fd831f2ea44d00f60bd8a408108773fb0dab95eb0fe3d56"
+_FAMILY_HISTOGRAM = {1: 27, 2: 32, 3: 19, 4: 27, 5: 8, 6: 16, 7: 4, 8: 23, 9: 3, 10: 8,
+                     12: 12, 14: 4, 16: 12}
+
+
+def test_family_builds_one_quotient_per_source_b_member(monkeypatch):
+    # source (b) reads dim I_mu first and builds a quotient only for a
+    # dimension it has not taken: 136 quotients of the T(B), one per member
+    # it keeps (one per z would be 224).  Source (c) is not counted: _admit
+    # drops its quotients of dimension above 16 once built
+    calls = []
+
+    def counting(algebra, z):
+        calls.append(algebra.name)
+        return symmetric_quotient(algebra, z)
+
+    monkeypatch.setattr(family, "symmetric_quotient", counting)
+    family._truncated_polynomial_base.cache_clear()
+    family.generate_symmetric_local_family.cache_clear()
+    with interning():
+        members = generate_symmetric_local_family()
+    ids = [m.member_id for m in members]
+    source_b = [i for i in ids if i.startswith("T(B_") and "/dim" in i]
+    assert len(source_b) == 136
+    # source (c) takes the corpus entries, whose names do not start "T(B_"
+    assert sum(name.startswith("T(B_") for name in calls) == len(source_b)
+    assert hashlib.sha256("\n".join(ids).encode()).hexdigest() == _FAMILY_IDS_SHA256
+    assert dimension_histogram(members) == _FAMILY_HISTOGRAM
 
 
 def test_commutative_local_bases_are_commutative_local():

@@ -22,12 +22,13 @@ from symcenter.errors import (
     NotSymmetricForm,
     ScalarFormatError,
 )
-from symcenter.linalg import kernel, random_subspace, subspace_intersect, subspace_sum
+from symcenter.linalg import Subspace, kernel, random_subspace, subspace_intersect, subspace_sum
 from symcenter.substructures import j_of_center, radical, socle
 from symcenter.symmetric import (
     check_nustar_relations,
     perp,
     symmetric_gram,
+    symmetric_ideal,
     symmetric_quotient,
     symmetrize,
     verify_symmetric,
@@ -297,10 +298,29 @@ def _same_quotient(w1, w2) -> bool:
     return w1.quotient._core is w2.quotient._core and w1.ideal == w2.ideal
 
 
-def test_symmetric_quotient_is_built_once_per_z():
+def test_symmetric_quotient_is_built_once_per_z(monkeypatch):
+    # I_mu is found once per (table, form, z): a second call on the same
+    # view and z tests the centrality of z no more; each call builds one view
     a = get("dim12_sharp").replace(name="dim12_sharp, another view")
     z = a.monomial("M^2")
+    tests, views = [], []
+    contains_vector, init = Subspace.contains_vector, Algebra.__init__
+
+    def counting_test(self, v):
+        tests.append(self)
+        return contains_vector(self, v)
+
+    def counting_init(self, *args, **kwargs):
+        views.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Subspace, "contains_vector", counting_test)
+    monkeypatch.setattr(Algebra, "__init__", counting_init)
     w = symmetric_quotient(a, z)
+    assert len(views) == 1
+    first = len(tests)
+    assert _same_quotient(symmetric_quotient(a, z), w)
+    assert len(tests) == first and len(views) == 2
     assert _same_quotient(symmetric_quotient(a, z.coords.copy()), w)
     assert _same_quotient(symmetric_quotient(a, a.element(z.coords.copy())), w)
     assert not _same_quotient(symmetric_quotient(a, a.monomial("M^6")), w)
@@ -434,7 +454,7 @@ def test_symmetric_quotient_is_the_perp_of_az(entry):
     f, n = a.field, a.dim
     for z in [a.one, *j_of_center(a).basis]:
         w = symmetric_quotient(a, z)
-        assert w.ideal == perp(a, w.az)
+        assert symmetric_ideal(a, z)[0] == w.ideal == perp(a, w.az)
         # lambda_bar(e_c + I) = lambda(e_c z) on the complement columns c
         comp = w.ideal.complement_columns()
         ez = a.right_products(z[None, :])[0]
