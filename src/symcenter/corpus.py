@@ -58,6 +58,11 @@ class SuiteResult:
     claims: list
     elapsed: float = 0.0
 
+    def check(self, cid: str, tag: str, ok: bool, witness: str | None = None):
+        self.claims.append(
+            ClaimResult(f"{self.suite_id}/{cid}", bool(ok), tag, witness)
+        )
+
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.claims)
@@ -66,23 +71,13 @@ class SuiteResult:
         return [c for c in self.claims if not c.passed]
 
 
-class ClaimSink:
-    def __init__(self, suite_id: str):
-        self.suite_id = suite_id
-        self.claims: list[ClaimResult] = []
-
-    def check(self, cid: str, tag: str, ok: bool, witness: str | None = None):
-        self.claims.append(
-            ClaimResult(f"{self.suite_id}/{cid}", bool(ok), tag, witness)
-        )
-
-
 def run_suite(suite_id: str, body) -> SuiteResult:
-    """Run one suite body ``body(sink)`` on a fresh sink and time it."""
-    sink = ClaimSink(suite_id)
+    """Run one suite body ``body(sink)`` on a new empty result, timed."""
+    sink = SuiteResult(suite_id, [])
     t0 = time.perf_counter()
     body(sink)
-    return SuiteResult(suite_id, sink.claims, time.perf_counter() - t0)
+    sink.elapsed = time.perf_counter() - t0
+    return sink
 
 
 # -- generator matrices, copied digit for digit (dots are zeros) ----------------
@@ -267,8 +262,7 @@ def get(name: str) -> Algebra:
 
 
 def _monomial_span(a: Algebra, labels) -> Subspace:
-    rows = np.stack([a.monomial(s).coords for s in labels], axis=0)
-    return Subspace.from_rows(a.field, a.dim, rows)
+    return _element_span(a, [a.monomial(s) for s in labels])
 
 
 def _element_span(a: Algebra, elements) -> Subspace:
@@ -276,7 +270,7 @@ def _element_span(a: Algebra, elements) -> Subspace:
     return Subspace.from_rows(a.field, a.dim, rows)
 
 
-def suite_firstexample(sink: ClaimSink):
+def suite_firstexample(sink: SuiteResult):
     a = get("firstexample_i")
     sink.check("dim_27", "PAPER", a.dim == 27)
     cert = radical(a)
@@ -299,7 +293,7 @@ def suite_firstexample(sink: ClaimSink):
                symmetric_gram(a) is not None)
 
 
-def suite_matn(sink: ClaimSink):
+def suite_matn(sink: SuiteResult):
     a = get("matn")
     sink.check("semisimple_j_zero", "DERIVED", radical(a).radical.dim == 0)
     v = property_verdicts(a)
@@ -312,7 +306,7 @@ def suite_matn(sink: ClaimSink):
     sink.check("not_basic", "TRIVIAL", not is_basic(a))
 
 
-def suite_counterexample_A(sink: ClaimSink):
+def suite_counterexample_A(sink: SuiteResult):
     a = get("counterexample_A")
     sink.check("dim_50", "PAPER", a.dim == 50)
     q = element_of_order(a.field, 24)
@@ -328,7 +322,7 @@ def suite_counterexample_A(sink: ClaimSink):
                jz == socz and socz == s and a.is_ideal(s))
 
 
-def suite_counterexample_B(sink: ClaimSink):
+def suite_counterexample_B(sink: SuiteResult):
     b = get("counterexample_B")
     sink.check("dim_8", "PAPER", b.dim == 8)
     jz = j_of_center(b)
@@ -351,7 +345,7 @@ def suite_counterexample_B(sink: ClaimSink):
                bq.same_table(b))
 
 
-def suite_mat2_dual(sink: ClaimSink):
+def suite_mat2_dual(sink: SuiteResult):
     t = get("mat2_dual_numbers")
     m2, dual = get("matn"), get("dual_gf3")
     sink.check("dim_8", "TRIVIAL", t.dim == m2.dim * dual.dim)
@@ -366,7 +360,7 @@ def suite_mat2_dual(sink: ClaimSink):
                vt.p3.holds == (v1.p3.holds and v2.p3.holds))
 
 
-def suite_dim12(sink: ClaimSink):
+def suite_dim12(sink: SuiteResult):
     f = GF(3)
     m = f.arr(grid(_DIM12_M))
     n = f.arr(grid(_DIM12_N))
@@ -406,7 +400,7 @@ def suite_dim12(sink: ClaimSink):
     sink.check("perp_J_eq_soc", "PAPER", perp(a, j) == socle(a))
 
 
-def suite_soc20(sink: ClaimSink):
+def suite_soc20(sink: SuiteResult):
     f = GF(2)
     m = f.arr(grid(_SOC20_M))
     n10 = f.arr(grid(_SOC20_N))
@@ -452,7 +446,7 @@ def suite_soc20(sink: ClaimSink):
     sink.check("predict_p2T_false", "PAPER", not crit.p2_prediction)
 
 
-def suite_soc20_trivext(sink: ClaimSink):
+def suite_soc20_trivext(sink: SuiteResult):
     t = get("soc20_trivext")
     sink.check("dim_20", "PAPER", t.dim == 20)
     v = property_verdicts(t)

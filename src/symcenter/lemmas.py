@@ -1,7 +1,7 @@
 """Instance checkers for the structural identities, one suite body each.
 
-``CHECKERS`` maps each lemma id to a body ``f(sink)`` that only adds
-claims; ``suites.run_paper_suite`` runs it as suite ``lemma/<id>``.  Every
+``CHECKERS`` maps each lemma id to a body ``f(sink)`` that adds its claims
+to the ``SuiteResult`` it is handed, as suite ``lemma/<id>``.  Every
 checker runs over its whole fixed scope (corpus entries, fixed tensor
 pairs, fixed trivial-extension bases, or the generated family), uses the
 fixed seed 0x5EED for any sampling, and reports one claim per (identity,
@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import Algebra
 from .constructions import quotient, tensor, trivial_extension, trivext_criteria
-from .corpus import ENTRY_IDS, ClaimSink, get
+from .corpus import ENTRY_IDS, SuiteResult, get
 from .family import (
     commutative_local_bases,
     generate_symmetric_local_family,
@@ -136,7 +136,7 @@ def _trivext_family_sample() -> list[tuple[str, Algebra]]:
 # -- the checkers -----------------------------------------------------------------
 
 
-def _check_commutatorsmallestideal(sink: ClaimSink):
+def _check_commutatorsmallestideal(sink: SuiteResult):
     for entry in ENTRY_IDS:
         a = get(entry)
         k = a.commutator_space()
@@ -171,7 +171,7 @@ def _check_commutatorsmallestideal(sink: ClaimSink):
         sink.check(f"K_of_quotient_formula/{entry}", "PAPER", ok_quot)
 
 
-def _check_condsocleprod(sink: ClaimSink):
+def _check_condsocleprod(sink: SuiteResult):
     for entry in ENTRY_IDS:
         a = get(entry)
         z = a.center()
@@ -190,14 +190,14 @@ def _check_condsocleprod(sink: ClaimSink):
         sink.check(f"verdict_cross_check/{entry}", "PAPER", True)
 
 
-def _check_raidealnecessary(sink: ClaimSink):
+def _check_raidealnecessary(sink: SuiteResult):
     for entry in ENTRY_IDS:
         v = property_verdicts(get(entry))
         sink.check(f"p2_implies_p3/{entry}", "PAPER",
                    (not v.p2.holds) or v.p3.holds)
 
 
-def _check_socinj(sink: ClaimSink):
+def _check_socinj(sink: SuiteResult):
     for entry in _local_entries():
         a = get(entry)
         if a.dim >= 2:
@@ -208,7 +208,7 @@ def _check_socinj(sink: ClaimSink):
                    (not v.p1.holds) or v.p2.holds)
 
 
-def _check_soctensor(sink: ClaimSink):
+def _check_soctensor(sink: SuiteResult):
     for ida, idb in TENSOR_PAIR_IDS:
         pair = f"{ida}(x){idb}"
         a1, a2 = get(ida), get(idb)
@@ -219,7 +219,7 @@ def _check_soctensor(sink: ClaimSink):
                    reynolds(t) == subspace_tensor(reynolds(a1), reynolds(a2)))
 
 
-def _check_idealtensor(sink: ClaimSink):
+def _check_idealtensor(sink: SuiteResult):
     rng = _rng(sink.suite_id)
     for ida, idb in TENSOR_PAIR_IDS:
         pair = f"{ida}(x){idb}"
@@ -245,7 +245,7 @@ def _check_idealtensor(sink: ClaimSink):
         sink.check(f"ideal_iff_both/{pair}", "PAPER", ok)
 
 
-def _check_jacobsontensorproduct(sink: ClaimSink):
+def _check_jacobsontensorproduct(sink: SuiteResult):
     for ida, idb in TENSOR_PAIR_IDS:
         pair = f"{ida}(x){idb}"
         v1 = property_verdicts(get(ida))
@@ -257,7 +257,7 @@ def _check_jacobsontensorproduct(sink: ClaimSink):
                    vt.p3.holds == (v1.p3.holds and v2.p3.holds))
 
 
-def _check_propertiesperp(sink: ClaimSink):
+def _check_propertiesperp(sink: SuiteResult):
     for entry in _symmetric_entries():
         a = get(entry)
         rng = _rng(sink.suite_id + entry)
@@ -297,7 +297,7 @@ def _check_propertiesperp(sink: ClaimSink):
                    perp(a, a.commutator_space()) == a.center())
 
 
-def _check_reynoldsbasic(sink: ClaimSink):
+def _check_reynoldsbasic(sink: SuiteResult):
     for entry in _symmetric_entries():
         a = get(entry)
         v = property_verdicts(a)
@@ -308,7 +308,7 @@ def _check_reynoldsbasic(sink: ClaimSink):
                        reynolds(a) == socle(a))
 
 
-def _check_idealsymmetricalternative(sink: ClaimSink):
+def _check_idealsymmetricalternative(sink: SuiteResult):
     for entry in _symmetric_entries():
         a = get(entry)
         v = property_verdicts(a)
@@ -320,17 +320,13 @@ def _check_idealsymmetricalternative(sink: ClaimSink):
             rhs1 = q1.is_ideal(q1.commutator_space())
         sink.check(f"p1_iff_K_ideal_mod_soc/{entry}", "PAPER",
                    v.p1.holds == rhs1)
-        ajz = a.subspace_product(a.full_space(), j_of_center(a))
-        if ajz.dim == 0:
-            rhs2 = a.is_ideal(a.commutator_space())
-        else:
-            q2 = quotient(a, ajz)
-            rhs2 = q2.is_ideal(q2.commutator_space())
+        q2 = quotient(a, a.subspace_product(a.full_space(), j_of_center(a)))
+        rhs2 = q2.is_ideal(q2.commutator_space())
         sink.check(f"p2_iff_K_ideal_mod_AJZ/{entry}", "PAPER",
                    v.p2.holds == rhs2)
 
 
-def _check_remark_ka(sink: ClaimSink):
+def _check_remark_ka(sink: SuiteResult):
     for entry in _symmetric_entries():
         a = get(entry)
         sink.check(f"K_ideal_iff_commutative/{entry}", "PAPER",
@@ -350,19 +346,18 @@ def _witness_samples():
     return out
 
 
-def _check_quotientalgebrasymmetric(sink: ClaimSink):
+def _check_quotientalgebrasymmetric(sink: SuiteResult):
     for wid, w in _witness_samples():
         a = w.algebra
         f = a.field
         # lambda_bar(nu(e_i)) == lambda(e_i z) for every basis vector
         proj = w.ideal.quotient_coords(f.eye(a.dim))
         lhs = f.matmul2(proj, w.quotient.sym_form.reshape(-1, 1)).reshape(a.dim)
-        ez = a.right_products(w.z[None, :])[0]
-        rhs = f.matmul2(ez, a.sym_form.reshape(-1, 1)).reshape(a.dim)
+        rhs = f.matmul2(w.az_rows, a.sym_form.reshape(-1, 1)).reshape(a.dim)
         sink.check(f"form_is_lambda_az/{wid}", "PAPER", bool(np.all(lhs == rhs)))
 
 
-def _check_propnustar(sink: ClaimSink):
+def _check_propnustar(sink: SuiteResult):
     for wid, w in _witness_samples():
         a, q = w.algebra, w.quotient
         f = a.field
@@ -382,7 +377,7 @@ def _check_propnustar(sink: ClaimSink):
         sink.check(f"injective/{wid}", "PAPER", w.nu_star_injective())
 
 
-def _check_nustar_relations(sink: ClaimSink):
+def _check_nustar_relations(sink: SuiteResult):
     for wid, w in _witness_samples():
         rep = check_nustar_relations(w)
         sink.check(f"center_image/{wid}", "PAPER", rep.center_image_equal)
@@ -391,11 +386,12 @@ def _check_nustar_relations(sink: ClaimSink):
         sink.check(f"socz_image/{wid}", "PAPER", rep.socz_image_contained)
 
 
+def _symmetric_algebras():
+    return [(entry, get(entry)) for entry in _symmetric_entries()] + _derived_symmetric_locals()
+
+
 def _heredity_algebras():
-    out = [(entry, get(entry)) for entry in _symmetric_entries()]
-    out += _derived_symmetric_locals()
-    out += _trivext_family_sample()
-    return out
+    return _symmetric_algebras() + _trivext_family_sample()
 
 
 def _z_samples(a: Algebra, rng) -> list:
@@ -411,31 +407,29 @@ def _z_samples(a: Algebra, rng) -> list:
     return rows
 
 
-def _check_prop_quotientalgebra(sink: ClaimSink):
+def _check_prop_quotientalgebra(sink: SuiteResult):
     for name, a in _heredity_algebras():
         v = property_verdicts(a)
-        rng = _rng(sink.suite_id + name)
-        zs = _z_samples(a, rng)
-        if v.p1.holds:
-            ok = True
-            for vec in zs:
-                w = symmetric_quotient(a, vec)
-                ok = ok and property_verdicts(w.quotient).p1.holds
-            sink.check(f"p1_heredity/{name}", "PAPER", ok)
-        if v.p2.holds:
-            ok = True
-            for vec in zs:
-                w = symmetric_quotient(a, vec)
-                qq = w.quotient
+        if not (v.p1.holds or v.p2.holds):
+            continue
+        p1_ok = p2_ok = True
+        for vec in _z_samples(a, _rng(sink.suite_id + name)):
+            w = symmetric_quotient(a, vec)
+            qq = w.quotient
+            if v.p1.holds:
+                p1_ok = p1_ok and property_verdicts(qq).p1.holds
+            if v.p2.holds:
                 image = Subspace.from_rows(qq.field, qq.dim,
                                            w.ideal.quotient_coords(j_of_center(a).basis))
                 ann = annihilator_in_center(qq, image)
-                ok = ok and qq.is_ideal(ann)
-                ok = ok and property_verdicts(qq).p2.holds
-            sink.check(f"p2_heredity/{name}", "PAPER", ok)
+                p2_ok = p2_ok and qq.is_ideal(ann) and property_verdicts(qq).p2.holds
+        if v.p1.holds:
+            sink.check(f"p1_heredity/{name}", "PAPER", p1_ok)
+        if v.p2.holds:
+            sink.check(f"p2_heredity/{name}", "PAPER", p2_ok)
 
 
-def _check_aicommutative_instance(sink: ClaimSink):
+def _check_aicommutative_instance(sink: SuiteResult):
     for name, a in _heredity_algebras():
         if not is_local(a) or not property_verdicts(a).p1.holds:
             continue
@@ -452,7 +446,7 @@ def _check_aicommutative_instance(sink: ClaimSink):
         )
 
 
-def _check_subspacest(sink: ClaimSink):
+def _check_subspacest(sink: SuiteResult):
     for entry in TRIVEXT_BASE_IDS:
         a = get(entry)
         t = trivial_extension(a)
@@ -479,7 +473,7 @@ def _check_subspacest(sink: ClaimSink):
                    reynolds(t) == subspace_direct_sum(zero, kernel(f, kj.basis)))
 
 
-def _check_soctaideal(sink: ClaimSink):
+def _check_soctaideal(sink: SuiteResult):
     for entry in TRIVEXT_BASE_IDS:
         a = get(entry)
         t = trivial_extension(a)
@@ -491,7 +485,7 @@ def _check_soctaideal(sink: ClaimSink):
                    crit.p2_prediction == vt.p2.holds)
 
 
-def _check_remark_after_soctaideal(sink: ClaimSink):
+def _check_remark_after_soctaideal(sink: SuiteResult):
     for entry in TRIVEXT_BASE_IDS:
         a = get(entry)
         if symmetric_gram(a) is None:
@@ -507,7 +501,7 @@ def _symmetric_local_algebras():
     return out
 
 
-def _check_propertiessymmetriclocal(sink: ClaimSink):
+def _check_propertiessymmetriclocal(sink: SuiteResult):
     for name, a in _symmetric_local_algebras():
         soc = socle(a)
         sink.check(f"soc_dim_1/{name}", "PAPER", soc.dim == 1)
@@ -520,7 +514,7 @@ def _check_propertiessymmetriclocal(sink: ClaimSink):
                    a.dim == 1 or chain[len(chain) - 2] == soc)
 
 
-def _check_chlz(sink: ClaimSink):
+def _check_chlz(sink: SuiteResult):
     for entry in _local_entries():
         a = get(entry)
         chain = a.radical_powers(radical(a).radical)
@@ -539,10 +533,8 @@ def _check_chlz(sink: ClaimSink):
             sink.check(f"symmetric_previous_power_central/{entry}", "PAPER", ok_sym)
 
 
-def _check_centerdim3greater(sink: ClaimSink):
-    algebras = [(entry, get(entry)) for entry in _symmetric_entries()]
-    algebras += _derived_symmetric_locals()
-    for name, a in algebras:
+def _check_centerdim3greater(sink: SuiteResult):
+    for name, a in _symmetric_algebras():
         if a.is_commutative():
             continue
         sink.check(f"dim_gap/{name}", "PAPER", a.dim >= a.center().dim + 3)
@@ -555,7 +547,7 @@ def _kultheob_algebras():
     return out
 
 
-def _check_kultheob(sink: ClaimSink):
+def _check_kultheob(sink: SuiteResult):
     small_center_comm = True
     center5_ok = True
     checked = 0
@@ -588,13 +580,19 @@ def _dim9_algebras():
     return [(n, a) for n, a in out if a.dim <= 9 and is_local(a)]
 
 
-def _check_dim9_trivext_lemma(sink: ClaimSink):
+def dim9_statement(a: Algebra) -> tuple[bool, bool, bool]:
+    """(I ideal, S ideal, T(a) has (P2)): the dim <= 9 statement, for both suites."""
+    crit = trivext_criteria(a)
+    return (crit.i_is_ideal, crit.s_is_ideal,
+            property_verdicts(trivial_extension(a)).p2.holds)
+
+
+def _check_dim9_trivext_lemma(sink: SuiteResult):
     for name, a in _dim9_algebras():
-        crit = trivext_criteria(a)
-        sink.check(f"I_is_ideal/{name}", "PAPER", crit.i_is_ideal)
-        sink.check(f"S_is_ideal/{name}", "PAPER", crit.s_is_ideal)
-        t = trivial_extension(a)
-        sink.check(f"p2_of_T/{name}", "PAPER", property_verdicts(t).p2.holds)
+        i_ok, s_ok, p2_ok = dim9_statement(a)
+        sink.check(f"I_is_ideal/{name}", "PAPER", i_ok)
+        sink.check(f"S_is_ideal/{name}", "PAPER", s_ok)
+        sink.check(f"p2_of_T/{name}", "PAPER", p2_ok)
 
 
 CHECKERS = {

@@ -1,9 +1,10 @@
 """Orchestration of the full verification run: corpus, lemmas, family sweep.
 
-Every suite is a body ``f(sink)`` that only adds claims.  ``SUITES`` lists
-them in their fixed output order (corpus entries, then lemma suites, then
-the family sweep) and ``run_paper_suite`` runs the selected ones through
-``corpus.run_suite``, the one place that times a suite.  It runs them in
+Every suite is a body ``f(sink)`` that adds its claims to the
+``SuiteResult`` it is handed.  ``SUITES`` lists them in their fixed output
+order (corpus entries, then lemma suites, then the family sweep) and
+``run_paper_suite`` runs the selected ones through ``corpus.run_suite``,
+which hands each body its result and times it.  It runs them in
 one interning block, so a table the run builds twice is validated and
 analysed once.  Selecting by case (``--case`` on the command line) is the
 one way to run part of the table.  Every random draw is seeded, so two
@@ -15,8 +16,7 @@ from __future__ import annotations
 from . import corpus, lemmas
 from .algebra import interning
 from .analysis import SCHEMA_VERSION
-from .constructions import trivial_extension, trivext_criteria
-from .corpus import ClaimSink, SuiteResult, run_suite
+from .corpus import SuiteResult, run_suite
 from .errors import UnknownCase
 from .family import (
     FAMILY_MAX_DIM,
@@ -29,7 +29,7 @@ from .substructures import property_verdicts
 FAMILY_MIN_SIZE = 30
 
 
-def _family_suite(sink: ClaimSink):
+def _family_suite(sink: SuiteResult):
     """The dimension-bound sweep over the generated symmetric local family."""
     members = generate_symmetric_local_family()
     sink.check("size_ge_30", "DERIVED", len(members) >= FAMILY_MIN_SIZE,
@@ -50,16 +50,8 @@ def _family_suite(sink: ClaimSink):
     sink.check("p2_zero_violations_dim_le_16", "PAPER", not p2_bad,
                witness=";".join(p2_bad) or None)
     # the small-dimension statement on every generated base of dim <= 9
-    bad9 = []
-    for base in commutative_local_bases(FAMILY_MAX_DIM // 2):
-        a = base.algebra
-        if a.dim > 9:
-            continue
-        crit = trivext_criteria(a)
-        ok = crit.i_is_ideal and crit.s_is_ideal
-        ok = ok and property_verdicts(trivial_extension(a)).p2.holds
-        if not ok:
-            bad9.append(base.member_id)
+    bad9 = [base.member_id for base in commutative_local_bases(FAMILY_MAX_DIM // 2)
+            if base.algebra.dim <= 9 and not all(lemmas.dim9_statement(base.algebra))]
     sink.check("dim9_bases_trivext", "PAPER", not bad9,
                witness=";".join(bad9) or None)
 

@@ -164,6 +164,71 @@ def test_paper_suite_repeats_with_memoised_quotients():
     assert again == first
 
 
+def test_run_suite_hands_its_body_the_result_it_returns():
+    import time
+
+    import symcenter.corpus as corpus
+
+    handed = []
+
+    def body(sink):
+        handed.append(sink)
+        sink.check("good", "TRIVIAL", True)
+        time.sleep(0.01)
+
+    result = corpus.run_suite("synthetic", body)
+    assert len(handed) == 1 and handed[0] is result
+    assert [(c.claim_id, c.passed) for c in result.claims] == [("synthetic/good", True)]
+    assert result.elapsed >= 0.01
+    assert not hasattr(corpus, "ClaimSink")
+
+
+# the 27 claim ids of prop_quotientalgebra, each with its verdict, one a line
+_PROP_QUOTIENTALGEBRA_SHA256 = (
+    "6202bb0cf1529f99e6a072e02214c6f4d09dd5455b6f7a5f59aa0d789a3ede86")
+
+
+def test_prop_quotientalgebra_takes_each_sampled_z_once(monkeypatch):
+    # one symmetric quotient per sampled z serves both (P1) and (P2):
+    # 205 witnesses, where taking z once per property made 368, over the
+    # same 41 quotient tables
+    from symcenter import symmetric
+
+    tables = []
+    init = symmetric.QuotientWitness.__init__
+
+    def counting(self, *args):
+        init(self, *args)
+        q = self.quotient
+        tables.append((q.field, q.dim, *(x.tobytes() for x in q.entries)))
+
+    monkeypatch.setattr(symmetric.QuotientWitness, "__init__", counting)
+    [result] = run_paper_suite(case_filter="prop_quotientalgebra")
+    assert len(tables) == 205
+    assert len(set(tables)) == 41
+    lines = "\n".join(f"{c.claim_id} {c.passed}" for c in result.claims)
+    assert len(result.claims) == 27 and result.passed
+    assert hashlib.sha256(lines.encode()).hexdigest() == _PROP_QUOTIENTALGEBRA_SHA256
+
+
+def test_the_dim9_statement_has_one_evaluator(monkeypatch):
+    import symcenter.lemmas as lemmas
+
+    statement = lemmas.dim9_statement
+
+    def p2_false_on_b_gf2_2(a):
+        i_ok, s_ok, p2_ok = statement(a)
+        return i_ok, s_ok, p2_ok and a.name != "B_gf2_2"
+
+    monkeypatch.setattr(lemmas, "dim9_statement", p2_false_on_b_gf2_2)
+    [fam] = run_paper_suite(case_filter="family")
+    [lemma] = run_paper_suite(case_filter="dim9_trivext_lemma")
+    assert [(c.claim_id, c.witness) for c in fam.failures()] == [
+        ("family/dim9_bases_trivext", "B_gf2_2")]
+    assert [c.claim_id for c in lemma.failures()] == [
+        "lemma/dim9_trivext_lemma/p2_of_T/base/B_gf2_2"]
+
+
 def test_lemma_registry_is_complete():
     assert len(LEMMA_IDS) == 24
     assert len(set(LEMMA_IDS)) == len(LEMMA_IDS)
