@@ -299,7 +299,8 @@ class FieldDescriptor:
         out = self.matmul2(a2, b2)
         return out.reshape(a.shape[:-1] + b.shape[1:])
 
-    def random_enc(self, rng: np.random.Generator, shape) -> np.ndarray:
+    def random_enc(self, rng, shape) -> np.ndarray:
+        """Pseudorandom encodings drawn by ``rng.integers(low, high, size, dtype)``."""
         raise NotImplementedError
 
     # -- convenience -------------------------------------------------------------

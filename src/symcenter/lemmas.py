@@ -14,6 +14,7 @@ subspace of A*, such as ``kernel(f, rows)``, the forms vanishing on the rows.
 
 from __future__ import annotations
 
+import math
 import zlib
 
 import numpy as np
@@ -101,8 +102,93 @@ DIM9_LOCAL_IDS = [
 ]
 
 
-def _rng(suite_id: str) -> np.random.Generator:
-    return np.random.default_rng(SEED ^ zlib.crc32(suite_id.encode()))
+_M32 = (1 << 32) - 1
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+class Pcg64Stream:
+    """The stream of ``np.random.default_rng(seed)``, drawn without ``numpy.random``.
+
+    ``integers(low, high, size)`` returns, call for call, what numpy's
+    ``Generator.integers(low, high, size, dtype=np.int64)`` returns for the
+    same seed: SeedSequence mixing with a pool of four words, the PCG64
+    XSL-RR step, 32-bit words taken low half first (the high half is
+    carried to the next draw), and Lemire's bounded draw, which skips a
+    word whose low product bits fall below 2^32 mod (high - low).  It
+    supports what the lemma suites draw (seeds below 2^32, int64 values,
+    1 <= high - low < 2^32) and refuses anything else.
+    """
+
+    def __init__(self, seed: int):
+        if not 0 <= seed <= _M32:
+            raise ValueError(f"seed {seed} outside [0, 2^32)")
+        mult = 0x43B0D7E5
+
+        def hashmix(value: int) -> int:
+            nonlocal mult
+            value ^= mult
+            mult = mult * 0x931E8875 & _M32
+            value = value * mult & _M32
+            return value ^ value >> 16
+
+        def mix(x: int, y: int) -> int:
+            value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+            return value ^ value >> 16
+
+        pool = [hashmix(seed)] + [hashmix(0) for _ in range(3)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        mult = 0x8B51F9DD
+        words = []
+        for i in range(8):
+            value = pool[i % 4] ^ mult
+            mult = mult * 0x58F38DED & _M32
+            value = value * mult & _M32
+            words.append(value ^ value >> 16)
+        # generate_state(4, np.uint64): each 64-bit word is (low, high)
+        seed_words = [words[k] | words[k + 1] << 32 for k in range(0, 8, 2)]
+        init_state = seed_words[0] << 64 | seed_words[1]
+        self._inc = (seed_words[2] << 64 | seed_words[3]) << 1 & _M128 | 1
+        # seeding steps from state 0, adds init_state and steps again
+        self._state = ((self._inc + init_state) * _PCG_MULT + self._inc) & _M128
+        self._carry: int | None = None  # the last output while its high half is unread
+
+    def _words(self, count: int) -> np.ndarray:
+        """The next ``count`` 32-bit words: each 64-bit output low half first."""
+        outs, skip = ([], 0) if self._carry is None else ([self._carry], 1)
+        state, inc = self._state, self._inc
+        for _ in range(count - skip + 1 >> 1):
+            state = (state * _PCG_MULT + inc) & _M128
+            word = (state >> 64 ^ state) & _M64
+            rot = state >> 122
+            outs.append((word >> rot | word << 64 - rot) & _M64)
+        self._state = state
+        end = skip + count
+        self._carry = outs[-1] if end & 1 else None
+        return np.array(outs, dtype="<u8").view("<u4")[skip:end]
+
+    def integers(self, low, high, size=None, dtype=np.int64):
+        low, high = int(low), int(high)
+        span = high - low
+        if np.dtype(dtype) != np.int64 or not 1 <= span <= _M32:
+            raise ValueError(f"unsupported draw: [{low}, {high}) as {np.dtype(dtype)}")
+        shape = () if size is None else np.empty(size, dtype=bool).shape
+        count = math.prod(shape)
+        kept = np.zeros(count if span == 1 else 0, dtype=np.uint64)  # no word drawn
+        threshold = (1 << 32) % span
+        while kept.size < count:
+            products = self._words(count - kept.size).astype(np.uint64) * span
+            kept = np.concatenate([kept, products[products & _M32 >= threshold]])
+        values = ((kept >> 32).astype(np.int64) + low).reshape(shape)
+        return values[()] if size is None else values
+
+
+def _rng(suite_id: str) -> Pcg64Stream:
+    return Pcg64Stream(SEED ^ zlib.crc32(suite_id.encode()))
 
 
 def _symmetric_entries() -> list[str]:

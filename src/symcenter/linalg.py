@@ -500,8 +500,9 @@ def express_in_rows(field: FieldDescriptor, basis_rows: np.ndarray,
 
 
 def random_subspace(field: FieldDescriptor, ambient_dim: int,
-                    rng: np.random.Generator, max_dim: int | None = None) -> Subspace:
-    """A deterministic pseudorandom subspace (row span of a random matrix)."""
+                    rng, max_dim: int | None = None) -> Subspace:
+    """A deterministic pseudorandom subspace (row span of a random matrix),
+    drawn by ``rng.integers(low, high, size, dtype)``."""
     if max_dim is None:
         max_dim = ambient_dim
     k = int(rng.integers(0, max_dim + 1))

@@ -7,8 +7,10 @@ order (corpus entries, then lemma suites, then the family sweep) and
 which hands each body its result and times it.  It runs them in
 one interning block, so a table the run builds twice is validated and
 analysed once.  Selecting by case (``--case`` on the command line) is the
-one way to run part of the table.  Every random draw is seeded, so two
-runs produce identical machine reports byte for byte.
+one way to run part of the table.  Every random draw is seeded and comes
+from the program's own PCG64 stream (``lemmas.Pcg64Stream``, equal to
+``numpy.random.default_rng(seed)`` and independent of the installed NumPy),
+so two runs produce identical machine reports byte for byte.
 """
 
 from __future__ import annotations

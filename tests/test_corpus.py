@@ -1,7 +1,12 @@
 """Corpus suites, lemma checkers and the family generator."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import symcenter.family as family
@@ -227,6 +232,77 @@ def test_the_dim9_statement_has_one_evaluator(monkeypatch):
         ("family/dim9_bases_trivext", "B_gf2_2")]
     assert [c.claim_id for c in lemma.failures()] == [
         "lemma/dim9_trivext_lemma/p2_of_T/base/B_gf2_2"]
+
+
+# one fixed script of draws (low, high, size): ranges 1 (no word is drawn),
+# 2, 3, 7, 25, 1024 and 3 * 2^30 (which rejects a quarter of all words), with
+# scalar draws after odd-sized array draws so that a carried high half is read
+_DRAW_SCRIPT = [
+    (0, 1, None), (-4, -3, (2, 3)),
+    (0, 2, None), (-1, 1, 5), (0, 2, None),
+    (0, 3, (3, 5)), (-2, 1, None),
+    (0, 7, 7), (-3, 4, None), (0, 7, (0, 4)),
+    (-12, 13, (2, 3)), (0, 25, None),
+    (0, 1024, 3), (-512, 512, None), (0, 1024, (3, 0)),
+    (0, 3 << 30, 41), (-(3 << 30), 0, None), (0, 3 << 30, (5, 7)),
+    (0, 3, None),
+]
+
+
+def test_pcg64_stream_is_default_rng(monkeypatch):
+    import symcenter.lemmas as lemmas
+
+    stream, seeds = lemmas.Pcg64Stream, []
+
+    class Recording(stream):
+        def __init__(self, seed):
+            seeds.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(lemmas, "Pcg64Stream", Recording)
+    run_paper_suite()
+    assert len(seeds) > 30
+    for seed in seeds + [0, 2**32 - 1]:
+        ours, numpys = stream(seed), np.random.default_rng(seed)
+        for low, high, size in _DRAW_SCRIPT:
+            got = ours.integers(low, high, size)
+            want = numpys.integers(low, high, size, dtype=np.int64)
+            assert np.asarray(got).dtype == np.int64
+            assert np.shape(got) == np.shape(want), (seed, low, high, size)
+            assert np.array_equal(got, want), (seed, low, high, size)
+
+
+def test_pcg64_stream_refuses_what_the_suites_never_draw():
+    from symcenter.lemmas import Pcg64Stream
+
+    with pytest.raises(ValueError):
+        Pcg64Stream(2**32)
+    with pytest.raises(ValueError):
+        Pcg64Stream(-1)
+    stream = Pcg64Stream(7)
+    with pytest.raises(ValueError):
+        stream.integers(0, 2**32)
+    with pytest.raises(ValueError):
+        stream.integers(3, 3)
+    with pytest.raises(ValueError):
+        stream.integers(0, 5, 4, dtype=np.int32)
+
+
+def test_paper_suite_loads_no_numpy_random():
+    # a subprocess, because this test process has numpy.random loaded
+    code = (
+        "import contextlib, io, sys\n"
+        "from symcenter.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['paper-suite', '--case', 'commutatorsmallestideal',"
+        " '--format', 'machine'])\n"
+        "assert code == 0, code\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_lemma_registry_is_complete():
