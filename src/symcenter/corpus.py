@@ -71,6 +71,12 @@ class SuiteResult:
         return [c for c in self.claims if not c.passed]
 
 
+def is_symmetric_local(a: Algebra) -> bool:
+    """A carries a symmetrizing form and is local: family source (c) takes
+    the corpus entries that are, and the symmetric local lemmas their scope."""
+    return symmetric_gram(a) is not None and is_local(a)
+
+
 def run_suite(suite_id: str, body) -> SuiteResult:
     """Run one suite body ``body(sink)`` on a new empty result, timed."""
     sink = SuiteResult(suite_id, [])
@@ -452,8 +458,7 @@ def suite_soc20_trivext(sink: SuiteResult):
     v = property_verdicts(t)
     sink.check("p2_false", "PAPER", not v.p2.holds)
     sink.check("p1_false", "DERIVED", not v.p1.holds)
-    sink.check("symmetric_local", "PAPER",
-               symmetric_gram(t) is not None and is_local(t))
+    sink.check("symmetric_local", "PAPER", is_symmetric_local(t))
 
 
 SUITES = {

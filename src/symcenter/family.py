@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .algebra import Algebra
 from .constructions import SkewPresentation, from_skew_presentation, tensor, trivial_extension
-from .corpus import ENTRY_IDS, get
+from .corpus import ENTRY_IDS, get, is_symmetric_local
 from .errors import InternalCheckError
 from .fields import GF
 from .substructures import is_local, j_of_center
@@ -70,12 +70,6 @@ def commutative_local_bases(max_base_dim: int) -> list[FamilyMember]:
             for p in (2, 3) for bounds in _bound_tuples(max_base_dim)]
 
 
-def symmetric_local_corpus_ids() -> list[str]:
-    """Corpus entries that carry a symmetrizing form and are local."""
-    return [entry_id for entry_id in ENTRY_IDS
-            if symmetric_gram(get(entry_id)) is not None and is_local(get(entry_id))]
-
-
 def _admit(members: list, member: FamilyMember):
     a = member.algebra
     if a.dim > FAMILY_MAX_DIM:
@@ -107,7 +101,7 @@ def generate_symmetric_local_family() -> list[FamilyMember]:
             dims_taken.add(dim)
             q = symmetric_quotient(t, row).quotient
             _admit(members, FamilyMember(f"{member.member_id}/dim{dim}", q))
-    for entry_id in symmetric_local_corpus_ids():
+    for entry_id in [e for e in ENTRY_IDS if is_symmetric_local(get(e))]:
         a = get(entry_id)
         for idx, row in enumerate(j_of_center(a).basis):
             witness = symmetric_quotient(a, row)

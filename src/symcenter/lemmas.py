@@ -2,10 +2,10 @@
 
 ``CHECKERS`` maps each lemma id to a body ``f(sink)`` that adds its claims
 to the ``SuiteResult`` it is handed, as suite ``lemma/<id>``.  Every
-checker runs over its whole fixed scope (corpus entries, fixed tensor
-pairs, fixed trivial-extension bases, or the generated family), uses the
-fixed seed 0x5EED for any sampling, and reports one claim per (identity,
-algebra) pair.  These are instance checks of universally quantified
+checker runs over its whole fixed scope (fixed tensor pairs and
+trivial-extension bases, or a filter of the per-run ``ScopeRegistry``),
+uses the fixed seed 0x5EED for any sampling, and reports one claim per
+(identity, algebra) pair.  These are instance checks of universally quantified
 statements; they verify, they do not prove.  Predicted subspaces come from
 the ``linalg`` homes the constructions use: ``subspace_tensor`` for U1 (x) U2,
 and for T(A) = A + A* ``subspace_direct_sum`` of a subspace of A and a
@@ -16,17 +16,14 @@ from __future__ import annotations
 
 import math
 import zlib
+from functools import cached_property
 
 import numpy as np
 
 from .algebra import Algebra
 from .constructions import quotient, tensor, trivial_extension, trivext_criteria
-from .corpus import ENTRY_IDS, SuiteResult, get
-from .family import (
-    commutative_local_bases,
-    generate_symmetric_local_family,
-    symmetric_local_corpus_ids,
-)
+from .corpus import ENTRY_IDS, SuiteResult, get, is_symmetric_local
+from .family import commutative_local_bases, generate_symmetric_local_family
 from .linalg import (
     Subspace,
     contains,
@@ -49,6 +46,7 @@ from .substructures import (
     socle,
 )
 from .symmetric import (
+    QuotientWitness,
     check_nustar_relations,
     perp,
     symmetric_gram,
@@ -191,40 +189,94 @@ def _rng(suite_id: str) -> Pcg64Stream:
     return Pcg64Stream(SEED ^ zlib.crc32(suite_id.encode()))
 
 
-def _symmetric_entries() -> list[str]:
-    return [entry for entry in ENTRY_IDS if symmetric_gram(get(entry)) is not None]
+def _symmetric(a: Algebra) -> bool:
+    return symmetric_gram(a) is not None
 
 
-def _local_entries() -> list[str]:
-    return [entry for entry in ENTRY_IDS if is_local(get(entry))]
+class ScopeRegistry:
+    """The algebras the lemma suites run over, for one paper-suite run, which
+    enters it (inside its interning block) for its suites to read.
+
+    Each source is a list of (name, algebra), built on its first read: the
+    corpus entries, derived quotients, a T(B) sample, the family members and
+    the bases of dimension <= 9.  A lemma's scope is a filter or a
+    concatenation of sources.  ``witness`` takes each symmetric quotient
+    once per (algebra, z) in the run.
+    """
+
+    def __init__(self):
+        self._witnesses: dict[tuple[str, bytes], QuotientWitness] = {}
+
+    def __enter__(self):
+        global REGISTRY
+        REGISTRY = self
+
+    def __exit__(self, *exc):
+        global REGISTRY
+        REGISTRY = None
+
+    def scope(self, *sources: str, where=None) -> list[tuple[str, Algebra]]:
+        """The (name, algebra) of the sources, in order, that satisfy ``where``."""
+        return [(name, a) for source in sources for name, a in getattr(self, source)
+                if where is None or where(a)]
+
+    def witness(self, name: str, a: Algebra, z) -> QuotientWitness:
+        key = (name, a._coords_of(z).tobytes())
+        if key not in self._witnesses:
+            self._witnesses[key] = symmetric_quotient(a, z)
+        return self._witnesses[key]
+
+    @cached_property
+    def corpus(self) -> list[tuple[str, Algebra]]:
+        return [(entry, get(entry)) for entry in ENTRY_IDS]
+
+    @cached_property
+    def samples(self) -> list[tuple[str, QuotientWitness]]:
+        """Each symmetric corpus entry's quotients at z = 1 and a J(Z) basis."""
+        out = []
+        for entry, a in self.scope("corpus", where=_symmetric):
+            zs = [("one", a.one_element())]
+            zs += [(f"jz{idx}", row) for idx, row in enumerate(j_of_center(a).basis)]
+            out += [(f"{entry}/{tag}", self.witness(entry, a, z)) for tag, z in zs]
+        return out
+
+    @cached_property
+    def derived(self) -> list[tuple[str, Algebra]]:
+        """Noncommutative symmetric local quotients that de-trivialise scopes."""
+        a12 = get("dim12_sharp")
+        out = [("dim12_sharp/quot_M2",
+                self.witness("dim12_sharp", a12, a12.monomial("M^2")).quotient)]
+        t20 = get("soc20_trivext")
+        for idx, row in enumerate(j_of_center(t20).basis):
+            q = self.witness("soc20_trivext", t20, row).quotient
+            if not q.is_commutative():
+                return out + [(f"soc20_trivext/quot_z{idx}", q)]
+        return out
+
+    @cached_property
+    def trivexts(self) -> list[tuple[str, Algebra]]:
+        return [(f"T({base.member_id})", trivial_extension(base.algebra))
+                for base in commutative_local_bases(4)]
+
+    @cached_property
+    def family(self) -> list[tuple[str, Algebra]]:
+        return [(f"family/{m.member_id}", m.algebra) for m in generate_symmetric_local_family()]
+
+    @cached_property
+    def bases(self) -> list[tuple[str, Algebra]]:
+        return [(f"base/{base.member_id}", base.algebra)
+                for base in commutative_local_bases(8) if base.algebra.dim <= 9]
 
 
-def _derived_symmetric_locals() -> list[tuple[str, Algebra]]:
-    """Noncommutative symmetric local quotients used to de-trivialise scopes."""
-    a12 = get("dim12_sharp")
-    w = symmetric_quotient(a12, a12.monomial("M^2"))
-    out = [("dim12_sharp/quot_M2", w.quotient)]
-    t20 = get("soc20_trivext")
-    for idx, row in enumerate(j_of_center(t20).basis):
-        w = symmetric_quotient(t20, row)
-        if not w.quotient.is_commutative():
-            out.append((f"soc20_trivext/quot_z{idx}", w.quotient))
-            break
-    return out
-
-
-def _trivext_family_sample() -> list[tuple[str, Algebra]]:
-    """A few small commutative trivial extensions, shared across scopes."""
-    return [(f"T({base.member_id})", trivial_extension(base.algebra))
-            for base in commutative_local_bases(4)]
+# the registry of the running paper suite, which its suites read; None outside it
+REGISTRY: ScopeRegistry | None = None
 
 
 # -- the checkers -----------------------------------------------------------------
 
 
 def _check_commutatorsmallestideal(sink: SuiteResult):
-    for entry in ENTRY_IDS:
-        a = get(entry)
+    for entry, a in REGISTRY.corpus:
         k = a.commutator_space()
         full = a.full_space()
         ak = a.subspace_product(full, k)
@@ -258,8 +310,7 @@ def _check_commutatorsmallestideal(sink: SuiteResult):
 
 
 def _check_condsocleprod(sink: SuiteResult):
-    for entry in ENTRY_IDS:
-        a = get(entry)
+    for entry, a in REGISTRY.corpus:
         z = a.center()
         k = a.commutator_space()
         ok = True
@@ -277,15 +328,14 @@ def _check_condsocleprod(sink: SuiteResult):
 
 
 def _check_raidealnecessary(sink: SuiteResult):
-    for entry in ENTRY_IDS:
-        v = property_verdicts(get(entry))
+    for entry, a in REGISTRY.corpus:
+        v = property_verdicts(a)
         sink.check(f"p2_implies_p3/{entry}", "PAPER",
                    (not v.p2.holds) or v.p3.holds)
 
 
 def _check_socinj(sink: SuiteResult):
-    for entry in _local_entries():
-        a = get(entry)
+    for entry, a in REGISTRY.scope("corpus", where=is_local):
         if a.dim >= 2:
             sink.check(f"socZ_in_JZ/{entry}", "PAPER",
                        contains(j_of_center(a), soc_of_center(a)))
@@ -344,8 +394,7 @@ def _check_jacobsontensorproduct(sink: SuiteResult):
 
 
 def _check_propertiesperp(sink: SuiteResult):
-    for entry in _symmetric_entries():
-        a = get(entry)
+    for entry, a in REGISTRY.scope("corpus", where=_symmetric):
         rng = _rng(sink.suite_id + entry)
         n = a.dim
         subspaces = [random_subspace(a.field, n, rng) for _ in range(50)]
@@ -384,8 +433,7 @@ def _check_propertiesperp(sink: SuiteResult):
 
 
 def _check_reynoldsbasic(sink: SuiteResult):
-    for entry in _symmetric_entries():
-        a = get(entry)
+    for entry, a in REGISTRY.scope("corpus", where=_symmetric):
         v = property_verdicts(a)
         basic = is_basic(a)
         sink.check(f"p3_iff_basic/{entry}", "PAPER", v.p3.holds == basic)
@@ -395,8 +443,7 @@ def _check_reynoldsbasic(sink: SuiteResult):
 
 
 def _check_idealsymmetricalternative(sink: SuiteResult):
-    for entry in _symmetric_entries():
-        a = get(entry)
+    for entry, a in REGISTRY.scope("corpus", where=_symmetric):
         v = property_verdicts(a)
         soc = socle(a)
         if soc.dim == a.dim:
@@ -413,27 +460,13 @@ def _check_idealsymmetricalternative(sink: SuiteResult):
 
 
 def _check_remark_ka(sink: SuiteResult):
-    for entry in _symmetric_entries():
-        a = get(entry)
+    for entry, a in REGISTRY.scope("corpus", where=_symmetric):
         sink.check(f"K_ideal_iff_commutative/{entry}", "PAPER",
                    a.is_ideal(a.commutator_space()) == a.is_commutative())
 
 
-def _witness_samples():
-    """Symmetric quotient witnesses: z over a J(Z) basis plus z = 1."""
-    out = []
-    for entry in _symmetric_entries():
-        a = get(entry)
-        zs = [("one", a.one_element())]
-        for idx, row in enumerate(j_of_center(a).basis):
-            zs.append((f"jz{idx}", row))
-        for tag, z in zs:
-            out.append((f"{entry}/{tag}", symmetric_quotient(a, z)))
-    return out
-
-
 def _check_quotientalgebrasymmetric(sink: SuiteResult):
-    for wid, w in _witness_samples():
+    for wid, w in REGISTRY.samples:
         a = w.algebra
         f = a.field
         # lambda_bar(nu(e_i)) == lambda(e_i z) for every basis vector
@@ -444,7 +477,7 @@ def _check_quotientalgebrasymmetric(sink: SuiteResult):
 
 
 def _check_propnustar(sink: SuiteResult):
-    for wid, w in _witness_samples():
+    for wid, w in REGISTRY.samples:
         a, q = w.algebra, w.quotient
         f = a.field
         n, d = a.dim, q.dim
@@ -464,20 +497,12 @@ def _check_propnustar(sink: SuiteResult):
 
 
 def _check_nustar_relations(sink: SuiteResult):
-    for wid, w in _witness_samples():
+    for wid, w in REGISTRY.samples:
         rep = check_nustar_relations(w)
         sink.check(f"center_image/{wid}", "PAPER", rep.center_image_equal)
         sink.check(f"jz_image/{wid}", "PAPER",
                    rep.jz_image_equal and rep.jz_image_contained)
         sink.check(f"socz_image/{wid}", "PAPER", rep.socz_image_contained)
-
-
-def _symmetric_algebras():
-    return [(entry, get(entry)) for entry in _symmetric_entries()] + _derived_symmetric_locals()
-
-
-def _heredity_algebras():
-    return _symmetric_algebras() + _trivext_family_sample()
 
 
 def _z_samples(a: Algebra, rng) -> list:
@@ -494,13 +519,13 @@ def _z_samples(a: Algebra, rng) -> list:
 
 
 def _check_prop_quotientalgebra(sink: SuiteResult):
-    for name, a in _heredity_algebras():
+    for name, a in REGISTRY.scope("corpus", "derived", "trivexts", where=_symmetric):
         v = property_verdicts(a)
         if not (v.p1.holds or v.p2.holds):
             continue
         p1_ok = p2_ok = True
         for vec in _z_samples(a, _rng(sink.suite_id + name)):
-            w = symmetric_quotient(a, vec)
+            w = REGISTRY.witness(name, a, vec)
             qq = w.quotient
             if v.p1.holds:
                 p1_ok = p1_ok and property_verdicts(qq).p1.holds
@@ -516,13 +541,13 @@ def _check_prop_quotientalgebra(sink: SuiteResult):
 
 
 def _check_aicommutative_instance(sink: SuiteResult):
-    for name, a in _heredity_algebras():
-        if not is_local(a) or not property_verdicts(a).p1.holds:
+    for name, a in REGISTRY.scope("corpus", "derived", "trivexts", where=is_symmetric_local):
+        if not property_verdicts(a).p1.holds:
             continue
         rng = _rng(sink.suite_id + name)
         ok = True
         for vec in _z_samples(a, rng):
-            w = symmetric_quotient(a, vec)
+            w = REGISTRY.witness(name, a, vec)
             ok = ok and w.quotient.is_commutative()
         sink.check(
             f"quotients_commutative/{name}", "PAPER", ok,
@@ -581,14 +606,8 @@ def _check_remark_after_soctaideal(sink: SuiteResult):
                    vt.p1.holds == a.is_commutative())
 
 
-def _symmetric_local_algebras():
-    out = [(entry, get(entry)) for entry in symmetric_local_corpus_ids()]
-    out += _derived_symmetric_locals()
-    return out
-
-
 def _check_propertiessymmetriclocal(sink: SuiteResult):
-    for name, a in _symmetric_local_algebras():
+    for name, a in REGISTRY.scope("corpus", "derived", where=is_symmetric_local):
         soc = socle(a)
         sink.check(f"soc_dim_1/{name}", "PAPER", soc.dim == 1)
         sink.check(f"soc_in_socZ/{name}", "PAPER",
@@ -601,11 +620,10 @@ def _check_propertiessymmetriclocal(sink: SuiteResult):
 
 
 def _check_chlz(sink: SuiteResult):
-    for entry in _local_entries():
-        a = get(entry)
+    for entry, a in REGISTRY.scope("corpus", where=is_local):
         chain = a.radical_powers(radical(a).radical)
         z = a.center()
-        sym = symmetric_gram(a) is not None
+        sym = _symmetric(a)
         ok = True
         ok_sym = True
         for i in range(1, len(chain) - 1):
@@ -620,17 +638,10 @@ def _check_chlz(sink: SuiteResult):
 
 
 def _check_centerdim3greater(sink: SuiteResult):
-    for name, a in _symmetric_algebras():
+    for name, a in REGISTRY.scope("corpus", "derived", where=_symmetric):
         if a.is_commutative():
             continue
         sink.check(f"dim_gap/{name}", "PAPER", a.dim >= a.center().dim + 3)
-
-
-def _kultheob_algebras():
-    out = _symmetric_local_algebras()
-    for m in generate_symmetric_local_family():
-        out.append((f"family/{m.member_id}", m.algebra))
-    return out
 
 
 def _check_kultheob(sink: SuiteResult):
@@ -638,7 +649,7 @@ def _check_kultheob(sink: SuiteResult):
     center5_ok = True
     checked = 0
     nontrivial = 0
-    for name, a in _kultheob_algebras():
+    for _, a in REGISTRY.scope("corpus", "derived", "family", where=is_symmetric_local):
         checked += 1
         zdim = a.center().dim
         if zdim <= 4:
@@ -658,14 +669,6 @@ def _check_kultheob(sink: SuiteResult):
                witness=f"{nontrivial} noncommutative instances")
 
 
-def _dim9_algebras():
-    out = [(i, get(i)) for i in DIM9_LOCAL_IDS]
-    for base in commutative_local_bases(8):
-        if base.algebra.dim <= 9:
-            out.append((f"base/{base.member_id}", base.algebra))
-    return [(n, a) for n, a in out if a.dim <= 9 and is_local(a)]
-
-
 def dim9_statement(a: Algebra) -> tuple[bool, bool, bool]:
     """(I ideal, S ideal, T(a) has (P2)): the dim <= 9 statement, for both suites."""
     crit = trivext_criteria(a)
@@ -674,7 +677,8 @@ def dim9_statement(a: Algebra) -> tuple[bool, bool, bool]:
 
 
 def _check_dim9_trivext_lemma(sink: SuiteResult):
-    for name, a in _dim9_algebras():
+    named = [(entry, get(entry)) for entry in DIM9_LOCAL_IDS] + REGISTRY.bases
+    for name, a in [(name, a) for name, a in named if a.dim <= 9 and is_local(a)]:
         i_ok, s_ok, p2_ok = dim9_statement(a)
         sink.check(f"I_is_ideal/{name}", "PAPER", i_ok)
         sink.check(f"S_is_ideal/{name}", "PAPER", s_ok)

@@ -4,13 +4,15 @@ Every suite is a body ``f(sink)`` that adds its claims to the
 ``SuiteResult`` it is handed.  ``SUITES`` lists them in their fixed output
 order (corpus entries, then lemma suites, then the family sweep) and
 ``run_paper_suite`` runs the selected ones through ``corpus.run_suite``,
-which hands each body its result and times it.  It runs them in
-one interning block, so a table the run builds twice is validated and
-analysed once.  Selecting by case (``--case`` on the command line) is the
-one way to run part of the table.  Every random draw is seeded and comes
-from the program's own PCG64 stream (``lemmas.Pcg64Stream``, equal to
-``numpy.random.default_rng(seed)`` and independent of the installed NumPy),
-so two runs produce identical machine reports byte for byte.
+which hands each body its result and times it.  It runs them in one
+interning block, so a table the run builds twice is validated and analysed
+once, and with one ``lemmas.ScopeRegistry``, so each scope and symmetric
+quotient the suites read is built once.  Selecting by case (``--case`` on
+the command line) is the one way to run part of the table.  Every random
+draw is seeded and comes from the program's own PCG64 stream
+(``lemmas.Pcg64Stream``, equal to ``numpy.random.default_rng(seed)`` and
+independent of the installed NumPy), so two runs produce identical machine
+reports byte for byte.
 """
 
 from __future__ import annotations
@@ -20,12 +22,7 @@ from .algebra import interning
 from .analysis import SCHEMA_VERSION
 from .corpus import SuiteResult, run_suite
 from .errors import UnknownCase
-from .family import (
-    FAMILY_MAX_DIM,
-    commutative_local_bases,
-    dimension_histogram,
-    generate_symmetric_local_family,
-)
+from .family import dimension_histogram, generate_symmetric_local_family
 from .substructures import property_verdicts
 
 FAMILY_MIN_SIZE = 30
@@ -52,8 +49,7 @@ def _family_suite(sink: SuiteResult):
     sink.check("p2_zero_violations_dim_le_16", "PAPER", not p2_bad,
                witness=";".join(p2_bad) or None)
     # the small-dimension statement on every generated base of dim <= 9
-    bad9 = [base.member_id for base in commutative_local_bases(FAMILY_MAX_DIM // 2)
-            if base.algebra.dim <= 9 and not all(lemmas.dim9_statement(base.algebra))]
+    bad9 = [a.name for _, a in lemmas.REGISTRY.bases if not all(lemmas.dim9_statement(a))]
     sink.check("dim9_bases_trivext", "PAPER", not bad9,
                witness=";".join(bad9) or None)
 
@@ -75,7 +71,7 @@ def run_paper_suite(case_filter: str | None = None) -> list[SuiteResult]:
             f"unknown case {case_filter!r}; cases are corpus entries, "
             "lemma ids, or 'family'"
         )
-    with interning():
+    with interning(), lemmas.ScopeRegistry():
         return [run_suite(sid, body) for sid, body in plan]
 
 

@@ -194,9 +194,11 @@ _PROP_QUOTIENTALGEBRA_SHA256 = (
 
 
 def test_prop_quotientalgebra_takes_each_sampled_z_once(monkeypatch):
-    # one symmetric quotient per sampled z serves both (P1) and (P2):
-    # 205 witnesses, where taking z once per property made 368, over the
-    # same 41 quotient tables
+    # one symmetric quotient per sampled z serves both (P1) and (P2), and
+    # the scope registry takes each (algebra, z) once: 175 witnesses, where
+    # one per draw made 205 (a z drawn from a small J(Z) repeats, and
+    # dim12_sharp's M^2 is also a derived quotient's z) and one per draw
+    # and property 368, over the same 41 quotient tables
     from symcenter import symmetric
 
     tables = []
@@ -209,11 +211,58 @@ def test_prop_quotientalgebra_takes_each_sampled_z_once(monkeypatch):
 
     monkeypatch.setattr(symmetric.QuotientWitness, "__init__", counting)
     [result] = run_paper_suite(case_filter="prop_quotientalgebra")
-    assert len(tables) == 205
+    assert len(tables) == 175
     assert len(set(tables)) == 41
     lines = "\n".join(f"{c.claim_id} {c.passed}" for c in result.claims)
     assert len(result.claims) == 27 and result.passed
     assert hashlib.sha256(lines.encode()).hexdigest() == _PROP_QUOTIENTALGEBRA_SHA256
+
+
+def test_the_lemma_suites_share_one_scope_registry_per_run(monkeypatch):
+    # the three nu* suites read one symmetric quotient object per (entry, z)
+    # in a run; a corpus case takes no quotient and propnustar only its 29;
+    # no registry outlives the run
+    import weakref
+
+    from symcenter import lemmas, suites, symmetric
+
+    registries, suite, read, taken = [], [None], {}, []
+    init, run_suite = lemmas.ScopeRegistry.__init__, suites.run_suite
+    az_rows, witness_init = symmetric.QuotientWitness.az_rows, symmetric.QuotientWitness.__init__
+
+    def tracking(self):
+        init(self)
+        registries.append(weakref.ref(self))
+
+    def running(suite_id, body):
+        suite[0] = suite_id
+        return run_suite(suite_id, body)
+
+    def reading(self):
+        read.setdefault(suite[0], []).append(self)
+        return az_rows.func(self)
+
+    def counting(self, *args):
+        witness_init(self, *args)
+        taken.append(suite[0])
+
+    monkeypatch.setattr(lemmas.ScopeRegistry, "__init__", tracking)
+    monkeypatch.setattr(suites, "run_suite", running)
+    monkeypatch.setattr(symmetric.QuotientWitness, "az_rows", property(reading))
+    monkeypatch.setattr(symmetric.QuotientWitness, "__init__", counting)
+    run_paper_suite()
+    objects = []
+    for lemma in ("quotientalgebrasymmetric", "propnustar", "nustar_relations"):
+        witnesses = read[f"lemma/{lemma}"]
+        assert len({id(w) for w in witnesses}) == 29
+        objects.append({(w.algebra.name, w.z.tobytes()): id(w) for w in witnesses})
+    assert len(objects[0]) == 29 and objects[1] == objects[0] and objects[2] == objects[0]
+    taken.clear()
+    run_paper_suite(case_filter="matn")
+    assert taken == []
+    run_paper_suite(case_filter="propnustar")
+    assert taken == ["lemma/propnustar"] * 29
+    assert len(registries) == 3 and all(ref() is None for ref in registries)
 
 
 def test_the_dim9_statement_has_one_evaluator(monkeypatch):
