@@ -13,7 +13,8 @@ violation at dimension <= 16.
 
 from symcenter import property_verdicts, trivext_criteria, trivial_extension
 from symcenter.corpus import get
-from symcenter.family import dimension_histogram, generate_symmetric_local_family
+from symcenter.family import dimension_histogram
+from symcenter.lemmas import ScopeRegistry
 
 a = get("soc20_base")
 print(a)
@@ -35,7 +36,7 @@ print("witness:", v.p2.witness.describe(t))
 print()
 
 print("-- the family sweep ----------------------------------------------")
-members = generate_symmetric_local_family()
+members = ScopeRegistry().members
 print(f"{len(members)} verified symmetric local algebras")
 print("dimension histogram:", dimension_histogram(members))
 bad_p1 = [m.member_id for m in members

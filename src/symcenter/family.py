@@ -15,12 +15,12 @@ must satisfy (P2).  The family combines
   (d) tensor products of pairs from (a) over the same field,
 
 all of dimension at most ``FAMILY_MAX_DIM``, the (P2) bound, and each
-verified to be symmetric and local before being admitted.
+verified to be symmetric and local before being admitted.  A paper-suite
+run builds the family and its bases once, in its ``lemmas.ScopeRegistry``.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .algebra import Algebra
@@ -28,8 +28,8 @@ from .constructions import SkewPresentation, from_skew_presentation, tensor, tri
 from .corpus import ENTRY_IDS, get, is_symmetric_local
 from .errors import InternalCheckError
 from .fields import GF
-from .substructures import is_local, j_of_center
-from .symmetric import symmetric_gram, symmetric_ideal, symmetric_quotient
+from .substructures import j_of_center
+from .symmetric import symmetric_ideal
 
 FAMILY_MAX_DIM = 16
 
@@ -54,41 +54,33 @@ def _bound_tuples(max_product: int):
     return out
 
 
-@functools.cache
-def _truncated_polynomial_base(p: int, bounds: tuple[int, ...]) -> FamilyMember:
-    name = f"B_gf{p}_" + ("x".join(str(b) for b in bounds) or "1")
-    alg = from_skew_presentation(GF(p), SkewPresentation.commuting(bounds), name=name)
-    return FamilyMember(name, alg)
-
-
 def commutative_local_bases(max_base_dim: int) -> list[FamilyMember]:
-    """Truncated polynomial algebras F[x_i]/(x_i^{b_i}) over GF(2), GF(3).
-
-    Each base is built once per process and shared by every caller.
-    """
-    return [_truncated_polynomial_base(p, bounds)
-            for p in (2, 3) for bounds in _bound_tuples(max_base_dim)]
+    """Truncated polynomial algebras F[x_i]/(x_i^{b_i}) over GF(2), GF(3),
+    built anew on each call (a paper-suite run reads them once)."""
+    bases = []
+    for p in (2, 3):
+        for bounds in _bound_tuples(max_base_dim):
+            name = f"B_gf{p}_" + ("x".join(str(b) for b in bounds) or "1")
+            alg = from_skew_presentation(GF(p), SkewPresentation.commuting(bounds), name=name)
+            bases.append(FamilyMember(name, alg))
+    return bases
 
 
 def _admit(members: list, member: FamilyMember):
-    a = member.algebra
-    if a.dim > FAMILY_MAX_DIM:
+    if member.algebra.dim > FAMILY_MAX_DIM:
         return
-    if symmetric_gram(a) is None:
-        raise InternalCheckError(f"family member {member.member_id} has no form")
-    if not is_local(a):
-        raise InternalCheckError(f"family member {member.member_id} is not local")
+    if not is_symmetric_local(member.algebra):
+        raise InternalCheckError(f"family member {member.member_id} is not symmetric local")
     members.append(member)
 
 
-@functools.cache
-def generate_symmetric_local_family() -> list[FamilyMember]:
-    """The deterministic verified family, in a fixed construction order;
-    built once per process."""
+def generate_symmetric_local_family(bases: list[FamilyMember], witness) -> list[FamilyMember]:
+    """The deterministic verified family on ``bases``, in a fixed construction
+    order, taking each symmetric quotient as ``witness(name, algebra, z)``."""
     members: list[FamilyMember] = []
     # bases of dim <= FAMILY_MAX_DIM // 2, so every T(B) is within the bound
     trivexts = [FamilyMember(f"T({base.member_id})", trivial_extension(base.algebra))
-                for base in commutative_local_bases(FAMILY_MAX_DIM // 2)]
+                for base in bases if base.algebra.dim <= FAMILY_MAX_DIM // 2]
     for member in trivexts:
         _admit(members, member)
     for member in trivexts:
@@ -99,13 +91,12 @@ def generate_symmetric_local_family() -> list[FamilyMember]:
             if dim in dims_taken:
                 continue
             dims_taken.add(dim)
-            q = symmetric_quotient(t, row).quotient
+            q = witness(member.member_id, t, row).quotient
             _admit(members, FamilyMember(f"{member.member_id}/dim{dim}", q))
     for entry_id in [e for e in ENTRY_IDS if is_symmetric_local(get(e))]:
         a = get(entry_id)
         for idx, row in enumerate(j_of_center(a).basis):
-            witness = symmetric_quotient(a, row)
-            q = witness.quotient
+            q = witness(entry_id, a, row).quotient
             _admit(members, FamilyMember(f"{entry_id}/z{idx}_dim{q.dim}", q))
     for i, left in enumerate(trivexts):
         for right in trivexts[i:]:

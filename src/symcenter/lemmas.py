@@ -23,7 +23,7 @@ import numpy as np
 from .algebra import Algebra
 from .constructions import quotient, tensor, trivial_extension, trivext_criteria
 from .corpus import ENTRY_IDS, SuiteResult, get, is_symmetric_local
-from .family import commutative_local_bases, generate_symmetric_local_family
+from .family import FamilyMember, commutative_local_bases, generate_symmetric_local_family
 from .linalg import (
     Subspace,
     contains,
@@ -194,14 +194,15 @@ def _symmetric(a: Algebra) -> bool:
 
 
 class ScopeRegistry:
-    """The algebras the lemma suites run over, for one paper-suite run, which
-    enters it (inside its interning block) for its suites to read.
+    """The algebras the suites read in one paper-suite run, which enters it
+    (inside its interning block).
 
-    Each source is a list of (name, algebra), built on its first read: the
-    corpus entries, derived quotients, a T(B) sample, the family members and
-    the bases of dimension <= 9.  A lemma's scope is a filter or a
-    concatenation of sources.  ``witness`` takes each symmetric quotient
-    once per (algebra, z) in the run.
+    Each source is built on its first read: the corpus entries, derived
+    quotients, a T(B) sample and the family members as lists of (name,
+    algebra); ``bases``, the one ``commutative_local_bases(8)`` the T(B)
+    sample and the family are built on; ``members``, the family itself.
+    A lemma's scope is a filter or a concatenation of sources.  ``witness``
+    takes each symmetric quotient, the family's too, once per (algebra, z).
     """
 
     def __init__(self):
@@ -210,6 +211,7 @@ class ScopeRegistry:
     def __enter__(self):
         global REGISTRY
         REGISTRY = self
+        return self
 
     def __exit__(self, *exc):
         global REGISTRY
@@ -256,16 +258,19 @@ class ScopeRegistry:
     @cached_property
     def trivexts(self) -> list[tuple[str, Algebra]]:
         return [(f"T({base.member_id})", trivial_extension(base.algebra))
-                for base in commutative_local_bases(4)]
+                for base in self.bases if base.algebra.dim <= 4]
+
+    @cached_property
+    def members(self) -> list[FamilyMember]:
+        return generate_symmetric_local_family(self.bases, self.witness)
 
     @cached_property
     def family(self) -> list[tuple[str, Algebra]]:
-        return [(f"family/{m.member_id}", m.algebra) for m in generate_symmetric_local_family()]
+        return [(f"family/{m.member_id}", m.algebra) for m in self.members]
 
     @cached_property
-    def bases(self) -> list[tuple[str, Algebra]]:
-        return [(f"base/{base.member_id}", base.algebra)
-                for base in commutative_local_bases(8) if base.algebra.dim <= 9]
+    def bases(self) -> list[FamilyMember]:
+        return commutative_local_bases(8)
 
 
 # the registry of the running paper suite, which its suites read; None outside it
@@ -677,7 +682,8 @@ def dim9_statement(a: Algebra) -> tuple[bool, bool, bool]:
 
 
 def _check_dim9_trivext_lemma(sink: SuiteResult):
-    named = [(entry, get(entry)) for entry in DIM9_LOCAL_IDS] + REGISTRY.bases
+    named = [(entry, get(entry)) for entry in DIM9_LOCAL_IDS]
+    named += [(f"base/{base.member_id}", base.algebra) for base in REGISTRY.bases]
     for name, a in [(name, a) for name, a in named if a.dim <= 9 and is_local(a)]:
         i_ok, s_ok, p2_ok = dim9_statement(a)
         sink.check(f"I_is_ideal/{name}", "PAPER", i_ok)

@@ -13,8 +13,8 @@ import sys
 import time
 
 from symcenter.corpus import get
-from symcenter.family import dimension_histogram, generate_symmetric_local_family
-from symcenter.lemmas import LEMMA_IDS
+from symcenter.family import dimension_histogram
+from symcenter.lemmas import LEMMA_IDS, ScopeRegistry
 from symcenter.substructures import property_verdicts
 from symcenter.suites import run_paper_suite
 
@@ -148,7 +148,7 @@ def test_criterion_6_lemma_suites_zero_failures():
 
 
 def test_criterion_7_family_sweep():
-    members = generate_symmetric_local_family()
+    members = ScopeRegistry().members
     assert len(members) >= 30
     bad_p1 = [m.member_id for m in members
               if m.algebra.dim <= 11 and not property_verdicts(m.algebra).p1.holds]

@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import symcenter.family as family
 from symcenter.algebra import interning
 from symcenter.corpus import ENTRY_IDS, get
 from symcenter.errors import UnknownCase
@@ -18,8 +17,8 @@ from symcenter.family import (
     dimension_histogram,
     generate_symmetric_local_family,
 )
-from symcenter.lemmas import LEMMA_IDS
-from symcenter.substructures import is_local
+from symcenter.lemmas import LEMMA_IDS, ScopeRegistry
+from symcenter.substructures import is_local, property_verdicts
 from symcenter.suites import SUITES, run_paper_suite
 from symcenter.symmetric import symmetric_gram, symmetric_quotient
 
@@ -77,7 +76,8 @@ def test_registry_contents():
 
 
 def test_family_generation():
-    fam = generate_symmetric_local_family()
+    with ScopeRegistry() as registry:
+        fam = registry.members
     assert len(fam) >= 30
     hist = dimension_histogram(fam)
     assert max(hist) <= 16
@@ -97,22 +97,19 @@ _FAMILY_HISTOGRAM = {1: 27, 2: 32, 3: 19, 4: 27, 5: 8, 6: 16, 7: 4, 8: 23, 9: 3,
                      12: 12, 14: 4, 16: 12}
 
 
-def test_family_builds_one_quotient_per_source_b_member(monkeypatch):
+def test_family_builds_one_quotient_per_source_b_member():
     # source (b) reads dim I_mu first and builds a quotient only for a
     # dimension it has not taken: 136 quotients of the T(B), one per member
     # it keeps (one per z would be 224).  Source (c) is not counted: _admit
     # drops its quotients of dimension above 16 once built
     calls = []
 
-    def counting(algebra, z):
-        calls.append(algebra.name)
+    def counting(name, algebra, z):
+        calls.append(name)
         return symmetric_quotient(algebra, z)
 
-    monkeypatch.setattr(family, "symmetric_quotient", counting)
-    family._truncated_polynomial_base.cache_clear()
-    family.generate_symmetric_local_family.cache_clear()
     with interning():
-        members = generate_symmetric_local_family()
+        members = generate_symmetric_local_family(commutative_local_bases(8), counting)
     ids = [m.member_id for m in members]
     source_b = [i for i in ids if i.startswith("T(B_") and "/dim" in i]
     assert len(source_b) == 136
@@ -263,6 +260,59 @@ def test_the_lemma_suites_share_one_scope_registry_per_run(monkeypatch):
     run_paper_suite(case_filter="propnustar")
     assert taken == ["lemma/propnustar"] * 29
     assert len(registries) == 3 and all(ref() is None for ref in registries)
+
+
+def test_one_run_builds_the_family_once_in_its_registry(monkeypatch):
+    # the registry owns the family: one build per run, the family suite and
+    # kultheob read the same member objects, the family's quotients are the
+    # lemma suites' witnesses (one per distinct (core, form, z)), and no base
+    # or member algebra outlives the run
+    import weakref
+
+    from symcenter import lemmas, suites, symmetric
+
+    generate, bases_of = lemmas.generate_symmetric_local_family, lemmas.commutative_local_bases
+    scope, witness_init = lemmas.ScopeRegistry.scope, symmetric.QuotientWitness.__init__
+    builds, refs, members, swept, kultheob, witnesses = [], [], set(), set(), set(), []
+
+    def generating(bases, witness):
+        builds.append(None)
+        out = generate(bases, witness)
+        members.update(id(m.algebra) for m in out)
+        refs.extend(weakref.ref(m.algebra) for m in out)
+        return out
+
+    def basing(max_base_dim):
+        out = bases_of(max_base_dim)
+        refs.extend(weakref.ref(base.algebra) for base in out)
+        return out
+
+    def scoping(self, *sources, where=None):
+        out = scope(self, *sources, where=where)
+        if "family" in sources:
+            kultheob.update(id(a) for name, a in out if name.startswith("family/"))
+        return out
+
+    def sweeping(a):
+        swept.add(id(a))
+        return property_verdicts(a)
+
+    def counting(self, *args):
+        witness_init(self, *args)
+        a = self.algebra
+        witnesses.append((id(a._core), a.sym_form.tobytes(), self.z.tobytes()))
+
+    monkeypatch.setattr(lemmas, "generate_symmetric_local_family", generating)
+    monkeypatch.setattr(lemmas, "commutative_local_bases", basing)
+    monkeypatch.setattr(lemmas.ScopeRegistry, "scope", scoping)
+    monkeypatch.setattr(suites, "property_verdicts", sweeping)
+    monkeypatch.setattr(symmetric.QuotientWitness, "__init__", counting)
+    run_paper_suite()
+    assert len(builds) == 1 and len(members) == 195
+    # every member is in kultheob's scope and in the sweep, as the same object
+    assert kultheob == members and swept == members
+    assert len(witnesses) == len(set(witnesses)) == 353
+    assert refs and all(ref() is None for ref in refs)
 
 
 def test_the_dim9_statement_has_one_evaluator(monkeypatch):

@@ -33,9 +33,9 @@ from symcenter.constructions import (
     trivial_extension,
 )
 from symcenter.errors import FileFormatError, InternalCheckError
-from symcenter.family import generate_symmetric_local_family
 from symcenter.fields import ExtensionField
 from symcenter.fileformat import parse_document
+from symcenter.lemmas import ScopeRegistry
 from symcenter.linalg import Subspace, subspace_intersect
 from symcenter.substructures import (
     RadicalCertificate,
@@ -570,7 +570,7 @@ def _distinct_corpus_and_family():
     """Every corpus algebra and family member, one per (field, table)."""
     seen = {}
     algebras = [get(name) for name in _BUILDERS]
-    algebras += [m.algebra for m in generate_symmetric_local_family()]
+    algebras += [m.algebra for m in ScopeRegistry().members]
     for a in algebras:
         key = (a.field._key(), dense_table(a).tobytes() if a.field.dtype is not object
                else str(dense_table(a).tolist()), a.one.tobytes())
